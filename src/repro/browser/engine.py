@@ -77,31 +77,14 @@ class BrowserContext:
     #: pre-h3 browser; ``("h2", "h3")`` adds the QUIC dialer, HTTPS
     #: DNS-record awareness, and Alt-Svc upgrades.
     alpn: Sequence[str] = ("h2",)
-    #: How many times a request may be re-dialed after an edge refused
-    #: the connection with an overload GOAWAY (ENHANCE_YOUR_CALM).  0
-    #: (the default) keeps the pre-capacity-model behaviour: the
-    #: refusal surfaces as a failed request.
-    goaway_retry_limit: int = 0
-    #: Base backoff before an overload retry; attempt ``n`` waits
-    #: ``n * backoff`` so repeated refusals spread out.
-    goaway_retry_backoff_ms: float = 120.0
-    #: The unified retry policy.  ``None`` derives one from the two
-    #: legacy GOAWAY fields above (linear backoff, no jitter, no
-    #: connection-loss retries), so existing configurations keep
-    #: their exact behaviour through the single retry code path.
-    retry_policy: Optional[RetryPolicy] = None
+    #: The unified retry policy.  The default allows no retries: an
+    #: overload GOAWAY (ENHANCE_YOUR_CALM) or a lost connection
+    #: surfaces as a failed request.
+    retry_policy: RetryPolicy = RetryPolicy()
     #: Dedicated generator for retry jitter draws.  Kept separate
     #: from :attr:`rng` so enabling jittered retries never perturbs
     #: the TLS-version / speculative-connection decision stream.
     retry_rng: Optional[np.random.Generator] = None
-
-    @property
-    def effective_retry_policy(self) -> RetryPolicy:
-        if self.retry_policy is not None:
-            return self.retry_policy
-        return RetryPolicy.legacy_goaway(
-            self.goaway_retry_limit, self.goaway_retry_backoff_ms
-        )
 
     @property
     def tracer(self):
@@ -505,7 +488,7 @@ class PageLoad:
 
     def _maybe_retry(self, state: _FetchState, overload: bool) -> bool:
         """The single retry decision point for both failure classes."""
-        policy = self.context.effective_retry_policy
+        policy = self.context.retry_policy
         if overload:
             if not policy.allows(state.goaway_retries + 1):
                 return False

@@ -4,11 +4,8 @@ One :class:`RetryPolicy` covers every failure class the engine ever
 re-dials, so there is exactly one retry code path:
 
 * **overload refusals** -- the edge answered the handshake with
-  ``GOAWAY ENHANCE_YOUR_CALM`` (the traffic capacity model).  The
-  legacy ``BrowserContext.goaway_retry_limit`` /
-  ``goaway_retry_backoff_ms`` pair now derives a policy via
-  :meth:`RetryPolicy.legacy_goaway`, preserving the original linear
-  backoff and audit sequence byte-for-byte.
+  ``GOAWAY ENHANCE_YOUR_CALM`` (the traffic capacity model, which
+  retries on the default linear backoff).
 * **connection loss** -- a mid-flight teardown killed the transport
   under the request (injected faults, middlebox RSTs).  Off by
   default (``retry_connection_loss=False`` keeps the pre-chaos
@@ -55,14 +52,6 @@ class RetryPolicy:
     #: fetch start; a retry that would begin past the budget is not
     #: attempted.  0 means unlimited.
     budget_ms: float = 0.0
-
-    @classmethod
-    def legacy_goaway(cls, limit: int, backoff_ms: float
-                      ) -> "RetryPolicy":
-        """The policy equivalent of the pre-chaos
-        ``goaway_retry_limit`` / ``goaway_retry_backoff_ms`` pair."""
-        return cls(max_retries=int(limit),
-                   backoff_base_ms=float(backoff_ms))
 
     def backoff_ms(self, attempt: int,
                    rng: Optional[np.random.Generator] = None) -> float:

@@ -15,8 +15,9 @@ Layers:
   seeded RNGs and blast attribution;
 * :mod:`repro.chaos.report` -- per-fault tallies and the
   shard-mergeable :class:`ChaosReport`;
-* :mod:`repro.chaos.run` -- the sharded runner (mirrors the traced
-  crawl pipeline) and the ``--compare-policies`` sweep.
+* :mod:`repro.chaos.run` -- the sharded runner (a driver over the
+  shard executor in :mod:`repro.dataset.shard`, whose ``crawl_shard``
+  arms the injector) and the ``--compare-policies`` sweep.
 """
 
 from repro.chaos.inject import (
@@ -29,7 +30,6 @@ from repro.chaos.run import (
     COMPARE_POLICIES,
     DEFAULT_RETRY_POLICY,
     ChaosRunner,
-    chaos_shard_traced,
     compare_policies,
 )
 from repro.chaos.schedule import (
@@ -56,7 +56,6 @@ __all__ = [
     "FaultSchedule",
     "FaultSpec",
     "FaultTally",
-    "chaos_shard_traced",
     "compare_policies",
     "load_fault_schedule",
     "parse_fault_schedule",

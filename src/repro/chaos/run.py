@@ -1,13 +1,15 @@
 """The sharded chaos runner: a traced crawl with faults armed.
 
-Mirrors :class:`~repro.dataset.shard.ParallelCrawler.crawl_traced`
-exactly -- same shard plan, same world/crawler seeds, same shard-order
-merge of archives/spans/metrics/audit -- and adds, per shard, a
-:class:`~repro.chaos.inject.FaultInjector` armed before the crawl and
-an explicit :class:`~repro.browser.retry.RetryPolicy` on the browser
-context.  Shards additionally return their fault tallies (plain JSON
-docs) which merge into a :class:`~repro.chaos.report.ChaosReport` by
-counter addition, so the report is byte-identical at any ``--jobs``.
+A thin driver over the one shard executor
+(:func:`repro.dataset.shard.merge_shards`): the same shard plan,
+world/crawler seeds and shard-order merge of archives/spans/metrics/
+audit as :meth:`~repro.dataset.shard.ParallelCrawler.crawl_traced`,
+with :func:`~repro.dataset.shard.crawl_shard`'s ``chaos`` argument
+arming a :class:`~repro.chaos.inject.FaultInjector` per shard and
+pinning an explicit :class:`~repro.browser.retry.RetryPolicy` on the
+browser context.  Each shard result carries its fault tallies (plain
+JSON docs), which merge into a :class:`~repro.chaos.report.ChaosReport`
+by counter addition, so the report is byte-identical at any ``--jobs``.
 
 With an empty schedule the injector installs nothing, the retry
 policy is never consulted (nothing fails in an unfaulted crawl
@@ -19,31 +21,23 @@ invariant down to ``cmp``.
 
 from __future__ import annotations
 
-import multiprocessing
+from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
-from repro.audit.log import AuditEvent
 from repro.audit.reasons import ReasonCode
-from repro.browser.policy import policy_by_name
 from repro.browser.retry import RetryPolicy
-from repro.chaos.inject import (
-    CHAOS_SEED_DOMAIN,
-    RETRY_SEED_DOMAIN,
-    FaultInjector,
-)
 from repro.chaos.report import ChaosReport
 from repro.chaos.schedule import FaultSchedule
-from repro.dataset.crawler import Crawler, CrawlResult
+from repro.dataset.crawler import CrawlResult
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
     CrawlParams,
     ShardResult,
-    ShardSpec,
-    derive_seed,
+    crawl_shard,
+    merge_shards,
     plan_shards,
 )
-from repro.telemetry import CrawlTrace, Span, Telemetry
-from repro.web.har import HarArchive
+from repro.telemetry import CrawlTrace
 
 #: The default chaos retry policy: two deterministic exponential
 #: retries with a little seeded jitter, loss retries on.
@@ -55,89 +49,6 @@ DEFAULT_RETRY_POLICY = RetryPolicy(
     retry_connection_loss=True,
     budget_ms=0.0,
 )
-
-
-def chaos_shard_traced(
-    spec: ShardSpec,
-    params: CrawlParams,
-    schedule: FaultSchedule,
-    retry_policy: RetryPolicy,
-    trace: bool = True,
-    audit: bool = True,
-) -> Tuple[ShardResult, List[dict]]:
-    """Crawl one shard with faults armed; returns the telemetry
-    bundle plus the shard's fault tallies (in schedule order)."""
-    world = spec.build_world()
-    telemetry = Telemetry(
-        clock=world.network.loop.now, trace=trace, audit=audit
-    )
-    crawler = Crawler(
-        world,
-        policy=policy_by_name(params.policy),
-        speculative_rate=params.speculative_rate,
-        dns_latency_ms=params.dns_latency_ms,
-        seed=spec.crawler_seed(params.seed),
-        telemetry=telemetry,
-        alpn=params.alpn,
-        retry_policy=retry_policy,
-        retry_seed=derive_seed(
-            params.seed, RETRY_SEED_DOMAIN, spec.index, spec.shard_count
-        ),
-    )
-    injector = FaultInjector(
-        world,
-        schedule,
-        seed=derive_seed(
-            params.seed, CHAOS_SEED_DOMAIN, spec.index, spec.shard_count
-        ),
-        resolver=crawler.resolver,
-        audit=telemetry.audit,
-    )
-    injector.arm()
-    shard_span = None
-    if telemetry.tracer.enabled:
-        shard_span = telemetry.tracer.begin(
-            "shard", category="crawler", index=spec.index,
-            sites=spec.site_count,
-        )
-    result = crawler.crawl()
-    if shard_span is not None:
-        telemetry.tracer.end(
-            shard_span, attempted=result.attempted,
-            succeeded=result.success_count,
-        )
-    return ShardResult(
-        payload=result,
-        spans=telemetry.tracer.spans,
-        metrics=telemetry.metrics.snapshot(),
-        events=telemetry.audit.events,
-    ), injector.fault_docs()
-
-
-def _chaos_shard_json(
-    payload: Tuple[ShardSpec, CrawlParams, FaultSchedule, RetryPolicy,
-                   bool, bool]
-) -> Tuple[List[str], List[dict], List[dict], List[dict], List[dict]]:
-    """Picklable worker entry point: everything as JSON-able docs."""
-    spec, params, schedule, retry_policy, trace, audit = payload
-    shard_result, fault_docs = chaos_shard_traced(
-        spec, params, schedule, retry_policy, trace=trace, audit=audit
-    )
-    return (
-        [archive.to_json()
-         for archive in shard_result.payload.archives],
-        [span.to_dict() for span in shard_result.spans],
-        shard_result.metrics,
-        [event.to_dict() for event in shard_result.events],
-        fault_docs,
-    )
-
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
 
 
 #: Reasons counted as "a request went through a retry".
@@ -159,8 +70,6 @@ class ChaosRunner:
         shard_count: Optional[int] = None,
         jobs: int = 1,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.config = config
         self.params = params or CrawlParams()
         self.schedule = schedule or FaultSchedule()
@@ -182,63 +91,26 @@ class ChaosRunner:
         tallies in shard order.  The audit collector is always on --
         the blast attribution and the jobs-determinism gate live
         there."""
-        total = len(self.shards)
         merged = CrawlResult()
-        crawl_trace = CrawlTrace()
         report = ChaosReport(
             policy=self.params.policy,
             schedule_source=self.schedule.source,
             sites=self.config.site_count,
             seed=self.config.seed,
-            shards=total,
+            shards=len(self.shards),
         )
-        if self.jobs == 1 or total == 1:
-            for done, spec in enumerate(self.shards, start=1):
-                shard_result, fault_docs = chaos_shard_traced(
-                    spec, self.params, self.schedule, self.retry_policy,
-                    trace=trace, audit=True,
-                )
-                merged.archives.extend(shard_result.payload.archives)
-                crawl_trace.extend(
-                    list(shard_result.spans), shard=spec.index
-                )
-                crawl_trace.metrics.absorb(shard_result.metrics)
-                crawl_trace.extend_audit(
-                    list(shard_result.events), shard=spec.index
-                )
-                report.absorb_tallies(fault_docs)
-                if progress is not None:
-                    progress(done, total)
-                if watch is not None:
-                    watch(done, total, crawl_trace)
-        else:
-            payloads = [
-                (spec, self.params, self.schedule, self.retry_policy,
-                 trace, True)
-                for spec in self.shards
-            ]
-            workers = min(self.jobs, total)
-            with _mp_context().Pool(processes=workers) as pool:
-                for done, (lines, span_docs, metrics, event_docs,
-                           fault_docs) in enumerate(
-                        pool.imap(_chaos_shard_json, payloads), start=1):
-                    merged.archives.extend(
-                        HarArchive.from_json(line) for line in lines
-                    )
-                    crawl_trace.extend(
-                        [Span.from_dict(doc) for doc in span_docs],
-                        shard=self.shards[done - 1].index,
-                    )
-                    crawl_trace.metrics.absorb(metrics)
-                    crawl_trace.extend_audit(
-                        [AuditEvent.from_dict(doc) for doc in event_docs],
-                        shard=self.shards[done - 1].index,
-                    )
-                    report.absorb_tallies(fault_docs)
-                    if progress is not None:
-                        progress(done, total)
-                    if watch is not None:
-                        watch(done, total, crawl_trace)
+
+        def absorb(result: ShardResult) -> None:
+            merged.archives.extend(result.payload.archives)
+            report.absorb_tallies(result.faults)
+
+        chaos = (self.schedule, self.retry_policy)
+        crawl_trace = merge_shards(
+            crawl_shard,
+            [(spec, self.params, (trace, True), chaos)
+             for spec in self.shards],
+            self.jobs, absorb, progress, watch,
+        )
         self._finish_report(report, merged, crawl_trace)
         return merged, crawl_trace, report
 
@@ -282,8 +154,6 @@ def compare_policies(
     policies open fewer connections, but each lost connection takes
     more hostnames down with it (larger mean blast radius)."""
     rows: List[Tuple[str, CrawlResult, ChaosReport]] = []
-    from dataclasses import replace
-
     for policy in policies:
         runner = ChaosRunner(
             config,

@@ -19,16 +19,25 @@ original seed, so a site's identity is unaffected by sharding; only
 world-materialization randomness (provider IP picks, server think
 times) and crawl randomness are drawn from the derived per-shard
 streams.
+
+This module is also the one home of *how a list of shard jobs is
+executed, shipped across a process boundary and merged in shard
+order* -- for the crawl, for :mod:`repro.chaos.run` and for
+:mod:`repro.traffic.simulate`: :func:`run_shards` (the executor),
+:meth:`ShardResult.to_wire`/:meth:`ShardResult.from_wire` (the codec)
+and :func:`merge_shards` (the shard-order fold).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import starmap
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.audit.log import NULL_AUDIT, AuditEvent
 from repro.browser.policy import policy_by_name
 from repro.dataset.crawler import Crawler, CrawlResult
 from repro.dataset.generator import DatasetConfig, PageGenerator, SiteRecord
@@ -154,23 +163,64 @@ def plan_shards(
 
 @dataclass(frozen=True)
 class ShardResult:
-    """One shard worker's bundled output, crawl and traffic alike.
+    """One shard's bundled output -- crawl, chaos and traffic alike.
 
     ``payload`` is the workload's own merge unit (a
-    :class:`~repro.dataset.crawler.CrawlResult` for crawl shards, a
-    :class:`~repro.traffic.aggregate.TrafficAggregate` for traffic
-    shards); ``spans``/``metrics``/``events`` are the telemetry
-    bundle that :class:`~repro.telemetry.CrawlTrace` merges in shard
-    order.  ``extra`` carries worker-local state that never crosses a
-    process boundary (the traffic shard's
+    :class:`~repro.dataset.crawler.CrawlResult` for crawl and chaos
+    shards, a :class:`~repro.traffic.aggregate.TrafficAggregate` for
+    traffic shards); ``spans``/``metrics``/``events`` are the telemetry
+    bundle that :meth:`~repro.telemetry.CrawlTrace.adopt` merges in
+    shard order; ``faults`` are a chaos shard's fault tallies (plain
+    JSON docs, in schedule order).  ``extra`` carries worker-local
+    state that never crosses a process boundary (the traffic shard's
     :class:`~repro.traffic.edge.EdgeLoadMonitor`).
     """
 
     payload: object
     spans: Sequence[Span] = ()
     metrics: Sequence[dict] = ()
-    events: Sequence[object] = ()
+    events: Sequence[AuditEvent] = ()
+    faults: Sequence[dict] = ()
     extra: object = None
+
+    def to_wire(self) -> tuple:
+        """The result as JSON-able docs: the only form in which a
+        shard result crosses a process boundary (``extra`` stays
+        behind)."""
+        payload = self.payload
+        if isinstance(payload, CrawlResult):
+            payload_doc = [
+                archive.to_json() for archive in payload.archives
+            ]
+        else:
+            payload_doc = payload.to_dict()
+        return (
+            payload_doc,
+            [span.to_dict() for span in self.spans],
+            self.metrics,
+            [event.to_dict() for event in self.events],
+            self.faults,
+        )
+
+    @classmethod
+    def from_wire(cls, wire: tuple) -> "ShardResult":
+        """Re-inflate :meth:`to_wire` output (in the parent process)."""
+        from repro.traffic.aggregate import TrafficAggregate
+
+        payload_doc, span_docs, metrics, event_docs, faults = wire
+        if isinstance(payload_doc, dict):
+            payload = TrafficAggregate.from_dict(payload_doc)
+        else:
+            payload = CrawlResult(archives=[
+                HarArchive.from_json(line) for line in payload_doc
+            ])
+        return cls(
+            payload=payload,
+            spans=[Span.from_dict(doc) for doc in span_docs],
+            metrics=metrics,
+            events=[AuditEvent.from_dict(doc) for doc in event_docs],
+            faults=faults,
+        )
 
 
 @dataclass(frozen=True)
@@ -186,49 +236,46 @@ class CrawlParams:
     alpn: str = "h2"
 
 
-def crawl_shard(spec: ShardSpec, params: CrawlParams) -> CrawlResult:
-    """Build one shard's world and crawl it (runs inside workers)."""
-    world = spec.build_world()
-    crawler = Crawler(
-        world,
-        policy=policy_by_name(params.policy),
-        speculative_rate=params.speculative_rate,
-        dns_latency_ms=params.dns_latency_ms,
-        seed=spec.crawler_seed(params.seed),
-        alpn=params.alpn,
-    )
-    return crawler.crawl()
-
-
-def _crawl_shard_json(payload: Tuple[ShardSpec, CrawlParams]) -> List[str]:
-    """Picklable worker entry point: archives as JSON lines."""
-    spec, params = payload
-    return [
-        archive.to_json()
-        for archive in crawl_shard(spec, params).archives
-    ]
-
-
-def crawl_shard_traced(
-    spec: ShardSpec, params: CrawlParams,
-    trace: bool = True, audit: bool = True,
+def crawl_shard(
+    spec: ShardSpec,
+    params: CrawlParams,
+    collect: Optional[Tuple[bool, bool]] = None,
+    chaos: Optional[tuple] = None,
 ) -> ShardResult:
-    """Crawl one shard with live telemetry.
+    """Build one shard's world and crawl it (runs inside workers).
 
-    Returns a :class:`ShardResult` whose payload is the shard's
-    :class:`~repro.dataset.crawler.CrawlResult`; the spans carry the
-    shard's local ids and timestamps (its simulated clock starts at
-    zero) and are merged/renumbered by
-    :class:`~repro.telemetry.CrawlTrace` in shard order, as are the
-    audit events.  ``trace``/``audit`` toggle the collectors
-    independently; neither draws randomness nor schedules events, so
-    the archives are identical to an untraced :func:`crawl_shard` of
-    the same spec.
+    ``collect`` is the ``(trace, audit)`` collector switches of a live
+    run; ``None`` crawls with no telemetry object at all, so the fetch
+    paths pay for no metrics registry or phase recorder.  Collectors
+    neither draw randomness nor schedule events, so the archives are
+    identical either way.  Spans carry the shard's local ids and
+    timestamps (its simulated clock starts at zero) and are renumbered
+    by :meth:`~repro.telemetry.CrawlTrace.adopt`, as are audit events.
+
+    ``chaos`` is a ``(schedule, retry_policy)`` pair: the crawl runs
+    with a :class:`~repro.chaos.inject.FaultInjector` armed and the
+    explicit retry policy on the browser context, and the result
+    carries the shard's fault tallies.
     """
     world = spec.build_world()
-    telemetry = Telemetry(
-        clock=world.network.loop.now, trace=trace, audit=audit
-    )
+    telemetry = None
+    if collect is not None:
+        trace, audit = collect
+        telemetry = Telemetry(
+            clock=world.network.loop.now, trace=trace, audit=audit
+        )
+    retry_policy = retry_seed = None
+    if chaos is not None:
+        from repro.chaos.inject import (
+            CHAOS_SEED_DOMAIN,
+            RETRY_SEED_DOMAIN,
+            FaultInjector,
+        )
+
+        schedule, retry_policy = chaos
+        retry_seed = derive_seed(
+            params.seed, RETRY_SEED_DOMAIN, spec.index, spec.shard_count
+        )
     crawler = Crawler(
         world,
         policy=policy_by_name(params.policy),
@@ -237,9 +284,23 @@ def crawl_shard_traced(
         seed=spec.crawler_seed(params.seed),
         telemetry=telemetry,
         alpn=params.alpn,
+        retry_policy=retry_policy,
+        retry_seed=retry_seed,
     )
+    if chaos is not None:
+        injector = FaultInjector(
+            world,
+            schedule,
+            seed=derive_seed(
+                params.seed, CHAOS_SEED_DOMAIN, spec.index,
+                spec.shard_count,
+            ),
+            resolver=crawler.resolver,
+            audit=NULL_AUDIT if telemetry is None else telemetry.audit,
+        )
+        injector.arm()
     shard_span = None
-    if telemetry.tracer.enabled:
+    if telemetry is not None and telemetry.tracer.enabled:
         shard_span = telemetry.tracer.begin(
             "shard", category="crawler", index=spec.index,
             sites=spec.site_count,
@@ -250,28 +311,15 @@ def crawl_shard_traced(
             shard_span, attempted=result.attempted,
             succeeded=result.success_count,
         )
+    faults = () if chaos is None else injector.fault_docs()
+    if telemetry is None:
+        return ShardResult(payload=result, faults=faults)
     return ShardResult(
         payload=result,
         spans=telemetry.tracer.spans,
         metrics=telemetry.metrics.snapshot(),
         events=telemetry.audit.events,
-    )
-
-
-def _crawl_shard_traced_json(
-    payload: Tuple[ShardSpec, CrawlParams, bool, bool]
-) -> Tuple[List[str], List[dict], List[dict], List[dict]]:
-    """Picklable traced worker entry: everything as JSON-able docs."""
-    spec, params, trace, audit = payload
-    shard_result = crawl_shard_traced(
-        spec, params, trace=trace, audit=audit
-    )
-    return (
-        [archive.to_json()
-         for archive in shard_result.payload.archives],
-        [span.to_dict() for span in shard_result.spans],
-        shard_result.metrics,
-        [event.to_dict() for event in shard_result.events],
+        faults=faults,
     )
 
 
@@ -282,14 +330,82 @@ def _mp_context():
     )
 
 
-class ParallelCrawler:
-    """Crawls a dataset shard-by-shard, optionally across processes.
+def _shard_to_wire(job: Tuple[Callable[..., ShardResult], tuple]) -> tuple:
+    """Picklable pool entry point: run one shard, ship it as docs."""
+    shard_fn, args = job
+    return shard_fn(*args).to_wire()
 
-    ``jobs=1`` runs every shard in-process (no serialization); higher
-    job counts fan shards out over a :mod:`multiprocessing` pool and
-    re-inflate the returned HAR JSON.  Both paths merge shard results
-    in shard order, so the output is identical either way.
+
+def _run_pooled(shard_fn, payloads, workers) -> Iterator[ShardResult]:
+    with _mp_context().Pool(processes=workers) as pool:
+        # imap preserves payload order while letting shards finish out
+        # of order in the workers.
+        for wire in pool.imap(
+            _shard_to_wire, [(shard_fn, args) for args in payloads]
+        ):
+            yield ShardResult.from_wire(wire)
+
+
+def run_shards(
+    shard_fn: Callable[..., ShardResult],
+    payloads: Sequence[tuple],
+    jobs: int,
+) -> Iterator[ShardResult]:
+    """The one shard executor: ``shard_fn(*payload)`` for every
+    payload, results in payload order.
+
+    With one worker (``jobs == 1`` or a single payload) shards run
+    in-process and hand over live objects: the serial path never
+    serialises.  Otherwise they fan out over a forked
+    :mod:`multiprocessing` pool of ``min(jobs, len(payloads))``
+    workers and return through the :class:`ShardResult` wire codec.
+    ``shard_fn`` must be a module-level function (it is pickled by
+    import path).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(payloads))
+    if workers <= 1:
+        return starmap(shard_fn, payloads)
+    return _run_pooled(shard_fn, payloads, workers)
+
+
+def merge_shards(
+    shard_fn: Callable[..., ShardResult],
+    payloads: Sequence[tuple],
+    jobs: int,
+    absorb: Callable[[ShardResult], None],
+    progress: Optional[Callable[[int, int], None]] = None,
+    watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
+) -> CrawlTrace:
+    """Execute ``payloads`` (each led by its shard spec) and fold the
+    results in shard order, so the outcome is byte-identical whatever
+    ``jobs`` ran it.
+
+    ``absorb`` merges one result's payload into the caller's
+    accumulator; its telemetry bundle is adopted into the returned
+    :class:`~repro.telemetry.CrawlTrace`.  After each shard
+    ``progress`` gets ``(done_shards, total)`` and ``watch`` gets
+    ``(done_shards, total, merged_trace_so_far)`` -- the run ledger's
+    heartbeat reads live counters there.
+    """
+    total = len(payloads)
+    crawl_trace = CrawlTrace()
+    results = run_shards(shard_fn, payloads, jobs)
+    for done, (args, result) in enumerate(zip(payloads, results), 1):
+        absorb(result)
+        crawl_trace.adopt(result, shard=args[0].index)
+        if progress is not None:
+            progress(done, total)
+        if watch is not None:
+            watch(done, total, crawl_trace)
+    return crawl_trace
+
+
+class ParallelCrawler:
+    """Crawls a dataset shard-by-shard, optionally across processes:
+    a thin driver over :func:`merge_shards`, so the output is
+    identical at any ``jobs``."""
 
     def __init__(
         self,
@@ -298,8 +414,6 @@ class ParallelCrawler:
         shard_count: Optional[int] = None,
         jobs: int = 1,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.config = config
         self.params = params or CrawlParams()
         self.shards = plan_shards(config, shard_count)
@@ -309,35 +423,25 @@ class ParallelCrawler:
     def shard_count(self) -> int:
         return len(self.shards)
 
+    def _run(self, collect, progress, watch=None
+             ) -> Tuple[CrawlResult, CrawlTrace]:
+        merged = CrawlResult()
+        crawl_trace = merge_shards(
+            crawl_shard,
+            [(spec, self.params, collect) for spec in self.shards],
+            self.jobs,
+            lambda result: merged.archives.extend(result.payload.archives),
+            progress, watch,
+        )
+        return merged, crawl_trace
+
     def crawl(
         self,
         progress: Optional[Callable[[int, int], None]] = None,
     ) -> CrawlResult:
-        """Crawl all shards; ``progress`` gets (done_shards, total)."""
-        total = len(self.shards)
-        merged = CrawlResult()
-        if self.jobs == 1 or total == 1:
-            for done, spec in enumerate(self.shards, start=1):
-                merged.archives.extend(
-                    crawl_shard(spec, self.params).archives
-                )
-                if progress is not None:
-                    progress(done, total)
-            return merged
-        payloads = [(spec, self.params) for spec in self.shards]
-        workers = min(self.jobs, total)
-        with _mp_context().Pool(processes=workers) as pool:
-            # imap preserves shard order while letting shards finish
-            # out of order in the workers.
-            for done, lines in enumerate(
-                pool.imap(_crawl_shard_json, payloads), start=1
-            ):
-                merged.archives.extend(
-                    HarArchive.from_json(line) for line in lines
-                )
-                if progress is not None:
-                    progress(done, total)
-        return merged
+        """Crawl all shards with no telemetry; ``progress`` gets
+        (done_shards, total)."""
+        return self._run(None, progress)[0]
 
     def crawl_traced(
         self,
@@ -348,63 +452,10 @@ class ParallelCrawler:
             Callable[[int, int, CrawlTrace], None]
         ] = None,
     ) -> Tuple[CrawlResult, CrawlTrace]:
-        """Crawl all shards with telemetry; merge spans, metrics, and
-        audit events.
-
-        Shard results are merged in shard order with renumbered span
-        ids and audit sequence numbers, so the trace is byte-identical
-        whatever ``jobs`` ran it.  ``watch`` (if given) sees
-        ``(done_shards, total, merged_trace_so_far)`` after each shard
-        merge -- the run ledger's heartbeat reads live counters there.
-        """
-        from repro.audit.log import AuditEvent
-
-        total = len(self.shards)
-        merged = CrawlResult()
-        crawl_trace = CrawlTrace()
-        if self.jobs == 1 or total == 1:
-            for done, spec in enumerate(self.shards, start=1):
-                shard_result = crawl_shard_traced(
-                    spec, self.params, trace=trace, audit=audit
-                )
-                merged.archives.extend(shard_result.payload.archives)
-                crawl_trace.extend(
-                    list(shard_result.spans), shard=spec.index
-                )
-                crawl_trace.metrics.absorb(shard_result.metrics)
-                crawl_trace.extend_audit(
-                    list(shard_result.events), shard=spec.index
-                )
-                if progress is not None:
-                    progress(done, total)
-                if watch is not None:
-                    watch(done, total, crawl_trace)
-            return merged, crawl_trace
-        payloads = [
-            (spec, self.params, trace, audit) for spec in self.shards
-        ]
-        workers = min(self.jobs, total)
-        with _mp_context().Pool(processes=workers) as pool:
-            for done, (lines, span_docs, metrics, event_docs) in \
-                    enumerate(pool.imap(_crawl_shard_traced_json,
-                                        payloads), start=1):
-                merged.archives.extend(
-                    HarArchive.from_json(line) for line in lines
-                )
-                crawl_trace.extend(
-                    [Span.from_dict(doc) for doc in span_docs],
-                    shard=self.shards[done - 1].index,
-                )
-                crawl_trace.metrics.absorb(metrics)
-                crawl_trace.extend_audit(
-                    [AuditEvent.from_dict(doc) for doc in event_docs],
-                    shard=self.shards[done - 1].index,
-                )
-                if progress is not None:
-                    progress(done, total)
-                if watch is not None:
-                    watch(done, total, crawl_trace)
-        return merged, crawl_trace
+        """Crawl all shards with telemetry; ``trace``/``audit`` toggle
+        the span and decision collectors independently (metrics are
+        always collected)."""
+        return self._run((trace, audit), progress, watch)
 
 
 def plan_certificates_sharded(

@@ -3,8 +3,8 @@
 A workload owns the experiment definition (config + shard layout --
 the part that keys caches and run fingerprints), knows how to execute
 itself on an :class:`~repro.runtime.backend.ExecutionBackend`, and
-assembles the ordered sink list for its outcome.  Two workloads cover
-every pipeline command:
+assembles the ordered sink list for its outcome.  Three workloads
+cover every pipeline command:
 
 * :class:`CrawlWorkload` -- the shared crawl behind ``crawl``,
   ``model``, ``privacy``, ``explain``, and ``profile``; cached unless
@@ -19,8 +19,10 @@ every pipeline command:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
+from repro.obs.heartbeat import Heartbeat
 from repro.runtime.console import shard_progress
 from repro.runtime.instrument import ledger_watch
 from repro.runtime.sinks import (
@@ -50,6 +52,22 @@ class RunOutcome:
     cache_hit: bool = False
     fingerprint: str = ""
     extras: dict = field(default_factory=dict)
+
+
+def run_live(backend, rules, unit: str, run):
+    """Run ``run(progress=..., watch=...)`` -- a shard driver -- inside
+    the backend's context with the live heartbeat wired in: the
+    heartbeat replaces the per-shard progress line when it is enabled
+    and always feeds the ledger watch."""
+    hb = Heartbeat()
+    try:
+        with backend.wrap():
+            return run(
+                progress=None if hb.enabled else shard_progress,
+                watch=ledger_watch(hb, rules, unit=unit),
+            )
+    finally:
+        hb.close()
 
 
 class CrawlWorkload:
@@ -92,20 +110,11 @@ class CrawlWorkload:
         Bypasses cache reads -- a cache hit would skip the simulation
         and produce no spans, audit events, or phase histograms.
         """
-        from repro.obs.heartbeat import Heartbeat
-
-        crawler = self._crawler(backend.jobs)
-        hb = Heartbeat()
-        try:
-            with backend.wrap():
-                result, trace = crawler.crawl_traced(
-                    progress=None if hb.enabled else shard_progress,
-                    trace=options.want_trace,
-                    audit=options.want_audit,
-                    watch=ledger_watch(hb, rules, unit=self.unit),
-                )
-        finally:
-            hb.close()
+        result, trace = run_live(
+            backend, rules, self.unit,
+            partial(self._crawler(backend.jobs).crawl_traced,
+                    trace=options.want_trace, audit=options.want_audit),
+        )
         return RunOutcome(
             config=self.config, shard_count=self.shard_count,
             result=result, trace=trace,
@@ -188,36 +197,24 @@ class TrafficWorkload:
     def __init__(self, scenario, shards: int = 0,
                  scenario_name: str = "baseline",
                  aggregate_out: Optional[str] = None) -> None:
+        from repro.traffic.scenario import plan_user_shards
+
         self.scenario = scenario
-        self.shards = shards or None
+        self.shard_count = len(plan_user_shards(scenario, shards or None))
         self.scenario_name = scenario_name
         self.aggregate_out = aggregate_out
 
-    def planned_shards(self) -> int:
-        from repro.traffic.scenario import plan_user_shards
-
-        return len(plan_user_shards(self.scenario, self.shards))
-
     def execute_live(self, backend, options, rules) -> RunOutcome:
-        from repro.obs.heartbeat import Heartbeat
         from repro.traffic import run_scenario
 
-        hb = Heartbeat()
-        try:
-            with backend.wrap():
-                aggregate, trace = run_scenario(
-                    self.scenario, shard_count=self.shards,
-                    jobs=backend.jobs,
-                    audit=options.want_audit,
-                    trace=options.want_trace,
-                    progress=None if hb.enabled else shard_progress,
-                    watch=ledger_watch(hb, rules, unit=self.unit),
-                )
-        finally:
-            hb.close()
+        aggregate, trace = run_live(
+            backend, rules, self.unit,
+            partial(run_scenario, self.scenario,
+                    shard_count=self.shard_count, jobs=backend.jobs,
+                    audit=options.want_audit, trace=options.want_trace),
+        )
         return RunOutcome(
-            config=self.scenario,
-            shard_count=self.planned_shards(),
+            config=self.scenario, shard_count=self.shard_count,
             result=aggregate, trace=trace,
         )
 
@@ -290,23 +287,16 @@ class ChaosWorkload:
 
     def execute_live(self, backend, options, rules) -> RunOutcome:
         from repro.chaos.run import ChaosRunner
-        from repro.obs.heartbeat import Heartbeat
 
         runner = ChaosRunner(
             self.config, params=self.params, schedule=self.schedule,
             retry_policy=self.retry_policy,
             shard_count=self.shard_count, jobs=backend.jobs,
         )
-        hb = Heartbeat()
-        try:
-            with backend.wrap():
-                result, trace, report = runner.run(
-                    progress=None if hb.enabled else shard_progress,
-                    trace=options.want_trace,
-                    watch=ledger_watch(hb, rules, unit=self.unit),
-                )
-        finally:
-            hb.close()
+        result, trace, report = run_live(
+            backend, rules, self.unit,
+            partial(runner.run, trace=options.want_trace),
+        )
         return RunOutcome(
             config=self.config, shard_count=self.shard_count,
             result=result, trace=trace,

@@ -100,6 +100,14 @@ class CrawlTrace:
             event.shard = shard
             self.audit.append(event)
 
+    def adopt(self, result, shard: int) -> None:
+        """Merge one shard's telemetry bundle (a
+        :class:`~repro.dataset.shard.ShardResult`): spans, metrics
+        snapshot and audit events."""
+        self.extend(result.spans, shard=shard)
+        self.metrics.absorb(result.metrics)
+        self.extend_audit(result.events, shard=shard)
+
     # -- export -----------------------------------------------------------
 
     def to_jsonl(self) -> str:

@@ -8,24 +8,26 @@ simulated clock, and every edge event streams into a
 :class:`~repro.traffic.aggregate.TrafficAggregate` the moment it
 happens -- archives are folded and dropped, never retained.
 
-Shards merge in shard order, so ``run_scenario(jobs=4)`` is
-byte-identical to ``jobs=1``; the shard *layout* is part of the
-experiment definition, exactly like the crawl's.
+:func:`run_scenario` is a thin driver over the one shard executor
+(:func:`repro.dataset.shard.merge_shards`): shards merge in shard
+order, so ``run_scenario(jobs=4)`` is byte-identical to ``jobs=1``;
+the shard *layout* is part of the experiment definition, exactly like
+the crawl's.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.audit.log import AuditEvent
 from repro.browser import BrowserContext, BrowserEngine
 from repro.browser.policy import policy_by_name
-from repro.dataset.shard import ShardResult, _mp_context
+from repro.browser.retry import RetryPolicy
+from repro.dataset.shard import ShardResult, merge_shards
 from repro.dataset.world import CDN_REGION, TAIL_REGION, build_world
 from repro.deployment.experiment import deployment_world_config
 from repro.netsim import Host, LinkSpec
 from repro.obs.phases import PhaseRecorder
-from repro.telemetry import CrawlTrace, Span, Telemetry
+from repro.telemetry import CrawlTrace, Telemetry
 from repro.traffic.aggregate import TrafficAggregate
 from repro.traffic.edge import EdgeLoadMonitor, apply_edge_capacity
 from repro.traffic.population import UserProfile, build_population
@@ -197,8 +199,10 @@ def _user_engine(
         tls_session_cache={},
         telemetry=telemetry,
         alpn=("h2",),
-        goaway_retry_limit=scenario.goaway_retry_limit,
-        goaway_retry_backoff_ms=scenario.goaway_retry_backoff_ms,
+        retry_policy=RetryPolicy(
+            max_retries=scenario.goaway_retry_limit,
+            backoff_base_ms=scenario.goaway_retry_backoff_ms,
+        ),
         phases=phases,
     )
     return BrowserEngine(context)
@@ -210,13 +214,15 @@ def simulate_shard(
     """Simulate one user-population shard.
 
     Returns a :class:`~repro.dataset.shard.ShardResult` whose payload
-    is the shard's :class:`TrafficAggregate`, bundled with its audit
-    events (empty when ``audit`` is off; decisions are still audited
-    internally so retry accounting never depends on the flag), its
-    spans (empty unless ``trace``), and its metrics snapshot (phase
-    histograms and any traced counters).  ``extra`` is the edge
-    monitor, whose sampled passive records are useful in-process; they
-    are not merged across worker boundaries.
+    is the shard's :class:`TrafficAggregate` in canonical form (its
+    floats rounded as the JSONL export rounds them, so a shard merges
+    to the same bytes whether or not it crossed a process boundary),
+    bundled with its audit events (empty when ``audit`` is off;
+    decisions are still audited internally so retry accounting never
+    depends on the flag), its spans (empty unless ``trace``), and its
+    metrics snapshot (phase histograms and any traced counters).
+    ``extra`` is the edge monitor, whose sampled passive records are
+    useful in-process; they are not merged across worker boundaries.
     """
     scenario = shard.scenario
     world = _build_traffic_world(scenario)
@@ -304,25 +310,11 @@ def simulate_shard(
     # the true all-edge gauge peak, not the sum of per-edge peaks.
     aggregate.totals.peak_concurrent = monitor.peak_connections
     return ShardResult(
-        payload=aggregate,
+        payload=TrafficAggregate.from_dict(aggregate.to_dict()),
         spans=(telemetry.tracer.spans if trace else []),
         metrics=telemetry.metrics.snapshot(),
         events=(events if audit else []),
         extra=monitor,
-    )
-
-
-def _simulate_shard_json(
-    payload: Tuple[UserShard, bool, bool]
-) -> Tuple[dict, List[dict], List[dict], List[dict]]:
-    """Picklable worker entry point: everything as JSON-able docs."""
-    shard, audit, trace = payload
-    shard_result = simulate_shard(shard, audit=audit, trace=trace)
-    return (
-        shard_result.payload.to_dict(),
-        [event.to_dict() for event in shard_result.events],
-        [span.to_dict() for span in shard_result.spans],
-        shard_result.metrics,
     )
 
 
@@ -337,56 +329,22 @@ def run_scenario(
 ) -> Tuple[TrafficAggregate, CrawlTrace]:
     """Run a scenario over its shard plan, merging in shard order.
 
-    Every shard's aggregate round-trips through its worker
-    serialization even in-process, so ``jobs`` never changes a byte
-    (the round-trip is where per-shard floats get their canonical
-    rounding).  ``watch`` (if given) sees the merged-so-far trace
-    after each shard -- the run ledger's heartbeat hook.
+    ``watch`` (if given) sees the merged-so-far trace after each
+    shard -- the run ledger's heartbeat hook.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     shards = plan_user_shards(scenario, shard_count)
-    total = len(shards)
     merged = TrafficAggregate(
         duration_ms=scenario.duration_ms,
         bucket_ms=scenario.bucket_ms,
-        shard_count=total,
+        shard_count=len(shards),
     )
-    crawl_trace = CrawlTrace()
-
-    def adopt(done: int, shard_index: int, doc, event_docs,
-              span_docs, metrics) -> None:
-        merged.merge(TrafficAggregate.from_dict(doc))
-        crawl_trace.extend(
-            [Span.from_dict(d) for d in span_docs], shard=shard_index
-        )
-        crawl_trace.extend_audit(
-            [AuditEvent.from_dict(d) for d in event_docs],
-            shard=shard_index,
-        )
-        crawl_trace.metrics.absorb(metrics)
-        if progress is not None:
-            progress(done, total)
-        if watch is not None:
-            watch(done, total, crawl_trace)
-
-    if jobs == 1 or total == 1:
-        for done, shard in enumerate(shards, start=1):
-            doc, event_docs, span_docs, metrics = _simulate_shard_json(
-                (shard, audit, trace)
-            )
-            adopt(done, shard.index, doc, event_docs, span_docs, metrics)
-        return merged, crawl_trace
-    payloads = [(shard, audit, trace) for shard in shards]
-    workers = min(jobs, total)
-    with _mp_context().Pool(processes=workers) as pool:
-        # imap preserves shard order while letting shards finish out
-        # of order in the workers.
-        for done, (doc, event_docs, span_docs, metrics) in enumerate(
-            pool.imap(_simulate_shard_json, payloads), start=1
-        ):
-            adopt(done, shards[done - 1].index, doc, event_docs,
-                  span_docs, metrics)
+    crawl_trace = merge_shards(
+        simulate_shard,
+        [(shard, audit, trace) for shard in shards],
+        jobs,
+        lambda result: merged.merge(result.payload),
+        progress, watch,
+    )
     return merged, crawl_trace
 
 

@@ -1,9 +1,9 @@
 """repro.chaos: fault schedules, deterministic injection, blast radius.
 
 The two determinism gates here (empty-schedule non-perturbation and
-jobs-invariance) are the in-process versions of the CI ``chaos-smoke``
-job, which holds the same invariants down to ``cmp`` on the CLI
-artifacts.
+jobs-invariance) are the in-process versions of the CI ``determinism``
+job's chaos entry, which holds the same invariants down to ``cmp`` on
+the CLI artifacts.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.chaos import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
-    chaos_shard_traced,
     load_fault_schedule,
     parse_fault_schedule,
 )
@@ -31,6 +30,7 @@ from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
     CrawlParams,
     ParallelCrawler,
+    crawl_shard,
     derive_seed,
     plan_shards,
 )
@@ -38,8 +38,7 @@ from repro.dataset.world import build_world
 from repro.deployment import BuggyMiddlebox, DeploymentExperiment
 from repro.deployment.experiment import deployment_world_config
 from repro.telemetry import Telemetry
-from repro.traffic import plan_user_shards, simulate_shard
-from repro.traffic.scenario import ScenarioConfig
+from tests.test_shard_executor import assert_runs_identical
 
 
 def tiny_params(**overrides) -> CrawlParams:
@@ -214,16 +213,13 @@ class TestJobsDeterminism:
                       target="origin-*"),
         ), source="gate")
         config = DatasetConfig(site_count=8, seed=2022)
-        outs = []
-        for jobs in (1, 2):
-            runner = ChaosRunner(config, params=tiny_params(),
-                                 schedule=schedule,
-                                 retry_policy=DEFAULT_RETRY_POLICY,
-                                 shard_count=2, jobs=jobs)
-            _, trace, report = runner.run()
-            outs.append((report.to_jsonl(),
-                         events_to_jsonl(trace.audit)))
-        assert outs[0] == outs[1]
+        serial, parallel = (
+            ChaosRunner(config, params=tiny_params(), schedule=schedule,
+                        retry_policy=DEFAULT_RETRY_POLICY,
+                        shard_count=2, jobs=jobs).run()
+            for jobs in (1, 2)
+        )
+        assert_runs_identical(serial, parallel)
 
     def test_faults_actually_fire(self):
         schedule = FaultSchedule(faults=(
@@ -256,13 +252,13 @@ class TestBlastRadius:
         spec = plan_shards(config, 2)[0]
         reports = {}
         for policy in ("none", "ideal-origin"):
-            shard_result, fault_docs = chaos_shard_traced(
-                spec, tiny_params(policy=policy), schedule,
-                DEFAULT_RETRY_POLICY, trace=False,
+            shard_result = crawl_shard(
+                spec, tiny_params(policy=policy), collect=(False, True),
+                chaos=(schedule, DEFAULT_RETRY_POLICY),
             )
             report = ChaosReport(policy=policy,
                                  schedule_source=schedule.source)
-            report.absorb_tallies(fault_docs)
+            report.absorb_tallies(shard_result.faults)
             report.connections_opened = sum(
                 archive.new_connection_count()
                 for archive in shard_result.payload.successes
@@ -468,46 +464,15 @@ class TestMiddleboxFaultSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Legacy GOAWAY knobs == explicit RetryPolicy (satellite: consolidation)
+# RetryPolicy shape
 # ---------------------------------------------------------------------------
 
 
-class TestLegacyGoawayEquivalence:
-    def test_traffic_overload_audit_is_identical(self, monkeypatch):
-        """The traffic simulator's legacy goaway_retry_limit/backoff
-        knobs must route through the unified RetryPolicy with zero
-        behaviour change: pinning the equivalent explicit policy
-        yields a byte-identical audit stream."""
-        scenario = ScenarioConfig(
-            users=16, site_count=6, seed=2022, duration_ms=8_000.0,
-            mean_visits_per_user=2.0, bucket_ms=2_000.0,
-            edge_capacity=2,
-        )
-        shard = plan_user_shards(scenario, 1)[0]
-        baseline = simulate_shard(shard)
-        assert baseline.payload.retries > 0  # overload actually bites
-
-        original_init = BrowserEngine.__init__
-
-        def pin_explicit_policy(self, context):
-            if context.retry_policy is None:
-                context.retry_policy = RetryPolicy.legacy_goaway(
-                    context.goaway_retry_limit,
-                    context.goaway_retry_backoff_ms,
-                )
-            original_init(self, context)
-
-        monkeypatch.setattr(BrowserEngine, "__init__",
-                            pin_explicit_policy)
-        pinned = simulate_shard(shard)
-
-        assert events_to_jsonl(baseline.events) \
-            == events_to_jsonl(pinned.events)
-        assert baseline.payload.retries == pinned.payload.retries
-        assert baseline.payload.failed == pinned.payload.failed
-
-    def test_legacy_goaway_policy_shape(self):
-        policy = RetryPolicy.legacy_goaway(2, 120.0)
+class TestRetryPolicy:
+    def test_default_backoff_is_linear(self):
+        """The shape the traffic simulator builds from its scenario's
+        ``goaway_retry_limit`` / ``goaway_retry_backoff_ms``."""
+        policy = RetryPolicy(max_retries=2, backoff_base_ms=120.0)
         assert policy.max_retries == 2
         assert not policy.retry_connection_loss
         assert policy.jitter_ms == 0.0

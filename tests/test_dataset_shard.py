@@ -118,8 +118,8 @@ class TestParallelDeterminism:
 
     def test_shard_crawl_is_reproducible(self, config, params):
         spec = plan_shards(config, 4)[1]
-        first = crawl_shard(spec, params)
-        second = crawl_shard(spec, params)
+        first = crawl_shard(spec, params).payload
+        second = crawl_shard(spec, params).payload
         assert first.archives == second.archives
 
     def test_progress_reports_each_shard(self, config, params):

@@ -1,0 +1,211 @@
+"""The one shard executor, its wire codec and its shard-order merge
+(``repro.dataset.shard``), tested in isolation with toy shard
+functions and against one real shard of each workload.
+
+``assert_runs_identical`` is the shared half of the per-workload
+"``jobs`` never changes a byte" tests in test_telemetry_integration,
+test_traffic and test_chaos.
+"""
+
+import json
+import multiprocessing
+import os
+import pickle
+import time
+
+import pytest
+
+from repro.audit.log import events_to_jsonl
+from repro.chaos import DEFAULT_RETRY_POLICY, load_fault_schedule
+from repro.dataset.crawler import CrawlResult
+from repro.dataset.generator import DatasetConfig
+from repro.dataset.shard import (
+    CrawlParams,
+    ShardResult,
+    crawl_shard,
+    merge_shards,
+    plan_shards,
+    run_shards,
+)
+from repro.telemetry import CrawlTrace
+from repro.telemetry.exporters import spans_to_jsonl
+from repro.traffic import plan_user_shards, simulate_shard
+from repro.traffic.scenario import ScenarioConfig
+
+
+def _payload_bytes(payload) -> str:
+    if isinstance(payload, CrawlResult):
+        return "\n".join(a.to_json() for a in payload.archives)
+    return payload.to_jsonl()
+
+
+def result_artifacts(result: ShardResult) -> dict:
+    """Every stream of one shard result, as its export would write it."""
+    return {
+        "payload": _payload_bytes(result.payload),
+        "spans": spans_to_jsonl(result.spans),
+        "metrics": json.dumps(result.metrics, sort_keys=True),
+        "audit": events_to_jsonl(result.events),
+        "faults": json.dumps(result.faults, sort_keys=True),
+    }
+
+
+def run_artifacts(payload, trace: CrawlTrace, report=None) -> dict:
+    """Every stream of a merged run, as the sinks would write it;
+    takes what the drivers return."""
+    return {
+        "payload": _payload_bytes(payload),
+        "spans": trace.to_jsonl(),
+        "metrics": json.dumps(trace.metrics.snapshot(), sort_keys=True),
+        "audit": trace.audit_jsonl(),
+        "report": report.to_jsonl() if report is not None else "",
+    }
+
+
+def assert_runs_identical(serial, parallel) -> None:
+    """Two runs of one experiment at different ``jobs`` (each the
+    tuple its driver returned) export the same bytes, stream by
+    stream."""
+    first, second = run_artifacts(*serial), run_artifacts(*parallel)
+    for name in first:
+        assert first[name] == second[name], f"{name} differs across jobs"
+    assert first["payload"] and first["audit"]
+
+
+# ---------------------------------------------------------------------------
+# The executor, with toy shard functions
+# ---------------------------------------------------------------------------
+
+
+class _Spec:
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+
+def _toy_shard(spec: _Spec, delay_s: float = 0.0) -> ShardResult:
+    """Sleeps, then reports who ran it as a one-gauge metrics
+    snapshot (``toy.pid{index=...}``)."""
+    time.sleep(delay_s)
+    return ShardResult(payload=CrawlResult(), metrics=[{
+        "kind": "gauge", "name": "toy.pid",
+        "labels": [["index", spec.index]], "value": os.getpid(),
+    }])
+
+
+def _index(result: ShardResult) -> int:
+    return result.metrics[0]["labels"][0][1]
+
+
+def _pid(result: ShardResult) -> int:
+    return result.metrics[0]["value"]
+
+
+def _failing_shard(spec: _Spec) -> ShardResult:
+    if spec.index == 1:
+        raise RuntimeError(f"shard {spec.index} exploded")
+    return _toy_shard(spec)
+
+
+class TestRunShards:
+    def test_results_come_back_in_payload_order(self):
+        """Shard 0 finishes long after shard 1; imap still yields it
+        first."""
+        payloads = [(_Spec(0), 0.4), (_Spec(1), 0.0), (_Spec(2), 0.0)]
+        results = list(run_shards(_toy_shard, payloads, jobs=2))
+        assert [_index(r) for r in results] == [0, 1, 2]
+        assert all(_pid(r) != os.getpid() for r in results)
+
+    def test_serial_path_runs_in_process_without_the_codec(self):
+        marker = object()
+        results = list(run_shards(
+            lambda spec: ShardResult(payload=marker), [(_Spec(0),)] * 2,
+            jobs=1,
+        ))
+        assert [r.payload for r in results] == [marker, marker]
+
+    def test_single_payload_stays_in_process_at_any_jobs(self):
+        (result,) = run_shards(_toy_shard, [(_Spec(0),)], jobs=4)
+        assert _pid(result) == os.getpid()
+
+    def test_worker_exception_reraises_and_reaps_the_pool(self):
+        payloads = [(_Spec(index),) for index in range(3)]
+        with pytest.raises(RuntimeError, match="shard 1 exploded"):
+            list(run_shards(_failing_shard, payloads, jobs=2))
+        assert multiprocessing.active_children() == []
+
+    def test_no_more_workers_than_shards(self):
+        payloads = [(_Spec(index), 0.2) for index in range(2)]
+        results = list(run_shards(_toy_shard, payloads, jobs=8))
+        pids = {_pid(r) for r in results}
+        assert len(pids) <= 2 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_shards(_toy_shard, [(_Spec(0),)], jobs=0)
+
+    def test_merge_folds_in_shard_order_and_reports_progress(self):
+        seen, absorbed, watched = [], [], []
+        trace = merge_shards(
+            _toy_shard, [(_Spec(0), 0.3), (_Spec(1), 0.0)], 2,
+            lambda result: absorbed.append(_index(result)),
+            progress=lambda done, total: seen.append((done, total)),
+            watch=lambda done, total, so_far: watched.append(
+                len(so_far.metrics.snapshot())),
+        )
+        assert absorbed == [0, 1]
+        assert seen == [(1, 2), (2, 2)]
+        assert len(watched) == 2
+        assert isinstance(trace, CrawlTrace)
+
+
+# ---------------------------------------------------------------------------
+# The codec, with one real shard of each workload
+# ---------------------------------------------------------------------------
+
+
+def _crawl_result() -> ShardResult:
+    spec = plan_shards(DatasetConfig(site_count=6, seed=2022), 2)[0]
+    return crawl_shard(spec, CrawlParams(), collect=(True, True))
+
+
+def _chaos_result() -> ShardResult:
+    schedule = load_fault_schedule("examples/faults_demo.toml")
+    assert not schedule.empty
+    spec = plan_shards(DatasetConfig(site_count=12, seed=2022), 2)[0]
+    return crawl_shard(
+        spec, CrawlParams(), collect=(True, True),
+        chaos=(schedule, DEFAULT_RETRY_POLICY),
+    )
+
+
+def _traffic_result() -> ShardResult:
+    scenario = ScenarioConfig(
+        users=6, site_count=6, seed=2022, duration_ms=6_000.0,
+        mean_visits_per_user=2.0, bucket_ms=2_000.0,
+    )
+    return simulate_shard(plan_user_shards(scenario, 2)[0], trace=True)
+
+
+class TestWireCodec:
+    @pytest.mark.parametrize(
+        "make", [_crawl_result, _traffic_result, _chaos_result]
+    )
+    def test_round_trip_reserialises_to_identical_bytes(self, make):
+        result = make()
+        before = result_artifacts(result)
+        # Pickled exactly as the pool ships it between processes.
+        wire = pickle.loads(pickle.dumps(result.to_wire()))
+        after = result_artifacts(ShardResult.from_wire(wire))
+        assert after == before
+        for name in ("payload", "spans", "metrics", "audit"):
+            assert before[name], f"{name} stream is empty"
+        assert (json.loads(before["faults"]) != []) \
+            == (make is _chaos_result)
+
+    def test_untraced_crawl_shard_carries_only_its_payload(self):
+        spec = plan_shards(DatasetConfig(site_count=4, seed=2022), 1)[0]
+        result = crawl_shard(spec, CrawlParams())
+        assert result.payload.attempted == 4
+        assert (result.spans, result.metrics, result.events,
+                result.faults) == ((), (), (), ())

@@ -10,13 +10,13 @@ from repro.dataset.shard import (
     CrawlParams,
     ParallelCrawler,
     crawl_shard,
-    crawl_shard_traced,
     plan_shards,
 )
 from repro.telemetry.validation import (
     assert_trace_valid,
     validate_crawl_trace,
 )
+from tests.test_shard_executor import assert_runs_identical
 
 CONFIG = DatasetConfig(site_count=10, seed=17)
 PARAMS = CrawlParams()
@@ -64,9 +64,9 @@ class TestTracedCrawl:
 
     def test_single_shard_traced_matches_untraced(self):
         spec = plan_shards(CONFIG, 2)[0]
-        shard_result = crawl_shard_traced(spec, PARAMS)
+        shard_result = crawl_shard(spec, PARAMS, collect=(True, True))
         traced_result, spans = shard_result.payload, shard_result.spans
-        plain = crawl_shard(spec, PARAMS)
+        plain = crawl_shard(spec, PARAMS).payload
         assert [a.to_json() for a in traced_result.archives] \
             == [a.to_json() for a in plain.archives]
         assert spans
@@ -83,15 +83,9 @@ class TestTraceDeterminism:
             == json.dumps(trace.metrics.snapshot())
 
     def test_jobs_do_not_change_trace(self, traced):
-        result, trace = traced
-        parallel_result, parallel_trace = ParallelCrawler(
+        assert_runs_identical(traced, ParallelCrawler(
             CONFIG, PARAMS, shard_count=2, jobs=2
-        ).crawl_traced()
-        assert parallel_trace.to_jsonl() == trace.to_jsonl()
-        assert json.dumps(parallel_trace.metrics.snapshot()) \
-            == json.dumps(trace.metrics.snapshot())
-        assert [a.to_json() for a in parallel_result.archives] \
-            == [a.to_json() for a in result.archives]
+        ).crawl_traced())
 
 
 class TestFigure2Validation:

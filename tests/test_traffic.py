@@ -2,12 +2,11 @@
 
 End-to-end scenarios here stay tiny (a dozen users, a handful of
 sites) -- the full-size determinism and what-if checks live in the CI
-``traffic-smoke`` job and ``benchmarks/bench_traffic.py``.
+``determinism`` job and ``benchmarks/bench_traffic.py``.
 """
 
 import pytest
 
-from repro.audit.log import events_to_jsonl
 from repro.audit.reasons import ReasonCode
 from repro.cli import main
 from repro.dataset.world import build_world
@@ -29,6 +28,7 @@ from repro.traffic import (
     what_if_rows,
 )
 from repro.traffic.edge import SELF_HOSTED
+from tests.test_shard_executor import assert_runs_identical
 
 
 def tiny_scenario(**overrides) -> ScenarioConfig:
@@ -246,15 +246,10 @@ class TestSimulateShard:
 class TestRunScenario:
     def test_jobs_do_not_change_a_byte(self):
         scenario = tiny_scenario()
-        serial, serial_trace = run_scenario(
-            scenario, shard_count=2, jobs=1
+        assert_runs_identical(
+            run_scenario(scenario, shard_count=2, jobs=1),
+            run_scenario(scenario, shard_count=2, jobs=2),
         )
-        parallel, parallel_trace = run_scenario(
-            scenario, shard_count=2, jobs=2
-        )
-        assert serial.to_jsonl() == parallel.to_jsonl()
-        assert events_to_jsonl(serial_trace.audit) == \
-            events_to_jsonl(parallel_trace.audit)
 
     def test_shard_count_is_part_of_the_experiment(self):
         scenario = tiny_scenario()
