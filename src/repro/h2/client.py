@@ -58,7 +58,8 @@ class PendingRequest:
     path: str
     callback: Callable[[H2Response], None]
     headers: List[Header] = field(default_factory=list)
-    body: bytearray = field(default_factory=bytearray)
+    #: DATA payloads in arrival order, joined once when the stream ends.
+    chunks: List[bytes] = field(default_factory=list)
     status: int = 0
     sent_at: float = 0.0
     headers_at: float = 0.0
@@ -113,7 +114,6 @@ class H2ClientSession(Session):
         self.on_origin_received: Optional[
             Callable[[Tuple[str, ...]], None]
         ] = None
-        self.responses: List[H2Response] = []
         self.misdirected: List[H2Response] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.audit = audit if audit is not None else NULL_AUDIT
@@ -218,20 +218,7 @@ class H2ClientSession(Session):
         pending = list(self._pending.items())
         self._pending.clear()
         for stream_id, request in pending:
-            self._end_stream_span(stream_id, status=0)
-            request.callback(
-                H2Response(
-                    stream_id=stream_id,
-                    status=0,
-                    headers=[],
-                    body=b"",
-                    authority=request.authority,
-                    path=request.path,
-                    sent_at=request.sent_at,
-                    headers_at=request.sent_at,
-                    finished_at=self.network.loop.now(),
-                )
-            )
+            self._kill(stream_id, request)
         # Requests still queued behind the peer's concurrent-stream cap
         # were never sent; they die with the connection too.  Without
         # this, a mid-flight teardown leaves their callbacks unfired
@@ -239,19 +226,33 @@ class H2ClientSession(Session):
         queued, self._stream_queue = self._stream_queue, []
         now = self.network.loop.now()
         for authority, path, callback, _method, _extra in queued:
-            callback(
-                H2Response(
-                    stream_id=-1,
-                    status=0,
-                    headers=[],
-                    body=b"",
-                    authority=authority,
-                    path=path,
-                    sent_at=now,
-                    headers_at=now,
-                    finished_at=now,
-                )
+            callback(self._dead_response(-1, authority, path, now))
+
+    def _dead_response(
+        self, stream_id: int, authority: str, path: str, sent_at: float
+    ) -> H2Response:
+        """The status-0 response a request gets when its stream or its
+        connection dies under it."""
+        return H2Response(
+            stream_id=stream_id,
+            status=0,
+            headers=[],
+            body=b"",
+            authority=authority,
+            path=path,
+            sent_at=sent_at,
+            headers_at=sent_at,
+            finished_at=self.network.loop.now(),
+        )
+
+    def _kill(self, stream_id: int, request: PendingRequest) -> None:
+        """Finish a sent request, already out of ``_pending``, as dead."""
+        self._end_stream_span(stream_id, status=0)
+        request.callback(
+            self._dead_response(
+                stream_id, request.authority, request.path, request.sent_at
             )
+        )
 
     def _fail(self, reason: str) -> None:
         if self.failed is not None:
@@ -436,20 +437,10 @@ class H2ClientSession(Session):
             self._fail(str(error))
             return
         for event in events:
-            self._dispatch(event)
+            handler = _EVENT_DISPATCH.get(event.__class__)
+            if handler is not None:
+                handler(self, event)
         self._flush()
-
-    def _dispatch(self, event: ev.Event) -> None:
-        handler = _EVENT_DISPATCH.get(event.__class__)
-        if handler is not None:
-            handler(self, event)
-            return
-        # Event subclasses resolve through isinstance, like the
-        # original dispatch chain; unrecognized events are ignored.
-        for event_class, isinstance_handler in _EVENT_DISPATCH.items():
-            if isinstance(event, event_class):
-                isinstance_handler(self, event)
-                return
 
     def _on_response_received(self, event: "ev.ResponseReceived") -> None:
         pending = self._pending.get(event.stream_id)
@@ -463,10 +454,18 @@ class H2ClientSession(Session):
     def _on_data_received(self, event: "ev.DataReceived") -> None:
         pending = self._pending.get(event.stream_id)
         if pending is not None:
-            pending.body += event.data
+            pending.chunks.append(event.data)
 
     def _on_stream_ended(self, event: "ev.StreamEnded") -> None:
         self._complete(event.stream_id)
+
+    def _on_stream_reset(self, event: "ev.StreamReset") -> None:
+        # Reset by the peer's RST_STREAM or by our own stream error:
+        # either way no StreamEnded will follow.
+        pending = self._pending.pop(event.stream_id, None)
+        if pending is not None:
+            self._kill(event.stream_id, pending)
+            self._drain_stream_queue()
 
     def _on_origin_received(self, event: "ev.OriginReceived") -> None:
         if self.tracer.enabled:
@@ -532,14 +531,13 @@ class H2ClientSession(Session):
             stream_id=stream_id,
             status=pending.status,
             headers=pending.headers,
-            body=bytes(pending.body),
+            body=b"".join(pending.chunks),
             authority=pending.authority,
             path=pending.path,
             sent_at=pending.sent_at,
             headers_at=pending.headers_at or pending.sent_at,
             finished_at=self.network.loop.now(),
         )
-        self.responses.append(response)
         self._end_stream_span(stream_id, status=response.status)
         if response.status == 421:
             if self.audit.enabled:
@@ -562,12 +560,13 @@ class H2ClientSession(Session):
             self.channel.send_app(data)
 
 
-#: Exact-type event dispatch, ordered like the original isinstance
-#: chain so the subclass fallback resolves identically.
+#: Exact-type event dispatch (the connection emits no subclasses);
+#: events without an entry are ignored.
 _EVENT_DISPATCH = {
     ev.ResponseReceived: H2ClientSession._on_response_received,
     ev.DataReceived: H2ClientSession._on_data_received,
     ev.StreamEnded: H2ClientSession._on_stream_ended,
+    ev.StreamReset: H2ClientSession._on_stream_reset,
     ev.OriginReceived: H2ClientSession._on_origin_received,
     ev.SecondaryCertificateReceived:
         H2ClientSession._on_secondary_certificate,

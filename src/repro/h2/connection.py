@@ -79,11 +79,9 @@ class H2Connection:
         self._expected_continuation: Optional[Tuple[int, bytearray, bool]] = None
         self.connection_send_window = self.remote_settings.initial_window_size
         self.connection_recv_window = self.local_settings.initial_window_size
-        #: DATA blocked on flow control, drained as windows reopen.
-        self._send_queue: Deque[Tuple[int, bytes, bool]] = deque()
-        # Diagnostics used by tests and the deployment analysis.
-        self.frames_sent: List[fr.Frame] = []
-        self.frames_received: List[fr.Frame] = []
+        #: DATA blocked on flow control, drained as windows reopen:
+        #: ``(stream_id, view of the unsent body, end_stream)``.
+        self._send_queue: Deque[Tuple[int, memoryview, bool]] = deque()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -172,7 +170,7 @@ class H2Connection:
             raise H2StreamError(
                 stream_id, ErrorCode.STREAM_CLOSED, "no such stream"
             )
-        self._send_queue.append((stream_id, data, end_stream))
+        self._send_queue.append((stream_id, memoryview(data), end_stream))
         self._drain_send_queue()
 
     def _drain_send_queue(self) -> None:
@@ -180,36 +178,43 @@ class H2Connection:
 
         Entries blocked only on their *stream* window are rotated to
         the back so one stalled stream cannot head-of-line-block the
-        rest of the connection.
+        rest of the connection.  A queued body is a ``memoryview``, so
+        what remains after a frame is a re-slice, not a copy, and each
+        frame is packed straight into the outbound buffer.
         """
         queue = self._send_queue
-        if not queue:
-            return
+        # Settings caps this at 2**24 - 1, the most the header's 24-bit
+        # length can say (a larger size would not even pack).
         max_frame = self.remote_settings.max_frame_size
         streams = self._streams
+        out = self._outbound
         skipped = 0
-        while queue and skipped < len(queue):
-            stream_id, data, end_stream = queue[0]
+        while skipped < len(queue):
+            stream_id, body, end_stream = queue[0]
             stream = streams.get(stream_id)
-            if stream is None or stream.closed:
+            if stream is None or stream.state is StreamState.CLOSED:
                 queue.popleft()
                 continue
-            if data and self.connection_send_window <= 0:
-                return  # nothing can move until a connection update
-            if data and stream.send_window <= 0:
-                queue.rotate(-1)
-                skipped += 1
-                continue
-            budget = min(self.connection_send_window, stream.send_window)
-            chunk = data[: min(budget, max_frame)] if data else b""
-            rest = data[len(chunk):]
-            last = not rest
-            stream.send_data(len(chunk), end_stream and last)
-            self.connection_send_window -= len(chunk)
-            flags = fr.FLAG_END_STREAM if (end_stream and last) else 0
-            self._send_frame(
-                fr.DataFrame(stream_id=stream_id, flags=flags, data=chunk)
+            size = 0
+            if body:
+                if self.connection_send_window <= 0:
+                    return  # nothing can move until a connection update
+                if stream.send_window <= 0:
+                    queue.rotate(-1)
+                    skipped += 1
+                    continue
+                size = min(len(body), self.connection_send_window,
+                           stream.send_window, max_frame)
+            rest = body[size:]
+            fin = end_stream and not rest
+            stream.send_data(size, fin)
+            self.connection_send_window -= size
+            out += fr.HEADER_STRUCT.pack(
+                (size << 8) | fr.TYPE_DATA,
+                fr.FLAG_END_STREAM if fin else 0,
+                stream_id & 0x7FFFFFFF,
             )
+            out += body[:size]
             skipped = 0
             if rest:
                 queue[0] = (stream_id, rest, end_stream)
@@ -257,12 +262,11 @@ class H2Connection:
                 stream.replenish_recv_window(increment)
         else:
             self.connection_recv_window += increment
-        self._send_frame(
-            fr.WindowUpdateFrame(stream_id=stream_id, increment=increment)
+        self._outbound += fr.WINDOW_UPDATE_STRUCT.pack(
+            fr.WINDOW_UPDATE_WORD, 0, stream_id & 0x7FFFFFFF, increment
         )
 
     def _send_frame(self, frame: fr.Frame) -> None:
-        self.frames_sent.append(frame)
         frame.serialize_into(self._outbound)
 
     # -- receiving ------------------------------------------------------------
@@ -270,8 +274,21 @@ class H2Connection:
     def receive_data(self, data: bytes) -> List[ev.Event]:
         """Feed wire bytes; returns the events they produced.
 
+        The receive buffer is walked once.  The body path -- DATA and
+        4-byte WINDOW_UPDATE -- is handled from the header fields and a
+        payload slice; every other frame, and every frame while a
+        CONTINUATION is expected, is parsed by the :mod:`repro.h2.frames`
+        classes (as is padded DATA, for its padding checks, before it
+        joins the body path).  After a call that does not raise, the
+        buffer holds only the incomplete tail.
+
         Protocol violations raise :class:`H2ConnectionError` after
-        queueing a GOAWAY, mirroring how a real endpoint fails.
+        queueing a GOAWAY, mirroring how a real endpoint fails.  Frames
+        that precede the bad frame in the same read have been handled
+        in full -- their state changes stand and their replies are
+        queued ahead of the GOAWAY -- but their events are lost with
+        the exception; the bad frame is consumed, and whatever followed
+        it stays buffered, unparsed.
         """
         events: List[ev.Event] = []
         buffer = self._recv_buffer
@@ -284,14 +301,48 @@ class H2Connection:
                 )
             self._preface_remaining = self._preface_remaining[take:]
             del buffer[:take]
+        offset = 0
         try:
-            parsed = fr.consume_frames(buffer)
-            for frame in parsed:
-                self.frames_received.append(frame)
-                events.extend(self._handle_frame(frame))
+            with memoryview(buffer) as view:
+                total = len(view)
+                while total - offset >= fr.FRAME_HEADER_LEN:
+                    word, flags, stream_id = fr.HEADER_STRUCT.unpack_from(
+                        view, offset
+                    )
+                    payload_at = offset + fr.FRAME_HEADER_LEN
+                    end = payload_at + (word >> 8)
+                    if end > total:
+                        break
+                    frame_at, offset = offset, end  # consumed, come what may
+                    frame_type = word & 0xFF
+                    stream_id &= 0x7FFFFFFF
+                    body_path = self._expected_continuation is None
+                    if body_path and frame_type == fr.TYPE_DATA:
+                        if flags & fr.FLAG_PADDED:
+                            data = fr.parse_frame(
+                                bytes(view[frame_at:end])
+                            )[0].data
+                        else:
+                            data = bytes(view[payload_at:end])
+                        self._on_data(
+                            stream_id, data, end - payload_at,
+                            flags & fr.FLAG_END_STREAM != 0, events,
+                        )
+                    elif (body_path and frame_type == fr.TYPE_WINDOW_UPDATE
+                          and end - payload_at == 4):
+                        increment = fr.WINDOW_UPDATE_STRUCT.unpack_from(
+                            view, frame_at
+                        )[3] & 0x7FFFFFFF
+                        self._on_window_update(stream_id, increment, events)
+                    else:
+                        frame = fr.parse_frame(bytes(view[frame_at:end]))[0]
+                        events += self._handle_frame(frame)
         except H2ConnectionError as error:
             self.send_goaway(error.code)
             raise
+        finally:
+            if offset:
+                del buffer[:offset]
         return events
 
     def _handle_frame(self, frame: fr.Frame) -> List[ev.Event]:
@@ -302,17 +353,7 @@ class H2Connection:
                 ErrorCode.PROTOCOL_ERROR,
                 "interleaved frame while expecting CONTINUATION",
             )
-        handler = _FRAME_DISPATCH.get(frame.__class__)
-        if handler is not None:
-            return handler(self, frame)
-        # Frame subclasses (e.g. from tests) fall back to isinstance
-        # resolution against the same handlers.
-        for frame_class, isinstance_handler in _FRAME_DISPATCH.items():
-            if isinstance(frame, frame_class):
-                return isinstance_handler(self, frame)
-        raise H2ConnectionError(
-            ErrorCode.INTERNAL_ERROR, f"unhandled frame {frame!r}"
-        )
+        return _FRAME_DISPATCH[frame.__class__](self, frame)
 
     def _on_goaway(self, frame: fr.GoAwayFrame) -> List[ev.Event]:
         self._goaway_received = True
@@ -344,18 +385,27 @@ class H2Connection:
             )
         ]
 
-    def _on_data(self, frame: fr.DataFrame) -> List[ev.Event]:
-        if frame.stream_id == 0:
+    def _on_data(
+        self,
+        stream_id: int,
+        data: bytes,
+        length: int,
+        end_stream: bool,
+        events: List[ev.Event],
+    ) -> None:
+        """One DATA frame: ``data`` is the payload without padding,
+        ``length`` the whole wire payload, which is what flow control
+        counts (RFC 7540 §6.9.1)."""
+        if stream_id == 0:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR, "DATA on stream 0"
             )
-        stream = self._streams.get(frame.stream_id)
+        stream = self._streams.get(stream_id)
         if stream is None:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR,
-                f"DATA for unknown stream {frame.stream_id}",
+                f"DATA for unknown stream {stream_id}",
             )
-        length = frame.flow_controlled_length
         if length > self.connection_recv_window:
             raise H2ConnectionError(
                 ErrorCode.FLOW_CONTROL_ERROR,
@@ -363,26 +413,19 @@ class H2Connection:
             )
         self.connection_recv_window -= length
         try:
-            stream.receive_data(length, frame.end_stream)
+            stream.receive_data(length, end_stream)
         except H2StreamError as error:
-            self.send_rst_stream(frame.stream_id, error.code)
-            return [ev.StreamReset(frame.stream_id, error.code, remote=False)]
-        events: List[ev.Event] = [
-            ev.DataReceived(
-                stream_id=frame.stream_id,
-                data=frame.data,
-                flow_controlled_length=length,
-                end_stream=frame.end_stream,
-            )
-        ]
+            self.send_rst_stream(stream_id, error.code)
+            events.append(ev.StreamReset(stream_id, error.code, remote=False))
+            return
+        events.append(ev.DataReceived(stream_id, data, length, end_stream))
         # Auto-replenish windows, as typical implementations do.
         if length:
             self.send_window_update(0, length)
-            if not stream.closed:
-                self.send_window_update(frame.stream_id, length)
-        if frame.end_stream:
-            events.append(ev.StreamEnded(frame.stream_id))
-        return events
+            if stream.state is not StreamState.CLOSED:
+                self.send_window_update(stream_id, length)
+        if end_stream:
+            events.append(ev.StreamEnded(stream_id))
 
     def _on_headers(self, frame: fr.HeadersFrame) -> List[ev.Event]:
         if frame.stream_id == 0:
@@ -479,19 +522,22 @@ class H2Connection:
         )
         return [ev.PingReceived(opaque=frame.opaque)]
 
-    def _on_window_update(self, frame: fr.WindowUpdateFrame) -> List[ev.Event]:
-        if frame.increment == 0:
+    def _on_window_update(
+        self, stream_id: int, increment: int, events: List[ev.Event]
+    ) -> None:
+        if increment == 0:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR, "WINDOW_UPDATE with zero increment"
             )
-        if frame.stream_id == 0:
-            self.connection_send_window += frame.increment
+        if stream_id == 0:
+            self.connection_send_window += increment
         else:
-            stream = self._streams.get(frame.stream_id)
+            stream = self._streams.get(stream_id)
             if stream is not None:
-                stream.window_update(frame.increment)
-        self._drain_send_queue()
-        return [ev.WindowUpdated(frame.stream_id, frame.increment)]
+                stream.window_update(increment)
+        if self._send_queue:
+            self._drain_send_queue()
+        events.append(ev.WindowUpdated(stream_id, increment))
 
     def send_certificate(self, cert_id: int, chain_data: bytes) -> None:
         """Provide a secondary certificate chain on stream 0 (server),
@@ -556,18 +602,17 @@ class H2Connection:
         return [ev.OriginReceived(origins=frame.origins)]
 
 
-#: Exact-type frame dispatch, ordered like the original isinstance
-#: chain so the subclass fallback in ``_handle_frame`` resolves the
-#: same way the chain did.
+#: Exact-type dispatch for the frames ``receive_data`` leaves to the
+#: codec.  DATA and WINDOW_UPDATE are absent: ``receive_data`` calls
+#: their handlers itself, and a parsed one reaches ``_handle_frame``
+#: only while a CONTINUATION is expected, to be refused.
 _FRAME_DISPATCH = {
-    fr.DataFrame: H2Connection._on_data,
     fr.HeadersFrame: H2Connection._on_headers,
     fr.ContinuationFrame: H2Connection._on_continuation,
     fr.SettingsFrame: H2Connection._on_settings,
     fr.RstStreamFrame: H2Connection._on_rst,
     fr.PingFrame: H2Connection._on_ping,
     fr.GoAwayFrame: H2Connection._on_goaway,
-    fr.WindowUpdateFrame: H2Connection._on_window_update,
     fr.OriginFrame: H2Connection._on_origin,
     fr.CertificateFrame: H2Connection._on_certificate,
     fr.PriorityFrame: H2Connection._on_priority,

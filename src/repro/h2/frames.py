@@ -30,7 +30,7 @@ FRAME_HEADER_LEN = 9
 #: The 9-byte frame header packed as one struct: the first 32-bit word
 #: carries ``(length << 8) | type``, which is exactly the wire layout of
 #: the 24-bit length followed by the type octet.
-_HEADER_STRUCT = struct.Struct(">IBI")
+HEADER_STRUCT = struct.Struct(">IBI")
 
 # Frame type codes.
 TYPE_DATA = 0x0
@@ -46,6 +46,13 @@ TYPE_CONTINUATION = 0x9
 TYPE_ALTSVC = 0xA
 TYPE_ORIGIN = 0xC  # RFC 8336
 TYPE_CERTIFICATE = 0xD  # draft-ietf-httpbis-http2-secondary-certs
+
+#: A whole WINDOW_UPDATE frame -- header plus the 32-bit increment word
+#: -- as one struct, and the first word its header always carries
+#: (length 4, type 0x8).  The connection's body path reads and writes
+#: these frames without building a :class:`WindowUpdateFrame`.
+WINDOW_UPDATE_STRUCT = struct.Struct(">IBII")
+WINDOW_UPDATE_WORD = (4 << 8) | TYPE_WINDOW_UPDATE
 
 # Flag bits.
 FLAG_END_STREAM = 0x1   # DATA, HEADERS
@@ -77,7 +84,7 @@ class Frame:
                 ErrorCode.FRAME_SIZE_ERROR,
                 f"payload of {len(body)} bytes exceeds the 24-bit length",
             )
-        return _HEADER_STRUCT.pack(
+        return HEADER_STRUCT.pack(
             (len(body) << 8) | self.type_code,
             self.flags,
             self.stream_id & 0x7FFFFFFF,
@@ -92,7 +99,7 @@ class Frame:
                 ErrorCode.FRAME_SIZE_ERROR,
                 f"payload of {len(body)} bytes exceeds the 24-bit length",
             )
-        out += _HEADER_STRUCT.pack(
+        out += HEADER_STRUCT.pack(
             (len(body) << 8) | self.type_code,
             self.flags,
             self.stream_id & 0x7FFFFFFF,
@@ -125,8 +132,11 @@ class DataFrame(Frame):
 
     @property
     def flow_controlled_length(self) -> int:
-        """DATA frames count their whole payload against the window."""
-        return len(self.payload())
+        """DATA frames count their whole payload against the window:
+        the data plus, when padded, the pad-length octet and padding."""
+        if self.flags & FLAG_PADDED:
+            return 1 + len(self.data) + self.pad_length
+        return len(self.data)
 
 
 @dataclass
@@ -563,7 +573,7 @@ def parse_frame(buffer: bytes) -> Tuple[Optional[Frame], bytes]:
     """
     if len(buffer) < FRAME_HEADER_LEN:
         return None, buffer
-    word, flags, stream_id = _HEADER_STRUCT.unpack_from(buffer, 0)
+    word, flags, stream_id = HEADER_STRUCT.unpack_from(buffer, 0)
     length = word >> 8
     if len(buffer) < FRAME_HEADER_LEN + length:
         return None, buffer
@@ -614,7 +624,7 @@ def parse_frames(buffer: bytes) -> Tuple[List[Frame], bytes]:
     total = len(view)
     offset = 0
     while total - offset >= FRAME_HEADER_LEN:
-        word, flags, stream_id = _HEADER_STRUCT.unpack_from(view, offset)
+        word, flags, stream_id = HEADER_STRUCT.unpack_from(view, offset)
         length = word >> 8
         end = offset + FRAME_HEADER_LEN + length
         if end > total:
@@ -642,7 +652,7 @@ def consume_frames(buffer: bytearray) -> List[Frame]:
         with memoryview(buffer) as view:
             total = len(view)
             while total - offset >= FRAME_HEADER_LEN:
-                word, flags, stream_id = _HEADER_STRUCT.unpack_from(
+                word, flags, stream_id = HEADER_STRUCT.unpack_from(
                     view, offset
                 )
                 length = word >> 8

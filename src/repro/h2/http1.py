@@ -151,7 +151,6 @@ class H1ClientProtocol:
         self._in_flight: Optional[_QueuedRequest] = None
         self._buffer = b""
         self._headers_at = 0.0
-        self.responses: List[H2Response] = []
 
     @property
     def busy(self) -> bool:
@@ -205,7 +204,6 @@ class H1ClientProtocol:
             headers_at=self._headers_at or request.sent_at,
             finished_at=self._now(),
         )
-        self.responses.append(response)
         request.callback(response)
         self.pump()
 
@@ -361,10 +359,6 @@ class H1ClientSession:
     @property
     def busy(self) -> bool:
         return self._protocol is not None and self._protocol.busy
-
-    @property
-    def responses(self) -> List[H2Response]:
-        return self._protocol.responses if self._protocol else []
 
     def when_ready(
         self,

@@ -19,6 +19,16 @@ class StreamState(enum.Enum):
 class Stream:
     """One HTTP/2 stream with its state and flow-control windows."""
 
+    __slots__ = (
+        "stream_id",
+        "state",
+        "send_window",
+        "recv_window",
+        "reset_code",
+        "headers_received",
+        "trailers_received",
+    )
+
     def __init__(
         self,
         stream_id: int,

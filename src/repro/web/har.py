@@ -14,7 +14,7 @@ DNS because the connection was reused).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 NOT_APPLICABLE = -1.0
@@ -161,9 +161,20 @@ class HarArchive:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> Dict:
+        """Plain dicts, keys in field order -- what
+        ``dataclasses.asdict`` builds, without its per-value recursion
+        and deep copies (``to_json`` of a crawl is this, many times)."""
         return {
-            "page": asdict(self.page),
-            "entries": [asdict(entry) for entry in self.entries],
+            "page": dict(vars(self.page)),
+            "entries": [
+                {
+                    **vars(entry),
+                    "timings": dict(vars(entry.timings)),
+                    "dns_addresses": list(entry.dns_addresses),
+                    "certificate_san": list(entry.certificate_san),
+                }
+                for entry in self.entries
+            ],
         }
 
     def to_json(self) -> str:

@@ -72,7 +72,11 @@ class Subresource:
 
 @dataclass
 class WebPage:
-    """A root document and its subresource graph."""
+    """A root document and its subresource graph.
+
+    ``resources`` is not mutated after construction: the graph is
+    validated, and its parent -> children index built, once.
+    """
 
     hostname: str
     root_path: str = "/"
@@ -97,6 +101,11 @@ class WebPage:
                 raise ValueError(
                     f"{resource.url} names unknown parent {resource.parent!r}"
                 )
+        #: Normalized parent path -> its children, in ``resources`` order.
+        self._children: Dict[Optional[str], List[Subresource]] = {}
+        for resource in self.resources:
+            parent = self._normalized_parent(resource.parent)
+            self._children.setdefault(parent, []).append(resource)
         self._assert_acyclic()
 
     def _normalized_parent(self, parent: Optional[str]) -> Optional[str]:
@@ -104,21 +113,18 @@ class WebPage:
         return None if parent in (None, self.root_path) else parent
 
     def _assert_acyclic(self) -> None:
-        children: Dict[Optional[str], List[str]] = {}
-        for resource in self.resources:
-            parent = self._normalized_parent(resource.parent)
-            children.setdefault(parent, []).append(resource.path)
         seen = set()
         stack: List[Optional[str]] = [None]  # None = root document
         while stack:
             node = stack.pop()
-            for child in children.get(node, []):
-                if child in seen:
+            for child in self._children.get(node, ()):
+                if child.path in seen:
                     raise ValueError(
-                        f"dependency cycle or duplicate path at {child!r}"
+                        f"dependency cycle or duplicate path at "
+                        f"{child.path!r}"
                     )
-                seen.add(child)
-                stack.append(child)
+                seen.add(child.path)
+                stack.append(child.path)
         missing = {r.path for r in self.resources} - seen
         if missing:
             raise ValueError(
@@ -127,13 +133,11 @@ class WebPage:
 
     def children_of(self, parent_path: Optional[str]) -> List[Subresource]:
         """Resources discovered by parsing ``parent_path`` (``None`` or
-        the root path for root-document children)."""
-        wanted = self._normalized_parent(parent_path)
-        return [
-            resource
-            for resource in self.resources
-            if self._normalized_parent(resource.parent) == wanted
-        ]
+        the root path for root-document children), in ``resources``
+        order."""
+        return list(
+            self._children.get(self._normalized_parent(parent_path), ())
+        )
 
     def hostnames(self) -> List[str]:
         """All distinct hostnames the page touches, root first."""

@@ -1,5 +1,7 @@
 """Tests for the sans-IO connection state machine."""
 
+from collections import deque
+
 import pytest
 
 from repro.h2 import (
@@ -13,15 +15,20 @@ from repro.h2 import (
     UnknownFrame,
 )
 from repro.h2 import events as ev
+from repro.h2.settings import SettingId
 from repro.h2.frames import (
     ContinuationFrame,
     DataFrame,
     FLAG_END_HEADERS,
+    FLAG_END_STREAM,
+    GoAwayFrame,
     HeadersFrame,
     PingFrame,
     RstStreamFrame,
     SettingsFrame,
+    TYPE_WINDOW_UPDATE,
     WindowUpdateFrame,
+    parse_frames,
 )
 
 REQUEST = [
@@ -89,11 +96,9 @@ class TestHandshake:
         client.initiate()
         server.initiate()
         data = client.data_to_send()
-        server.receive_data(data[:10])
-        server.receive_data(data[10:])
-        assert any(
-            isinstance(f, SettingsFrame) for f in server.frames_received
-        )
+        assert server.receive_data(data[:10]) == []
+        events = server.receive_data(data[10:])
+        assert events == [ev.SettingsReceived(settings=())]
 
 
 class TestRequestResponse:
@@ -329,3 +334,526 @@ class TestFlowControl:
         client_events = pump(server, client)
         acks = [e for e in client_events if isinstance(e, ev.PingAcked)]
         assert acks[0].opaque == b"abcdefgh"
+
+
+# -- the body path: DATA and WINDOW_UPDATE without Frame objects ----------
+#
+# ``H2Connection`` reads and writes these two frame types straight
+# from/to wire bytes.  The Frame classes are the reference: every byte
+# the connection emits must equal the ``serialize()`` of the frame
+# sequence a Frame-object implementation would have produced, and every
+# event must be the one the parsed Frame describes.
+
+INITIAL_WINDOW = 65_535
+MAX_FRAME = 16_384
+BODY_SIZES = (0, 1, 16_383, 16_384, 16_385, 65_535, 200_000)
+#: Queued ahead of the body under test in the interleaved variant: it
+#: exhausts its own stream window with data left over, so the sender's
+#: rotate-the-blocked-stream branch runs for every size of the second.
+COMPANION = bytes(reversed(range(256))) * 400  # 102,400 bytes
+
+
+def body_of(size):
+    return (bytes(range(251)) * (size // 251 + 1))[:size]
+
+
+class ReferenceSender:
+    """Sender-side flow control as the pre-streaming connection did it:
+    one ``DataFrame`` object per frame, the remainder re-sliced (copied)
+    after each."""
+
+    def __init__(self):
+        self.connection_window = INITIAL_WINDOW
+        self.windows = {}
+        self.queue = deque()
+        self.rotations = 0
+
+    def send(self, stream_id, data):
+        self.windows[stream_id] = INITIAL_WINDOW
+        self.queue.append((stream_id, data))
+        return self.drain()
+
+    def window_update(self, frame):
+        if frame.stream_id == 0:
+            self.connection_window += frame.increment
+        else:
+            self.windows[frame.stream_id] += frame.increment
+        return self.drain()
+
+    def drain(self):
+        frames = []
+        skipped = 0
+        while self.queue and skipped < len(self.queue):
+            stream_id, data = self.queue[0]
+            if data and self.connection_window <= 0:
+                break
+            if data and self.windows[stream_id] <= 0:
+                self.queue.rotate(-1)
+                self.rotations += 1
+                skipped += 1
+                continue
+            budget = min(self.connection_window, self.windows[stream_id])
+            chunk = data[: min(budget, MAX_FRAME)]
+            rest = data[len(chunk):]
+            self.connection_window -= len(chunk)
+            self.windows[stream_id] -= len(chunk)
+            frames.append(DataFrame(
+                stream_id=stream_id,
+                flags=0 if rest else FLAG_END_STREAM,
+                data=chunk,
+            ))
+            skipped = 0
+            if rest:
+                self.queue[0] = (stream_id, rest)
+            else:
+                self.queue.popleft()
+        return frames
+
+
+def reference_replies(data_frames):
+    """What a receiver that replenishes per frame sends back."""
+    replies = []
+    for frame in data_frames:
+        length = frame.flow_controlled_length
+        if length:
+            replies.append(WindowUpdateFrame(stream_id=0, increment=length))
+            if not frame.end_stream:
+                replies.append(WindowUpdateFrame(
+                    stream_id=frame.stream_id, increment=length))
+    return replies
+
+
+def data_events(data_frames):
+    events = []
+    for frame in data_frames:
+        events.append(ev.DataReceived(
+            frame.stream_id, frame.data, frame.flow_controlled_length,
+            frame.end_stream))
+        if frame.end_stream:
+            events.append(ev.StreamEnded(frame.stream_id))
+    return events
+
+
+def wire_of(frames):
+    return b"".join(frame.serialize() for frame in frames)
+
+
+def bodies_for(size, interleaved):
+    """``[(stream_id, body)]`` in the order the server queues them."""
+    if interleaved:
+        return [(1, COMPANION), (3, body_of(size))]
+    return [(1, body_of(size))]
+
+
+def requesting_client(stream_count):
+    """A client with ``stream_count`` requests sent and awaiting
+    response DATA, and the bytes (preface, SETTINGS, requests) it
+    put on the wire: ``(client, wire)``."""
+    client = H2Connection(Role.CLIENT)
+    client.initiate()
+    for _ in range(stream_count):
+        client.send_headers(client.get_next_stream_id(), REQUEST,
+                            end_stream=True)
+    return client, client.data_to_send()
+
+
+def receiving_client(stream_count):
+    return requesting_client(stream_count)[0]
+
+
+def sending_server(bodies):
+    """A server with every body queued and its first flight drained:
+    returns ``(server, first_flight_wire)``."""
+    server = H2Connection(Role.SERVER)
+    server.initiate()
+    server.receive_data(requesting_client(len(bodies))[1])
+    for stream_id, _ in bodies:
+        server.send_headers(stream_id, RESPONSE)
+    server.data_to_send()
+    for stream_id, body in bodies:
+        server.send_data(stream_id, body, end_stream=True)
+    return server, server.data_to_send()
+
+
+def run_exchange(bodies):
+    """Pump a real server/client pair to completion next to the
+    reference; returns everything either side put on the wire."""
+    reference = ReferenceSender()
+    expected = []
+    for stream_id, body in bodies:
+        expected += reference.send(stream_id, body)
+    server, wire = sending_server(bodies)
+    client = receiving_client(len(bodies))
+    server_wire, client_wire = [], []
+    while wire:
+        assert wire == wire_of(expected)
+        server_wire.append(wire)
+        assert client.receive_data(wire) == data_events(expected)
+        replies = reference_replies(expected)
+        reply_wire = client.data_to_send()
+        assert reply_wire == wire_of(replies)
+        client_wire.append(reply_wire)
+        expected = []
+        for reply in replies:
+            expected += reference.window_update(reply)
+        if not reply_wire:
+            break
+        assert server.receive_data(reply_wire) == [
+            ev.WindowUpdated(reply.stream_id, reply.increment)
+            for reply in replies
+        ]
+        wire = server.data_to_send()
+    assert not expected and not reference.queue
+    for stream_id, _ in bodies:
+        assert server.stream(stream_id).closed
+        assert client.stream(stream_id).closed
+    for endpoint in (client, server):
+        assert endpoint.connection_send_window == INITIAL_WINDOW
+        assert endpoint.connection_recv_window == INITIAL_WINDOW
+        assert not endpoint._recv_buffer and not endpoint._send_queue
+    return b"".join(server_wire), b"".join(client_wire), reference
+
+
+def feed_split(endpoint, wire, split):
+    """Feed ``wire`` in two reads; returns what a caller can observe."""
+    view = memoryview(wire)
+    events = endpoint.receive_data(view[:split])
+    sent = endpoint.data_to_send()
+    events += endpoint.receive_data(view[split:])
+    sent += endpoint.data_to_send()
+    return events, sent, bytes(endpoint._recv_buffer)
+
+
+@pytest.mark.parametrize("interleaved", (False, True),
+                         ids=("alone", "interleaved"))
+@pytest.mark.parametrize("size", BODY_SIZES)
+class TestBodyPathAgainstFrameClasses:
+    def test_emitted_bytes_and_events_match_the_frame_classes(
+            self, size, interleaved):
+        bodies = bodies_for(size, interleaved)
+        server_wire, _, reference = run_exchange(bodies)
+        received = {stream_id: b"" for stream_id, _ in bodies}
+        frames, rest = parse_frames(server_wire)
+        assert rest == b""
+        for frame in frames:
+            assert type(frame) is DataFrame
+            received[frame.stream_id] += frame.data
+        assert received == dict(bodies)
+        if interleaved:
+            # The second stream got frames out while the first, blocked
+            # on its own window, still had data queued.
+            order = [frame.stream_id for frame in frames]
+            assert reference.rotations
+            assert order.index(3) < len(order) - order[::-1].index(1) - 1
+
+    def test_data_split_at_every_offset_reads_the_same(
+            self, size, interleaved):
+        """The server's bytes, cut anywhere in their first 64 KB, give
+        the client the same events, replies and buffered tail.
+
+        The receiver handles a frame the same whatever stream it is on,
+        so the single-stream sweep is the exhaustive one; interleaved,
+        the sweep covers 16 KB from where the streams start to mix (the
+        frames there are small and many).  What interleaving does to the
+        *sender* under split reads is swept in full by the next test.
+        """
+        bodies = bodies_for(size, interleaved)
+        server_wire, _, _ = run_exchange(bodies)
+        sweep = 64 * 1024
+        if interleaved:
+            # Skip the companion's first window: four full frames.
+            server_wire = server_wire[INITIAL_WINDOW + 4 * 9:]
+            sweep = 16 * 1024
+        wire = server_wire[: sweep + 64]
+        whole = feed_split(receiving_client(len(bodies)), wire, len(wire))
+        assert whole[0] and whole[1] or size == 0
+        for split in range(min(len(wire), sweep) + 1):
+            assert feed_split(
+                receiving_client(len(bodies)), wire, split
+            ) == whole, f"split at {split}"
+
+    def test_window_updates_split_at_every_offset_read_the_same(
+            self, size, interleaved):
+        """The client's bytes, cut anywhere, draw the same events and
+        the same DATA out of a server with the bodies queued."""
+        bodies = bodies_for(size, interleaved)
+        _, client_wire, _ = run_exchange(bodies)
+        server, _ = sending_server(bodies)
+        whole = feed_split(server, client_wire, len(client_wire))
+        for split in range(len(client_wire) + 1):
+            server, _ = sending_server(bodies)
+            assert feed_split(server, client_wire, split) == whole, \
+                f"split at {split}"
+
+
+def raw_frame(frame_type, stream_id, payload, flags=0):
+    """Wire bytes for a frame the typed classes refuse to build."""
+    return UnknownFrame(stream_id=stream_id, flags=flags,
+                        raw_type=frame_type, raw_payload=payload).serialize()
+
+
+def client_with_open_stream(initial_window=None):
+    """A client awaiting response DATA on stream 1, optionally having
+    advertised a small per-stream receive window."""
+    client = H2Connection(Role.CLIENT)
+    settings = []
+    if initial_window is not None:
+        settings.append((int(SettingId.INITIAL_WINDOW_SIZE), initial_window))
+    client.initiate(settings=settings)
+    client.send_headers(1, REQUEST, end_stream=True)
+    client.data_to_send()
+    return client
+
+
+def queued_frames(endpoint):
+    frames, rest = parse_frames(endpoint.data_to_send())
+    assert rest == b""
+    return frames
+
+
+class TestBodyPathErrors:
+    """Every check on DATA and WINDOW_UPDATE, by error code, by the
+    GOAWAY / RST_STREAM it queues and by the windows it leaves."""
+
+    CONNECTION_ERRORS = {
+        "data-on-stream-0": (
+            DataFrame(stream_id=0, data=b"x").serialize(),
+            ErrorCode.PROTOCOL_ERROR),
+        "data-on-unknown-stream": (
+            DataFrame(stream_id=99, data=b"x").serialize(),
+            ErrorCode.PROTOCOL_ERROR),
+        "data-over-connection-window": (
+            DataFrame(stream_id=1,
+                      data=b"x" * (INITIAL_WINDOW + 1)).serialize(),
+            ErrorCode.FLOW_CONTROL_ERROR),
+        "pad-length-past-payload": (
+            raw_frame(0x0, 1, b"\x09abc", flags=0x8),
+            ErrorCode.PROTOCOL_ERROR),
+        "window-update-of-3-bytes": (
+            raw_frame(TYPE_WINDOW_UPDATE, 0, b"\x00\x00\x01"),
+            ErrorCode.FRAME_SIZE_ERROR),
+        "window-update-of-5-bytes": (
+            raw_frame(TYPE_WINDOW_UPDATE, 1, b"\x00\x00\x00\x01\x00"),
+            ErrorCode.FRAME_SIZE_ERROR),
+        "zero-increment-on-stream-0": (
+            WindowUpdateFrame(stream_id=0, increment=0).serialize(),
+            ErrorCode.PROTOCOL_ERROR),
+        "zero-increment-on-a-stream": (
+            WindowUpdateFrame(stream_id=1, increment=0).serialize(),
+            ErrorCode.PROTOCOL_ERROR),
+        "zero-increment-behind-reserved-bit": (
+            raw_frame(TYPE_WINDOW_UPDATE, 0, b"\x80\x00\x00\x00"),
+            ErrorCode.PROTOCOL_ERROR),
+    }
+
+    @pytest.mark.parametrize("wire, code", CONNECTION_ERRORS.values(),
+                             ids=CONNECTION_ERRORS.keys())
+    def test_connection_errors(self, wire, code):
+        client = client_with_open_stream()
+        with pytest.raises(H2ConnectionError) as raised:
+            client.receive_data(wire)
+        assert raised.value.code is code
+        assert queued_frames(client) == [
+            GoAwayFrame(last_stream_id=0, error_code=code)
+        ]
+        stream = client.stream(1)
+        assert client.connection_recv_window == INITIAL_WINDOW
+        assert client.connection_send_window == INITIAL_WINDOW
+        assert stream.recv_window == stream.send_window == INITIAL_WINDOW
+        assert not client._recv_buffer  # the bad frame is consumed
+
+    def test_data_on_a_closed_stream_resets_it(self):
+        client = client_with_open_stream()
+        client.receive_data(DataFrame(
+            stream_id=1, flags=FLAG_END_STREAM, data=b"done").serialize())
+        client.data_to_send()
+        assert client.stream(1).closed
+        events = client.receive_data(
+            DataFrame(stream_id=1, data=b"late").serialize())
+        assert events == [
+            ev.StreamReset(1, ErrorCode.STREAM_CLOSED, remote=False)
+        ]
+        assert queued_frames(client) == [
+            RstStreamFrame(stream_id=1, error_code=ErrorCode.STREAM_CLOSED)
+        ]
+        # The connection window is charged for the refused frame and not
+        # replenished; the stream's stays where END_STREAM left it.
+        assert client.connection_recv_window == INITIAL_WINDOW - 4
+        assert client.stream(1).recv_window == INITIAL_WINDOW - 4
+
+    def test_data_over_the_stream_window_resets_the_stream(self):
+        client = client_with_open_stream(initial_window=1000)
+        events = client.receive_data(
+            DataFrame(stream_id=1, data=b"x" * 1001).serialize())
+        assert events == [
+            ev.StreamReset(1, ErrorCode.FLOW_CONTROL_ERROR, remote=False)
+        ]
+        assert queued_frames(client) == [
+            RstStreamFrame(stream_id=1,
+                           error_code=ErrorCode.FLOW_CONTROL_ERROR)
+        ]
+        assert client.connection_recv_window == INITIAL_WINDOW - 1001
+        assert client.stream(1).recv_window == 1000
+        assert client.stream(1).closed
+
+    def test_padding_counts_against_flow_control(self):
+        """Ten bytes of data cannot overflow a 100-byte window; the 200
+        bytes of padding around them do (RFC 7540 §6.9.1)."""
+        frame = DataFrame(stream_id=1, data=b"x" * 10, pad_length=200)
+        assert frame.flow_controlled_length == 211
+        client = client_with_open_stream(initial_window=100)
+        events = client.receive_data(frame.serialize())
+        assert events == [
+            ev.StreamReset(1, ErrorCode.FLOW_CONTROL_ERROR, remote=False)
+        ]
+        assert queued_frames(client) == [
+            RstStreamFrame(stream_id=1,
+                           error_code=ErrorCode.FLOW_CONTROL_ERROR)
+        ]
+        assert client.connection_recv_window == INITIAL_WINDOW - 211
+        assert client.stream(1).recv_window == 100
+
+    def test_padded_data_that_fits_is_delivered_without_padding(self):
+        frame = DataFrame(stream_id=1, flags=FLAG_END_STREAM,
+                          data=b"payload", pad_length=20)
+        client = client_with_open_stream()
+        assert client.receive_data(frame.serialize()) == [
+            ev.DataReceived(1, b"payload", 28, True), ev.StreamEnded(1),
+        ]
+        assert queued_frames(client) == [
+            WindowUpdateFrame(stream_id=0, increment=28)
+        ]
+        assert client.connection_recv_window == INITIAL_WINDOW
+
+    def test_window_update_for_an_unknown_stream_is_ignored(self):
+        client = client_with_open_stream()
+        events = client.receive_data(
+            WindowUpdateFrame(stream_id=99, increment=5).serialize())
+        assert events == [ev.WindowUpdated(99, 5)]
+        assert client.stream(99) is None
+        assert client.connection_send_window == INITIAL_WINDOW
+        assert client.stream(1).send_window == INITIAL_WINDOW
+        assert client.data_to_send() == b""
+
+    @pytest.mark.parametrize("interloper", [
+        DataFrame(stream_id=1, data=b"x"),
+        WindowUpdateFrame(stream_id=0, increment=1),
+    ], ids=("data", "window-update"))
+    def test_body_frames_may_not_interrupt_a_header_block(self, interloper):
+        from repro.h2.hpack import HpackEncoder
+        _, server, _, _ = pair()
+        block = HpackEncoder().encode(REQUEST)
+        opening = HeadersFrame(stream_id=1, flags=0, header_block=block[:3])
+        assert server.receive_data(opening.serialize()) == []
+        with pytest.raises(H2ConnectionError) as raised:
+            server.receive_data(interloper.serialize())
+        assert raised.value.code is ErrorCode.PROTOCOL_ERROR
+        assert queued_frames(server) == [
+            GoAwayFrame(last_stream_id=0,
+                        error_code=ErrorCode.PROTOCOL_ERROR)
+        ]
+        assert server.connection_send_window == INITIAL_WINDOW
+        assert server.connection_recv_window == INITIAL_WINDOW
+
+    def test_frames_before_a_bad_frame_take_effect_but_report_nothing(self):
+        """One read holds a good DATA frame, a bad one and a PING.  The
+        good frame is handled in full -- window charged and replenished,
+        its WINDOW_UPDATEs queued ahead of the GOAWAY -- but its
+        ``DataReceived`` is lost with the exception; the bad frame is
+        consumed; what followed it stays buffered, unparsed.  (Before
+        the single-pass reader, a read that failed to *parse* dropped
+        the frames ahead of the bad one unhandled.)"""
+        good = DataFrame(stream_id=1, data=b"good")
+        bad = DataFrame(stream_id=0, data=b"bad")
+        after = PingFrame()
+        client = client_with_open_stream()
+        with pytest.raises(H2ConnectionError):
+            client.receive_data(
+                good.serialize() + bad.serialize() + after.serialize())
+        assert queued_frames(client) == [
+            WindowUpdateFrame(stream_id=0, increment=4),
+            WindowUpdateFrame(stream_id=1, increment=4),
+            GoAwayFrame(last_stream_id=0,
+                        error_code=ErrorCode.PROTOCOL_ERROR),
+        ]
+        assert client.connection_recv_window == INITIAL_WINDOW
+        assert client.stream(1).recv_window == INITIAL_WINDOW
+        assert bytes(client._recv_buffer) == after.serialize()
+
+    def test_a_clean_read_leaves_only_the_incomplete_tail(self):
+        client = client_with_open_stream()
+        whole = DataFrame(stream_id=1, data=b"whole").serialize()
+        partial = DataFrame(stream_id=1, data=b"partial").serialize()[:12]
+        assert len(client.receive_data(whole + partial)) == 1
+        assert bytes(client._recv_buffer) == partial
+
+    def test_frame_size_never_exceeds_the_24_bit_length(self):
+        """The peer cannot talk the sender into a DATA frame whose
+        length would not fit the header: SETTINGS_MAX_FRAME_SIZE is
+        refused above 2**24 - 1, and the largest legal value is
+        honoured exactly."""
+        _, server, _, _ = pair()
+        with pytest.raises(H2ConnectionError) as raised:
+            server.remote_settings.apply(
+                int(SettingId.MAX_FRAME_SIZE), 2**24)
+        assert raised.value.code is ErrorCode.PROTOCOL_ERROR
+        server.remote_settings.apply(int(SettingId.MAX_FRAME_SIZE), 2**24 - 1)
+        server.receive_data(
+            HeadersFrame(stream_id=1,
+                         flags=FLAG_END_HEADERS | FLAG_END_STREAM,
+                         header_block=b"\x82\x87\x84").serialize())
+        server.send_headers(1, RESPONSE)
+        server.data_to_send()
+        server.send_data(1, b"x" * 40_000, end_stream=True)
+        frames = queued_frames(server)
+        assert [len(frame.data) for frame in frames] == [40_000]
+
+
+def traced_allocations(work):
+    """Run ``work()`` under tracemalloc; returns ``(retained, peak)``
+    bytes allocated since the call began."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        work()
+        gc.collect()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_a_16_mb_body_streams_through_without_being_retained(self):
+        """Neither endpoint keeps anything per frame: moving a body
+        costs a few windows' worth of buffers, not a multiple of the
+        body.  (With ``frames_sent`` / ``frames_received`` the pair
+        peaked at 2.06x the body and kept 2.05x.)"""
+        body = bytes(16 * 1024 * 1024)  # allocated before tracing starts
+        client, server, _, _ = pair()
+        client.send_headers(1, REQUEST, end_stream=True)
+        pump(client, server)
+        server.send_headers(1, RESPONSE)
+        pump(server, client)
+        received = []
+
+        def move():
+            server.send_data(1, body, end_stream=True)
+            while True:
+                wire = server.data_to_send()
+                if not wire:
+                    break
+                total = 0
+                for event in client.receive_data(wire):
+                    if isinstance(event, ev.DataReceived):
+                        total += len(event.data)  # ... and drop it
+                received.append(total)
+                server.receive_data(client.data_to_send())
+
+        retained, peak = traced_allocations(move)
+        assert sum(received) == len(body)
+        assert client.stream(1).closed and server.stream(1).closed
+        assert peak < 0.25 * len(body)
+        assert retained < 1024 * 1024

@@ -229,3 +229,61 @@ class TestConnectionTiming:
         run(network)
         # TCP (1 RTT) + TLS 1.3 (1 RTT) = 2 x 20ms, plus serialization.
         assert session.connected_at == pytest.approx(40.0, abs=5.0)
+
+
+class TestBoundedMemory:
+    """A session keeps no response once its callback has returned, so
+    what a long-lived, much-reused connection holds does not grow with
+    the bytes it has carried."""
+
+    BODY = bytes(1024 * 1024)
+
+    def fetch_sequentially(self, count):
+        """Peak bytes allocated while one session fetches ``count``
+        1 MB responses one after another, dropping each."""
+        from tests.test_h2_connection import traced_allocations
+
+        latency = LatencyModel(
+            default=LinkSpec(rtt_ms=2.0, bandwidth_bpms=1e7))
+        network = Network(loop=EventLoop(), latency=latency)
+        ca = CertificateAuthority("Mem CA", rng=np.random.default_rng(3))
+        edge = network.add_host(Host("edge", "us-east", ["10.0.0.1"]))
+        client_host = network.add_host(
+            Host("client", "us-east", ["10.8.0.1"]))
+        cert = ca.issue("big.example.com", ())
+        server = H2Server(network, edge, ServerConfig(
+            chains=[ca.chain_for(cert)],
+            serves=["big.example.com"],
+            handler=lambda authority, path, headers: (200, [], self.BODY),
+        ))
+        server.listen_all()
+        session = H2ClientSession(
+            network, client_host, "10.0.0.1",
+            TlsClientConfig(sni="big.example.com",
+                            trust_store=TrustStore([ca]), authorities=[ca],
+                            now=network.loop.now),
+        )
+        sizes = []
+
+        def fetch(response=None):
+            if response is not None:
+                sizes.append((response.status, len(response.body)))
+            if len(sizes) < count:
+                session.request("big.example.com", f"/{len(sizes)}", fetch)
+
+        session.connect()
+        network.loop.run_until_idle()
+        assert session.ready
+
+        def fetch_all():
+            fetch()
+            network.loop.run_until_idle()
+
+        _, peak = traced_allocations(fetch_all)
+        assert sizes == [(200, len(self.BODY))] * count
+        assert server.stats.connections == 1
+        return peak
+
+    def test_peak_does_not_grow_with_the_number_of_responses(self):
+        few, many = self.fetch_sequentially(8), self.fetch_sequentially(32)
+        assert abs(many - few) < 1024 * 1024

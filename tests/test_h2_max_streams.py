@@ -92,3 +92,65 @@ class TestMaxConcurrentStreams:
         # The second wave (requests 3-4) finishes a think-time later.
         waves = sorted(finish_times)
         assert waves[2] - waves[0] > 40.0
+
+
+class TestStreamReset:
+    """A reset stream finishes its request: before, the session had no
+    handler for ``StreamReset``, so the request kept its slot under the
+    cap and its callback never fired."""
+
+    @pytest.fixture
+    def resetting_server(self, monkeypatch):
+        """``/reset`` is answered with RST_STREAM(REFUSED_STREAM)."""
+        from repro.h2 import ErrorCode
+        from repro.h2.server import ServerConnection
+
+        answer = ServerConnection._handle_request
+
+        def handle(connection, event):
+            if dict(event.headers)[":path"] == "/reset":
+                connection.conn.send_rst_stream(
+                    event.stream_id, ErrorCode.REFUSED_STREAM)
+                return
+            answer(connection, event)
+
+        monkeypatch.setattr(ServerConnection, "_handle_request", handle)
+
+    def test_reset_of_one_in_flight_stream_completes_it_as_dead(
+            self, world, resetting_server):
+        from repro.telemetry import Tracer
+
+        network, server, client = world
+        client.tracer = Tracer(network.loop.now)
+        responses = {}
+        stream_ids = []
+
+        def go():
+            # Two in flight fill the cap of 2; the third waits for a slot.
+            for path in ("/reset", "/ok", "/queued"):
+                stream_ids.append(client.request(
+                    "www.example.com", path,
+                    lambda r: responses.setdefault(r.path, r)))
+
+        client.connect(
+            on_ready=lambda: network.loop.schedule(30.0, go)
+        )
+        network.loop.run_until_idle()
+        assert stream_ids == [1, 3, -1]
+        assert {path: r.status for path, r in responses.items()} == {
+            "/reset": 0, "/ok": 200, "/queued": 200,
+        }
+        dead = responses["/reset"]
+        assert (dead.stream_id, dead.headers, dead.body) == (1, [], b"")
+        assert dead.sent_at == dead.headers_at < dead.finished_at
+        # The freed slot went to the queued request well before the
+        # other in-flight one finished thinking.
+        assert responses["/queued"].sent_at == dead.finished_at
+        assert responses["/queued"].sent_at < responses["/ok"].finished_at
+        assert not client._pending and not client._stream_queue
+        assert not client.closed and client.failed is None
+        spans = {s.attrs["path"]: s for s in client.tracer.spans
+                 if s.name == "h2.stream"}
+        assert all(span.finished for span in spans.values())
+        assert spans["/reset"].attrs["status"] == 0
+        assert spans["/reset"].end_ms == dead.finished_at

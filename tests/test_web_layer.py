@@ -1,5 +1,8 @@
 """Tests for content types, the AS database, pages, and HAR archives."""
 
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -126,6 +129,23 @@ class TestWebPage:
         assert [r.path for r in page.children_of("/css/style.css")] == [
             "/arial.woff"
         ]
+
+    def test_children_of_matches_a_scan_of_resources(self):
+        """The parent -> children index answers what the scan it
+        replaced did: same resources, ``resources`` order, a fresh list
+        per call, and nothing for a path with no children."""
+        page = make_page()
+        for parent in (None, "/", *(r.path for r in page.resources),
+                       "/nowhere"):
+            wanted = None if parent in (None, page.root_path) else parent
+            scanned = [
+                r for r in page.resources
+                if (None if r.parent in (None, page.root_path)
+                    else r.parent) == wanted
+            ]
+            found = page.children_of(parent)
+            assert [id(r) for r in found] == [id(r) for r in scanned]
+            assert found is not page.children_of(parent)
 
     def test_unknown_parent_rejected(self):
         with pytest.raises(ValueError):
@@ -254,3 +274,47 @@ class TestHarArchive:
         archive.entries.reverse()
         ordered = archive.entries_by_start()
         assert [e.started_at for e in ordered] == [0.0, 120.0, 130.0]
+
+
+class TestHarEncodeAgainstAsdict:
+    """``HarArchive.to_dict`` builds its dicts by hand;
+    ``dataclasses.asdict`` is the reference it must match to the byte."""
+
+    @staticmethod
+    def reference_json(archive):
+        return json.dumps({
+            "page": dataclasses.asdict(archive.page),
+            "entries": [dataclasses.asdict(e) for e in archive.entries],
+        })
+
+    @pytest.fixture(scope="class")
+    def shard_archives(self):
+        from repro.dataset.generator import DatasetConfig
+        from repro.dataset.shard import CrawlParams, crawl_shard, plan_shards
+
+        spec = plan_shards(DatasetConfig(site_count=12, seed=41), 1)[0]
+        params = CrawlParams(policy="chromium", speculative_rate=0.10)
+        return crawl_shard(spec, params).payload.archives
+
+    def test_every_archive_of_a_real_shard_encodes_identically(
+            self, shard_archives):
+        assert any(not a.page.success for a in shard_archives)
+        assert any(
+            e.dns_addresses and e.certificate_san
+            for a in shard_archives for e in a.entries
+        )
+        for archive in shard_archives:
+            assert archive.to_json() == self.reference_json(archive)
+            assert HarArchive.from_json(archive.to_json()) == archive
+
+    def test_to_dict_shares_no_list_with_the_archive(self, shard_archives):
+        archive = next(a for a in shard_archives if a.entries)
+        before = archive.to_json()
+        doc = archive.to_dict()
+        doc["page"]["url"] = "mutated"
+        for raw in doc["entries"]:
+            raw["dns_addresses"].append("203.0.113.9")
+            raw["certificate_san"].append("mutated.example")
+            raw["timings"]["wait"] = -5.0
+        doc["entries"].clear()
+        assert archive.to_json() == before

@@ -154,3 +154,80 @@ def test_partial_frame_stays_buffered():
     frames = fr.consume_frames(buffer)
     assert len(frames) == 1
     assert bytes(buffer) == full[: fr.FRAME_HEADER_LEN + 2]
+
+
+# -- the connection's body path against the frozen DATA / WINDOW_UPDATE bytes
+#
+# H2Connection writes and reads these two frame types without the Frame
+# classes above; the corpus pins that path to the same bytes.
+
+_BODY_VECTORS = [
+    v for v in CORPUS["frames"]
+    if v["cls"] in ("DataFrame", "WindowUpdateFrame")
+]
+#: The connection never pads what it sends.
+_SENDABLE_VECTORS = [
+    v for v in _BODY_VECTORS if not v["kwargs"].get("pad_length")
+]
+_REQUEST = [(":method", "GET"), (":scheme", "https"),
+            (":authority", "golden.example"), (":path", "/")]
+
+
+def _client_with_stream(stream_id: int, end_stream: bool):
+    from repro.h2.connection import H2Connection, Role
+
+    conn = H2Connection(Role.CLIENT)
+    conn.initiate()
+    if stream_id:
+        conn.send_headers(stream_id, _REQUEST, end_stream=end_stream)
+    conn.data_to_send()
+    return conn
+
+
+@pytest.mark.parametrize(
+    "vector", _SENDABLE_VECTORS, ids=[v["name"] for v in _SENDABLE_VECTORS]
+)
+def test_connection_emits_the_frozen_body_frames(vector):
+    kwargs = _inflate_kwargs(vector["kwargs"])
+    stream_id = kwargs.get("stream_id", 0)
+    conn = _client_with_stream(stream_id, end_stream=False)
+    if vector["cls"] == "DataFrame":
+        conn.send_data(
+            stream_id, kwargs["data"],
+            end_stream=bool(kwargs.get("flags", 0) & fr.FLAG_END_STREAM),
+        )
+    else:
+        conn.send_window_update(stream_id, kwargs["increment"])
+    assert conn.data_to_send().hex() == vector["hex"]
+
+
+@pytest.mark.parametrize(
+    "vector", _BODY_VECTORS, ids=[v["name"] for v in _BODY_VECTORS]
+)
+def test_connection_reads_the_frozen_body_frames(vector):
+    """The event carries exactly what the Frame parser extracts, and the
+    flow-controlled length is the wire payload's, padding included."""
+    from repro.h2 import events as ev
+
+    wire = bytes.fromhex(vector["hex"])
+    parsed, _ = fr.parse_frame(wire)
+    conn = _client_with_stream(parsed.stream_id, end_stream=True)
+    events = conn.receive_data(wire)
+    if vector["cls"] == "WindowUpdateFrame":
+        assert events == [
+            ev.WindowUpdated(parsed.stream_id, parsed.increment)
+        ]
+        return
+    length = len(wire) - fr.FRAME_HEADER_LEN
+    expected = [ev.DataReceived(parsed.stream_id, parsed.data, length,
+                                parsed.end_stream)]
+    if parsed.end_stream:
+        expected.append(ev.StreamEnded(parsed.stream_id))
+    assert events == expected
+    replies, rest = fr.parse_frames(conn.data_to_send())
+    assert rest == b""
+    assert [r.serialize() for r in replies] == [
+        fr.WindowUpdateFrame(stream_id=sid, increment=length).serialize()
+        for sid in ((0,) if parsed.end_stream else (0, parsed.stream_id))
+        if length
+    ]
