@@ -16,14 +16,13 @@ produced it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.audit.reasons import ReasonCode, reason_code
+from repro.audit.record import SlottedRecord, canonical_json, json_str
 
 
-@dataclass
-class AuditEvent:
+class AuditEvent(SlottedRecord):
     """One recorded decision.
 
     ``kind`` names the decision point (``decision`` is the final
@@ -33,16 +32,23 @@ class AuditEvent:
     events) is how the request was ultimately served.
     """
 
-    seq: int
-    kind: str
-    reason: str
-    at_ms: float
-    page: str = ""
-    hostname: str = ""
-    path: str = ""
-    decision: str = ""
-    shard: int = 0
-    attrs: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("seq", "kind", "reason", "at_ms", "page", "hostname",
+                 "path", "decision", "shard", "attrs")
+
+    def __init__(self, seq: int, kind: str, reason: str, at_ms: float,
+                 page: str = "", hostname: str = "", path: str = "",
+                 decision: str = "", shard: int = 0,
+                 attrs: Optional[Dict[str, object]] = None) -> None:
+        self.seq = seq
+        self.kind = kind
+        self.reason = reason
+        self.at_ms = at_ms
+        self.page = page
+        self.hostname = hostname
+        self.path = path
+        self.decision = decision
+        self.shard = shard
+        self.attrs = {} if attrs is None else attrs
 
     def to_dict(self) -> dict:
         doc = {
@@ -63,6 +69,23 @@ class AuditEvent:
         if self.attrs:
             doc["attrs"] = self.attrs
         return doc
+
+    def to_line(self) -> str:
+        """The event's canonical JSONL line: ``canonical_json(
+        self.to_dict())`` plus the newline, written out field by field
+        (keys already sorted, empty optional fields omitted) so no
+        dict is built per event."""
+        return "".join((
+            '{"at_ms":%r' % round(self.at_ms, 6),
+            ',"attrs":' + canonical_json(self.attrs) if self.attrs else "",
+            ',"decision":' + json_str(self.decision) if self.decision else "",
+            ',"hostname":' + json_str(self.hostname) if self.hostname else "",
+            ',"kind":' + json_str(self.kind),
+            ',"page":' + json_str(self.page) if self.page else "",
+            ',"path":' + json_str(self.path) if self.path else "",
+            ',"reason":%s,"seq":%r,"shard":%r}\n' % (
+                json_str(self.reason), self.seq, self.shard),
+        ))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AuditEvent":
@@ -104,15 +127,8 @@ class AuditLog:
         **attrs,
     ) -> AuditEvent:
         event = AuditEvent(
-            seq=len(self.events),
-            kind=kind,
-            reason=ReasonCode(reason).value,
-            at_ms=self._clock(),
-            page=page,
-            hostname=hostname,
-            path=path,
-            decision=decision,
-            attrs=attrs,
+            len(self.events), kind, ReasonCode(reason).value,
+            self._clock(), page, hostname, path, decision, 0, attrs,
         )
         self.events.append(event)
         return event
@@ -138,12 +154,7 @@ NULL_AUDIT = NullAuditLog()
 def events_to_jsonl(events: Iterable[AuditEvent]) -> str:
     """Canonical JSONL: sorted keys, compact separators, one event per
     line -- byte-identical for identical event streams."""
-    lines = [
-        json.dumps(event.to_dict(), sort_keys=True,
-                   separators=(",", ":"))
-        for event in events
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(map(AuditEvent.to_line, events))
 
 
 def events_from_jsonl(text: str) -> List[AuditEvent]:

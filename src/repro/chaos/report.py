@@ -15,9 +15,10 @@ as metrics and audit streams.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
+
+from repro.audit.record import canonical_json
 
 
 @dataclass
@@ -203,4 +204,4 @@ class ChaosReport:
     def _tagged(tag: str, doc: Dict[str, object]) -> str:
         doc = dict(doc)
         doc["t"] = tag
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return canonical_json(doc)

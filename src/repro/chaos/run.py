@@ -34,6 +34,7 @@ from repro.dataset.shard import (
     CrawlParams,
     ShardResult,
     crawl_shard,
+    generate_records,
     merge_shards,
     plan_shards,
 )
@@ -105,6 +106,8 @@ class ChaosRunner:
             report.absorb_tallies(result.faults)
 
         chaos = (self.schedule, self.retry_policy)
+        # Plan before any fork, as ParallelCrawler._run does.
+        generate_records(self.config)
         crawl_trace = merge_shards(
             crawl_shard,
             [(spec, self.params, (trace, True), chaos)

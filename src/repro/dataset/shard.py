@@ -23,9 +23,10 @@ streams.
 This module is also the one home of *how a list of shard jobs is
 executed, shipped across a process boundary and merged in shard
 order* -- for the crawl, for :mod:`repro.chaos.run` and for
-:mod:`repro.traffic.simulate`: :func:`run_shards` (the executor),
-:meth:`ShardResult.to_wire`/:meth:`ShardResult.from_wire` (the codec)
-and :func:`merge_shards` (the shard-order fold).
+:mod:`repro.traffic.simulate`: :func:`run_shards` (the executor; a
+:class:`ShardResult` crosses the process boundary pickled, its records
+as themselves and a crawl's archives as HAR JSON lines) and
+:func:`merge_shards` (the shard-order fold).
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ _CRAWLER_DOMAIN = 1
 #: full-generation pass; serial runs used to pay it once *per shard*.
 #: Plans are pure data -- world construction and crawling never mutate
 #: a SiteRecord -- so shards may share one list.  Keyed by config
-#: equality; worker processes each hold their own copy.
+#: equality; the drivers plan before :func:`run_shards` forks, so
+#: workers inherit the parent's entry copy-on-write.
 _PLAN_CACHE: List[Tuple[DatasetConfig, List[SiteRecord]]] = []
 
 
@@ -183,45 +185,6 @@ class ShardResult:
     faults: Sequence[dict] = ()
     extra: object = None
 
-    def to_wire(self) -> tuple:
-        """The result as JSON-able docs: the only form in which a
-        shard result crosses a process boundary (``extra`` stays
-        behind)."""
-        payload = self.payload
-        if isinstance(payload, CrawlResult):
-            payload_doc = [
-                archive.to_json() for archive in payload.archives
-            ]
-        else:
-            payload_doc = payload.to_dict()
-        return (
-            payload_doc,
-            [span.to_dict() for span in self.spans],
-            self.metrics,
-            [event.to_dict() for event in self.events],
-            self.faults,
-        )
-
-    @classmethod
-    def from_wire(cls, wire: tuple) -> "ShardResult":
-        """Re-inflate :meth:`to_wire` output (in the parent process)."""
-        from repro.traffic.aggregate import TrafficAggregate
-
-        payload_doc, span_docs, metrics, event_docs, faults = wire
-        if isinstance(payload_doc, dict):
-            payload = TrafficAggregate.from_dict(payload_doc)
-        else:
-            payload = CrawlResult(archives=[
-                HarArchive.from_json(line) for line in payload_doc
-            ])
-        return cls(
-            payload=payload,
-            spans=[Span.from_dict(doc) for doc in span_docs],
-            metrics=metrics,
-            events=[AuditEvent.from_dict(doc) for doc in event_docs],
-            faults=faults,
-        )
-
 
 @dataclass(frozen=True)
 class CrawlParams:
@@ -330,20 +293,38 @@ def _mp_context():
     )
 
 
-def _shard_to_wire(job: Tuple[Callable[..., ShardResult], tuple]) -> tuple:
-    """Picklable pool entry point: run one shard, ship it as docs."""
+def _shard_to_wire(
+    job: Tuple[Callable[..., ShardResult], tuple]
+) -> ShardResult:
+    """Picklable pool entry point: run one shard and hand the pool the
+    result to pickle, minus its worker-local ``extra``.  Spans, audit
+    events and a traffic aggregate go as themselves; a crawl's archives
+    go as HAR JSON lines (the hop the benchmark's ``har_encode`` /
+    ``har_decode`` stages time on the fan-out run)."""
     shard_fn, args = job
-    return shard_fn(*args).to_wire()
+    result = shard_fn(*args)
+    payload = result.payload
+    if isinstance(payload, CrawlResult):
+        payload = [archive.to_json() for archive in payload.archives]
+    return replace(result, payload=payload, extra=None)
+
+
+def _shard_from_wire(result: ShardResult) -> ShardResult:
+    """Undo :func:`_shard_to_wire` in the parent process."""
+    if isinstance(result.payload, list):
+        return replace(result, payload=CrawlResult(archives=[
+            HarArchive.from_json(line) for line in result.payload
+        ]))
+    return result
 
 
 def _run_pooled(shard_fn, payloads, workers) -> Iterator[ShardResult]:
     with _mp_context().Pool(processes=workers) as pool:
         # imap preserves payload order while letting shards finish out
         # of order in the workers.
-        for wire in pool.imap(
+        yield from map(_shard_from_wire, pool.imap(
             _shard_to_wire, [(shard_fn, args) for args in payloads]
-        ):
-            yield ShardResult.from_wire(wire)
+        ))
 
 
 def run_shards(
@@ -358,7 +339,8 @@ def run_shards(
     in-process and hand over live objects: the serial path never
     serialises.  Otherwise they fan out over a forked
     :mod:`multiprocessing` pool of ``min(jobs, len(payloads))``
-    workers and return through the :class:`ShardResult` wire codec.
+    workers, which pickle each :class:`ShardResult` back (``extra``
+    stays behind; :func:`_shard_to_wire`).
     ``shard_fn`` must be a module-level function (it is pickled by
     import path).
     """
@@ -426,6 +408,10 @@ class ParallelCrawler:
     def _run(self, collect, progress, watch=None
              ) -> Tuple[CrawlResult, CrawlTrace]:
         merged = CrawlResult()
+        # Plan before any fork: pool workers inherit _PLAN_CACHE
+        # instead of each planning the whole web again (under
+        # ``spawn`` a worker still does).
+        generate_records(self.config)
         crawl_trace = merge_shards(
             crawl_shard,
             [(spec, self.params, collect) for spec in self.shards],

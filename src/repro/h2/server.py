@@ -290,7 +290,9 @@ class ServerConnection:
             self.channel.close()
             return
         for event in events:
-            if isinstance(event, ev.RequestReceived):
+            # Exact class: nearly every event here is a WindowUpdated
+            # to discard, and RequestReceived has no subclasses.
+            if event.__class__ is ev.RequestReceived:
                 self._handle_request(event)
         self._flush()
 

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
+from repro.audit.record import canonical_json
 from repro.obs.phases import PHASES
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 
@@ -183,19 +184,15 @@ class RunRecord:
     # -- canonical JSONL ---------------------------------------------------
 
     def to_jsonl(self) -> str:
-        def line(doc: dict) -> str:
-            return json.dumps(doc, sort_keys=True,
-                              separators=(",", ":"))
-
-        lines = [line({"t": "meta", **self.meta})]
+        docs = [{"t": "meta", **self.meta}]
         for doc in sorted(self.phases, key=_phase_sort_key):
-            lines.append(line({"t": "phase", **doc}))
-        lines.append(line({"t": "headline", "metrics": self.headline}))
+            docs.append({"t": "phase", **doc})
+        docs.append({"t": "headline", "metrics": self.headline})
         for doc in self.slo:
             out = dict(doc)
             out["t"] = "slo"
-            lines.append(line(out))
-        return "\n".join(lines) + "\n"
+            docs.append(out)
+        return "\n".join(map(canonical_json, docs)) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str, source: str = "<record>"

@@ -9,6 +9,7 @@ so pipelines and sinks can share one copy.
 from __future__ import annotations
 
 from repro.runtime.console import diag
+from repro.telemetry import Span
 
 
 def counter_total(registry, name: str):
@@ -56,7 +57,7 @@ def export_trace(trace, trace_out, want_metrics: bool) -> None:
     if trace_out:
         if str(trace_out).endswith(".jsonl"):
             with open(trace_out, "w", encoding="utf-8") as handle:
-                handle.write(trace.to_jsonl())
+                handle.writelines(map(Span.to_line, trace.spans))
             diag(f"trace: {len(trace.spans)} spans -> {trace_out} "
                  "(span JSONL)")
         else:

@@ -11,6 +11,7 @@ and must not be shuffled.
 
 from __future__ import annotations
 
+from repro.audit.log import AuditEvent
 from repro.runtime.console import diag
 from repro.runtime.instrument import export_trace, finish_ledger
 
@@ -66,11 +67,9 @@ class AuditSink:
         self.out = out
 
     def __call__(self, outcome) -> None:
-        from repro.audit.log import events_to_jsonl
-
         events = outcome.trace.audit
         with open(self.out, "w", encoding="utf-8") as handle:
-            handle.write(events_to_jsonl(events))
+            handle.writelines(map(AuditEvent.to_line, events))
         diag(f"audit: {len(events)} events -> {self.out} "
              "(JSONL)")
 

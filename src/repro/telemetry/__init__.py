@@ -78,18 +78,15 @@ class CrawlTrace:
 
     def extend(self, spans: List[Span], shard: int) -> None:
         """Adopt one shard's spans: tag the shard, renumber ids after
-        the ones already merged."""
+        the ones already merged (a tracer numbers its spans 0..n-1,
+        so ids and parent ids shift by the same offset)."""
         offset = len(self.spans)
-        remap = {}
         for span in spans:
-            remap[span.span_id] = span.span_id + offset
-        for span in spans:
-            span.span_id = remap[span.span_id]
+            span.span_id += offset
             if span.parent_id is not None:
-                span.parent_id = remap.get(span.parent_id,
-                                           span.parent_id)
+                span.parent_id += offset
             span.shard = shard
-            self.spans.append(span)
+        self.spans.extend(spans)
 
     def extend_audit(self, events, shard: int) -> None:
         """Adopt one shard's audit events: tag the shard, renumber the
@@ -98,7 +95,7 @@ class CrawlTrace:
         for event in events:
             event.seq += offset
             event.shard = shard
-            self.audit.append(event)
+        self.audit.extend(events)
 
     def adopt(self, result, shard: int) -> None:
         """Merge one shard's telemetry bundle (a

@@ -35,11 +35,8 @@ _OTHER_TID = 9
 
 def spans_to_jsonl(spans: Iterable[Span]) -> str:
     """One canonical JSON object per line (sorted keys, stable order)."""
-    lines = [
-        json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
-        for span in spans
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(map(Span.to_line, spans))
+
 
 def spans_from_jsonl(text: str) -> List[Span]:
     spans = []

@@ -36,8 +36,8 @@ def _label_key(labels: Mapping[str, object]) -> LabelKey:
 
 
 class Counter:
-    """A monotonically *used* numeric series (``set`` exists so the
-    attribute API of :class:`RegistryStats` can write back ``+=``
+    """A monotonically *used* numeric series (``value`` is writable so
+    the attribute API of :class:`RegistryStats` can write back ``+=``
     results)."""
 
     kind = "counter"
@@ -50,9 +50,6 @@ class Counter:
 
     def inc(self, amount: Union[int, float] = 1) -> None:
         self.value += amount
-
-    def set(self, value: Union[int, float]) -> None:
-        self.value = value
 
     def __repr__(self) -> str:
         return f"Counter({self.name}{dict(self.labels) or ''}={self.value})"
@@ -272,63 +269,54 @@ class MetricsRegistry:
                     histogram.max = max(histogram.max, doc["max"])
 
 
+def _counter_property(name: str) -> property:
+    """``stats.<name>`` as a read/write view of the instance's cached
+    series: a ``+= 1`` is one getter and one setter call."""
+
+    def read(self):
+        return self._cache[name].value
+
+    def write(self, value) -> None:
+        self._cache[name].value = value
+
+    return property(read, write)
+
+
 class RegistryStats:
     """Base for the per-layer ``*Stats`` objects.
 
     Subclasses declare ``_prefix`` and ``_counters``; instances expose
-    each counter as a plain read/write attribute backed by a registry
-    series, so existing call sites (``stats.queries += 1``) and tests
-    keep working unchanged.  By default every instance gets a private
-    registry; pass ``registry=`` to bind the counters into a shared
-    one (labels distinguish instances there).
+    each counter as a plain read/write attribute (a generated
+    property) backed by a registry series, so existing call sites
+    (``stats.queries += 1``) and tests keep working unchanged.  By
+    default every instance gets a private registry; pass ``registry=``
+    to bind the counters into a shared one (labels distinguish
+    instances there).
     """
 
     _prefix: ClassVar[str] = ""
     _counters: ClassVar[Tuple[str, ...]] = ()
-    _counter_set: ClassVar[frozenset] = frozenset()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._counter_set = frozenset(cls._counters)
+        for name in cls._counters:
+            setattr(cls, name, _counter_property(name))
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  **labels) -> None:
-        object.__setattr__(self, "registry",
-                           registry if registry is not None
-                           else MetricsRegistry())
-        object.__setattr__(self, "_labels", dict(labels))
+        self.registry = registry if registry is not None \
+            else MetricsRegistry()
         # Resolve each counter once; attribute access must not pay the
         # registry's label-key construction on every bump.
-        object.__setattr__(self, "_cache", {
+        self._cache = {
             name: self.registry.counter(type(self)._prefix + name,
                                         **labels)
             for name in type(self)._counters
-        })
-
-    def _series(self, name: str) -> Counter:
-        series = self._cache.get(name)
-        if series is None:
-            series = self.registry.counter(type(self)._prefix + name,
-                                           **self._labels)
-            self._cache[name] = series
-        return series
-
-    def __getattr__(self, name: str):
-        if name in type(self)._counter_set:
-            return self._series(name).value
-        raise AttributeError(
-            f"{type(self).__name__} has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in type(self)._counter_set:
-            self._series(name).set(value)
-        else:
-            object.__setattr__(self, name, value)
+        }
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={self._series(name).value}"
-            for name in type(self)._counters
+            f"{name}={series.value}"
+            for name, series in self._cache.items()
         )
         return f"{type(self).__name__}({fields})"

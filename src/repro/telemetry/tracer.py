@@ -18,25 +18,32 @@ span, keeping the hot paths at one attribute load + one call.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.audit.record import SlottedRecord, canonical_json, json_str
 
-@dataclass
-class Span:
+
+class Span(SlottedRecord):
     """One traced interval (or instant) in simulated milliseconds."""
 
-    span_id: int
-    name: str
-    category: str
-    start_ms: float
-    end_ms: float = -1.0
-    parent_id: Optional[int] = None
-    #: Which crawl shard produced the span; merged traces keep spans
-    #: from different shards on separate (pid) tracks because each
-    #: shard's simulated clock starts at zero.
-    shard: int = 0
-    attrs: Dict[str, object] = field(default_factory=dict)
+    #: ``shard`` is the crawl shard that produced the span; merged
+    #: traces keep spans from different shards on separate (pid)
+    #: tracks because each shard's simulated clock starts at zero.
+    __slots__ = ("span_id", "name", "category", "start_ms", "end_ms",
+                 "parent_id", "shard", "attrs")
+
+    def __init__(self, span_id: int, name: str, category: str,
+                 start_ms: float, end_ms: float = -1.0,
+                 parent_id: Optional[int] = None, shard: int = 0,
+                 attrs: Optional[Dict[str, object]] = None) -> None:
+        self.span_id = span_id
+        self.name = name
+        self.category = category
+        self.start_ms = start_ms
+        self.end_ms = end_ms
+        self.parent_id = parent_id
+        self.shard = shard
+        self.attrs = {} if attrs is None else attrs
 
     @property
     def finished(self) -> bool:
@@ -59,6 +66,21 @@ class Span:
             "shard": self.shard,
             "attrs": self.attrs,
         }
+
+    def to_line(self) -> str:
+        """The span's canonical JSONL line: ``canonical_json(
+        self.to_dict())`` plus the newline, written out field by field
+        (keys already sorted) so no dict is built per span."""
+        return (
+            '{"attrs":%s,"cat":%s,"end":%r,"id":%r,"name":%s,'
+            '"parent":%s,"shard":%r,"start":%r}\n' % (
+                canonical_json(self.attrs) if self.attrs else "{}",
+                json_str(self.category), self.end_ms, self.span_id,
+                json_str(self.name),
+                "null" if self.parent_id is None else self.parent_id,
+                self.shard, self.start_ms,
+            )
+        )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Span":
@@ -87,12 +109,8 @@ class Tracer:
     def begin(self, name: str, category: str = "",
               parent: Optional[Span] = None, **attrs) -> Span:
         span = Span(
-            span_id=self._next_id,
-            name=name,
-            category=category,
-            start_ms=self._clock(),
-            parent_id=parent.span_id if parent is not None else None,
-            attrs=attrs,
+            self._next_id, name, category, self._clock(), -1.0,
+            parent.span_id if parent is not None else None, 0, attrs,
         )
         self._next_id += 1
         self.spans.append(span)

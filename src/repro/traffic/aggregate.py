@@ -12,9 +12,10 @@ byte-identical whatever ``--jobs`` count produced the shards.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Tuple
+
+from repro.audit.record import canonical_json
 
 
 @dataclass
@@ -197,10 +198,7 @@ class TrafficAggregate:
         for index in sorted(self.buckets):
             lines.append({"kind": "bucket", "index": index,
                           **self.buckets[index].to_dict()})
-        return "\n".join(
-            json.dumps(doc, sort_keys=True, separators=(",", ":"))
-            for doc in lines
-        ) + "\n"
+        return "\n".join(map(canonical_json, lines)) + "\n"
 
     # -- worker serialization ----------------------------------------------
 

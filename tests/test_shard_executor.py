@@ -1,5 +1,5 @@
-"""The one shard executor, its wire codec and its shard-order merge
-(``repro.dataset.shard``), tested in isolation with toy shard
+"""The one shard executor, its pickled hand-off and its shard-order
+merge (``repro.dataset.shard``), tested in isolation with toy shard
 functions and against one real shard of each workload.
 
 ``assert_runs_identical`` is the shared half of the per-workload
@@ -12,16 +12,22 @@ import multiprocessing
 import os
 import pickle
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.audit.log import events_to_jsonl
-from repro.chaos import DEFAULT_RETRY_POLICY, load_fault_schedule
+from repro.chaos import DEFAULT_RETRY_POLICY, ChaosRunner, load_fault_schedule
+from repro.chaos import run as chaos_run
 from repro.dataset.crawler import CrawlResult
+from repro.dataset import shard as shard_module
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
     CrawlParams,
+    ParallelCrawler,
     ShardResult,
+    _shard_from_wire,
+    _shard_to_wire,
     crawl_shard,
     merge_shards,
     plan_shards,
@@ -115,7 +121,7 @@ class TestRunShards:
         assert [_index(r) for r in results] == [0, 1, 2]
         assert all(_pid(r) != os.getpid() for r in results)
 
-    def test_serial_path_runs_in_process_without_the_codec(self):
+    def test_serial_path_runs_in_process_without_pickling(self):
         marker = object()
         results = list(run_shards(
             lambda spec: ShardResult(payload=marker), [(_Spec(0),)] * 2,
@@ -159,8 +165,45 @@ class TestRunShards:
         assert isinstance(trace, CrawlTrace)
 
 
+def _plan_probe_shard(spec, *_args) -> ShardResult:
+    """Stands in for ``crawl_shard``: its one (failed) archive says
+    whether the site plan was cached when the shard started, and who
+    ran it.  The payload is not a ``CrawlResult``, so the stand-in
+    archive is pickled as it is."""
+    planned = bool(shard_module._PLAN_CACHE) \
+        and shard_module._PLAN_CACHE[0][0] == spec.config
+    return ShardResult(payload=SimpleNamespace(archives=[SimpleNamespace(
+        page=SimpleNamespace(success=False), planned=planned,
+        pid=os.getpid(),
+    )]))
+
+
+def _probe_crawl(jobs, shard_count):
+    return ParallelCrawler(DatasetConfig(site_count=8, seed=31),
+                           shard_count=shard_count, jobs=jobs).crawl()
+
+
+def _probe_chaos(jobs, shard_count):
+    return ChaosRunner(DatasetConfig(site_count=8, seed=31),
+                       shard_count=shard_count, jobs=jobs).run()[0]
+
+
+@pytest.mark.parametrize("drive", [_probe_crawl, _probe_chaos])
+class TestPlanBeforeFork:
+    @pytest.fixture(autouse=True)
+    def probe(self, monkeypatch):
+        monkeypatch.setattr(shard_module, "crawl_shard", _plan_probe_shard)
+        monkeypatch.setattr(chaos_run, "crawl_shard", _plan_probe_shard)
+        monkeypatch.setattr(shard_module, "_PLAN_CACHE", [])
+
+    def test_forked_workers_inherit_the_parents_plan(self, drive):
+        seen = drive(jobs=2, shard_count=4).archives
+        assert [doc.planned for doc in seen] == [True] * 4
+        assert os.getpid() not in {doc.pid for doc in seen}
+
+
 # ---------------------------------------------------------------------------
-# The codec, with one real shard of each workload
+# The hand-off, with one real shard of each workload
 # ---------------------------------------------------------------------------
 
 
@@ -187,17 +230,25 @@ def _traffic_result() -> ShardResult:
     return simulate_shard(plan_user_shards(scenario, 2)[0], trace=True)
 
 
-class TestWireCodec:
+class TestPickledHandOff:
     @pytest.mark.parametrize(
         "make", [_crawl_result, _traffic_result, _chaos_result]
     )
     def test_round_trip_reserialises_to_identical_bytes(self, make):
         result = make()
         before = result_artifacts(result)
-        # Pickled exactly as the pool ships it between processes.
-        wire = pickle.loads(pickle.dumps(result.to_wire()))
-        after = result_artifacts(ShardResult.from_wire(wire))
-        assert after == before
+        # Shipped exactly as the pool ships it: the worker entry
+        # point's return value through pickle, re-inflated as the
+        # parent does.
+        wire = _shard_to_wire((lambda: result, ()))
+        shipped = _shard_from_wire(pickle.loads(pickle.dumps(wire)))
+        assert (type(wire.payload) is list) == (make is not _traffic_result)
+        assert type(shipped.payload) is type(result.payload)
+        assert shipped.extra is None
+        assert (result.extra is not None) == (make is _traffic_result)
+        assert result_artifacts(shipped) == before
+        assert shipped.spans == result.spans
+        assert shipped.events == result.events
         for name in ("payload", "spans", "metrics", "audit"):
             assert before[name], f"{name} stream is empty"
         assert (json.loads(before["faults"]) != []) \

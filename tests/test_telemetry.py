@@ -236,6 +236,31 @@ class TestRegistryStats:
         with pytest.raises(AttributeError):
             _DemoStats().bogus
 
+    def test_counters_are_properties_over_the_cached_series(self):
+        """One generated property per declared counter: a bump reads
+        and writes the instance's own ``Counter``, nothing else."""
+        assert isinstance(_DemoStats.hits, property)
+        assert isinstance(_DemoStats.misses, property)
+        assert not hasattr(RegistryStats, "hits")
+        registry = MetricsRegistry()
+        a = _DemoStats(registry=registry, pool="a")
+        b = _DemoStats(registry=registry, pool="b")
+        series = registry.counter("demo.hits", pool="a")
+        a.hits += 2
+        a.hits += 0.5
+        b.hits = 9
+        assert series.value == 2.5 and a.hits == 2.5
+        series.inc(1)
+        assert a.hits == 3.5
+        assert registry.value("demo.hits", pool="b") == 9
+        assert len(registry) == 4
+
+    def test_repr_lists_counters_in_declaration_order(self):
+        stats = _DemoStats()
+        stats.misses = 7
+        stats.hits += 1
+        assert repr(stats) == "_DemoStats(hits=1, misses=7)"
+
 
 class TestExporters:
     def _spans(self):
