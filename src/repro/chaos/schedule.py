@@ -45,11 +45,11 @@ kind                      target matches
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from repro.audit.record import canonical_json
 from repro.obs.tomlsubset import parse_toml_subset
 
 
@@ -133,8 +133,7 @@ class FaultSchedule:
         return {"faults": [fault.to_doc() for fault in self.faults]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.to_doc())
 
 
 #: The empty schedule: arming it must install nothing (the

@@ -16,7 +16,7 @@ crawled by ``--jobs`` worker processes, and the merged archives are
 persisted in a content-addressed cache so repeated invocations with
 the same configuration skip the crawl entirely (``cache: hit``).
 
-Any crawl-pipeline command (plus ``traffic`` and ``profile``) takes
+Any crawl-pipeline command (plus ``traffic`` and ``chaos``) takes
 ``--ledger DIR`` to append a canonical run record -- per-phase latency
 histograms, headline metrics, SLO verdicts from ``--slo FILE`` -- that
 ``report`` and ``compare`` consume (see :mod:`repro.obs`).
@@ -41,7 +41,6 @@ from repro.cli import (
     explain,
     model,
     privacy,
-    profile,
     report,
     run,
     traffic,
@@ -64,7 +63,7 @@ from repro.dataset.characterize import (  # noqa: F401
 #: Command modules in help-listing order.
 _COMMAND_MODULES = (
     crawl, model, deploy, explain, privacy, traffic, chaos, cache,
-    profile, report, run,
+    report, run,
 )
 
 

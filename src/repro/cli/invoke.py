@@ -1,8 +1,8 @@
 """Bridge argparse namespaces onto the run pipeline.
 
 One adapter per workload: lift the parsed flags into the declarative
-pipeline parts (workload + instrumentation + backend) so the command
-modules only choose a policy and render output.
+pipeline parts (workload + instrumentation) so the command modules
+only choose a policy and render output.
 """
 
 from __future__ import annotations
@@ -10,17 +10,17 @@ from __future__ import annotations
 from repro.runtime import (
     ChaosWorkload,
     CrawlWorkload,
-    ExecutionBackend,
     InstrumentationOptions,
     RunPipeline,
     TrafficWorkload,
 )
 
 
-def crawl_pipeline(args, policy_name: str, force_audit: bool = False,
-                   render=None) -> RunPipeline:
-    """The shared crawl pipeline behind ``crawl``/``model``/
-    ``privacy``/``explain``."""
+def crawl_definition(args, policy_name: str):
+    """The ``(DatasetConfig, CrawlParams)`` a crawl-family command
+    line names.  ``chaos`` builds its dataset here too, so an empty
+    schedule comes out byte-identical to a plain ``repro crawl`` of
+    the same flags."""
     from repro.dataset.generator import DatasetConfig
     from repro.dataset.shard import CrawlParams
 
@@ -30,6 +30,14 @@ def crawl_pipeline(args, policy_name: str, force_audit: bool = False,
         alpn=getattr(args, "alpn", "h2"),
         dns_latency_ms=getattr(args, "dns_latency", 48.0),
     )
+    return config, params
+
+
+def crawl_pipeline(args, policy_name: str, force_audit: bool = False,
+                   render=None) -> RunPipeline:
+    """The shared crawl pipeline behind ``crawl``/``model``/
+    ``privacy``/``explain``."""
+    config, params = crawl_definition(args, policy_name)
     workload = CrawlWorkload(
         config, params, shards=args.shards,
         cache_dir=args.cache_dir, no_cache=args.no_cache,
@@ -39,28 +47,15 @@ def crawl_pipeline(args, policy_name: str, force_audit: bool = False,
         workload,
         instrumentation=InstrumentationOptions.from_args(
             args, force_audit=force_audit),
-        backend=ExecutionBackend(jobs=args.jobs),
+        jobs=args.jobs,
         render=render,
     )
 
 
 def chaos_pipeline(args, schedule, retry_policy,
                    render=None) -> RunPipeline:
-    """The fault-injected crawl behind ``chaos``.
-
-    The dataset/params construction mirrors :func:`crawl_pipeline`
-    exactly -- with an empty schedule the outputs must come out
-    byte-identical to a plain ``repro crawl`` of the same flags.
-    """
-    from repro.dataset.generator import DatasetConfig
-    from repro.dataset.shard import CrawlParams
-
-    config = DatasetConfig(site_count=args.sites, seed=args.seed)
-    params = CrawlParams(
-        policy=args.policy, speculative_rate=0.10,
-        alpn=getattr(args, "alpn", "h2"),
-        dns_latency_ms=getattr(args, "dns_latency", 48.0),
-    )
+    """The fault-injected crawl behind ``chaos``."""
+    config, params = crawl_definition(args, args.policy)
     workload = ChaosWorkload(
         config, params, schedule, retry_policy,
         shards=args.shards, report_out=args.out,
@@ -68,7 +63,7 @@ def chaos_pipeline(args, schedule, retry_policy,
     return RunPipeline(
         workload,
         instrumentation=InstrumentationOptions.from_args(args),
-        backend=ExecutionBackend(jobs=args.jobs),
+        jobs=args.jobs,
         render=render,
     )
 
@@ -81,6 +76,6 @@ def traffic_pipeline(args, scenario, render=None) -> RunPipeline:
     return RunPipeline(
         workload,
         instrumentation=InstrumentationOptions.from_args(args),
-        backend=ExecutionBackend(jobs=args.jobs),
+        jobs=args.jobs,
         render=render,
     )

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from repro.audit.record import canonical_json
 from repro.dataset.crawler import CrawlResult
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import CrawlParams
@@ -64,7 +64,7 @@ def cache_key(
         "params": params_doc,
         "shard_count": int(shard_count),
     }
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    canonical = canonical_json(document)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
 
 

@@ -291,21 +291,6 @@ class HpackEncoder:
             table.add(name, value)
         return bytes(out)
 
-    def _encode_one(self, name: str, value: str) -> bytes:
-        if name in NEVER_INDEX:
-            # Literal never indexed (pattern 0001).
-            return self._literal(name, value, first_byte=0x10, prefix=4)
-        static_index = _STATIC_FULL.get((name, value))
-        if static_index is not None:
-            return encode_integer(static_index, 7, 0x80)
-        dynamic_index = self._table.find(name, value)
-        if dynamic_index is not None:
-            return encode_integer(dynamic_index + len(STATIC_TABLE), 7, 0x80)
-        # Literal with incremental indexing (pattern 01).
-        encoded = self._literal(name, value, first_byte=0x40, prefix=6)
-        self._table.add(name, value)
-        return encoded
-
     def _literal(
         self, name: str, value: str, first_byte: int, prefix: int
     ) -> bytes:

@@ -15,9 +15,6 @@ from typing import Callable, Deque, List, Optional, Tuple
 from collections import deque
 
 from repro.h2.client import H2Response
-from repro.h2.tls_channel import TlsClientChannel, TlsClientConfig
-from repro.netsim.network import Host, Network
-from repro.netsim.transport import Transport
 
 Header = Tuple[str, str]
 
@@ -137,8 +134,7 @@ class _QueuedRequest:
 class H1ClientProtocol:
     """Client-side HTTP/1.1 over an already-established channel.
 
-    Serial request/response with a queue; used directly by
-    :class:`H1ClientSession` and as the ALPN fallback inside
+    Serial request/response with a queue; the ALPN fallback inside
     :class:`~repro.h2.client.H2ClientSession`.
     """
 
@@ -235,158 +231,3 @@ class H1ClientProtocol:
                 )
             )
 
-
-class H1ClientSession:
-    """A serial HTTP/1.1 client connection.
-
-    API-compatible with :class:`~repro.h2.client.H2ClientSession` for
-    the parts the browser engine touches; requests queue and run one at
-    a time (no multiplexing), which is exactly why HTTP/1.1 pushed the
-    web toward domain sharding in the first place (paper §1).
-    """
-
-    can_multiplex = False
-
-    def __init__(
-        self,
-        network: Network,
-        client_host: Host,
-        server_ip: str,
-        tls_config: TlsClientConfig,
-        port: int = 443,
-    ) -> None:
-        self.network = network
-        self.client_host = client_host
-        self.server_ip = server_ip
-        self.port = port
-        self.tls_config = tls_config
-        self.channel: Optional[TlsClientChannel] = None
-        self.ready = False
-        self.failed: Optional[str] = None
-        self.closed = False
-        self.connect_started_at: Optional[float] = None
-        self.tcp_connected_at: Optional[float] = None
-        self.connected_at: Optional[float] = None
-        self._protocol: Optional[H1ClientProtocol] = None
-        self._on_ready: List[Callable[[], None]] = []
-        self._on_failed: List[Callable[[str], None]] = []
-        self.server_chain: List = []
-
-    # -- facts mirroring H2ClientSession --------------------------------------
-
-    @property
-    def leaf_certificate(self):
-        return self.server_chain[0] if self.server_chain else None
-
-    @property
-    def origin_set(self) -> frozenset:
-        return frozenset()  # HTTP/1.1 has no ORIGIN frame
-
-    def certificate_covers(self, hostname: str) -> bool:
-        leaf = self.leaf_certificate
-        return leaf is not None and leaf.covers(hostname)
-
-    def origin_set_covers(self, hostname: str) -> bool:
-        return False
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def connect(
-        self,
-        on_ready: Optional[Callable[[], None]] = None,
-        on_failed: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        if on_ready is not None:
-            self._on_ready.append(on_ready)
-        if on_failed is not None:
-            self._on_failed.append(on_failed)
-        self.connect_started_at = self.network.loop.now()
-        self.network.connect(
-            self.client_host,
-            self.server_ip,
-            self.port,
-            self._on_tcp_connected,
-            on_refused=lambda error: self._fail(str(error)),
-        )
-
-    def _on_tcp_connected(self, transport: Transport) -> None:
-        self.tcp_connected_at = self.network.loop.now()
-        self.channel = TlsClientChannel(transport, self.tls_config)
-        self.channel.on_established = self._on_tls_established
-        self.channel.on_failed = self._fail
-        self.channel.on_app_data = self._on_app_data
-        transport.on_close = self._on_transport_closed
-        self.channel.start()
-
-    def _on_transport_closed(self) -> None:
-        self.closed = True
-        if not self.ready and self.failed is None:
-            self._fail("connection closed during handshake")
-            return
-        if self._protocol is not None:
-            self._protocol.fail_all()
-
-    def _on_tls_established(self) -> None:
-        assert self.channel is not None
-        self.server_chain = self.channel.server_chain
-        self.connected_at = self.network.loop.now()
-        self._protocol = H1ClientProtocol(
-            self.channel.send_app, self.network.loop.now
-        )
-        self.channel.on_app_data = self._protocol.on_app_data
-        self.ready = True
-        for callback in self._on_ready:
-            callback()
-        self._on_ready.clear()
-        self._protocol.pump()
-
-    def _fail(self, reason: str) -> None:
-        if self.failed is not None:
-            return
-        self.failed = reason
-        self.closed = True
-        for callback in self._on_failed:
-            callback(reason)
-        self._on_failed.clear()
-
-    def close(self) -> None:
-        if self.channel is not None:
-            self.channel.close()
-        self.closed = True
-
-    # -- requests ------------------------------------------------------------
-
-    @property
-    def busy(self) -> bool:
-        return self._protocol is not None and self._protocol.busy
-
-    def when_ready(
-        self,
-        on_ready: Callable[[], None],
-        on_failed: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        """Run ``on_ready`` now if established, else once it is."""
-        if self.ready:
-            self.network.loop.schedule(0.0, on_ready)
-        elif self.failed is not None:
-            if on_failed is not None:
-                failure = self.failed
-                self.network.loop.schedule(0.0, lambda: on_failed(failure))
-        else:
-            self._on_ready.append(on_ready)
-            if on_failed is not None:
-                self._on_failed.append(on_failed)
-
-    def request(
-        self,
-        authority: str,
-        path: str,
-        callback: Callable[[H2Response], None],
-        method: str = "GET",
-        extra_headers=(),
-    ) -> int:
-        if self._protocol is None:
-            raise RuntimeError("H1 session not ready")
-        self._protocol.request(authority, path, callback,
-                               tuple(extra_headers))
-        return 0

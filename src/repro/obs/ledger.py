@@ -1,7 +1,7 @@
 """Run records: one canonical JSONL document per instrumented run.
 
 A **run record** is the durable artifact the ledger keeps per
-crawl/traffic/profile invocation.  It is deliberately boring:
+crawl/traffic/chaos invocation.  It is deliberately boring:
 
 * a ``meta`` line -- kind, config fingerprint (the same content
   address the crawl cache uses), seed, git describe, schema version;
@@ -68,8 +68,7 @@ def canonical_fingerprint(document: dict) -> str:
     truncated like the crawl cache's keys)."""
     import hashlib
 
-    canonical = json.dumps(document, sort_keys=True,
-                           separators=(",", ":"))
+    canonical = canonical_json(document)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
 
 

@@ -1,23 +1,20 @@
 """The unified run pipeline behind every simulation command.
 
-``repro.runtime`` composes a run from four declarative parts --
+``repro.runtime`` composes a run from three declarative parts --
 
 * a **workload** (:class:`CrawlWorkload` / :class:`TrafficWorkload`):
   the experiment definition and how to execute it,
 * :class:`InstrumentationOptions`: what to record (trace, metrics,
   audit, ledger, SLO gates),
-* an **execution backend** (:class:`ExecutionBackend` /
-  :class:`ProfiledBackend`): how many workers, profiled or not,
 * ordered **sinks** (:mod:`repro.runtime.sinks`): where artifacts and
   diagnostics go
 
--- and :class:`RunPipeline` runs them.  The CLI modules under
-:mod:`repro.cli` only parse arguments and render output; scenario
-files (:mod:`repro.runtime.scenario`) drive the same pipeline
+-- and :class:`RunPipeline` runs them on ``jobs`` workers.  The CLI
+modules under :mod:`repro.cli` only parse arguments and render output;
+scenario files (:mod:`repro.runtime.scenario`) drive the same pipeline
 declaratively via ``repro run``.
 """
 
-from repro.runtime.backend import ExecutionBackend, ProfiledBackend
 from repro.runtime.console import diag, shard_progress
 from repro.runtime.instrument import (
     counter_total,
@@ -43,9 +40,7 @@ from repro.runtime.workloads import (
 __all__ = [
     "ChaosWorkload",
     "CrawlWorkload",
-    "ExecutionBackend",
     "InstrumentationOptions",
-    "ProfiledBackend",
     "RunOutcome",
     "RunPipeline",
     "Scenario",

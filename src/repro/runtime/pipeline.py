@@ -6,7 +6,7 @@ Every simulation command is the same five stages:
    (dataset/scenario config + shard layout) and its fingerprint;
 2. **gates** -- SLO rules load up front, so a malformed gate file
    aborts before any simulation (exit 2);
-3. **execute** -- the workload runs on the execution backend, live
+3. **execute** -- the workload runs on ``jobs`` workers, live
    (instrumented, cache-bypassing) or cached;
 4. **sink** -- the ordered sink list persists artifacts and prints
    diagnostics;
@@ -23,24 +23,24 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.runtime.backend import ExecutionBackend
 from repro.runtime.options import InstrumentationOptions
 from repro.runtime.workloads import RunOutcome
 
 
 class RunPipeline:
-    """Compose workload + instrumentation + backend (+ render)."""
+    """Compose workload + instrumentation (+ render) on ``jobs``
+    workers."""
 
     def __init__(self, workload,
                  instrumentation: Optional[InstrumentationOptions]
                  = None,
-                 backend: Optional[ExecutionBackend] = None,
+                 jobs: int = 1,
                  render: Optional[Callable[[RunOutcome], None]]
                  = None) -> None:
         self.workload = workload
         self.instrumentation = (instrumentation
                                 or InstrumentationOptions())
-        self.backend = backend or ExecutionBackend()
+        self.jobs = jobs
         self.render = render
 
     def run(self) -> RunOutcome:
@@ -49,9 +49,9 @@ class RunPipeline:
         live = bool(self.workload.always_live or options.live)
         if live:
             outcome = self.workload.execute_live(
-                self.backend, options, rules)
+                self.jobs, options, rules)
         else:
-            outcome = self.workload.execute_cached(self.backend)
+            outcome = self.workload.execute_cached(self.jobs)
         for sink in self.workload.sinks(options, rules, live=live,
                                         render=self.render):
             sink(outcome)

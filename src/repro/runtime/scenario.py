@@ -5,7 +5,7 @@ A scenario file is the repo-wide TOML subset (see
 
     [run]
     command = "traffic"      # crawl | model | privacy | explain |
-                             # traffic | profile | deploy
+                             # traffic | deploy | chaos
 
     [traffic]                # workload knobs (CLI flag names,
     users = 200              # underscores for dashes)
@@ -49,8 +49,8 @@ class ScenarioError(ValueError):
 
 #: Commands a scenario may run (everything that takes only flags).
 SCENARIO_COMMANDS = (
-    "crawl", "model", "privacy", "explain", "traffic", "profile",
-    "deploy", "chaos",
+    "crawl", "model", "privacy", "explain", "traffic", "deploy",
+    "chaos",
 )
 
 #: Accepted sections.  All non-``run`` sections flatten into flags;

@@ -2,12 +2,11 @@
 
 A workload owns the experiment definition (config + shard layout --
 the part that keys caches and run fingerprints), knows how to execute
-itself on an :class:`~repro.runtime.backend.ExecutionBackend`, and
-assembles the ordered sink list for its outcome.  Three workloads
-cover every pipeline command:
+itself on ``jobs`` workers, and assembles the ordered sink list for its
+outcome.  Three workloads cover every pipeline command:
 
 * :class:`CrawlWorkload` -- the shared crawl behind ``crawl``,
-  ``model``, ``privacy``, ``explain``, and ``profile``; cached unless
+  ``model``, ``privacy`` and ``explain``; cached unless
   instrumentation forces the live path.
 * :class:`TrafficWorkload` -- the population-scale traffic
   simulation behind ``traffic``; always live (no cache exists).
@@ -54,18 +53,17 @@ class RunOutcome:
     extras: dict = field(default_factory=dict)
 
 
-def run_live(backend, rules, unit: str, run):
-    """Run ``run(progress=..., watch=...)`` -- a shard driver -- inside
-    the backend's context with the live heartbeat wired in: the
-    heartbeat replaces the per-shard progress line when it is enabled
-    and always feeds the ledger watch."""
+def run_live(rules, unit: str, run):
+    """Run ``run(progress=..., watch=...)`` -- a shard driver -- with
+    the live heartbeat wired in: the heartbeat replaces the per-shard
+    progress line when it is enabled and always feeds the ledger
+    watch."""
     hb = Heartbeat()
     try:
-        with backend.wrap():
-            return run(
-                progress=None if hb.enabled else shard_progress,
-                watch=ledger_watch(hb, rules, unit=unit),
-            )
+        return run(
+            progress=None if hb.enabled else shard_progress,
+            watch=ledger_watch(hb, rules, unit=unit),
+        )
     finally:
         hb.close()
 
@@ -96,23 +94,21 @@ class CrawlWorkload:
 
         return cache_key(self.config, self.params, self.shard_count)
 
-    def _crawler(self, jobs: int):
-        from repro.dataset.shard import ParallelCrawler
-
-        return ParallelCrawler(
-            self.config, params=self.params,
-            shard_count=self.shard_count, jobs=jobs,
-        )
-
-    def execute_live(self, backend, options, rules) -> RunOutcome:
+    def execute_live(self, jobs: int, options, rules) -> RunOutcome:
         """Instrumented crawl: heartbeat + spans/audit/metrics.
 
         Bypasses cache reads -- a cache hit would skip the simulation
         and produce no spans, audit events, or phase histograms.
         """
+        from repro.dataset.shard import ParallelCrawler
+
+        crawler = ParallelCrawler(
+            self.config, params=self.params,
+            shard_count=self.shard_count, jobs=jobs,
+        )
         result, trace = run_live(
-            backend, rules, self.unit,
-            partial(self._crawler(backend.jobs).crawl_traced,
+            rules, self.unit,
+            partial(crawler.crawl_traced,
                     trace=options.want_trace, audit=options.want_audit),
         )
         return RunOutcome(
@@ -121,14 +117,14 @@ class CrawlWorkload:
             fingerprint=self.fingerprint(),
         )
 
-    def execute_cached(self, backend) -> RunOutcome:
+    def execute_cached(self, jobs: int) -> RunOutcome:
         from repro.dataset.cache import crawl_cached
 
         result, hit = crawl_cached(
             self.config,
             params=self.params,
             shard_count=self.shard_count,
-            jobs=backend.jobs,
+            jobs=jobs,
             cache=self.cache,
             refresh=self.refresh,
             progress=shard_progress,
@@ -136,24 +132,6 @@ class CrawlWorkload:
         return RunOutcome(
             config=self.config, shard_count=self.shard_count,
             result=result, trace=None, cache_hit=hit,
-            fingerprint=self.fingerprint(),
-        )
-
-    def execute_profiled(self, backend, options) -> RunOutcome:
-        """In-process crawl for ``profile``: no heartbeat, no cache,
-        traced only when a span artifact or ledger record needs the
-        telemetry registry."""
-        crawler = self._crawler(backend.jobs)
-        with backend.wrap():
-            if options.want_trace or options.ledger_dir:
-                result, trace = crawler.crawl_traced(
-                    trace=options.want_trace, audit=False
-                )
-            else:
-                result, trace = crawler.crawl(), None
-        return RunOutcome(
-            config=self.config, shard_count=self.shard_count,
-            result=result, trace=trace,
             fingerprint=self.fingerprint(),
         )
 
@@ -204,13 +182,13 @@ class TrafficWorkload:
         self.scenario_name = scenario_name
         self.aggregate_out = aggregate_out
 
-    def execute_live(self, backend, options, rules) -> RunOutcome:
+    def execute_live(self, jobs: int, options, rules) -> RunOutcome:
         from repro.traffic import run_scenario
 
         aggregate, trace = run_live(
-            backend, rules, self.unit,
+            rules, self.unit,
             partial(run_scenario, self.scenario,
-                    shard_count=self.shard_count, jobs=backend.jobs,
+                    shard_count=self.shard_count, jobs=jobs,
                     audit=options.want_audit, trace=options.want_trace),
         )
         return RunOutcome(
@@ -285,16 +263,16 @@ class ChaosWorkload:
             "retry": dataclasses.asdict(self.retry_policy),
         })
 
-    def execute_live(self, backend, options, rules) -> RunOutcome:
+    def execute_live(self, jobs: int, options, rules) -> RunOutcome:
         from repro.chaos.run import ChaosRunner
 
         runner = ChaosRunner(
             self.config, params=self.params, schedule=self.schedule,
             retry_policy=self.retry_policy,
-            shard_count=self.shard_count, jobs=backend.jobs,
+            shard_count=self.shard_count, jobs=jobs,
         )
         result, trace, report = run_live(
-            backend, rules, self.unit,
+            rules, self.unit,
             partial(runner.run, trace=options.want_trace),
         )
         return RunOutcome(

@@ -6,10 +6,23 @@ the guarantee that ledger instrumentation never perturbs decisions
 (``repro audit-diff`` stays clean against an unledgered run).
 """
 
+import json
+import pathlib
+
 import pytest
 
 from repro.cli import main
 from repro.obs.ledger import load_record
+
+#: One full run record, committed: run id, fingerprint, every phase
+#: histogram and the headline of GOLDEN_CRAWL.  Records hold only
+#: simulated-clock latencies, so the file is machine-independent and
+#: any drift is a behaviour change.  Refresh it by copying the record
+#: GOLDEN_CRAWL writes over it.
+GOLDEN = (pathlib.Path(__file__).resolve().parent
+          / "data" / "ledger_golden.jsonl")
+GOLDEN_CRAWL = ["crawl", "--sites", "60", "--seed", "2022",
+                "--shards", "2", "--no-cache", "--tables", "1"]
 
 CRAWL = ["crawl", "--sites", "8", "--seed", "3", "--shards", "2",
          "--no-cache", "--tables", "1"]
@@ -17,9 +30,9 @@ TRAFFIC = ["traffic", "--users", "30", "--sites", "8",
            "--duration", "10", "--shards", "2"]
 
 
-def _crawl_record(tmp_path, name, extra=(), jobs=1):
+def _crawl_record(tmp_path, name, extra=(), jobs=1, crawl=CRAWL):
     ledger = tmp_path / name
-    argv = CRAWL + ["--jobs", str(jobs), "--ledger", str(ledger),
+    argv = crawl + ["--jobs", str(jobs), "--ledger", str(ledger),
                     *extra]
     assert main(argv) == 0
     (path,) = ledger.glob("*.jsonl")
@@ -69,6 +82,36 @@ class TestCrawlLedger:
                           "--slo", str(slo)])
         assert excinfo.value.code == 2
         assert not (tmp_path / "l").exists()
+
+
+@pytest.fixture(scope="module")
+def golden_rerun(tmp_path_factory):
+    return _crawl_record(tmp_path_factory.mktemp("golden"), "ledger",
+                         crawl=GOLDEN_CRAWL)
+
+
+class TestLedgerGolden:
+    def test_record_equals_golden_line_for_line(self, golden_rerun):
+        """Everything but ``git`` (which names the checkout, not the
+        run) is pinned -- the run id too, so the canonical
+        fingerprint spelling cannot drift unnoticed."""
+        assert golden_rerun.name == "crawl-37aa6419d198.jsonl"
+        new = golden_rerun.read_text().splitlines()
+        golden = GOLDEN.read_text().splitlines()
+
+        def meta(line):
+            doc = json.loads(line)
+            assert doc["t"] == "meta"
+            del doc["git"]
+            return doc
+
+        assert meta(new[0]) == meta(golden[0])
+        assert new[1:] == golden[1:]
+
+    def test_compare_against_golden_is_clean(self, golden_rerun,
+                                             capsys):
+        assert main(["compare", str(GOLDEN), str(golden_rerun)]) == 0
+        assert "clean" in capsys.readouterr().out
 
 
 class TestReportCommand:

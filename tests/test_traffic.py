@@ -2,7 +2,8 @@
 
 End-to-end scenarios here stay tiny (a dozen users, a handful of
 sites) -- the full-size determinism and what-if checks live in the CI
-``determinism`` job and ``benchmarks/bench_traffic.py``.
+``determinism`` job and the ``traffic_warm`` workload of
+``benchmarks/perf``.
 """
 
 import pytest
