@@ -153,6 +153,19 @@ class _FetchState:
         #: decision point and stamped on the final audit event.
         self.reason: Optional[ReasonCode] = None
 
+    def describe(self) -> str:
+        """One-line identity and progress, for the "never completed"
+        invariant message."""
+        secure = self.resource is None or self.resource.secure
+        scheme = "https" if secure else "http"
+        reason = self.reason.value if self.reason else "none"
+        return (
+            f"{scheme}://{self.hostname}{self.path} (secure={secure}, "
+            f"reason={reason}, attempt={self.attempt}, "
+            f"loss_retries={self.loss_retries}, "
+            f"connect={self.timings.connect})"
+        )
+
     def adopt_reason(self, reason: ReasonCode) -> None:
         """Adopt a (refined) miss reason, keeping an earlier, more
         specific same-host cause when one was recorded."""
@@ -230,6 +243,9 @@ class PageLoad:
             self.quic_dialer.metrics = self.pool.stats.registry
         self.entries: List[HarEntry] = []
         self.outstanding = 0
+        #: Fetches begun and not yet settled, in start order (a dict
+        #: used as an ordered set); a finished load leaves it empty.
+        self.unsettled: Dict[_FetchState, None] = {}
         self.extra_tls = 0
         self.start_time = self.context.network.loop.now()
         self.root_status = 0
@@ -250,6 +266,7 @@ class PageLoad:
             started_at=self.loop.now(),
         )
         state.reason = ReasonCode.MISS_FIRST_CONTACT
+        self.unsettled[state] = None
         self._begin_fetch_span(state, root=True)
         self._resolve_then_connect(state, anonymous=False)
 
@@ -263,6 +280,7 @@ class PageLoad:
             path=resource.path,
             started_at=self.loop.now(),
         )
+        self.unsettled[state] = None
         self._begin_fetch_span(state, root=False)
         anonymous = resource.fetch_mode is not FetchMode.NORMAL
         state.anonymous = anonymous
@@ -667,6 +685,15 @@ class PageLoad:
 
     # -- recording ------------------------------------------------------------
 
+    def _settle(self, state: _FetchState) -> bool:
+        """Mark ``state`` settled (its one final HAR entry is about to
+        be recorded); False if it already was."""
+        if state.settled:
+            return False
+        state.settled = True
+        del self.unsettled[state]
+        return True
+
     def _content_type(self, state: _FetchState) -> str:
         if state.resource is not None:
             return state.resource.content_type.value
@@ -717,9 +744,8 @@ class PageLoad:
         self, state: _FetchState, response,
         plain_http: bool = False,
     ) -> None:
-        if state.settled:
+        if not self._settle(state):
             return
-        state.settled = True
         if self.quic_dialer is not None and not plain_http:
             # Remember Alt-Svc advertisements so the *next* fetch to
             # this hostname upgrades to h3 (RFC 7838 semantics: the
@@ -786,9 +812,8 @@ class PageLoad:
         self._done_one()
 
     def _record_cached(self, state: _FetchState) -> None:
-        if state.settled:
+        if not self._settle(state):
             return
-        state.settled = True
         entry = self._make_entry(state, 200, 0)
         entry.protocol = "cache"
         self.entries.append(entry)
@@ -798,9 +823,8 @@ class PageLoad:
         self._done_one()
 
     def _record_failure(self, state: _FetchState, reason: str) -> None:
-        if state.settled:
+        if not self._settle(state):
             return
-        state.settled = True
         entry = self._make_entry(state, 0, 0)
         self.entries.append(entry)
         if state.resource is None:
@@ -901,10 +925,20 @@ class BrowserEngine:
     def load_blocking(self, page: WebPage) -> HarArchive:
         """Convenience: load and run the loop until the page finishes."""
         result: List[HarArchive] = []
-        self.load(page, result.append)
+        load = self.load(page, result.append)
         self.context.network.loop.run_until_idle()
         if not result:
-            raise RuntimeError(f"page load for {page.url} never completed")
+            # Invariant: the loop only drains once every fetch settled.
+            # Name the ones that did not (ROADMAP "Chaos must
+            # terminate").
+            unsettled = "; ".join(
+                state.describe() for state in load.unsettled
+            )
+            raise RuntimeError(
+                f"page load for {page.url} never completed: "
+                f"{len(load.unsettled)} unsettled fetch(es): "
+                f"{unsettled or 'none'}"
+            )
         return result[0]
 
     def new_session(self) -> None:

@@ -9,6 +9,12 @@ format of :meth:`~repro.dataset.crawler.CrawlResult.save`, which is
 exactly the paper pipeline's bucket of per-page HAR files (§3.1)
 collapsed into one file per crawl.
 
+An entry is written while its crawl runs: :meth:`CrawlCache.writing`
+opens ``crawl-<key>.tmp``, the shard merge appends each absorbed
+shard's lines to it (a fan-out worker's lines verbatim, so the parent
+never encodes an archive; :func:`repro.dataset.shard.write_archive_lines`),
+and :meth:`CrawlCache.store` publishes it with one atomic rename.
+
 The cache directory defaults to ``$REPRO_CRAWL_CACHE`` when set, else
 ``~/.cache/repro/crawls`` (honouring ``$XDG_CACHE_HOME``).  Entries
 are immutable: invalidation is deleting the file (or the directory),
@@ -21,9 +27,10 @@ import dataclasses
 import hashlib
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, TextIO, Tuple
 
 from repro.audit.record import canonical_json
 from repro.dataset.crawler import CrawlResult
@@ -118,14 +125,27 @@ class CrawlCache:
             self.invalidate(key)
             return None
 
-    def store(self, key: str, result: CrawlResult) -> Path:
-        """Persist ``result`` under ``key`` atomically; returns the
-        entry path."""
+    @contextmanager
+    def writing(self, key: str) -> Iterator[TextIO]:
+        """Open ``key``'s entry for writing: yields the ``.tmp`` file
+        a crawl appends its HAR JSON lines to.  Leaving the block
+        closes the file, still invisible to readers (an older entry
+        under ``key`` stays loadable) until :meth:`store` publishes
+        it; a crawl that raises leaves no ``.tmp`` behind."""
         self.root.mkdir(parents=True, exist_ok=True)
+        tmp = self.path_for(key).with_suffix(".tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                yield handle
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+    def store(self, key: str) -> Path:
+        """Publish the entry written under :meth:`writing` atomically;
+        returns the entry path."""
         path = self.path_for(key)
-        tmp = path.with_suffix(".tmp")
-        result.save(tmp)
-        os.replace(tmp, path)
+        os.replace(path.with_suffix(".tmp"), path)
         return path
 
     def invalidate(self, key: str) -> bool:
@@ -221,7 +241,9 @@ def crawl_cached(
         result = cache.load(key)
         if result is not None:
             return result, True
-    result = crawler.crawl(progress=progress)
-    if cache is not None:
-        cache.store(key, result)
+    if cache is None:
+        return crawler.crawl(progress=progress), False
+    with cache.writing(key) as entry:
+        result = crawler.crawl(progress=progress, archive_out=entry)
+    cache.store(key)
     return result, False

@@ -10,6 +10,7 @@ signed certificates.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,6 +28,61 @@ SHARD_LABELS = ("static", "img", "cdn", "assets", "media")
 TAIL_SITE_ASN_BASE = 65_000_000
 #: ASN base for shared tail CDN/third-party providers.
 TAIL_CDN_ASN_BASE = 64_512
+
+#: Shards-per-site distribution (0..4 shard subdomains).
+SHARD_COUNT_SHARES = (0.25, 0.30, 0.20, 0.15, 0.10)
+
+#: Path suffix per content type (``/text_css.css``); a resource's path
+#: is its slot index plus this.
+_PATH_SUFFIX = {
+    content_type: f"/{content_type.name.lower()}"
+                  f".{content_type.value.split('/')[-1][:4]}"
+    for content_type in ContentType
+}
+
+
+#: How far from 1 a probability vector may sum (numpy's own bound).
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+class WeightedDraw:
+    """Index draws from one fixed probability vector.
+
+    ``WeightedDraw(p)(rng)`` returns what ``rng.choice(len(p), p=p)``
+    returns and leaves ``rng`` in the same state: numpy's scalar path
+    is one ``rng.random()`` right-bisected into the normalised cumsum
+    of ``p``, after re-validating ``p`` on every call.  Here ``p`` is
+    validated and its CDF built once (DESIGN.md, "Draw contract").
+    """
+
+    __slots__ = ("cdf",)
+
+    def __init__(self, p: Sequence[float]) -> None:
+        p = np.asarray(p, dtype=np.float64)
+        if p.ndim != 1 or p.size == 0:
+            raise ValueError("p must be a non-empty 1-d vector")
+        if not np.all(p >= 0.0):  # also rejects NaN
+            raise ValueError("probabilities must be non-negative numbers")
+        if abs(float(p.sum()) - 1.0) > _SUM_TOLERANCE:
+            raise ValueError("probabilities do not sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self.cdf: List[float] = cdf.tolist()
+
+    def __call__(self, rng: np.random.Generator) -> int:
+        return bisect_right(self.cdf, rng.random())
+
+
+def _normalized(weights: Sequence[float]) -> np.ndarray:
+    weights = np.array(weights)
+    return weights / weights.sum()
+
+
+#: A content mix ready to draw from: its types and their draw.
+ContentMix = Tuple[List[ContentType], WeightedDraw]
+
+#: One planned request: (hostname, popular-or-None, content mix).
+_Slot = Tuple[str, Optional[profiles.PopularHostname], ContentMix]
 
 
 @dataclass(frozen=True)
@@ -135,16 +191,18 @@ class PageGenerator:
         self._tail_site_share = max(
             0.0, 1.0 - float(self._provider_site_shares.sum())
         )
-        self._global_types = [t for t, _ in profiles.CONTENT_TYPE_WEIGHTS]
-        weights = np.array([w for _, w in profiles.CONTENT_TYPE_WEIGHTS])
-        self._global_type_weights = weights / weights.sum()
-        # Normalized probability arrays per content mix; building and
-        # renormalizing the same np array for every resource dominates
+        # One draw object per mix, built on first use: normalising and
+        # validating the same weights for every resource dominated
         # planning time and always yields the same bits.
         self._mix_cache: Dict[
-            Tuple[Tuple[ContentType, float], ...],
-            Tuple[List[ContentType], np.ndarray],
+            Tuple[Tuple[ContentType, float], ...], ContentMix
         ] = {}
+        self._global_mix = self._content_mix(profiles.CONTENT_TYPE_WEIGHTS)
+        self._shard_count = WeightedDraw(SHARD_COUNT_SHARES)
+        self._tail_issuers = [name for name, _ in profiles.TAIL_ISSUERS]
+        self._tail_issuer = WeightedDraw(
+            _normalized([w for _, w in profiles.TAIL_ISSUERS])
+        )
 
     # -- shared pools ------------------------------------------------------
 
@@ -175,32 +233,26 @@ class PageGenerator:
                 return name
         return ""
 
-    def _normalized_mix(
+    def _content_mix(
         self, mix: Tuple[Tuple[ContentType, float], ...]
-    ) -> Tuple[List[ContentType], np.ndarray]:
+    ) -> ContentMix:
         cached = self._mix_cache.get(mix)
         if cached is None:
-            weights = np.array([w for _, w in mix])
-            cached = ([t for t, _ in mix], weights / weights.sum())
+            cached = (
+                [t for t, _ in mix],
+                WeightedDraw(_normalized([w for _, w in mix])),
+            )
             self._mix_cache[mix] = cached
         return cached
 
-    def _content_type_for(
-        self, provider: str, popular: Optional[profiles.PopularHostname]
-    ) -> ContentType:
-        if popular is not None:
-            types, weights = self._normalized_mix(popular.content)
-            return types[self.rng.choice(len(types), p=weights)]
-        profile = None
+    def _provider_mix(self, provider: str) -> ContentMix:
+        """The mix of what ``provider`` serves ("" = self-hosted): its
+        Table 6 mix if it has one, else the global Table 5 mix."""
+        content = None
         if provider:
-            profile = profiles.provider_by_name(provider)
-        if profile is not None and profile.content_mix is not None:
-            types, weights = self._normalized_mix(profile.content_mix)
-            return types[self.rng.choice(len(types), p=weights)]
-        return self._global_types[
-            self.rng.choice(len(self._global_types),
-                            p=self._global_type_weights)
-        ]
+            content = profiles.provider_by_name(provider).content_mix
+        return self._global_mix if content is None \
+            else self._content_mix(content)
 
     def _bucket_index(self, scaled_rank: int) -> int:
         bucket = (scaled_rank - 1) // 100_000
@@ -231,7 +283,7 @@ class PageGenerator:
         provider = self._pick_provider()
 
         # Own shards on the same provider/host.
-        shard_count = rng.choice(5, p=[0.25, 0.30, 0.20, 0.15, 0.10])
+        shard_count = self._shard_count(rng)
         shards = tuple(
             f"{SHARD_LABELS[i]}.{entry.domain}" for i in range(shard_count)
         )
@@ -306,52 +358,52 @@ class PageGenerator:
         rng = self.rng
         budget = self._subresource_count(scaled_rank)
 
-        # (hostname, popular-or-None, provider-name) request slots.
-        slots: List[Tuple[str, Optional[profiles.PopularHostname], str]] = []
+        root_hostname = entry.www_hostname
+        own_mix = self._provider_mix(provider)
+        root_slot: _Slot = (root_hostname, None, own_mix)
 
         root_share = rng.uniform(0.25, 0.45)
         root_requests = max(2, int(budget * root_share))
-        slots.extend(
-            (entry.www_hostname, None, provider) for _ in range(root_requests)
-        )
+        slots: List[_Slot] = [root_slot] * root_requests
         for shard in shards:
-            for _ in range(max(1, rng.poisson(6.0))):
-                slots.append((shard, None, provider))
+            slots.extend(
+                [(shard, None, own_mix)] * max(1, rng.poisson(6.0))
+            )
         for popular in populars:
-            for _ in range(max(1, rng.poisson(popular.requests_per_page))):
-                slots.append((popular.hostname, popular, popular.provider))
+            slots.extend(
+                [(popular.hostname, popular,
+                  self._content_mix(popular.content))]
+                * max(1, rng.poisson(popular.requests_per_page))
+            )
         for tail in tails:
-            for _ in range(max(1, rng.poisson(2.5))):
-                slots.append((tail.hostname, None, ""))
+            slots.extend(
+                [(tail.hostname, None, self._global_mix)]
+                * max(1, rng.poisson(2.5))
+            )
 
         # Trim or pad toward the budget (keep at least one request per
         # hostname by trimming from the root's surplus first).
         if len(slots) > budget:
             surplus = len(slots) - budget
-            root_slots = [s for s in slots if s[0] == entry.www_hostname]
+            root_slots = [s for s in slots if s[0] == root_hostname]
             removable = min(surplus, max(0, len(root_slots) - 2))
             if removable:
                 kept_roots = root_slots[:-removable]
-                others = [s for s in slots if s[0] != entry.www_hostname]
+                others = [s for s in slots if s[0] != root_hostname]
                 slots = kept_roots + others
         elif len(slots) < budget:
-            slots.extend(
-                (entry.www_hostname, None, provider)
-                for _ in range(budget - len(slots))
-            )
+            slots.extend([root_slot] * (budget - len(slots)))
 
         # Interleave hostnames so dependency chains cross hosts the way
         # real pages do (a CSS file on one shard pulling fonts from
         # another provider), rather than staying host-local.
-        order = rng.permutation(len(slots))
-        slots = [slots[int(i)] for i in order]
+        slots = [slots[i] for i in rng.permutation(len(slots)).tolist()]
 
         resources: List[Subresource] = []
         discoverable_paths: List[str] = []
-        for index, (hostname, popular, slot_provider) in enumerate(slots):
-            content_type = self._content_type_for(slot_provider, popular)
-            path = f"/r{index:04d}/{content_type.name.lower()}" \
-                   f".{content_type.value.split('/')[-1][:4]}"
+        for index, (hostname, popular, (types, draw)) in enumerate(slots):
+            content_type = types[draw(rng)]
+            path = f"/r{index:04d}{_PATH_SUFFIX[content_type]}"
 
             parent: Optional[str] = None
             if discoverable_paths and rng.random() < 0.62:
@@ -362,7 +414,7 @@ class PageGenerator:
                                  len(discoverable_paths))
                 ]
 
-            third_party = hostname != entry.www_hostname and \
+            third_party = hostname != root_hostname and \
                 hostname not in shards
             fetch_mode = FetchMode.NORMAL
             if third_party and (
@@ -414,10 +466,7 @@ class PageGenerator:
         if provider:
             issuer = profiles.provider_by_name(provider).issuer
         else:
-            names = [name for name, _ in profiles.TAIL_ISSUERS]
-            weights = np.array([w for _, w in profiles.TAIL_ISSUERS])
-            issuer = names[rng.choice(len(names),
-                                      p=weights / weights.sum())]
+            issuer = self._tail_issuers[self._tail_issuer(rng)]
 
         roll = rng.random()
         if roll < config.zero_san_rate:

@@ -26,7 +26,9 @@ order* -- for the crawl, for :mod:`repro.chaos.run` and for
 :mod:`repro.traffic.simulate`: :func:`run_shards` (the executor; a
 :class:`ShardResult` crosses the process boundary pickled, its records
 as themselves and a crawl's archives as HAR JSON lines) and
-:func:`merge_shards` (the shard-order fold).
+:func:`merge_shards` (the shard-order fold).  A crawl that is being
+cached appends each absorbed shard to the cache entry as it merges
+(:func:`write_archive_lines`), reusing the lines a worker sent.
 """
 
 from __future__ import annotations
@@ -34,7 +36,15 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, replace
 from itertools import starmap
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+)
 
 import numpy as np
 
@@ -175,7 +185,10 @@ class ShardResult:
     shard order; ``faults`` are a chaos shard's fault tallies (plain
     JSON docs, in schedule order).  ``extra`` carries worker-local
     state that never crosses a process boundary (the traffic shard's
-    :class:`~repro.traffic.edge.EdgeLoadMonitor`).
+    :class:`~repro.traffic.edge.EdgeLoadMonitor`).  ``har_lines`` is a
+    crawl payload as its worker encoded it, one HAR JSON line per
+    archive, kept by the parent beside the decoded payload; ``None``
+    on a shard that ran in this process.
     """
 
     payload: object
@@ -184,6 +197,7 @@ class ShardResult:
     events: Sequence[AuditEvent] = ()
     faults: Sequence[dict] = ()
     extra: object = None
+    har_lines: Optional[Sequence[str]] = None
 
 
 @dataclass(frozen=True)
@@ -310,12 +324,30 @@ def _shard_to_wire(
 
 
 def _shard_from_wire(result: ShardResult) -> ShardResult:
-    """Undo :func:`_shard_to_wire` in the parent process."""
+    """Undo :func:`_shard_to_wire` in the parent process.  The lines
+    ride along as ``har_lines`` so a cache entry can reuse them
+    verbatim; they go when the merge drops the result."""
     if isinstance(result.payload, list):
-        return replace(result, payload=CrawlResult(archives=[
-            HarArchive.from_json(line) for line in result.payload
-        ]))
+        return replace(
+            result,
+            payload=CrawlResult(archives=[
+                HarArchive.from_json(line) for line in result.payload
+            ]),
+            har_lines=result.payload,
+        )
     return result
+
+
+def write_archive_lines(out: TextIO, result: ShardResult) -> None:
+    """Append one crawl shard's archives to ``out`` as HAR JSON lines
+    (the :meth:`CrawlResult.save` format): the worker's own lines when
+    the shard crossed a process boundary, else encoded here."""
+    lines = result.har_lines
+    if lines is None:
+        lines = map(HarArchive.to_json, result.payload.archives)
+    for line in lines:
+        out.write(line)
+        out.write("\n")
 
 
 def _run_pooled(shard_fn, payloads, workers) -> Iterator[ShardResult]:
@@ -405,9 +437,15 @@ class ParallelCrawler:
     def shard_count(self) -> int:
         return len(self.shards)
 
-    def _run(self, collect, progress, watch=None
+    def _run(self, collect, progress, watch=None, archive_out=None
              ) -> Tuple[CrawlResult, CrawlTrace]:
         merged = CrawlResult()
+
+        def absorb(result: ShardResult) -> None:
+            merged.archives.extend(result.payload.archives)
+            if archive_out is not None:
+                write_archive_lines(archive_out, result)
+
         # Plan before any fork: pool workers inherit _PLAN_CACHE
         # instead of each planning the whole web again (under
         # ``spawn`` a worker still does).
@@ -415,19 +453,21 @@ class ParallelCrawler:
         crawl_trace = merge_shards(
             crawl_shard,
             [(spec, self.params, collect) for spec in self.shards],
-            self.jobs,
-            lambda result: merged.archives.extend(result.payload.archives),
-            progress, watch,
+            self.jobs, absorb, progress, watch,
         )
         return merged, crawl_trace
 
     def crawl(
         self,
         progress: Optional[Callable[[int, int], None]] = None,
+        archive_out: Optional[TextIO] = None,
     ) -> CrawlResult:
         """Crawl all shards with no telemetry; ``progress`` gets
-        (done_shards, total)."""
-        return self._run(None, progress)[0]
+        (done_shards, total).  ``archive_out`` is an open text file
+        (what :meth:`repro.dataset.cache.CrawlCache.writing` yields)
+        that receives every archive as a HAR JSON line, shard by
+        shard as the merge absorbs them."""
+        return self._run(None, progress, archive_out=archive_out)[0]
 
     def crawl_traced(
         self,
@@ -437,11 +477,12 @@ class ParallelCrawler:
         watch: Optional[
             Callable[[int, int, CrawlTrace], None]
         ] = None,
+        archive_out: Optional[TextIO] = None,
     ) -> Tuple[CrawlResult, CrawlTrace]:
         """Crawl all shards with telemetry; ``trace``/``audit`` toggle
         the span and decision collectors independently (metrics are
-        always collected)."""
-        return self._run((trace, audit), progress, watch)
+        always collected).  ``archive_out`` as for :meth:`crawl`."""
+        return self._run((trace, audit), progress, watch, archive_out)
 
 
 def plan_certificates_sharded(

@@ -18,7 +18,10 @@ from repro.runtime.instrument import export_trace, finish_ledger
 
 class CacheStoreSink:
     """Live crawls bypass cache *reads* but still store the merged
-    archives so subsequent untraced runs hit the cache."""
+    archives so subsequent untraced runs hit the cache.  The entry
+    was written while the crawl merged
+    (:meth:`~repro.runtime.workloads.CrawlWorkload.execute_live`);
+    this publishes it."""
 
     def __init__(self, cache) -> None:
         self.cache = cache
@@ -27,7 +30,7 @@ class CacheStoreSink:
         if self.cache is None:
             diag("cache: disabled")
             return
-        self.cache.store(outcome.fingerprint, outcome.result)
+        self.cache.store(outcome.fingerprint)
         diag(f"cache: bypassed for tracing, stored "
              f"{self.cache.path_for(outcome.fingerprint)}")
 

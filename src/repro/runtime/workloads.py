@@ -17,6 +17,7 @@ outcome.  Three workloads cover every pipeline command:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional
@@ -98,7 +99,9 @@ class CrawlWorkload:
         """Instrumented crawl: heartbeat + spans/audit/metrics.
 
         Bypasses cache reads -- a cache hit would skip the simulation
-        and produce no spans, audit events, or phase histograms.
+        and produce no spans, audit events, or phase histograms -- but
+        writes the entry as the shards merge; ``CacheStoreSink``
+        publishes it.
         """
         from repro.dataset.shard import ParallelCrawler
 
@@ -106,15 +109,18 @@ class CrawlWorkload:
             self.config, params=self.params,
             shard_count=self.shard_count, jobs=jobs,
         )
-        result, trace = run_live(
-            rules, self.unit,
-            partial(crawler.crawl_traced,
-                    trace=options.want_trace, audit=options.want_audit),
-        )
+        fingerprint = self.fingerprint()
+        with (nullcontext() if self.cache is None
+              else self.cache.writing(fingerprint)) as entry:
+            result, trace = run_live(
+                rules, self.unit,
+                partial(crawler.crawl_traced, archive_out=entry,
+                        trace=options.want_trace,
+                        audit=options.want_audit),
+            )
         return RunOutcome(
             config=self.config, shard_count=self.shard_count,
-            result=result, trace=trace,
-            fingerprint=self.fingerprint(),
+            result=result, trace=trace, fingerprint=fingerprint,
         )
 
     def execute_cached(self, jobs: int) -> RunOutcome:

@@ -16,6 +16,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.dataset.generator import WeightedDraw
 from repro.traffic.scenario import CohortSpec, UserShard
 
 
@@ -48,14 +49,13 @@ def build_population(
     """This shard's users and their time-ordered visit schedule."""
     scenario = shard.scenario
     rng = np.random.default_rng(shard.population_seed())
-    shares = np.asarray(scenario.normalized_shares())
+    draw_cohort = WeightedDraw(scenario.normalized_shares())
     weights = _site_weights(scenario.site_count, scenario.zipf_alpha)
     profiles: Dict[int, UserProfile] = {}
     schedule: List[Visit] = []
     for user_id in range(shard.lo, shard.hi):
-        cohort_index = int(rng.choice(len(shares), p=shares))
         profiles[user_id] = UserProfile(
-            user_id=user_id, cohort=scenario.cohorts[cohort_index],
+            user_id=user_id, cohort=scenario.cohorts[draw_cohort(rng)],
         )
         # At least one visit each; the Poisson tail models returning
         # users (whose revisits exercise resumption and warm caches).

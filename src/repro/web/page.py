@@ -93,19 +93,19 @@ class WebPage:
         return f"https://{self.hostname}{self.root_path}"
 
     def _validate_graph(self) -> None:
-        known_paths = {self.root_path}
-        for resource in self.resources:
-            known_paths.add(resource.path)
-        for resource in self.resources:
-            if resource.parent is not None and resource.parent not in known_paths:
-                raise ValueError(
-                    f"{resource.url} names unknown parent {resource.parent!r}"
-                )
+        known_paths = {resource.path for resource in self.resources}
+        known_paths.add(self.root_path)
         #: Normalized parent path -> its children, in ``resources`` order.
         self._children: Dict[Optional[str], List[Subresource]] = {}
         for resource in self.resources:
-            parent = self._normalized_parent(resource.parent)
-            self._children.setdefault(parent, []).append(resource)
+            parent = resource.parent
+            if parent is not None and parent not in known_paths:
+                raise ValueError(
+                    f"{resource.url} names unknown parent {parent!r}"
+                )
+            self._children.setdefault(
+                self._normalized_parent(parent), []
+            ).append(resource)
         self._assert_acyclic()
 
     def _normalized_parent(self, parent: Optional[str]) -> Optional[str]:

@@ -287,3 +287,61 @@ class TestFailures:
         assert archive.page.success
         statuses = {e.hostname: e.status for e in archive.entries}
         assert statuses["missing.example"] == 0
+
+
+class _SilentTransport:
+    """A connected transport whose peer never answers, closes or
+    aborts: whatever is sent is dropped."""
+
+    on_data = None
+
+    def send(self, data) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class TestNeverCompletedInvariant:
+    def test_names_every_unsettled_fetch(self, small_world, monkeypatch):
+        """The loop draining with the page unfinished is an invariant
+        breach; the error names the fetch that never settled instead
+        of only the page URL."""
+        real_connect = small_world.network.connect
+
+        def connect(client, server_ip, port, on_connect, on_refused=None):
+            if port != 80:
+                return real_connect(client, server_ip, port, on_connect,
+                                    on_refused)
+            small_world.network.loop.schedule(
+                12.5, lambda: on_connect(_SilentTransport())
+            )
+
+        monkeypatch.setattr(small_world.network, "connect", connect)
+        page = WebPage(
+            hostname="www.site.com",
+            resources=[
+                Subresource("static.site.com", "/app.js",
+                            ContentType.APPLICATION_JAVASCRIPT, 20_000),
+                Subresource("static.site.com", "/legacy.gif",
+                            ContentType.IMAGE_GIF, 2_000, secure=False),
+            ],
+        )
+        engine = small_world.engine()
+        with pytest.raises(RuntimeError) as raised:
+            engine.load_blocking(page)
+        assert str(raised.value) == (
+            "page load for https://www.site.com/ never completed: "
+            "1 unsettled fetch(es): http://static.site.com/legacy.gif "
+            "(secure=False, reason=MISS_CLEARTEXT_HTTP, attempt=0, "
+            "loss_retries=0, connect=12.5)"
+        )
+        # The fetches that did settle are not named, and left the set.
+        load = engine.loads[-1]
+        assert [s.path for s in load.unsettled] == ["/legacy.gif"]
+        assert {e.path for e in load.entries} == {"/", "/app.js"}
+
+    def test_finished_load_leaves_nothing_unsettled(self, small_world):
+        engine = small_world.engine()
+        engine.load_blocking(simple_page())
+        assert engine.loads[-1].unsettled == {}

@@ -9,9 +9,11 @@ from repro.dataset.cache import (
     crawl_cached,
     default_cache_dir,
 )
+from repro.cli import main
+from repro.dataset import shard as shard_module
 from repro.dataset.crawler import CrawlResult
 from repro.dataset.generator import DatasetConfig
-from repro.dataset.shard import CrawlParams
+from repro.dataset.shard import CrawlParams, ShardResult, write_archive_lines
 from repro.web.har import HarArchive, HarEntry, HarPage, HarTimings
 
 
@@ -55,6 +57,14 @@ def make_result() -> CrawlResult:
         )
     )
     return CrawlResult(archives=[ok, failed])
+
+
+def store(cache: CrawlCache, key: str, result: CrawlResult):
+    """Write ``result`` as one shard through the entry writer, then
+    publish it -- what a one-shard crawl does."""
+    with cache.writing(key) as entry:
+        write_archive_lines(entry, ShardResult(payload=result))
+    return cache.store(key)
 
 
 class TestCrawlResultRoundTrip:
@@ -138,7 +148,7 @@ class TestCrawlCache:
         cache = CrawlCache(tmp_path)
         key = "deadbeef"
         assert cache.load(key) is None
-        path = cache.store(key, make_result())
+        path = store(cache, key, make_result())
         assert path.is_file()
         assert cache.has(key)
         loaded = cache.load(key)
@@ -154,8 +164,8 @@ class TestCrawlCache:
 
     def test_invalidate_and_clear(self, tmp_path):
         cache = CrawlCache(tmp_path)
-        cache.store("one", make_result())
-        cache.store("two", make_result())
+        store(cache, "one", make_result())
+        store(cache, "two", make_result())
         assert cache.invalidate("one") is True
         assert cache.invalidate("one") is False
         assert cache.clear() == 1
@@ -185,3 +195,140 @@ class TestCrawlCache:
         )
         assert hit_third is False
         assert third.archives == first.archives
+
+
+# ---------------------------------------------------------------------------
+# The streamed store: the entry is written while the shards merge
+# ---------------------------------------------------------------------------
+
+CONFIG = DatasetConfig(site_count=8, seed=2022)
+PARAMS = CrawlParams()
+KEY = cache_key(CONFIG, PARAMS, 4)
+
+
+def crawl_argv(cache_dir, jobs, *extra):
+    return ["crawl", "--sites", "8", "--seed", "2022", "--shards", "4",
+            "--jobs", str(jobs), "--cache-dir", str(cache_dir),
+            "--refresh", "--tables", "1", *extra]
+
+
+def _third_shard_raises(spec, params, collect=None, chaos=None):
+    if spec.index == 2:
+        raise RuntimeError("shard 2 died")
+    return REAL_CRAWL_SHARD(spec, params, collect, chaos)
+
+
+REAL_CRAWL_SHARD = shard_module.crawl_shard
+
+
+class TestStreamedStore:
+    @pytest.mark.parametrize("live", [False, True],
+                             ids=["crawl_cached", "CacheStoreSink"])
+    def test_fan_out_parent_never_encodes_an_archive(
+        self, tmp_path, monkeypatch, capsys, live
+    ):
+        """At --jobs 2 the workers' lines go to the entry verbatim: no
+        ``to_json`` call in this process, same bytes as --jobs 1."""
+        calls = []
+        real = HarArchive.to_json
+
+        def counted(archive):
+            calls.append(archive.page.url)
+            return real(archive)
+
+        monkeypatch.setattr(HarArchive, "to_json", counted)
+        entries = {}
+        for jobs in (1, 2):
+            del calls[:]
+            root = tmp_path / f"jobs{jobs}"
+            extra = ["--audit", str(root / "a.jsonl")] if live else []
+            root.mkdir()
+            assert main(crawl_argv(root / "cache", jobs, *extra)) == 0
+            assert len(calls) == (8 if jobs == 1 else 0)
+            cache = CrawlCache(root / "cache")
+            (entry,) = cache.entries()  # the CLI's own key
+            assert [p.name for p in cache.root.iterdir()] == \
+                [entry.path.name]
+            entries[jobs] = entry.path.read_bytes()
+            assert cache.load(entry.key).attempted == 8
+        capsys.readouterr()
+        assert entries[1] == entries[2]
+
+    def test_new_entry_round_trips(self, tmp_path):
+        cache = CrawlCache(tmp_path)
+        result, hit = crawl_cached(CONFIG, PARAMS, shard_count=4, jobs=2,
+                                   cache=cache)
+        assert not hit
+        loaded = cache.load(KEY)
+        assert loaded.archives == result.archives
+        assert cache.path_for(KEY).read_text(encoding="utf-8") == "".join(
+            archive.to_json() + "\n" for archive in result.archives)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_serial_and_fan_out_share_one_writer(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        seen = []
+
+        def recording(out, result):
+            seen.append(result.har_lines is not None)
+            write_archive_lines(out, result)
+
+        monkeypatch.setattr(shard_module, "write_archive_lines", recording)
+        crawl_cached(CONFIG, PARAMS, shard_count=4, jobs=jobs,
+                     cache=CrawlCache(tmp_path))
+        # One call per absorbed shard; only the fan-out has lines a
+        # worker already encoded.
+        assert seen == [jobs == 2] * 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_shard_leaves_no_entry_and_no_tmp(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        monkeypatch.setattr(shard_module, "crawl_shard", _third_shard_raises)
+        cache = CrawlCache(tmp_path)
+        with pytest.raises(RuntimeError, match="shard 2 died"):
+            crawl_cached(CONFIG, PARAMS, shard_count=4, jobs=jobs,
+                         cache=cache)
+        assert list(cache.root.iterdir()) == []
+        assert not cache.has(KEY)
+
+    def test_failed_refresh_keeps_the_old_entry(self, tmp_path, monkeypatch):
+        cache = CrawlCache(tmp_path)
+        store(cache, KEY, make_result())
+        monkeypatch.setattr(shard_module, "crawl_shard", _third_shard_raises)
+        with pytest.raises(RuntimeError, match="shard 2 died"):
+            crawl_cached(CONFIG, PARAMS, shard_count=4, cache=cache,
+                         refresh=True)
+        assert [p.name for p in cache.root.iterdir()] == \
+            [f"crawl-{KEY}.jsonl"]
+        assert cache.load(KEY).archives == make_result().archives
+
+    def test_refresh_keeps_old_entry_loadable_until_the_replace(
+        self, tmp_path
+    ):
+        cache = CrawlCache(tmp_path)
+        store(cache, KEY, make_result())
+        tmp = cache.path_for(KEY).with_suffix(".tmp")
+        sizes = []
+
+        def progress(done, total):
+            # Mid-crawl: the new entry grows beside the old one, which
+            # readers still get.
+            assert cache.load(KEY).archives == make_result().archives
+            entry.flush()
+            sizes.append(tmp.stat().st_size)
+
+        crawler = shard_module.ParallelCrawler(CONFIG, PARAMS, shard_count=4)
+        with cache.writing(KEY) as entry:
+            result = crawler.crawl(progress=progress, archive_out=entry)
+            assert cache.load(KEY).archives == make_result().archives
+        assert sizes == sorted(sizes) and len(set(sizes)) == 4
+        assert cache.store(KEY) == cache.path_for(KEY)
+        assert not tmp.exists()
+        assert cache.load(KEY).archives == result.archives
+
+    def test_store_without_a_written_entry_raises(self, tmp_path):
+        cache = CrawlCache(tmp_path)
+        with pytest.raises(FileNotFoundError):
+            cache.store("never-written")

@@ -1,10 +1,20 @@
 """Tests for the Tranco list, page generator, and plan invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.dataset.generator import DatasetConfig, PageGenerator
+from repro.dataset import profiles
+from repro.dataset.generator import (
+    SHARD_COUNT_SHARES,
+    DatasetConfig,
+    PageGenerator,
+    WeightedDraw,
+)
 from repro.dataset.tranco import TrancoList
+from repro.traffic import scenario as traffic_scenario
 from repro.web.page import FetchMode
 
 
@@ -61,6 +71,108 @@ class TestGeneratorDeterminism:
         b = PageGenerator(DatasetConfig(site_count=20, seed=6)).generate_all()
         assert [len(r.page.resources) for r in a] != \
             [len(r.page.resources) for r in b]
+
+
+#: sha256(repr(plan)) at the commit before the draws were rewritten
+#: (8d0461a), keyed by (seed, site_count).  The plan is the root of
+#: every artifact digest, so these never change by accident.
+PINNED_PLANS = {
+    (2022, 96):
+        "b38e8e57e01f3bd6adc8fe9b4c79e585f4c69182be6272dcc9a1ab331da40781",
+    (7, 96):
+        "c2aa0c475e37bb7dabbfac939ed88be92833ce74c0e207f12649d20daa57052c",
+    (2022, 240):
+        "0392e72c9e2ae84be1ef934604b489ce049a8020c6493c2914bb12c940aa14b6",
+}
+
+
+class TestPlanIsPinned:
+    @pytest.mark.parametrize("seed,site_count", sorted(PINNED_PLANS))
+    def test_plan_digest(self, seed, site_count):
+        plan = PageGenerator(
+            DatasetConfig(site_count=site_count, seed=seed)
+        ).generate_all()
+        digest = hashlib.sha256(repr(plan).encode()).hexdigest()
+        assert digest == PINNED_PLANS[(seed, site_count)]
+
+
+def _normalized(weights):
+    weights = np.array(weights, dtype=np.float64)
+    return weights / weights.sum()
+
+
+def _shipped_mixes():
+    """Every probability vector ``src/`` draws from by index."""
+    mixes = {"shard-count": np.array(SHARD_COUNT_SHARES)}
+    mixes["global"] = _normalized(
+        [w for _, w in profiles.CONTENT_TYPE_WEIGHTS])
+    mixes["tail-issuers"] = _normalized(
+        [w for _, w in profiles.TAIL_ISSUERS])
+    for provider in profiles.PROVIDERS:
+        if provider.content_mix is not None:
+            mixes[f"provider:{provider.name}"] = _normalized(
+                [w for _, w in provider.content_mix])
+    for popular in profiles.POPULAR_THIRD_PARTIES:
+        mixes[f"popular:{popular.hostname}"] = _normalized(
+            [w for _, w in popular.content])
+    for name in ("BASELINE_COHORTS", "ORIGIN_COHORTS", "IDEAL_SAN_COHORTS"):
+        config = traffic_scenario.ScenarioConfig(
+            cohorts=getattr(traffic_scenario, name))
+        mixes[f"cohorts:{name}"] = np.asarray(config.normalized_shares())
+    return mixes
+
+
+def assert_draws_match_choice(p, seed, draws):
+    """``WeightedDraw(p)`` and ``Generator.choice(len(p), p=p)`` give
+    the same indices and leave same-seeded generators in one state."""
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    draw = WeightedDraw(p)
+    for _ in range(draws):
+        assert draw(ours) == numpys.choice(len(p), p=p)
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+class TestWeightedDraw:
+    @pytest.mark.parametrize("name,p", sorted(_shipped_mixes().items()),
+                             ids=sorted(_shipped_mixes()))
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_choice_on_every_shipped_mix(self, name, p, seed):
+        assert_draws_match_choice(p, seed, draws=40)
+
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+            min_size=1, max_size=16,
+        ).filter(lambda w: sum(w) > 0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_choice_on_random_weights(self, weights, seed):
+        """Zeros anywhere -- leading, inside, trailing (so the CDF
+        reaches 1.0 before its last slot) -- and one-element vectors."""
+        assert_draws_match_choice(_normalized(weights), seed, draws=25)
+
+    @pytest.mark.parametrize("p", [[1.0], [0.0, 1.0], [1.0, 0.0],
+                                   [0.5, 0.5, 0.0, 0.0]])
+    def test_boundary_vectors(self, p):
+        assert_draws_match_choice(np.array(p), seed=3, draws=200)
+        assert WeightedDraw(p).cdf[-1] == 1.0
+
+    def test_returns_a_plain_int(self):
+        index = WeightedDraw([0.5, 0.5])(np.random.default_rng(1))
+        assert type(index) is int
+
+    @pytest.mark.parametrize("bad", [
+        [], [[0.5, 0.5]], [0.5, -0.5, 1.0], [0.5, float("nan")],
+        [0.5, 0.4], [0.7, 0.7],
+    ])
+    def test_rejects_what_choice_rejects(self, bad):
+        with pytest.raises(ValueError):
+            WeightedDraw(bad)
+        if bad and not isinstance(bad[0], list):
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).choice(len(bad), p=bad)
 
 
 class TestPlanShape:
