@@ -153,10 +153,15 @@ class _FetchState:
         #: decision point and stamped on the final audit event.
         self.reason: Optional[ReasonCode] = None
 
+    @property
+    def secure(self) -> bool:
+        """False for a cleartext ``http://`` subresource."""
+        return self.resource is None or self.resource.secure
+
     def describe(self) -> str:
         """One-line identity and progress, for the "never completed"
         invariant message."""
-        secure = self.resource is None or self.resource.secure
+        secure = self.secure
         scheme = "https" if secure else "http"
         reason = self.reason.value if self.reason else "none"
         return (
@@ -340,7 +345,12 @@ class PageLoad:
         self._resolve_then_connect(state, anonymous)
 
     def _fetch_plain(self, state: _FetchState) -> None:
-        """Cleartext http:// subresource: DNS, raw TCP, HTTP/1.1."""
+        """Cleartext http:// subresource: DNS, raw TCP, HTTP/1.1.
+
+        A connection torn down before its response (an on-path drop
+        or reset) goes to the same retry decision point as a lost TLS
+        connection, so the fetch always settles.
+        """
 
         def on_answer(answer) -> None:
             if answer.empty:
@@ -356,12 +366,20 @@ class PageLoad:
             def on_connect(transport) -> None:
                 state.timings.connect = self.loop.now() - connect_started
                 protocol = self.tcp_dialer.plain_protocol(transport)
+                attempt = state.attempt
 
                 def on_response(response) -> None:
                     self._record_success(state, response,
                                          plain_http=True)
                     transport.close()
 
+                def on_close() -> None:
+                    if state.settled or state.attempt != attempt:
+                        return  # our own close, after the response
+                    if not self._maybe_retry(state, overload=False):
+                        self._record_failure(state, "connection lost")
+
+                transport.on_close = on_close
                 protocol.request(state.hostname, state.path, on_response)
 
             self.context.network.connect(
@@ -543,12 +561,15 @@ class PageLoad:
         # while riding a pooled connection never resolved for itself,
         # and a fresh lookup lets the retry coalesce onto a surviving
         # connection instead of hammering the refusing edge.
-        self.loop.schedule(
-            backoff,
-            lambda: self._resolve_then_connect(
-                state, anonymous=state.anonymous
-            ),
-        )
+        if state.secure:
+            self.loop.schedule(
+                backoff,
+                lambda: self._resolve_then_connect(
+                    state, anonymous=state.anonymous
+                ),
+            )
+        else:
+            self.loop.schedule(backoff, lambda: self._fetch_plain(state))
         return True
 
     def _note_retry_exhausted(self, state: _FetchState) -> None:

@@ -456,28 +456,6 @@ class ConnectionPool:
             for facts in self.connections
         )
 
-    def _scan_coalescable(
-        self,
-        hostname: str,
-        dns_addresses: Sequence[str],
-        anonymous: bool = False,
-    ) -> Optional[ConnectionFacts]:
-        """Reference implementation: the pre-index full scan.
-
-        Kept (and exercised by the tests) as the behavioural oracle for
-        :meth:`find_coalescable`; it must pick the same connection.
-        """
-        if anonymous:
-            return None
-        for facts in list(self.connections):
-            if not self._usable(facts) or facts.anonymous_partition:
-                continue
-            if facts.sni == hostname:
-                continue
-            if self.policy.can_reuse(facts, hostname, dns_addresses):
-                return facts
-        return None
-
     # -- opening -------------------------------------------------------------
 
     def open_connection(

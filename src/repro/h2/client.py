@@ -436,8 +436,16 @@ class H2ClientSession(Session):
             self._flush()
             self._fail(str(error))
             return
+        pending = self._pending
         for event in events:
-            handler = _EVENT_DISPATCH.get(event.__class__)
+            kind = event.__class__
+            if kind is ev.DataReceived:
+                # The body path: one chunk per DATA frame, no handler.
+                request = pending.get(event.stream_id)
+                if request is not None:
+                    request.chunks.append(event.data)
+                continue
+            handler = _EVENT_DISPATCH.get(kind)
             if handler is not None:
                 handler(self, event)
         self._flush()
@@ -450,11 +458,6 @@ class H2ClientSession(Session):
             for name, value in event.headers:
                 if name == ":status":
                     pending.status = int(value)
-
-    def _on_data_received(self, event: "ev.DataReceived") -> None:
-        pending = self._pending.get(event.stream_id)
-        if pending is not None:
-            pending.chunks.append(event.data)
 
     def _on_stream_ended(self, event: "ev.StreamEnded") -> None:
         self._complete(event.stream_id)
@@ -561,10 +564,10 @@ class H2ClientSession(Session):
 
 
 #: Exact-type event dispatch (the connection emits no subclasses);
-#: events without an entry are ignored.
+#: events without an entry are ignored.  ``DataReceived`` is absent:
+#: ``_on_app_data`` appends its chunk itself.
 _EVENT_DISPATCH = {
     ev.ResponseReceived: H2ClientSession._on_response_received,
-    ev.DataReceived: H2ClientSession._on_data_received,
     ev.StreamEnded: H2ClientSession._on_stream_ended,
     ev.StreamReset: H2ClientSession._on_stream_reset,
     ev.OriginReceived: H2ClientSession._on_origin_received,

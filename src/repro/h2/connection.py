@@ -19,6 +19,7 @@ ORIGIN frame behaviour (RFC 8336):
 from __future__ import annotations
 
 import enum
+import struct
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -35,6 +36,22 @@ from repro.h2.settings import SettingId, Settings
 from repro.h2.stream import Stream, StreamState
 
 Header = Tuple[str, str]
+
+_OPEN = StreamState.OPEN
+_HALF_CLOSED_REMOTE = StreamState.HALF_CLOSED_REMOTE
+_CLOSED = StreamState.CLOSED
+
+#: The receiver's answer to one DATA frame -- a WINDOW_UPDATE for the
+#: connection and one for the stream -- as a single 26-byte struct.
+_WINDOW_UPDATE_PAIR = struct.Struct(">IBIIIBII")
+
+
+def _holds_a_frame(buffer: bytearray) -> bool:
+    """Whether ``buffer`` starts with one complete frame."""
+    if len(buffer) < fr.FRAME_HEADER_LEN:
+        return False
+    word = fr.HEADER_STRUCT.unpack_from(buffer, 0)[0]
+    return fr.FRAME_HEADER_LEN + (word >> 8) <= len(buffer)
 
 
 class Role(enum.Enum):
@@ -82,6 +99,11 @@ class H2Connection:
         #: DATA blocked on flow control, drained as windows reopen:
         #: ``(stream_id, view of the unsent body, end_stream)``.
         self._send_queue: Deque[Tuple[int, memoryview, bool]] = deque()
+        #: Whether the queue may hold an entry a drain can act on with
+        #: the connection window shut: a zero-length body, or a stream
+        #: reset under its queued DATA.  Set where such an entry can
+        #: appear, cleared by a drain that has looked at every entry.
+        self._windowless_queued = False
 
     # -- lifecycle --------------------------------------------------------
 
@@ -170,6 +192,8 @@ class H2Connection:
             raise H2StreamError(
                 stream_id, ErrorCode.STREAM_CLOSED, "no such stream"
             )
+        if not data:
+            self._windowless_queued = True
         self._send_queue.append((stream_id, memoryview(data), end_stream))
         self._drain_send_queue()
 
@@ -181,6 +205,12 @@ class H2Connection:
         rest of the connection.  A queued body is a ``memoryview``, so
         what remains after a frame is a re-slice, not a copy, and each
         frame is packed straight into the outbound buffer.
+
+        A frame is the smallest of the body, the two windows and the
+        peer's frame size.  One that leaves its stream open only debits
+        the stream window; one that ends the stream, carries nothing or
+        finds its stream unable to send goes through
+        :meth:`Stream.send_data`, which closes or refuses.
         """
         queue = self._send_queue
         # Settings caps this at 2**24 - 1, the most the header's 24-bit
@@ -188,38 +218,54 @@ class H2Connection:
         max_frame = self.remote_settings.max_frame_size
         streams = self._streams
         out = self._outbound
+        pack_header = fr.HEADER_STRUCT.pack
         skipped = 0
         while skipped < len(queue):
             stream_id, body, end_stream = queue[0]
             stream = streams.get(stream_id)
-            if stream is None or stream.state is StreamState.CLOSED:
+            if stream is None or stream.state is _CLOSED:
                 queue.popleft()
                 continue
-            size = 0
-            if body:
-                if self.connection_send_window <= 0:
+            length = size = len(body)
+            if length:
+                limit = self.connection_send_window
+                if limit <= 0:
                     return  # nothing can move until a connection update
-                if stream.send_window <= 0:
+                window = stream.send_window
+                if window <= 0:
                     queue.rotate(-1)
                     skipped += 1
                     continue
-                size = min(len(body), self.connection_send_window,
-                           stream.send_window, max_frame)
-            rest = body[size:]
-            fin = end_stream and not rest
-            stream.send_data(size, fin)
+                if window < limit:
+                    limit = window
+                if max_frame < limit:
+                    limit = max_frame
+                if limit < length:
+                    size = limit
+            fin = end_stream and size == length
+            state = stream.state
+            if size and not fin and (
+                state is _OPEN or state is _HALF_CLOSED_REMOTE
+            ):
+                stream.send_window -= size
+            else:
+                stream.send_data(size, fin)
             self.connection_send_window -= size
-            out += fr.HEADER_STRUCT.pack(
+            out += pack_header(
                 (size << 8) | fr.TYPE_DATA,
                 fr.FLAG_END_STREAM if fin else 0,
                 stream_id & 0x7FFFFFFF,
             )
-            out += body[:size]
             skipped = 0
-            if rest:
-                queue[0] = (stream_id, rest, end_stream)
-            else:
+            if size == length:
+                out += body
                 queue.popleft()
+            else:
+                out += body[:size]
+                queue[0] = (stream_id, body[size:], end_stream)
+        # Every entry still queued was just seen waiting on its stream
+        # window, so none of them can move without one.
+        self._windowless_queued = False
 
     def send_origin(self, origins: Sequence[str]) -> None:
         """Advertise an origin set (server, stream 0)."""
@@ -236,6 +282,8 @@ class H2Connection:
     ) -> None:
         stream = self._get_or_create_stream(stream_id)
         stream.reset(code)
+        if self._send_queue:
+            self._windowless_queued = True
         self._send_frame(
             fr.RstStreamFrame(stream_id=stream_id, error_code=code)
         )
@@ -274,13 +322,20 @@ class H2Connection:
     def receive_data(self, data: bytes) -> List[ev.Event]:
         """Feed wire bytes; returns the events they produced.
 
-        The receive buffer is walked once.  The body path -- DATA and
-        4-byte WINDOW_UPDATE -- is handled from the header fields and a
-        payload slice; every other frame, and every frame while a
-        CONTINUATION is expected, is parsed by the :mod:`repro.h2.frames`
-        classes (as is padded DATA, for its padding checks, before it
-        joins the body path).  After a call that does not raise, the
-        buffer holds only the incomplete tail.
+        Frames are parsed straight out of ``data``; only an incomplete
+        tail is kept in the receive buffer, and a call that finds one
+        there (or a preface still owed) parses the two joined.  The
+        body path -- DATA and 4-byte WINDOW_UPDATE -- is handled from
+        the header fields and a payload slice; every other frame, and
+        every frame while a CONTINUATION is expected, is parsed by the
+        :mod:`repro.h2.frames` classes (as is padded DATA, for its
+        padding checks, before it joins the body path).
+
+        A WINDOW_UPDATE opens a window and drains the send queue only
+        if the queue can move: it is not empty, and either the
+        connection window is open or an entry needs no window at all
+        (``_windowless_queued``).  Any other drain would return at its
+        first look at the head of the queue.
 
         Protocol violations raise :class:`H2ConnectionError` after
         queueing a GOAWAY, mirroring how a real endpoint fails.  Frames
@@ -292,57 +347,76 @@ class H2Connection:
         """
         events: List[ev.Event] = []
         buffer = self._recv_buffer
-        buffer += data
-        if self._preface_remaining:
-            take = min(len(buffer), len(self._preface_remaining))
-            if buffer[:take] != self._preface_remaining[:take]:
-                raise H2ConnectionError(
-                    ErrorCode.PROTOCOL_ERROR, "bad connection preface"
-                )
-            self._preface_remaining = self._preface_remaining[take:]
-            del buffer[:take]
-        offset = 0
-        try:
-            with memoryview(buffer) as view:
-                total = len(view)
-                while total - offset >= fr.FRAME_HEADER_LEN:
-                    word, flags, stream_id = fr.HEADER_STRUCT.unpack_from(
-                        view, offset
+        if buffer or self._preface_remaining:
+            buffer += data
+            if self._preface_remaining:
+                take = min(len(buffer), len(self._preface_remaining))
+                if buffer[:take] != self._preface_remaining[:take]:
+                    raise H2ConnectionError(
+                        ErrorCode.PROTOCOL_ERROR, "bad connection preface"
                     )
-                    payload_at = offset + fr.FRAME_HEADER_LEN
-                    end = payload_at + (word >> 8)
-                    if end > total:
-                        break
-                    frame_at, offset = offset, end  # consumed, come what may
-                    frame_type = word & 0xFF
-                    stream_id &= 0x7FFFFFFF
-                    body_path = self._expected_continuation is None
-                    if body_path and frame_type == fr.TYPE_DATA:
-                        if flags & fr.FLAG_PADDED:
-                            data = fr.parse_frame(
-                                bytes(view[frame_at:end])
-                            )[0].data
-                        else:
-                            data = bytes(view[payload_at:end])
-                        self._on_data(
-                            stream_id, data, end - payload_at,
-                            flags & fr.FLAG_END_STREAM != 0, events,
-                        )
-                    elif (body_path and frame_type == fr.TYPE_WINDOW_UPDATE
-                          and end - payload_at == 4):
-                        increment = fr.WINDOW_UPDATE_STRUCT.unpack_from(
-                            view, frame_at
-                        )[3] & 0x7FFFFFFF
-                        self._on_window_update(stream_id, increment, events)
+                self._preface_remaining = self._preface_remaining[take:]
+                del buffer[:take]
+            if not _holds_a_frame(buffer):
+                return events
+            data = bytes(buffer)
+            buffer.clear()
+        elif data.__class__ is not bytes:
+            data = bytes(data)  # payload slices are handed out as events
+        total = len(data)
+        offset = 0
+        unpack_header = fr.HEADER_STRUCT.unpack_from
+        streams = self._streams
+        queue = self._send_queue
+        try:
+            while total - offset >= fr.FRAME_HEADER_LEN:
+                word, flags, stream_id = unpack_header(data, offset)
+                payload_at = offset + fr.FRAME_HEADER_LEN
+                end = payload_at + (word >> 8)
+                if end > total:
+                    break
+                frame_at, offset = offset, end  # consumed, come what may
+                frame_type = word & 0xFF
+                stream_id &= 0x7FFFFFFF
+                body_path = self._expected_continuation is None
+                if body_path and frame_type == fr.TYPE_DATA:
+                    if flags & fr.FLAG_PADDED:
+                        payload = fr.parse_frame(data[frame_at:end])[0].data
                     else:
-                        frame = fr.parse_frame(bytes(view[frame_at:end]))[0]
-                        events += self._handle_frame(frame)
+                        payload = data[payload_at:end]
+                    self._on_data(
+                        stream_id, payload, end - payload_at,
+                        flags & fr.FLAG_END_STREAM != 0, events,
+                    )
+                elif (body_path and frame_type == fr.TYPE_WINDOW_UPDATE
+                      and end - payload_at == 4):
+                    increment = fr.WINDOW_UPDATE_STRUCT.unpack_from(
+                        data, frame_at
+                    )[3] & 0x7FFFFFFF
+                    if not increment:
+                        raise H2ConnectionError(
+                            ErrorCode.PROTOCOL_ERROR,
+                            "WINDOW_UPDATE with zero increment",
+                        )
+                    if stream_id:
+                        stream = streams.get(stream_id)
+                        if stream is not None:
+                            stream.send_window += increment
+                    else:
+                        self.connection_send_window += increment
+                    if queue and (self.connection_send_window > 0
+                                  or self._windowless_queued):
+                        self._drain_send_queue()
+                    events.append(ev.WindowUpdated(stream_id, increment))
+                else:
+                    frame = fr.parse_frame(data[frame_at:end])[0]
+                    events += self._handle_frame(frame)
         except H2ConnectionError as error:
             self.send_goaway(error.code)
             raise
         finally:
-            if offset:
-                del buffer[:offset]
+            if offset < total:
+                buffer += data[offset:]
         return events
 
     def _handle_frame(self, frame: fr.Frame) -> List[ev.Event]:
@@ -419,11 +493,18 @@ class H2Connection:
             events.append(ev.StreamReset(stream_id, error.code, remote=False))
             return
         events.append(ev.DataReceived(stream_id, data, length, end_stream))
-        # Auto-replenish windows, as typical implementations do.
+        # Auto-replenish windows, as typical implementations do: the
+        # connection's, then the stream's unless the frame closed it.
         if length:
-            self.send_window_update(0, length)
-            if stream.state is not StreamState.CLOSED:
-                self.send_window_update(stream_id, length)
+            if stream.state is _CLOSED:
+                self.send_window_update(0, length)
+            else:
+                self.connection_recv_window += length
+                stream.recv_window += length
+                self._outbound += _WINDOW_UPDATE_PAIR.pack(
+                    fr.WINDOW_UPDATE_WORD, 0, 0, length,
+                    fr.WINDOW_UPDATE_WORD, 0, stream_id, length,
+                )
         if end_stream:
             events.append(ev.StreamEnded(stream_id))
 
@@ -512,6 +593,8 @@ class H2Connection:
                 f"RST_STREAM for idle stream {frame.stream_id}",
             )
         stream.reset(frame.error_code)
+        if self._send_queue:
+            self._windowless_queued = True
         return [ev.StreamReset(frame.stream_id, frame.error_code)]
 
     def _on_ping(self, frame: fr.PingFrame) -> List[ev.Event]:
@@ -521,23 +604,6 @@ class H2Connection:
             fr.PingFrame(flags=fr.FLAG_ACK, opaque=frame.opaque)
         )
         return [ev.PingReceived(opaque=frame.opaque)]
-
-    def _on_window_update(
-        self, stream_id: int, increment: int, events: List[ev.Event]
-    ) -> None:
-        if increment == 0:
-            raise H2ConnectionError(
-                ErrorCode.PROTOCOL_ERROR, "WINDOW_UPDATE with zero increment"
-            )
-        if stream_id == 0:
-            self.connection_send_window += increment
-        else:
-            stream = self._streams.get(stream_id)
-            if stream is not None:
-                stream.window_update(increment)
-        if self._send_queue:
-            self._drain_send_queue()
-        events.append(ev.WindowUpdated(stream_id, increment))
 
     def send_certificate(self, cert_id: int, chain_data: bytes) -> None:
         """Provide a secondary certificate chain on stream 0 (server),
@@ -603,9 +669,9 @@ class H2Connection:
 
 
 #: Exact-type dispatch for the frames ``receive_data`` leaves to the
-#: codec.  DATA and WINDOW_UPDATE are absent: ``receive_data`` calls
-#: their handlers itself, and a parsed one reaches ``_handle_frame``
-#: only while a CONTINUATION is expected, to be refused.
+#: codec.  DATA and WINDOW_UPDATE are absent: ``receive_data`` handles
+#: them itself, and a parsed one reaches ``_handle_frame`` only while a
+#: CONTINUATION is expected, to be refused.
 _FRAME_DISPATCH = {
     fr.HeadersFrame: H2Connection._on_headers,
     fr.ContinuationFrame: H2Connection._on_continuation,

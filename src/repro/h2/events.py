@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from repro.audit.record import SlottedRecord
 from repro.h2.errors import ErrorCode
 
 Header = Tuple[str, str]
@@ -17,6 +18,8 @@ Header = Tuple[str, str]
 @dataclass
 class Event:
     """Base class for connection events."""
+
+    __slots__ = ()
 
 
 @dataclass
@@ -33,12 +36,28 @@ class ResponseReceived(Event):
     end_stream: bool
 
 
-@dataclass
-class DataReceived(Event):
-    stream_id: int
-    data: bytes
-    flow_controlled_length: int
-    end_stream: bool
+class DataReceived(SlottedRecord, Event):
+    """One DATA frame's payload.
+
+    This and :class:`WindowUpdated` are built once per frame on the
+    body path, so they are ``__slots__`` records
+    (``dataclass(slots=True)`` needs Python 3.10) with the ``==`` and
+    ``repr`` a dataclass would give them.
+    """
+
+    __slots__ = ("stream_id", "data", "flow_controlled_length", "end_stream")
+
+    def __init__(
+        self,
+        stream_id: int,
+        data: bytes,
+        flow_controlled_length: int,
+        end_stream: bool,
+    ) -> None:
+        self.stream_id = stream_id
+        self.data = data
+        self.flow_controlled_length = flow_controlled_length
+        self.end_stream = end_stream
 
 
 @dataclass
@@ -96,10 +115,12 @@ class GoAwayReceived(Event):
     debug_data: bytes = b""
 
 
-@dataclass
-class WindowUpdated(Event):
-    stream_id: int
-    delta: int
+class WindowUpdated(SlottedRecord, Event):
+    __slots__ = ("stream_id", "delta")
+
+    def __init__(self, stream_id: int, delta: int) -> None:
+        self.stream_id = stream_id
+        self.delta = delta
 
 
 @dataclass

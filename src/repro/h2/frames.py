@@ -639,38 +639,6 @@ def parse_frames(buffer: bytes) -> Tuple[List[Frame], bytes]:
     return frames, bytes(view[offset:])
 
 
-def consume_frames(buffer: bytearray) -> List[Frame]:
-    """Parse complete frames out of a persistent receive buffer.
-
-    Consumed bytes are deleted from ``buffer`` in place -- the zero-copy
-    companion to :func:`parse_frames` for connection receive paths that
-    keep one reusable ``bytearray`` per connection.
-    """
-    frames: List[Frame] = []
-    offset = 0
-    try:
-        with memoryview(buffer) as view:
-            total = len(view)
-            while total - offset >= FRAME_HEADER_LEN:
-                word, flags, stream_id = HEADER_STRUCT.unpack_from(
-                    view, offset
-                )
-                length = word >> 8
-                end = offset + FRAME_HEADER_LEN + length
-                if end > total:
-                    break
-                body = bytes(view[offset + FRAME_HEADER_LEN : end])
-                frames.append(
-                    _parse_body(word & 0xFF, stream_id & 0x7FFFFFFF,
-                                flags, body)
-                )
-                offset = end
-    finally:
-        if offset:
-            del buffer[:offset]
-    return frames
-
-
 def _error_code(value: int) -> ErrorCode:
     try:
         return ErrorCode(value)

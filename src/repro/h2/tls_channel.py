@@ -45,6 +45,7 @@ from repro.transport.framing import (  # noqa: F401
     REC_SHELLO,
     REC_TICKET,
     RECORD_HEADER_LEN,
+    RECORD_STRUCT,
     consume_records,
     pack_record,
     parse_records,
@@ -172,8 +173,16 @@ class TlsChannel:
             self.on_failed(reason)
 
     def _on_bytes(self, data: bytes) -> None:
-        self._buffer += data
-        for record_type, payload in consume_records(self._buffer):
+        buffer = self._buffer
+        if not buffer and len(data) >= RECORD_HEADER_LEN:
+            # One whole record and nothing pending -- what every
+            # application send delivers -- needs no buffering.
+            record_type, length = RECORD_STRUCT.unpack_from(data)
+            if RECORD_HEADER_LEN + length == len(data):
+                self._on_record(record_type, data[RECORD_HEADER_LEN:])
+                return
+        buffer += data
+        for record_type, payload in consume_records(buffer):
             self._on_record(record_type, payload)
 
     def _on_record(self, record_type: int, payload: bytes) -> None:
@@ -220,7 +229,10 @@ class TlsClientChannel(TlsChannel):
         )
 
     def _on_record(self, record_type: int, payload: bytes) -> None:
-        if record_type == REC_SHELLO:
+        if record_type == REC_APPDATA:  # first: all but a handful
+            if self.on_app_data is not None:
+                self.on_app_data(payload)
+        elif record_type == REC_SHELLO:
             hello = json.loads(payload.decode("utf-8"))
             self.negotiated_alpn = hello.get("alpn")
         elif record_type == REC_CERT:
@@ -280,9 +292,6 @@ class TlsClientChannel(TlsChannel):
             if self.on_failed is not None:
                 self.on_failed(payload.decode("utf-8", "replace"))
             self.close()
-        elif record_type == REC_APPDATA:
-            if self.on_app_data is not None:
-                self.on_app_data(payload)
 
     def _fail(self, reason: str) -> None:
         self._end_handshake_span(ok=False, error=reason)
@@ -347,7 +356,10 @@ class TlsServerChannel(TlsChannel):
         self.client_offered_alpn: Tuple[str, ...] = ()
 
     def _on_record(self, record_type: int, payload: bytes) -> None:
-        if record_type == REC_HELLO:
+        if record_type == REC_APPDATA:  # first: all but a handful
+            if self.on_app_data is not None:
+                self.on_app_data(payload)
+        elif record_type == REC_HELLO:
             hello = json.loads(payload.decode("utf-8"))
             self.observed_sni = hello.get("sni", "")
             self.client_sni = hello.get("real_sni") or hello.get("sni", "")
@@ -404,9 +416,6 @@ class TlsServerChannel(TlsChannel):
             if self.on_failed is not None:
                 self.on_failed(payload.decode("utf-8", "replace"))
             self.close()
-        elif record_type == REC_APPDATA:
-            if self.on_app_data is not None:
-                self.on_app_data(payload)
 
     def _establish(self) -> None:
         if self.established:

@@ -92,6 +92,8 @@ class EventLoop:
             raise ValueError(
                 f"cannot schedule at {when}, clock is already at {self.clock.now()}"
             )
+        if when.__class__ is not float:
+            when = float(when)  # the loop hands it to the clock as is
         seq = self._seq
         self._seq = seq + 1
         event = Event(when, seq, callback)
@@ -109,7 +111,7 @@ class EventLoop:
             when, _seq, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            self.clock.advance_to(when)
+            self.clock._now = when
             event.callback()
             self._executed += 1
             return True
@@ -124,13 +126,13 @@ class EventLoop:
         """
         heap = self._heap
         heappop = heapq.heappop
-        advance_to = self.clock.advance_to
+        clock = self.clock
         count = 0
         while heap:
             when, _seq, event = heappop(heap)
             if event.cancelled:
                 continue
-            advance_to(when)
+            clock._now = when
             event.callback()
             self._executed += 1
             count += 1
@@ -149,7 +151,7 @@ class EventLoop:
         """
         heap = self._heap
         heappop = heapq.heappop
-        advance_to = self.clock.advance_to
+        clock = self.clock
         count = 0
         while heap:
             head_when, _head_seq, head_event = heap[0]
@@ -159,7 +161,7 @@ class EventLoop:
             if head_when > when:
                 break
             heappop(heap)
-            advance_to(head_when)
+            clock._now = head_when
             head_event.callback()
             self._executed += 1
             count += 1

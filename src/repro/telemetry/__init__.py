@@ -112,11 +112,6 @@ class CrawlTrace:
 
         return spans_to_jsonl(self.spans)
 
-    def audit_jsonl(self) -> str:
-        from repro.audit.log import events_to_jsonl
-
-        return events_to_jsonl(self.audit)
-
     def write_chrome_trace(self, path) -> int:
         from repro.telemetry.exporters import write_chrome_trace
 

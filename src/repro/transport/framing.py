@@ -25,11 +25,11 @@ REC_APPDATA = 0x17
 REC_ALERT = 0x15
 
 
-_RECORD_STRUCT = struct.Struct(">BI")
+RECORD_STRUCT = struct.Struct(">BI")
 
 
 def pack_record(record_type: int, payload: bytes) -> bytes:
-    return _RECORD_STRUCT.pack(record_type, len(payload)) + payload
+    return RECORD_STRUCT.pack(record_type, len(payload)) + payload
 
 
 def parse_records(buffer: bytes) -> Tuple[List[Tuple[int, bytes]], bytes]:
@@ -43,7 +43,7 @@ def parse_records(buffer: bytes) -> Tuple[List[Tuple[int, bytes]], bytes]:
     total = len(view)
     offset = 0
     while total - offset >= RECORD_HEADER_LEN:
-        record_type, length = _RECORD_STRUCT.unpack_from(view, offset)
+        record_type, length = RECORD_STRUCT.unpack_from(view, offset)
         end = offset + RECORD_HEADER_LEN + length
         if end > total:
             break
@@ -69,7 +69,7 @@ def consume_records(buffer: bytearray) -> List[Tuple[int, bytes]]:
         with memoryview(buffer) as view:
             total = len(view)
             while total - offset >= RECORD_HEADER_LEN:
-                record_type, length = _RECORD_STRUCT.unpack_from(
+                record_type, length = RECORD_STRUCT.unpack_from(
                     view, offset
                 )
                 end = offset + RECORD_HEADER_LEN + length

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.audit import ReasonCode, events_to_jsonl
+from repro.audit import ReasonCode
 from repro.audit.diff import diff_decisions, render_diff
 from repro.audit.explain import render_explanation
 from repro.audit.reconcile import (
@@ -19,6 +19,7 @@ from repro.cli import main
 from repro.core.predictions import figure3
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import CrawlParams, ParallelCrawler
+from tests.test_shard_executor import audit_jsonl
 
 CONFIG = DatasetConfig(site_count=8, seed=11)
 
@@ -44,8 +45,8 @@ class TestDeterminism:
     def test_audit_jsonl_byte_identical_across_jobs(self, audited):
         _, serial = audited["chromium"]
         _, parallel = audited_crawl("chromium", jobs=2)
-        assert serial.audit_jsonl() == parallel.audit_jsonl()
-        assert serial.audit_jsonl()  # non-empty
+        assert audit_jsonl(serial) == audit_jsonl(parallel)
+        assert audit_jsonl(serial)  # non-empty
 
     def test_audit_diff_clean_across_jobs(self, audited):
         _, serial = audited["chromium"]
@@ -235,4 +236,8 @@ class TestCliIntegration:
 class TestJsonlExportMatchesTrace:
     def test_audit_jsonl_is_canonical(self, audited):
         _, trace = audited["chromium"]
-        assert trace.audit_jsonl() == events_to_jsonl(trace.audit)
+        assert audit_jsonl(trace) == "".join(
+            json.dumps(event.to_dict(), sort_keys=True,
+                       separators=(",", ":")) + "\n"
+            for event in trace.audit
+        )

@@ -345,3 +345,105 @@ class TestNeverCompletedInvariant:
         engine = small_world.engine()
         engine.load_blocking(simple_page())
         assert engine.loads[-1].unsettled == {}
+
+
+class TestCleartextConnectionLoss:
+    """A port-80 connection torn before its response settles the fetch
+    through the retry decision point, like a lost TLS connection
+    (ROADMAP "Chaos must terminate")."""
+
+    PAGE = WebPage(
+        hostname="www.site.com",
+        resources=[
+            Subresource("static.site.com", "/app.js",
+                        ContentType.APPLICATION_JAVASCRIPT, 20_000),
+            Subresource("static.site.com", "/legacy.gif",
+                        ContentType.IMAGE_GIF, 2_000, secure=False),
+        ],
+    )
+
+    @staticmethod
+    def tear(world, losses, end="server"):
+        """Abort the first ``losses`` port-80 connections on their
+        first chunk from ``end``: the server's response dropped on the
+        path (packet loss), or the client's request (an on-path
+        reset)."""
+        world.edge_server.listen_plain_all()
+        torn = []
+
+        def tap(client, server_ip, port, client_end, server_end):
+            if port != 80 or len(torn) >= losses:
+                return
+            torn.append(server_ip)
+            victim = server_end if end == "server" else client_end
+            victim.outbound_inspector = lambda data: False
+
+        world.network.add_tap(tap)
+        return torn
+
+    @staticmethod
+    def load(world, **context):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry(clock=world.network.loop.now, trace=False,
+                              audit=True)
+        engine = world.engine(telemetry=telemetry, **context)
+        archive = engine.load_blocking(TestCleartextConnectionLoss.PAGE)
+        load = engine.loads[-1]
+        assert load.unsettled == {}
+        (entry,) = [e for e in archive.entries if e.path == "/legacy.gif"]
+        events = [e for e in telemetry.audit.events
+                  if e.path == "/legacy.gif"]
+        decisions = [e for e in events if e.kind == "decision"]
+        assert len(decisions) == 1  # one audited decision per request
+        return entry, decisions[0], [e for e in events
+                                     if e.kind == "retry"]
+
+    @pytest.mark.parametrize("end", ["server", "client"])
+    def test_without_a_retry_policy_the_loss_is_a_failed_request(
+            self, small_world, end):
+        from repro.audit.reasons import ReasonCode
+
+        torn = self.tear(small_world, losses=1, end=end)
+        entry, decision, retries = self.load(small_world)
+        assert torn and entry.status == 0 and retries == []
+        assert decision.reason == ReasonCode.MISS_REQUEST_FAILED.value
+
+    def test_a_retry_recovers_on_the_next_connection(self, small_world):
+        from repro.audit.reasons import ReasonCode
+        from repro.browser.retry import RetryPolicy
+
+        self.tear(small_world, losses=1)
+        entry, decision, retries = self.load(
+            small_world,
+            retry_policy=RetryPolicy(max_retries=2,
+                                     retry_connection_loss=True),
+        )
+        assert entry.status == 200 and not entry.secure
+        assert entry.url == "http://static.site.com/legacy.gif"
+        assert [e.reason for e in retries] == \
+            [ReasonCode.RETRY_BACKOFF.value]
+        assert decision.reason == ReasonCode.RETRY_BACKOFF.value
+        assert decision.decision == "cleartext"
+
+    def test_retries_run_out(self, small_world):
+        from repro.audit.reasons import ReasonCode
+        from repro.browser.retry import RetryPolicy
+
+        torn = self.tear(small_world, losses=99)
+        entry, decision, retries = self.load(
+            small_world,
+            retry_policy=RetryPolicy(max_retries=2,
+                                     retry_connection_loss=True),
+        )
+        assert len(torn) == 3 and entry.status == 0
+        assert [e.reason for e in retries] == [
+            ReasonCode.RETRY_BACKOFF.value, ReasonCode.RETRY_BACKOFF.value,
+            ReasonCode.RETRY_EXHAUSTED.value,
+        ]
+        assert decision.reason == ReasonCode.RETRY_EXHAUSTED.value
+
+    def test_a_close_after_the_response_is_ignored(self, small_world):
+        small_world.edge_server.listen_plain_all()
+        entry, decision, retries = self.load(small_world)
+        assert entry.status == 200 and retries == []

@@ -32,6 +32,23 @@ class FakeSession:
         return hostname in self._origins
 
 
+def scan_coalescable(pool, hostname, dns_addresses, anonymous=False):
+    """The pool's cross-host lookup before it was indexed: a full scan
+    in registry order.  The oracle for
+    :meth:`ConnectionPool.find_coalescable`, which must pick the same
+    connection."""
+    if anonymous:
+        return None
+    for facts in list(pool.connections):
+        if not pool._usable(facts) or facts.anonymous_partition:
+            continue
+        if facts.sni == hostname:
+            continue
+        if pool.policy.can_reuse(facts, hostname, dns_addresses):
+            return facts
+    return None
+
+
 def make_pool(policy=None):
     return ConnectionPool(
         policy=policy or FirefoxPolicy(origin_frames=True),
@@ -232,7 +249,7 @@ class TestIndexes:
         dead.session.closed = True
         for candidate_ips in (["10.0.0.3"], ["10.0.0.2", "10.0.0.4"],
                               ["10.99.0.1"], []):
-            expected = pool._scan_coalescable("cdn.x.com", candidate_ips)
+            expected = scan_coalescable(pool, "cdn.x.com", candidate_ips)
             assert pool.find_coalescable(
                 "cdn.x.com", candidate_ips
             ).facts is expected

@@ -237,6 +237,56 @@ class TestJobsDeterminism:
 
 
 # ---------------------------------------------------------------------------
+# Termination: every fetch settles, whatever the schedule tears down
+# ---------------------------------------------------------------------------
+
+
+class TestTermination:
+    """ROADMAP "Chaos must terminate".  Packet loss used to strand a
+    cleartext ``http://`` fetch whose port-80 connection it tore: no
+    close handler, so the fetch never settled and the page load never
+    completed (``BrowserEngine.load_blocking`` raises on that)."""
+
+    #: ``repro chaos`` builds these for its default flags.
+    CLI_PARAMS = dict(policy="chromium", speculative_rate=0.10,
+                      dns_latency_ms=48.0, alpn="h2")
+
+    def test_the_shard_packet_loss_alone_used_to_hang(self):
+        """Shard 9 of the 240-site, 24-shard world at seed 2022 holds
+        www.site000100.io, whose cleartext image lost its connection."""
+        schedule = FaultSchedule(faults=(
+            FaultSpec(name="background-loss", kind="packet_loss", at=0.0,
+                      rate=0.008),
+        ), source="loss-only")
+        spec = plan_shards(DatasetConfig(site_count=240, seed=2022), 24)[9]
+        result = crawl_shard(spec, CrawlParams(**self.CLI_PARAMS),
+                             (False, True),
+                             (schedule, DEFAULT_RETRY_POLICY))
+        hostnames = [a.page.hostname for a in result.payload.archives]
+        assert len(hostnames) == 10 and "www.site000100.io" in hostnames
+        torn = [
+            event for event in result.events
+            if event.kind == "decision" and event.decision == "cleartext"
+            and event.reason == ReasonCode.RETRY_BACKOFF.value
+        ]
+        assert torn, "no cleartext fetch was retried after a loss"
+
+    @pytest.mark.parametrize("seed", [2022, 7, 11])
+    def test_demo_schedule_completes_at_240_sites(self, seed, capsys):
+        """The shipped example at the size that used to die (exit 0
+        means every page load completed with nothing unsettled)."""
+        code = main([
+            "chaos", "--sites", "240", "--shards", "24", "--no-cache",
+            "--schedule", "examples/faults_demo.toml",
+            "--seed", str(seed), "--jobs", "2",
+        ])
+        out = capsys.readouterr().out
+        assert not code
+        assert out.startswith("chaos: crawled 240 sites ")
+        assert " exhausted retries" in out.splitlines()[-1]
+
+
+# ---------------------------------------------------------------------------
 # Blast radius: the robustness cost of coalescing
 # ---------------------------------------------------------------------------
 

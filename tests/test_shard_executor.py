@@ -56,6 +56,11 @@ def result_artifacts(result: ShardResult) -> dict:
     }
 
 
+def audit_jsonl(trace: CrawlTrace) -> str:
+    """A merged run's audit stream as ``--audit`` would write it."""
+    return events_to_jsonl(trace.audit)
+
+
 def run_artifacts(payload, trace: CrawlTrace, report=None) -> dict:
     """Every stream of a merged run, as the sinks would write it;
     takes what the drivers return."""
@@ -63,7 +68,7 @@ def run_artifacts(payload, trace: CrawlTrace, report=None) -> dict:
         "payload": _payload_bytes(payload),
         "spans": trace.to_jsonl(),
         "metrics": json.dumps(trace.metrics.snapshot(), sort_keys=True),
-        "audit": trace.audit_jsonl(),
+        "audit": audit_jsonl(trace),
         "report": report.to_jsonl() if report is not None else "",
     }
 
