@@ -347,9 +347,10 @@ class PageLoad:
     def _fetch_plain(self, state: _FetchState) -> None:
         """Cleartext http:// subresource: DNS, raw TCP, HTTP/1.1.
 
-        A connection torn down before its response (an on-path drop
-        or reset) goes to the same retry decision point as a lost TLS
-        connection, so the fetch always settles.
+        A dial that is refused, or a connection torn down before its
+        response (an on-path drop or reset), goes to the same retry
+        decision point as a lost TLS connection, so the fetch always
+        settles.
         """
 
         def on_answer(answer) -> None:
@@ -362,24 +363,21 @@ class PageLoad:
             )
             state.dns_addresses = list(answer.addresses)
             connect_started = self.loop.now()
+            attempt = state.attempt
 
             def on_connect(transport) -> None:
                 state.timings.connect = self.loop.now() - connect_started
                 protocol = self.tcp_dialer.plain_protocol(transport)
-                attempt = state.attempt
 
                 def on_response(response) -> None:
                     self._record_success(state, response,
                                          plain_http=True)
                     transport.close()
 
-                def on_close() -> None:
-                    if state.settled or state.attempt != attempt:
-                        return  # our own close, after the response
-                    if not self._maybe_retry(state, overload=False):
-                        self._record_failure(state, "connection lost")
-
-                transport.on_close = on_close
+                # Our own close, after the response, finds it settled.
+                transport.on_close = lambda: self._connection_failed(
+                    state, attempt, "connection lost"
+                )
                 protocol.request(state.hostname, state.path, on_response)
 
             self.context.network.connect(
@@ -387,8 +385,8 @@ class PageLoad:
                 state.dns_addresses[0],
                 80,
                 on_connect,
-                on_refused=lambda error: self._record_failure(
-                    state, str(error)
+                on_refused=lambda error: self._connection_failed(
+                    state, attempt, str(error)
                 ),
             )
 

@@ -39,7 +39,9 @@ from repro.dataset.shard import CrawlParams
 
 #: Bump when the archive format or crawl semantics change, so stale
 #: entries from older code can never be mistaken for current ones.
-CACHE_FORMAT_VERSION = 1
+#: 2: h2 receive windows and acks are the browsers' (DESIGN.md §7), which
+#: moves every timing and, through timing, a few connection counts.
+CACHE_FORMAT_VERSION = 2
 
 #: Environment override for the cache root.
 CACHE_ENV_VAR = "REPRO_CRAWL_CACHE"
@@ -60,15 +62,10 @@ def cache_key(
     shard_count: int,
 ) -> str:
     """Content address for one crawl definition."""
-    params_doc = dataclasses.asdict(params)
-    if params_doc.get("alpn") == "h2":
-        # The pre-h3 cache format had no ALPN dimension; dropping the
-        # default keeps existing cache entries addressable.
-        del params_doc["alpn"]
     document = {
         "version": CACHE_FORMAT_VERSION,
         "config": dataclasses.asdict(config),
-        "params": params_doc,
+        "params": dataclasses.asdict(params),
         "shard_count": int(shard_count),
     }
     canonical = canonical_json(document)

@@ -18,6 +18,7 @@ from repro.audit.reasons import ReasonCode
 from repro.h2 import events as ev
 from repro.h2.connection import H2Connection, Role
 from repro.h2.errors import ErrorCode, H2ConnectionError
+from repro.h2.settings import SettingId
 from repro.h2.tls_channel import TlsClientChannel, TlsClientConfig
 from repro.netsim.network import Host, Network
 from repro.netsim.transport import Transport
@@ -30,6 +31,13 @@ from repro.transport.base import (
 )
 
 Header = Tuple[str, str]
+
+#: The receive windows of the measured browser (DESIGN.md §7):
+#: Chromium's ``kSpdyStreamMaxRecvWindowSize``, advertised as
+#: SETTINGS_INITIAL_WINDOW_SIZE, and ``kSpdySessionMaxRecvWindowSize``,
+#: reached by a stream-0 WINDOW_UPDATE, both in the first flight.
+STREAM_RECV_WINDOW = 6 * 1024 * 1024
+SESSION_RECV_WINDOW = 15 * 1024 * 1024
 
 #: The stable request-prefix headers, interned per method so every
 #: request reuses the same tuples (their HPACK encodings are memoized
@@ -185,7 +193,12 @@ class H2ClientSession(Session):
                 origin_aware=self.origin_aware,
                 secondary_certs_aware=self.secondary_certs,
             )
-            self.conn.initiate()
+            self.conn.initiate(settings=(
+                (SettingId.INITIAL_WINDOW_SIZE, STREAM_RECV_WINDOW),
+            ))
+            self.conn.send_window_update(
+                0, SESSION_RECV_WINDOW - self.conn.connection_recv_window
+            )
         self.connected_at = self.network.loop.now()
         if self._conn_span is not None:
             # Record the phase boundaries now; the span itself stays

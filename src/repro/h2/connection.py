@@ -14,12 +14,20 @@ ORIGIN frame behaviour (RFC 8336):
 * endpoints built with ``origin_aware=False`` treat ORIGIN as an
   unknown frame and ignore it, which is the spec-mandated fail-open
   the paper relies on (§4.3, §6.7).
+
+Receive-side flow control is the browsers' rule (DESIGN.md §7): an
+endpoint counts the DATA bytes it has consumed (padding included), per
+connection and per stream, and returns them in one WINDOW_UPDATE once
+they amount to half of the window it advertised; a closed stream gets
+no update, and its bytes still count toward the connection's.
+``window + unacked`` *is* the advertised window, so "half" is
+``unacked >= window``, whatever :meth:`H2Connection.send_window_update`
+or SETTINGS raised the window to.
 """
 
 from __future__ import annotations
 
 import enum
-import struct
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -40,10 +48,6 @@ Header = Tuple[str, str]
 _OPEN = StreamState.OPEN
 _HALF_CLOSED_REMOTE = StreamState.HALF_CLOSED_REMOTE
 _CLOSED = StreamState.CLOSED
-
-#: The receiver's answer to one DATA frame -- a WINDOW_UPDATE for the
-#: connection and one for the stream -- as a single 26-byte struct.
-_WINDOW_UPDATE_PAIR = struct.Struct(">IBIIIBII")
 
 
 def _holds_a_frame(buffer: bytearray) -> bool:
@@ -96,6 +100,8 @@ class H2Connection:
         self._expected_continuation: Optional[Tuple[int, bytearray, bool]] = None
         self.connection_send_window = self.remote_settings.initial_window_size
         self.connection_recv_window = self.local_settings.initial_window_size
+        #: DATA bytes consumed and not yet returned by a WINDOW_UPDATE.
+        self._recv_unacked = 0
         #: DATA blocked on flow control, drained as windows reopen:
         #: ``(stream_id, view of the unsent body, end_stream)``.
         self._send_queue: Deque[Tuple[int, memoryview, bool]] = deque()
@@ -486,6 +492,14 @@ class H2Connection:
                 "connection receive window overflow",
             )
         self.connection_recv_window -= length
+        if length:
+            # Refused below or not, the frame counts against the
+            # connection, as does one that closes its stream.
+            unacked = self._recv_unacked + length
+            if unacked >= self.connection_recv_window:
+                self.send_window_update(0, unacked)
+                unacked = 0
+            self._recv_unacked = unacked
         try:
             stream.receive_data(length, end_stream)
         except H2StreamError as error:
@@ -493,18 +507,12 @@ class H2Connection:
             events.append(ev.StreamReset(stream_id, error.code, remote=False))
             return
         events.append(ev.DataReceived(stream_id, data, length, end_stream))
-        # Auto-replenish windows, as typical implementations do: the
-        # connection's, then the stream's unless the frame closed it.
         if length:
-            if stream.state is _CLOSED:
-                self.send_window_update(0, length)
-            else:
-                self.connection_recv_window += length
-                stream.recv_window += length
-                self._outbound += _WINDOW_UPDATE_PAIR.pack(
-                    fr.WINDOW_UPDATE_WORD, 0, 0, length,
-                    fr.WINDOW_UPDATE_WORD, 0, stream_id, length,
-                )
+            unacked = stream.recv_unacked + length
+            if unacked >= stream.recv_window and stream.state is not _CLOSED:
+                self.send_window_update(stream_id, unacked)
+                unacked = 0
+            stream.recv_unacked = unacked
         if end_stream:
             events.append(ev.StreamEnded(stream_id))
 

@@ -24,6 +24,7 @@ class Stream:
         "state",
         "send_window",
         "recv_window",
+        "recv_unacked",
         "reset_code",
         "headers_received",
         "trailers_received",
@@ -41,6 +42,8 @@ class Stream:
         self.state = StreamState.IDLE
         self.send_window = send_window
         self.recv_window = recv_window
+        #: DATA bytes consumed and not yet returned by a WINDOW_UPDATE.
+        self.recv_unacked = 0
         self.reset_code: Optional[ErrorCode] = None
         self.headers_received = False
         self.trailers_received = False

@@ -443,6 +443,28 @@ class TestCleartextConnectionLoss:
         ]
         assert decision.reason == ReasonCode.RETRY_EXHAUSTED.value
 
+    def test_a_refused_dial_is_retried_like_a_refused_tls_dial(
+            self, small_world):
+        """Nothing listens on port 80 here: every dial is refused, and
+        each refusal is one trip through the retry decision point."""
+        from repro.audit.reasons import ReasonCode
+        from repro.browser.retry import RetryPolicy
+
+        entry, decision, retries = self.load(small_world)
+        assert entry.status == 0 and retries == []
+        assert decision.reason == ReasonCode.MISS_REQUEST_FAILED.value
+        entry, decision, retries = self.load(
+            small_world,
+            retry_policy=RetryPolicy(max_retries=2,
+                                     retry_connection_loss=True),
+        )
+        assert entry.status == 0
+        assert [e.reason for e in retries] == [
+            ReasonCode.RETRY_BACKOFF.value, ReasonCode.RETRY_BACKOFF.value,
+            ReasonCode.RETRY_EXHAUSTED.value,
+        ]
+        assert decision.reason == ReasonCode.RETRY_EXHAUSTED.value
+
     def test_a_close_after_the_response_is_ignored(self, small_world):
         small_world.edge_server.listen_plain_all()
         entry, decision, retries = self.load(small_world)

@@ -39,6 +39,7 @@ from repro.deployment import BuggyMiddlebox, DeploymentExperiment
 from repro.deployment.experiment import deployment_world_config
 from repro.telemetry import Telemetry
 from tests.test_shard_executor import assert_runs_identical
+from tests.test_wire_counts import tap_every_network
 
 
 def tiny_params(**overrides) -> CrawlParams:
@@ -251,9 +252,21 @@ class TestTermination:
     CLI_PARAMS = dict(policy="chromium", speculative_rate=0.10,
                       dns_latency_ms=48.0, alpn="h2")
 
-    def test_the_shard_packet_loss_alone_used_to_hang(self):
+    def test_the_shard_packet_loss_alone_used_to_hang(self, monkeypatch):
         """Shard 9 of the 240-site, 24-shard world at seed 2022 holds
-        www.site000100.io, whose cleartext image lost its connection."""
+        www.site000100.io, whose cleartext image lost its connection.
+        Where a 0.8 % sampler lands depends on every byte's timing, so
+        the loss is also made by construction: the first port-80 flow
+        of the shard is torn as its response leaves the server."""
+        torn_flows = []
+
+        def tear_first_cleartext_flow(client, server_ip, port, client_end,
+                                      server_end) -> None:
+            if port == 80 and not torn_flows:
+                torn_flows.append(server_ip)
+                server_end.outbound_inspector = lambda data: False
+
+        tap_every_network(monkeypatch, tear_first_cleartext_flow)
         schedule = FaultSchedule(faults=(
             FaultSpec(name="background-loss", kind="packet_loss", at=0.0,
                       rate=0.008),
@@ -269,7 +282,8 @@ class TestTermination:
             if event.kind == "decision" and event.decision == "cleartext"
             and event.reason == ReasonCode.RETRY_BACKOFF.value
         ]
-        assert torn, "no cleartext fetch was retried after a loss"
+        assert torn_flows and torn, \
+            "no cleartext fetch was retried after a loss"
 
     @pytest.mark.parametrize("seed", [2022, 7, 11])
     def test_demo_schedule_completes_at_240_sites(self, seed, capsys):

@@ -1,17 +1,20 @@
-"""The h2 body path against the path it replaced.
+"""The h2 body path against a Frame-class implementation of it.
 
-``OracleH2Connection`` carries the ``receive_data`` / ``_on_data`` /
-``_on_window_update`` / ``_drain_send_queue`` bodies exactly as they
-stood before the body path was made one unit (every WINDOW_UPDATE
-drains, two ``send_window_update`` calls per DATA frame, the whole
-receive buffer walked through a ``memoryview``).  The tests drive it
-and :class:`~repro.h2.connection.H2Connection` with one schedule and
+``ReferenceReceiver`` is the receive-side flow-control rule written
+from the advertised window sizes alone: consumed bytes are returned in
+one WINDOW_UPDATE once they reach half the window, for the connection
+and for every stream still open.  ``OracleH2Connection`` is the body
+path built on it and on the :mod:`repro.h2.frames` classes -- every
+frame parsed into an object, every WINDOW_UPDATE followed by a drain,
+one ``min()`` per DATA frame sent.  The tests drive it and
+:class:`~repro.h2.connection.H2Connection` with one schedule and
 require the same bytes out, the same events, the same windows and
 stream states, and the same exceptions.  ``oracle_on_bytes`` does the
 same for :meth:`TlsChannel._on_bytes`.
 """
 
-from typing import List
+from collections import Counter
+from typing import List, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +23,7 @@ from repro.h2 import events as ev
 from repro.h2 import frames as fr
 from repro.h2.connection import H2Connection, Role
 from repro.h2.errors import ErrorCode, H2ConnectionError, H2StreamError
-from repro.h2.settings import SettingId
+from repro.h2.settings import DEFAULT_SETTINGS, SettingId
 from repro.h2.stream import StreamState
 from repro.h2.tls_channel import (
     REC_ALERT,
@@ -33,29 +36,58 @@ from repro.h2.tls_channel import (
     pack_record,
 )
 
+DEFAULT_WINDOW = DEFAULT_SETTINGS[SettingId.INITIAL_WINDOW_SIZE]
+
+
+class ReferenceReceiver:
+    """Which WINDOW_UPDATEs a receiver owes, from what it advertised.
+
+    ``consumed`` is what has arrived on the connection (id 0) or a
+    stream and has not been returned; it goes back, whole, in the
+    update sent when twice it reaches the advertised window.
+    """
+
+    def __init__(self, connection_window: int = DEFAULT_WINDOW,
+                 stream_window: int = DEFAULT_WINDOW) -> None:
+        self.stream_window = stream_window
+        self.advertised = {0: connection_window}
+        self.consumed = Counter()
+
+    def consume(self, stream_id: int, length: int,
+                is_open: bool = True) -> Optional[fr.WindowUpdateFrame]:
+        """``length`` flow-controlled bytes arrived on ``stream_id``."""
+        advertised = self.advertised.setdefault(stream_id,
+                                                self.stream_window)
+        self.consumed[stream_id] += length
+        owed = self.consumed[stream_id]
+        if not (length and is_open and 2 * owed >= advertised):
+            return None
+        self.consumed[stream_id] = 0
+        return fr.WindowUpdateFrame(stream_id=stream_id, increment=owed)
+
+    def replies(self, frame: fr.DataFrame) -> List[fr.WindowUpdateFrame]:
+        """The answer to one accepted DATA frame: the connection's
+        update, then the stream's unless the frame closed it."""
+        length = frame.flow_controlled_length
+        updates = (self.consume(0, length),
+                   self.consume(frame.stream_id, length,
+                                is_open=not frame.end_stream))
+        return [update for update in updates if update is not None]
+
 
 class OracleH2Connection(H2Connection):
-    """The pre-change body path, verbatim."""
+    """The body path, one Frame object and one rule at a time."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.reference = ReferenceReceiver()
 
     def _drain_send_queue(self) -> None:
-        """Emit as much queued DATA as the current windows admit.
-
-        Entries blocked only on their *stream* window are rotated to
-        the back so one stalled stream cannot head-of-line-block the
-        rest of the connection.  A queued body is a ``memoryview``, so
-        what remains after a frame is a re-slice, not a copy, and each
-        frame is packed straight into the outbound buffer.
-        """
         queue = self._send_queue
-        # Settings caps this at 2**24 - 1, the most the header's 24-bit
-        # length can say (a larger size would not even pack).
-        max_frame = self.remote_settings.max_frame_size
-        streams = self._streams
-        out = self._outbound
         skipped = 0
         while skipped < len(queue):
             stream_id, body, end_stream = queue[0]
-            stream = streams.get(stream_id)
+            stream = self._streams.get(stream_id)
             if stream is None or stream.state is StreamState.CLOSED:
                 queue.popleft()
                 continue
@@ -68,17 +100,16 @@ class OracleH2Connection(H2Connection):
                     skipped += 1
                     continue
                 size = min(len(body), self.connection_send_window,
-                           stream.send_window, max_frame)
+                           stream.send_window,
+                           self.remote_settings.max_frame_size)
             rest = body[size:]
             fin = end_stream and not rest
             stream.send_data(size, fin)
             self.connection_send_window -= size
-            out += fr.HEADER_STRUCT.pack(
-                (size << 8) | fr.TYPE_DATA,
-                fr.FLAG_END_STREAM if fin else 0,
-                stream_id & 0x7FFFFFFF,
-            )
-            out += body[:size]
+            self._send_frame(fr.DataFrame(
+                stream_id=stream_id, data=bytes(body[:size]),
+                flags=fr.FLAG_END_STREAM if fin else 0,
+            ))
             skipped = 0
             if rest:
                 queue[0] = (stream_id, rest, end_stream)
@@ -86,24 +117,6 @@ class OracleH2Connection(H2Connection):
                 queue.popleft()
 
     def receive_data(self, data: bytes) -> List[ev.Event]:
-        """Feed wire bytes; returns the events they produced.
-
-        The receive buffer is walked once.  The body path -- DATA and
-        4-byte WINDOW_UPDATE -- is handled from the header fields and a
-        payload slice; every other frame, and every frame while a
-        CONTINUATION is expected, is parsed by the :mod:`repro.h2.frames`
-        classes (as is padded DATA, for its padding checks, before it
-        joins the body path).  After a call that does not raise, the
-        buffer holds only the incomplete tail.
-
-        Protocol violations raise :class:`H2ConnectionError` after
-        queueing a GOAWAY, mirroring how a real endpoint fails.  Frames
-        that precede the bad frame in the same read have been handled
-        in full -- their state changes stand and their replies are
-        queued ahead of the GOAWAY -- but their events are lost with
-        the exception; the bad frame is consumed, and whatever followed
-        it stays buffered, unparsed.
-        """
         events: List[ev.Event] = []
         buffer = self._recv_buffer
         buffer += data
@@ -115,61 +128,37 @@ class OracleH2Connection(H2Connection):
                 )
             self._preface_remaining = self._preface_remaining[take:]
             del buffer[:take]
-        offset = 0
         try:
-            with memoryview(buffer) as view:
-                total = len(view)
-                while total - offset >= fr.FRAME_HEADER_LEN:
-                    word, flags, stream_id = fr.HEADER_STRUCT.unpack_from(
-                        view, offset
+            while len(buffer) >= fr.FRAME_HEADER_LEN:
+                end = fr.FRAME_HEADER_LEN + (
+                    fr.HEADER_STRUCT.unpack_from(buffer, 0)[0] >> 8
+                )
+                if end > len(buffer):
+                    break
+                wire = bytes(buffer[:end])
+                del buffer[:end]  # consumed, come what may
+                frame = fr.parse_frame(wire)[0]
+                kind = type(frame)
+                if self._expected_continuation is not None:
+                    kind = None  # only a CONTINUATION will do
+                if kind is fr.DataFrame:
+                    # A parsed frame has shed its padding; flow control
+                    # counts the payload as it was on the wire.
+                    self._on_data_frame(
+                        frame, end - fr.FRAME_HEADER_LEN, events
                     )
-                    payload_at = offset + fr.FRAME_HEADER_LEN
-                    end = payload_at + (word >> 8)
-                    if end > total:
-                        break
-                    frame_at, offset = offset, end  # consumed, come what may
-                    frame_type = word & 0xFF
-                    stream_id &= 0x7FFFFFFF
-                    body_path = self._expected_continuation is None
-                    if body_path and frame_type == fr.TYPE_DATA:
-                        if flags & fr.FLAG_PADDED:
-                            data = fr.parse_frame(
-                                bytes(view[frame_at:end])
-                            )[0].data
-                        else:
-                            data = bytes(view[payload_at:end])
-                        self._on_data(
-                            stream_id, data, end - payload_at,
-                            flags & fr.FLAG_END_STREAM != 0, events,
-                        )
-                    elif (body_path and frame_type == fr.TYPE_WINDOW_UPDATE
-                          and end - payload_at == 4):
-                        increment = fr.WINDOW_UPDATE_STRUCT.unpack_from(
-                            view, frame_at
-                        )[3] & 0x7FFFFFFF
-                        self._on_window_update(stream_id, increment, events)
-                    else:
-                        frame = fr.parse_frame(bytes(view[frame_at:end]))[0]
-                        events += self._handle_frame(frame)
+                elif kind is fr.WindowUpdateFrame:
+                    self._on_window_update(frame, events)
+                else:
+                    events += self._handle_frame(frame)
         except H2ConnectionError as error:
             self.send_goaway(error.code)
             raise
-        finally:
-            if offset:
-                del buffer[:offset]
         return events
 
-    def _on_data(
-        self,
-        stream_id: int,
-        data: bytes,
-        length: int,
-        end_stream: bool,
-        events: List[ev.Event],
-    ) -> None:
-        """One DATA frame: ``data`` is the payload without padding,
-        ``length`` the whole wire payload, which is what flow control
-        counts (RFC 7540 §6.9.1)."""
+    def _on_data_frame(self, frame: fr.DataFrame, length: int,
+                       events: List[ev.Event]) -> None:
+        stream_id = frame.stream_id
         if stream_id == 0:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR, "DATA on stream 0"
@@ -186,37 +175,46 @@ class OracleH2Connection(H2Connection):
                 "connection receive window overflow",
             )
         self.connection_recv_window -= length
+        self._reply(self.reference.consume(0, length))
         try:
-            stream.receive_data(length, end_stream)
+            stream.receive_data(length, frame.end_stream)
         except H2StreamError as error:
             self.send_rst_stream(stream_id, error.code)
             events.append(ev.StreamReset(stream_id, error.code, remote=False))
             return
-        events.append(ev.DataReceived(stream_id, data, length, end_stream))
-        # Auto-replenish windows, as typical implementations do.
-        if length:
-            self.send_window_update(0, length)
-            if stream.state is not StreamState.CLOSED:
-                self.send_window_update(stream_id, length)
-        if end_stream:
+        events.append(
+            ev.DataReceived(stream_id, frame.data, length, frame.end_stream)
+        )
+        self._reply(
+            self.reference.consume(stream_id, length, is_open=not stream.closed)
+        )
+        if frame.end_stream:
             events.append(ev.StreamEnded(stream_id))
 
-    def _on_window_update(
-        self, stream_id: int, increment: int, events: List[ev.Event]
-    ) -> None:
-        if increment == 0:
+    def _reply(self, update: Optional[fr.WindowUpdateFrame]) -> None:
+        if update is None:
+            return
+        if update.stream_id:
+            self._streams[update.stream_id].recv_window += update.increment
+        else:
+            self.connection_recv_window += update.increment
+        self._send_frame(update)
+
+    def _on_window_update(self, frame: fr.WindowUpdateFrame,
+                          events: List[ev.Event]) -> None:
+        if frame.increment == 0:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR, "WINDOW_UPDATE with zero increment"
             )
-        if stream_id == 0:
-            self.connection_send_window += increment
+        if frame.stream_id == 0:
+            self.connection_send_window += frame.increment
         else:
-            stream = self._streams.get(stream_id)
+            stream = self._streams.get(frame.stream_id)
             if stream is not None:
-                stream.window_update(increment)
+                stream.window_update(frame.increment)
         if self._send_queue:
             self._drain_send_queue()
-        events.append(ev.WindowUpdated(stream_id, increment))
+        events.append(ev.WindowUpdated(frame.stream_id, frame.increment))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +295,10 @@ class Differential:
         if new is not None and new[0] == "returned" and new[1] is not None:
             assert repr(new[1]) == repr(old[1])
         assert _observe(self.conns[0]) == _observe(self.conns[1])
+        conn, owed = self.conns[0], self.conns[1].reference.consumed
+        assert conn._recv_unacked == owed[0]
+        for stream_id, stream in conn._streams.items():
+            assert stream.recv_unacked == owed[stream_id]
 
     def call(self, method: str, *args) -> None:
         self.check(*(
@@ -385,25 +387,33 @@ _increments = st.one_of(
     st.sampled_from([1, 677, 16_384, 65_535, 2 ** 20]),
     st.integers(0, 2 ** 18),
 )
+_data_sizes = st.sampled_from(
+    [0, 1, 677, 16_383, 16_384, 32_767, 32_768, 65_535, 65_536]
+)
+_padding = st.none() | st.integers(0, 255)
+#: DATA on a stream the schedule opened: what the receive rule eats.
+_upload = st.tuples(st.just("data"), _index, _data_sizes, _padding,
+                    st.sampled_from([False] * 7 + [True]))
 _inbound = st.one_of(
     st.tuples(st.just("open"), st.booleans()),
     st.tuples(st.just("wu"), st.none() | _index, _increments),
     st.tuples(st.just("wu"), st.none() | _index, _increments),
-    st.tuples(
-        st.just("data"), st.none() | st.just(-1) | _index | _index,
-        st.sampled_from([0, 1, 677, 16_384, 65_535, 65_536]),
-        st.none() | st.integers(0, 255), st.booleans(),
-    ),
+    _upload,
+    # ... on stream 0 and on a stream nobody opened.
+    st.tuples(st.just("data"), st.none() | st.just(-1), _data_sizes,
+              _padding, st.booleans()),
     st.tuples(st.just("rst"), _index),
     st.tuples(st.just("settings"),
               st.sampled_from([16_384, 20_000, 2 ** 24 - 1, 100])),
     st.tuples(st.just("ping")),
     st.tuples(st.just("short-wu")),
 )
+_cuts = st.lists(st.integers(0, 2 ** 16), max_size=3)
 _ops = st.one_of(
     st.tuples(st.just("deliver"),
-              st.lists(_inbound, min_size=1, max_size=5),
-              st.lists(st.integers(0, 2 ** 16), max_size=3)),
+              st.lists(_inbound, min_size=1, max_size=5), _cuts),
+    st.tuples(st.just("deliver"),
+              st.lists(_upload, min_size=1, max_size=8), _cuts),
     st.tuples(st.just("respond"), _index, st.booleans()),
     st.tuples(st.just("send"), _index, _body_sizes, st.booleans()),
     st.tuples(st.just("send"), _index, _body_sizes, st.booleans()),
@@ -415,7 +425,7 @@ _ops = st.one_of(
 @given(
     preface_cuts=st.lists(st.integers(0, 64), max_size=2),
     streams=st.integers(0, 6),
-    schedule=st.lists(_ops, max_size=30),
+    schedule=st.lists(_ops, max_size=40),
 )
 def test_body_path_matches_the_oracle(preface_cuts, streams, schedule):
     """Random schedules: many streams, bodies of 0 B to 200 KB, window

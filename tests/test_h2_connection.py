@@ -31,6 +31,8 @@ from repro.h2.frames import (
     parse_frames,
 )
 
+from tests.test_h2_body_path import ReferenceReceiver
+
 REQUEST = [
     (":method", "GET"),
     (":scheme", "https"),
@@ -315,16 +317,75 @@ class TestFlowControl:
         assert server.connection_send_window == before - 1000
 
     def test_receiver_replenishes_windows(self):
+        """Nothing comes back until half the window is consumed; then
+        all of it does, in one update per window."""
         client, server, _, _ = pair()
         stream_id = client.get_next_stream_id()
         client.send_headers(stream_id, REQUEST, end_stream=True)
         pump(client, server)
         server.send_headers(stream_id, RESPONSE)
-        server.send_data(stream_id, b"x" * 1000, end_stream=True)
-        pump(server, client)
-        events = pump(client, server)
-        updates = [e for e in events if isinstance(e, ev.WindowUpdated)]
-        assert any(u.stream_id == 0 and u.delta == 1000 for u in updates)
+        reference = ReferenceReceiver()
+        for size, owed in ((1000, 0), (31_767, 0), (1, 32_768), (1000, 0)):
+            server.send_data(stream_id, b"x" * size)
+            wire = server.data_to_send()
+            frames, _ = parse_frames(wire)
+            client.receive_data(wire)
+            expected = [
+                ev.WindowUpdated(reply.stream_id, reply.increment)
+                for frame in frames if type(frame) is DataFrame
+                for reply in reference.replies(frame)
+            ]
+            assert [e.delta for e in expected] == ([owed] * 2 if owed else [])
+            assert pump(client, server) == expected
+            assert client.connection_recv_window == \
+                server.connection_send_window
+            assert client.stream(stream_id).recv_window == \
+                server.stream(stream_id).send_window
+
+    def test_a_stream_that_closes_is_owed_nothing(self):
+        """A stream closed with bytes unreturned gets no update; its
+        bytes stay on the connection's count and go back with the next
+        stream's."""
+        client, server, _, _ = pair()
+
+        def respond(size, end_stream):
+            stream_id = client.get_next_stream_id()
+            client.send_headers(stream_id, REQUEST, end_stream=True)
+            pump(client, server)
+            server.send_headers(stream_id, RESPONSE)
+            server.send_data(stream_id, b"x" * size, end_stream=end_stream)
+            pump(server, client)
+            return client.stream(stream_id), pump(client, server)
+
+        # END_STREAM on the very frame that reaches half the window.
+        stream, updates = respond(32_768, end_stream=True)
+        assert stream.closed and stream.recv_unacked == 32_768
+        assert updates == [ev.WindowUpdated(0, 32_768)]
+        stream, updates = respond(20_000, end_stream=True)
+        assert stream.closed and updates == []
+        assert client._recv_unacked == 20_000
+        stream, updates = respond(12_768, end_stream=False)
+        assert updates == [ev.WindowUpdated(0, 32_768)]
+        assert stream.recv_unacked == 12_768
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 1000])
+    def test_half_of_an_even_window_is_reached_not_passed(self, window):
+        client = H2Connection(Role.CLIENT)
+        client.initiate(settings=[(int(SettingId.INITIAL_WINDOW_SIZE),
+                                   window)])
+        client.send_headers(1, REQUEST, end_stream=True)
+        client.data_to_send()
+        half = (window + 1) // 2
+        for _ in range(3):
+            for sent in range(1, half + 1):
+                client.receive_data(
+                    DataFrame(stream_id=1, data=b"x").serialize())
+                owed = queued_frames(client)
+                if sent < half:
+                    assert owed == []
+                    assert client.stream(1).recv_unacked == sent
+            assert owed == [WindowUpdateFrame(stream_id=1, increment=half)]
+            assert client.stream(1).recv_window == window
 
     def test_ping_is_acked(self):
         client, server, _, _ = pair()
@@ -410,19 +471,6 @@ class ReferenceSender:
         return frames
 
 
-def reference_replies(data_frames):
-    """What a receiver that replenishes per frame sends back."""
-    replies = []
-    for frame in data_frames:
-        length = frame.flow_controlled_length
-        if length:
-            replies.append(WindowUpdateFrame(stream_id=0, increment=length))
-            if not frame.end_stream:
-                replies.append(WindowUpdateFrame(
-                    stream_id=frame.stream_id, increment=length))
-    return replies
-
-
 def data_events(data_frames):
     events = []
     for frame in data_frames:
@@ -477,8 +525,10 @@ def sending_server(bodies):
 
 def run_exchange(bodies):
     """Pump a real server/client pair to completion next to the
-    reference; returns everything either side put on the wire."""
+    reference sender and receiver; returns everything either side put
+    on the wire."""
     reference = ReferenceSender()
+    receiver = ReferenceReceiver()
     expected = []
     for stream_id, body in bodies:
         expected += reference.send(stream_id, body)
@@ -489,7 +539,8 @@ def run_exchange(bodies):
         assert wire == wire_of(expected)
         server_wire.append(wire)
         assert client.receive_data(wire) == data_events(expected)
-        replies = reference_replies(expected)
+        replies = [reply for frame in expected
+                   for reply in receiver.replies(frame)]
         reply_wire = client.data_to_send()
         assert reply_wire == wire_of(replies)
         client_wire.append(reply_wire)
@@ -507,9 +558,14 @@ def run_exchange(bodies):
     for stream_id, _ in bodies:
         assert server.stream(stream_id).closed
         assert client.stream(stream_id).closed
+    # What the client still owes is what the server is still short of.
+    owed = receiver.consumed[0]
+    assert owed < INITIAL_WINDOW / 2
+    assert client.connection_recv_window == INITIAL_WINDOW - owed
+    assert server.connection_send_window == INITIAL_WINDOW - owed
+    assert client.connection_send_window == INITIAL_WINDOW
+    assert server.connection_recv_window == INITIAL_WINDOW
     for endpoint in (client, server):
-        assert endpoint.connection_send_window == INITIAL_WINDOW
-        assert endpoint.connection_recv_window == INITIAL_WINDOW
         assert not endpoint._recv_buffer and not endpoint._send_queue
     return b"".join(server_wire), b"".join(client_wire), reference
 
@@ -553,8 +609,8 @@ class TestBodyPathAgainstFrameClasses:
 
         The receiver handles a frame the same whatever stream it is on,
         so the single-stream sweep is the exhaustive one; interleaved,
-        the sweep covers 16 KB from where the streams start to mix (the
-        frames there are small and many).  What interleaving does to the
+        the sweep covers 16 KB from where the streams start to mix.
+        What interleaving does to the
         *sender* under split reads is swept in full by the next test.
         """
         bodies = bodies_for(size, interleaved)
@@ -566,7 +622,7 @@ class TestBodyPathAgainstFrameClasses:
             sweep = 16 * 1024
         wire = server_wire[: sweep + 64]
         whole = feed_split(receiving_client(len(bodies)), wire, len(wire))
-        assert whole[0] and whole[1] or size == 0
+        assert whole[0]
         for split in range(min(len(wire), sweep) + 1):
             assert feed_split(
                 receiving_client(len(bodies)), wire, split
@@ -676,9 +732,11 @@ class TestBodyPathErrors:
         assert queued_frames(client) == [
             RstStreamFrame(stream_id=1, error_code=ErrorCode.STREAM_CLOSED)
         ]
-        # The connection window is charged for the refused frame and not
-        # replenished; the stream's stays where END_STREAM left it.
-        assert client.connection_recv_window == INITIAL_WINDOW - 4
+        # The connection is charged for the refused frame and will
+        # return it with the rest; the stream's window stays where
+        # END_STREAM left it.
+        assert client.connection_recv_window == INITIAL_WINDOW - 8
+        assert client._recv_unacked == 8
         assert client.stream(1).recv_window == INITIAL_WINDOW - 4
 
     def test_data_over_the_stream_window_resets_the_stream(self):
@@ -713,17 +771,24 @@ class TestBodyPathErrors:
         assert client.connection_recv_window == INITIAL_WINDOW - 211
         assert client.stream(1).recv_window == 100
 
-    def test_padded_data_that_fits_is_delivered_without_padding(self):
+    @pytest.mark.parametrize("size, owed", [(7, 0), (32_747, 32_768)])
+    def test_padded_data_that_fits_is_delivered_without_padding(
+            self, size, owed):
+        """... and its padding is consumed like its data: 20 bytes of
+        it and the pad-length octet carry the larger frame to half the
+        connection window."""
         frame = DataFrame(stream_id=1, flags=FLAG_END_STREAM,
-                          data=b"payload", pad_length=20)
+                          data=b"x" * size, pad_length=20)
         client = client_with_open_stream()
         assert client.receive_data(frame.serialize()) == [
-            ev.DataReceived(1, b"payload", 28, True), ev.StreamEnded(1),
+            ev.DataReceived(1, b"x" * size, size + 21, True),
+            ev.StreamEnded(1),
         ]
-        assert queued_frames(client) == [
-            WindowUpdateFrame(stream_id=0, increment=28)
-        ]
-        assert client.connection_recv_window == INITIAL_WINDOW
+        replies = ReferenceReceiver().replies(frame)
+        assert queued_frames(client) == replies
+        assert [reply.increment for reply in replies] == [owed] * bool(owed)
+        assert client.connection_recv_window + client._recv_unacked == \
+            INITIAL_WINDOW
 
     def test_window_update_for_an_unknown_stream_is_ignored(self):
         client = client_with_open_stream()
@@ -757,13 +822,14 @@ class TestBodyPathErrors:
 
     def test_frames_before_a_bad_frame_take_effect_but_report_nothing(self):
         """One read holds a good DATA frame, a bad one and a PING.  The
-        good frame is handled in full -- window charged and replenished,
-        its WINDOW_UPDATEs queued ahead of the GOAWAY -- but its
+        good frame is handled in full -- windows charged and, half of
+        them being gone, replenished, its WINDOW_UPDATEs queued ahead
+        of the GOAWAY -- but its
         ``DataReceived`` is lost with the exception; the bad frame is
         consumed; what followed it stays buffered, unparsed.  (Before
         the single-pass reader, a read that failed to *parse* dropped
         the frames ahead of the bad one unhandled.)"""
-        good = DataFrame(stream_id=1, data=b"good")
+        good = DataFrame(stream_id=1, data=b"good" * 10_000)
         bad = DataFrame(stream_id=0, data=b"bad")
         after = PingFrame()
         client = client_with_open_stream()
@@ -771,8 +837,8 @@ class TestBodyPathErrors:
             client.receive_data(
                 good.serialize() + bad.serialize() + after.serialize())
         assert queued_frames(client) == [
-            WindowUpdateFrame(stream_id=0, increment=4),
-            WindowUpdateFrame(stream_id=1, increment=4),
+            WindowUpdateFrame(stream_id=0, increment=40_000),
+            WindowUpdateFrame(stream_id=1, increment=40_000),
             GoAwayFrame(last_stream_id=0,
                         error_code=ErrorCode.PROTOCOL_ERROR),
         ]

@@ -110,23 +110,31 @@ class TestProtocolPhenomena:
 
 
 class TestCacheKeyStability:
-    def test_default_alpn_keeps_pre_h3_key(self):
-        """``alpn="h2"`` must address the same cache entry as code
-        that predates the field entirely."""
+    def test_key_covers_the_whole_definition_and_the_version(self):
+        """Every field of the crawl definition is in the key, the
+        default ``alpn`` included, under the format version -- so an
+        entry written by version 1 (other flow control, hence other
+        timings and connection counts; it also left ``alpn="h2"`` out)
+        is never served for the same definition."""
         params = CrawlParams()
+
+        def key_of(version, params_doc):
+            return hashlib.sha256(json.dumps(
+                {
+                    "version": version,
+                    "config": dataclasses.asdict(CONFIG),
+                    "params": params_doc,
+                    "shard_count": 4,
+                },
+                sort_keys=True, separators=(",", ":"),
+            ).encode("utf-8")).hexdigest()[:32]
+
+        document = dataclasses.asdict(params)
+        assert document["alpn"] == "h2" and CACHE_FORMAT_VERSION == 2
         key = cache_key(CONFIG, params, shard_count=4)
-        legacy_doc = dataclasses.asdict(params)
-        del legacy_doc["alpn"]
-        legacy = hashlib.sha256(json.dumps(
-            {
-                "version": CACHE_FORMAT_VERSION,
-                "config": dataclasses.asdict(CONFIG),
-                "params": legacy_doc,
-                "shard_count": 4,
-            },
-            sort_keys=True, separators=(",", ":"),
-        ).encode("utf-8")).hexdigest()[:32]
-        assert key == legacy
+        assert key == key_of(CACHE_FORMAT_VERSION, document)
+        del document["alpn"]
+        assert key != key_of(1, document)
 
     def test_h3_offer_addresses_a_different_entry(self):
         base = cache_key(CONFIG, CrawlParams(), shard_count=4)

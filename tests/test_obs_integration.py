@@ -95,7 +95,7 @@ class TestLedgerGolden:
         """Everything but ``git`` (which names the checkout, not the
         run) is pinned -- the run id too, so the canonical
         fingerprint spelling cannot drift unnoticed."""
-        assert golden_rerun.name == "crawl-37aa6419d198.jsonl"
+        assert golden_rerun.name == "crawl-ae3ff51f1c17.jsonl"
         new = golden_rerun.read_text().splitlines()
         golden = GOLDEN.read_text().splitlines()
 
