@@ -46,7 +46,7 @@ from repro.netsim.network import Host, Service
 from repro.netsim.transport import Transport
 
 #: Seed-derivation domains (see repro.dataset.shard.derive_seed):
-#: 0/1 belong to the world/crawler, 2/3 to traffic.  Chaos claims 4
+#: 0/1 belong to the world/crawler, 2 to traffic.  Chaos claims 4
 #: for the injector and 5 for retry jitter.
 CHAOS_SEED_DOMAIN = 4
 RETRY_SEED_DOMAIN = 5
@@ -82,12 +82,12 @@ class FaultInjector:
             schedule.faults
         )
         #: Live server-side connections, for blast attribution and for
-        #: crash/storm kills: transport -> (server, connection), plus
-        #: an acceptance-ordered set per server.
-        self._conn_by_transport: Dict[
-            Transport, Tuple[H2Server, ServerConnection]
+        #: crash/storm kills: by transport, plus an acceptance-ordered
+        #: set per server.
+        self._conn_by_transport: Dict[Transport, ServerConnection] = {}
+        self._live_by_server: Dict[
+            H2Server, Dict[ServerConnection, None]
         ] = {}
-        self._live_by_server: Dict[int, Dict[ServerConnection, None]] = {}
         #: Listeners pulled by edge_crash / quic_blackhole, per fault
         #: index, awaiting restoration.
         self._suspended: Dict[int, List[Tuple[Service, bool]]] = {}
@@ -166,51 +166,33 @@ class FaultInjector:
                 fault_kind=self.tallies[index].kind, **attrs,
             )
 
-    def _all_servers(self) -> List[H2Server]:
-        """Every H2Server in the world, deduplicated, in construction
-        order (providers, tail CDNs, per-site origins)."""
-        servers: List[H2Server] = []
-        seen: set = set()
-        candidates = (
-            list(self.world.provider_servers.values())
-            + list(self.world.tail_cdn_servers.values())
-            + [site.server for site in self.world.sites]
-        )
-        for server in candidates:
-            if id(server) not in seen:
-                seen.add(id(server))
-                servers.append(server)
-        return servers
-
     def _matching_servers(self, pattern: str) -> List[H2Server]:
         return [
-            server for server in self._all_servers()
+            server for _, server in self.world.servers()
             if self._matches(pattern, server.host.name)
         ]
 
     # -- live-connection registry -----------------------------------------
 
     def _watch_servers(self) -> None:
-        for server in self._all_servers():
-            self._live_by_server[id(server)] = {}
-            previous = server.connection_observer
+        for _, server in self.world.servers():
+            self._live_by_server[server] = {}
+            server.connection_observers.append(self._on_connection_event)
 
-            def observer(event: str, connection: ServerConnection,
-                         server=server, previous=previous) -> None:
-                if previous is not None:
-                    previous(event, connection)
-                transport = connection.channel.transport
-                if event == "accepted":
-                    self._conn_by_transport[transport] = (server, connection)
-                    self._live_by_server[id(server)][connection] = None
-                elif event == "closed":
-                    self._conn_by_transport.pop(transport, None)
-                    self._live_by_server[id(server)].pop(connection, None)
-
-            server.connection_observer = observer
+    def _on_connection_event(
+        self, event: str, connection: ServerConnection
+    ) -> None:
+        server = connection.server
+        transport = connection.channel.transport
+        if event == "accepted":
+            self._conn_by_transport[transport] = connection
+            self._live_by_server[server][connection] = None
+        elif event == "closed":
+            self._conn_by_transport.pop(transport, None)
+            self._live_by_server[server].pop(connection, None)
 
     def _live(self, server: H2Server) -> List[ServerConnection]:
-        return list(self._live_by_server.get(id(server), ()))
+        return list(self._live_by_server.get(server, ()))
 
     def _account_loss(self, index: int, transport: Transport) -> None:
         """Attribute one torn-down connection to fault ``index``.
@@ -221,12 +203,11 @@ class FaultInjector:
         denominator -- the radius measures what was *riding* lost
         connections, per the paper's coalescing concern."""
         tally = self.tallies[index]
-        entry = self._conn_by_transport.get(transport)
+        connection = self._conn_by_transport.get(transport)
         hostnames: set = set()
         requests = 0
         sni = ""
-        if entry is not None:
-            _, connection = entry
+        if connection is not None:
             sni = connection.sni
             hostnames = {
                 authority for _, authority, _ in connection.request_log

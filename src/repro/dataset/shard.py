@@ -183,12 +183,11 @@ class ShardResult:
     traffic shards); ``spans``/``metrics``/``events`` are the telemetry
     bundle that :meth:`~repro.telemetry.CrawlTrace.adopt` merges in
     shard order; ``faults`` are a chaos shard's fault tallies (plain
-    JSON docs, in schedule order).  ``extra`` carries worker-local
-    state that never crosses a process boundary (the traffic shard's
-    :class:`~repro.traffic.edge.EdgeLoadMonitor`).  ``har_lines`` is a
-    crawl payload as its worker encoded it, one HAR JSON line per
-    archive, kept by the parent beside the decoded payload; ``None``
-    on a shard that ran in this process.
+    JSON docs, in schedule order).  Every field crosses the process
+    boundary, so a shard is the same object at any ``--jobs``.
+    ``har_lines`` is a crawl payload as its worker encoded it, one HAR
+    JSON line per archive, kept by the parent beside the decoded
+    payload; ``None`` on a shard that ran in this process.
     """
 
     payload: object
@@ -196,7 +195,6 @@ class ShardResult:
     metrics: Sequence[dict] = ()
     events: Sequence[AuditEvent] = ()
     faults: Sequence[dict] = ()
-    extra: object = None
     har_lines: Optional[Sequence[str]] = None
 
 
@@ -311,16 +309,16 @@ def _shard_to_wire(
     job: Tuple[Callable[..., ShardResult], tuple]
 ) -> ShardResult:
     """Picklable pool entry point: run one shard and hand the pool the
-    result to pickle, minus its worker-local ``extra``.  Spans, audit
-    events and a traffic aggregate go as themselves; a crawl's archives
-    go as HAR JSON lines (the hop the benchmark's ``har_encode`` /
-    ``har_decode`` stages time on the fan-out run)."""
+    result to pickle.  Spans, audit events and a traffic aggregate go
+    as themselves; a crawl's archives go as HAR JSON lines (the hop the
+    benchmark's ``har_encode`` / ``har_decode`` stages time on the
+    fan-out run)."""
     shard_fn, args = job
     result = shard_fn(*args)
     payload = result.payload
     if isinstance(payload, CrawlResult):
         payload = [archive.to_json() for archive in payload.archives]
-    return replace(result, payload=payload, extra=None)
+    return replace(result, payload=payload)
 
 
 def _shard_from_wire(result: ShardResult) -> ShardResult:
@@ -371,8 +369,8 @@ def run_shards(
     in-process and hand over live objects: the serial path never
     serialises.  Otherwise they fan out over a forked
     :mod:`multiprocessing` pool of ``min(jobs, len(payloads))``
-    workers, which pickle each :class:`ShardResult` back (``extra``
-    stays behind; :func:`_shard_to_wire`).
+    workers, which pickle each :class:`ShardResult` back
+    (:func:`_shard_to_wire`).
     ``shard_fn`` must be a module-level function (it is pickled by
     import path).
     """

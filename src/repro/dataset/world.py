@@ -8,7 +8,7 @@ and an AS database -- everything the crawler's browser engine touches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +37,11 @@ from repro.web.asdb import AsDatabase
 CLIENT_REGION = "client-isp"
 CDN_REGION = "cdn-edge"
 TAIL_REGION = "tail-hosting"
+
+#: Edge-group name of every server that is not part of a CDN fleet
+#: (one per self-hosted site); keeps per-edge breakdowns bounded
+#: however many sites the world has.
+SELF_HOSTED = "self-hosted"
 
 
 def _default_latency() -> LatencyModel:
@@ -79,7 +84,6 @@ class SyntheticWorld:
         )
         self.trust_store = TrustStore([self.root_ca])
         self.issuers: Dict[str, CertificateAuthority] = {}
-        self.provider_hosts: Dict[str, Host] = {}
         self.provider_servers: Dict[str, H2Server] = {}
         self.tail_cdn_servers: Dict[int, H2Server] = {}
         self.client_host = self.network.add_host(
@@ -143,15 +147,19 @@ class SyntheticWorld:
 
     # -- convenience --------------------------------------------------------
 
-    @property
-    def site_records(self) -> List[SiteRecord]:
-        return [hosted.record for hosted in self.sites]
-
-    def hosted(self, domain: str) -> HostedSite:
-        for site in self.sites:
-            if site.record.entry.domain == domain:
-                return site
-        raise KeyError(domain)
+    def servers(self) -> Iterator[Tuple[str, H2Server]]:
+        """Every :class:`H2Server` of the world exactly once, with its
+        edge-group name: provider fleets (``provider:<name>``), tail
+        CDNs (``tailcdn:<asn>``), then the self-hosted sites' own
+        origins (all :data:`SELF_HOSTED`), each kind in construction
+        order.  Provider-hosted sites share their provider's server."""
+        for name, server in self.provider_servers.items():
+            yield f"provider:{name}", server
+        for asn, server in self.tail_cdn_servers.items():
+            yield f"tailcdn:{asn}", server
+        for hosted in self.sites:
+            if hosted.record.self_hosted:
+                yield SELF_HOSTED, hosted.server
 
 
 def _provider_server(
@@ -179,7 +187,6 @@ def _provider_server(
     server.listen_plain_all(80)
     if profile.supports_h3:
         server.listen_quic_all(443)
-    world.provider_hosts[profile.name] = host
     world.provider_servers[profile.name] = server
     return server
 

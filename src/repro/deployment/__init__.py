@@ -23,6 +23,7 @@ from repro.deployment.experiment import (
     DeploymentExperiment,
     Group,
     SampleSite,
+    deploy_fleet_origin,
 )
 from repro.deployment.passive import LogRecord, PassivePipeline
 from repro.deployment.active import ActiveMeasurement, ActiveResult
@@ -43,4 +44,5 @@ __all__ = [
     "LongitudinalStudy",
     "DailyRates",
     "BuggyMiddlebox",
+    "deploy_fleet_origin",
 ]

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.browser import BrowserContext, FirefoxPolicy
 from repro.dataset.world import HostedSite, SyntheticWorld
+from repro.dnssim.records import RecordType
+from repro.h2.server import ServerConfig
+from repro.tlspki.ca import CertificateAuthority
 from repro.tlspki.certificate import Certificate
 
 
@@ -52,6 +56,90 @@ def deployment_world_config(site_count: int = 300, seed: int = 2022):
         # residual that capped coalescing at ~64%).
         popular_anonymous_rate=0.05,
     )
+
+
+def reissue_leaf(
+    config: ServerConfig, issuer: CertificateAuthority,
+    leaf: Certificate, added: Tuple[str, ...], now: float = 0.0,
+) -> Certificate:
+    """Renew ``leaf`` with the ``added`` SAN names and serve the
+    renewed chain in its place (Figure 6's operation)."""
+    renewed = issuer.reissue(leaf, added_san=added, now=now)
+    config.swap_chain(leaf, issuer.chain_for(renewed))
+    return renewed
+
+
+def advertise_origins(
+    config: ServerConfig, hostnames: Iterable[str], names: Iterable[str]
+) -> None:
+    """ORIGIN frames on connections whose SNI is one of ``hostnames``
+    carry ``names`` (once :attr:`ServerConfig.send_origin_frames` is
+    on)."""
+    origin_set = tuple(f"https://{name}" for name in names)
+    for hostname in hostnames:
+        config.origin_sets[hostname] = origin_set
+
+
+def deploy_fleet_origin(world: SyntheticWorld, now: float = 0.0) -> int:
+    """Best-case fleet-wide ORIGIN deployment.
+
+    :class:`DeploymentExperiment` enrolls a small sample behind one
+    provider -- right for measuring a marginal rollout, far too small
+    to move population-scale edge load.  The traffic what-if sweep
+    wants the paper's *upper bound* instead: every provider edge
+    advertises the popular hostnames it co-hosts in ORIGIN frames, and
+    every certificate it serves -- the popular hostnames' own certs
+    first, then each provider-hosted site's -- is reissued to cover
+    them.  Any client connection to such an edge can then coalesce the
+    co-hosted third parties (and the third parties each other).
+
+    Certificates with an empty SAN identify exactly one name under
+    legacy CN matching and can never coalesce; they are left alone.
+    Returns the number of certificates reissued.
+    """
+    popular: Dict[str, List[str]] = {}
+    for hostname, provider in sorted(world.popular_hostnames.items()):
+        popular.setdefault(provider, []).append(hostname)
+    # ``Certificate.issuer`` is normalized (lowercased); the world's
+    # issuer registry keys on display names.
+    issuers = {
+        name.lower(): authority
+        for name, authority in world.issuers.items()
+    }
+    # One row per certificate to grow: (its HostedSite or None, the
+    # serving config, the leaf, the SNIs to advertise under, the names).
+    targets: List[tuple] = []
+    for provider in sorted(popular):
+        # A popular hostname is only ever installed on a live fleet.
+        server = world.provider_servers[provider]
+        server.config.send_origin_frames = True
+        targets.extend(
+            (None, server.config, chain[0], (chain[0].subject,),
+             popular[provider])
+            for chain in server.config.chains
+            if chain
+            and world.popular_hostnames.get(chain[0].subject) == provider
+        )
+    targets.extend(
+        (hosted, hosted.server.config, hosted.certificate,
+         hosted.record.own_hostnames(), popular[hosted.record.provider])
+        for hosted in world.sites
+        if not hosted.record.self_hosted
+        and hosted.record.provider in popular
+    )
+    reissued = 0
+    for hosted, config, leaf, hostnames, names in targets:
+        issuer = issuers.get(leaf.issuer)
+        if not leaf.san or issuer is None:
+            continue
+        missing = tuple(name for name in names if not leaf.covers(name))
+        if missing:
+            leaf = reissue_leaf(config, issuer, leaf, missing, now)
+            if hosted is not None:
+                hosted.certificate = leaf
+            reissued += 1
+        advertise_origins(config, hostnames, names)
+    return reissued
 
 
 @dataclass
@@ -97,6 +185,8 @@ class DeploymentExperiment:
         self.rng = np.random.default_rng(seed)
         self.sample: List[SampleSite] = []
         self.removed_subpage_only = 0
+        #: The §5.2 dedicated address, once deployed.
+        self._dedicated_ip: Optional[str] = None
         self._select_sample(sample_size, subpage_only_rate)
 
     # -- selection ----------------------------------------------------------
@@ -151,6 +241,26 @@ class DeploymentExperiment:
                 )
             )
 
+    def firefox_context(
+        self, rng: np.random.Generator, origin_frames: bool,
+        speculative_rate: float, user_agent: str,
+    ) -> BrowserContext:
+        """The measurement client of §5: Firefox (the only browser
+        with client-side ORIGIN support) on the world's crawler host."""
+        world = self.world
+        return BrowserContext(
+            network=world.network,
+            client_host=world.client_host,
+            resolver=world.make_resolver(median_latency_ms=30.0),
+            trust_store=world.trust_store,
+            authorities=world.authorities,
+            policy=FirefoxPolicy(origin_frames=origin_frames),
+            rng=rng,
+            speculative_rate=speculative_rate,
+            asdb=world.asdb,
+            user_agent=user_agent,
+        )
+
     def sites_in(self, group: Group) -> List[SampleSite]:
         return [site for site in self.sample if site.group is group]
 
@@ -168,29 +278,23 @@ class DeploymentExperiment:
         Returns the number of certificates reissued.  The CDN server's
         chain index picks up the new certificates immediately.
         """
-        reissued = 0
         for site in self.sample:
-            added = (
-                self.third_party if site.group is Group.EXPERIMENT
-                else self.control_domain
+            hosted = site.hosted
+            renewed = reissue_leaf(
+                hosted.server.config,
+                self.world.issuers[hosted.record.issuer],
+                hosted.certificate, (self._added_name(site),), now,
             )
-            issuer = self.world.issuers[site.hosted.record.issuer]
-            old = site.hosted.certificate
-            renewed = issuer.reissue(old, added_san=(added,), now=now)
-            site.reissued_certificate = renewed
-            self._swap_chain(site.hosted, old, renewed, issuer)
-            site.hosted.certificate = renewed
-            reissued += 1
-        return reissued
+            hosted.certificate = site.reissued_certificate = renewed
+        return len(self.sample)
 
-    def _swap_chain(self, hosted, old, new, issuer) -> None:
-        config = hosted.server.config
-        for index, chain in enumerate(config.chains):
-            if chain and chain[0].serial == old.serial \
-                    and chain[0].subject == old.subject:
-                config.chains[index] = issuer.chain_for(new)
-                return
-        config.chains.append(issuer.chain_for(new))
+    def _added_name(self, site: SampleSite) -> str:
+        """The name a site's group gains: in its certificate, and in
+        the origin set advertised on its connections."""
+        return (
+            self.third_party if site.group is Group.EXPERIMENT
+            else self.control_domain
+        )
 
     def certificate_size_deltas(self) -> Dict[Group, List[int]]:
         """Per-group growth in certificate bytes after reissue."""
@@ -222,12 +326,10 @@ class DeploymentExperiment:
         config = self.cdn_server.config
         config.send_origin_frames = True
         for site in self.sample:
-            origin = (
-                self.third_party if site.group is Group.EXPERIMENT
-                else self.control_domain
+            advertise_origins(
+                config, site.hosted.record.own_hostnames(),
+                (self._added_name(site),),
             )
-            for hostname in site.hosted.record.own_hostnames():
-                config.origin_sets[hostname] = (f"https://{origin}",)
 
     def disable_origin_frames(self) -> None:
         config = self.cdn_server.config
@@ -254,11 +356,9 @@ class DeploymentExperiment:
             record = site.hosted.record
             zone = self.world.dns_authority.zone_for(record.entry.domain)
             for hostname in record.own_hostnames():
-                from repro.dnssim.records import RecordType
                 zone.remove(hostname, RecordType.A)
                 zone.add_a(hostname, [ip])
         third_zone = self.world.dns_authority.zone_for(self.third_party)
-        from repro.dnssim.records import RecordType
         third_zone.remove(self.third_party, RecordType.A)
         third_zone.add_a(self.third_party, [ip])
         self._dedicated_ip = ip
@@ -271,11 +371,9 @@ class DeploymentExperiment:
         the third party reverts to the provider pool, restoring SLAs
         as in the paper's ORIGIN phase.
         """
-        from repro.dnssim.records import RecordType
-
         server = self.cdn_server
         pool = [a for a in server.host.addresses
-                if a != getattr(self, "_dedicated_ip", None)]
+                if a != self._dedicated_ip]
         third_zone = self.world.dns_authority.zone_for(self.third_party)
         third_zone.remove(self.third_party, RecordType.A)
         third_zone.add_a(self.third_party, pool[:3])

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.browser import BrowserContext, BrowserEngine, FirefoxPolicy
+from repro.browser import BrowserEngine
 from repro.deployment.active import FIREFOX_96_UA
 from repro.deployment.experiment import DeploymentExperiment, Group
 from repro.deployment.passive import PassivePipeline
@@ -81,16 +81,8 @@ class LongitudinalStudy:
         self.pipeline = pipeline
         self.visits_per_site_per_day = visits_per_site_per_day
         self.rng = np.random.default_rng(seed)
-        world = experiment.world
-        self.context = BrowserContext(
-            network=world.network,
-            client_host=world.client_host,
-            resolver=world.make_resolver(median_latency_ms=30.0),
-            trust_store=world.trust_store,
-            authorities=world.authorities,
-            policy=FirefoxPolicy(origin_frames=True),
-            rng=self.rng,
-            asdb=world.asdb,
+        self.context = experiment.firefox_context(
+            self.rng, origin_frames=True, speculative_rate=0.0,
             user_agent=FIREFOX_96_UA,
         )
         self.engine = BrowserEngine(self.context)

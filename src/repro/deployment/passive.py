@@ -17,7 +17,7 @@ corresponding unique identifier only once").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -40,34 +40,6 @@ class LogRecord:
     #: the connection was established with.
     sni_host_mismatch: bool
     user_agent: str = ""
-
-
-def coalesced_share_series(
-    records: List[LogRecord], bucket_ms: float
-) -> List[Tuple[float, float, int]]:
-    """Figure 8-style time series over edge log records.
-
-    Buckets ``records`` by timestamp and returns
-    ``(bucket_start_ms, coalesced_share, requests)`` per non-empty
-    bucket in time order, where the share is the fraction of requests
-    whose Host differed from the connection's SNI.  Shared between the
-    §5 passive pipeline and the population-scale traffic monitor
-    (:mod:`repro.traffic`), which produce the same record shape.
-    """
-    if bucket_ms <= 0:
-        raise ValueError(f"bad bucket width {bucket_ms}")
-    buckets: Dict[int, Tuple[int, int]] = {}
-    for record in records:
-        index = int(record.timestamp // bucket_ms)
-        requests, coalesced = buckets.get(index, (0, 0))
-        buckets[index] = (
-            requests + 1,
-            coalesced + (1 if record.sni_host_mismatch else 0),
-        )
-    return [
-        (index * bucket_ms, coalesced / requests, requests)
-        for index, (requests, coalesced) in sorted(buckets.items())
-    ]
 
 
 class PassivePipeline:
@@ -95,15 +67,25 @@ class PassivePipeline:
 
     def attach(self) -> None:
         server = self.experiment.cdn_server
-        server.request_observer = self._observe
+        server.request_observers.append(self._observe)
+        server.connection_observers.append(self._on_connection_event)
         self._attached_server = server
 
     def detach(self) -> None:
-        if self._attached_server is not None:
-            self._attached_server.request_observer = None
+        server = self._attached_server
+        if server is not None:
+            server.request_observers.remove(self._observe)
+            server.connection_observers.remove(self._on_connection_event)
             self._attached_server = None
 
     # -- observation --------------------------------------------------------
+
+    def _on_connection_event(self, event: str, connection) -> None:
+        # ``id()`` is unique only among live objects: forget a closed
+        # connection, or the next one allocated at its address would be
+        # logged under its identifier and counted as the same.
+        if event == "closed":
+            self._connection_ids.pop(id(connection), None)
 
     def _observe(self, connection, authority, arrival_index, headers
                  ) -> None:
@@ -166,12 +148,6 @@ class PassivePipeline:
         if control == 0:
             return 0.0
         return 1.0 - experiment / control
-
-    def coalesced_share_over_time(
-        self, bucket_ms: float
-    ) -> List[Tuple[float, float, int]]:
-        """Figure 8's series over this pipeline's sampled records."""
-        return coalesced_share_series(self.records, bucket_ms)
 
     def rates_in_window(
         self, start: float, end: float

@@ -130,6 +130,22 @@ class ServerConfig:
         self.chains = list(chains)
         self._chain_index_size = -1
 
+    def swap_chain(
+        self, old_leaf: Certificate, new_chain: List[Certificate]
+    ) -> None:
+        """Serve ``new_chain`` in place of the chain presenting
+        ``old_leaf`` (a reissue); appended when no chain presents it.
+        The one place a reissued chain goes live: the SNI index is
+        marked stale like :meth:`replace_chains` does."""
+        for index, chain in enumerate(self.chains):
+            if chain and chain[0].serial == old_leaf.serial \
+                    and chain[0].subject == old_leaf.subject:
+                self.chains[index] = new_chain
+                break
+        else:
+            self.chains.append(new_chain)
+        self._chain_index_size = -1
+
     def origin_set_for(self, sni: str) -> Tuple[str, ...]:
         if sni in self.origin_sets:
             return self.origin_sets[sni]
@@ -400,22 +416,22 @@ class H2Server:
         #: large crawls would otherwise accumulate them unboundedly.
         self.retain_connections = retain_connections
         self.connections: List[ServerConnection] = []
-        #: Optional observer:
+        #: Request subscribers, called in subscription order with
         #: (connection, authority, arrival_index, request_headers).
-        self.request_observer: Optional[
+        #: Subscribe by appending, unsubscribe by removing your own
+        #: entry; nobody assigns the list.
+        self.request_observers: List[
             Callable[[ServerConnection, str, int, List[Header]], None]
-        ] = None
-        #: Optional connection-lifecycle observer: (event, connection)
-        #: with event one of ``accepted`` / ``handshake`` /
-        #: ``overload_goaway`` / ``closed``.  Edge load accounting
-        #: (``repro.traffic``) hangs off this hook.
-        self.connection_observer: Optional[
+        ] = []
+        #: Connection-lifecycle subscribers, same contract, called with
+        #: (event, connection), event one of ``accepted`` /
+        #: ``handshake`` / ``overload_goaway`` / ``closed``.
+        self.connection_observers: List[
             Callable[[str, ServerConnection], None]
-        ] = None
-        #: Live TLS connection count and its high-water mark; the
-        #: capacity model compares against the former.
+        ] = []
+        #: Live TLS connection count; the capacity model compares
+        #: against it.
         self.active_connections = 0
-        self.peak_active_connections = 0
 
     def listen(self, ip: str, port: int = 443) -> None:
         self.network.listen(self.host, ip, port, self._accept)
@@ -455,8 +471,6 @@ class H2Server:
             limit is not None and self.active_connections >= limit
         )
         self.active_connections += 1
-        if self.active_connections > self.peak_active_connections:
-            self.peak_active_connections = self.active_connections
         transport.on_close = (
             lambda: self._connection_closed(connection)
         )
@@ -471,8 +485,8 @@ class H2Server:
     def notify_connection_event(
         self, event: str, connection: ServerConnection
     ) -> None:
-        if self.connection_observer is not None:
-            self.connection_observer(event, connection)
+        for observer in self.connection_observers:
+            observer(event, connection)
 
     def _accept_quic(self, transport: Transport) -> None:
         from repro.transport.quicsim import QuicServerConnection
@@ -509,6 +523,5 @@ class H2Server:
         arrival_index: int,
         headers: Optional[List[Header]] = None,
     ) -> None:
-        if self.request_observer is not None:
-            self.request_observer(connection, authority, arrival_index,
-                                  headers or [])
+        for observer in self.request_observers:
+            observer(connection, authority, arrival_index, headers or [])

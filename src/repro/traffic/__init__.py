@@ -20,7 +20,6 @@ how much of that load connection coalescing removes.
   baseline / ORIGIN / ideal-SAN what-if sweep.
 """
 
-from repro.dataset.shard import ShardResult  # noqa: F401
 from repro.traffic.aggregate import (  # noqa: F401
     CohortTally,
     LoadCounters,
@@ -29,7 +28,6 @@ from repro.traffic.aggregate import (  # noqa: F401
 from repro.traffic.edge import (  # noqa: F401
     EdgeLoadMonitor,
     apply_edge_capacity,
-    edge_groups,
 )
 from repro.traffic.population import (  # noqa: F401
     UserProfile,
@@ -48,7 +46,6 @@ from repro.traffic.scenario import (  # noqa: F401
     scenario_for_policy,
 )
 from repro.traffic.simulate import (  # noqa: F401
-    deploy_fleet_origin,
     run_scenario,
     run_what_if,
     simulate_shard,
@@ -64,7 +61,6 @@ __all__ = [
     "LoadCounters",
     "ORIGIN_COHORTS",
     "ScenarioConfig",
-    "ShardResult",
     "TrafficAggregate",
     "UserProfile",
     "UserShard",
@@ -72,8 +68,6 @@ __all__ = [
     "WHAT_IF_POLICIES",
     "apply_edge_capacity",
     "build_population",
-    "deploy_fleet_origin",
-    "edge_groups",
     "plan_user_shards",
     "run_scenario",
     "run_what_if",

@@ -1,57 +1,28 @@
 """Edge-side load accounting.
 
-The :class:`EdgeLoadMonitor` hangs off the two server hooks --
-``connection_observer`` (accept / handshake / overload-GOAWAY / close)
-and ``request_observer`` (per-request, with the ``SNI != Host``
-coalescing signal of §5.2) -- across every TLS edge in a world, and
-folds everything into a streaming :class:`~repro.traffic.aggregate.
+The :class:`EdgeLoadMonitor` subscribes to every TLS server of a world
+(:meth:`~repro.dataset.world.SyntheticWorld.servers`) -- connection
+events (accept / handshake / overload-GOAWAY / close) and requests,
+with the ``SNI != Host`` coalescing signal of §5.2 -- and folds
+everything into a streaming :class:`~repro.traffic.aggregate.
 TrafficAggregate`: concurrent-connection gauges, handshakes split by
 resumption, coalesced-request counters per time bucket (the Figure 8
 series at population scale), and per-edge-group breakdowns.
 
-A seeded sample of requests is additionally retained as
-:class:`~repro.deployment.passive.LogRecord` rows, so the §5 passive
-pipeline's analysis helpers work unchanged on traffic runs.
+It counts; it keeps no per-request rows.  The sampled request log of
+§5.2/§5.3 is :class:`repro.deployment.passive.PassivePipeline`, which
+subscribes to the same servers without disturbing this monitor.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode
-from repro.dataset.world import SyntheticWorld
-from repro.deployment.passive import LogRecord
+from repro.dataset.world import SELF_HOSTED, SyntheticWorld
 from repro.h2.server import H2Server
 from repro.traffic.aggregate import TrafficAggregate
-
-#: Logical edge-group name for servers that are not part of a CDN
-#: fleet (self-hosted origin servers); keeps the per-edge breakdown
-#: bounded however many sites the world has.
-SELF_HOSTED = "self-hosted"
-
-
-def edge_groups(world: SyntheticWorld) -> List[Tuple[str, H2Server]]:
-    """Every TLS server in the world with its edge-group name, in a
-    deterministic order (providers by name, tail CDNs by ASN,
-    self-hosted origins last)."""
-    groups: List[Tuple[str, H2Server]] = []
-    seen = set()
-    for name in sorted(world.provider_servers):
-        server = world.provider_servers[name]
-        groups.append((f"provider:{name}", server))
-        seen.add(id(server))
-    for asn in sorted(world.tail_cdn_servers):
-        server = world.tail_cdn_servers[asn]
-        groups.append((f"tailcdn:{asn}", server))
-        seen.add(id(server))
-    for hosted in world.sites:
-        if id(hosted.server) not in seen:
-            groups.append((SELF_HOSTED, hosted.server))
-            seen.add(id(hosted.server))
-    return groups
 
 
 def apply_edge_capacity(
@@ -63,12 +34,10 @@ def apply_edge_capacity(
     if capacity is None:
         return 0
     provisioned = 0
-    for server in world.provider_servers.values():
-        server.config.max_concurrent_connections = capacity
-        provisioned += 1
-    for server in world.tail_cdn_servers.values():
-        server.config.max_concurrent_connections = capacity
-        provisioned += 1
+    for name, server in world.servers():
+        if name != SELF_HOSTED:
+            server.config.max_concurrent_connections = capacity
+            provisioned += 1
     return provisioned
 
 
@@ -79,22 +48,14 @@ class EdgeLoadMonitor:
         self,
         world: SyntheticWorld,
         aggregate: TrafficAggregate,
-        sample_rate: float = 0.0,
-        sampling_seed: int = 0,
         audit=None,
     ) -> None:
         self.world = world
         self.aggregate = aggregate
         self.loop = world.network.loop
-        self.sample_rate = sample_rate
-        self.rng = np.random.default_rng(sampling_seed)
         self.audit = audit if audit is not None else NULL_AUDIT
-        #: Sampled passive-pipeline feed (§5.2 record shape).
-        self.records: List[LogRecord] = []
-        self._edge_of: Dict[int, str] = {}
-        self._servers: List[H2Server] = []
-        self._connection_ids: Dict[int, int] = {}
-        self._next_connection_id = 1
+        #: Edge-group name of every server this monitor is hooked to.
+        self._edge_of: Dict[H2Server, str] = {}
         #: Live connections across all monitored edges (the fleet
         #: gauge behind per-bucket ``peak_concurrent``).
         self.current_connections = 0
@@ -104,27 +65,23 @@ class EdgeLoadMonitor:
     # -- attachment --------------------------------------------------------
 
     def attach(self) -> int:
-        """Hook every TLS edge server; returns how many were hooked."""
-        for name, server in edge_groups(self.world):
-            self._edge_of[id(server)] = name
-            server.connection_observer = self._on_connection_event
-            server.request_observer = self._on_request
-            self._servers.append(server)
-        return len(self._servers)
+        """Subscribe to every TLS server; returns how many."""
+        for name, server in self.world.servers():
+            self._edge_of[server] = name
+            server.connection_observers.append(self._on_connection_event)
+            server.request_observers.append(self._on_request)
+        return len(self._edge_of)
 
     def detach(self) -> None:
-        for server in self._servers:
-            server.connection_observer = None
-            server.request_observer = None
-        self._servers.clear()
+        for server in self._edge_of:
+            server.connection_observers.remove(self._on_connection_event)
+            server.request_observers.remove(self._on_request)
+        self._edge_of.clear()
 
     # -- observation -------------------------------------------------------
 
-    def _edge_name(self, connection) -> str:
-        return self._edge_of.get(id(connection.server), SELF_HOSTED)
-
     def _on_connection_event(self, event: str, connection) -> None:
-        name = self._edge_name(connection)
+        name = self._edge_of[connection.server]
         edge = self.aggregate.edge_for(name)
         bucket = self.aggregate.bucket_for(self.loop.now())
         if event == "accepted":
@@ -163,30 +120,10 @@ class EdgeLoadMonitor:
     def _on_request(
         self, connection, authority, arrival_index, headers
     ) -> None:
-        name = self._edge_name(connection)
-        edge = self.aggregate.edge_for(name)
+        edge = self.aggregate.edge_for(self._edge_of[connection.server])
         bucket = self.aggregate.bucket_for(self.loop.now())
-        mismatch = connection.sni != authority
         edge.requests += 1
         bucket.requests += 1
-        if mismatch:
+        if connection.sni != authority:
             edge.coalesced_requests += 1
             bucket.coalesced_requests += 1
-        if self.sample_rate > 0 and \
-                self.rng.random() < self.sample_rate:
-            key = id(connection)
-            if key not in self._connection_ids:
-                self._connection_ids[key] = self._next_connection_id
-                self._next_connection_id += 1
-            header_map = dict(headers)
-            self.records.append(LogRecord(
-                timestamp=self.loop.now(),
-                connection_id=self._connection_ids[key],
-                sni=connection.sni,
-                authority=authority,
-                arrival_index=arrival_index,
-                referer=header_map.get("referer", ""),
-                group=None,
-                sni_host_mismatch=mismatch,
-                user_agent=header_map.get("user-agent", ""),
-            ))

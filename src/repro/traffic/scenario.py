@@ -19,18 +19,15 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.dataset.shard import derive_seed
+from repro.deployment.active import FIREFOX_96_UA
 
-#: Seed domains for :func:`~repro.dataset.shard.derive_seed`; the
-#: crawl owns 0 (world) and 1 (crawler), traffic owns 2 and 3.
+#: Seed domain for :func:`~repro.dataset.shard.derive_seed`; the crawl
+#: owns 0 (world) and 1 (crawler), traffic owns 2, chaos 4 and 5.
 TRAFFIC_POPULATION_DOMAIN = 2
-TRAFFIC_SAMPLING_DOMAIN = 3
 
 CHROME_98_UA = (
     "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 "
     "(KHTML, like Gecko) Chrome/98.0.4758.102 Safari/537.36"
-)
-FIREFOX_96_UA = (
-    "Mozilla/5.0 (X11; Linux x86_64; rv:96.0) Gecko/20100101 Firefox/96.0"
 )
 
 
@@ -96,9 +93,6 @@ class ScenarioConfig:
     #: Zipf-like exponent for per-visit site choice (popular sites
     #: absorb most visits).
     zipf_alpha: float = 1.3
-    #: Share of edge requests retained as passive-pipeline LogRecords
-    #: (the rest only feed the streaming counters).
-    passive_sample_rate: float = 0.02
 
     def __post_init__(self) -> None:
         if self.users < 1:
@@ -154,12 +148,6 @@ class UserShard:
     def population_seed(self) -> int:
         return derive_seed(
             self.scenario.seed, TRAFFIC_POPULATION_DOMAIN,
-            self.index, self.shard_count,
-        )
-
-    def sampling_seed(self) -> int:
-        return derive_seed(
-            self.scenario.seed, TRAFFIC_SAMPLING_DOMAIN,
             self.index, self.shard_count,
         )
 

@@ -6,7 +6,8 @@ profile (own resource cache, DNS cache, and TLS-ticket jar, so
 revisits arrive warm), every visit is a real page load on the shared
 simulated clock, and every edge event streams into a
 :class:`~repro.traffic.aggregate.TrafficAggregate` the moment it
-happens -- archives are folded and dropped, never retained.
+happens -- archives are folded and dropped, never retained, and the
+edge monitor keeps counters, not request rows.
 
 :func:`run_scenario` is a thin driver over the one shard executor
 (:func:`repro.dataset.shard.merge_shards`): shards merge in shard
@@ -24,7 +25,10 @@ from repro.browser.policy import policy_by_name
 from repro.browser.retry import RetryPolicy
 from repro.dataset.shard import ShardResult, merge_shards
 from repro.dataset.world import CDN_REGION, TAIL_REGION, build_world
-from repro.deployment.experiment import deployment_world_config
+from repro.deployment.experiment import (
+    deploy_fleet_origin,
+    deployment_world_config,
+)
 from repro.netsim import Host, LinkSpec
 from repro.obs.phases import PhaseRecorder
 from repro.telemetry import CrawlTrace, Telemetry
@@ -41,99 +45,6 @@ from repro.traffic.scenario import (
 
 #: Per-user DNS latency knob (matches the crawl's default resolver).
 DNS_LATENCY_MS = 48.0
-
-
-def deploy_fleet_origin(world, now: float = 0.0) -> int:
-    """Best-case fleet-wide ORIGIN deployment.
-
-    The §5 :class:`DeploymentExperiment` enrolls a small sample behind
-    one provider -- right for measuring a marginal rollout, far too
-    small to move population-scale edge load.  The what-if sweep wants
-    the paper's *upper bound* instead: every provider edge advertises
-    the popular hostnames it co-hosts in ORIGIN frames, and every
-    certificate it serves -- provider-hosted site certs and the popular
-    hostnames' own certs alike -- is reissued to cover them.  Any
-    client connection to such an edge can then coalesce the co-hosted
-    third parties (and the third parties each other).
-
-    Certificates with an empty SAN identify exactly one name under
-    legacy CN matching and can never coalesce; they are left alone.
-    Returns the number of certificates reissued.
-    """
-    by_provider: Dict[str, List[str]] = {}
-    for hostname, provider in world.popular_hostnames.items():
-        by_provider.setdefault(provider, []).append(hostname)
-    # ``Certificate.issuer`` is normalized (lowercased); the world's
-    # issuer registry keys on display names.
-    issuers_by_name = {
-        name.lower(): authority
-        for name, authority in world.issuers.items()
-    }
-    reissued = 0
-    for provider in sorted(by_provider):
-        server = world.provider_servers.get(provider)
-        if server is None:
-            continue
-        popular = sorted(by_provider[provider])
-        origin_set = tuple(f"https://{name}" for name in popular)
-        config = server.config
-        config.send_origin_frames = True
-        # The popular hostnames' own chains grow to cover the
-        # provider's whole popular set, so third parties coalesce with
-        # each other on one connection.
-        for index, chain in enumerate(config.chains):
-            leaf = chain[0] if chain else None
-            if leaf is None or not leaf.san:
-                continue
-            if world.popular_hostnames.get(leaf.subject) != provider:
-                continue
-            issuer = issuers_by_name.get(leaf.issuer)
-            if issuer is None:
-                continue
-            missing = tuple(
-                name for name in popular if not leaf.covers(name)
-            )
-            if missing:
-                renewed = issuer.reissue(leaf, added_san=missing, now=now)
-                config.chains[index] = issuer.chain_for(renewed)
-                reissued += 1
-            config.origin_sets[leaf.subject] = origin_set
-    # Provider-hosted sites: each site certificate grows to cover its
-    # provider's popular set, and the edge advertises that set for the
-    # site's own names.
-    for hosted in world.sites:
-        record = hosted.record
-        if record.self_hosted:
-            continue
-        popular = sorted(by_provider.get(record.provider, ()))
-        if not popular:
-            continue
-        old = hosted.certificate
-        if not old.san:
-            continue
-        issuer = world.issuers.get(record.issuer)
-        if issuer is None:
-            continue
-        origin_set = tuple(f"https://{name}" for name in popular)
-        missing = tuple(
-            name for name in popular if not old.covers(name)
-        )
-        config = hosted.server.config
-        if missing:
-            renewed = issuer.reissue(old, added_san=missing, now=now)
-            for index, chain in enumerate(config.chains):
-                if chain and chain[0].serial == old.serial \
-                        and chain[0].subject == old.subject:
-                    config.chains[index] = issuer.chain_for(renewed)
-                    break
-            else:
-                config.chains.append(issuer.chain_for(renewed))
-            hosted.certificate = renewed
-            reissued += 1
-        config.send_origin_frames = True
-        for hostname in record.own_hostnames():
-            config.origin_sets[hostname] = origin_set
-    return reissued
 
 
 def _build_traffic_world(scenario: ScenarioConfig):
@@ -221,8 +132,6 @@ def simulate_shard(
     decisions are still audited internally so retry accounting never
     depends on the flag), its spans (empty unless ``trace``), and its
     metrics snapshot (phase histograms and any traced counters).
-    ``extra`` is the edge monitor, whose sampled passive records are
-    useful in-process; they are not merged across worker boundaries.
     """
     scenario = shard.scenario
     world = _build_traffic_world(scenario)
@@ -236,12 +145,7 @@ def simulate_shard(
         shard_count=shard.shard_count,
     )
     telemetry = Telemetry(clock=loop.now, trace=trace, audit=True)
-    monitor = EdgeLoadMonitor(
-        world, aggregate,
-        sample_rate=scenario.passive_sample_rate,
-        sampling_seed=shard.sampling_seed(),
-        audit=telemetry.audit,
-    )
+    monitor = EdgeLoadMonitor(world, aggregate, audit=telemetry.audit)
     monitor.attach()
 
     policies = {
@@ -314,7 +218,6 @@ def simulate_shard(
         spans=(telemetry.tracer.spans if trace else []),
         metrics=telemetry.metrics.snapshot(),
         events=(events if audit else []),
-        extra=monitor,
     )
 
 

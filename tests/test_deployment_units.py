@@ -1,8 +1,15 @@
-"""Pure-function unit tests for deployment analysis pieces."""
+"""Unit tests for deployment pieces: the analysis helpers, and the
+certificate swap every reissue goes through."""
 
 import pytest
 
-from repro.deployment.experiment import Group
+from repro.dataset.world import build_world
+from repro.deployment.experiment import (
+    DeploymentExperiment,
+    Group,
+    deploy_fleet_origin,
+    deployment_world_config,
+)
 from repro.deployment.longitudinal import DailyRates
 from repro.deployment.passive import LogRecord
 
@@ -65,3 +72,47 @@ class TestLogRecord:
         # Records are frozen (pipeline integrity).
         with pytest.raises(Exception):
             coalesced.timestamp = 1.0
+
+
+class TestReissueAfterHandshake:
+    """``chain_for_sni`` is what a TLS handshake asks; its SNI index
+    is built on first use, so a reissue that lands after any handshake
+    must still be the chain the next one is served."""
+
+    @pytest.fixture
+    def world(self):
+        return build_world(deployment_world_config(
+            site_count=12, seed=2022,
+        ))
+
+    def test_sample_reissue_is_served(self, world):
+        experiment = DeploymentExperiment(world)
+        site = experiment.sites_in(Group.EXPERIMENT)[0]
+        config = site.hosted.server.config
+        before = config.chain_for_sni(site.root_hostname)[0]
+        assert not before.covers(experiment.third_party)
+        experiment.reissue_certificates()
+        served = config.chain_for_sni(site.root_hostname)[0]
+        assert served == site.hosted.certificate
+        assert served.serial != before.serial
+        assert served.covers(experiment.third_party)
+
+    def test_fleet_reissue_is_served(self, world):
+        popular = {
+            name for name, provider in world.popular_hostnames.items()
+            if provider == "Cloudflare"
+        }
+        config = world.provider_servers["Cloudflare"].config
+        hosted = next(
+            hosted for hosted in world.sites
+            if hosted.record.provider == "Cloudflare"
+            and hosted.certificate.san
+        )
+        snis = [hosted.record.root_hostname, *sorted(popular)]
+        before = [config.chain_for_sni(sni)[0] for sni in snis]
+        assert deploy_fleet_origin(world) > 0
+        for sni, old in zip(snis, before):
+            served = config.chain_for_sni(sni)[0]
+            assert served.serial != old.serial
+            assert all(served.covers(name) for name in popular)
+        assert config.chain_for_sni(snis[0])[0] == hosted.certificate

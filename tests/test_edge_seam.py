@@ -1,0 +1,145 @@
+"""The server edge as one seam: every edge consumer (the traffic
+load monitor, the §5 passive pipeline, the chaos injector) subscribes
+to the same ``H2Server`` lists, found through the same
+``SyntheticWorld.servers()`` enumeration, without disturbing the
+others."""
+
+from types import SimpleNamespace
+
+import pytest
+
+from repro.chaos import FaultInjector, FaultSchedule, FaultSpec
+from repro.dataset.crawler import Crawler
+from repro.dataset.world import SELF_HOSTED, build_world
+from repro.deployment import DeploymentExperiment, PassivePipeline
+from repro.deployment.experiment import deployment_world_config
+from repro.traffic import EdgeLoadMonitor, TrafficAggregate
+
+
+@pytest.fixture
+def world():
+    return build_world(deployment_world_config(site_count=8, seed=2022))
+
+
+def crawl(world) -> None:
+    """Load every site once, then let every connection close."""
+    Crawler(world).crawl()
+    world.network.loop.run_until_idle()
+
+
+class TestServerEnumeration:
+    def test_lists_every_server_exactly_once(self, world):
+        listed = [server for _, server in world.servers()]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == (
+            set(world.provider_servers.values())
+            | set(world.tail_cdn_servers.values())
+            | {hosted.server for hosted in world.sites}
+        )
+        self_hosted = [
+            hosted.server for hosted in world.sites
+            if hosted.record.self_hosted
+        ]
+        assert self_hosted  # the 8-site world has both kinds
+        assert [
+            server for name, server in world.servers()
+            if name == SELF_HOSTED
+        ] == self_hosted
+
+    def test_monitor_and_injector_hook_that_same_set(self, world):
+        monitor = EdgeLoadMonitor(world, TrafficAggregate())
+        injector = FaultInjector(
+            world,
+            FaultSchedule(faults=(
+                FaultSpec(name="outage", kind="edge_crash", at=1e9),
+            )),
+            seed=1,
+        )
+        servers = [server for _, server in world.servers()]
+        assert monitor.attach() == len(servers)
+        injector.arm()
+        for server in servers:
+            assert len(server.connection_observers) == 2
+            assert len(server.request_observers) == 1
+        monitor.detach()
+        for server in servers:
+            assert len(server.connection_observers) == 1
+            assert server.request_observers == []
+
+
+class TestSubscription:
+    def test_two_subscribers_see_everything_and_detach_alone(self, world):
+        aggregate = TrafficAggregate()
+        monitor = EdgeLoadMonitor(world, aggregate)
+        pipeline = PassivePipeline(
+            DeploymentExperiment(world), sampling_rate=1.0
+        )
+        cdn = pipeline.experiment.cdn_server
+        requests, events = [], []
+        monitor.attach()
+        pipeline.attach()
+        cdn.request_observers.append(
+            lambda connection, authority, index, headers:
+                requests.append(authority)
+        )
+        cdn.connection_observers.append(
+            lambda event, connection: events.append(event)
+        )
+
+        crawl(world)
+        edge = aggregate.edges["provider:Cloudflare"]
+        assert len(requests) > 0
+        assert len(pipeline.records) == edge.requests == len(requests)
+        assert [record.authority for record in pipeline.records] == requests
+        assert events.count("accepted") == edge.connections > 0
+        assert events.count("handshake") == edge.handshakes > 0
+        assert events.count("closed") == events.count("accepted")
+
+        # Detaching one subscriber leaves the others attached.
+        pipeline.detach()
+        logged = len(pipeline.records)
+        crawl(world)
+        assert len(pipeline.records) == logged
+        assert edge.requests == len(requests) > logged
+        monitor.detach()
+        counted = edge.requests
+        crawl(world)
+        assert edge.requests == counted < len(requests)
+
+    def test_subscribers_run_in_subscription_order(self, world):
+        cdn = world.provider_servers["Cloudflare"]
+        order = []
+        for tag in ("first", "second"):
+            cdn.connection_observers.append(
+                lambda event, connection, tag=tag: order.append(tag)
+            )
+        crawl(world)
+        assert order
+        assert order == ["first", "second"] * (len(order) // 2)
+
+    def test_a_reused_address_is_a_new_connection_to_the_pipeline(
+            self, world):
+        """``id()`` is unique only among live objects; CPython hands a
+        closed connection's address to a later one.  One object that
+        closes and "reconnects" stands in for that reuse."""
+        pipeline = PassivePipeline(
+            DeploymentExperiment(world), sampling_rate=1.0
+        )
+        cdn = pipeline.experiment.cdn_server
+        pipeline.attach()
+        connection = SimpleNamespace(sni="www.example.com", server=cdn)
+        cdn.log_request(connection, "www.example.com", 1, [])
+        cdn.log_request(connection, "cdnjs.cloudflare.com", 2, [])
+        cdn.notify_connection_event("closed", connection)
+        cdn.log_request(connection, "www.example.com", 1, [])
+        first, second, reused = (
+            record.connection_id for record in pipeline.records
+        )
+        assert first == second != reused
+
+    def test_monitor_gauge_drains(self, world):
+        monitor = EdgeLoadMonitor(world, TrafficAggregate())
+        monitor.attach()
+        crawl(world)
+        assert monitor.peak_connections > 0
+        assert monitor.current_connections == 0  # all drained

@@ -1,12 +1,14 @@
 """The guides cannot name things that are gone.
 
-Every path a guide spells in code font must exist in the checkout and
+Every path a guide spells in code font must exist in the checkout,
 every ``repro <command>`` it tells a reader to type must be a real
-subcommand, so deleting or renaming a file or command fails here until
-the prose follows.
+subcommand, and every dotted ``repro.x.y[.Name]`` must import and
+resolve, so deleting or renaming a file, command, module, class or
+function fails here until the prose follows.
 """
 
 import glob
+import importlib
 import pathlib
 import re
 
@@ -73,3 +75,34 @@ def test_named_subcommands_exist(guide):
     }
     unknown = sorted(typed - set(commands))
     assert not unknown, f"{guide} runs subcommands repro does not have"
+
+
+#: A dotted Python name under the package: ``repro.x.y[.Name]``.
+PYTHON_NAME = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
+
+
+def _resolves(dotted):
+    """Import the longest module prefix, ``getattr`` the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[cut:]:
+                target = getattr(target, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+@pytest.mark.parametrize("guide", GUIDES)
+def test_named_python_names_resolve(guide):
+    code, _ = _code(guide)
+    named = {
+        match for chunk in code for match in PYTHON_NAME.findall(chunk)
+    }
+    unresolved = sorted(name for name in named if not _resolves(name))
+    assert not unresolved, f"{guide} names Python objects that are gone"

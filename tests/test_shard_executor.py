@@ -249,8 +249,6 @@ class TestPickledHandOff:
         shipped = _shard_from_wire(pickle.loads(pickle.dumps(wire)))
         assert (type(wire.payload) is list) == (make is not _traffic_result)
         assert type(shipped.payload) is type(result.payload)
-        assert shipped.extra is None
-        assert (result.extra is not None) == (make is _traffic_result)
         assert result_artifacts(shipped) == before
         assert shipped.spans == result.spans
         assert shipped.events == result.events
