@@ -54,13 +54,11 @@ class BrowserContext:
     #: Probability that opening a new connection races a duplicate
     #: (speculative/happy-eyeballs effects; §4.2).
     speculative_rate: float = 0.0
-    tls13: bool = True
     #: Share of servers still negotiating TLS 1.2 (2 handshake RTTs);
     #: drawn per new connection when an RNG is available.
     tls12_rate: float = 0.0
     asdb: Optional[AsDatabase] = None
     cache_enabled: bool = False
-    port: int = 443
     #: Sent on every request; the passive pipeline filters on it.
     user_agent: str = ""
     #: TLS session-ticket cache shared across this profile's
@@ -207,11 +205,9 @@ class PageLoad:
             context.client_host,
             context.trust_store,
             context.authorities,
-            tls13=context.tls13,
             session_cache=context.tls_session_cache,
             alpn_offer=offer,
             origin_aware=origin_aware,
-            port=context.port,
             tracer=context.tracer,
             audit=context.audit,
             page=self.page.url,
@@ -228,7 +224,6 @@ class PageLoad:
                 context.authorities,
                 ticket_cache=engine.quic_tickets,
                 origin_aware=origin_aware,
-                port=context.port,
                 tracer=context.tracer,
                 audit=context.audit,
                 page=self.page.url,
@@ -453,14 +448,11 @@ class PageLoad:
         connect_started = self.loop.now()
         state.attempt += 1
         attempt = state.attempt
-        tls13 = self.context.tls13
-        if (
-            tls13
-            and self.context.rng is not None
+        tls13 = not (
+            self.context.rng is not None
             and self.context.tls12_rate > 0
             and self.context.rng.random() < self.context.tls12_rate
-        ):
-            tls13 = False
+        )
         dialer = self._pick_dialer(state)
         facts = self.pool.open_connection(
             hostname=state.hostname,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Optional, Sequence
 
 from repro.audit.reasons import ReasonCode
-from repro.transport.base import Endpoint, SessionCapabilities, capabilities_of
+from repro.transport.base import Endpoint, SessionCapabilities
 
 
 @dataclass
@@ -47,7 +47,7 @@ class ConnectionFacts:
 
     @property
     def capabilities(self) -> SessionCapabilities:
-        return capabilities_of(self.session)
+        return self.session.capabilities
 
     @property
     def transport_name(self) -> str:

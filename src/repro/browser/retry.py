@@ -71,3 +71,18 @@ class RetryPolicy:
 
     def within_budget(self, elapsed_ms: float) -> bool:
         return self.budget_ms <= 0 or elapsed_ms < self.budget_ms
+
+
+#: The chaos run's default retry policy (``repro chaos`` without retry
+#: flags): two deterministic exponential retries with a little seeded
+#: jitter, loss retries on.  Defined here rather than in
+#: :mod:`repro.chaos` so the CLI can take its argparse defaults from
+#: these fields without importing the chaos package at start-up.
+DEFAULT_RETRY_POLICY = RetryPolicy(
+    max_retries=2,
+    backoff_base_ms=120.0,
+    backoff_multiplier=2.0,
+    jitter_ms=40.0,
+    retry_connection_loss=True,
+    budget_ms=0.0,
+)

@@ -15,23 +15,20 @@ Layers:
   seeded RNGs and blast attribution;
 * :mod:`repro.chaos.report` -- per-fault tallies and the
   shard-mergeable :class:`ChaosReport`;
-* :mod:`repro.chaos.run` -- the sharded runner (a driver over the
-  shard executor in :mod:`repro.dataset.shard`, whose ``crawl_shard``
-  arms the injector) and the ``--compare-policies`` sweep.
+* :mod:`repro.chaos.run` -- :func:`run_chaos`, the one crawl driver
+  (:func:`repro.dataset.shard.crawl_shards`, whose ``crawl_shard``
+  arms the injector) with the tallies folded into a report, and the
+  ``--compare-policies`` sweep over it.
 """
 
+from repro.browser.retry import DEFAULT_RETRY_POLICY
 from repro.chaos.inject import (
     CHAOS_SEED_DOMAIN,
     RETRY_SEED_DOMAIN,
     FaultInjector,
 )
 from repro.chaos.report import ChaosReport, FaultTally
-from repro.chaos.run import (
-    COMPARE_POLICIES,
-    DEFAULT_RETRY_POLICY,
-    ChaosRunner,
-    compare_policies,
-)
+from repro.chaos.run import COMPARE_POLICIES, compare_policies, run_chaos
 from repro.chaos.schedule import (
     EMPTY_SCHEDULE,
     KINDS,
@@ -51,7 +48,6 @@ __all__ = [
     "KINDS",
     "ChaosError",
     "ChaosReport",
-    "ChaosRunner",
     "FaultInjector",
     "FaultSchedule",
     "FaultSpec",
@@ -59,4 +55,5 @@ __all__ = [
     "compare_policies",
     "load_fault_schedule",
     "parse_fault_schedule",
+    "run_chaos",
 ]

@@ -4,21 +4,20 @@ Arms a declarative ``[[fault]]`` schedule (:mod:`repro.chaos.schedule`)
 against the crawl pipeline and reports, per fault, how much was riding
 every torn-down connection.  ``--compare-policies`` runs the same
 schedule under each coalescing policy -- the robustness cost of the
-paper's savings: coalescing policies open fewer connections, but each
-lost connection takes more hostnames down with it.
+paper's savings: under coalescing each lost connection takes more
+hostnames down with it.
 """
 
 from __future__ import annotations
 
+from repro.browser.retry import DEFAULT_RETRY_POLICY
 from repro.cli.args import (
     POLICIES,
     _nonnegative_int,
-    _parse_alpn,
-    _positive_int,
     add_crawl_pipeline_options,
     add_dataset_options,
 )
-from repro.cli.invoke import chaos_pipeline
+from repro.cli.invoke import chaos_pipeline, crawl_definition
 from repro.runtime.console import diag
 
 
@@ -81,19 +80,13 @@ def _render(args, outcome) -> None:
 
 
 def _compare(args, schedule, retry_policy) -> int:
-    from repro.chaos import COMPARE_POLICIES, compare_policies
-    from repro.dataset.generator import DatasetConfig
-    from repro.dataset.shard import CrawlParams
+    from repro.chaos import compare_policies
+    from repro.dataset.shard import plan_shards
 
-    config = DatasetConfig(site_count=args.sites, seed=args.seed)
-    params = CrawlParams(
-        policy=args.policy, speculative_rate=0.10,
-        alpn=args.alpn, dns_latency_ms=args.dns_latency,
-    )
+    config, params = crawl_definition(args, args.policy)
     rows = compare_policies(
-        config, params, schedule, retry_policy,
-        policies=COMPARE_POLICIES,
-        shard_count=args.shards or None, jobs=args.jobs,
+        plan_shards(config, args.shards or None), params, schedule,
+        retry_policy, jobs=args.jobs,
     )
     print(f"chaos: {len(rows)} policies under "
           f"{schedule.source} over {args.sites} sites")
@@ -146,25 +139,28 @@ def register(sub) -> None:
                        help="run the schedule under every coalescing "
                             "policy and print the robustness-vs-"
                             "savings table")
-    chaos.add_argument("--retries", type=_nonnegative_int, default=2,
+    retry = DEFAULT_RETRY_POLICY
+    chaos.add_argument("--retries", type=_nonnegative_int,
+                       default=retry.max_retries,
                        help="retries per request per failure class "
-                            "(default 2)")
-    chaos.add_argument("--backoff", type=float, default=120.0,
-                       metavar="MS",
+                            "(default %(default)s)")
+    chaos.add_argument("--backoff", type=float,
+                       default=retry.backoff_base_ms, metavar="MS",
                        help="base backoff before the first retry "
-                            "(default 120)")
-    chaos.add_argument("--backoff-multiplier", type=float, default=2.0,
+                            "(default %(default)s)")
+    chaos.add_argument("--backoff-multiplier", type=float,
+                       default=retry.backoff_multiplier,
                        dest="backoff_multiplier", metavar="X",
-                       help="backoff growth factor (default 2.0; "
-                            "1.0 = legacy linear)")
-    chaos.add_argument("--jitter", type=float, default=40.0,
-                       metavar="MS",
+                       help="backoff growth factor (default "
+                            "%(default)s; 1.0 = legacy linear)")
+    chaos.add_argument("--jitter", type=float,
+                       default=retry.jitter_ms, metavar="MS",
                        help="seeded uniform jitter on each backoff "
-                            "(default 40)")
-    chaos.add_argument("--budget", type=float, default=0.0,
-                       metavar="MS",
+                            "(default %(default)s)")
+    chaos.add_argument("--budget", type=float,
+                       default=retry.budget_ms, metavar="MS",
                        help="per-request retry budget in simulated "
-                            "ms (default 0 = unlimited)")
+                            "ms (default %(default)s = unlimited)")
     chaos.add_argument("--no-retry", action="store_true",
                        help="disable retries entirely (faults "
                             "surface as failed requests)")

@@ -24,14 +24,14 @@ from repro.dataset.world import SyntheticWorld, build_world
 from repro.dataset.crawler import Crawler, CrawlResult
 from repro.dataset.shard import (
     CrawlParams,
-    ParallelCrawler,
     ShardResult,
     ShardSpec,
+    crawl_shards,
     default_shard_count,
     derive_seed,
     plan_shards,
 )
-from repro.dataset.cache import CrawlCache, cache_key, crawl_cached
+from repro.dataset.cache import CrawlCache, cache_key
 from repro.dataset import characterize
 
 __all__ = [
@@ -50,14 +50,13 @@ __all__ = [
     "Crawler",
     "CrawlResult",
     "CrawlParams",
-    "ParallelCrawler",
     "ShardResult",
     "ShardSpec",
+    "crawl_shards",
     "default_shard_count",
     "derive_seed",
     "plan_shards",
     "CrawlCache",
     "cache_key",
-    "crawl_cached",
     "characterize",
 ]

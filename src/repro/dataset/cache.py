@@ -9,11 +9,13 @@ format of :meth:`~repro.dataset.crawler.CrawlResult.save`, which is
 exactly the paper pipeline's bucket of per-page HAR files (§3.1)
 collapsed into one file per crawl.
 
-An entry is written while its crawl runs: :meth:`CrawlCache.writing`
-opens ``crawl-<key>.tmp``, the shard merge appends each absorbed
-shard's lines to it (a fan-out worker's lines verbatim, so the parent
-never encodes an archive; :func:`repro.dataset.shard.write_archive_lines`),
-and :meth:`CrawlCache.store` publishes it with one atomic rename.
+An entry is written while its crawl runs: the crawl workload
+(:class:`repro.runtime.workloads.CrawlWorkload`, the one caller of
+:meth:`CrawlCache.writing`) opens ``crawl-<key>.tmp``, the shard merge
+appends each absorbed shard's lines to it (a fan-out worker's lines
+verbatim, so the parent never encodes an archive;
+:func:`repro.dataset.shard.write_archive_lines`), and the run's cache
+sink publishes it with :meth:`CrawlCache.store`, one atomic rename.
 
 The cache directory defaults to ``$REPRO_CRAWL_CACHE`` when set, else
 ``~/.cache/repro/crawls`` (honouring ``$XDG_CACHE_HOME``).  Entries
@@ -30,7 +32,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, List, Optional, TextIO, Tuple
+from typing import Iterator, List, Optional, TextIO
 
 from repro.audit.record import canonical_json
 from repro.dataset.crawler import CrawlResult
@@ -212,35 +214,3 @@ class CrawlCache:
         for victim in sorted(victims, key=lambda e: e.modified_at):
             victim.path.unlink(missing_ok=True)
         return sorted(victims, key=lambda e: (e.modified_at, e.key))
-
-
-def crawl_cached(
-    config: DatasetConfig,
-    params: Optional[CrawlParams] = None,
-    shard_count: Optional[int] = None,
-    jobs: int = 1,
-    cache: Optional[CrawlCache] = None,
-    refresh: bool = False,
-    progress=None,
-) -> Tuple[CrawlResult, bool]:
-    """Load the crawl from cache or run it (and store it).
-
-    Returns ``(result, hit)`` where ``hit`` says whether the crawl was
-    served from the cache.  ``cache=None`` disables caching entirely.
-    """
-    from repro.dataset.shard import ParallelCrawler
-
-    crawler = ParallelCrawler(
-        config, params=params, shard_count=shard_count, jobs=jobs
-    )
-    key = cache_key(config, crawler.params, crawler.shard_count)
-    if cache is not None and not refresh:
-        result = cache.load(key)
-        if result is not None:
-            return result, True
-    if cache is None:
-        return crawler.crawl(progress=progress), False
-    with cache.writing(key) as entry:
-        result = crawler.crawl(progress=progress, archive_out=entry)
-    cache.store(key)
-    return result, False

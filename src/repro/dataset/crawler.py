@@ -10,7 +10,7 @@ are recorded as failed page loads without being fetched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -197,18 +197,10 @@ class Crawler:
             metrics.histogram("page.load_ms").observe(archive.page.on_load)
             metrics.histogram("page.requests").observe(len(archive.entries))
 
-    def crawl(
-        self,
-        limit: Optional[int] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> CrawlResult:
-        result = CrawlResult()
-        sites = self.world.sites[:limit] if limit else self.world.sites
-        total = len(sites)
-        for index, hosted in enumerate(sites):
-            result.archives.append(self.crawl_site(hosted))
-            if progress is not None:
-                progress(index + 1, total)
+    def crawl(self) -> CrawlResult:
+        result = CrawlResult(
+            archives=[self.crawl_site(hosted) for hosted in self.world.sites]
+        )
         if self.telemetry is not None:
             self.telemetry.metrics.absorb(self.resolver.stats.registry)
         return result

@@ -26,8 +26,11 @@ order* -- for the crawl, for :mod:`repro.chaos.run` and for
 :mod:`repro.traffic.simulate`: :func:`run_shards` (the executor; a
 :class:`ShardResult` crosses the process boundary pickled, its records
 as themselves and a crawl's archives as HAR JSON lines) and
-:func:`merge_shards` (the shard-order fold).  A crawl that is being
-cached appends each absorbed shard to the cache entry as it merges
+:func:`merge_shards` (the shard-order fold).  :func:`crawl_shards` is
+the one crawl driver over them, plain, observed or fault-injected: it
+plans the web before any fork and is the only caller that hands
+:func:`crawl_shard` to the merge.  A crawl that is being cached
+appends each absorbed shard to the cache entry as it merges
 (:func:`write_archive_lines`), reusing the lines a worker sent.
 """
 
@@ -68,8 +71,8 @@ _CRAWLER_DOMAIN = 1
 #: full-generation pass; serial runs used to pay it once *per shard*.
 #: Plans are pure data -- world construction and crawling never mutate
 #: a SiteRecord -- so shards may share one list.  Keyed by config
-#: equality; the drivers plan before :func:`run_shards` forks, so
-#: workers inherit the parent's entry copy-on-write.
+#: equality; :func:`crawl_shards` plans before :func:`run_shards`
+#: forks, so workers inherit the parent's entry copy-on-write.
 _PLAN_CACHE: List[Tuple[DatasetConfig, List[SiteRecord]]] = []
 
 
@@ -414,73 +417,48 @@ def merge_shards(
     return crawl_trace
 
 
-class ParallelCrawler:
-    """Crawls a dataset shard-by-shard, optionally across processes:
-    a thin driver over :func:`merge_shards`, so the output is
-    identical at any ``jobs``."""
+def crawl_shards(
+    shards: Sequence[ShardSpec],
+    params: CrawlParams,
+    jobs: int,
+    collect: Optional[Tuple[bool, bool]] = None,
+    chaos: Optional[tuple] = None,
+    archive_out: Optional[TextIO] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
+    watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
+) -> Tuple[CrawlResult, CrawlTrace, List[Sequence[dict]]]:
+    """The one sharded crawl: every shard of one plan through
+    :func:`crawl_shard`, merged in shard order, so the output is
+    identical at any ``jobs``.
 
-    def __init__(
-        self,
-        config: DatasetConfig,
-        params: Optional[CrawlParams] = None,
-        shard_count: Optional[int] = None,
-        jobs: int = 1,
-    ) -> None:
-        self.config = config
-        self.params = params or CrawlParams()
-        self.shards = plan_shards(config, shard_count)
-        self.jobs = jobs
+    ``collect`` and ``chaos`` are :func:`crawl_shard`'s.
+    ``archive_out`` is an open text file (what
+    :meth:`repro.dataset.cache.CrawlCache.writing` yields) that
+    receives every archive as a HAR JSON line, shard by shard as the
+    merge absorbs them.  ``progress``/``watch`` are
+    :func:`merge_shards`'.  Returns the merged archives, the merged
+    trace (empty when ``collect`` is ``None``) and each shard's fault
+    tallies in shard order (empty without ``chaos``).
+    """
+    merged = CrawlResult()
+    faults: List[Sequence[dict]] = []
 
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
+    def absorb(result: ShardResult) -> None:
+        merged.archives.extend(result.payload.archives)
+        faults.append(result.faults)
+        if archive_out is not None:
+            write_archive_lines(archive_out, result)
 
-    def _run(self, collect, progress, watch=None, archive_out=None
-             ) -> Tuple[CrawlResult, CrawlTrace]:
-        merged = CrawlResult()
-
-        def absorb(result: ShardResult) -> None:
-            merged.archives.extend(result.payload.archives)
-            if archive_out is not None:
-                write_archive_lines(archive_out, result)
-
-        # Plan before any fork: pool workers inherit _PLAN_CACHE
-        # instead of each planning the whole web again (under
-        # ``spawn`` a worker still does).
-        generate_records(self.config)
-        crawl_trace = merge_shards(
-            crawl_shard,
-            [(spec, self.params, collect) for spec in self.shards],
-            self.jobs, absorb, progress, watch,
-        )
-        return merged, crawl_trace
-
-    def crawl(
-        self,
-        progress: Optional[Callable[[int, int], None]] = None,
-        archive_out: Optional[TextIO] = None,
-    ) -> CrawlResult:
-        """Crawl all shards with no telemetry; ``progress`` gets
-        (done_shards, total).  ``archive_out`` is an open text file
-        (what :meth:`repro.dataset.cache.CrawlCache.writing` yields)
-        that receives every archive as a HAR JSON line, shard by
-        shard as the merge absorbs them."""
-        return self._run(None, progress, archive_out=archive_out)[0]
-
-    def crawl_traced(
-        self,
-        progress: Optional[Callable[[int, int], None]] = None,
-        trace: bool = True,
-        audit: bool = True,
-        watch: Optional[
-            Callable[[int, int, CrawlTrace], None]
-        ] = None,
-        archive_out: Optional[TextIO] = None,
-    ) -> Tuple[CrawlResult, CrawlTrace]:
-        """Crawl all shards with telemetry; ``trace``/``audit`` toggle
-        the span and decision collectors independently (metrics are
-        always collected).  ``archive_out`` as for :meth:`crawl`."""
-        return self._run((trace, audit), progress, watch, archive_out)
+    # Plan before any fork: pool workers inherit _PLAN_CACHE instead
+    # of each planning the whole web again (under ``spawn`` a worker
+    # still does).
+    generate_records(shards[0].config)
+    crawl_trace = merge_shards(
+        crawl_shard,
+        [(spec, params, collect, chaos) for spec in shards],
+        jobs, absorb, progress, watch,
+    )
+    return merged, crawl_trace, faults
 
 
 def plan_certificates_sharded(

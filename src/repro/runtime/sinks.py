@@ -20,8 +20,8 @@ class CacheStoreSink:
     """Live crawls bypass cache *reads* but still store the merged
     archives so subsequent untraced runs hit the cache.  The entry
     was written while the crawl merged
-    (:meth:`~repro.runtime.workloads.CrawlWorkload.execute_live`);
-    this publishes it."""
+    (:class:`~repro.runtime.workloads.CrawlWorkload`); this publishes
+    it."""
 
     def __init__(self, cache) -> None:
         self.cache = cache
@@ -36,8 +36,8 @@ class CacheStoreSink:
 
 
 class CacheStatusSink:
-    """Cached crawls only report how the lookup went (the read/store
-    already happened inside ``crawl_cached``)."""
+    """Cached crawls report how the lookup went and, on a miss,
+    publish the entry the crawl wrote as it merged."""
 
     def __init__(self, cache) -> None:
         self.cache = cache
@@ -46,6 +46,8 @@ class CacheStatusSink:
         if self.cache is None:
             diag("cache: disabled")
             return
+        if not outcome.cache_hit:
+            self.cache.store(outcome.fingerprint)
         status = "hit" if outcome.cache_hit else "miss, stored"
         diag(f"cache: {status} "
              f"{self.cache.path_for(outcome.fingerprint)}")

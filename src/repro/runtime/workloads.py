@@ -41,8 +41,9 @@ from repro.runtime.sinks import (
 class RunOutcome:
     """What a workload execution produced.
 
-    ``trace`` is the merged :class:`~repro.telemetry.CrawlTrace` when
-    the run was live (instrumented) and ``None`` on the cached path.
+    ``trace`` is the merged :class:`~repro.telemetry.CrawlTrace` of
+    the simulation that ran (empty when it ran uninstrumented) and
+    ``None`` on a cache hit.
     """
 
     config: object
@@ -83,7 +84,8 @@ class CrawlWorkload:
 
         self.config = config
         self.params = params
-        self.shard_count = len(plan_shards(config, shards or None))
+        self.shards = plan_shards(config, shards or None)
+        self.shard_count = len(self.shards)
         self.cache = None if no_cache else CrawlCache(cache_dir)
         self.refresh = refresh
         self.command = command
@@ -100,46 +102,43 @@ class CrawlWorkload:
 
         Bypasses cache reads -- a cache hit would skip the simulation
         and produce no spans, audit events, or phase histograms -- but
-        writes the entry as the shards merge; ``CacheStoreSink``
-        publishes it.
+        still writes the entry; ``CacheStoreSink`` publishes it.
         """
-        from repro.dataset.shard import ParallelCrawler
-
-        crawler = ParallelCrawler(
-            self.config, params=self.params,
-            shard_count=self.shard_count, jobs=jobs,
-        )
-        fingerprint = self.fingerprint()
-        with (nullcontext() if self.cache is None
-              else self.cache.writing(fingerprint)) as entry:
-            result, trace = run_live(
-                rules, self.unit,
-                partial(crawler.crawl_traced, archive_out=entry,
-                        trace=options.want_trace,
-                        audit=options.want_audit),
-            )
-        return RunOutcome(
-            config=self.config, shard_count=self.shard_count,
-            result=result, trace=trace, fingerprint=fingerprint,
-        )
+        return run_live(rules, self.unit, partial(
+            self._crawl, jobs, (options.want_trace, options.want_audit),
+            reuse=False,
+        ))
 
     def execute_cached(self, jobs: int) -> RunOutcome:
-        from repro.dataset.cache import crawl_cached
+        """Untraced crawl: a cache hit is the result (unless
+        ``refresh``); a miss crawls with no telemetry object and
+        writes the entry, which ``CacheStatusSink`` publishes."""
+        return self._crawl(jobs, None, reuse=not self.refresh,
+                           progress=shard_progress)
 
-        result, hit = crawl_cached(
-            self.config,
-            params=self.params,
-            shard_count=self.shard_count,
-            jobs=jobs,
-            cache=self.cache,
-            refresh=self.refresh,
-            progress=shard_progress,
-        )
-        return RunOutcome(
-            config=self.config, shard_count=self.shard_count,
-            result=result, trace=None, cache_hit=hit,
-            fingerprint=self.fingerprint(),
-        )
+    def _crawl(self, jobs: int, collect, reuse: bool, progress=None,
+               watch=None) -> RunOutcome:
+        """Both paths: read the cache when ``reuse`` allows, else run
+        :func:`~repro.dataset.shard.crawl_shards` with the entry's
+        ``.tmp`` open, so the shards merge straight into it."""
+        from repro.dataset.shard import crawl_shards
+
+        fingerprint = self.fingerprint()
+        outcome = RunOutcome(config=self.config,
+                             shard_count=self.shard_count, result=None,
+                             fingerprint=fingerprint)
+        if reuse and self.cache is not None:
+            outcome.result = self.cache.load(fingerprint)
+            outcome.cache_hit = outcome.result is not None
+            if outcome.cache_hit:
+                return outcome
+        with (nullcontext() if self.cache is None
+              else self.cache.writing(fingerprint)) as entry:
+            outcome.result, outcome.trace, _ = crawl_shards(
+                self.shards, self.params, jobs, collect=collect,
+                archive_out=entry, progress=progress, watch=watch,
+            )
+        return outcome
 
     def build_record(self, outcome, rules):
         from repro.obs.ledger import build_crawl_record
@@ -250,7 +249,8 @@ class ChaosWorkload:
         self.params = params
         self.schedule = schedule
         self.retry_policy = retry_policy
-        self.shard_count = len(plan_shards(config, shards or None))
+        self.shards = plan_shards(config, shards or None)
+        self.shard_count = len(self.shards)
         self.report_out = report_out
 
     def fingerprint(self) -> str:
@@ -270,16 +270,12 @@ class ChaosWorkload:
         })
 
     def execute_live(self, jobs: int, options, rules) -> RunOutcome:
-        from repro.chaos.run import ChaosRunner
+        from repro.chaos.run import run_chaos
 
-        runner = ChaosRunner(
-            self.config, params=self.params, schedule=self.schedule,
-            retry_policy=self.retry_policy,
-            shard_count=self.shard_count, jobs=jobs,
-        )
         result, trace, report = run_live(
             rules, self.unit,
-            partial(runner.run, trace=options.want_trace),
+            partial(run_chaos, self.shards, self.params, self.schedule,
+                    self.retry_policy, jobs, options.want_trace),
         )
         return RunOutcome(
             config=self.config, shard_count=self.shard_count,

@@ -8,9 +8,10 @@ handshake, and HTTP/2 stream; this package makes that truth visible:
 * :class:`~repro.telemetry.metrics.MetricsRegistry` unifies the
   per-layer counters the old ``*Stats`` dataclasses kept ad-hoc;
 * :mod:`~repro.telemetry.exporters` writes JSONL, Chrome
-  ``trace_event`` (Perfetto-loadable waterfalls), and ASCII summaries;
-* :mod:`~repro.telemetry.validation` checks the §4.1 timeline
-  reconstruction against traced ground truth (the Figure 2 oracle).
+  ``trace_event`` (Perfetto-loadable waterfalls), and ASCII summaries.
+
+The spans are also the ground truth the §4.1 timeline reconstruction
+is checked against (the Figure 2 oracle, ``tests/telemetry_validation.py``).
 
 A :class:`Telemetry` bundles one tracer + one registry for one
 simulated world (one clock); :data:`NULL_TELEMETRY` is the disabled

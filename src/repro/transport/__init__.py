@@ -13,7 +13,6 @@ from repro.transport.base import (
     Endpoint,
     Session,
     SessionCapabilities,
-    capabilities_of,
 )
 from repro.transport.framing import (
     RECORD_HEADER_LEN,
@@ -27,7 +26,6 @@ __all__ = [
     "Endpoint",
     "Session",
     "SessionCapabilities",
-    "capabilities_of",
     "RECORD_HEADER_LEN",
     "pack_record",
     "parse_records",

@@ -50,26 +50,6 @@ class SessionCapabilities:
         return self.max_streams > 1
 
 
-#: Capabilities assumed for a multiplexing session that predates the
-#: capability record (duck-typed test doubles).
-_H2_LIKE = SessionCapabilities(
-    alpn="h2", supports_origin_frame=True,
-    max_streams=DEFAULT_MAX_STREAMS,
-)
-_H1_LIKE = SessionCapabilities(alpn="http/1.1", max_streams=1)
-
-
-def capabilities_of(session) -> SessionCapabilities:
-    """The session's capability record, derived from duck-typed
-    attributes when the session predates :class:`SessionCapabilities`."""
-    caps = getattr(session, "capabilities", None)
-    if caps is not None:
-        return caps
-    if getattr(session, "can_multiplex", True):
-        return _H2_LIKE
-    return _H1_LIKE
-
-
 @dataclass(frozen=True)
 class Endpoint:
     """Where a session terminates: host, port, and which transport

@@ -27,6 +27,7 @@ from repro.browser.policy import (
     NoCoalescingPolicy,
 )
 from repro.browser.pool import ConnectionPool, MAX_H1_CONNECTIONS_PER_HOST
+from tests.test_browser_pool import FakeSession
 
 
 class TestTaxonomy:
@@ -109,25 +110,6 @@ class TestAuditLog:
         line = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         with pytest.raises(UnknownReasonCode):
             events_from_jsonl(line + "\n")
-
-
-class FakeSession:
-    def __init__(self, multiplex=True, busy=False, san=(), origins=()):
-        self.can_multiplex = multiplex
-        self.h1_busy = busy
-        self.closed = False
-        self.failed = None
-        self._san = set(san)
-        self._origins = set(origins)
-
-    def close(self):
-        self.closed = True
-
-    def certificate_covers(self, hostname):
-        return hostname in self._san
-
-    def origin_set_covers(self, hostname):
-        return hostname in self._origins
 
 
 def facts_for(**kwargs):

@@ -18,7 +18,7 @@ from repro.audit.reconcile import (
 from repro.cli import main
 from repro.core.predictions import figure3
 from repro.dataset.generator import DatasetConfig
-from repro.dataset.shard import CrawlParams, ParallelCrawler
+from repro.dataset.shard import CrawlParams, crawl_shards, plan_shards
 from tests.test_shard_executor import audit_jsonl
 
 CONFIG = DatasetConfig(site_count=8, seed=11)
@@ -28,11 +28,11 @@ ALL_POLICIES = ("chromium", "firefox", "firefox+origin",
 
 
 def audited_crawl(policy, jobs=1):
-    crawler = ParallelCrawler(
-        CONFIG, CrawlParams(policy=policy, speculative_rate=0.10),
-        shard_count=2, jobs=jobs,
-    )
-    return crawler.crawl_traced(trace=False, audit=True)
+    return crawl_shards(
+        plan_shards(CONFIG, 2),
+        CrawlParams(policy=policy, speculative_rate=0.10), jobs,
+        collect=(False, True),
+    )[:2]
 
 
 @pytest.fixture(scope="module")

@@ -9,23 +9,7 @@ from repro.browser import (
     IdealOriginPolicy,
     NoCoalescingPolicy,
 )
-
-
-class FakeSession:
-    """Just enough session surface for policy decisions."""
-
-    def __init__(self, san=(), origins=(), multiplex=True):
-        self.san = set(san)
-        self.origins = set(origins)
-        self.can_multiplex = multiplex
-        self.closed = False
-        self.failed = None
-
-    def certificate_covers(self, hostname):
-        return hostname in self.san
-
-    def origin_set_covers(self, hostname):
-        return hostname in self.origins
+from tests.test_browser_pool import FakeSession
 
 
 def facts(san=(), origins=(), connected="10.0.0.1",

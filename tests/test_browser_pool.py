@@ -11,11 +11,22 @@ from repro.browser.policy import (
     NoCoalescingPolicy,
 )
 from repro.browser.pool import ConnectionPool, MAX_H1_CONNECTIONS_PER_HOST
+from repro.transport.base import DEFAULT_MAX_STREAMS, SessionCapabilities
+
+#: The capability records an h2 and an HTTP/1.1 session declare.
+H2_CAPABILITIES = SessionCapabilities(
+    alpn="h2", supports_origin_frame=True, max_streams=DEFAULT_MAX_STREAMS,
+)
+H1_CAPABILITIES = SessionCapabilities(alpn="http/1.1", max_streams=1)
 
 
 class FakeSession:
+    """Just enough session surface for pool and policy decisions; the
+    audit and policy tests share it."""
+
     def __init__(self, multiplex=True, busy=False, san=(), origins=()):
-        self.can_multiplex = multiplex
+        self.capabilities = H2_CAPABILITIES if multiplex \
+            else H1_CAPABILITIES
         self.h1_busy = busy
         self.closed = False
         self.failed = None

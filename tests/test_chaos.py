@@ -18,19 +18,19 @@ from repro.chaos import (
     ChaosReport,
     DEFAULT_RETRY_POLICY,
     EMPTY_SCHEDULE,
-    ChaosRunner,
     FaultInjector,
     FaultSchedule,
     FaultSpec,
     load_fault_schedule,
     parse_fault_schedule,
+    run_chaos,
 )
 from repro.cli import main
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
     CrawlParams,
-    ParallelCrawler,
     crawl_shard,
+    crawl_shards,
     derive_seed,
     plan_shards,
 )
@@ -176,18 +176,15 @@ class TestEmptyScheduleNonPerturbation:
         """Arming an empty schedule (retry policy pinned, retry RNG
         seeded) must not move a single byte of the archives or the
         audit stream relative to a plain crawl."""
-        config = DatasetConfig(site_count=6, seed=2022)
+        shards = plan_shards(DatasetConfig(site_count=6, seed=2022), 2)
         params = tiny_params()
 
-        plain = ParallelCrawler(config, params=params, shard_count=2,
-                                jobs=1)
-        p_result, p_trace = plain.crawl_traced(audit=True)
-
-        runner = ChaosRunner(config, params=params,
-                             schedule=EMPTY_SCHEDULE,
-                             retry_policy=DEFAULT_RETRY_POLICY,
-                             shard_count=2, jobs=1)
-        c_result, c_trace, report = runner.run()
+        p_result, p_trace, _ = crawl_shards(shards, params, 1,
+                                            collect=(True, True))
+        c_result, c_trace, report = run_chaos(
+            shards, params, EMPTY_SCHEDULE, DEFAULT_RETRY_POLICY, 1,
+            trace=True,
+        )
 
         assert [a.to_json() for a in p_result.archives] \
             == [a.to_json() for a in c_result.archives]
@@ -213,11 +210,10 @@ class TestJobsDeterminism:
             FaultSpec(name="expiry", kind="cert_expiry", at=1200.0,
                       target="origin-*"),
         ), source="gate")
-        config = DatasetConfig(site_count=8, seed=2022)
+        shards = plan_shards(DatasetConfig(site_count=8, seed=2022), 2)
         serial, parallel = (
-            ChaosRunner(config, params=tiny_params(), schedule=schedule,
-                        retry_policy=DEFAULT_RETRY_POLICY,
-                        shard_count=2, jobs=jobs).run()
+            run_chaos(shards, tiny_params(), schedule,
+                      DEFAULT_RETRY_POLICY, jobs, trace=True)
             for jobs in (1, 2)
         )
         assert_runs_identical(serial, parallel)
@@ -226,11 +222,10 @@ class TestJobsDeterminism:
         schedule = FaultSchedule(faults=(
             FaultSpec(name="storm", kind="goaway_storm", at=500.0),
         ), source="storm")
-        runner = ChaosRunner(DatasetConfig(site_count=6, seed=2022),
-                             params=tiny_params(), schedule=schedule,
-                             retry_policy=DEFAULT_RETRY_POLICY,
-                             shard_count=1)
-        _, trace, report = runner.run()
+        _, trace, report = run_chaos(
+            plan_shards(DatasetConfig(site_count=6, seed=2022), 1),
+            tiny_params(), schedule, DEFAULT_RETRY_POLICY, 1, trace=True,
+        )
         assert report.tallies[0].fired == 1
         assert report.connections_lost + report.immature_lost > 0
         reasons = {event.reason for event in trace.audit}
@@ -305,6 +300,18 @@ class TestTermination:
 # ---------------------------------------------------------------------------
 
 
+COMPARE_POLICIES_GOLDEN = """\
+chaos: 4 policies under examples/faults_demo.toml over 40 sites
+
+policy           conns  lost  coal  hosts  blast  retried  exhaust    pages
+---------------------------------------------------------------------------
+none               989    45     0     45  1.000      440        0   27/ 40
+chromium          1136    45    10     61  1.356      796        2   27/ 40
+firefox+origin    1135    46    10     62  1.348      796        2   27/ 40
+ideal-origin      1135    46    10     62  1.348      796        2   27/ 40
+"""
+
+
 class TestBlastRadius:
     def test_coalescing_widens_the_blast(self):
         """Ideal ORIGIN coalescing opens fewer connections than the
@@ -337,6 +344,17 @@ class TestBlastRadius:
         assert ideal.connections_opened < baseline.connections_opened
         assert ideal.coalesced_lost > 0
         assert ideal.mean_blast_radius > baseline.mean_blast_radius
+
+    def test_compare_policies_golden(self, capsys):
+        """The EXPERIMENTS.md ``--compare-policies`` command prints
+        exactly this table (the jobs-invariance of the sweep is the CI
+        ``determinism`` job's)."""
+        assert main([
+            "chaos", "--schedule", "examples/faults_demo.toml",
+            "--sites", "40", "--seed", "2022", "--shards", "2",
+            "--compare-policies", "--jobs", "2",
+        ]) == 0
+        assert capsys.readouterr().out == COMPARE_POLICIES_GOLDEN
 
     def test_report_shard_merge_is_counter_addition(self):
         tally_docs = [

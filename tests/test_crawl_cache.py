@@ -6,14 +6,21 @@ from repro.dataset.cache import (
     CACHE_ENV_VAR,
     CrawlCache,
     cache_key,
-    crawl_cached,
     default_cache_dir,
 )
 from repro.cli import main
 from repro.dataset import shard as shard_module
 from repro.dataset.crawler import CrawlResult
 from repro.dataset.generator import DatasetConfig
-from repro.dataset.shard import CrawlParams, ShardResult, write_archive_lines
+from repro.dataset.shard import (
+    CrawlParams,
+    ShardResult,
+    crawl_shards,
+    plan_shards,
+    write_archive_lines,
+)
+from repro.runtime import CrawlWorkload, InstrumentationOptions, RunPipeline
+from repro.runtime.sinks import CacheStatusSink
 from repro.web.har import HarArchive, HarEntry, HarPage, HarTimings
 
 
@@ -175,26 +182,19 @@ class TestCrawlCache:
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "custom"))
         assert default_cache_dir() == tmp_path / "custom"
 
-    def test_crawl_cached_end_to_end(self, tmp_path):
+    def test_cached_pipeline_end_to_end(self, tmp_path):
         config = DatasetConfig(site_count=6, seed=17)
         params = CrawlParams(policy="chromium", speculative_rate=0.10)
-        cache = CrawlCache(tmp_path)
-        first, hit_first = crawl_cached(
-            config, params=params, shard_count=2, cache=cache
-        )
-        assert hit_first is False
-        second, hit_second = crawl_cached(
-            config, params=params, shard_count=2, cache=cache
-        )
-        assert hit_second is True
-        assert second.archives == first.archives
+        first = cached_crawl(tmp_path, config, params, shards=2)
+        assert first.cache_hit is False
+        second = cached_crawl(tmp_path, config, params, shards=2)
+        assert second.cache_hit is True
+        assert second.result.archives == first.result.archives
         # refresh re-crawls (deterministically) and keeps the entry.
-        third, hit_third = crawl_cached(
-            config, params=params, shard_count=2, cache=cache,
-            refresh=True,
-        )
-        assert hit_third is False
-        assert third.archives == first.archives
+        third = cached_crawl(tmp_path, config, params, shards=2,
+                             refresh=True)
+        assert third.cache_hit is False
+        assert third.result.archives == first.result.archives
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,15 @@ class TestCrawlCache:
 CONFIG = DatasetConfig(site_count=8, seed=2022)
 PARAMS = CrawlParams()
 KEY = cache_key(CONFIG, PARAMS, 4)
+
+
+def cached_crawl(cache_dir, config=CONFIG, params=PARAMS, shards=4,
+                 jobs=1, refresh=False):
+    """The untraced crawl pipeline, as ``repro crawl`` runs it: the
+    workload reads or writes the entry, then the sinks publish it."""
+    workload = CrawlWorkload(config, params, shards=shards,
+                             cache_dir=cache_dir, refresh=refresh)
+    return RunPipeline(workload, jobs=jobs).run()
 
 
 def crawl_argv(cache_dir, jobs, *extra):
@@ -223,7 +232,7 @@ REAL_CRAWL_SHARD = shard_module.crawl_shard
 
 class TestStreamedStore:
     @pytest.mark.parametrize("live", [False, True],
-                             ids=["crawl_cached", "CacheStoreSink"])
+                             ids=["CacheStatusSink", "CacheStoreSink"])
     def test_fan_out_parent_never_encodes_an_archive(
         self, tmp_path, monkeypatch, capsys, live
     ):
@@ -256,13 +265,31 @@ class TestStreamedStore:
 
     def test_new_entry_round_trips(self, tmp_path):
         cache = CrawlCache(tmp_path)
-        result, hit = crawl_cached(CONFIG, PARAMS, shard_count=4, jobs=2,
-                                   cache=cache)
-        assert not hit
+        outcome = cached_crawl(tmp_path, jobs=2)
+        assert not outcome.cache_hit
+        result = outcome.result
         loaded = cache.load(KEY)
         assert loaded.archives == result.archives
         assert cache.path_for(KEY).read_text(encoding="utf-8") == "".join(
             archive.to_json() + "\n" for archive in result.archives)
+
+    def test_cached_miss_is_published_by_the_sink(self, tmp_path):
+        """The crawl leaves only the ``.tmp``; the cache sink is the
+        one place an entry goes live, on the cached path as on the
+        live one."""
+        workload = CrawlWorkload(CONFIG, PARAMS, shards=4,
+                                 cache_dir=tmp_path)
+        outcome = workload.execute_cached(jobs=1)
+        assert not outcome.cache_hit
+        assert [p.name for p in tmp_path.iterdir()] == [f"crawl-{KEY}.tmp"]
+        assert not workload.cache.has(KEY)
+        (sink,) = workload.sinks(InstrumentationOptions(), rules=None,
+                                 live=False)
+        assert isinstance(sink, CacheStatusSink)
+        sink(outcome)
+        assert [p.name for p in tmp_path.iterdir()] == \
+            [f"crawl-{KEY}.jsonl"]
+        assert workload.cache.load(KEY).archives == outcome.result.archives
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_serial_and_fan_out_share_one_writer(
@@ -275,8 +302,7 @@ class TestStreamedStore:
             write_archive_lines(out, result)
 
         monkeypatch.setattr(shard_module, "write_archive_lines", recording)
-        crawl_cached(CONFIG, PARAMS, shard_count=4, jobs=jobs,
-                     cache=CrawlCache(tmp_path))
+        cached_crawl(tmp_path, jobs=jobs)
         # One call per absorbed shard; only the fan-out has lines a
         # worker already encoded.
         assert seen == [jobs == 2] * 4
@@ -288,8 +314,7 @@ class TestStreamedStore:
         monkeypatch.setattr(shard_module, "crawl_shard", _third_shard_raises)
         cache = CrawlCache(tmp_path)
         with pytest.raises(RuntimeError, match="shard 2 died"):
-            crawl_cached(CONFIG, PARAMS, shard_count=4, jobs=jobs,
-                         cache=cache)
+            cached_crawl(tmp_path, jobs=jobs)
         assert list(cache.root.iterdir()) == []
         assert not cache.has(KEY)
 
@@ -298,8 +323,7 @@ class TestStreamedStore:
         store(cache, KEY, make_result())
         monkeypatch.setattr(shard_module, "crawl_shard", _third_shard_raises)
         with pytest.raises(RuntimeError, match="shard 2 died"):
-            crawl_cached(CONFIG, PARAMS, shard_count=4, cache=cache,
-                         refresh=True)
+            cached_crawl(tmp_path, refresh=True)
         assert [p.name for p in cache.root.iterdir()] == \
             [f"crawl-{KEY}.jsonl"]
         assert cache.load(KEY).archives == make_result().archives
@@ -319,9 +343,9 @@ class TestStreamedStore:
             entry.flush()
             sizes.append(tmp.stat().st_size)
 
-        crawler = shard_module.ParallelCrawler(CONFIG, PARAMS, shard_count=4)
         with cache.writing(KEY) as entry:
-            result = crawler.crawl(progress=progress, archive_out=entry)
+            result, _, _ = crawl_shards(plan_shards(CONFIG, 4), PARAMS, 1,
+                                        archive_out=entry, progress=progress)
             assert cache.load(KEY).archives == make_result().archives
         assert sizes == sorted(sizes) and len(set(sizes)) == 4
         assert cache.store(KEY) == cache.path_for(KEY)

@@ -11,9 +11,9 @@ import pytest
 from repro.dataset.generator import DatasetConfig, PageGenerator
 from repro.dataset.shard import (
     CrawlParams,
-    ParallelCrawler,
     ShardSpec,
     crawl_shard,
+    crawl_shards,
     default_shard_count,
     derive_seed,
     plan_shards,
@@ -86,15 +86,11 @@ class TestParallelDeterminism:
 
     @pytest.fixture(scope="class")
     def serial(self, config, params):
-        return ParallelCrawler(
-            config, params, shard_count=4, jobs=1
-        ).crawl()
+        return crawl_shards(plan_shards(config, 4), params, 1)[0]
 
     @pytest.fixture(scope="class")
     def parallel(self, config, params):
-        return ParallelCrawler(
-            config, params, shard_count=4, jobs=4
-        ).crawl()
+        return crawl_shards(plan_shards(config, 4), params, 4)[0]
 
     def test_jobs_do_not_change_results(self, serial, parallel):
         """jobs=4 equals jobs=1 archive-for-archive."""
@@ -124,8 +120,9 @@ class TestParallelDeterminism:
 
     def test_progress_reports_each_shard(self, config, params):
         seen = []
-        ParallelCrawler(config, params, shard_count=3, jobs=1).crawl(
-            progress=lambda done, total: seen.append((done, total))
+        crawl_shards(
+            plan_shards(config, 3), params, 1,
+            progress=lambda done, total: seen.append((done, total)),
         )
         assert seen == [(1, 3), (2, 3), (3, 3)]
 

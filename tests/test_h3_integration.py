@@ -13,7 +13,7 @@ import pytest
 from repro.audit.reasons import ReasonCode
 from repro.dataset.cache import CACHE_FORMAT_VERSION, cache_key
 from repro.dataset.generator import DatasetConfig
-from repro.dataset.shard import CrawlParams, ParallelCrawler
+from repro.dataset.shard import CrawlParams, crawl_shards, plan_shards
 
 #: Smallest deterministic world exhibiting every h3 phenomenon at
 #: once (fewer sites lose cross-host tickets or Alt-Svc upgrades).
@@ -22,9 +22,9 @@ CONFIG = DatasetConfig(site_count=12, seed=2022)
 
 def crawl(alpn):
     params = CrawlParams(policy="chromium", speculative_rate=0.0,
-                        alpn=alpn)
-    crawler = ParallelCrawler(CONFIG, params=params, shard_count=1)
-    return crawler.crawl_traced(trace=False, audit=True)
+                         alpn=alpn)
+    return crawl_shards(plan_shards(CONFIG, 1), params, 1,
+                        collect=(False, True))[:2]
 
 
 @pytest.fixture(scope="module")

@@ -17,18 +17,21 @@ from types import SimpleNamespace
 import pytest
 
 from repro.audit.log import events_to_jsonl
-from repro.chaos import DEFAULT_RETRY_POLICY, ChaosRunner, load_fault_schedule
-from repro.chaos import run as chaos_run
+from repro.chaos import (
+    DEFAULT_RETRY_POLICY,
+    EMPTY_SCHEDULE,
+    load_fault_schedule,
+)
 from repro.dataset.crawler import CrawlResult
 from repro.dataset import shard as shard_module
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
     CrawlParams,
-    ParallelCrawler,
     ShardResult,
     _shard_from_wire,
     _shard_to_wire,
     crawl_shard,
+    crawl_shards,
     merge_shards,
     plan_shards,
     run_shards,
@@ -62,8 +65,7 @@ def audit_jsonl(trace: CrawlTrace) -> str:
 
 
 def run_artifacts(payload, trace: CrawlTrace, report=None) -> dict:
-    """Every stream of a merged run, as the sinks would write it;
-    takes what the drivers return."""
+    """Every stream of a merged run, as the sinks would write it."""
     return {
         "payload": _payload_bytes(payload),
         "spans": trace.to_jsonl(),
@@ -74,9 +76,9 @@ def run_artifacts(payload, trace: CrawlTrace, report=None) -> dict:
 
 
 def assert_runs_identical(serial, parallel) -> None:
-    """Two runs of one experiment at different ``jobs`` (each the
-    tuple its driver returned) export the same bytes, stream by
-    stream."""
+    """Two runs of one experiment at different ``jobs`` (each a
+    ``(payload, trace[, report])`` tuple) export the same bytes,
+    stream by stream."""
     first, second = run_artifacts(*serial), run_artifacts(*parallel)
     for name in first:
         assert first[name] == second[name], f"{name} differs across jobs"
@@ -183,26 +185,24 @@ def _plan_probe_shard(spec, *_args) -> ShardResult:
     )]))
 
 
-def _probe_crawl(jobs, shard_count):
-    return ParallelCrawler(DatasetConfig(site_count=8, seed=31),
-                           shard_count=shard_count, jobs=jobs).crawl()
-
-
-def _probe_chaos(jobs, shard_count):
-    return ChaosRunner(DatasetConfig(site_count=8, seed=31),
-                       shard_count=shard_count, jobs=jobs).run()[0]
-
-
-@pytest.mark.parametrize("drive", [_probe_crawl, _probe_chaos])
 class TestPlanBeforeFork:
+    """Plain, observed and fault-injected crawls all plan in the
+    parent, because all three are one ``crawl_shards`` call."""
+
     @pytest.fixture(autouse=True)
     def probe(self, monkeypatch):
         monkeypatch.setattr(shard_module, "crawl_shard", _plan_probe_shard)
-        monkeypatch.setattr(chaos_run, "crawl_shard", _plan_probe_shard)
         monkeypatch.setattr(shard_module, "_PLAN_CACHE", [])
 
-    def test_forked_workers_inherit_the_parents_plan(self, drive):
-        seen = drive(jobs=2, shard_count=4).archives
+    @pytest.mark.parametrize("collect,chaos", [
+        (None, None),
+        ((True, True), None),
+        ((False, True), (EMPTY_SCHEDULE, DEFAULT_RETRY_POLICY)),
+    ], ids=["plain", "observed", "chaos"])
+    def test_forked_workers_inherit_the_parents_plan(self, collect, chaos):
+        shards = plan_shards(DatasetConfig(site_count=8, seed=31), 4)
+        seen = crawl_shards(shards, CrawlParams(), 2, collect=collect,
+                            chaos=chaos)[0].archives
         assert [doc.planned for doc in seen] == [True] * 4
         assert os.getpid() not in {doc.pid for doc in seen}
 

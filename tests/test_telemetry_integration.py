@@ -8,11 +8,11 @@ import pytest
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
     CrawlParams,
-    ParallelCrawler,
     crawl_shard,
+    crawl_shards,
     plan_shards,
 )
-from repro.telemetry.validation import (
+from tests.telemetry_validation import (
     assert_trace_valid,
     validate_crawl_trace,
 )
@@ -22,10 +22,16 @@ CONFIG = DatasetConfig(site_count=10, seed=17)
 PARAMS = CrawlParams()
 
 
+def crawl_traced(config=CONFIG, jobs=1):
+    """A fully observed crawl of ``config`` in two shards:
+    ``(result, trace)``."""
+    return crawl_shards(plan_shards(config, 2), PARAMS, jobs,
+                        collect=(True, True))[:2]
+
+
 @pytest.fixture(scope="module")
 def traced():
-    crawler = ParallelCrawler(CONFIG, PARAMS, shard_count=2, jobs=1)
-    return crawler.crawl_traced()
+    return crawl_traced()
 
 
 class TestTracedCrawl:
@@ -56,9 +62,7 @@ class TestTracedCrawl:
         """The zero-overhead claim's other half: a traced crawl yields
         byte-identical archives to an untraced crawl."""
         result, _ = traced
-        untraced = ParallelCrawler(
-            CONFIG, PARAMS, shard_count=2, jobs=1
-        ).crawl()
+        untraced, _, _ = crawl_shards(plan_shards(CONFIG, 2), PARAMS, 1)
         assert [a.to_json() for a in untraced.archives] \
             == [a.to_json() for a in result.archives]
 
@@ -75,17 +79,13 @@ class TestTracedCrawl:
 class TestTraceDeterminism:
     def test_same_seed_same_trace(self, traced):
         _, trace = traced
-        again = ParallelCrawler(
-            CONFIG, PARAMS, shard_count=2, jobs=1
-        ).crawl_traced()[1]
+        again = crawl_traced()[1]
         assert again.to_jsonl() == trace.to_jsonl()
         assert json.dumps(again.metrics.snapshot()) \
             == json.dumps(trace.metrics.snapshot())
 
     def test_jobs_do_not_change_trace(self, traced):
-        assert_runs_identical(traced, ParallelCrawler(
-            CONFIG, PARAMS, shard_count=2, jobs=2
-        ).crawl_traced())
+        assert_runs_identical(traced, crawl_traced(jobs=2))
 
 
 class TestFigure2Validation:
@@ -95,10 +95,7 @@ class TestFigure2Validation:
         assert_trace_valid(result, trace.spans)
 
     def test_validates_across_seeds(self):
-        config = DatasetConfig(site_count=8, seed=99)
-        result, trace = ParallelCrawler(
-            config, PARAMS, shard_count=2, jobs=1
-        ).crawl_traced()
+        result, trace = crawl_traced(DatasetConfig(site_count=8, seed=99))
         assert validate_crawl_trace(result, trace.spans) == []
 
     def test_corrupted_handshake_span_detected(self, traced):

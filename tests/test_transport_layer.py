@@ -5,6 +5,7 @@ endpoints, and the ``tcp-tls`` dialer."""
 import numpy as np
 import pytest
 
+from repro.browser.policy import ConnectionFacts
 from repro.h2.client import H2ClientSession
 from repro.netsim import EventLoop, Host, LatencyModel, LinkSpec, Network
 from repro.tlspki import CertificateAuthority, TrustStore
@@ -14,7 +15,6 @@ from repro.transport.base import (
     Endpoint,
     Session,
     SessionCapabilities,
-    capabilities_of,
 )
 from repro.transport.framing import (
     REC_APPDATA,
@@ -75,23 +75,9 @@ class TestSessionCapabilities:
             SessionCapabilities().max_streams = 5
 
 
-class _DuckSession:
-    def __init__(self, multiplex):
-        self.can_multiplex = multiplex
-
-
 class TestCapabilitiesOf:
-    def test_duck_typed_h2(self):
-        caps = capabilities_of(_DuckSession(multiplex=True))
-        assert caps.can_multiplex
-        assert caps.supports_origin_frame
-        assert caps.max_streams == DEFAULT_MAX_STREAMS
-
-    def test_duck_typed_h1(self):
-        caps = capabilities_of(_DuckSession(multiplex=False))
-        assert not caps.can_multiplex
-        assert not caps.supports_origin_frame
-        assert caps.alpn == "http/1.1"
+    """Policies read a connection's capabilities from the record its
+    session declares."""
 
     def test_explicit_record_wins(self):
         class Explicit:
@@ -100,7 +86,8 @@ class TestCapabilitiesOf:
                 alpn="h3", zero_rtt=True, max_streams=7
             )
 
-        caps = capabilities_of(Explicit())
+        caps = ConnectionFacts(session=Explicit(), sni="www.a.com",
+                               connected_ip="10.0.0.1").capabilities
         assert caps.alpn == "h3"
         assert caps.zero_rtt
         assert caps.max_streams == 7
@@ -159,8 +146,9 @@ class TestTcpTlsDialer:
         session.connect()
         network.loop.run_until_idle()
         assert session.ready
-        caps = capabilities_of(session)
+        caps = session.capabilities
         assert caps.alpn == "h2"
+        assert caps.max_streams == DEFAULT_MAX_STREAMS
         assert caps.can_multiplex
         assert caps.supports_origin_frame
         assert not caps.resumable_across_hostnames
