@@ -1,12 +1,5 @@
-"""Statistics and plain-text rendering used by benches and examples."""
+"""Plain-text rendering (tables, CDFs, waterfalls) for the CLI and examples."""
 
-from repro.analysis.stats import (
-    cdf_points,
-    percentile,
-    median,
-    interquartile_range,
-    histogram,
-)
 from repro.analysis.render import (
     render_table,
     render_cdf,
@@ -16,11 +9,6 @@ from repro.analysis.render import (
 from repro.analysis.waterfall import render_waterfall
 
 __all__ = [
-    "cdf_points",
-    "percentile",
-    "median",
-    "interquartile_range",
-    "histogram",
     "render_table",
     "render_cdf",
     "render_series",

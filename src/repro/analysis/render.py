@@ -6,7 +6,7 @@ and figures report; these helpers keep that output consistent.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 def format_pct(fraction: float, digits: int = 2) -> str:

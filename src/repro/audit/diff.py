@@ -11,7 +11,7 @@ codes through the comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.analysis.render import render_table
 from repro.audit.log import AuditEvent, events_from_jsonl

@@ -99,14 +99,6 @@ class ReasonCode(str, Enum):
         return self.value.startswith("POOL_HIT_") or \
             self is ReasonCode.HIT_BROWSER_CACHE
 
-    @property
-    def is_miss(self) -> bool:
-        return self.value.startswith("MISS_")
-
-    @property
-    def is_credit(self) -> bool:
-        return self.value.startswith("CREDIT_")
-
 
 class UnknownReasonCode(ValueError):
     """A serialized event carried a code outside the closed enum."""

@@ -9,7 +9,7 @@ certificate to cover the hostname -- without that, reuse would draw a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Optional, Sequence
 
 from repro.audit.reasons import ReasonCode
@@ -63,9 +63,9 @@ class CoalescingPolicy:
 
     :meth:`explain` is the single source of truth: it returns the
     :class:`~repro.audit.reasons.ReasonCode` for one candidate
-    connection, and :meth:`can_reuse` is derived from it -- so the
-    audit log, the pool's trace events, and the actual reuse decision
-    can never disagree.
+    connection, and reuse is granted exactly when that code
+    ``is_hit`` -- so the audit log, the pool's trace events, and the
+    actual reuse decision can never disagree.
     """
 
     name = "base"
@@ -74,8 +74,8 @@ class CoalescingPolicy:
     #: DNS query for subresources, despite being defined as optional in
     #: the specification" (§2.3).
     requires_dns_before_reuse = True
-    #: Whether this policy can ever answer True to :meth:`can_reuse`;
-    #: pools skip the coalescing lookup entirely when False.
+    #: Whether :meth:`explain` can ever return a hit; pools skip the
+    #: coalescing lookup entirely when False.
     coalesces = True
     #: Whether every reuse this policy grants implies an address overlap
     #: between the connection and the candidate's DNS answer.  When True
@@ -91,14 +91,6 @@ class CoalescingPolicy:
         """Why this connection may (``is_hit``) or may not serve
         ``hostname``."""
         raise NotImplementedError
-
-    def can_reuse(
-        self,
-        facts: ConnectionFacts,
-        hostname: str,
-        dns_addresses: Sequence[str],
-    ) -> bool:
-        return self.explain(facts, hostname, dns_addresses).is_hit
 
 
 class NoCoalescingPolicy(CoalescingPolicy):

@@ -199,13 +199,6 @@ class ConnectionRegistry(List[ConnectionFacts]):
         """Connections with this SNI, in pool insertion order."""
         return self.by_sni.get(hostname, [])
 
-    def for_endpoint(
-        self, hostname: str, transport: str
-    ) -> List[ConnectionFacts]:
-        """Connections with this SNI on this transport, in pool
-        insertion order."""
-        return self.by_endpoint.get((hostname, transport), [])
-
     def candidates_for_ips(
         self, addresses: Sequence[str]
     ) -> List[ConnectionFacts]:
@@ -515,11 +508,3 @@ class ConnectionPool:
             facts.session.close()
         self.connections.clear()
         self.stats.pruned_connections += closed
-
-    @property
-    def open_count(self) -> int:
-        self._prune([
-            facts for facts in self.connections
-            if not self._usable(facts)
-        ])
-        return len(self.connections)

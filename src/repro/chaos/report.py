@@ -16,7 +16,7 @@ as metrics and audit streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 from repro.audit.record import canonical_json
 

@@ -47,9 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.audit.record import canonical_json
 from repro.obs.tomlsubset import parse_toml_subset
 
 
@@ -131,9 +130,6 @@ class FaultSchedule:
 
     def to_doc(self) -> Dict[str, object]:
         return {"faults": [fault.to_doc() for fault in self.faults]}
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_doc())
 
 
 #: The empty schedule: arming it must install nothing (the

@@ -12,7 +12,7 @@ import argparse
 from typing import List
 
 from repro.browser.policy import POLICY_FACTORIES
-from repro.dataset.characterize import CRAWL_TABLES, DEFAULT_TABLES
+from repro.dataset.characterize import CRAWL_TABLES
 
 #: Kept as the CLI-facing name->factory registry (the canonical copy
 #: lives in :mod:`repro.browser.policy` so crawl workers can share it).

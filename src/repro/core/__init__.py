@@ -20,7 +20,6 @@ from repro.core.grouping import (
     ServiceGrouper,
     by_asn,
     by_ip,
-    by_hostname,
     by_single_asn,
 )
 from repro.core.timeline import (
@@ -60,7 +59,6 @@ __all__ = [
     "ServiceGrouper",
     "by_asn",
     "by_ip",
-    "by_hostname",
     "by_single_asn",
     "ReconstructionOptions",
     "ReconstructionResult",

@@ -12,15 +12,13 @@ certificates").
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dataset.world import HostedSite, SyntheticWorld
 from repro.dnssim.resolver import NxDomain
-from repro.tlspki.certificate import Certificate
 
 
 def hostname_asn_resolver(
@@ -98,13 +96,6 @@ class CertificatePlan:
             1 for plan in self.plans if plan.change_count <= limit
         )
         return covered / len(self.plans)
-
-    def fraction_needing_more_than(self, limit: int) -> float:
-        if not self.plans:
-            return 0.0
-        return sum(
-            1 for plan in self.plans if plan.change_count > limit
-        ) / len(self.plans)
 
     def existing_san_counts(self) -> List[int]:
         return [plan.existing_san_count for plan in self.plans]

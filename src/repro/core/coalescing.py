@@ -9,10 +9,10 @@ resources."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set
+from typing import Set
 
 from repro.core.grouping import ServiceGrouper, by_asn, by_ip
-from repro.web.har import HarArchive, HarEntry
+from repro.web.har import HarArchive
 
 
 @dataclass(frozen=True)

@@ -37,13 +37,6 @@ def by_ip(entry: HarEntry) -> Optional[str]:
     return f"ip:{entry.server_ip}"
 
 
-def by_hostname(entry: HarEntry) -> Optional[str]:
-    """Degenerate grouper: the status quo (per-hostname connections)."""
-    if not entry.hostname:
-        return None
-    return f"host:{entry.hostname}"
-
-
 def by_single_asn(asn: int) -> ServiceGrouper:
     """Only ``asn`` coalesces; everything else keeps its measured
     behaviour (no new merging).

@@ -14,11 +14,11 @@ earlier.  Two conservatisms from the paper are preserved:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.grouping import ServiceGrouper
-from repro.web.har import HarArchive, HarEntry, HarPage, HarTimings
+from repro.web.har import HarArchive, HarEntry
 
 #: Requests whose starts fall within this window of each other are
 #: "concurrent" for the minimum-DNS conservatism.

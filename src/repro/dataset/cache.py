@@ -5,7 +5,7 @@ crawler params, shard layout)`` -- the simulation is deterministic --
 so its merged HAR archives can be persisted once and reused by every
 command that needs the same world.  The cache key is a SHA-256 digest
 over the canonical JSON of those inputs; the payload is the JSONL
-format of :meth:`~repro.dataset.crawler.CrawlResult.save`, which is
+format :meth:`~repro.dataset.crawler.CrawlResult.load` reads, which is
 exactly the paper pipeline's bucket of per-page HAR files (§3.1)
 collapsed into one file per crawl.
 
@@ -109,9 +109,6 @@ class CrawlCache:
     def path_for(self, key: str) -> Path:
         return self.root / f"crawl-{key}.jsonl"
 
-    def has(self, key: str) -> bool:
-        return self.path_for(key).is_file()
-
     def load(self, key: str) -> Optional[CrawlResult]:
         """The cached result for ``key``, or ``None`` on a miss (or an
         unreadable/corrupt entry, which is dropped)."""
@@ -121,7 +118,7 @@ class CrawlCache:
         try:
             return CrawlResult.load(path)
         except (OSError, ValueError, KeyError, TypeError):
-            self.invalidate(key)
+            path.unlink(missing_ok=True)
             return None
 
     @contextmanager
@@ -146,24 +143,6 @@ class CrawlCache:
         path = self.path_for(key)
         os.replace(path.with_suffix(".tmp"), path)
         return path
-
-    def invalidate(self, key: str) -> bool:
-        """Delete one entry; True if it existed."""
-        path = self.path_for(key)
-        try:
-            path.unlink()
-            return True
-        except FileNotFoundError:
-            return False
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("crawl-*.jsonl"):
-                path.unlink()
-                removed += 1
-        return removed
 
     def entries(self) -> List[CacheEntryInfo]:
         """Every entry on disk, newest first (stable: ties break on
@@ -193,8 +172,8 @@ class CrawlCache:
         """Delete entries beyond a count budget and/or older than a
         cutoff; returns what was removed (oldest victims first).
 
-        With neither bound given, nothing is removed (use
-        :meth:`clear` to empty the cache wholesale).
+        With neither bound given, nothing is removed (delete the
+        directory to empty the cache wholesale).
         """
         entries = self.entries()
         victims: List[CacheEntryInfo] = []

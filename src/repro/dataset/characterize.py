@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -229,21 +229,12 @@ class Figure1Data:
     histogram: Dict[int, float]   # count -> fraction of pages
     cdf: List[Tuple[int, float]]  # (count, cumulative fraction)
 
-    def fraction_with(self, count: int) -> float:
-        return self.histogram.get(count, 0.0)
-
     def cdf_at(self, count: int) -> float:
         best = 0.0
         for value, cumulative in self.cdf:
             if value <= count:
                 best = cumulative
         return best
-
-    def ases_for_fraction(self, fraction: float) -> int:
-        for value, cumulative in self.cdf:
-            if cumulative >= fraction:
-                return value
-        return self.cdf[-1][0] if self.cdf else 0
 
 
 def figure1(archives: Sequence[HarArchive]) -> Figure1Data:
@@ -368,15 +359,3 @@ def render_crawl_table(token: str, result) -> str:
 
 
 # -- per-page measured distributions (feed Figure 3) -------------------------
-
-def measured_distributions(
-    archives: Sequence[HarArchive],
-) -> Dict[str, List[int]]:
-    """Per-page measured DNS-query and TLS-connection counts."""
-    dns, tls = [], []
-    for archive in archives:
-        if not archive.page.success:
-            continue
-        dns.append(archive.dns_query_count())
-        tls.append(archive.tls_connection_count())
-    return {"dns": dns, "tls": tls}

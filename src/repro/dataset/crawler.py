@@ -63,22 +63,12 @@ class CrawlResult:
     def total_requests(self) -> int:
         return sum(a.request_count for a in self.successes)
 
-    def save(self, path) -> int:
-        """Write the crawl as JSON-lines of HAR archives.
-
-        The paper's pipeline stored per-page HAR files in a bucket
-        (§3.1); this is the single-file equivalent.  Returns the
-        number of archives written.
-        """
-        with open(path, "w", encoding="utf-8") as handle:
-            for archive in self.archives:
-                handle.write(archive.to_json())
-                handle.write("\n")
-        return len(self.archives)
-
     @classmethod
     def load(cls, path) -> "CrawlResult":
-        """Read a crawl back from :meth:`save` output."""
+        """Read a crawl back from JSON-lines of HAR archives (one per
+        line, as :func:`repro.dataset.shard.write_archive_lines` writes
+        them).  The paper's pipeline stored per-page HAR files in a
+        bucket (§3.1); this is the single-file equivalent."""
         archives = []
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:

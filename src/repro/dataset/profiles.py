@@ -7,8 +7,8 @@ synthetic crawl reproduces the published marginals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.web.content import ContentType
 

@@ -341,7 +341,7 @@ def _shard_from_wire(result: ShardResult) -> ShardResult:
 
 def write_archive_lines(out: TextIO, result: ShardResult) -> None:
     """Append one crawl shard's archives to ``out`` as HAR JSON lines
-    (the :meth:`CrawlResult.save` format): the worker's own lines when
+    (the format :meth:`CrawlResult.load` reads): the worker's own lines when
     the shard crossed a process boundary, else encoded here."""
     lines = result.har_lines
     if lines is None:

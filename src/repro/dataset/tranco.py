@@ -9,7 +9,7 @@ both for bucket statistics (Table 1) and for mild popularity trends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,3 @@ class TrancoList:
     def __iter__(self) -> Iterator[TrancoEntry]:
         for rank in range(1, self.size + 1):
             yield self.entry(rank)
-
-    def top(self, count: int) -> List[TrancoEntry]:
-        return [self.entry(rank) for rank in
-                range(1, min(count, self.size) + 1)]
-
-    def bucket_of(self, rank: int, bucket_size: int = 100_000) -> int:
-        """0-based popularity bucket (Table 1 uses 100K buckets)."""
-        return (rank - 1) // bucket_size

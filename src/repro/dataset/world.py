@@ -7,18 +7,13 @@ and an AS database -- everything the crawler's browser engine touches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dataset import profiles
-from repro.dataset.generator import (
-    DatasetConfig,
-    PageGenerator,
-    SiteRecord,
-    TAIL_CDN_ASN_BASE,
-)
+from repro.dataset.generator import DatasetConfig, PageGenerator, SiteRecord
 from repro.dnssim import AuthoritativeServer, CachingResolver, Zone
 from repro.h2.server import H2Server, ServerConfig
 from repro.netsim import (

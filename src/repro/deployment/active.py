@@ -61,12 +61,6 @@ class ActiveResult:
             return 0.0
         return sum(1 for v in values if v == count) / len(values)
 
-    def fraction_at_most(self, group: Group, count: int) -> float:
-        values = self.new_connections[group]
-        if not values:
-            return 0.0
-        return sum(1 for v in values if v <= count) / len(values)
-
     def max_connections(self, group: Group) -> int:
         values = self.new_connections[group]
         return max(values) if values else 0

@@ -14,7 +14,7 @@ against its known set.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Set
 
 from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode

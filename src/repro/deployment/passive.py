@@ -16,7 +16,7 @@ corresponding unique identifier only once").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 import numpy as np

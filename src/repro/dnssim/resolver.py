@@ -53,10 +53,6 @@ class ResolverStats(RegistryStats):
         "encrypted_queries",
     )
 
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.queries if self.queries else 0.0
-
 
 class AuthoritativeServer:
     """All authoritative zone data reachable by the resolver."""
@@ -64,15 +60,8 @@ class AuthoritativeServer:
     def __init__(self, answer_policy: Optional[AnswerPolicy] = None) -> None:
         self._zones: List[Zone] = []
         self._by_origin: Dict[str, Zone] = {}
-        self._policy = answer_policy or FixedOrderPolicy()
-
-    @property
-    def answer_policy(self) -> AnswerPolicy:
-        return self._policy
-
-    @answer_policy.setter
-    def answer_policy(self, policy: AnswerPolicy) -> None:
-        self._policy = policy
+        #: How answers are ordered; the DNS ablation swaps it per run.
+        self.answer_policy = answer_policy or FixedOrderPolicy()
 
     def add_zone(self, zone: Zone) -> Zone:
         if zone.origin in self._by_origin:
@@ -117,7 +106,7 @@ class AuthoritativeServer:
                 chain.append(records[0].value)
                 current = records[0].value
                 continue
-            addresses = self._policy.order(
+            addresses = self.answer_policy.order(
                 current, [r.value for r in records]
             )
             min_ttl = min(r.ttl for r in records)
@@ -367,44 +356,3 @@ class CachingResolver:
                 waiter(answer)
 
         self._loop.schedule(latency, complete)
-
-    def resolve_now(self, name: str) -> DnsAnswer:
-        """Synchronous resolution for model/analysis code.
-
-        Uses the cache and authority directly without consuming
-        simulated time.  Raises :class:`NxDomain` on failure.
-        """
-        name = normalize_name(name)
-        self.stats.queries += 1
-        cached = self._cache_get(name)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            if self.tracer.enabled:
-                self.tracer.instant("dns.query", category="dns",
-                                    qname=name, cache_hit=True,
-                                    wire=False, synchronous=True)
-            return cached
-        if self.encrypted_transport:
-            self.stats.encrypted_queries += 1
-        else:
-            self.stats.plaintext_queries += 1
-        if self.tracer.enabled:
-            self.tracer.instant("dns.query", category="dns", qname=name,
-                                cache_hit=False, wire=False,
-                                synchronous=True)
-        try:
-            addresses, ttl, chain = self._authority.query(name)
-        except NxDomain:
-            self.stats.nxdomain += 1
-            raise
-        answer = DnsAnswer(
-            name=name, addresses=addresses, ttl=ttl, cname_chain=chain,
-            https_alpn=(
-                self._authority.query_https(name)
-                if self.query_https_records else ()
-            ),
-        )
-        self._cache[name] = CacheEntry(
-            answer=answer, expires_at=self._loop.now() + ttl
-        )
-        return answer

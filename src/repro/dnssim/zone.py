@@ -112,11 +112,6 @@ class Zone:
                 ]
         return []
 
-    def names(self) -> List[str]:
-        """All names with at least one record, sorted."""
-        return sorted({name for (name, _), records in self._records.items()
-                       if records})
-
     def record_count(self) -> int:
         return sum(len(records) for records in self._records.values())
 

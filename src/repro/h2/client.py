@@ -327,11 +327,6 @@ class H2ClientSession(Session):
         )
 
     @property
-    def can_multiplex(self) -> bool:
-        """HTTP/2 multiplexes; an ALPN h1 fallback does not."""
-        return self._h1 is None
-
-    @property
     def h1_busy(self) -> bool:
         return self._h1 is not None and self._h1.busy
 

@@ -139,10 +139,6 @@ class H2Connection:
         self._outbound.clear()
         return data
 
-    @property
-    def open_stream_count(self) -> int:
-        return sum(1 for s in self._streams.values() if not s.closed)
-
     def stream(self, stream_id: int) -> Optional[Stream]:
         return self._streams.get(stream_id)
 
@@ -305,9 +301,6 @@ class H2Connection:
                 debug_data=debug,
             )
         )
-
-    def send_ping(self, opaque: bytes = b"\x00" * 8) -> None:
-        self._send_frame(fr.PingFrame(opaque=opaque))
 
     def send_window_update(self, stream_id: int, increment: int) -> None:
         if stream_id:

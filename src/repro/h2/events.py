@@ -6,7 +6,7 @@ are the connection's only output channel besides queued outbound bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.audit.record import SlottedRecord

@@ -326,11 +326,6 @@ class HpackDecoder:
     def table(self) -> DynamicTable:
         return self._table
 
-    def set_settings_max_table_size(self, size: int) -> None:
-        self._settings_max = size
-        if self._table.max_size > size:
-            self._table.resize(size)
-
     def _lookup(self, index: int) -> Header:
         if index <= 0:
             raise HpackError("header index 0 is invalid")

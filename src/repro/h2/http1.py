@@ -10,7 +10,7 @@ request/response, ``Content-Length`` bodies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Tuple
 from collections import deque
 

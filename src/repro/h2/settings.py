@@ -84,9 +84,6 @@ class Settings:
         self.initial_window_size = values[SettingId.INITIAL_WINDOW_SIZE]
         self.max_frame_size = values[SettingId.MAX_FRAME_SIZE]
 
-    def get(self, identifier: int) -> int:
-        return self._values.get(identifier, 0)
-
     def apply(self, identifier: int, value: int) -> None:
         validate_setting(identifier, value)
         if identifier in SettingId._value2member_map_:

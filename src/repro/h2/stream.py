@@ -136,24 +136,12 @@ class Stream:
         self.state = StreamState.CLOSED
         self.reset_code = code
 
-    def window_update(self, delta: int) -> None:
-        if delta <= 0:
-            raise H2StreamError(
-                self.stream_id, ErrorCode.PROTOCOL_ERROR,
-                f"WINDOW_UPDATE increment must be positive, got {delta}",
-            )
-        self.send_window += delta
-
     def replenish_recv_window(self, delta: int) -> None:
         self.recv_window += delta
 
     @property
     def closed(self) -> bool:
         return self.state is StreamState.CLOSED
-
-    @property
-    def can_send(self) -> bool:
-        return self.state in (StreamState.OPEN, StreamState.HALF_CLOSED_REMOTE)
 
     def __repr__(self) -> str:
         return f"Stream({self.stream_id}, {self.state.value})"

@@ -19,7 +19,7 @@ The key abstractions are:
 """
 
 from repro.netsim.clock import SimClock
-from repro.netsim.events import EventLoop, Event
+from repro.netsim.events import EventLoop
 from repro.netsim.latency import LatencyModel, LinkSpec
 from repro.netsim.addresses import AddressAllocator, is_valid_ipv4
 from repro.netsim.transport import Transport, TransportClosed
@@ -28,7 +28,6 @@ from repro.netsim.network import Network, Host, Service, ConnectionRefused
 __all__ = [
     "SimClock",
     "EventLoop",
-    "Event",
     "LatencyModel",
     "LinkSpec",
     "AddressAllocator",

@@ -133,8 +133,3 @@ class LatencyModel:
         done = start + nbytes / state[1]
         state[0] = done
         return done
-
-    def reset_shared_ingress(self) -> None:
-        """Drain all shared queues (e.g. between crawled pages)."""
-        for state in self._shared_ingress.values():
-            state[0] = 0.0

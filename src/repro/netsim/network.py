@@ -113,13 +113,6 @@ class Network:
         host.addresses.append(address)
         self._by_address[address] = host
 
-    def remove_address(self, host: Host, address: str) -> None:
-        """Detach an address (used to undo deployment DNS/IP changes)."""
-        if self._by_address.get(address) is not host:
-            raise ValueError(f"{address} is not bound to {host.name}")
-        host.addresses.remove(address)
-        del self._by_address[address]
-
     # -- services ----------------------------------------------------------
 
     def listen(
@@ -138,12 +131,6 @@ class Network:
         service = Service(host, ip, port, acceptor)
         self._services[key] = service
         return service
-
-    def unlisten(self, ip: str, port: int) -> None:
-        self._services.pop((ip, port), None)
-
-    def service_at(self, ip: str, port: int) -> Optional[Service]:
-        return self._services.get((ip, port))
 
     def listen_datagram(
         self,
@@ -165,12 +152,6 @@ class Network:
         service = Service(host, ip, port, acceptor)
         self._datagram_services[key] = service
         return service
-
-    def unlisten_datagram(self, ip: str, port: int) -> None:
-        self._datagram_services.pop((ip, port), None)
-
-    def datagram_service_at(self, ip: str, port: int) -> Optional[Service]:
-        return self._datagram_services.get((ip, port))
 
     def services_owned_by(self, owner: object) -> List[Tuple[Service, bool]]:
         """All ``(service, is_datagram)`` listeners whose acceptor is a

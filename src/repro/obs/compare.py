@@ -26,7 +26,7 @@ series nor a headline metric).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.analysis.render import render_table
 from repro.obs.ledger import RunRecord, histogram_from_doc

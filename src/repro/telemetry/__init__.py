@@ -25,7 +25,6 @@ from typing import Callable, List, Optional
 
 from repro.telemetry.metrics import (  # noqa: F401
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     RegistryStats,
@@ -108,11 +107,6 @@ class CrawlTrace:
 
     # -- export -----------------------------------------------------------
 
-    def to_jsonl(self) -> str:
-        from repro.telemetry.exporters import spans_to_jsonl
-
-        return spans_to_jsonl(self.spans)
-
     def write_chrome_trace(self, path) -> int:
         from repro.telemetry.exporters import write_chrome_trace
 
@@ -127,7 +121,6 @@ class CrawlTrace:
 __all__ = [
     "Counter",
     "CrawlTrace",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_TELEMETRY",

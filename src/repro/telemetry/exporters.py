@@ -105,8 +105,7 @@ def write_chrome_trace(path, spans: Sequence[Span]) -> int:
 
 
 def render_metrics_summary(registry: MetricsRegistry) -> str:
-    """The registry as ASCII tables (counters/gauges, then
-    histograms)."""
+    """The registry as ASCII tables (counters, then histograms)."""
     from repro.analysis.render import render_table
 
     def labels_of(metric) -> str:

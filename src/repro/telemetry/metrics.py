@@ -1,6 +1,6 @@
 """The unified metrics registry.
 
-One :class:`MetricsRegistry` holds every counter, gauge, and histogram
+One :class:`MetricsRegistry` holds every counter and histogram
 a simulated component emits, keyed by ``(name, labels)``.  The ad-hoc
 ``*Stats`` dataclasses that used to live in each layer (pool, server,
 resolver, middlebox) are rebuilt on top of it via
@@ -53,27 +53,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name}{dict(self.labels) or ''}={self.value})"
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    kind = "gauge"
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value: Union[int, float] = 0
-
-    def set(self, value: Union[int, float]) -> None:
-        self.value = value
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}{dict(self.labels) or ''}={self.value})"
 
 
 class Histogram:
@@ -150,7 +129,7 @@ class Histogram:
                 f"count={self.count} mean={self.mean:.2f})")
 
 
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Histogram]
 
 
 class MetricsRegistry:
@@ -182,12 +161,6 @@ class MetricsRegistry:
             raise TypeError(f"{name} is a {metric.kind}, not a counter")
         return metric
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        metric = self._get_or_create(Gauge, name, labels)
-        if metric.kind != "gauge":
-            raise TypeError(f"{name} is a {metric.kind}, not a gauge")
-        return metric
-
     def histogram(self, name: str,
                   buckets: Sequence[float] = DEFAULT_BUCKETS,
                   **labels) -> Histogram:
@@ -201,7 +174,7 @@ class MetricsRegistry:
         return list(self._metrics.values())
 
     def value(self, name: str, **labels) -> Union[int, float]:
-        """Convenience read of a counter/gauge (0 when absent)."""
+        """Convenience read of a counter (0 when absent)."""
         metric = self._metrics.get((name, _label_key(labels)))
         if metric is None:
             return 0
@@ -239,8 +212,8 @@ class MetricsRegistry:
     def absorb(self, source: Union["MetricsRegistry", List[dict]],
                prefix: str = "") -> None:
         """Merge ``source`` (a registry or a :meth:`snapshot`) into
-        this registry: counters add, gauges take the source value,
-        histograms merge bucket-by-bucket."""
+        this registry: counters add, histograms merge
+        bucket-by-bucket."""
         docs = source.snapshot() if isinstance(source, MetricsRegistry) \
             else source
         for doc in docs:
@@ -248,8 +221,6 @@ class MetricsRegistry:
             name = prefix + doc["name"]
             if doc["kind"] == "counter":
                 self.counter(name, **labels).inc(doc["value"])
-            elif doc["kind"] == "gauge":
-                self.gauge(name, **labels).set(doc["value"])
             else:
                 bounds = tuple(
                     math.inf if b is None else b for b in doc["bounds"]

@@ -6,18 +6,16 @@ seeded run are bit-for-bit deterministic: same seed, same spans, same
 ids, same timestamps -- regardless of wall-clock, host, or how many
 worker processes crawled the shards.
 
-The callback-driven simulator cannot use context managers for most
+The callback-driven simulator cannot use context managers for its
 spans (a fetch begins in one event and ends many events later), so the
-core API is explicit: :meth:`Tracer.begin` returns the span,
-:meth:`Tracer.end` closes it.  ``with tracer.span(...)`` exists for
-the synchronous cases.  When tracing is disabled the
+API is explicit: :meth:`Tracer.begin` returns the span,
+:meth:`Tracer.end` closes it.  When tracing is disabled the
 :data:`NULL_TRACER` singleton answers every call with a shared no-op
 span, keeping the hot paths at one attribute load + one call.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional
 
 from repro.audit.record import SlottedRecord, canonical_json, json_str
@@ -48,12 +46,6 @@ class Span(SlottedRecord):
     @property
     def finished(self) -> bool:
         return self.end_ms >= 0.0
-
-    @property
-    def duration_ms(self) -> float:
-        if not self.finished:
-            return 0.0
-        return max(0.0, self.end_ms - self.start_ms)
 
     def to_dict(self) -> dict:
         return {
@@ -129,18 +121,6 @@ class Tracer:
         span.end_ms = span.start_ms
         return span
 
-    @contextmanager
-    def span(self, name: str, category: str = "",
-             parent: Optional[Span] = None, **attrs):
-        span = self.begin(name, category, parent=parent, **attrs)
-        try:
-            yield span
-        finally:
-            self.end(span)
-
-    def finished_spans(self) -> List[Span]:
-        return [span for span in self.spans if span.finished]
-
 
 #: Shared inert span handed out by :class:`NullTracer`; never stored.
 _NULL_SPAN = Span(span_id=-1, name="", category="", start_ms=0.0,
@@ -167,14 +147,6 @@ class NullTracer:
     def instant(self, name: str, category: str = "",
                 parent: Optional[Span] = None, **attrs) -> Span:
         return _NULL_SPAN
-
-    @contextmanager
-    def span(self, name: str, category: str = "",
-             parent: Optional[Span] = None, **attrs):
-        yield _NULL_SPAN
-
-    def finished_spans(self) -> List[Span]:
-        return []
 
 
 NULL_TRACER = NullTracer()

@@ -4,8 +4,7 @@ Models the certificate machinery the paper's coalescing analysis rests
 on: certificates with Subject Alternative Name (SAN) extensions,
 certificate-authority issuance and chains, chain validation, handshake
 cost (including the 16KB-record spill for oversized certificates,
-paper §6.5), Certificate Transparency logs (paper §6.4), and OCSP
-status (paper §6.2).
+paper §6.5), and Certificate Transparency logs (paper §6.4).
 """
 
 from repro.tlspki.certificate import (
@@ -20,7 +19,7 @@ from repro.tlspki.validation import (
     ValidationResult,
     validate_chain,
 )
-from repro.tlspki.ctlog import CtLog, InclusionProof, ConsistencyProof
+from repro.tlspki.ctlog import CtLog, InclusionProof
 from repro.tlspki.handshake import (
     TlsVersion,
     HandshakeConfig,
@@ -28,7 +27,6 @@ from repro.tlspki.handshake import (
     simulate_handshake,
     TLS_RECORD_SIZE,
 )
-from repro.tlspki.ocsp import OcspResponder, OcspStatus
 
 __all__ = [
     "Certificate",
@@ -42,12 +40,9 @@ __all__ = [
     "validate_chain",
     "CtLog",
     "InclusionProof",
-    "ConsistencyProof",
     "TlsVersion",
     "HandshakeConfig",
     "HandshakeResult",
     "simulate_handshake",
     "TLS_RECORD_SIZE",
-    "OcspResponder",
-    "OcspStatus",
 ]

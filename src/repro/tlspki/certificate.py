@@ -10,8 +10,8 @@ so that handshake-cost modelling (paper §6.5) behaves like production.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Tuple
 
 from repro.dnssim.records import normalize_name
 

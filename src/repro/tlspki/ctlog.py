@@ -1,7 +1,7 @@
 """Certificate Transparency log (RFC 6962 Merkle tree).
 
 An append-only Merkle tree over certificate fingerprints with inclusion
-and consistency proofs.  Paper §6.4 argues that the bursty one-time
+proofs.  Paper §6.4 argues that the bursty one-time
 certificate re-issuance the coalescing plan requires would not stress
 CT infrastructure; the benches use this module to quantify the load
 (appends per hour vs the paper's 257,034 global hourly issuance rate).
@@ -59,15 +59,6 @@ class InclusionProof:
     path: Tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
-class ConsistencyProof:
-    """Proof that the tree at ``new_size`` extends the tree at ``old_size``."""
-
-    old_size: int
-    new_size: int
-    path: Tuple[bytes, ...]
-
-
 def _inclusion_path(hashes: List[bytes], index: int) -> List[bytes]:
     if len(hashes) == 1:
         return []
@@ -79,15 +70,6 @@ def _inclusion_path(hashes: List[bytes], index: int) -> List[bytes]:
         path = _inclusion_path(hashes[split:], index - split)
         path.append(_merkle_root(hashes[:split]))
     return path
-
-
-def verify_inclusion(
-    entry: bytes, proof: InclusionProof, root: bytes
-) -> bool:
-    """Recompute the root from the leaf and audit path (RFC 6962 §2.1.1)."""
-    if not 0 <= proof.leaf_index < proof.tree_size:
-        return False
-    return _replay_inclusion(entry, proof) == root
 
 
 def _replay_inclusion(entry: bytes, proof: InclusionProof) -> bytes:
@@ -120,13 +102,6 @@ class CtLog:
         self._leaf_hashes: List[bytes] = []
         self.append_times: List[float] = []
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def tree_size(self) -> int:
-        return len(self._entries)
-
     def append(self, certificate: Certificate, now: float = 0.0) -> int:
         """Log a certificate; returns its leaf index (its SCT)."""
         entry = certificate.fingerprint().encode("ascii")
@@ -144,9 +119,6 @@ class CtLog:
                 f"tree has {len(self._entries)} entries, not {tree_size}"
             )
         return _merkle_root(self._leaf_hashes[:tree_size])
-
-    def entry(self, index: int) -> bytes:
-        return self._entries[index]
 
     def inclusion_proof(
         self, leaf_index: int, tree_size: int = -1
@@ -168,43 +140,6 @@ class CtLog:
         entry = certificate.fingerprint().encode("ascii")
         root = self.root_hash(proof.tree_size)
         return _replay_inclusion(entry, proof) == root
-
-    def consistency_proof(
-        self, old_size: int, new_size: int = -1
-    ) -> ConsistencyProof:
-        """Subtree roots sufficient to check append-only growth.
-
-        This implementation returns the old root and the roots of the
-        appended ranges; verification recomputes both roots.  (A compact
-        RFC 6962 §2.1.2 path would be smaller; equivalence of guarantees
-        is what the tests check.)
-        """
-        if new_size < 0:
-            new_size = len(self._entries)
-        if not 0 < old_size <= new_size <= len(self._entries):
-            raise ValueError(
-                f"invalid consistency request: {old_size} -> {new_size}"
-            )
-        path = [
-            _merkle_root(self._leaf_hashes[:old_size]),
-            _merkle_root(self._leaf_hashes[old_size:new_size]),
-        ]
-        return ConsistencyProof(
-            old_size=old_size, new_size=new_size, path=tuple(path)
-        )
-
-    def verify_consistency(self, proof: ConsistencyProof) -> bool:
-        """True when the recorded roots match both claimed tree states."""
-        old_root = self.root_hash(proof.old_size)
-        new_root = self.root_hash(proof.new_size)
-        if proof.path[0] != old_root:
-            return False
-        if proof.old_size == proof.new_size:
-            return True
-        recombined = _merkle_root(
-            self._leaf_hashes[: proof.new_size]
-        )
-        return recombined == new_root
 
     def appends_in_window(self, start: float, end: float) -> int:
         """How many certificates were logged in [start, end) -- used by

@@ -78,11 +78,6 @@ class HandshakeResult:
     cpu_ms: float
     sni_plaintext: str
 
-    @property
-    def sni_leaked(self) -> bool:
-        """True when the SNI crossed the network unencrypted."""
-        return bool(self.sni_plaintext)
-
 
 def chain_bytes(chain: Sequence[Certificate]) -> int:
     """Wire size of the presented certificate chain."""

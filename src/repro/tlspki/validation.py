@@ -10,7 +10,7 @@ the paper's Figure 3 discussion attributes to excess validations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.dnssim.records import normalize_name
 from repro.tlspki.ca import CertificateAuthority
@@ -31,9 +31,6 @@ class TrustStore:
                 f"{root.name} is an intermediate, not a trust anchor"
             )
         self._roots[normalize_name(root.name)] = root
-
-    def root(self, name: str) -> Optional[CertificateAuthority]:
-        return self._roots.get(normalize_name(name))
 
     def __contains__(self, name: str) -> bool:
         return normalize_name(name) in self._roots

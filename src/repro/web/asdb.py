@@ -80,12 +80,5 @@ class AsDatabase:
         info = self.lookup(address)
         return info.asn if info is not None else None
 
-    def org_of(self, address: str) -> Optional[str]:
-        info = self.lookup(address)
-        return info.org if info is not None else None
-
-    def info_for_asn(self, asn: int) -> Optional[AsInfo]:
-        return self._by_asn.get(asn)
-
     def __len__(self) -> int:
         return len(self._by_asn)

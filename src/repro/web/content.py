@@ -36,15 +36,6 @@ class ContentType(enum.Enum):
         )
 
     @property
-    def is_image(self) -> bool:
-        return self in (
-            ContentType.IMAGE_JPEG,
-            ContentType.IMAGE_PNG,
-            ContentType.IMAGE_GIF,
-            ContentType.IMAGE_WEBP,
-        )
-
-    @property
     def is_render_blocking(self) -> bool:
         """Scripts and stylesheets block rendering; they sit on the
         critical path the reconstruction model compacts (§4.1)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 NOT_APPLICABLE = -1.0
 
@@ -49,17 +49,6 @@ class HarTimings:
     @property
     def used_dns(self) -> bool:
         return self.dns >= 0.0
-
-    def validate(self) -> None:
-        for name in ("blocked", "send", "wait", "receive"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"timing {name} cannot be negative")
-        for name in ("dns", "connect", "ssl"):
-            value = getattr(self, name)
-            if value < 0 and value != NOT_APPLICABLE:
-                raise ValueError(
-                    f"timing {name} must be >= 0 or -1, got {value}"
-                )
 
 
 @dataclass

@@ -64,11 +64,6 @@ class Subresource:
     def url(self) -> str:
         return f"{self.scheme}://{self.hostname}{self.path}"
 
-    @property
-    def coalescing_eligible(self) -> bool:
-        """Firefox only coalesces secure NORMAL-mode fetches (§5.3)."""
-        return self.fetch_mode is FetchMode.NORMAL and self.secure
-
 
 @dataclass
 class WebPage:
@@ -146,12 +141,3 @@ class WebPage:
             if resource.hostname not in seen:
                 seen.append(resource.hostname)
         return seen
-
-    def sharded_hostnames(self) -> List[str]:
-        """Hostnames other than the root's (the sharding targets)."""
-        return [name for name in self.hostnames() if name != self.hostname]
-
-    @property
-    def request_count(self) -> int:
-        """Total requests to fully load the page (root + subresources)."""
-        return 1 + len(self.resources)

@@ -46,6 +46,13 @@ def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol
 
 
+def _duration(span: Span) -> float:
+    """A finished span's length; 0.0 while it is still open."""
+    if not span.finished:
+        return 0.0
+    return max(0.0, span.end_ms - span.start_ms)
+
+
 class _Claimable:
     """A span pool supporting claim-once matching."""
 
@@ -84,7 +91,7 @@ def _validate_entry_phases(
             lambda s: s.attrs.get("qname") == entry.hostname
             and s.attrs.get("wire")
             and _close(s.start_ms, entry.started_at, tol)
-            and _close(s.duration_ms, entry.timings.dns, tol)
+            and _close(_duration(s), entry.timings.dns, tol)
         )
         if span is None:
             problems.append(
@@ -172,11 +179,11 @@ def _validate_reconstruction(
             )
         elif dns_removed > tol:
             dns = claims.get(id(original), {}).get("dns")
-            if dns is not None and dns_removed > dns.duration_ms + tol:
+            if dns is not None and dns_removed > _duration(dns) + tol:
                 problems.append(
                     f"{where}: model removed {dns_removed:.3f}ms of DNS "
                     f"but the traced lookup only took "
-                    f"{dns.duration_ms:.3f}ms"
+                    f"{_duration(dns):.3f}ms"
                 )
 
         blocked_shed = before.blocked - after.blocked

@@ -1,70 +1,11 @@
-"""Tests for the statistics and rendering helpers."""
-
-import pytest
-from hypothesis import given, strategies as st
+"""Tests for the plain-text rendering helpers."""
 
 from repro.analysis import (
-    cdf_points,
     format_pct,
-    histogram,
-    interquartile_range,
-    median,
-    percentile,
     render_cdf,
     render_series,
     render_table,
 )
-from repro.analysis.stats import cdf_at
-
-
-class TestStats:
-    def test_median_and_percentiles(self):
-        values = [1, 2, 3, 4, 5]
-        assert median(values) == 3
-        assert percentile(values, 0) == 1
-        assert percentile(values, 100) == 5
-
-    def test_empty_inputs(self):
-        assert median([]) == 0.0
-        assert percentile([], 50) == 0.0
-        assert cdf_points([]) == []
-        assert histogram([]) == {}
-        assert cdf_at([], 1) == 0.0
-
-    def test_percentile_bounds(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-
-    def test_iqr(self):
-        values = list(range(1, 101))
-        assert interquartile_range(values) == pytest.approx(49.5)
-
-    def test_cdf_points_deduplicate(self):
-        points = cdf_points([1, 1, 2])
-        assert points == [(1.0, 2 / 3), (2.0, 1.0)]
-
-    def test_cdf_at(self):
-        values = [1, 2, 3, 4]
-        assert cdf_at(values, 2) == 0.5
-        assert cdf_at(values, 0) == 0.0
-        assert cdf_at(values, 10) == 1.0
-
-    def test_histogram_fractions(self):
-        assert histogram([1, 1, 2, 3]) == {1: 0.5, 2: 0.25, 3: 0.25}
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6),
-                    min_size=1, max_size=100))
-    def test_cdf_monotone_and_complete(self, values):
-        points = cdf_points(values)
-        fractions = [fraction for _, fraction in points]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0)
-        xs = [x for x, _ in points]
-        assert xs == sorted(xs)
-
-    @given(st.lists(st.integers(0, 50), min_size=1, max_size=200))
-    def test_histogram_sums_to_one(self, values):
-        assert sum(histogram(values).values()) == pytest.approx(1.0)
 
 
 class TestRendering:

@@ -1,6 +1,6 @@
 """Unit tests for the decision-audit subsystem: the closed taxonomy,
-the event log, policy explain/can_reuse agreement, and the guarantee
-that every pool lookup path emits exactly one reason code."""
+the event log, policy explanations, and the guarantee that every
+pool lookup path emits exactly one reason code."""
 
 import json
 
@@ -44,7 +44,8 @@ class TestTaxonomy:
 
     def test_hit_miss_credit_are_disjoint(self):
         for code in ReasonCode:
-            assert sum([code.is_hit, code.is_miss, code.is_credit]) <= 1
+            assert sum([code.is_hit, code.value.startswith("MISS_"),
+                        code.value.startswith("CREDIT_")]) <= 1
 
     def test_reason_code_round_trip(self):
         for code in ReasonCode:
@@ -182,13 +183,21 @@ class TestPolicyExplain:
 
     @pytest.mark.parametrize("case", EXPLAIN_GRID)
     @pytest.mark.parametrize("name", sorted(POLICIES))
-    def test_can_reuse_is_derived_from_explain(self, name, case):
-        """can_reuse and the audited reason can never disagree."""
+    def test_pool_reuses_exactly_when_explain_hits(self, name, case):
+        """The pool's reuse decision and the audited reason can never
+        disagree: a lone candidate is reused iff ``explain`` hits."""
         kwargs, hostname, dns, _ = case
         policy = POLICIES[name]()
-        facts = facts_for(**kwargs)
-        assert policy.can_reuse(facts, hostname, dns) \
-            == policy.explain(facts, hostname, dns).is_hit
+        pool = audited_pool(policy)
+        facts = add(pool, "www.a.com", **kwargs)
+        verdict = policy.explain(facts, hostname, dns)
+        outcome = pool.find_coalescable(hostname, dns)
+        assert outcome.hit == verdict.is_hit
+        if verdict.is_hit:
+            assert outcome.facts is facts
+            assert outcome.reason is verdict
+        assert [event.code for event in pool.audit.events] \
+            == [outcome.reason]
 
 
 def audited_pool(policy=None):

@@ -4,6 +4,7 @@ breakdown reconciles *exactly* with the measured-vs-ideal Figure 3
 gaps, for every policy."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -13,12 +14,16 @@ from repro.audit.explain import render_explanation
 from repro.audit.reconcile import (
     METRICS,
     decision_index,
+    reconcile_dns,
+    reconcile_page,
     reconcile_result,
 )
 from repro.cli import main
 from repro.core.predictions import figure3
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import CrawlParams, crawl_shards, plan_shards
+from tests.test_chaos import every_kind_run
+from tests.test_core_timeline import archive, entry
 from tests.test_shard_executor import audit_jsonl
 
 CONFIG = DatasetConfig(site_count=8, seed=11)
@@ -139,6 +144,67 @@ class TestExactReconciliation:
         assert "gap = sum(excess) - sum(credits)" in report
         assert "DOES NOT RECONCILE" not in report
         assert "more pages not shown" in report
+
+
+class TestReconciliationUnderFaults:
+    """The identities hold page by page when requests fail: every
+    spend on a failed request is excess under its failure code."""
+
+    FAILURE_CODES = (ReasonCode.MISS_REQUEST_FAILED.value,
+                     ReasonCode.MISS_MISDIRECTED_421.value)
+
+    def test_every_page_of_a_faulted_crawl_reconciles(self):
+        result, trace, _ = every_kind_run()
+        decisions = decision_index(trace.audit)
+        spends = {"dns": lambda e: e.timings.used_dns,
+                  "tls": lambda e: e.new_tls_connection}
+        failed = Counter()
+        for archive_ in result.archives:
+            for model in ("origin", "ip"):
+                page = reconcile_page(archive_, decisions, model)
+                for metric in METRICS:
+                    assert page[metric].reconciles(), \
+                        (archive_.page.url, model, metric)
+                for metric, spent in spends.items():
+                    failures = [e for e in archive_.entries
+                                if e.status != 200 and spent(e)]
+                    excess = page[metric].excess
+                    assert sum(excess[code] for code in
+                               self.FAILURE_CODES) == len(failures)
+                    assert excess[ReasonCode.MISS_MISDIRECTED_421.value] \
+                        == sum(e.status == 421 for e in failures)
+                    failed[metric] += len(failures)
+        # Failed requests paid queries; none of them paid for a
+        # completed handshake (a refused one records no TLS time).
+        assert failed["dns"] > 0
+
+    def test_services_that_paid_no_wire_query_are_credited(self):
+        """One root query, then three services that never asked: one
+        served from the HTTP cache, one coalesced onto another
+        service's connection, one answered without a wire query (a
+        DNS cache hit or a stale answer); an unplaceable entry that
+        paid none is credited the same way."""
+        page = archive([
+            entry("www.example.com", "/", 0.0, asn=10, dns=20.0,
+                  connect=30.0, ssl=30.0, initiator=""),
+            entry("cached.example.net", "/a.js", 50.0, asn=20,
+                  protocol="cache", wait=0.0, receive=0.0),
+            entry("cdn.example.org", "/b.js", 60.0, asn=30),
+            entry("warm.example.io", "/c.js", 70.0, asn=40, connect=30.0,
+                  ssl=30.0),
+            entry("nowhere.example", "/d.js", 80.0, asn=0),
+        ])
+        page.entries[2].coalesced = True
+        dns = reconcile_dns(page, {}, "origin")
+        assert dns.reconciles()
+        assert (dns.measured, dns.ideal) == (1, 5)
+        assert dns.baseline == Counter(
+            {ReasonCode.MISS_DIFFERENT_AS.value: 1})
+        assert dns.credits == Counter({
+            ReasonCode.CREDIT_CACHED.value: 1,
+            ReasonCode.CREDIT_COALESCED_ACROSS_SERVICES.value: 1,
+            ReasonCode.CREDIT_NO_WIRE_QUERY.value: 2,
+        })
 
 
 class TestCliIntegration:

@@ -22,20 +22,26 @@ def facts(san=(), origins=(), connected="10.0.0.1",
     )
 
 
+def can_reuse(policy, facts, hostname, dns_addresses):
+    """What the pool acts on: the policy's reason is a hit."""
+    return policy.explain(facts, hostname, dns_addresses).is_hit
+
+
 SAN = ("www.example.com", "static.example.com")
 
 
 class TestChromiumPolicy:
     def test_reuses_on_connected_ip_match(self):
         policy = ChromiumPolicy()
-        assert policy.can_reuse(
-            facts(san=SAN), "static.example.com", ["10.0.0.1", "10.0.0.9"]
+        assert can_reuse(
+            policy, facts(san=SAN), "static.example.com",
+            ["10.0.0.1", "10.0.0.9"],
         )
 
     def test_no_reuse_without_cert_coverage(self):
         policy = ChromiumPolicy()
-        assert not policy.can_reuse(
-            facts(san=("www.example.com",)), "static.example.com",
+        assert not can_reuse(
+            policy, facts(san=("www.example.com",)), "static.example.com",
             ["10.0.0.1"],
         )
 
@@ -48,16 +54,16 @@ class TestChromiumPolicy:
             san=SAN, connected="10.0.0.1",
             available=("10.0.0.1", "10.0.0.2"),
         )
-        assert not policy.can_reuse(
-            connection, "static.example.com", ["10.0.0.2", "10.0.0.3"]
+        assert not can_reuse(
+            policy, connection, "static.example.com", ["10.0.0.2", "10.0.0.3"]
         )
 
     def test_ignores_origin_set(self):
         policy = ChromiumPolicy()
         connection = facts(san=SAN,
                            origins=("static.example.com",))
-        assert not policy.can_reuse(
-            connection, "static.example.com", ["10.9.9.9"]
+        assert not can_reuse(
+            policy, connection, "static.example.com", ["10.9.9.9"]
         )
 
     def test_requires_dns(self):
@@ -71,28 +77,28 @@ class TestFirefoxPolicy:
             san=SAN, connected="10.0.0.1",
             available=("10.0.0.1", "10.0.0.2"),
         )
-        assert policy.can_reuse(
-            connection, "static.example.com", ["10.0.0.2", "10.0.0.3"]
+        assert can_reuse(
+            policy, connection, "static.example.com", ["10.0.0.2", "10.0.0.3"]
         )
 
     def test_no_reuse_without_overlap_or_origin(self):
         policy = FirefoxPolicy(origin_frames=False)
-        assert not policy.can_reuse(
-            facts(san=SAN), "static.example.com", ["10.0.0.9"]
+        assert not can_reuse(
+            policy, facts(san=SAN), "static.example.com", ["10.0.0.9"]
         )
 
     def test_origin_frame_reuse_without_ip_overlap(self):
         policy = FirefoxPolicy(origin_frames=True)
         connection = facts(san=SAN, origins=("static.example.com",))
-        assert policy.can_reuse(
-            connection, "static.example.com", ["10.9.9.9"]
+        assert can_reuse(
+            policy, connection, "static.example.com", ["10.9.9.9"]
         )
 
     def test_origin_disabled_falls_back_to_ip(self):
         policy = FirefoxPolicy(origin_frames=False)
         connection = facts(san=SAN, origins=("static.example.com",))
-        assert not policy.can_reuse(
-            connection, "static.example.com", ["10.9.9.9"]
+        assert not can_reuse(
+            policy, connection, "static.example.com", ["10.9.9.9"]
         )
 
     def test_origin_still_requires_cert_coverage(self):
@@ -100,8 +106,8 @@ class TestFirefoxPolicy:
         connection = facts(
             san=("www.example.com",), origins=("static.example.com",)
         )
-        assert not policy.can_reuse(
-            connection, "static.example.com", ["10.0.0.1"]
+        assert not can_reuse(
+            policy, connection, "static.example.com", ["10.0.0.1"]
         )
 
     def test_firefox_still_queries_dns(self):
@@ -113,15 +119,15 @@ class TestIdealOriginPolicy:
     def test_reuses_on_origin_plus_san_alone(self):
         policy = IdealOriginPolicy()
         connection = facts(san=SAN, origins=("static.example.com",))
-        assert policy.can_reuse(connection, "static.example.com", [])
+        assert can_reuse(policy, connection, "static.example.com", [])
 
     def test_skips_dns(self):
         assert not IdealOriginPolicy().requires_dns_before_reuse
 
     def test_no_reuse_without_origin_membership(self):
         policy = IdealOriginPolicy()
-        assert not policy.can_reuse(facts(san=SAN),
-                                    "static.example.com", [])
+        assert not can_reuse(policy, facts(san=SAN),
+                             "static.example.com", [])
 
 
 class TestSharedConstraints:
@@ -132,13 +138,13 @@ class TestSharedConstraints:
     def test_h1_connections_never_coalesce(self, policy):
         connection = facts(san=SAN, origins=("static.example.com",),
                            multiplex=False)
-        assert not policy.can_reuse(
-            connection, "static.example.com", ["10.0.0.1"]
+        assert not can_reuse(
+            policy, connection, "static.example.com", ["10.0.0.1"]
         )
 
     def test_no_coalescing_policy(self):
         policy = NoCoalescingPolicy()
         connection = facts(san=SAN, origins=("static.example.com",))
-        assert not policy.can_reuse(
-            connection, "static.example.com", ["10.0.0.1"]
+        assert not can_reuse(
+            policy, connection, "static.example.com", ["10.0.0.1"]
         )

@@ -55,9 +55,19 @@ def scan_coalescable(pool, hostname, dns_addresses, anonymous=False):
             continue
         if facts.sni == hostname:
             continue
-        if pool.policy.can_reuse(facts, hostname, dns_addresses):
+        if pool.policy.explain(facts, hostname, dns_addresses).is_hit:
             return facts
     return None
+
+
+def open_count(pool):
+    """Prune every dead connection, then count what is left: the
+    registry must end up holding exactly the live entries."""
+    pool._prune([
+        facts for facts in pool.connections
+        if not pool._usable(facts)
+    ])
+    return len(pool.connections)
 
 
 def make_pool(policy=None):
@@ -287,12 +297,12 @@ class TestPruning:
         assert len(pool.connections) == 0
         assert "10.0.0.1" not in pool.connections.by_ip
 
-    def test_open_count_prunes_dead_entries(self):
+    def test_prune_drops_dead_entries(self):
         pool = make_pool()
         alive = add(pool, "www.a.com")
         dead = add(pool, "www.b.com")
         dead.session.closed = True
-        assert pool.open_count == 1
+        assert open_count(pool) == 1
         assert list(pool.connections) == [alive]
         assert pool.stats.pruned_connections == 1
 
@@ -304,7 +314,7 @@ class TestPruning:
         assert len(pool.connections) == 0
         assert pool.connections.by_sni == {}
         assert pool.connections.by_ip == {}
-        assert pool.open_count == 0
+        assert open_count(pool) == 0
         assert pool.stats.pruned_connections == 2
 
     def test_pruned_connection_not_found_again(self):
@@ -334,7 +344,7 @@ class TestMidPathRstEviction:
         assert len(registry) == 0
         assert registry.for_host("www.a.com") == []
         assert registry.by_ip.get("10.0.0.1", []) == []
-        assert registry.for_endpoint("www.a.com", "tcp-tls") == []
+        assert ("www.a.com", "tcp-tls") not in registry.by_endpoint
         assert pool.stats.pruned_connections == 1
 
     def test_eviction_records_exactly_one_audit_event(self):
@@ -425,7 +435,7 @@ class TestRegistryChurn:
         # A final sweep leaves exactly the live entries, every one of
         # them still indexed, and the prune counter reconciles with
         # the closures.
-        assert pool.open_count == len(live)
+        assert open_count(pool) == len(live)
         assert {id(facts) for facts in pool.connections} == \
             {id(facts) for facts in live}
         self.check_indexes(pool.connections)
@@ -438,8 +448,8 @@ class TestRegistryChurn:
                 available=(f"10.1.{index}.1", "10.9.9.9"))
         for facts in list(pool.connections):
             facts.session.closed = True
-        # open_count prunes everything dead in one sweep.
-        assert pool.open_count == 0
+        # One prune sweeps everything dead.
+        assert open_count(pool) == 0
         assert pool.stats.pruned_connections == 40
         registry = pool.connections
         assert list(registry) == []

@@ -6,6 +6,9 @@ job's chaos entry, which holds the same invariants down to ``cmp`` on
 the CLI artifacts.
 """
 
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from repro.chaos import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
+    KINDS,
     load_fault_schedule,
     parse_fault_schedule,
     run_chaos,
@@ -38,6 +42,7 @@ from repro.dataset.world import build_world
 from repro.deployment import BuggyMiddlebox, DeploymentExperiment
 from repro.deployment.experiment import deployment_world_config
 from repro.telemetry import Telemetry
+from tests.test_browser_pool import open_count
 from tests.test_shard_executor import assert_runs_identical
 from tests.test_wire_counts import tap_every_network
 
@@ -296,6 +301,128 @@ class TestTermination:
 
 
 # ---------------------------------------------------------------------------
+# Every fault kind, armed at once
+# ---------------------------------------------------------------------------
+
+
+EVERY_KIND = "tests/data/faults_every_kind.toml"
+
+
+@functools.lru_cache(maxsize=None)
+def every_kind_run():
+    """The all-kinds schedule over 24 sites offering h2 and h3, once
+    per session (the reconciliation test audits the same run)."""
+    return run_chaos(
+        plan_shards(DatasetConfig(site_count=24, seed=7), 2),
+        tiny_params(alpn="h2,h3"), load_fault_schedule(EVERY_KIND),
+        DEFAULT_RETRY_POLICY, 1, trace=False,
+    )
+
+
+def fault_records(trace, kind, decision):
+    return [event for event in trace.audit
+            if event.kind == "fault" and event.decision == decision
+            and event.attrs["fault_kind"] == kind]
+
+
+def _stretched_a_page(result, trace, tally):
+    """The spike adds no event of its own; only it can hold a page
+    for half its magnitude (the one-way delay it adds)."""
+    (spike,) = [fault for fault in load_fault_schedule(EVERY_KIND).faults
+                if fault.kind == "latency_spike"]
+    longest = max(archive.page.on_load for archive in result.archives)
+    return longest > spike.magnitude_ms / 2
+
+
+def _lost_connections(result, trace, tally):
+    return tally.connections_lost + tally.immature_lost > 0
+
+
+def _tore_nothing_down(result, trace, tally):
+    """No crawl-world server sends ORIGIN, so the §6.7 middlebox has
+    nothing to object to (TestMiddleboxFaultSchedule covers the
+    teardown)."""
+    return tally.events == 0 and not any(
+        event.reason == ReasonCode.MIDDLEBOX_TEARDOWN_UNKNOWN_FRAME.value
+        for event in trace.audit
+    )
+
+
+def _recorded(decision, each=False):
+    """The kind counted events and audited ``decision`` for it: once
+    per event, or at least once (per server or per window)."""
+    def check(result, trace, tally):
+        records = len(fault_records(trace, tally.kind, decision))
+        return tally.events > 0 and (
+            records == tally.events if each else records > 0)
+    return check
+
+
+def _client_rejected_expired_leaves(result, trace, tally):
+    errors = [event.attrs["error"] for event in trace.audit
+              if event.reason == ReasonCode.TLS_HANDSHAKE_FAILED.value]
+    return _recorded("cert-expiry")(result, trace, tally) and any(
+        "expired" in error for error in errors)
+
+
+#: Each kind's own mark on the run, beyond its activation.
+MARKS = {
+    "latency_spike": _stretched_a_page,
+    "packet_loss": _lost_connections,
+    "packet_corrupt": _lost_connections,
+    "middlebox_teardown": _tore_nothing_down,
+    "dns_servfail": _recorded("dns-servfail", each=True),
+    "dns_timeout": _recorded("dns-timeout", each=True),
+    "dns_stale": _recorded("dns-stale", each=True),
+    "tls_fail": _recorded("tls-fail", each=True),
+    "cert_rotation": _recorded("cert-rotation"),
+    "cert_expiry": _client_rejected_expired_leaves,
+    "edge_crash": _lost_connections,
+    "goaway_storm": _lost_connections,
+    "quic_blackhole": _recorded("restore"),
+}
+
+
+class TestEveryKind:
+    def test_the_schedule_arms_each_kind_once(self):
+        schedule = load_fault_schedule(EVERY_KIND)
+        assert sorted(fault.kind for fault in schedule.faults) \
+            == sorted(KINDS) == sorted(MARKS)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kind_leaves_its_mark(self, kind):
+        result, trace, report = every_kind_run()
+        (tally,) = [t for t in report.tallies if t.kind == kind]
+        assert tally.fired == 2  # once per shard
+        assert MARKS[kind](result, trace, tally)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kind_alone_is_identical_across_jobs(self, kind):
+        """Each kind armed on its own (its installer with nothing else
+        tearing connections down) still settles every page, and the
+        run exports the same bytes at --jobs 1 and 2."""
+        schedule = load_fault_schedule(EVERY_KIND)
+        alone = replace(schedule, faults=tuple(
+            fault for fault in schedule.faults if fault.kind == kind))
+        shards = plan_shards(DatasetConfig(site_count=8, seed=7), 2)
+        serial, parallel = (
+            run_chaos(shards, tiny_params(alpn="h2,h3"), alone,
+                      DEFAULT_RETRY_POLICY, jobs, trace=True)
+            for jobs in (1, 2)
+        )
+        assert_runs_identical(serial, parallel)
+        assert serial[2].tallies[0].fired == 2
+
+    def test_stale_answers_are_the_expired_ones(self):
+        """dns_stale serves only names whose TTL lapsed, so every stale
+        answer comes after the first TTL (300 s) of simulated time."""
+        _, trace, _ = every_kind_run()
+        stale = [event for event in trace.audit
+                 if event.reason == ReasonCode.STALE_DNS_SERVED.value]
+        assert stale and min(event.at_ms for event in stale) > 300_000.0
+
+
+# ---------------------------------------------------------------------------
 # Blast radius: the robustness cost of coalescing
 # ---------------------------------------------------------------------------
 
@@ -440,7 +567,7 @@ class TestRegistryUnderStorms:
             if not hosted.record.accessible:
                 continue  # nothing was loaded; no pool to inspect
             pool = crawler.engine.loads[-1].pool
-            pool.open_count  # lazily prunes dead connections
+            open_count(pool)  # prunes dead connections
             for facts in pool.connections:
                 assert not facts.session.closed
                 assert facts.session.failed is None

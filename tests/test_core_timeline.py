@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     ReconstructionOptions,
     by_asn,
-    by_hostname,
     by_ip,
     by_single_asn,
     reconstruct,
@@ -215,7 +214,6 @@ class TestGroupers:
         e = entry("a.com", "/", 0.0, asn=7, ip="10.1.1.1")
         assert by_asn(e) == "asn:7"
         assert by_ip(e) == "ip:10.1.1.1"
-        assert by_hostname(e) == "host:a.com"
 
     def test_missing_data_gives_none(self):
         e = entry("a.com", "/", 0.0, asn=0, ip="")

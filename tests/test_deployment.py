@@ -125,7 +125,8 @@ class TestOriginDeploymentActive:
         # Paper: ~84% of control visits make exactly one connection;
         # only churned visits make zero.
         assert result.fraction_with(Group.CONTROL, 0) <= 0.3
-        assert result.fraction_at_most(Group.CONTROL, 2) >= 0.6
+        control = result.new_connections[Group.CONTROL]
+        assert sum(count <= 2 for count in control) / len(control) >= 0.6
 
     def test_experiment_beats_control(self, result):
         assert result.fraction_with(Group.EXPERIMENT, 0) > \

@@ -86,12 +86,16 @@ class TestResolverHttps:
         assert cached.from_cache
         assert cached.https_alpn == ("h3", "h2")
 
+    def test_joined_lookup_carries_alpn(self):
+        resolver = self.make_resolver(query_https=True)
+        answers = []
+        resolver.resolve("www.example.com", answers.append)
+        resolver.resolve("www.example.com", answers.append)
+        resolver._loop.run_until_idle()
+        assert [a.https_alpn for a in answers] == [("h3", "h2")] * 2
+        assert answers[1].from_cache
+
     def test_empty_alpn_for_h2_only_name(self):
         resolver = self.make_resolver(query_https=True)
         answer = self.resolve(resolver, "plain.example.com")
         assert answer.https_alpn == ()
-
-    def test_resolve_now_carries_alpn(self):
-        resolver = self.make_resolver(query_https=True)
-        answer = resolver.resolve_now("www.example.com")
-        assert answer.https_alpn == ("h3", "h2")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.audit import AuditLog, ReasonCode
 from repro.dnssim import (
     AuthoritativeServer,
     CachingResolver,
@@ -214,26 +215,77 @@ class TestCachingResolver:
         assert resolver.stats.plaintext_queries == 1
         assert resolver.stats.queries == 2
 
-    def test_resolve_now_synchronous_path(self):
+    def test_alias_resolves_through_its_cname_chain(self):
         loop, resolver = self.make_resolver()
-        answer = resolver.resolve_now("alias.example.com")
-        assert answer.addresses == ADDRESSES
-        assert answer.cname_chain == ("www.example.com",)
-        assert loop.now() == 0.0
+        answers = []
+        resolver.resolve("alias.example.com", answers.append)
+        loop.run_until_idle()
+        assert answers[0].addresses == ADDRESSES
+        assert answers[0].cname_chain == ("www.example.com",)
 
-    def test_resolve_now_uses_cache(self):
-        _, resolver = self.make_resolver()
-        resolver.resolve_now("www.example.com")
-        answer = resolver.resolve_now("www.example.com")
-        assert answer.from_cache
-
-    def test_resolve_now_raises_nxdomain(self):
-        _, resolver = self.make_resolver()
-        with pytest.raises(NxDomain):
-            resolver.resolve_now("missing.example.com")
-
-    def test_cache_hit_rate_statistic(self):
+    def test_names_are_normalized_before_the_cache(self):
         loop, resolver = self.make_resolver()
-        resolver.resolve_now("www.example.com")
-        resolver.resolve_now("www.example.com")
-        assert resolver.stats.cache_hit_rate == 0.5
+        answers = []
+        resolver.resolve("WWW.Example.COM.", answers.append)
+        loop.run_until_idle()
+        resolver.resolve("www.example.com", answers.append)
+        loop.run_until_idle()
+        assert answers[0].name == "www.example.com"
+        assert answers[1].from_cache
+
+    def test_concurrent_lookups_join_one_wire_query(self):
+        loop, resolver = self.make_resolver(median_latency_ms=25.0)
+        answers = []
+        resolver.resolve("www.example.com", answers.append)
+        resolver.resolve("www.example.com", answers.append)
+        loop.run_until_idle()
+        first, joined = answers
+        assert resolver.stats.queries == 2
+        assert resolver.stats.plaintext_queries == 1
+        assert resolver.stats.cache_hits == 0
+        assert not first.from_cache and first.query_time_ms == 25.0
+        assert joined.from_cache and joined.query_time_ms == 0.0
+        assert joined.addresses == first.addresses
+        assert joined.addresses is not first.addresses
+
+    def test_joiner_of_a_failed_lookup_gets_an_empty_answer(self):
+        loop, resolver = self.make_resolver()
+        errors, answers = [], []
+        resolver.resolve("missing.example.com", answers.append,
+                         errors.append)
+        resolver.resolve("missing.example.com", answers.append)
+        loop.run_until_idle()
+        assert len(errors) == 1 and isinstance(errors[0], NxDomain)
+        assert len(answers) == 1 and answers[0].empty
+        assert resolver.stats.nxdomain == 1
+
+    def test_audit_records_how_each_query_was_answered(self):
+        loop, resolver = self.make_resolver()
+        resolver.audit = AuditLog()
+        resolver.resolve("www.example.com", lambda a: None)
+        resolver.resolve("www.example.com", lambda a: None)
+        loop.run_until_idle()
+        resolver.resolve("www.example.com", lambda a: None)
+        resolver.resolve("missing.example.com", lambda a: None)
+        loop.run_until_idle()
+        assert [event.code for event in resolver.audit.events] == [
+            ReasonCode.DNS_WIRE_QUERY,
+            ReasonCode.DNS_JOINED_IN_FLIGHT,
+            ReasonCode.DNS_CACHE_HIT,
+            ReasonCode.DNS_WIRE_QUERY,
+            ReasonCode.DNS_NXDOMAIN,
+        ]
+
+    def test_stale_answer_only_past_the_ttl_and_never_evicts(self):
+        loop, resolver = self.make_resolver(median_latency_ms=10.0)
+        assert resolver.stale_answer("www.example.com") is None
+        resolver.resolve("www.example.com", lambda a: None)
+        loop.run_until_idle()
+        assert resolver.stale_answer("www.example.com") is None  # fresh
+        loop.run_until(loop.now() + 2000.0)  # past the 1000ms TTL
+        queries = resolver.stats.queries
+        for _ in range(2):
+            stale = resolver.stale_answer("WWW.example.com")
+            assert stale.addresses == ADDRESSES
+            assert stale.from_cache and stale.ttl == 0.0
+        assert resolver.stats.queries == queries

@@ -211,7 +211,7 @@ class OracleH2Connection(H2Connection):
         else:
             stream = self._streams.get(frame.stream_id)
             if stream is not None:
-                stream.window_update(frame.increment)
+                stream.send_window += frame.increment
         if self._send_queue:
             self._drain_send_queue()
         events.append(ev.WindowUpdated(frame.stream_id, frame.increment))

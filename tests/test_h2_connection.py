@@ -24,6 +24,8 @@ from repro.h2.frames import (
     GoAwayFrame,
     HeadersFrame,
     PingFrame,
+    PriorityFrame,
+    PushPromiseFrame,
     RstStreamFrame,
     SettingsFrame,
     TYPE_WINDOW_UPDATE,
@@ -227,6 +229,23 @@ class TestUnknownFrames:
         assert isinstance(events[0], ev.UnknownFrameReceived)
         assert events[0].raw_type == 0xEE
 
+    IGNORED = {
+        "priority-on-an-open-stream":
+            PriorityFrame(stream_id=1, dependency=0, weight=200),
+        "priority-on-an-idle-stream":
+            PriorityFrame(stream_id=7, dependency=1, exclusive=True),
+    }
+
+    @pytest.mark.parametrize("frame", IGNORED.values(), ids=IGNORED.keys())
+    def test_ignored_frames_draw_no_reply(self, frame):
+        """RFC 7540 §5.3 lets a receiver disregard PRIORITY: no event,
+        nothing queued in reply, no stream changes state."""
+        client = client_with_open_stream()
+        assert client.receive_data(frame.serialize()) == []
+        assert client.data_to_send() == b""
+        assert client.stream(1).state is StreamState.HALF_CLOSED_LOCAL
+        assert client.stream(7) is None
+
     def test_traffic_continues_after_unknown_frame(self):
         client, server, _, _ = pair()
         client.receive_data(
@@ -389,8 +408,8 @@ class TestFlowControl:
 
     def test_ping_is_acked(self):
         client, server, _, _ = pair()
-        client.send_ping(b"abcdefgh")
-        events = pump(client, server)
+        events = server.receive_data(
+            PingFrame(opaque=b"abcdefgh").serialize())
         assert any(isinstance(e, ev.PingReceived) for e in events)
         client_events = pump(server, client)
         acks = [e for e in client_events if isinstance(e, ev.PingAcked)]
@@ -649,10 +668,11 @@ def raw_frame(frame_type, stream_id, payload, flags=0):
 
 
 def client_with_open_stream(initial_window=None):
-    """A client awaiting response DATA on stream 1, optionally having
-    advertised a small per-stream receive window."""
+    """A client awaiting response DATA on stream 1, with server push
+    disabled as browsers now ship it, optionally having advertised a
+    small per-stream receive window."""
     client = H2Connection(Role.CLIENT)
-    settings = []
+    settings = [(int(SettingId.ENABLE_PUSH), 0)]
     if initial_window is not None:
         settings.append((int(SettingId.INITIAL_WINDOW_SIZE), initial_window))
     client.initiate(settings=settings)
@@ -699,6 +719,11 @@ class TestBodyPathErrors:
             ErrorCode.PROTOCOL_ERROR),
         "zero-increment-behind-reserved-bit": (
             raw_frame(TYPE_WINDOW_UPDATE, 0, b"\x80\x00\x00\x00"),
+            ErrorCode.PROTOCOL_ERROR),
+        "push-promise-with-push-disabled": (
+            PushPromiseFrame(stream_id=1, flags=FLAG_END_HEADERS,
+                             promised_stream_id=2,
+                             header_block=b"\x82\x87\x84").serialize(),
             ErrorCode.PROTOCOL_ERROR),
     }
 

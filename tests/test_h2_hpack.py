@@ -154,8 +154,7 @@ class TestEncoderDecoder:
             HpackDecoder().decode(b"\xff\x7f")  # far beyond any table
 
     def test_table_size_update_respects_settings_bound(self):
-        decoder = HpackDecoder(max_table_size=4096)
-        decoder.set_settings_max_table_size(100)
+        decoder = HpackDecoder(max_table_size=100)
         # 0x20 | size via 5-bit prefix: request 4096 > bound 100.
         update = bytes([0x3f, 0xe1, 0x1f])
         with pytest.raises(HpackError):

@@ -48,7 +48,7 @@ class TestValidation:
     def test_unknown_identifiers_ignored(self):
         settings = Settings()
         settings.apply(0x99, 12345)  # must not raise, must not store
-        assert settings.get(0x99) == 0
+        assert 0x99 not in settings._values
 
     def test_apply_updates_known_values(self):
         settings = Settings()

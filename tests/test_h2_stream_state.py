@@ -81,19 +81,6 @@ class TestFlowControl:
         with pytest.raises(H2StreamError):
             stream.receive_data(11, end_stream=False)
 
-    def test_window_update_restores_capacity(self):
-        stream = make_stream(window=10)
-        stream.send_headers(end_stream=False)
-        stream.send_data(10, end_stream=False)
-        stream.window_update(5)
-        stream.send_data(5, end_stream=False)
-        assert stream.send_window == 0
-
-    def test_nonpositive_window_update_rejected(self):
-        stream = make_stream()
-        with pytest.raises(H2StreamError):
-            stream.window_update(0)
-
     def test_reset_records_code(self):
         stream = make_stream()
         stream.reset(ErrorCode.REFUSED_STREAM)

@@ -10,6 +10,7 @@ from repro.deployment.experiment import deployment_world_config
 from repro.h2 import H2ClientSession, TlsClientConfig
 from repro.telemetry import Telemetry
 from repro.transport.framing import REC_APPDATA, parse_records
+from tests.test_browser_pool import open_count
 
 
 @pytest.fixture(scope="module")
@@ -223,9 +224,9 @@ class TestMidPathRst:
         world, experiment = world_and_experiment
         archive, engine, _ = self.load_with_rst(world, experiment)
         pool = engine.loads[-1].pool
-        # open_count prunes lazily: after it, no aborted session may
-        # remain anywhere in the registry.
-        pool.open_count
+        # After a prune, no aborted session may remain anywhere in the
+        # registry.
+        open_count(pool)
         assert all(
             not facts.session.closed and facts.session.failed is None
             for facts in pool.connections

@@ -35,16 +35,13 @@ class TestListen:
                                     lambda transport: None)
 
     def test_namespace_separate_from_stream_listeners(self, net):
-        network, server, _ = net
-        network.listen(server, "10.0.0.1", 443, lambda transport: None)
+        network, server, client = net
+        streams, datagrams = [], []
+        network.listen(server, "10.0.0.1", 443, streams.append)
         # A QUIC endpoint shares 443 with the TCP one.
-        network.listen_datagram(server, "10.0.0.1", 443,
-                                lambda transport: None)
-        assert network.service_at("10.0.0.1", 443) is not None
-        assert network.datagram_service_at("10.0.0.1", 443) is not None
-        network.unlisten_datagram("10.0.0.1", 443)
-        assert network.datagram_service_at("10.0.0.1", 443) is None
-        assert network.service_at("10.0.0.1", 443) is not None
+        network.listen_datagram(server, "10.0.0.1", 443, datagrams.append)
+        network.connect_datagram(client, "10.0.0.1", 443)
+        assert len(datagrams) == 1 and streams == []
 
 
 class TestConnect:

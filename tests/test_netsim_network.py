@@ -48,19 +48,11 @@ class TestHostRegistry:
         with pytest.raises(ValueError):
             net.add_host(Host("b", "us", ["10.0.0.1"]))
 
-    def test_add_and_remove_address(self):
+    def test_add_address(self):
         net = make_network()
         host = net.add_host(Host("a", "us", ["10.0.0.1"]))
         net.add_address(host, "10.9.9.9")
         assert net.host_for_address("10.9.9.9") is host
-        net.remove_address(host, "10.9.9.9")
-        assert net.host_for_address("10.9.9.9") is None
-
-    def test_remove_foreign_address_rejected(self):
-        net = make_network()
-        host = net.add_host(Host("a", "us", ["10.0.0.1"]))
-        with pytest.raises(ValueError):
-            net.remove_address(host, "10.0.0.99")
 
 
 class TestConnect:

@@ -56,14 +56,6 @@ class TestSharedIngress:
         late = latency.ingress_completion("client", 100.0, 100)
         assert late == pytest.approx(110.0)
 
-    def test_reset(self):
-        latency = LatencyModel()
-        latency.enable_shared_ingress("client", 10.0)
-        latency.ingress_completion("client", 0.0, 1000)
-        latency.reset_shared_ingress()
-        assert latency.ingress_completion("client", 0.0, 10) == \
-            pytest.approx(1.0)
-
     def test_parallel_downloads_contend_on_the_wire(self):
         """Two servers sending to one client share its access link;
         total completion time reflects the sum of the bytes."""

@@ -68,7 +68,7 @@ def run_artifacts(payload, trace: CrawlTrace, report=None) -> dict:
     """Every stream of a merged run, as the sinks would write it."""
     return {
         "payload": _payload_bytes(payload),
-        "spans": trace.to_jsonl(),
+        "spans": spans_to_jsonl(trace.spans),
         "metrics": json.dumps(trace.metrics.snapshot(), sort_keys=True),
         "audit": audit_jsonl(trace),
         "report": report.to_jsonl() if report is not None else "",
@@ -96,11 +96,11 @@ class _Spec:
 
 
 def _toy_shard(spec: _Spec, delay_s: float = 0.0) -> ShardResult:
-    """Sleeps, then reports who ran it as a one-gauge metrics
+    """Sleeps, then reports who ran it as a one-counter metrics
     snapshot (``toy.pid{index=...}``)."""
     time.sleep(delay_s)
     return ShardResult(payload=CrawlResult(), metrics=[{
-        "kind": "gauge", "name": "toy.pid",
+        "kind": "counter", "name": "toy.pid",
         "labels": [["index", spec.index]], "value": os.getpid(),
     }])
 

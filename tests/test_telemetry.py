@@ -43,7 +43,6 @@ class TestTracer:
         tracer.end(span, status=200)
         assert span.start_ms == 0.0
         assert span.end_ms == 12.5
-        assert span.duration_ms == 12.5
         assert span.attrs == {"hostname": "a.com", "status": 200}
 
     def test_ids_sequential_and_parenting(self):
@@ -61,21 +60,6 @@ class TestTracer:
         assert span.finished
         assert span.start_ms == span.end_ms == 3.0
 
-    def test_context_manager_span(self):
-        clock = FakeClock()
-        tracer = Tracer(clock)
-        with tracer.span("work") as span:
-            clock.t = 5.0
-        assert span.end_ms == 5.0
-
-    def test_unfinished_span_not_in_finished_spans(self):
-        tracer = Tracer(FakeClock())
-        open_span = tracer.begin("a")
-        done = tracer.begin("b")
-        tracer.end(done)
-        assert done in tracer.finished_spans()
-        assert open_span not in tracer.finished_spans()
-
     def test_span_round_trips_through_dict(self):
         span = Span(span_id=7, name="fetch", category="browser",
                     start_ms=1.0, end_ms=2.0, parent_id=3, shard=2,
@@ -88,7 +72,6 @@ class TestTracer:
         NULL_TRACER.instant("x")
         assert NULL_TRACER.enabled is False
         assert NULL_TRACER.spans == []
-        assert NULL_TRACER.finished_spans() == []
 
     def test_telemetry_bundles_tracer_and_metrics(self):
         telemetry = Telemetry(clock=FakeClock())
@@ -117,7 +100,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(TypeError):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_histogram_percentiles_conservative(self):
         registry = MetricsRegistry()
@@ -171,20 +154,16 @@ class TestMetricsRegistry:
     def test_snapshot_is_json_serializable(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
-        registry.gauge("g").set(2.5)
         registry.histogram("h").observe(3.0)
         text = json.dumps(registry.snapshot())
         assert "Infinity" not in text
 
-    def test_absorb_counters_add_gauges_overwrite(self):
+    def test_absorb_counters_add(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("c").inc(1)
         b.counter("c").inc(2)
-        a.gauge("g").set(1)
-        b.gauge("g").set(9)
         a.absorb(b)
         assert a.value("c") == 3
-        assert a.value("g") == 9
 
     def test_absorb_merges_histograms(self):
         a, b = MetricsRegistry(), MetricsRegistry()

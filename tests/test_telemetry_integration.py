@@ -12,6 +12,7 @@ from repro.dataset.shard import (
     crawl_shards,
     plan_shards,
 )
+from repro.telemetry.exporters import spans_to_jsonl
 from tests.telemetry_validation import (
     assert_trace_valid,
     validate_crawl_trace,
@@ -80,7 +81,7 @@ class TestTraceDeterminism:
     def test_same_seed_same_trace(self, traced):
         _, trace = traced
         again = crawl_traced()[1]
-        assert again.to_jsonl() == trace.to_jsonl()
+        assert spans_to_jsonl(again.spans) == spans_to_jsonl(trace.spans)
         assert json.dumps(again.metrics.snapshot()) \
             == json.dumps(trace.metrics.snapshot())
 

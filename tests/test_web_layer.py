@@ -46,7 +46,7 @@ class TestAsDatabase:
         db = AsDatabase()
         db.register("10.1.0.0/16", 13335, "Cloudflare")
         assert db.asn_of("10.1.2.3") == 13335
-        assert db.org_of("10.1.2.3") == "Cloudflare"
+        assert db.lookup("10.1.2.3").org == "Cloudflare"
 
     def test_longest_prefix_wins(self):
         db = AsDatabase()
@@ -82,12 +82,6 @@ class TestAsDatabase:
         with pytest.raises(ValueError):
             db.register("10.1.0.0/20", 13335, "Cloudflare")
 
-    def test_info_for_asn(self):
-        db = AsDatabase()
-        db.register("10.1.0.0/24", 13335, "Cloudflare")
-        assert db.info_for_asn(13335).org == "Cloudflare"
-        assert db.info_for_asn(99999) is None
-
 
 def make_page():
     return WebPage(
@@ -110,13 +104,10 @@ def make_page():
 class TestWebPage:
     def test_hostnames_root_first(self):
         page = make_page()
-        assert page.hostnames()[0] == "www.example.com"
-        assert set(page.sharded_hostnames()) == {
-            "static.example.com", "fonts.cdnhost.com", "tracker.com",
-        }
-
-    def test_request_count(self):
-        assert make_page().request_count == 5
+        assert page.hostnames() == [
+            "www.example.com", "static.example.com", "fonts.cdnhost.com",
+            "tracker.com",
+        ]
 
     def test_children_of_root(self):
         page = make_page()
@@ -170,12 +161,6 @@ class TestWebPage:
                 ],
             )
 
-    def test_coalescing_eligibility_by_fetch_mode(self):
-        page = make_page()
-        modes = {r.path: r.coalescing_eligible for r in page.resources}
-        assert modes["/js/app.js"] is True
-        assert modes["/t.js"] is False
-
     def test_bad_resource_values_rejected(self):
         with pytest.raises(ValueError):
             Subresource("a.com", "no-slash", ContentType.TEXT_CSS, 100)
@@ -197,12 +182,6 @@ class TestHarTimings:
         reused = HarTimings()
         assert fresh.used_dns and fresh.used_new_connection
         assert not reused.used_dns and not reused.used_new_connection
-
-    def test_validate_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            HarTimings(blocked=-2.0).validate()
-        with pytest.raises(ValueError):
-            HarTimings(dns=-0.5).validate()
 
     @given(
         st.floats(min_value=0, max_value=1e4),
