@@ -17,7 +17,6 @@ from repro.audit.log import (  # noqa: F401
     NULL_AUDIT,
     AuditEvent,
     AuditLog,
-    NullAuditLog,
     events_from_jsonl,
     events_to_jsonl,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "AuditEvent",
     "AuditLog",
     "NULL_AUDIT",
-    "NullAuditLog",
     "REASON_DESCRIPTIONS",
     "ReasonCode",
     "UnknownReasonCode",

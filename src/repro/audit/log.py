@@ -8,9 +8,11 @@ order, so a shard's log is deterministic and shard logs merge in shard
 order into a stream that is byte-identical whatever ``--jobs`` count
 produced it.
 
-:data:`NULL_AUDIT` is the shared disabled instance (``enabled`` False,
-``record`` a no-op) that every layer defaults to, mirroring
-``NULL_TRACER``.
+:data:`NULL_AUDIT` is the shared disabled instance, mirroring
+``NULL_TRACER``: a flag (``enabled`` False) and an empty ``events``
+list, with no ``record`` method -- every decision point checks
+``audit.enabled`` before recording.  Layers reach it through
+:data:`~repro.telemetry.NULL_TELEMETRY`.
 """
 
 from __future__ import annotations
@@ -134,20 +136,14 @@ class AuditLog:
         return event
 
 
-class NullAuditLog(AuditLog):
-    """Disabled log: ``record`` does nothing and keeps nothing."""
+class NullAuditLog:
+    """The disabled log: ``enabled`` is False and it holds no events."""
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def record(self, kind, reason, page="", hostname="", path="",
-               decision="", **attrs):
-        return None
+    events: List[AuditEvent] = []
 
 
-#: The shared disabled instance every layer defaults to.
+#: The shared disabled instance.
 NULL_AUDIT = NullAuditLog()
 
 

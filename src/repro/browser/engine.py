@@ -16,16 +16,14 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode
-from repro.obs.phases import NULL_PHASES
 from repro.browser.cache import BrowserCache
 from repro.browser.policy import CoalescingPolicy, ConnectionFacts
 from repro.browser.pool import ConnectionPool
 from repro.browser.retry import RetryPolicy
 from repro.dnssim.resolver import CachingResolver
 from repro.netsim.network import Host, Network
-from repro.telemetry import NULL_TRACER, Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tlspki.ca import CertificateAuthority
 from repro.tlspki.validation import TrustStore
 from repro.transport.tcp import DEFAULT_ALPN_OFFER, TcpTlsDialer
@@ -64,13 +62,10 @@ class BrowserContext:
     #: TLS session-ticket cache shared across this profile's
     #: connections; ``None`` disables resumption attempts.
     tls_session_cache: Optional[Dict] = None
-    #: Crawl-level telemetry (tracer + metrics); ``None`` disables
-    #: tracing with literal zero overhead on the fetch paths.
-    telemetry: Optional[Telemetry] = None
-    #: Phase-latency recorder for the run ledger (DNS/connect/TLS/
-    #: TTFB/page histograms); the no-op default keeps un-ledgered
-    #: loads at a single attribute read per request.
-    phases: object = NULL_PHASES
+    #: This profile's watch handle (tracer, audit log, metrics and
+    #: its phase recorder; see :meth:`Telemetry.for_profile`).  The
+    #: null default costs the fetch paths one flag read per emit site.
+    telemetry: Telemetry = NULL_TELEMETRY
     #: Protocols this browser is willing to speak.  ``("h2",)`` is the
     #: pre-h3 browser; ``("h2", "h3")`` adds the QUIC dialer, HTTPS
     #: DNS-record awareness, and Alt-Svc upgrades.
@@ -83,18 +78,6 @@ class BrowserContext:
     #: from :attr:`rng` so enabling jittered retries never perturbs
     #: the TLS-version / speculative-connection decision stream.
     retry_rng: Optional[np.random.Generator] = None
-
-    @property
-    def tracer(self):
-        if self.telemetry is not None:
-            return self.telemetry.tracer
-        return NULL_TRACER
-
-    @property
-    def audit(self):
-        if self.telemetry is not None:
-            return self.telemetry.audit
-        return NULL_AUDIT
 
     @property
     def h3_enabled(self) -> bool:
@@ -192,6 +175,7 @@ class PageLoad:
         self.page = page
         self.on_complete = on_complete
         context = self.context
+        self.telemetry = telemetry = context.telemetry
         origin_aware = getattr(
             context.policy, "origin_frames", True
         ) or not context.policy.requires_dns_before_reuse
@@ -208,15 +192,22 @@ class PageLoad:
             session_cache=context.tls_session_cache,
             alpn_offer=offer,
             origin_aware=origin_aware,
-            tracer=context.tracer,
-            audit=context.audit,
+            telemetry=telemetry,
             page=self.page.url,
-            phases=context.phases,
+        )
+        self.pool = ConnectionPool(
+            policy=context.policy,
+            dialer=self.tcp_dialer,
+            prefer_h3=context.h3_enabled,
+            telemetry=telemetry,
+            page=self.page.url,
         )
         self.quic_dialer = None
         if context.h3_enabled:
             from repro.transport.quicsim import QuicDialer
 
+            # quic.* counters land in the pool's registry (absorbed
+            # into the crawl metrics), created lazily on first use.
             self.quic_dialer = QuicDialer(
                 context.network,
                 context.client_host,
@@ -224,23 +215,10 @@ class PageLoad:
                 context.authorities,
                 ticket_cache=engine.quic_tickets,
                 origin_aware=origin_aware,
-                tracer=context.tracer,
-                audit=context.audit,
+                telemetry=telemetry,
                 page=self.page.url,
-                phases=context.phases,
+                metrics=self.pool.stats.registry,
             )
-        self.pool = ConnectionPool(
-            policy=context.policy,
-            dialer=self.tcp_dialer,
-            prefer_h3=self.quic_dialer is not None,
-            tracer=context.tracer,
-            audit=context.audit,
-            page=self.page.url,
-        )
-        if self.quic_dialer is not None:
-            # quic.* counters land in the pool's registry (absorbed
-            # into the crawl metrics), created lazily on first use.
-            self.quic_dialer.metrics = self.pool.stats.registry
         self.entries: List[HarEntry] = []
         self.outstanding = 0
         #: Fetches begun and not yet settled, in start order (a dict
@@ -427,7 +405,7 @@ class PageLoad:
         if state.h3_upgrade:
             return quic
         if "h3" in state.https_alpn:
-            audit = self.context.audit
+            audit = self.telemetry.audit
             if audit.enabled:
                 # Discovery event: first contact went straight to
                 # QUIC because DNS said it could.  The decision
@@ -537,7 +515,7 @@ class PageLoad:
         state.attempt += 1  # invalidate the dead attempt's callbacks
         state.coalesced = False
         state.reason = reason
-        audit = self.context.audit
+        audit = self.telemetry.audit
         if audit.enabled:
             audit.record(
                 "retry", reason,
@@ -567,7 +545,7 @@ class PageLoad:
         the exhaustion (not a generic request failure) as its
         reason."""
         state.reason = ReasonCode.RETRY_EXHAUSTED
-        audit = self.context.audit
+        audit = self.telemetry.audit
         if audit.enabled:
             audit.record(
                 "retry", ReasonCode.RETRY_EXHAUSTED,
@@ -586,7 +564,7 @@ class PageLoad:
         if rng.random() >= self.context.speculative_rate:
             return
         self.extra_tls += 1
-        audit = self.context.audit
+        audit = self.telemetry.audit
         if audit.enabled:
             audit.record(
                 "speculative", ReasonCode.MISS_SPECULATIVE_RACE,
@@ -657,7 +635,7 @@ class PageLoad:
     # -- tracing ------------------------------------------------------------
 
     def _begin_fetch_span(self, state: _FetchState, root: bool) -> None:
-        tracer = self.context.tracer
+        tracer = self.telemetry.tracer
         if tracer.enabled:
             state.span = tracer.begin(
                 "fetch", category="browser", page=self.page.url,
@@ -667,7 +645,7 @@ class PageLoad:
     def _end_fetch_span(self, state: _FetchState, status: int,
                         via: str) -> None:
         if state.span is not None:
-            self.context.tracer.end(state.span, status=status, via=via)
+            self.telemetry.tracer.end(state.span, status=status, via=via)
 
     @staticmethod
     def _via(state: _FetchState) -> str:
@@ -683,7 +661,7 @@ class PageLoad:
         """The final per-request audit event: how the request was
         served and why.  Last event wins for a (page, host, path) key,
         so a 421 retry's second verdict supersedes the first."""
-        audit = self.context.audit
+        audit = self.telemetry.audit
         if not audit.enabled:
             return
         reason = state.reason or ReasonCode.MISS_UNATTRIBUTED
@@ -796,7 +774,7 @@ class PageLoad:
                 info = self.context.asdb.lookup(entry.server_ip)
                 if info is not None:
                     entry.asn, entry.as_org = info.asn, info.org
-        phases = self.context.phases
+        phases = self.telemetry.phases
         if phases.enabled:
             phases.observe("ttfb", state.timings.wait,
                            protocol=entry.protocol)
@@ -845,8 +823,8 @@ class PageLoad:
             state.reason = ReasonCode.MISS_REQUEST_FAILED
         self._record_decision(state, 0, "failed")
         if state.span is not None:
-            self.context.tracer.end(state.span, status=0, via="failed",
-                                    error=reason)
+            self.telemetry.tracer.end(state.span, status=0,
+                                      via="failed", error=reason)
         self._done_one()
 
     def _discover_children(self, state: _FetchState, status: int) -> None:
@@ -900,7 +878,7 @@ class PageLoad:
             f"root status {self.root_status}",
             extra_tls_connections=self.extra_tls,
         )
-        phases = self.context.phases
+        phases = self.telemetry.phases
         if phases.enabled and page.success:
             phases.observe("page", on_load)
         self.pool.close_all()

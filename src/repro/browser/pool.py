@@ -42,10 +42,9 @@ from typing import (
     Tuple,
 )
 
-from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode
 from repro.browser.policy import CoalescingPolicy, ConnectionFacts
-from repro.telemetry import NULL_TRACER, RegistryStats
+from repro.telemetry import NULL_TELEMETRY, RegistryStats, Telemetry
 from repro.transport.base import Dialer
 
 #: Browsers cap parallel HTTP/1.1 connections per host; 6 is the
@@ -232,8 +231,7 @@ class ConnectionPool:
         policy: CoalescingPolicy,
         dialer: Optional[Dialer] = None,
         prefer_h3: bool = False,
-        tracer=None,
-        audit=None,
+        telemetry: Telemetry = NULL_TELEMETRY,
         page: str = "",
     ) -> None:
         self.policy = policy
@@ -246,8 +244,8 @@ class ConnectionPool:
         self.prefer_h3 = prefer_h3
         self.connections = ConnectionRegistry()
         self.stats = PoolStats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.audit = audit if audit is not None else NULL_AUDIT
+        self.tracer = telemetry.tracer
+        self.audit = telemetry.audit
         #: Page URL stamped on this pool's audit events (one pool per
         #: page load).
         self.page = page

@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode
 from repro.chaos.report import FaultTally
 from repro.chaos.schedule import ChaosError, FaultSchedule, FaultSpec
@@ -44,6 +43,7 @@ from repro.h2.server import H2Server, ServerConnection
 from repro.netsim.latency import LinkSpec
 from repro.netsim.network import Host, Service
 from repro.netsim.transport import Transport
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 #: Seed-derivation domains (see repro.dataset.shard.derive_seed):
 #: 0/1 belong to the world/crawler, 2 to traffic.  Chaos claims 4
@@ -65,14 +65,15 @@ class FaultInjector:
         schedule: FaultSchedule,
         seed: int,
         resolver=None,
-        audit=NULL_AUDIT,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         self.world = world
         self.schedule = schedule
         self.network = world.network
         self.loop = world.network.loop
         self.resolver = resolver
-        self.audit = audit
+        self.telemetry = telemetry
+        self.audit = telemetry.audit
         self._seed = int(seed)
         self.tallies: List[FaultTally] = [
             FaultTally(name=fault.name, kind=fault.kind)
@@ -127,9 +128,9 @@ class FaultInjector:
         if kinds & _TAP_KINDS:
             if kinds & {"middlebox_teardown"}:
                 self._middlebox = BuggyMiddlebox(
-                    self.network, protected_clients=set()
+                    self.network, protected_clients=set(),
+                    telemetry=self.telemetry,
                 )
-                self._middlebox.audit = self.audit
             self.network.add_tap(self._tap)
         for index, fault in enumerate(faults):
             self.loop.schedule_at(

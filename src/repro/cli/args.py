@@ -89,7 +89,7 @@ def _parse_breakdown(spec: str) -> List[str]:
 
 def add_dataset_options(p) -> None:
     """``--sites/--seed``: the synthetic-web definition."""
-    p.add_argument("--sites", type=int, default=150,
+    p.add_argument("--sites", type=_positive_int, default=150,
                    help="synthetic sites to generate (default 150)")
     p.add_argument("--seed", type=int, default=2022)
 
@@ -111,7 +111,7 @@ def add_crawl_pipeline_options(p) -> None:
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="crawl worker processes (default 1; does "
                         "not change results)")
-    p.add_argument("--shards", type=int, default=0,
+    p.add_argument("--shards", type=_nonnegative_int, default=0,
                    help="shard layout (default 0 = one shard per "
                         "~100 sites; part of the experiment "
                         "definition)")

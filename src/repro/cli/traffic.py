@@ -147,7 +147,7 @@ def register(sub) -> None:
     traffic.add_argument("--bucket", type=float, default=5.0,
                          help="time-series bucket in seconds "
                               "(default 5)")
-    traffic.add_argument("--shards", type=int, default=0,
+    traffic.add_argument("--shards", type=_nonnegative_int, default=0,
                          help="user-shard layout (default 0 = one "
                               "shard per ~500 users; part of the "
                               "experiment definition)")

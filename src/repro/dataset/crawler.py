@@ -18,8 +18,7 @@ from repro.browser import BrowserContext, BrowserEngine, ChromiumPolicy
 from repro.browser.policy import CoalescingPolicy
 from repro.browser.retry import RetryPolicy
 from repro.dataset.world import SyntheticWorld
-from repro.obs.phases import NULL_PHASES, PhaseRecorder
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.web.har import HarArchive, HarPage
 
 
@@ -88,7 +87,7 @@ class Crawler:
         speculative_rate: float = 0.12,
         dns_latency_ms: float = 48.0,
         seed: int = 7,
-        telemetry: Optional[Telemetry] = None,
+        telemetry: Telemetry = NULL_TELEMETRY,
         alpn: str = "h2",
         retry_policy: Optional["RetryPolicy"] = None,
         retry_seed: Optional[int] = None,
@@ -96,24 +95,19 @@ class Crawler:
         self.world = world
         self.policy = policy or ChromiumPolicy()
         self.rng = np.random.default_rng(seed)
-        self.telemetry = telemetry
+        # Phase histograms ride the shared metrics registry, so they
+        # shard-merge (and stay --jobs-deterministic) for free.
+        self.telemetry = telemetry = telemetry.for_profile(self.policy.name)
         self.alpn = tuple(
             p.strip() for p in alpn.split(",") if p.strip()
         ) or ("h2",)
-        self.resolver = world.make_resolver(median_latency_ms=dns_latency_ms)
+        self.resolver = world.make_resolver(
+            median_latency_ms=dns_latency_ms, telemetry=telemetry
+        )
         if "h3" in self.alpn:
             # h3-capable clients also ask for HTTPS/SVCB records
             # (piggybacked on the A query; no extra latency).
             self.resolver.query_https_records = True
-        phases = NULL_PHASES
-        if telemetry is not None:
-            self.resolver.tracer = telemetry.tracer
-            self.resolver.audit = telemetry.audit
-            # Phase histograms ride the shared metrics registry, so
-            # they shard-merge (and stay --jobs-deterministic) for free.
-            phases = PhaseRecorder(telemetry.metrics,
-                                   policy=self.policy.name)
-            self.resolver.phases = phases
         self.context = BrowserContext(
             network=world.network,
             client_host=world.client_host,
@@ -127,7 +121,6 @@ class Crawler:
             asdb=world.asdb,
             telemetry=telemetry,
             alpn=self.alpn,
-            phases=phases,
         )
         if retry_policy is not None:
             # Chaos runs pin an explicit policy; the separate retry
@@ -142,9 +135,10 @@ class Crawler:
         """Load one site with fresh caches; failures become failed pages."""
         record = hosted.record
         telemetry = self.telemetry
+        tracer = telemetry.tracer
         span = None
-        if telemetry is not None and telemetry.tracer.enabled:
-            span = telemetry.tracer.begin(
+        if tracer.enabled:
+            span = tracer.begin(
                 "site", category="crawler", url=record.page.url,
                 rank=record.scaled_rank, accessible=record.accessible,
             )
@@ -159,19 +153,19 @@ class Crawler:
                     failure_reason="non-200 or CAPTCHA",
                 )
             )
-            if telemetry is not None:
-                if span is not None:
-                    telemetry.tracer.end(span, success=False, requests=0)
+            if span is not None:
+                tracer.end(span, success=False, requests=0)
+            if telemetry.enabled:
                 telemetry.metrics.counter("crawler.pages_attempted").inc()
             return archive
         self.engine.new_session()
         archive = self.engine.load_blocking(record.page)
-        if telemetry is not None:
-            if span is not None:
-                telemetry.tracer.end(
-                    span, success=archive.page.success,
-                    requests=len(archive.entries),
-                )
+        if span is not None:
+            tracer.end(
+                span, success=archive.page.success,
+                requests=len(archive.entries),
+            )
+        if telemetry.enabled:
             self._absorb_page_metrics(archive)
         return archive
 
@@ -191,6 +185,6 @@ class Crawler:
         result = CrawlResult(
             archives=[self.crawl_site(hosted) for hosted in self.world.sites]
         )
-        if self.telemetry is not None:
+        if self.telemetry.enabled:
             self.telemetry.metrics.absorb(self.resolver.stats.registry)
         return result

@@ -51,12 +51,12 @@ from typing import (
 
 import numpy as np
 
-from repro.audit.log import NULL_AUDIT, AuditEvent
+from repro.audit.log import AuditEvent
 from repro.browser.policy import policy_by_name
 from repro.dataset.crawler import Crawler, CrawlResult
 from repro.dataset.generator import DatasetConfig, PageGenerator, SiteRecord
 from repro.dataset.world import SyntheticWorld, build_world
-from repro.telemetry import CrawlTrace, Span, Telemetry
+from repro.telemetry import NULL_TELEMETRY, CrawlTrace, Span, Telemetry
 from repro.web.har import HarArchive
 
 #: Sites per shard when the caller does not pick a layout.
@@ -223,10 +223,10 @@ def crawl_shard(
     """Build one shard's world and crawl it (runs inside workers).
 
     ``collect`` is the ``(trace, audit)`` collector switches of a live
-    run; ``None`` crawls with no telemetry object at all, so the fetch
-    paths pay for no metrics registry or phase recorder.  Collectors
-    neither draw randomness nor schedule events, so the archives are
-    identical either way.  Spans carry the shard's local ids and
+    run; ``None`` crawls on :data:`~repro.telemetry.NULL_TELEMETRY`, so
+    the fetch paths pay for no metrics registry or phase recorder.
+    Collectors neither draw randomness nor schedule events, so the
+    archives are identical either way.  Spans carry the shard's local ids and
     timestamps (its simulated clock starts at zero) and are renumbered
     by :meth:`~repro.telemetry.CrawlTrace.adopt`, as are audit events.
 
@@ -236,7 +236,7 @@ def crawl_shard(
     carries the shard's fault tallies.
     """
     world = spec.build_world()
-    telemetry = None
+    telemetry = NULL_TELEMETRY
     if collect is not None:
         trace, audit = collect
         telemetry = Telemetry(
@@ -274,23 +274,24 @@ def crawl_shard(
                 spec.shard_count,
             ),
             resolver=crawler.resolver,
-            audit=NULL_AUDIT if telemetry is None else telemetry.audit,
+            telemetry=telemetry,
         )
         injector.arm()
+    tracer = telemetry.tracer
     shard_span = None
-    if telemetry is not None and telemetry.tracer.enabled:
-        shard_span = telemetry.tracer.begin(
+    if tracer.enabled:
+        shard_span = tracer.begin(
             "shard", category="crawler", index=spec.index,
             sites=spec.site_count,
         )
     result = crawler.crawl()
     if shard_span is not None:
-        telemetry.tracer.end(
+        tracer.end(
             shard_span, attempted=result.attempted,
             succeeded=result.success_count,
         )
     faults = () if chaos is None else injector.fault_docs()
-    if telemetry is None:
+    if not telemetry.enabled:
         return ShardResult(payload=result, faults=faults)
     return ShardResult(
         payload=result,

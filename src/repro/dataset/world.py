@@ -24,6 +24,7 @@ from repro.netsim import (
     LinkSpec,
     Network,
 )
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tlspki import CertificateAuthority, IssuancePolicy, TrustStore
 from repro.tlspki.certificate import Certificate
 from repro.web.asdb import AsDatabase
@@ -131,13 +132,15 @@ class SyntheticWorld:
     # -- resolver / engine plumbing ------------------------------------------
 
     def make_resolver(
-        self, median_latency_ms: float = 20.0
+        self, median_latency_ms: float = 20.0,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> CachingResolver:
         return CachingResolver(
             self.network.loop,
             self.dns_authority,
             rng=self.rng,
             median_latency_ms=median_latency_ms,
+            telemetry=telemetry,
         )
 
     # -- convenience --------------------------------------------------------

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from typing import Set
 
-from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode
 from repro.h2.frames import FRAME_HEADER_LEN, KNOWN_TYPES
 from repro.transport.framing import REC_APPDATA, consume_records
 from repro.netsim.network import Host, Network
 from repro.netsim.transport import Transport
-from repro.telemetry import RegistryStats
+from repro.telemetry import NULL_TELEMETRY, RegistryStats, Telemetry
 
 
 class MiddleboxStats(RegistryStats):
@@ -99,6 +98,7 @@ class BuggyMiddlebox:
         network: Network,
         protected_clients: Set[str],
         tear_down_on_unknown: bool = True,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         self.network = network
         self.protected_clients = set(protected_clients)
@@ -106,8 +106,8 @@ class BuggyMiddlebox:
         #: Types the agent recognizes: RFC 7540 only -- no ORIGIN.
         self.known_types = frozenset(KNOWN_TYPES)
         self.stats = MiddleboxStats()
-        #: Decision-audit log; assign a live one to record teardowns.
-        self.audit = NULL_AUDIT
+        #: Records every teardown when ``telemetry`` audits.
+        self.audit = telemetry.audit
         self._installed = False
 
     def install(self) -> None:

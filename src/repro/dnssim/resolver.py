@@ -21,11 +21,9 @@ from repro.dnssim.records import (
     normalize_name,
 )
 from repro.dnssim.zone import Zone
-from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode
 from repro.netsim.events import EventLoop
-from repro.obs.phases import NULL_PHASES
-from repro.telemetry import NULL_TRACER, RegistryStats
+from repro.telemetry import NULL_TELEMETRY, RegistryStats, Telemetry
 
 
 class NxDomain(Exception):
@@ -144,6 +142,7 @@ class CachingResolver:
         median_latency_ms: float = DEFAULT_QUERY_LATENCY_MS,
         latency_sigma: float = 0.4,
         encrypted_transport: bool = False,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         self._loop = loop
         self._authority = authority
@@ -163,16 +162,13 @@ class CachingResolver:
         #: issuing another wire query.
         self._in_flight: Dict[str, List[Callable[[DnsAnswer], None]]] = {}
         self.stats = ResolverStats()
-        #: Span tracer; assign a live one to trace query/cache-hit
-        #: spans on the simulated clock (see :mod:`repro.telemetry`).
-        self.tracer = NULL_TRACER
-        #: Decision-audit log; assign a live one to record how each
-        #: query was answered (see :mod:`repro.audit`).
-        self.audit = NULL_AUDIT
-        #: Phase-latency recorder (run ledger); a live one observes
-        #: every wire query's latency into the ``phase.dns`` histogram
-        #: (cache hits and joined lookups cost no wire wait).
-        self.phases = NULL_PHASES
+        #: ``telemetry`` traces query/cache-hit spans, audits how each
+        #: query was answered, and observes every wire query's latency
+        #: into ``phase.dns`` (cache hits and joined lookups cost no
+        #: wire wait).
+        self.tracer = telemetry.tracer
+        self.audit = telemetry.audit
+        self.phases = telemetry.phases
 
     # -- latency -----------------------------------------------------------
 
@@ -258,8 +254,9 @@ class CachingResolver:
         name = normalize_name(name)
         self.stats.queries += 1
         tracer = self.tracer
-        span = tracer.begin("dns.query", category="dns", qname=name) \
-            if tracer.enabled else None
+        span = None
+        if tracer.enabled:
+            span = tracer.begin("dns.query", category="dns", qname=name)
         cached = self._cache_get(name)
         if cached is not None:
             self.stats.cache_hits += 1

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode
 from repro.h2 import events as ev
 from repro.h2.connection import H2Connection, Role
@@ -22,7 +21,8 @@ from repro.h2.settings import SettingId
 from repro.h2.tls_channel import TlsClientChannel, TlsClientConfig
 from repro.netsim.network import Host, Network
 from repro.netsim.transport import Transport
-from repro.telemetry import NULL_TRACER
+from repro.obs.phases import observe_handshake
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tlspki.certificate import Certificate
 from repro.transport.base import (
     DEFAULT_MAX_STREAMS,
@@ -86,8 +86,7 @@ class H2ClientSession(Session):
         port: int = 443,
         origin_aware: bool = True,
         secondary_certs: bool = False,
-        tracer=None,
-        audit=None,
+        telemetry: Telemetry = NULL_TELEMETRY,
         page: str = "",
     ) -> None:
         self.network = network
@@ -123,11 +122,17 @@ class H2ClientSession(Session):
             Callable[[Tuple[str, ...]], None]
         ] = None
         self.misdirected: List[H2Response] = []
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.audit = audit if audit is not None else NULL_AUDIT
+        self.telemetry = telemetry
+        self.tracer = telemetry.tracer
+        self.audit = telemetry.audit
         self.page = page
         self._conn_span = None
         self._stream_spans: Dict[int, object] = {}
+        phases = telemetry.phases
+        if phases.enabled:
+            # The first ready callback, so it never perturbs the ones
+            # the pool and engine register.
+            self._on_ready.append(lambda: observe_handshake(phases, self))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -156,7 +161,8 @@ class H2ClientSession(Session):
 
     def _on_tcp_connected(self, transport: Transport) -> None:
         self.tcp_connected_at = self.network.loop.now()
-        self.channel = TlsClientChannel(transport, self.tls_config)
+        self.channel = TlsClientChannel(transport, self.tls_config,
+                                        self.telemetry)
         self.channel.on_established = self._on_tls_established
         self.channel.on_failed = self._fail
         self.channel.on_app_data = self._on_app_data

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.h2 import events as ev
 from repro.h2.connection import H2Connection, Role
 from repro.h2.errors import ErrorCode, H2ConnectionError
-from repro.h2.tls_channel import TlsServerChannel
+from repro.h2.tls_channel import TlsChannel, TlsServerChannel
 from repro.netsim.network import Host, Network
 from repro.netsim.transport import Transport
 from repro.telemetry import RegistryStats
@@ -185,7 +185,8 @@ class ServerStats(RegistryStats):
 
 
 class ServerConnection:
-    """Server-side state for one accepted connection."""
+    """Server-side state for one accepted connection, over the TLS
+    (or QUIC) server channel its listener built."""
 
     #: Whether responses on this connection may carry Alt-Svc; the
     #: QUIC subclass turns it off (its clients are already on h3).
@@ -195,22 +196,9 @@ class ServerConnection:
     #: then the connection is refused with GOAWAY.
     refuse_overload = False
 
-    def __init__(
-        self, server: "H2Server", transport: Transport
-    ) -> None:
+    def __init__(self, server: "H2Server", channel: TlsChannel) -> None:
         self.server = server
-
-        def alpn_for_sni(sni: str):
-            if sni in server.config.h1_only_hosts:
-                return ("http/1.1",)
-            return server.config.alpn_protocols
-
-        self.channel = TlsServerChannel(
-            transport,
-            server.config.chain_for_sni,
-            supported_alpn=alpn_for_sni,
-            ticket_manager=server.ticket_manager,
-        )
+        self.channel = channel
         self.conn: Optional[H2Connection] = None
         self.h1: Optional["H1ServerProtocol"] = None
         self.sni = ""
@@ -463,9 +451,19 @@ class H2Server:
         for ip in self.host.addresses:
             self.listen_quic(ip, port)
 
+    def _alpn_for_sni(self, sni: str) -> Tuple[str, ...]:
+        if sni in self.config.h1_only_hosts:
+            return ("http/1.1",)
+        return self.config.alpn_protocols
+
     def _accept(self, transport: Transport) -> None:
         self.stats.connections += 1
-        connection = ServerConnection(self, transport)
+        connection = ServerConnection(self, TlsServerChannel(
+            transport,
+            self.config.chain_for_sni,
+            supported_alpn=self._alpn_for_sni,
+            ticket_manager=self.ticket_manager,
+        ))
         limit = self.config.max_concurrent_connections
         connection.refuse_overload = (
             limit is not None and self.active_connections >= limit
@@ -489,10 +487,18 @@ class H2Server:
             observer(event, connection)
 
     def _accept_quic(self, transport: Transport) -> None:
-        from repro.transport.quicsim import QuicServerConnection
+        from repro.transport.quicsim import (
+            QuicServerChannel,
+            QuicServerConnection,
+        )
 
         self.stats.connections += 1
-        connection = QuicServerConnection(self, transport)
+        connection = QuicServerConnection(self, QuicServerChannel(
+            transport,
+            self.config.chain_for_sni,
+            supported_alpn=("h3",),
+            ticket_manager=self.quic_ticket_manager,
+        ))
         if self.retain_connections:
             self.connections.append(connection)
 

@@ -25,10 +25,9 @@ import json
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode
 from repro.netsim.transport import Transport
-from repro.telemetry import NULL_TRACER
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tlspki.ca import CertificateAuthority
 from repro.tlspki.certificate import Certificate
 from repro.tlspki.validation import TrustStore, validate_chain
@@ -108,10 +107,6 @@ class TlsClientConfig:
     #: presence of a ticket attempts TLS 1.3 resumption, which skips
     #: certificate transmission and validation entirely.
     session_cache: Optional[dict] = None
-    #: Span tracer (:mod:`repro.telemetry`); None means no tracing.
-    tracer: Optional[object] = None
-    #: Decision-audit log (:mod:`repro.audit`); None means no audit.
-    audit: Optional[object] = None
 
 
 class TicketManager:
@@ -140,9 +135,15 @@ class TlsChannelError(Exception):
 
 
 class TlsChannel:
-    """One endpoint of the simulated TLS session."""
+    """One endpoint of the simulated TLS session.  A client channel
+    traces its handshake and audits its outcome through ``telemetry``;
+    server channels watch nothing."""
 
-    def __init__(self, transport: Transport) -> None:
+    def __init__(self, transport: Transport,
+                 telemetry: Telemetry = NULL_TELEMETRY) -> None:
+        self.tracer = telemetry.tracer
+        self.audit = telemetry.audit
+        self._handshake_span = None
         self.transport = transport
         self.transport.on_data = self._on_bytes
         self.established = False
@@ -164,6 +165,8 @@ class TlsChannel:
             self.transport.close()
 
     def _fail(self, reason: str) -> None:
+        """Fail the handshake here: alert the peer and close."""
+        self._handshake_failed(reason)
         if not self.transport.closed:
             self.transport.send(
                 pack_record(REC_ALERT, reason.encode("utf-8"))
@@ -171,6 +174,17 @@ class TlsChannel:
             self.transport.close()
         if self.on_failed is not None:
             self.on_failed(reason)
+
+    def _on_alert(self, payload: bytes) -> None:
+        """The peer failed the handshake with a fatal alert."""
+        reason = payload.decode("utf-8", "replace")
+        self._handshake_failed(reason)
+        if self.on_failed is not None:
+            self.on_failed(reason)
+        self.close()
+
+    def _handshake_failed(self, reason: str) -> None:
+        self._end_handshake_span(ok=False, error=reason)
 
     def _on_bytes(self, data: bytes) -> None:
         buffer = self._buffer
@@ -188,22 +202,21 @@ class TlsChannel:
     def _on_record(self, record_type: int, payload: bytes) -> None:
         raise NotImplementedError
 
+    def _end_handshake_span(self, **attrs) -> None:
+        span = self._handshake_span
+        if span is not None and not span.finished:
+            self.tracer.end(span, **attrs)
+
 
 class TlsClientChannel(TlsChannel):
     """Client side: sends the hello, validates the presented chain."""
 
-    def __init__(self, transport: Transport, config: TlsClientConfig) -> None:
-        super().__init__(transport)
+    def __init__(self, transport: Transport, config: TlsClientConfig,
+                 telemetry: Telemetry = NULL_TELEMETRY) -> None:
+        super().__init__(transport, telemetry)
         self.config = config
         self.server_chain: List[Certificate] = []
-        self._finished_sent = False
         self.resumed = False
-        self._offered_ticket: Optional[str] = None
-        self.tracer = config.tracer if config.tracer is not None \
-            else NULL_TRACER
-        self.audit = config.audit if config.audit is not None \
-            else NULL_AUDIT
-        self._handshake_span = None
 
     def start(self) -> None:
         if self.tracer.enabled:
@@ -221,7 +234,6 @@ class TlsClientChannel(TlsChannel):
         if cache is not None and self.config.tls13:
             cached = cache.get(self.config.sni)
             if cached is not None:
-                self._offered_ticket = cached[0]
                 hello["ticket"] = cached[0]
         self.observed_sni = hello["sni"]
         self.transport.send(
@@ -237,10 +249,12 @@ class TlsClientChannel(TlsChannel):
             self.negotiated_alpn = hello.get("alpn")
         elif record_type == REC_CERT:
             self.server_chain = deserialize_chain(payload)
-            validate_span = self.tracer.begin(
-                "tls.validate", category="tls", sni=self.config.sni,
-                chain_len=len(self.server_chain),
-            ) if self.tracer.enabled else None
+            validate_span = None
+            if self.tracer.enabled:
+                validate_span = self.tracer.begin(
+                    "tls.validate", category="tls", sni=self.config.sni,
+                    chain_len=len(self.server_chain),
+                )
             result = validate_chain(
                 self.server_chain,
                 self.config.sni,
@@ -280,30 +294,13 @@ class TlsClientChannel(TlsChannel):
                     payload.decode("ascii"), list(self.server_chain),
                 )
         elif record_type == REC_ALERT:
-            self._end_handshake_span(
-                ok=False, error=payload.decode("utf-8", "replace")
-            )
-            if self.audit.enabled:
-                self.audit.record(
-                    "tls", ReasonCode.TLS_HANDSHAKE_FAILED,
-                    hostname=self.config.sni,
-                    error=payload.decode("utf-8", "replace"),
-                )
-            if self.on_failed is not None:
-                self.on_failed(payload.decode("utf-8", "replace"))
-            self.close()
+            self._on_alert(payload)
 
-    def _fail(self, reason: str) -> None:
-        self._end_handshake_span(ok=False, error=reason)
+    def _handshake_failed(self, reason: str) -> None:
+        super()._handshake_failed(reason)
         if self.audit.enabled:
             self.audit.record("tls", ReasonCode.TLS_HANDSHAKE_FAILED,
                               hostname=self.config.sni, error=reason)
-        super()._fail(reason)
-
-    def _end_handshake_span(self, **attrs) -> None:
-        span = self._handshake_span
-        if span is not None and not span.finished:
-            self.tracer.end(span, **attrs)
 
     def _establish(self) -> None:
         if self.established:
@@ -413,9 +410,7 @@ class TlsServerChannel(TlsChannel):
             # TLS 1.3 client Finished.
             self._establish()
         elif record_type == REC_ALERT:
-            if self.on_failed is not None:
-                self.on_failed(payload.decode("utf-8", "replace"))
-            self.close()
+            self._on_alert(payload)
 
     def _establish(self) -> None:
         if self.established:

@@ -30,8 +30,7 @@ the other modules directly (they pull in dataset/analysis layers).
 from repro.obs.phases import (  # noqa: F401
     NULL_PHASES,
     PHASES,
-    NullPhases,
     PhaseRecorder,
 )
 
-__all__ = ["NULL_PHASES", "PHASES", "NullPhases", "PhaseRecorder"]
+__all__ = ["NULL_PHASES", "PHASES", "PhaseRecorder"]

@@ -8,11 +8,13 @@ phase is visible per population slice.
 
 A :class:`PhaseRecorder` is a thin, label-caching front for ``phase.*``
 histograms in a shared :class:`~repro.telemetry.metrics.MetricsRegistry`.
-Hot paths hold a recorder (defaulting to the no-op :data:`NULL_PHASES`)
-and guard on ``phases.enabled`` so un-instrumented runs pay a single
-attribute read.  Because the histograms live in the ordinary metrics
-registry they merge across shards via the existing snapshot/absorb
-path, keeping records byte-identical across ``--jobs``.
+Hot paths reach their recorder through the telemetry handle
+(:meth:`repro.telemetry.Telemetry.for_profile` makes one per browser
+profile) and guard on ``phases.enabled``; an un-ledgered run holds
+:data:`NULL_PHASES`, a bare flag, and pays a single attribute read.
+Because the histograms live in the ordinary metrics registry they
+merge across shards via the existing snapshot/absorb path, keeping
+records byte-identical across ``--jobs``.
 
 This module is import-dependency-free on purpose: transport, browser,
 and dnssim layers all hold recorders without pulling the ledger in.
@@ -34,17 +36,13 @@ NOT_APPLICABLE = "-"
 
 
 class NullPhases:
-    """The disabled recorder every layer defaults to."""
+    """The disabled recorder: ``enabled`` is False, nothing more."""
 
     __slots__ = ()
     enabled = False
 
-    def observe(self, phase: str, value_ms: float,
-                protocol: str = NOT_APPLICABLE) -> None:
-        """Drop the observation."""
 
-
-#: Shared no-op instance.
+#: The shared disabled instance.
 NULL_PHASES = NullPhases()
 
 
@@ -86,10 +84,11 @@ class PhaseRecorder:
 def observe_handshake(phases, session) -> None:
     """Record the connect/tls phases of a now-ready session.
 
-    Dialers register this via ``session.when_ready`` at dial time (so
-    it runs before the pool's own ready callbacks and never perturbs
-    them).  QUIC sessions report ``connect`` as 0 and the combined
-    1-RTT handshake as ``tls`` -- the same split the HAR timings use.
+    A client session whose telemetry records phases registers this
+    as its first ready callback at construction (so it runs before
+    the pool's own ready callbacks and never perturbs them).  QUIC
+    sessions report ``connect`` as 0 and the combined 1-RTT handshake
+    as ``tls`` -- the same split the HAR timings use.
     """
     started = session.connect_started_at
     tcp_at = session.tcp_connected_at

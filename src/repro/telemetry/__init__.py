@@ -13,16 +13,25 @@ handshake, and HTTP/2 stream; this package makes that truth visible:
 The spans are also the ground truth the §4.1 timeline reconstruction
 is checked against (the Figure 2 oracle, ``tests/telemetry_validation.py``).
 
-A :class:`Telemetry` bundles one tracer + one registry for one
-simulated world (one clock); :data:`NULL_TELEMETRY` is the disabled
-instance every layer defaults to, with no-op tracing.
+A :class:`Telemetry` is the one watch handle: the tracer, the
+decision-audit log, the metrics registry and the phase recorder of one
+simulated world (one clock).  Every layer that emits takes it -- from
+the shard entry points down through the crawler, browser, dialers,
+sessions, TLS channels, pool, resolver, fault injector, middlebox and
+edge monitor -- and it is never ``None``: :data:`NULL_TELEMETRY` is the
+default.  Each collector's own ``enabled`` flag is the one guard at
+every emit site; the null collectors are nothing but that flag (and
+an empty ``spans``/``events`` list).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
+from repro.audit.log import NULL_AUDIT, AuditLog
+from repro.obs.phases import NOT_APPLICABLE, NULL_PHASES, PhaseRecorder
 from repro.telemetry.metrics import (  # noqa: F401
     Counter,
     Histogram,
@@ -31,36 +40,71 @@ from repro.telemetry.metrics import (  # noqa: F401
 )
 from repro.telemetry.tracer import (  # noqa: F401
     NULL_TRACER,
-    NullTracer,
     Span,
     Tracer,
 )
 
 
 class Telemetry:
-    """Tracer + metrics + decision audit for one simulated world.
+    """Tracer + decision audit + metrics + phases for one world.
 
-    ``trace`` and ``audit`` default to ``enabled`` but can be toggled
-    independently, so an audited crawl does not have to pay for span
-    collection (and vice versa).
+    A run is in one of three states:
+
+    * *nothing collected* -- :data:`NULL_TELEMETRY`: every collector is
+      disabled and its registry stays empty;
+    * *metrics and phases only* (``--ledger``) -- ``trace`` and
+      ``audit`` both False;
+    * *tracing and/or audit on* -- either switch True.
+
+    ``enabled`` is False only on :data:`NULL_TELEMETRY`; it guards the
+    metrics registry, the one collector with no disabled form.
     """
 
-    def __init__(self, clock: Callable[[], float],
-                 enabled: bool = True,
-                 trace: Optional[bool] = None,
-                 audit: Optional[bool] = None) -> None:
-        from repro.audit.log import NULL_AUDIT, AuditLog
+    enabled = True
 
-        trace_on = enabled if trace is None else trace
-        audit_on = enabled if audit is None else audit
-        self.enabled = trace_on or audit_on
-        self.tracer = Tracer(clock) if trace_on else NULL_TRACER
-        self.audit = AuditLog(clock) if audit_on else NULL_AUDIT
+    def __init__(self, clock: Callable[[], float], trace: bool = True,
+                 audit: bool = True) -> None:
+        self.tracer = Tracer(clock) if trace else NULL_TRACER
+        self.audit = AuditLog(clock) if audit else NULL_AUDIT
         self.metrics = MetricsRegistry()
+        #: Phase recorder of one browser profile; the world-level
+        #: handle has none (see :meth:`for_profile`).
+        self.phases = NULL_PHASES
+
+    def for_profile(self, policy: str,
+                    cohort: str = NOT_APPLICABLE) -> "Telemetry":
+        """The handle one browser profile holds: this handle's tracer,
+        audit log and registry, plus its own phase recorder labelled
+        ``policy`` x ``cohort`` (recorders with the same labels share
+        histograms).  :data:`NULL_TELEMETRY` returns itself."""
+        if not self.enabled:
+            return self
+        return self._with(phases=PhaseRecorder(
+            self.metrics, policy=policy, cohort=cohort))
+
+    def phases_only(self) -> "Telemetry":
+        """This handle with tracing and audit off: the same registry
+        and phase recorder, for a layer that times phases but emits no
+        spans or decisions (a traffic user's resolver)."""
+        return self._with(tracer=NULL_TRACER, audit=NULL_AUDIT)
+
+    def _with(self, **collectors) -> "Telemetry":
+        """A copy of this handle with some collectors replaced."""
+        view = copy.copy(self)
+        vars(view).update(collectors)
+        return view
 
 
-#: The shared disabled instance; its registry is never exported.
-NULL_TELEMETRY = Telemetry(clock=lambda: 0.0, enabled=False)
+class _NullTelemetry(Telemetry):
+    """Collects nothing.  Its registry exists only so every handle has
+    one; no layer writes it, because ``enabled`` is False."""
+
+    enabled = False
+
+
+#: The shared disabled handle every layer defaults to.
+NULL_TELEMETRY = _NullTelemetry(clock=lambda: 0.0, trace=False,
+                                audit=False)
 
 
 @dataclass
@@ -125,7 +169,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "NULL_TRACER",
-    "NullTracer",
     "RegistryStats",
     "Span",
     "Telemetry",

@@ -9,9 +9,10 @@ worker processes crawled the shards.
 The callback-driven simulator cannot use context managers for its
 spans (a fetch begins in one event and ends many events later), so the
 API is explicit: :meth:`Tracer.begin` returns the span,
-:meth:`Tracer.end` closes it.  When tracing is disabled the
-:data:`NULL_TRACER` singleton answers every call with a shared no-op
-span, keeping the hot paths at one attribute load + one call.
+:meth:`Tracer.end` closes it.  When tracing is disabled the layer
+holds :data:`NULL_TRACER`, which is only a flag: every emit site
+checks ``tracer.enabled`` (or holds a span only a live tracer handed
+out) before calling, so a disabled hot path costs one attribute load.
 """
 
 from __future__ import annotations
@@ -122,31 +123,13 @@ class Tracer:
         return span
 
 
-#: Shared inert span handed out by :class:`NullTracer`; never stored.
-_NULL_SPAN = Span(span_id=-1, name="", category="", start_ms=0.0,
-                  end_ms=0.0)
-
-
 class NullTracer:
-    """The disabled tracer: every operation is a no-op.
-
-    ``enabled`` is False so instrumented hot loops can skip even the
-    attribute packing for spans when they want literal zero overhead.
-    """
+    """The disabled tracer: ``enabled`` is False and it holds no
+    spans.  It has no methods; nothing calls one without checking
+    ``enabled`` first."""
 
     enabled = False
     spans: List[Span] = []
-
-    def begin(self, name: str, category: str = "",
-              parent: Optional[Span] = None, **attrs) -> Span:
-        return _NULL_SPAN
-
-    def end(self, span: Span, **attrs) -> Span:
-        return _NULL_SPAN
-
-    def instant(self, name: str, category: str = "",
-                parent: Optional[Span] = None, **attrs) -> Span:
-        return _NULL_SPAN
 
 
 NULL_TRACER = NullTracer()

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode
 from repro.dataset.world import SELF_HOSTED, SyntheticWorld
 from repro.h2.server import H2Server
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.traffic.aggregate import TrafficAggregate
 
 
@@ -48,12 +48,12 @@ class EdgeLoadMonitor:
         self,
         world: SyntheticWorld,
         aggregate: TrafficAggregate,
-        audit=None,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         self.world = world
         self.aggregate = aggregate
         self.loop = world.network.loop
-        self.audit = audit if audit is not None else NULL_AUDIT
+        self.audit = telemetry.audit
         #: Edge-group name of every server this monitor is hooked to.
         self._edge_of: Dict[H2Server, str] = {}
         #: Live connections across all monitored edges (the fleet

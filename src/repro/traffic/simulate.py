@@ -30,7 +30,6 @@ from repro.deployment.experiment import (
     deployment_world_config,
 )
 from repro.netsim import Host, LinkSpec
-from repro.obs.phases import PhaseRecorder
 from repro.telemetry import CrawlTrace, Telemetry
 from repro.traffic.aggregate import TrafficAggregate
 from repro.traffic.edge import EdgeLoadMonitor, apply_edge_capacity
@@ -87,13 +86,14 @@ def _user_engine(
     TLS 1.2 fallback are disabled, so a user's behaviour is a pure
     function of the schedule -- concurrency cannot reorder draws."""
     cohort = profile.cohort
-    resolver = world.make_resolver(median_latency_ms=DNS_LATENCY_MS)
     # Phase latencies are keyed per cohort x policy; recorders over
     # the shared registry dedupe onto the same histograms, so this
     # costs one small object per user.
-    phases = PhaseRecorder(telemetry.metrics,
-                           policy=cohort.policy, cohort=cohort.name)
-    resolver.phases = phases
+    telemetry = telemetry.for_profile(cohort.policy, cohort.name)
+    # The resolver times lookups into phase.dns but emits no DNS spans
+    # or audit events.
+    resolver = world.make_resolver(median_latency_ms=DNS_LATENCY_MS,
+                                   telemetry=telemetry.phases_only())
     context = BrowserContext(
         network=world.network,
         client_host=_user_host(world, profile.user_id),
@@ -114,7 +114,6 @@ def _user_engine(
             max_retries=scenario.goaway_retry_limit,
             backoff_base_ms=scenario.goaway_retry_backoff_ms,
         ),
-        phases=phases,
     )
     return BrowserEngine(context)
 
@@ -145,7 +144,7 @@ def simulate_shard(
         shard_count=shard.shard_count,
     )
     telemetry = Telemetry(clock=loop.now, trace=trace, audit=True)
-    monitor = EdgeLoadMonitor(world, aggregate, audit=telemetry.audit)
+    monitor = EdgeLoadMonitor(world, aggregate, telemetry=telemetry)
     monitor.attach()
 
     policies = {

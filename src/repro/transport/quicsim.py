@@ -33,7 +33,6 @@ import json
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode
 from repro.h2.client import H2ClientSession
 from repro.h2.server import ServerConnection
@@ -44,8 +43,7 @@ from repro.h2.tls_channel import (
 )
 from repro.netsim.network import Host, Network
 from repro.netsim.transport import Transport
-from repro.obs.phases import NULL_PHASES, observe_handshake
-from repro.telemetry import NULL_TRACER
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tlspki.ca import CertificateAuthority
 from repro.tlspki.certificate import Certificate
 from repro.tlspki.validation import TrustStore, validate_chain
@@ -117,8 +115,6 @@ class QuicClientConfig:
     #: A list, not an SNI-keyed dict: one ticket serves every hostname
     #: its chain covers.
     ticket_cache: Optional[List[dict]] = None
-    tracer: Optional[object] = None
-    audit: Optional[object] = None
 
 
 def find_ticket(cache: Optional[List[dict]],
@@ -144,17 +140,14 @@ class QuicClientChannel(TlsChannel):
 
     def __init__(self, transport: Transport, config: QuicClientConfig,
                  schedule: Callable[[float, Callable[[], None]], None],
-                 ) -> None:
-        super().__init__(transport)
+                 telemetry: Telemetry = NULL_TELEMETRY) -> None:
+        super().__init__(transport, telemetry)
         self.config = config
         self._schedule = schedule
         self.server_chain: List[Certificate] = []
         self.resumed = False
         self.cross_host = False
         self.ticket_sni = ""
-        self.tracer = config.tracer if config.tracer is not None \
-            else NULL_TRACER
-        self._handshake_span = None
 
     def start(self) -> None:
         if self.tracer.enabled:
@@ -215,24 +208,10 @@ class QuicClientChannel(TlsChannel):
                     "chain": list(self.server_chain),
                 })
         elif record_type == REC_ALERT:
-            self._end_handshake_span(
-                ok=False, error=payload.decode("utf-8", "replace")
-            )
-            if self.on_failed is not None:
-                self.on_failed(payload.decode("utf-8", "replace"))
-            self.close()
+            self._on_alert(payload)
         elif record_type == REC_APPDATA:
             if self.on_app_data is not None:
                 self.on_app_data(payload)
-
-    def _fail(self, reason: str) -> None:
-        self._end_handshake_span(ok=False, error=reason)
-        super()._fail(reason)
-
-    def _end_handshake_span(self, **attrs) -> None:
-        span = self._handshake_span
-        if span is not None and not span.finished:
-            self.tracer.end(span, **attrs)
 
     def _establish(self) -> None:
         if self.established:
@@ -324,9 +303,7 @@ class QuicServerChannel(TlsChannel):
         elif record_type == REC_FINISHED:
             pass  # client Finished; already established
         elif record_type == REC_ALERT:
-            if self.on_failed is not None:
-                self.on_failed(payload.decode("utf-8", "replace"))
-            self.close()
+            self._on_alert(payload)
         elif record_type == REC_APPDATA:
             if self.on_app_data is not None:
                 self.on_app_data(payload)
@@ -360,15 +337,13 @@ class QuicClientSession(H2ClientSession):
         quic_config: QuicClientConfig,
         port: int = 443,
         origin_aware: bool = True,
-        tracer=None,
-        audit=None,
+        telemetry: Telemetry = NULL_TELEMETRY,
         page: str = "",
         metrics=None,
     ) -> None:
         super().__init__(
             network, client_host, server_ip, quic_config, port=port,
-            origin_aware=origin_aware, tracer=tracer, audit=audit,
-            page=page,
+            origin_aware=origin_aware, telemetry=telemetry, page=page,
         )
         #: Metrics registry for the quic.* counters; created lazily so
         #: h2-only crawls export exactly the metric series they always
@@ -413,7 +388,8 @@ class QuicClientSession(H2ClientSession):
         # only pre-request round trip (HAR "connect" is 0).
         self.tcp_connected_at = now()
         self.channel = QuicClientChannel(
-            transport, self.tls_config, self.network.loop.schedule
+            transport, self.tls_config, self.network.loop.schedule,
+            self.telemetry,
         )
         self.channel.on_established = self._on_quic_established
         self.channel.on_failed = self._fail
@@ -458,31 +434,13 @@ class QuicClientSession(H2ClientSession):
 
 
 class QuicServerConnection(ServerConnection):
-    """Server-side state for one accepted QUIC flow; request handling
-    is inherited from the TCP server connection unchanged."""
+    """Server-side state for one accepted QUIC flow (over a
+    :class:`QuicServerChannel`); request handling is inherited from
+    the TCP server connection unchanged."""
 
     #: h3 responses never advertise Alt-Svc (the client is already
     #: where Alt-Svc would point it).
     alt_svc_eligible = False
-
-    def __init__(self, server, transport: Transport) -> None:
-        # Mirrors ServerConnection.__init__ with a QUIC channel; the
-        # base constructor is not called because it hard-wires a
-        # TlsServerChannel.
-        self.server = server
-        self.channel = QuicServerChannel(
-            transport,
-            server.config.chain_for_sni,
-            supported_alpn=("h3",),
-            ticket_manager=server.quic_ticket_manager,
-        )
-        self.conn = None
-        self.h1 = None
-        self.sni = ""
-        self.protocol = ""
-        self.channel.on_established = self._on_tls_established
-        self.channel.on_app_data = self._on_app_data
-        self.request_log = []
 
 
 class QuicDialer(Dialer):
@@ -501,11 +459,9 @@ class QuicDialer(Dialer):
         ticket_cache: Optional[List[dict]] = None,
         origin_aware: bool = True,
         port: int = 443,
-        tracer=None,
-        audit=None,
+        telemetry: Telemetry = NULL_TELEMETRY,
         page: str = "",
         metrics=None,
-        phases=None,
     ) -> None:
         self.network = network
         self.client_host = client_host
@@ -515,11 +471,11 @@ class QuicDialer(Dialer):
             else []
         self.origin_aware = origin_aware
         self.port = port
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.audit = audit if audit is not None else NULL_AUDIT
+        self.telemetry = telemetry
         self.page = page
+        #: Registry for the quic.* counters (the page pool's, so they
+        #: are absorbed with the pool counters); ``None`` disables.
         self.metrics = metrics
-        self.phases = phases if phases is not None else NULL_PHASES
 
     def config(self, sni: str) -> QuicClientConfig:
         return QuicClientConfig(
@@ -528,8 +484,6 @@ class QuicDialer(Dialer):
             authorities=self.authorities,
             now=self.network.loop.now,
             ticket_cache=self.ticket_cache,
-            tracer=self.tracer if self.tracer.enabled else None,
-            audit=self.audit if self.audit.enabled else None,
         )
 
     def has_ticket_for(self, hostname: str) -> bool:
@@ -542,19 +496,14 @@ class QuicDialer(Dialer):
     ) -> QuicClientSession:
         # ``tls13`` is accepted for interface parity and ignored: QUIC
         # is TLS 1.3 only.
-        session = QuicClientSession(
+        return QuicClientSession(
             self.network,
             self.client_host,
             ip,
             self.config(hostname),
             port=self.port,
             origin_aware=self.origin_aware,
-            tracer=self.tracer,
-            audit=self.audit,
+            telemetry=self.telemetry,
             page=self.page,
             metrics=self.metrics,
         )
-        if self.phases.enabled:
-            phases = self.phases
-            session.when_ready(lambda: observe_handshake(phases, session))
-        return session

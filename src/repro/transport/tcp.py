@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.audit.log import NULL_AUDIT
 from repro.h2.client import H2ClientSession
 from repro.h2.tls_channel import TlsClientConfig
 from repro.netsim.network import Host, Network
-from repro.obs.phases import NULL_PHASES, observe_handshake
-from repro.telemetry import NULL_TRACER
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tlspki.ca import CertificateAuthority
 from repro.tlspki.validation import TrustStore
 from repro.transport.base import Dialer
@@ -43,10 +41,8 @@ class TcpTlsDialer(Dialer):
         alpn_offer: Tuple[str, ...] = DEFAULT_ALPN_OFFER,
         origin_aware: bool = True,
         port: int = 443,
-        tracer=None,
-        audit=None,
+        telemetry: Telemetry = NULL_TELEMETRY,
         page: str = "",
-        phases=None,
     ) -> None:
         self.network = network
         self.client_host = client_host
@@ -57,10 +53,8 @@ class TcpTlsDialer(Dialer):
         self.alpn_offer = tuple(alpn_offer)
         self.origin_aware = origin_aware
         self.port = port
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.audit = audit if audit is not None else NULL_AUDIT
+        self.telemetry = telemetry
         self.page = page
-        self.phases = phases if phases is not None else NULL_PHASES
 
     def tls_config(self, sni: str) -> TlsClientConfig:
         return TlsClientConfig(
@@ -71,8 +65,6 @@ class TcpTlsDialer(Dialer):
             tls13=self.tls13,
             alpn=self.alpn_offer,
             session_cache=self.session_cache,
-            tracer=self.tracer if self.tracer.enabled else None,
-            audit=self.audit if self.audit.enabled else None,
         )
 
     def dial(
@@ -81,21 +73,16 @@ class TcpTlsDialer(Dialer):
         config = self.tls_config(hostname)
         if tls13 is not None:
             config.tls13 = tls13
-        session = H2ClientSession(
+        return H2ClientSession(
             self.network,
             self.client_host,
             ip,
             config,
             port=self.port,
             origin_aware=self.origin_aware,
-            tracer=self.tracer,
-            audit=self.audit,
+            telemetry=self.telemetry,
             page=self.page,
         )
-        if self.phases.enabled:
-            phases = self.phases
-            session.when_ready(lambda: observe_handshake(phases, session))
-        return session
 
     def plain_protocol(self, transport):
         """Cleartext HTTP/1.1 over an already-connected transport (no

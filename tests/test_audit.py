@@ -10,7 +10,6 @@ from repro.audit import (
     NULL_AUDIT,
     AuditEvent,
     AuditLog,
-    NullAuditLog,
     REASON_DESCRIPTIONS,
     ReasonCode,
     UnknownReasonCode,
@@ -19,6 +18,7 @@ from repro.audit import (
     reason_code,
     taxonomy_table,
 )
+from repro.audit.log import NullAuditLog
 from repro.browser.policy import (
     ChromiumPolicy,
     ConnectionFacts,
@@ -27,6 +27,7 @@ from repro.browser.policy import (
     NoCoalescingPolicy,
 )
 from repro.browser.pool import ConnectionPool, MAX_H1_CONNECTIONS_PER_HOST
+from repro.telemetry import Telemetry
 from tests.test_browser_pool import FakeSession
 
 
@@ -75,13 +76,13 @@ class TestAuditLog:
         assert first.code is ReasonCode.POOL_HIT_SAME_HOST
         assert log.events == [first, second]
 
-    def test_null_audit_is_inert(self):
-        assert NULL_AUDIT.enabled is False
-        assert NULL_AUDIT.record(
-            "lookup", ReasonCode.MISS_NO_CONNECTION
-        ) is None
-        assert NULL_AUDIT.events == []
+    def test_null_audit_is_a_flag(self):
+        # The contract: a disabled flag and an empty stream; there is
+        # no record() to call (every decision point checks enabled).
         assert isinstance(NULL_AUDIT, NullAuditLog)
+        assert NULL_AUDIT.enabled is False
+        assert NULL_AUDIT.events == []
+        assert not hasattr(NULL_AUDIT, "record")
 
     def test_jsonl_round_trip(self):
         log = AuditLog()
@@ -203,7 +204,7 @@ class TestPolicyExplain:
 def audited_pool(policy=None):
     pool = ConnectionPool(
         policy=policy or FirefoxPolicy(origin_frames=True),
-        audit=AuditLog(),
+        telemetry=Telemetry(clock=lambda: 0.0, trace=False, audit=True),
         page="https://page/",
     )
     return pool

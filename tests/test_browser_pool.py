@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.audit import AuditLog, ReasonCode
+from repro.audit import ReasonCode
 from repro.browser.policy import (
     ChromiumPolicy,
     ConnectionFacts,
@@ -11,6 +11,7 @@ from repro.browser.policy import (
     NoCoalescingPolicy,
 )
 from repro.browser.pool import ConnectionPool, MAX_H1_CONNECTIONS_PER_HOST
+from repro.telemetry import Telemetry
 from repro.transport.base import DEFAULT_MAX_STREAMS, SessionCapabilities
 
 #: The capability records an h2 and an HTTP/1.1 session declare.
@@ -348,10 +349,11 @@ class TestMidPathRstEviction:
         assert pool.stats.pruned_connections == 1
 
     def test_eviction_records_exactly_one_audit_event(self):
-        audit = AuditLog()
+        telemetry = Telemetry(clock=lambda: 0.0, trace=False, audit=True)
+        audit = telemetry.audit
         pool = ConnectionPool(
             policy=FirefoxPolicy(origin_frames=True),
-            audit=audit,
+            telemetry=telemetry,
             page="https://www.a.com/",
         )
         facts = add(pool, "www.a.com")

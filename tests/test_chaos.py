@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.audit.log import AuditLog, events_to_jsonl
+from repro.audit.log import events_to_jsonl
 from repro.audit.reasons import ReasonCode
 from repro.browser import BrowserContext, BrowserEngine, FirefoxPolicy
 from repro.browser.retry import RetryPolicy
@@ -558,7 +558,7 @@ class TestRegistryUnderStorms:
         )
         injector = FaultInjector(world, schedule, seed=derive_seed(
             7, 4, 0, 1), resolver=crawler.resolver,
-            audit=telemetry.audit)
+            telemetry=telemetry)
         injector.arm()
 
         pruned_total = 0
@@ -582,10 +582,7 @@ class TestRegistryUnderStorms:
 # ---------------------------------------------------------------------------
 
 
-def load_deployment_site(world, site, audit):
-    telemetry = Telemetry(clock=world.network.loop.now, trace=False,
-                          audit=True)
-    telemetry.audit = audit
+def load_deployment_site(world, site, telemetry):
     context = BrowserContext(
         network=world.network,
         client_host=world.client_host,
@@ -616,21 +613,23 @@ class TestMiddleboxFaultSchedule:
 
         # Run A: the original deployment-experiment middlebox.
         world_a, experiment_a = fresh_world()
-        audit_a = AuditLog(clock=world_a.network.loop.now)
+        telemetry_a = Telemetry(clock=world_a.network.loop.now,
+                                trace=False, audit=True)
         middlebox = BuggyMiddlebox(
             world_a.network,
             protected_clients={world_a.client_host.name},
+            telemetry=telemetry_a,
         )
-        middlebox.audit = audit_a
         middlebox.install()
         archive_a = load_deployment_site(
-            world_a, experiment_a.sample[0], audit_a
+            world_a, experiment_a.sample[0], telemetry_a
         )
         middlebox.uninstall()
 
         # Run B: the same incident declared as a fault schedule.
         world_b, experiment_b = fresh_world()
-        audit_b = AuditLog(clock=world_b.network.loop.now)
+        telemetry_b = Telemetry(clock=world_b.network.loop.now,
+                                trace=False, audit=True)
         schedule = parse_fault_schedule(
             f"""
             [[fault]]
@@ -642,10 +641,10 @@ class TestMiddleboxFaultSchedule:
             source="middlebox-667",
         )
         injector = FaultInjector(world_b, schedule, seed=1,
-                                 audit=audit_b)
+                                 telemetry=telemetry_b)
         injector.arm()
         archive_b = load_deployment_site(
-            world_b, experiment_b.sample[0], audit_b
+            world_b, experiment_b.sample[0], telemetry_b
         )
 
         # Both runs kill the page the same way.
@@ -664,8 +663,10 @@ class TestMiddleboxFaultSchedule:
             return [(event.reason, event.attrs.get("frame_type"))
                     for event in events if event.kind == "middlebox"]
 
-        assert decisions(audit_a.events) == decisions(audit_b.events)
-        assert decisions(audit_b.events)  # the teardown is audited
+        events_a = telemetry_a.audit.events
+        events_b = telemetry_b.audit.events
+        assert decisions(events_a) == decisions(events_b)
+        assert decisions(events_b)  # the teardown is audited
         # The injector attributes the torn-down connection as a fault
         # loss on top of the middlebox's own decision record.
         assert injector.tallies[0].connections_lost \

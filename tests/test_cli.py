@@ -40,6 +40,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["crawl", "--jobs", "0"])
 
+    @pytest.mark.parametrize("command", ["crawl", "model", "explain",
+                                         "privacy", "chaos", "traffic"])
+    @pytest.mark.parametrize("flag,value", [("--sites", "0"),
+                                            ("--shards", "-1")])
+    def test_bad_sites_or_shards_exit_2(self, command, flag, value,
+                                        capsys):
+        # Rejected by the flag's validator before anything is planned:
+        # no ZeroDivisionError from the shard planner, no traceback.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, value, "--no-cache"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be >=" in captured.err
+        assert captured.out == ""
+
     def test_deploy_phases(self):
         args = build_parser().parse_args(["deploy", "--phase", "ip"])
         assert args.phase == "ip"

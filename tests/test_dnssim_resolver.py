@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.audit import AuditLog, ReasonCode
+from repro.audit import ReasonCode
 from repro.dnssim import (
     AuthoritativeServer,
     CachingResolver,
@@ -15,6 +15,7 @@ from repro.dnssim import (
     Zone,
 )
 from repro.netsim import EventLoop
+from repro.telemetry import Telemetry
 
 ADDRESSES = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
 
@@ -260,8 +261,9 @@ class TestCachingResolver:
         assert resolver.stats.nxdomain == 1
 
     def test_audit_records_how_each_query_was_answered(self):
-        loop, resolver = self.make_resolver()
-        resolver.audit = AuditLog()
+        loop = EventLoop()
+        resolver = CachingResolver(loop, make_authority(), telemetry=(
+            Telemetry(loop.now, trace=False, audit=True)))
         resolver.resolve("www.example.com", lambda a: None)
         resolver.resolve("www.example.com", lambda a: None)
         loop.run_until_idle()

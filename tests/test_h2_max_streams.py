@@ -118,10 +118,14 @@ class TestStreamReset:
 
     def test_reset_of_one_in_flight_stream_completes_it_as_dead(
             self, world, resetting_server):
-        from repro.telemetry import Tracer
+        from repro.telemetry import Telemetry
 
-        network, server, client = world
-        client.tracer = Tracer(network.loop.now)
+        network, server, untraced = world
+        client = H2ClientSession(
+            network, untraced.client_host, "10.0.0.1",
+            untraced.tls_config,
+            telemetry=Telemetry(network.loop.now, audit=False),
+        )
         responses = {}
         stream_ids = []
 

@@ -5,10 +5,10 @@ session tickets, 0-RTT resumption, and middlebox opacity."""
 import numpy as np
 import pytest
 
-from repro.audit import AuditLog
 from repro.audit.reasons import ReasonCode
 from repro.h2 import H2ClientSession, H2Server, ServerConfig, TlsClientConfig
 from repro.netsim import EventLoop, Host, LatencyModel, LinkSpec, Network
+from repro.telemetry import Telemetry
 from repro.tlspki import CertificateAuthority, TrustStore
 from repro.transport.quicsim import (
     QuicDialer,
@@ -142,8 +142,11 @@ class TestSessionTickets:
 
     def test_resumption_audited(self, world):
         network, _, make_dialer, _ = world
-        audit = AuditLog()
-        dialer = make_dialer(audit=audit, page="https://www.example.com/")
+        telemetry = Telemetry(clock=network.loop.now, trace=False,
+                              audit=True)
+        audit = telemetry.audit
+        dialer = make_dialer(telemetry=telemetry,
+                             page="https://www.example.com/")
         first = dialer.dial("www.example.com", "10.0.0.1")
         first.connect()
         run(network)

@@ -195,6 +195,21 @@ class TestRunCommand:
             main(["run", path])
         assert excinfo.value.code == 2
 
+    def test_zero_sites_exits_2_and_runs_nothing(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        path = self._write(
+            tmp_path,
+            '[run]\ncommand = "crawl"\n[dataset]\nsites = 0\n'
+            f'cache_dir = "{cache}"\n',
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", path])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --sites: must be >= 1" in captured.err
+        assert captured.out == ""
+        assert not cache.exists()
+
     def test_scenario_crawl_matches_direct_invocation(
             self, tmp_path, capsys):
         cache = tmp_path / "cache"

@@ -5,6 +5,15 @@ import math
 
 import pytest
 
+from repro.audit.log import NULL_AUDIT
+from repro.dataset.generator import DatasetConfig
+from repro.dataset.shard import (
+    CrawlParams,
+    crawl_shard,
+    crawl_shards,
+    plan_shards,
+)
+from repro.obs.phases import NULL_PHASES
 from repro.telemetry import (
     CrawlTrace,
     MetricsRegistry,
@@ -66,18 +75,80 @@ class TestTracer:
                     attrs={"status": 200})
         assert Span.from_dict(span.to_dict()) == span
 
-    def test_null_tracer_is_inert(self):
-        span = NULL_TRACER.begin("anything", foo=1)
-        NULL_TRACER.end(span, bar=2)
-        NULL_TRACER.instant("x")
+    def test_null_tracer_is_a_flag(self):
+        # The contract: a disabled flag and an empty span list; there
+        # is nothing to call (every emit site checks enabled first).
         assert NULL_TRACER.enabled is False
         assert NULL_TRACER.spans == []
+        assert not any(hasattr(NULL_TRACER, name)
+                       for name in ("begin", "end", "instant"))
 
     def test_telemetry_bundles_tracer_and_metrics(self):
         telemetry = Telemetry(clock=FakeClock())
         assert telemetry.tracer.enabled
         assert isinstance(telemetry.metrics, MetricsRegistry)
         assert NULL_TELEMETRY.tracer is NULL_TRACER
+
+
+#: What one traced, audited 12-site h2+h3 crawl shard (world 2022)
+#: emits, by span category, audit kind and phase histogram.  A layer
+#: left on the null handle drops out of one of these sets.
+WIRED_SPAN_CATEGORIES = {"browser", "crawler", "dns", "h2", "pool",
+                         "quic", "tls"}
+WIRED_AUDIT_KINDS = {"decision", "dns", "h3", "lookup", "quic",
+                     "speculative", "tls"}
+WIRED_PHASES = {"phase.connect", "phase.dns", "phase.page", "phase.tls",
+                "phase.ttfb"}
+
+
+class TestTelemetryHandle:
+    def test_null_collectors_are_flags(self):
+        assert NULL_TELEMETRY.enabled is False
+        assert NULL_TELEMETRY.tracer is NULL_TRACER
+        assert NULL_TELEMETRY.audit is NULL_AUDIT
+        assert NULL_TELEMETRY.phases is NULL_PHASES
+        assert NULL_AUDIT.enabled is False
+        assert NULL_AUDIT.events == []
+        assert NULL_PHASES.enabled is False
+
+    def test_null_handle_has_no_profile_view(self):
+        assert NULL_TELEMETRY.for_profile("chromium") is NULL_TELEMETRY
+        assert NULL_TELEMETRY.for_profile("firefox", "c1") \
+            is NULL_TELEMETRY
+
+    def test_profile_view_shares_all_but_the_phase_recorder(self):
+        telemetry = Telemetry(clock=FakeClock())
+        view = telemetry.for_profile("firefox", "returning")
+        assert view.tracer is telemetry.tracer
+        assert view.audit is telemetry.audit
+        assert view.metrics is telemetry.metrics
+        assert telemetry.phases is NULL_PHASES
+        assert (view.phases.policy, view.phases.cohort) \
+            == ("firefox", "returning")
+        quiet = view.phases_only()
+        assert quiet.tracer is NULL_TRACER and quiet.audit is NULL_AUDIT
+        assert quiet.phases is view.phases
+        assert quiet.metrics is telemetry.metrics
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_uncollected_crawl_leaves_the_null_registry_empty(self, jobs):
+        shards = plan_shards(DatasetConfig(site_count=8, seed=3), 2)
+        result, trace, _ = crawl_shards(shards, CrawlParams(), jobs)
+        assert result.success_count > 0
+        assert trace.spans == [] and trace.audit == []
+        assert len(NULL_TELEMETRY.metrics) == 0
+        assert NULL_TELEMETRY.metrics.snapshot() == []
+
+    def test_every_layer_is_wired_to_the_handle(self):
+        spec = plan_shards(DatasetConfig(site_count=12, seed=2022), 1)[0]
+        shard = crawl_shard(spec, CrawlParams(alpn="h2,h3"),
+                            collect=(True, True))
+        assert {span.category for span in shard.spans} \
+            == WIRED_SPAN_CATEGORIES
+        assert {event.kind for event in shard.events} \
+            == WIRED_AUDIT_KINDS
+        assert {doc["name"] for doc in shard.metrics
+                if doc["name"].startswith("phase.")} == WIRED_PHASES
 
 
 class TestMetricsRegistry:
