@@ -67,7 +67,7 @@ def test_ct_log_burst(benchmark, deployment):
     _, experiment = deployment
 
     def burst_log():
-        log = CtLog("bench-log")
+        log = CtLog()
         for site in experiment.sample:
             log.append(site.reissued_certificate, now=0.0)
         return log

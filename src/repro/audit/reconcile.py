@@ -18,20 +18,22 @@ repeat spends labelled by the audited per-request decision reason;
 *credit* buckets are ideal allowances the crawl never spent (cached,
 cleartext, or coalesced-away services).
 
-The walk mirrors :func:`repro.core.coalescing.measured_counts` and
-:func:`~repro.core.coalescing._service_count` entry for entry -- same
-status filter, same unplaceable handling -- which is what makes the
-reconciliation exact against :func:`repro.core.predictions.figure3`.
+The measured side counts what :func:`repro.core.coalescing.measured_counts`
+counts, and the ideal side is the very partition the Figure 3 model
+counts (:func:`repro.core.coalescing.service_partition`), which is what
+makes the reconciliation exact against
+:func:`repro.core.predictions.figure3`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.audit.log import AuditEvent
 from repro.audit.reasons import ReasonCode
+from repro.core.coalescing import service_partition
 from repro.core.grouping import ServiceGrouper, by_asn, by_ip
 from repro.web.har import HarArchive, HarEntry
 
@@ -116,25 +118,6 @@ def _failure_code(entry: HarEntry) -> ReasonCode:
     )
 
 
-def _service_entries(
-    archive: HarArchive, grouper: ServiceGrouper
-) -> Tuple[Dict[str, List[HarEntry]], List[HarEntry]]:
-    """Successful entries per service, plus the unplaceable ones --
-    the exact population :func:`~repro.core.coalescing._service_count`
-    counts (``len(services) + len(unplaceable)``)."""
-    services: Dict[str, List[HarEntry]] = {}
-    unplaceable: List[HarEntry] = []
-    for entry in archive.entries:
-        if entry.status != 200:
-            continue
-        service = grouper(entry)
-        if service is None:
-            unplaceable.append(entry)
-        else:
-            services.setdefault(service, []).append(entry)
-    return services, unplaceable
-
-
 def _tls_credit(entries: Sequence[HarEntry]) -> ReasonCode:
     """Why a service the model budgets a handshake for never paid one."""
     if all(entry.protocol == "cache" for entry in entries):
@@ -162,7 +145,7 @@ def reconcile_tls(
     grouper, baseline_code = MODELS[model]
     out = GapBreakdown(metric="tls", model=model)
     out.measured = archive.tls_connection_count()
-    services, unplaceable = _service_entries(archive, grouper)
+    services, unplaceable = service_partition(archive, grouper)
     out.ideal = len(services) + len(unplaceable)
     spent = set()
     for entry in archive.entries:
@@ -203,7 +186,7 @@ def reconcile_dns(
     grouper, baseline_code = MODELS[model]
     out = GapBreakdown(metric="dns", model=model)
     out.measured = archive.dns_query_count()
-    services, unplaceable = _service_entries(archive, grouper)
+    services, unplaceable = service_partition(archive, grouper)
     out.ideal = len(services) + len(unplaceable)
     spent = set()
     for entry in archive.entries:

@@ -32,8 +32,6 @@ class BrowserCache:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._entries: Dict[str, CachedResource] = {}
-        self.hits = 0
-        self.misses = 0
 
     def store(
         self,
@@ -61,9 +59,7 @@ class BrowserCache:
         if entry is None or not entry.fresh_at(now):
             if entry is not None:
                 del self._entries[url]
-            self.misses += 1
             return None
-        self.hits += 1
         return entry
 
     def flush(self) -> None:

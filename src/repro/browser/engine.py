@@ -286,7 +286,7 @@ class PageLoad:
             if (
                 self.quic_dialer is not None
                 and not anonymous
-                and facts.transport_name != "quic"
+                and facts.transport != "quic"
                 and resource.hostname in self.engine.alt_svc_h3
             ):
                 # The server advertised Alt-Svc h3: deliberately skip

@@ -10,10 +10,10 @@ certificate to cover the hostname -- without that, reuse would draw a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, Sequence
 
 from repro.audit.reasons import ReasonCode
-from repro.transport.base import Endpoint, SessionCapabilities
+from repro.transport.base import SessionCapabilities
 
 
 @dataclass
@@ -27,7 +27,7 @@ class ConnectionFacts:
     interchangeable to every policy.
     """
 
-    session: object  # repro.transport.base.Session-compatible
+    session: object  # see repro.browser.pool for what it provides
     sni: str
     connected_ip: str
     #: All addresses in the DNS answer that produced this connection.
@@ -36,8 +36,9 @@ class ConnectionFacts:
     #: Insertion order within the owning pool; assigned by the pool's
     #: registry so indexed lookups preserve first-match semantics.
     pool_seq: int = -1
-    #: Where the session was dialed to; ``None`` for bare test doubles.
-    endpoint: Optional[Endpoint] = None
+    #: Name of the dialer that opened the session (``tcp-tls`` or
+    #: ``quic``).
+    transport: str = "tcp-tls"
 
     def certificate_covers(self, hostname: str) -> bool:
         return self.session.certificate_covers(hostname)
@@ -48,10 +49,6 @@ class ConnectionFacts:
     @property
     def capabilities(self) -> SessionCapabilities:
         return self.session.capabilities
-
-    @property
-    def transport_name(self) -> str:
-        return self.endpoint.transport if self.endpoint else "tcp-tls"
 
     @property
     def can_multiplex(self) -> bool:

@@ -23,6 +23,18 @@ lookup was answered, and dead (closed/failed) sessions are pruned from
 the registry and both indexes as soon as a lookup or accounting path
 touches them.
 
+The pool opens sessions through a *dialer*: any object with a ``name``
+(stamped on :attr:`ConnectionFacts.transport`) and
+``dial(hostname, ip, tls13=None)``, which returns an unconnected
+session.  A session provides ``connect(on_ready, on_failed)``,
+``when_ready``, ``request`` and ``close``; the ``closed`` / ``failed``
+state the pool prunes on, and ``h1_busy``; a
+:class:`~repro.transport.base.SessionCapabilities` record as
+``capabilities``; ``certificate_covers`` and ``origin_set_covers`` for
+the policies; and, for the engine's HAR entries,
+``negotiated_protocol``, ``leaf_certificate`` and the handshake
+timestamps ``tcp_connected_at`` / ``connected_at``.
+
 Every lookup returns a :class:`LookupOutcome` whose
 :class:`~repro.audit.reasons.ReasonCode` says *why* the connection was
 (or was not) reused; the same code is stamped on the pool's trace
@@ -32,20 +44,11 @@ events and audit-log entries, so the three can never disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.audit.reasons import ReasonCode
 from repro.browser.policy import CoalescingPolicy, ConnectionFacts
 from repro.telemetry import NULL_TELEMETRY, RegistryStats, Telemetry
-from repro.transport.base import Dialer
 
 #: Browsers cap parallel HTTP/1.1 connections per host; 6 is the
 #: long-standing Chromium/Firefox default.
@@ -123,10 +126,6 @@ class ConnectionRegistry(List[ConnectionFacts]):
         super().__init__()
         self.by_sni: Dict[str, List[ConnectionFacts]] = {}
         self.by_ip: Dict[str, List[ConnectionFacts]] = {}
-        #: (sni, transport-name) -> connections; the endpoint index
-        #: that lets callers distinguish an h3 (quic) entry from a
-        #: tcp-tls one for the same hostname.
-        self.by_endpoint: Dict[Tuple[str, str], List[ConnectionFacts]] = {}
         self._next_seq = 0
         for facts in items:
             self.append(facts)
@@ -138,9 +137,6 @@ class ConnectionRegistry(List[ConnectionFacts]):
         self._next_seq += 1
         super().append(facts)
         self.by_sni.setdefault(facts.sni, []).append(facts)
-        self.by_endpoint.setdefault(
-            (facts.sni, facts.transport_name), []
-        ).append(facts)
         for ip in self._addresses_of(facts):
             self.by_ip.setdefault(ip, []).append(facts)
 
@@ -159,18 +155,12 @@ class ConnectionRegistry(List[ConnectionFacts]):
         super().clear()
         self.by_sni.clear()
         self.by_ip.clear()
-        self.by_endpoint.clear()
 
     def _unindex(self, facts: ConnectionFacts) -> None:
         bucket = self.by_sni.get(facts.sni, [])
         self._remove_identity(bucket, facts)
         if not bucket:
             self.by_sni.pop(facts.sni, None)
-        endpoint_key = (facts.sni, facts.transport_name)
-        bucket = self.by_endpoint.get(endpoint_key, [])
-        self._remove_identity(bucket, facts)
-        if not bucket:
-            self.by_endpoint.pop(endpoint_key, None)
         for ip in self._addresses_of(facts):
             bucket = self.by_ip.get(ip, [])
             self._remove_identity(bucket, facts)
@@ -217,9 +207,9 @@ class ConnectionRegistry(List[ConnectionFacts]):
 class ConnectionPool:
     """Session registry plus policy-driven reuse decisions.
 
-    The pool is protocol-agnostic: it opens sessions through a
-    :class:`~repro.transport.base.Dialer` and keys its decisions on
-    each session's :class:`~repro.transport.base.SessionCapabilities`,
+    The pool is protocol-agnostic: it opens sessions through a dialer
+    (see the module docstring) and keys its decisions on each
+    session's :class:`~repro.transport.base.SessionCapabilities`,
     never on concrete session classes.  ``dialer`` is the default used
     by :meth:`open_connection`; callers may pass a different one per
     call (the engine does this to open QUIC connections after an
@@ -229,7 +219,7 @@ class ConnectionPool:
     def __init__(
         self,
         policy: CoalescingPolicy,
-        dialer: Optional[Dialer] = None,
+        dialer=None,
         prefer_h3: bool = False,
         telemetry: Telemetry = NULL_TELEMETRY,
         page: str = "",
@@ -315,7 +305,7 @@ class ConnectionPool:
                 if not self.prefer_h3:
                     found = facts
                     break
-                if facts.transport_name == "quic":
+                if facts.transport == "quic":
                     found = facts
                     break
                 if found is None:
@@ -458,12 +448,12 @@ class ConnectionPool:
         on_failed: Callable[[str], None],
         anonymous: bool = False,
         tls13: Optional[bool] = None,
-        dialer: Optional[Dialer] = None,
+        dialer=None,
     ) -> ConnectionFacts:
         """Open a new connection to ``ip`` with SNI ``hostname``.
 
         ``dialer`` overrides the pool's default for this one call; the
-        session is registered before :meth:`Session.connect` runs, so
+        session is registered before its ``connect`` runs, so
         in-flight connections are visible to concurrent lookups exactly
         as before the session layer existed.
         """
@@ -475,7 +465,7 @@ class ConnectionPool:
             connected_ip=ip,
             available_set=frozenset(available_set),
             anonymous_partition=anonymous,
-            endpoint=active.endpoint(hostname, active.port),
+            transport=active.name,
         )
         self.connections.append(facts)
         self.stats.connections_opened += 1

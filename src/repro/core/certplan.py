@@ -47,7 +47,6 @@ class SitePlan:
     """The certificate change plan for one website."""
 
     hosted: HostedSite
-    root_asn: Optional[int]
     #: Page hostnames on the site's own AS (coalescable with the root).
     coalescable: Tuple[str, ...]
     #: Coalescable hostnames absent from the certificate SAN.
@@ -176,7 +175,6 @@ def plan_certificates(
         plans.append(
             SitePlan(
                 hosted=hosted,
-                root_asn=root_asn,
                 coalescable=tuple(coalescable),
                 additions=tuple(additions),
             )

@@ -3,16 +3,18 @@
 "In an ideal coalescing, the number of DNS queries, TLS handshakes,
 and certificate validations is equal to the number of separate
 services (not domains or hostnames) needed to serve all webpage
-resources."
+resources."  The crawl and the model both validate one certificate
+chain per TLS handshake, so the records below carry DNS queries and
+TLS connections; validations equal the latter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Set
+from typing import Dict, List, Tuple
 
 from repro.core.grouping import ServiceGrouper, by_asn, by_ip
-from repro.web.har import HarArchive
+from repro.web.har import HarArchive, HarEntry
 
 
 @dataclass(frozen=True)
@@ -21,7 +23,6 @@ class CoalescingCounts:
 
     dns_queries: int
     tls_connections: int
-    certificate_validations: int
 
 
 def measured_counts(archive: HarArchive) -> CoalescingCounts:
@@ -29,26 +30,34 @@ def measured_counts(archive: HarArchive) -> CoalescingCounts:
     return CoalescingCounts(
         dns_queries=archive.dns_query_count(),
         tls_connections=archive.tls_connection_count(),
-        certificate_validations=archive.tls_connection_count(),
     )
+
+
+def service_partition(
+    archive: HarArchive, grouper: ServiceGrouper
+) -> Tuple[Dict[str, List[HarEntry]], List[HarEntry]]:
+    """Successful entries per service, plus the ones the grouper cannot
+    place (no ASN/IP), in archive order."""
+    services: Dict[str, List[HarEntry]] = {}
+    unplaceable: List[HarEntry] = []
+    for entry in archive.entries:
+        if entry.status != 200:
+            continue
+        service = grouper(entry)
+        if service is None:
+            unplaceable.append(entry)
+        else:
+            services.setdefault(service, []).append(entry)
+    return services, unplaceable
 
 
 def _service_count(
     archive: HarArchive, grouper: ServiceGrouper
 ) -> int:
     """Distinct services among successful entries; entries the grouper
-    cannot place (no ASN/IP) each count as their own service."""
-    services: Set[str] = set()
-    unplaceable = 0
-    for entry in archive.entries:
-        if entry.status != 200:
-            continue
-        service = grouper(entry)
-        if service is None:
-            unplaceable += 1
-        else:
-            services.add(service)
-    return len(services) + unplaceable
+    cannot place each count as their own service."""
+    services, unplaceable = service_partition(archive, grouper)
+    return len(services) + len(unplaceable)
 
 
 def ideal_origin_counts(archive: HarArchive) -> CoalescingCounts:
@@ -57,7 +66,6 @@ def ideal_origin_counts(archive: HarArchive) -> CoalescingCounts:
     return CoalescingCounts(
         dns_queries=count,
         tls_connections=count,
-        certificate_validations=count,
     )
 
 
@@ -72,7 +80,6 @@ def ideal_ip_counts(archive: HarArchive) -> CoalescingCounts:
     return CoalescingCounts(
         dns_queries=count,
         tls_connections=count,
-        certificate_validations=count,
     )
 
 

@@ -356,6 +356,3 @@ def render_crawl_table(token: str, result) -> str:
     """Render one paper table (by ``--tables`` token) from a crawl
     result (anything with ``.archives`` and ``.successes``)."""
     return CRAWL_TABLES[token](result)
-
-
-# -- per-page measured distributions (feed Figure 3) -------------------------

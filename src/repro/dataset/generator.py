@@ -188,9 +188,6 @@ class PageGenerator:
             )
             for p in profiles.PROVIDERS
         ])
-        self._tail_site_share = max(
-            0.0, 1.0 - float(self._provider_site_shares.sum())
-        )
         # One draw object per mix, built on first use: normalising and
         # validating the same weights for every resource dominated
         # planning time and always yields the same bits.

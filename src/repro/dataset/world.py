@@ -59,8 +59,6 @@ class HostedSite:
     record: SiteRecord
     certificate: Certificate
     server: H2Server
-    root_ips: List[str]
-    shard_ips: Dict[str, List[str]]
 
 
 class SyntheticWorld:
@@ -179,8 +177,7 @@ def _provider_server(
         handler=world.handler,
         supports_h3=profile.supports_h3,
     )
-    server = H2Server(world.network, host, config,
-                      retain_connections=False)
+    server = H2Server(world.network, host, config)
     server.listen_all(443)
     server.listen_plain_all(80)
     if profile.supports_h3:
@@ -202,8 +199,7 @@ def _tail_cdn_server(world: SyntheticWorld, asn: int, org: str) -> H2Server:
         think_time_ms=float(world.rng.uniform(60.0, 220.0)),
         handler=world.handler,
     )
-    server = H2Server(world.network, host, config,
-                      retain_connections=False)
+    server = H2Server(world.network, host, config)
     server.listen_all(443)
     server.listen_plain_all(80)
     world.tail_cdn_servers[asn] = server
@@ -302,8 +298,7 @@ def _install_site(world: SyntheticWorld, record: SiteRecord) -> HostedSite:
             think_time_ms=float(world.rng.uniform(120.0, 380.0)),
             handler=world.handler,
         )
-        server = H2Server(world.network, host, config,
-                          retain_connections=False)
+        server = H2Server(world.network, host, config)
         server.listen_all(443)
         server.listen_plain_all(80)
         root_ips = list(ip)
@@ -343,8 +338,6 @@ def _install_site(world: SyntheticWorld, record: SiteRecord) -> HostedSite:
         record=record,
         certificate=certificate,
         server=server,
-        root_ips=root_ips,
-        shard_ips=shard_ips,
     )
     world.sites.append(hosted)
     return hosted

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 
@@ -78,4 +78,3 @@ class CacheEntry:
 
     answer: DnsAnswer
     expires_at: float
-    hits: int = field(default=0)

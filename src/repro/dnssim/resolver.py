@@ -38,6 +38,21 @@ MAX_CNAME_DEPTH = 8
 DEFAULT_QUERY_LATENCY_MS = 20.0
 
 
+def _served_from_cache(answer: DnsAnswer, ttl: float) -> DnsAnswer:
+    """A copy of ``answer`` as the cache (or a joined in-flight lookup)
+    serves it: marked ``from_cache``, with no wire time of its own."""
+    return DnsAnswer(
+        name=answer.name,
+        addresses=list(answer.addresses),
+        ttl=ttl,
+        cname_chain=answer.cname_chain,
+        from_cache=True,
+        query_time_ms=0.0,
+        encrypted_transport=answer.encrypted_transport,
+        https_alpn=answer.https_alpn,
+    )
+
+
 class ResolverStats(RegistryStats):
     """Counters consumed by the privacy analysis (paper §6.2); backed
     by the unified metrics registry."""
@@ -204,17 +219,7 @@ class CachingResolver:
         entry = self._cache.get(normalize_name(name))
         if entry is None or entry.expires_at > self._loop.now():
             return None
-        entry.hits += 1
-        return DnsAnswer(
-            name=entry.answer.name,
-            addresses=list(entry.answer.addresses),
-            ttl=0.0,
-            cname_chain=entry.answer.cname_chain,
-            from_cache=True,
-            query_time_ms=0.0,
-            encrypted_transport=entry.answer.encrypted_transport,
-            https_alpn=entry.answer.https_alpn,
-        )
+        return _served_from_cache(entry.answer, ttl=0.0)
 
     def _cache_get(self, name: str) -> Optional[DnsAnswer]:
         entry = self._cache.get(name)
@@ -223,18 +228,7 @@ class CachingResolver:
         if entry.expires_at <= self._loop.now():
             del self._cache[name]
             return None
-        entry.hits += 1
-        answer = DnsAnswer(
-            name=entry.answer.name,
-            addresses=list(entry.answer.addresses),
-            ttl=entry.answer.ttl,
-            cname_chain=entry.answer.cname_chain,
-            from_cache=True,
-            query_time_ms=0.0,
-            encrypted_transport=entry.answer.encrypted_transport,
-            https_alpn=entry.answer.https_alpn,
-        )
-        return answer
+        return _served_from_cache(entry.answer, ttl=entry.answer.ttl)
 
     # -- resolution ----------------------------------------------------------
 
@@ -278,16 +272,7 @@ class CachingResolver:
                     tracer.end(span, cache_hit=True, wire=False,
                                joined=True,
                                addresses=len(answer.addresses))
-                callback(DnsAnswer(
-                    name=answer.name,
-                    addresses=list(answer.addresses),
-                    ttl=answer.ttl,
-                    cname_chain=answer.cname_chain,
-                    from_cache=True,
-                    query_time_ms=0.0,
-                    encrypted_transport=answer.encrypted_transport,
-                    https_alpn=answer.https_alpn,
-                ))
+                callback(_served_from_cache(answer, ttl=answer.ttl))
 
             if self.audit.enabled:
                 self.audit.record("dns",

@@ -24,13 +24,12 @@ from repro.netsim.transport import Transport
 from repro.obs.phases import observe_handshake
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tlspki.certificate import Certificate
-from repro.transport.base import (
-    DEFAULT_MAX_STREAMS,
-    Session,
-    SessionCapabilities,
-)
+from repro.transport.base import DEFAULT_MAX_STREAMS, SessionCapabilities
 
 Header = Tuple[str, str]
+
+#: Every session dials the HTTPS port (TCP for h2, datagrams for h3).
+HTTPS_PORT = 443
 
 #: The receive windows of the measured browser (DESIGN.md §7):
 #: Chromium's ``kSpdyStreamMaxRecvWindowSize``, advertised as
@@ -73,7 +72,7 @@ class PendingRequest:
     headers_at: float = 0.0
 
 
-class H2ClientSession(Session):
+class H2ClientSession:
     """One client connection to one server IP (the ``tcp-tls``
     transport's session)."""
 
@@ -83,7 +82,6 @@ class H2ClientSession(Session):
         client_host: Host,
         server_ip: str,
         tls_config: TlsClientConfig,
-        port: int = 443,
         origin_aware: bool = True,
         secondary_certs: bool = False,
         telemetry: Telemetry = NULL_TELEMETRY,
@@ -92,7 +90,6 @@ class H2ClientSession(Session):
         self.network = network
         self.client_host = client_host
         self.server_ip = server_ip
-        self.port = port
         self.tls_config = tls_config
         self.origin_aware = origin_aware
         self.secondary_certs = secondary_certs
@@ -121,7 +118,6 @@ class H2ClientSession(Session):
         self.on_origin_received: Optional[
             Callable[[Tuple[str, ...]], None]
         ] = None
-        self.misdirected: List[H2Response] = []
         self.telemetry = telemetry
         self.tracer = telemetry.tracer
         self.audit = telemetry.audit
@@ -154,7 +150,7 @@ class H2ClientSession(Session):
         self.network.connect(
             self.client_host,
             self.server_ip,
-            self.port,
+            HTTPS_PORT,
             self._on_tcp_connected,
             on_refused=lambda error: self._fail(str(error)),
         )
@@ -325,9 +321,8 @@ class H2ClientSession(Session):
         """The capability record pool lookups key on; reflects the
         negotiated protocol once the handshake settles."""
         if self._h1 is not None:
-            return SessionCapabilities(alpn="http/1.1", max_streams=1)
+            return SessionCapabilities(max_streams=1)
         return SessionCapabilities(
-            alpn="h2",
             supports_origin_frame=self.origin_aware,
             max_streams=DEFAULT_MAX_STREAMS,
         )
@@ -556,14 +551,12 @@ class H2ClientSession(Session):
             finished_at=self.network.loop.now(),
         )
         self._end_stream_span(stream_id, status=response.status)
-        if response.status == 421:
-            if self.audit.enabled:
-                self.audit.record(
-                    "h2", ReasonCode.H2_MISDIRECTED_421,
-                    page=self.page, hostname=response.authority,
-                    path=response.path, sni=self.tls_config.sni,
-                )
-            self.misdirected.append(response)
+        if response.status == 421 and self.audit.enabled:
+            self.audit.record(
+                "h2", ReasonCode.H2_MISDIRECTED_421,
+                page=self.page, hostname=response.authority,
+                path=response.path, sni=self.tls_config.sni,
+            )
         pending.callback(response)
         self._drain_stream_queue()
 

@@ -96,7 +96,6 @@ class H2Connection:
         self._decoder = HpackDecoder()
         self._initiated = False
         self._goaway_sent = False
-        self._goaway_received = False
         self._expected_continuation: Optional[Tuple[int, bytearray, bool]] = None
         self.connection_send_window = self.remote_settings.initial_window_size
         self.connection_recv_window = self.local_settings.initial_window_size
@@ -283,7 +282,7 @@ class H2Connection:
         self, stream_id: int, code: ErrorCode = ErrorCode.CANCEL
     ) -> None:
         stream = self._get_or_create_stream(stream_id)
-        stream.reset(code)
+        stream.reset()
         if self._send_queue:
             self._windowless_queued = True
         self._send_frame(
@@ -429,7 +428,6 @@ class H2Connection:
         return _FRAME_DISPATCH[frame.__class__](self, frame)
 
     def _on_goaway(self, frame: fr.GoAwayFrame) -> List[ev.Event]:
-        self._goaway_received = True
         return [
             ev.GoAwayReceived(
                 last_stream_id=frame.last_stream_id,
@@ -454,7 +452,6 @@ class H2Connection:
             ev.UnknownFrameReceived(
                 raw_type=frame.raw_type,
                 stream_id=frame.stream_id,
-                payload_length=len(frame.raw_payload),
             )
         ]
 
@@ -497,7 +494,7 @@ class H2Connection:
             stream.receive_data(length, end_stream)
         except H2StreamError as error:
             self.send_rst_stream(stream_id, error.code)
-            events.append(ev.StreamReset(stream_id, error.code, remote=False))
+            events.append(ev.StreamReset(stream_id, error.code))
             return
         events.append(ev.DataReceived(stream_id, data, length, end_stream))
         if length:
@@ -561,7 +558,7 @@ class H2Connection:
             stream.receive_headers(end_stream)
         except H2StreamError as error:
             self.send_rst_stream(stream_id, error.code)
-            return [ev.StreamReset(stream_id, error.code, remote=False)]
+            return [ev.StreamReset(stream_id, error.code)]
         if self.role is Role.SERVER:
             events: List[ev.Event] = [
                 ev.RequestReceived(stream_id, headers, end_stream)
@@ -593,7 +590,7 @@ class H2Connection:
                 ErrorCode.PROTOCOL_ERROR,
                 f"RST_STREAM for idle stream {frame.stream_id}",
             )
-        stream.reset(frame.error_code)
+        stream.reset()
         if self._send_queue:
             self._windowless_queued = True
         return [ev.StreamReset(frame.stream_id, frame.error_code)]
@@ -634,7 +631,6 @@ class H2Connection:
                 ev.UnknownFrameReceived(
                     raw_type=fr.TYPE_CERTIFICATE,
                     stream_id=frame.stream_id,
-                    payload_length=len(frame.payload()),
                 )
             ]
         buffer = self._certificate_buffers.setdefault(
@@ -658,7 +654,6 @@ class H2Connection:
                 ev.UnknownFrameReceived(
                     raw_type=fr.TYPE_ORIGIN,
                     stream_id=frame.stream_id,
-                    payload_length=len(frame.payload()),
                 )
             ]
         if self.role is Role.SERVER:

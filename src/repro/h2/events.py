@@ -69,7 +69,6 @@ class StreamEnded(Event):
 class StreamReset(Event):
     stream_id: int
     error_code: ErrorCode
-    remote: bool = True
 
 
 @dataclass
@@ -131,4 +130,3 @@ class UnknownFrameReceived(Event):
 
     raw_type: int
     stream_id: int
-    payload_length: int

@@ -385,7 +385,6 @@ class H2Server:
         network: Network,
         host: Host,
         config: ServerConfig,
-        retain_connections: bool = True,
     ) -> None:
         self.network = network
         self.host = host
@@ -400,10 +399,6 @@ class H2Server:
         #: the first :meth:`listen_quic` so h2-only servers carry no
         #: QUIC state at all.
         self.quic_ticket_manager = None
-        #: When False, connection objects are not kept after accept --
-        #: large crawls would otherwise accumulate them unboundedly.
-        self.retain_connections = retain_connections
-        self.connections: List[ServerConnection] = []
         #: Request subscribers, called in subscription order with
         #: (connection, authority, arrival_index, request_headers).
         #: Subscribe by appending, unsubscribe by removing your own
@@ -472,8 +467,6 @@ class H2Server:
         transport.on_close = (
             lambda: self._connection_closed(connection)
         )
-        if self.retain_connections:
-            self.connections.append(connection)
         self.notify_connection_event("accepted", connection)
 
     def _connection_closed(self, connection: ServerConnection) -> None:
@@ -493,14 +486,12 @@ class H2Server:
         )
 
         self.stats.connections += 1
-        connection = QuicServerConnection(self, QuicServerChannel(
+        QuicServerConnection(self, QuicServerChannel(
             transport,
             self.config.chain_for_sni,
             supported_alpn=("h3",),
             ticket_manager=self.quic_ticket_manager,
         ))
-        if self.retain_connections:
-            self.connections.append(connection)
 
     def _accept_plain(self, transport: Transport) -> None:
         from repro.h2.http1 import H1ServerProtocol

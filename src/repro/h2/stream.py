@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.h2.errors import ErrorCode, H2StreamError
 
@@ -25,9 +24,6 @@ class Stream:
         "send_window",
         "recv_window",
         "recv_unacked",
-        "reset_code",
-        "headers_received",
-        "trailers_received",
     )
 
     def __init__(
@@ -44,9 +40,6 @@ class Stream:
         self.recv_window = recv_window
         #: DATA bytes consumed and not yet returned by a WINDOW_UPDATE.
         self.recv_unacked = 0
-        self.reset_code: Optional[ErrorCode] = None
-        self.headers_received = False
-        self.trailers_received = False
 
     # -- sending ------------------------------------------------------------
 
@@ -97,8 +90,7 @@ class Stream:
                 else StreamState.OPEN
             )
         elif self.state in (StreamState.OPEN, StreamState.HALF_CLOSED_LOCAL):
-            if self.headers_received:
-                self.trailers_received = True
+            # A response on our request, or trailers.
             if end_stream:
                 self._close_remote()
         else:
@@ -106,7 +98,6 @@ class Stream:
                 self.stream_id, ErrorCode.STREAM_CLOSED,
                 f"HEADERS received in state {self.state.value}",
             )
-        self.headers_received = True
 
     def receive_data(self, nbytes: int, end_stream: bool) -> None:
         if self.state not in (StreamState.OPEN, StreamState.HALF_CLOSED_LOCAL):
@@ -132,9 +123,8 @@ class Stream:
 
     # -- reset / windows ------------------------------------------------------
 
-    def reset(self, code: ErrorCode) -> None:
+    def reset(self) -> None:
         self.state = StreamState.CLOSED
-        self.reset_code = code
 
     def replenish_recv_window(self, delta: int) -> None:
         self.recv_window += delta

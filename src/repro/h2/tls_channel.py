@@ -115,7 +115,6 @@ class TicketManager:
     def __init__(self) -> None:
         self._tickets: dict = {}
         self._counter = 0
-        self.resumptions = 0
 
     def issue(self, sni: str) -> str:
         self._counter += 1
@@ -124,10 +123,7 @@ class TicketManager:
         return ticket
 
     def validate(self, ticket: str, sni: str) -> bool:
-        ok = self._tickets.get(ticket) == sni
-        if ok:
-            self.resumptions += 1
-        return ok
+        return self._tickets.get(ticket) == sni
 
 
 class TlsChannelError(Exception):
@@ -152,8 +148,6 @@ class TlsChannel:
         self.on_established: Optional[Callable[[], None]] = None
         self.on_failed: Optional[Callable[[str], None]] = None
         self._buffer = bytearray()
-        #: What an on-path observer saw in the clear ("" if ECH).
-        self.observed_sni = ""
 
     def send_app(self, data: bytes) -> None:
         if not self.established:
@@ -235,7 +229,6 @@ class TlsClientChannel(TlsChannel):
             cached = cache.get(self.config.sni)
             if cached is not None:
                 hello["ticket"] = cached[0]
-        self.observed_sni = hello["sni"]
         self.transport.send(
             pack_record(REC_HELLO, json.dumps(hello).encode("utf-8"))
         )
@@ -358,7 +351,6 @@ class TlsServerChannel(TlsChannel):
                 self.on_app_data(payload)
         elif record_type == REC_HELLO:
             hello = json.loads(payload.decode("utf-8"))
-            self.observed_sni = hello.get("sni", "")
             self.client_sni = hello.get("real_sni") or hello.get("sni", "")
             self.client_tls13 = bool(hello.get("tls13", True))
             offered = hello.get("alpn") or []
@@ -373,7 +365,7 @@ class TlsServerChannel(TlsChannel):
             if self.negotiated_alpn is None and offered:
                 self._fail(
                     f"no common ALPN protocol (offered {offered}, "
-                    f"supported {list(self.supported_alpn)})"
+                    f"supported {list(supported)})"
                 )
                 return
             self.transport.send(

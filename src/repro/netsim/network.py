@@ -60,7 +60,6 @@ class Service:
         self.ip = ip
         self.port = port
         self.acceptor = acceptor
-        self.connections_accepted = 0
 
 
 #: A tap receives (client_host, server_ip, port, client_transport,
@@ -237,7 +236,6 @@ class Network:
             server_ip,
         )
         self.connections_opened += 1
-        service.connections_accepted += 1
         for tap in self._taps:
             tap(client, server_ip, port, client_end, server_end)
 
@@ -311,7 +309,6 @@ class Network:
             server_ip,
         )
         self.connections_opened += 1
-        service.connections_accepted += 1
         # The server side exists as soon as the flow does; its channel
         # only learns anything when the client's first flight lands.
         service.acceptor(server_end)

@@ -47,8 +47,6 @@ class Transport:
         #: the wire instead of raising -- endpoints that have not yet
         #: observed the teardown may still be mid-callback.
         self.aborted = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
         #: On-path interposer (middlebox model): called with each chunk
         #: this endpoint sends; returning False aborts the connection
         #: instead of delivering -- a mid-path RST.
@@ -92,7 +90,6 @@ class Transport:
         peer = self.peer
         if peer is None:
             raise TransportClosed("transport has no peer")
-        self.bytes_sent += len(data)
         if self.outbound_inspector is not None:
             if not self.outbound_inspector(data):
                 self.abort()
@@ -118,7 +115,6 @@ class Transport:
         def deliver() -> None:
             if peer.closed:
                 return
-            peer.bytes_received += len(data)
             if peer.on_data is not None:
                 peer.on_data(data)
 

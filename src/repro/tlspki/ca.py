@@ -58,7 +58,6 @@ class CertificateAuthority:
         self._key = rng.bytes(32)
         self._serial = 1
         self.issued: List[Certificate] = []
-        self.issuance_count = 0
         # Self-signed root or parent-signed intermediate certificate.
         lifetime = DEFAULT_CA_LIFETIME_MS
         ca_cert = Certificate(
@@ -90,7 +89,6 @@ class CertificateAuthority:
             is_ca=certificate.is_ca,
             public_key=certificate.public_key,
             signature=signature,
-            issuer_key_id=hashlib.sha256(self._key).digest()[:8],
         )
 
     def verify(self, certificate: Certificate) -> bool:
@@ -141,7 +139,6 @@ class CertificateAuthority:
         self._serial += 1
         signed = self._sign(unsigned)
         self.issued.append(signed)
-        self.issuance_count += 1
         return signed
 
     def reissue(

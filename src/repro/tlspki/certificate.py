@@ -73,7 +73,6 @@ class Certificate:
     is_ca: bool = False
     public_key: bytes = b""
     signature: bytes = b""
-    issuer_key_id: bytes = b""
 
     def __post_init__(self) -> None:
         if not self.subject:

@@ -96,8 +96,7 @@ def _replay_inclusion(entry: bytes, proof: InclusionProof) -> bytes:
 class CtLog:
     """An append-only certificate transparency log."""
 
-    def __init__(self, operator: str) -> None:
-        self.operator = operator
+    def __init__(self) -> None:
         self._entries: List[bytes] = []
         self._leaf_hashes: List[bytes] = []
         self.append_times: List[float] = []

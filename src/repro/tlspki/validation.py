@@ -46,8 +46,6 @@ class ValidationResult:
     ok: bool
     hostname: str
     errors: List[str] = field(default_factory=list)
-    signature_checks: int = 0
-    chain_length: int = 0
 
     def __bool__(self) -> bool:
         return self.ok
@@ -66,8 +64,7 @@ def validate_chain(
     recomputed (the simulation's stand-in for public-key operations).
     All problems found are reported, not just the first.
     """
-    result = ValidationResult(ok=True, hostname=hostname,
-                              chain_length=len(chain))
+    result = ValidationResult(ok=True, hostname=hostname)
     if not chain:
         result.ok = False
         result.errors.append("empty chain")
@@ -107,7 +104,6 @@ def validate_chain(
                 f"unknown issuer {certificate.issuer!r} at depth {depth}"
             )
             continue
-        result.signature_checks += 1
         if not issuer.verify(certificate):
             result.ok = False
             result.errors.append(

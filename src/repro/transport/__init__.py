@@ -1,19 +1,13 @@
-"""Protocol-agnostic session layer: dialers, sessions, capabilities.
+"""Protocol-agnostic session layer: dialers and capability records.
 
-Only the interfaces (:mod:`repro.transport.base`) and the shared
-record framing (:mod:`repro.transport.framing`) are imported eagerly;
-the concrete dialers (:mod:`repro.transport.tcp`,
+Only the capability record (:mod:`repro.transport.base`) and the
+shared record framing (:mod:`repro.transport.framing`) are imported
+eagerly; the concrete dialers (:mod:`repro.transport.tcp`,
 :mod:`repro.transport.quicsim`) import protocol stacks that in turn
 depend on the framing here, so importers pull them in directly.
 """
 
-from repro.transport.base import (
-    DEFAULT_MAX_STREAMS,
-    Dialer,
-    Endpoint,
-    Session,
-    SessionCapabilities,
-)
+from repro.transport.base import DEFAULT_MAX_STREAMS, SessionCapabilities
 from repro.transport.framing import (
     RECORD_HEADER_LEN,
     pack_record,
@@ -22,9 +16,6 @@ from repro.transport.framing import (
 
 __all__ = [
     "DEFAULT_MAX_STREAMS",
-    "Dialer",
-    "Endpoint",
-    "Session",
     "SessionCapabilities",
     "RECORD_HEADER_LEN",
     "pack_record",

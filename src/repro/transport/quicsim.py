@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.audit.reasons import ReasonCode
-from repro.h2.client import H2ClientSession
+from repro.h2.client import HTTPS_PORT, H2ClientSession
 from repro.h2.server import ServerConnection
 from repro.h2.tls_channel import (
     TlsChannel,
@@ -47,11 +47,7 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tlspki.ca import CertificateAuthority
 from repro.tlspki.certificate import Certificate
 from repro.tlspki.validation import TrustStore, validate_chain
-from repro.transport.base import (
-    DEFAULT_MAX_STREAMS,
-    Dialer,
-    SessionCapabilities,
-)
+from repro.transport.base import DEFAULT_MAX_STREAMS, SessionCapabilities
 from repro.transport.framing import (
     REC_ALERT,
     REC_APPDATA,
@@ -76,26 +72,16 @@ class QuicTicketManager:
     def __init__(self) -> None:
         self._tickets: dict = {}
         self._counter = 0
-        self.resumptions = 0
-        self.cross_host_resumptions = 0
 
-    def issue(self, sni: str, chain: Sequence[Certificate]) -> str:
+    def issue(self, chain: Sequence[Certificate]) -> str:
         self._counter += 1
         ticket = f"quic-ticket-{self._counter:08d}"
-        self._tickets[ticket] = (sni, list(chain))
+        self._tickets[ticket] = list(chain)
         return ticket
 
     def validate(self, ticket: str, sni: str) -> bool:
-        entry = self._tickets.get(ticket)
-        if entry is None:
-            return False
-        issued_sni, chain = entry
-        if not chain or not chain[0].covers(sni):
-            return False
-        self.resumptions += 1
-        if issued_sni != sni:
-            self.cross_host_resumptions += 1
-        return True
+        chain = self._tickets.get(ticket)
+        return bool(chain) and chain[0].covers(sni)
 
 
 @dataclass
@@ -158,8 +144,7 @@ class QuicClientChannel(TlsChannel):
         entry = find_ticket(self.config.ticket_cache, self.config.sni)
         if entry is not None:
             hello["ticket"] = entry["ticket"]
-        # The Initial is encrypted; an on-path observer sees no SNI.
-        self.observed_sni = ""
+        # The Initial is encrypted: an on-path observer sees no SNI.
         self.transport.send(
             pack_record(REC_HELLO, json.dumps(hello).encode("utf-8"))
         )
@@ -316,9 +301,7 @@ class QuicServerChannel(TlsChannel):
             self.transport.send(
                 pack_record(
                     REC_TICKET,
-                    self.ticket_manager.issue(
-                        self.client_sni, chain
-                    ).encode(),
+                    self.ticket_manager.issue(chain).encode(),
                 )
             )
         if self.on_established is not None:
@@ -335,14 +318,13 @@ class QuicClientSession(H2ClientSession):
         client_host: Host,
         server_ip: str,
         quic_config: QuicClientConfig,
-        port: int = 443,
         origin_aware: bool = True,
         telemetry: Telemetry = NULL_TELEMETRY,
         page: str = "",
         metrics=None,
     ) -> None:
         super().__init__(
-            network, client_host, server_ip, quic_config, port=port,
+            network, client_host, server_ip, quic_config,
             origin_aware=origin_aware, telemetry=telemetry, page=page,
         )
         #: Metrics registry for the quic.* counters; created lazily so
@@ -353,9 +335,6 @@ class QuicClientSession(H2ClientSession):
     @property
     def capabilities(self) -> SessionCapabilities:
         return SessionCapabilities(
-            alpn="h3",
-            resumable_across_hostnames=True,
-            zero_rtt=True,
             supports_origin_frame=self.origin_aware,
             max_streams=DEFAULT_MAX_STREAMS,
         )
@@ -379,7 +358,7 @@ class QuicClientSession(H2ClientSession):
         transport = self.network.connect_datagram(
             self.client_host,
             self.server_ip,
-            self.port,
+            HTTPS_PORT,
             on_refused=lambda error: self._fail(str(error)),
         )
         if transport is None:
@@ -443,12 +422,11 @@ class QuicServerConnection(ServerConnection):
     alt_svc_eligible = False
 
 
-class QuicDialer(Dialer):
+class QuicDialer:
     """Creates :class:`QuicClientSession` sessions (h3 over the
     simulated datagram network)."""
 
     name = "quic"
-    alpn = "h3"
 
     def __init__(
         self,
@@ -458,7 +436,6 @@ class QuicDialer(Dialer):
         authorities: Sequence[CertificateAuthority],
         ticket_cache: Optional[List[dict]] = None,
         origin_aware: bool = True,
-        port: int = 443,
         telemetry: Telemetry = NULL_TELEMETRY,
         page: str = "",
         metrics=None,
@@ -470,7 +447,6 @@ class QuicDialer(Dialer):
         self.ticket_cache = ticket_cache if ticket_cache is not None \
             else []
         self.origin_aware = origin_aware
-        self.port = port
         self.telemetry = telemetry
         self.page = page
         #: Registry for the quic.* counters (the page pool's, so they
@@ -501,7 +477,6 @@ class QuicDialer(Dialer):
             self.client_host,
             ip,
             self.config(hostname),
-            port=self.port,
             origin_aware=self.origin_aware,
             telemetry=self.telemetry,
             page=self.page,

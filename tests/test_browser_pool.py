@@ -16,9 +16,9 @@ from repro.transport.base import DEFAULT_MAX_STREAMS, SessionCapabilities
 
 #: The capability records an h2 and an HTTP/1.1 session declare.
 H2_CAPABILITIES = SessionCapabilities(
-    alpn="h2", supports_origin_frame=True, max_streams=DEFAULT_MAX_STREAMS,
+    supports_origin_frame=True, max_streams=DEFAULT_MAX_STREAMS,
 )
-H1_CAPABILITIES = SessionCapabilities(alpn="http/1.1", max_streams=1)
+H1_CAPABILITIES = SessionCapabilities(max_streams=1)
 
 
 class FakeSession:
@@ -345,7 +345,6 @@ class TestMidPathRstEviction:
         assert len(registry) == 0
         assert registry.for_host("www.a.com") == []
         assert registry.by_ip.get("10.0.0.1", []) == []
-        assert ("www.a.com", "tcp-tls") not in registry.by_endpoint
         assert pool.stats.pruned_connections == 1
 
     def test_eviction_records_exactly_one_audit_event(self):
@@ -373,7 +372,7 @@ class TestMidPathRstEviction:
 
 
 class TestRegistryChurn:
-    """Open/close storms: the registry's three indexes and the pool's
+    """Open/close storms: the registry's two indexes and the pool's
     counters stay exactly consistent however connections churn."""
 
     @staticmethod
@@ -382,9 +381,6 @@ class TestRegistryChurn:
         index holds anything else, and no bucket is empty."""
         for facts in registry:
             assert facts in registry.by_sni[facts.sni]
-            assert facts in registry.by_endpoint[
-                (facts.sni, facts.transport_name)
-            ]
             for ip in facts.available_set | {facts.connected_ip}:
                 assert facts in registry.by_ip[ip]
         indexed = {
@@ -392,8 +388,7 @@ class TestRegistryChurn:
             for facts in bucket
         }
         assert indexed == {id(facts) for facts in registry}
-        for index in (registry.by_sni, registry.by_ip,
-                      registry.by_endpoint):
+        for index in (registry.by_sni, registry.by_ip):
             for bucket in index.values():
                 assert bucket  # empty buckets are deleted, not kept
 
@@ -457,7 +452,6 @@ class TestRegistryChurn:
         assert list(registry) == []
         assert registry.by_sni == {}
         assert registry.by_ip == {}
-        assert registry.by_endpoint == {}
 
     def test_pool_seq_survives_churn_and_keeps_ordering(self):
         pool = make_pool(policy=ChromiumPolicy())

@@ -511,13 +511,12 @@ class TestBlastRadius:
 
 
 def assert_registry_consistent(registry):
-    """The three lookup indexes and the list agree exactly."""
+    """The two lookup indexes and the list agree exactly."""
     listed = {id(facts) for facts in registry}
-    for bucket_map in (registry.by_sni, registry.by_endpoint):
-        indexed = {id(facts) for bucket in bucket_map.values()
-                   for facts in bucket}
-        assert indexed == listed
-        assert all(bucket for bucket in bucket_map.values())
+    indexed = {id(facts) for bucket in registry.by_sni.values()
+               for facts in bucket}
+    assert indexed == listed
+    assert all(bucket for bucket in registry.by_sni.values())
     ip_indexed = {id(facts) for bucket in registry.by_ip.values()
                   for facts in bucket}
     assert ip_indexed <= listed
@@ -525,16 +524,13 @@ def assert_registry_consistent(registry):
     for facts in registry:
         assert any(entry is facts
                    for entry in registry.by_sni.get(facts.sni, ()))
-        assert any(entry is facts for entry in registry.by_endpoint.get(
-            (facts.sni, facts.transport_name), ()))
 
 
 class TestRegistryUnderStorms:
     def test_indexes_never_dangle(self):
         """Storms, crashes, and random loss rip connections out of the
-        pool mid-crawl; after pruning, by_sni/by_ip/by_endpoint must
-        hold exactly the live entries -- no dangling facts, no empty
-        buckets."""
+        pool mid-crawl; after pruning, by_sni/by_ip must hold exactly
+        the live entries -- no dangling facts, no empty buckets."""
         schedule = FaultSchedule(faults=(
             FaultSpec(name="loss", kind="packet_loss", at=0.0,
                       rate=0.05),

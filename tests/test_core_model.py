@@ -60,7 +60,6 @@ class TestCountPredictions:
         counts = ideal_origin_counts(three_service_page())
         assert counts.dns_queries == 3
         assert counts.tls_connections == 3
-        assert counts.certificate_validations == 3
 
     def test_ideal_ip_counts_by_address(self):
         # 5 distinct IPs among the entries.

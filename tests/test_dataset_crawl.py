@@ -26,7 +26,11 @@ class TestWorldIntegrity:
     def test_asdb_covers_every_server(self, crawl):
         world, _ = crawl
         for hosted in world.sites:
-            for ip in hosted.root_ips:
+            root_ips, _, _ = world.dns_authority.query(
+                hosted.record.root_hostname
+            )
+            assert root_ips
+            for ip in root_ips:
                 assert world.asdb.lookup(ip) is not None
 
     def test_provider_servers_shared_across_sites(self, crawl):

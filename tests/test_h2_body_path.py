@@ -180,7 +180,7 @@ class OracleH2Connection(H2Connection):
             stream.receive_data(length, frame.end_stream)
         except H2StreamError as error:
             self.send_rst_stream(stream_id, error.code)
-            events.append(ev.StreamReset(stream_id, error.code, remote=False))
+            events.append(ev.StreamReset(stream_id, error.code))
             return
         events.append(
             ev.DataReceived(stream_id, frame.data, length, frame.end_stream)
@@ -262,7 +262,7 @@ def _observe(conn: H2Connection):
         bytes(conn._recv_buffer),
         {
             stream_id: (stream.state, stream.send_window,
-                        stream.recv_window, stream.reset_code)
+                        stream.recv_window)
             for stream_id, stream in streams.items()
         },
         [

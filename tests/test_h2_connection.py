@@ -752,7 +752,7 @@ class TestBodyPathErrors:
         events = client.receive_data(
             DataFrame(stream_id=1, data=b"late").serialize())
         assert events == [
-            ev.StreamReset(1, ErrorCode.STREAM_CLOSED, remote=False)
+            ev.StreamReset(1, ErrorCode.STREAM_CLOSED)
         ]
         assert queued_frames(client) == [
             RstStreamFrame(stream_id=1, error_code=ErrorCode.STREAM_CLOSED)
@@ -769,7 +769,7 @@ class TestBodyPathErrors:
         events = client.receive_data(
             DataFrame(stream_id=1, data=b"x" * 1001).serialize())
         assert events == [
-            ev.StreamReset(1, ErrorCode.FLOW_CONTROL_ERROR, remote=False)
+            ev.StreamReset(1, ErrorCode.FLOW_CONTROL_ERROR)
         ]
         assert queued_frames(client) == [
             RstStreamFrame(stream_id=1,
@@ -787,7 +787,7 @@ class TestBodyPathErrors:
         client = client_with_open_stream(initial_window=100)
         events = client.receive_data(frame.serialize())
         assert events == [
-            ev.StreamReset(1, ErrorCode.FLOW_CONTROL_ERROR, remote=False)
+            ev.StreamReset(1, ErrorCode.FLOW_CONTROL_ERROR)
         ]
         assert queued_frames(client) == [
             RstStreamFrame(stream_id=1,

@@ -37,13 +37,15 @@ def world():
     server = H2Server(network, edge_host, config)
     server.listen("10.0.0.1")
 
-    def make_session(sni="www.example.com", origin_aware=True, tls13=True):
+    def make_session(sni="www.example.com", origin_aware=True, tls13=True,
+                     alpn=("h2", "http/1.1")):
         tls = TlsClientConfig(
             sni=sni,
             trust_store=trust,
             authorities=authorities,
             now=network.loop.now,
             tls13=tls13,
+            alpn=alpn,
         )
         return H2ClientSession(
             network, client_host, "10.0.0.1", tls,
@@ -173,6 +175,13 @@ class TestOriginFrameEndToEnd:
         network, server, make_session, _ = world
         session = make_session()
         responses = []
+        accepted = []
+
+        def on_event(event, connection):
+            if event == "accepted":
+                accepted.append(connection)
+
+        server.connection_observers.append(on_event)
 
         def go():
             session.request("www.example.com", "/", responses.append)
@@ -184,11 +193,28 @@ class TestOriginFrameEndToEnd:
         run(network)
         assert [r.status for r in responses] == [200, 200]
         assert server.stats.connections == 1
-        connection = server.connections[0]
+        (connection,) = accepted
         authorities = [authority for _, authority, _
                        in connection.request_log]
         assert "thirdparty.cdn.com" in authorities
         assert connection.sni == "www.example.com"
+
+
+class TestAlpnMismatch:
+    def test_no_common_protocol_fails_with_an_alert(self, world):
+        """Every H2Server resolves its ALPN support per SNI; an offer it
+        cannot meet must fail the session, not the event loop."""
+        network, server, make_session, _ = world
+        session = make_session(alpn=("h3",))
+        failures = []
+        session.connect(on_failed=failures.append)
+        run(network)
+        assert len(failures) == 1
+        assert "no common ALPN protocol" in failures[0]
+        assert "supported ['h2', 'http/1.1']" in failures[0]
+        assert session.failed == failures[0]
+        assert not session.ready
+        assert network.loop.run_until_idle() == 0  # the loop drained
 
 
 class TestMisdirectedRequest:
@@ -202,9 +228,9 @@ class TestMisdirectedRequest:
             )
         )
         run(network)
-        assert responses[0].status == 421
+        assert [r.status for r in responses] == [421]
+        assert responses[0].authority == "not-on-this-server.com"
         assert server.stats.misdirected == 1
-        assert session.misdirected == responses
 
     def test_421_does_not_kill_connection(self, world):
         network, _, make_session, _ = world

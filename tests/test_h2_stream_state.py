@@ -41,11 +41,11 @@ class TestLifecycle:
         stream.send_data(5, end_stream=True)
         assert stream.state is StreamState.CLOSED
 
-    def test_trailers_tracked(self):
+    def test_trailers_end_the_remote_side(self):
         stream = make_stream()
         stream.receive_headers(end_stream=False)
-        stream.receive_headers(end_stream=True)
-        assert stream.trailers_received
+        stream.receive_headers(end_stream=True)   # trailers
+        assert stream.state is StreamState.HALF_CLOSED_REMOTE
 
 
 class TestViolations:
@@ -56,13 +56,13 @@ class TestViolations:
 
     def test_data_on_closed_stream_rejected(self):
         stream = make_stream()
-        stream.reset(ErrorCode.CANCEL)
+        stream.reset()
         with pytest.raises(H2StreamError):
             stream.receive_data(5, end_stream=False)
 
     def test_headers_on_closed_stream_rejected(self):
         stream = make_stream()
-        stream.reset(ErrorCode.CANCEL)
+        stream.reset()
         with pytest.raises(H2StreamError):
             stream.receive_headers(end_stream=False)
 
@@ -81,8 +81,8 @@ class TestFlowControl:
         with pytest.raises(H2StreamError):
             stream.receive_data(11, end_stream=False)
 
-    def test_reset_records_code(self):
+    def test_reset_closes(self):
         stream = make_stream()
-        stream.reset(ErrorCode.REFUSED_STREAM)
+        stream.send_headers(end_stream=False)
+        stream.reset()
         assert stream.closed
-        assert stream.reset_code is ErrorCode.REFUSED_STREAM

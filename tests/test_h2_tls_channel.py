@@ -1,5 +1,7 @@
 """Unit tests for the simulated TLS record layer."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,18 @@ class TestHandshakeFlow:
         chain = ca.chain_for(leaf)
         server_host = network.add_host(Host("s", "us", ["10.0.0.1"]))
         client_host = network.add_host(Host("c", "us", ["10.1.0.1"]))
+        #: What the client put on the wire, as an on-path observer
+        #: sees it.
+        self.wire = []
+
+        def inspect(data):
+            self.wire.append(data)
+            return True
+
+        def tap(client, server_ip, port, client_end, server_end):
+            client_end.outbound_inspector = inspect
+
+        network.add_tap(tap)
         ends = {}
         network.listen(server_host, "10.0.0.1", 443,
                        lambda t: ends.__setitem__("server", t))
@@ -159,11 +173,18 @@ class TestHandshakeFlow:
         assert failures
         assert "ALPN" in failures[0]
 
+    def observed_sni(self):
+        """The SNI an on-path observer reads off the client's HELLO."""
+        records, _ = parse_records(b"".join(self.wire))
+        hello = next(payload for kind, payload in records
+                     if kind == REC_HELLO)
+        return json.loads(hello)["sni"]
+
     def test_sni_plaintext_observable_without_ech(self):
         network, client, server = self.make_pair()
         client.start()
         network.loop.run_until_idle()
-        assert server.observed_sni == "www.example.com"
+        assert self.observed_sni() == "www.example.com"
 
     def test_ech_hides_sni_from_observer(self):
         network, client, server = self.make_pair(ech=True)
@@ -171,7 +192,7 @@ class TestHandshakeFlow:
         network.loop.run_until_idle()
         # The wire carried no SNI, but the server still selected the
         # right certificate from the (encrypted) inner hello.
-        assert server.observed_sni == ""
+        assert self.observed_sni() == ""
         assert server.client_sni == "www.example.com"
         assert client.established
 

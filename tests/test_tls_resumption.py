@@ -56,12 +56,20 @@ class TestResumption:
 
     def test_second_connection_resumes(self, world):
         network, server, session, cache = world
+        accepted = []
+
+        def on_event(event, connection):
+            if event == "accepted":
+                accepted.append(connection)
+
+        server.connection_observers.append(on_event)
         first = session()
         connect(network, first)
         second = session()
         connect(network, second)
         assert second.channel.resumed
-        assert server.ticket_manager.resumptions == 1
+        # The server accepted the ticket on the second connection only.
+        assert [c.channel.resumed for c in accepted] == [False, True]
         # The chain was restored from the cache, not re-transmitted.
         assert second.leaf_certificate is not None
         assert second.leaf_certificate.covers("www.example.com")

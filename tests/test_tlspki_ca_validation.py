@@ -1,5 +1,7 @@
 """Unit tests for the CA, issuance policy, and chain validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,12 +65,12 @@ class TestIssuance:
         cert = ca.issue("www.example.com", names)
         assert cert.san_count == 1501
 
-    def test_issuance_counter_and_log(self, pki):
+    def test_issuance_log(self, pki):
         _, intermediate, _ = pki
-        intermediate.issue("a.example.com", ())
-        intermediate.issue("b.example.com", ())
-        assert intermediate.issuance_count == 2
-        assert len(intermediate.issued) == 2
+        first = intermediate.issue("a.example.com", ())
+        second = intermediate.issue("b.example.com", ())
+        assert intermediate.issued == [first, second]
+        assert first.serial != second.serial
 
     def test_signature_verifies_with_issuer_only(self, pki):
         root, intermediate, _ = pki
@@ -132,7 +134,18 @@ class TestValidation:
         result = self.validate(pki, intermediate.chain_for(leaf),
                                "www.example.com")
         assert result.ok, result.errors
-        assert result.signature_checks == 3
+
+    def test_every_link_signature_is_checked(self, pki):
+        _, intermediate, _ = pki
+        leaf = intermediate.issue("www.example.com", ())
+        chain = list(intermediate.chain_for(leaf))
+        for depth in range(len(chain)):
+            tampered = list(chain)
+            tampered[depth] = replace(chain[depth], signature=b"forged")
+            result = self.validate(pki, tampered, "www.example.com")
+            assert not result.ok
+            assert any(f"bad signature on {chain[depth].subject!r}" in e
+                       for e in result.errors)
 
     def test_hostname_mismatch_fails(self, pki):
         _, intermediate, _ = pki

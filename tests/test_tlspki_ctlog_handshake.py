@@ -26,12 +26,12 @@ def issue_many(ca, count):
 
 class TestCtLog:
     def test_append_returns_sequential_indices(self, ca):
-        log = CtLog("op")
+        log = CtLog()
         certs = issue_many(ca, 3)
         assert [log.append(c) for c in certs] == [0, 1, 2]
 
     def test_root_changes_on_append(self, ca):
-        log = CtLog("op")
+        log = CtLog()
         certs = issue_many(ca, 2)
         log.append(certs[0])
         r1 = log.root_hash()
@@ -39,7 +39,7 @@ class TestCtLog:
         assert log.root_hash() != r1
 
     def test_historical_roots_are_stable(self, ca):
-        log = CtLog("op")
+        log = CtLog()
         certs = issue_many(ca, 5)
         roots = []
         for cert in certs:
@@ -49,7 +49,7 @@ class TestCtLog:
             assert log.root_hash(size) == root
 
     def test_inclusion_proofs_verify(self, ca):
-        log = CtLog("op")
+        log = CtLog()
         certs = issue_many(ca, 7)
         for cert in certs:
             log.append(cert)
@@ -58,7 +58,7 @@ class TestCtLog:
             assert log.verify_inclusion(cert, proof)
 
     def test_inclusion_proof_fails_for_wrong_cert(self, ca):
-        log = CtLog("op")
+        log = CtLog()
         certs = issue_many(ca, 4)
         for cert in certs:
             log.append(cert)
@@ -66,7 +66,7 @@ class TestCtLog:
         assert not log.verify_inclusion(certs[1], proof)
 
     def test_historical_inclusion_proof(self, ca):
-        log = CtLog("op")
+        log = CtLog()
         certs = issue_many(ca, 6)
         for cert in certs:
             log.append(cert)
@@ -74,7 +74,7 @@ class TestCtLog:
         assert log.verify_inclusion(certs[1], proof)
 
     def test_invalid_proof_requests_rejected(self, ca):
-        log = CtLog("op")
+        log = CtLog()
         log.append(issue_many(ca, 1)[0])
         with pytest.raises(ValueError):
             log.inclusion_proof(5)
@@ -82,7 +82,7 @@ class TestCtLog:
             log.root_hash(10)
 
     def test_append_window_counting(self, ca):
-        log = CtLog("op")
+        log = CtLog()
         certs = issue_many(ca, 4)
         times = [0.0, 10.0, 20.0, 30.0]
         for cert, t in zip(certs, times):
@@ -93,7 +93,7 @@ class TestCtLog:
     @given(st.integers(min_value=1, max_value=40))
     def test_all_leaves_provable_at_any_size(self, n):
         ca = CertificateAuthority("Prop CA", rng=np.random.default_rng(n))
-        log = CtLog("op")
+        log = CtLog()
         certs = issue_many(ca, n)
         for cert in certs:
             log.append(cert)

@@ -1,21 +1,16 @@
 """Unit tests for the protocol-agnostic session layer
-(:mod:`repro.transport`): record framing, capability records,
-endpoints, and the ``tcp-tls`` dialer."""
+(:mod:`repro.transport`): record framing, capability records, and the
+``tcp-tls`` dialer."""
 
 import numpy as np
 import pytest
 
-from repro.browser.policy import ConnectionFacts
+from repro.browser.policy import ConnectionFacts, FirefoxPolicy
+from repro.browser.pool import ConnectionPool
 from repro.h2.client import H2ClientSession
 from repro.netsim import EventLoop, Host, LatencyModel, LinkSpec, Network
 from repro.tlspki import CertificateAuthority, TrustStore
-from repro.transport.base import (
-    DEFAULT_MAX_STREAMS,
-    Dialer,
-    Endpoint,
-    Session,
-    SessionCapabilities,
-)
+from repro.transport.base import DEFAULT_MAX_STREAMS, SessionCapabilities
 from repro.transport.framing import (
     REC_APPDATA,
     REC_HELLO,
@@ -60,11 +55,9 @@ class TestFraming:
 class TestSessionCapabilities:
     def test_defaults_are_h1_like(self):
         caps = SessionCapabilities()
-        assert caps.alpn == "h2"
         assert caps.max_streams == 1
         assert not caps.can_multiplex
-        assert not caps.resumable_across_hostnames
-        assert not caps.zero_rtt
+        assert not caps.supports_origin_frame
 
     def test_multiplex_follows_stream_budget(self):
         assert SessionCapabilities(max_streams=2).can_multiplex
@@ -75,39 +68,26 @@ class TestSessionCapabilities:
             SessionCapabilities().max_streams = 5
 
 
-class TestCapabilitiesOf:
+class TestConnectionFactsCapabilities:
     """Policies read a connection's capabilities from the record its
     session declares."""
 
-    def test_explicit_record_wins(self):
-        class Explicit:
-            can_multiplex = False
+    def test_session_record_is_what_facts_report(self):
+        class Declared:
             capabilities = SessionCapabilities(
-                alpn="h3", zero_rtt=True, max_streams=7
+                supports_origin_frame=True, max_streams=7
             )
 
-        caps = ConnectionFacts(session=Explicit(), sni="www.a.com",
-                               connected_ip="10.0.0.1").capabilities
-        assert caps.alpn == "h3"
-        assert caps.zero_rtt
-        assert caps.max_streams == 7
+        facts = ConnectionFacts(session=Declared(), sni="www.a.com",
+                                connected_ip="10.0.0.1")
+        assert facts.capabilities.max_streams == 7
+        assert facts.capabilities.supports_origin_frame
+        assert facts.can_multiplex
 
-    def test_base_session_class_exposes_record(self):
-        assert isinstance(Session.capabilities, SessionCapabilities)
-
-
-class TestEndpoint:
-    def test_defaults(self):
-        endpoint = Endpoint("www.a.com")
-        assert endpoint == Endpoint("www.a.com", 443, "tcp-tls")
-
-    def test_dialer_endpoint_carries_transport_name(self):
-        class FakeDialer(Dialer):
-            name = "carrier-pigeon"
-
-        endpoint = FakeDialer().endpoint("www.a.com", 8443)
-        assert endpoint.transport == "carrier-pigeon"
-        assert endpoint.port == 8443
+    def test_bare_facts_default_to_tcp_tls(self):
+        facts = ConnectionFacts(session=object(), sni="www.a.com",
+                                connected_ip="10.0.0.1")
+        assert facts.transport == "tcp-tls"
 
 
 @pytest.fixture
@@ -146,26 +126,31 @@ class TestTcpTlsDialer:
         session.connect()
         network.loop.run_until_idle()
         assert session.ready
+        assert session.negotiated_protocol == "h2"
         caps = session.capabilities
-        assert caps.alpn == "h2"
         assert caps.max_streams == DEFAULT_MAX_STREAMS
         assert caps.can_multiplex
         assert caps.supports_origin_frame
-        assert not caps.resumable_across_hostnames
 
-    def test_endpoint_name(self, tls_world):
+    def test_pool_stamps_the_dialer_name(self, tls_world):
         network, client, trust, authorities, _ = tls_world
-        dialer = TcpTlsDialer(network, client, trust, authorities)
-        assert dialer.endpoint("www.example.com", dialer.port) == \
-            Endpoint("www.example.com", 443, "tcp-tls")
+        pool = ConnectionPool(
+            FirefoxPolicy(),
+            dialer=TcpTlsDialer(network, client, trust, authorities),
+        )
+        facts = pool.open_connection(
+            "www.example.com", "10.0.0.1", ["10.0.0.1"],
+            on_ready=lambda facts: None, on_failed=lambda reason: None,
+        )
+        assert facts.transport == "tcp-tls"
 
     def test_per_dial_tls13_override(self, tls_world):
         network, client, trust, authorities, _ = tls_world
-        dialer = TcpTlsDialer(network, client, trust, authorities,
-                              tls13=True)
+        dialer = TcpTlsDialer(network, client, trust, authorities)
         t13 = dialer.dial("www.example.com", "10.0.0.1")
         t12 = dialer.dial("www.example.com", "10.0.0.1", tls13=False)
+        after = dialer.dial("www.example.com", "10.0.0.1")
         assert t13.tls_config.tls13 is True
         assert t12.tls_config.tls13 is False
-        # The shared dialer default is untouched by the override.
-        assert dialer.tls13 is True
+        # The override is per dial: the next default dial is TLS 1.3.
+        assert after.tls_config.tls13 is True
