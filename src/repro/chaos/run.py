@@ -7,9 +7,9 @@ set: :func:`~repro.dataset.shard.crawl_shard` arms a
 explicit :class:`~repro.browser.retry.RetryPolicy` on the browser
 context.  Each shard returns its fault tallies (plain JSON docs),
 which fold into a :class:`~repro.chaos.report.ChaosReport` by counter
-addition in shard order, so the report is byte-identical at any
-``--jobs``.  :func:`compare_policies` is the same run once per
-coalescing policy.
+addition in shard order as the merge absorbs the shard, so the report
+is byte-identical at any ``--jobs``.  :func:`compare_policies` is the
+same run once per coalescing policy.
 
 With an empty schedule the injector installs nothing, the retry
 policy is never consulted (nothing fails in an unfaulted crawl
@@ -29,7 +29,12 @@ from repro.browser.retry import RetryPolicy
 from repro.chaos.report import ChaosReport
 from repro.chaos.schedule import FaultSchedule
 from repro.dataset.crawler import CrawlResult
-from repro.dataset.shard import CrawlParams, ShardSpec, crawl_shards
+from repro.dataset.shard import (
+    CrawlParams,
+    ShardResult,
+    ShardSpec,
+    crawl_shards,
+)
 from repro.telemetry import CrawlTrace
 
 #: Reasons counted as "a request went through a retry".
@@ -48,14 +53,14 @@ def run_chaos(
     trace: bool,
     progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
+    crawl_trace: Optional[CrawlTrace] = None,
 ) -> Tuple[CrawlResult, CrawlTrace, ChaosReport]:
     """Crawl all shards under ``schedule``; merge telemetry and
     tallies in shard order.  The audit collector is always on -- the
-    blast attribution and the jobs-determinism gate live there."""
-    result, crawl_trace, tallies = crawl_shards(
-        shards, params, jobs, collect=(trace, True),
-        chaos=(schedule, retry_policy), progress=progress, watch=watch,
-    )
+    blast attribution and the jobs-determinism gate live there; each
+    shard's retries are counted from its own events as the merge
+    absorbs it.  ``crawl_trace`` is
+    :func:`~repro.dataset.shard.merge_shards`'."""
     config = shards[0].config
     report = ChaosReport(
         policy=params.policy,
@@ -64,13 +69,20 @@ def run_chaos(
         seed=config.seed,
         shards=len(shards),
     )
-    for docs in tallies:
-        report.absorb_tallies(docs)
-    for event in crawl_trace.audit:
-        if event.reason in _RETRIED_REASONS:
-            report.requests_retried += 1
-        elif event.reason == ReasonCode.RETRY_EXHAUSTED.value:
-            report.requests_exhausted += 1
+
+    def on_shard(shard: ShardResult) -> None:
+        report.absorb_tallies(shard.faults)
+        for event in shard.events:
+            if event.reason in _RETRIED_REASONS:
+                report.requests_retried += 1
+            elif event.reason == ReasonCode.RETRY_EXHAUSTED.value:
+                report.requests_exhausted += 1
+
+    result, crawl_trace = crawl_shards(
+        shards, params, jobs, collect=(trace, True),
+        chaos=(schedule, retry_policy), progress=progress, watch=watch,
+        crawl_trace=crawl_trace, on_shard=on_shard,
+    )
     report.pages_attempted = result.attempted
     report.pages_failed = result.attempted - result.success_count
     report.connections_opened = sum(

@@ -32,10 +32,18 @@ plans the web before any fork and is the only caller that hands
 :func:`crawl_shard` to the merge.  A crawl that is being cached
 appends each absorbed shard to the cache entry as it merges
 (:func:`write_archive_lines`), reusing the lines a worker sent.
+
+The fold's memory contract: one shard's world and telemetry are live
+at a time.  A pipeline run's writers -- the cache entry, span JSONL,
+the audit log -- are opened before the first shard and published by
+the run's sinks; the merge streams each shard's records into them as
+it absorbs the shard, then drops the result and frees the shard's
+world (:func:`merge_shards`) before the next one is built.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from dataclasses import dataclass, replace
 from itertools import starmap
@@ -393,28 +401,48 @@ def merge_shards(
     absorb: Callable[[ShardResult], None],
     progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
+    crawl_trace: Optional[CrawlTrace] = None,
 ) -> CrawlTrace:
     """Execute ``payloads`` (each led by its shard spec) and fold the
     results in shard order, so the outcome is byte-identical whatever
     ``jobs`` ran it.
 
     ``absorb`` merges one result's payload into the caller's
-    accumulator; its telemetry bundle is adopted into the returned
-    :class:`~repro.telemetry.CrawlTrace`.  After each shard
-    ``progress`` gets ``(done_shards, total)`` and ``watch`` gets
+    accumulator; its telemetry bundle is adopted into ``crawl_trace``
+    (a fresh :class:`~repro.telemetry.CrawlTrace` that keeps every
+    record when ``None``; pass one with writers attached to stream
+    them), which is returned.  After each shard ``progress`` gets
+    ``(done_shards, total)`` and ``watch`` gets
     ``(done_shards, total, merged_trace_so_far)`` -- the run ledger's
     heartbeat reads live counters there.
+
+    The fold holds one shard at a time (the module's memory
+    contract): once a result is absorbed it is dropped, and a
+    collection scoped to what the shard allocated -- everything older
+    is frozen (:func:`gc.freeze`) -- frees its world, whose
+    connections, streams and tables are reference cycles, before the
+    next shard is built.  Nothing in ``src/repro`` has a finalizer or
+    a weak reference, so when a collection runs cannot change a byte.
     """
     total = len(payloads)
-    crawl_trace = CrawlTrace()
+    if crawl_trace is None:
+        crawl_trace = CrawlTrace()
     results = run_shards(shard_fn, payloads, jobs)
-    for done, (args, result) in enumerate(zip(payloads, results), 1):
-        absorb(result)
-        crawl_trace.adopt(result, shard=args[0].index)
-        if progress is not None:
-            progress(done, total)
-        if watch is not None:
-            watch(done, total, crawl_trace)
+    gc.freeze()
+    try:
+        for done, args in enumerate(payloads, 1):
+            result = next(results)
+            absorb(result)
+            crawl_trace.adopt(result, shard=args[0].index)
+            del result
+            gc.collect()
+            gc.freeze()
+            if progress is not None:
+                progress(done, total)
+            if watch is not None:
+                watch(done, total, crawl_trace)
+    finally:
+        gc.unfreeze()
     return crawl_trace
 
 
@@ -427,7 +455,9 @@ def crawl_shards(
     archive_out: Optional[TextIO] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
-) -> Tuple[CrawlResult, CrawlTrace, List[Sequence[dict]]]:
+    crawl_trace: Optional[CrawlTrace] = None,
+    on_shard: Optional[Callable[[ShardResult], None]] = None,
+) -> Tuple[CrawlResult, CrawlTrace]:
     """The one sharded crawl: every shard of one plan through
     :func:`crawl_shard`, merged in shard order, so the output is
     identical at any ``jobs``.
@@ -436,19 +466,20 @@ def crawl_shards(
     ``archive_out`` is an open text file (what
     :meth:`repro.dataset.cache.CrawlCache.writing` yields) that
     receives every archive as a HAR JSON line, shard by shard as the
-    merge absorbs them.  ``progress``/``watch`` are
-    :func:`merge_shards`'.  Returns the merged archives, the merged
-    trace (empty when ``collect`` is ``None``) and each shard's fault
-    tallies in shard order (empty without ``chaos``).
+    merge absorbs them.  ``progress``/``watch``/``crawl_trace`` are
+    :func:`merge_shards`'.  ``on_shard`` sees each result, in shard
+    order, as the merge absorbs it (a chaos run folds its fault
+    tallies there).  Returns the merged archives and the merged trace
+    (empty when ``collect`` is ``None``).
     """
     merged = CrawlResult()
-    faults: List[Sequence[dict]] = []
 
     def absorb(result: ShardResult) -> None:
         merged.archives.extend(result.payload.archives)
-        faults.append(result.faults)
         if archive_out is not None:
             write_archive_lines(archive_out, result)
+        if on_shard is not None:
+            on_shard(result)
 
     # Plan before any fork: pool workers inherit _PLAN_CACHE instead
     # of each planning the whole web again (under ``spawn`` a worker
@@ -457,9 +488,9 @@ def crawl_shards(
     crawl_trace = merge_shards(
         crawl_shard,
         [(spec, params, collect, chaos) for spec in shards],
-        jobs, absorb, progress, watch,
+        jobs, absorb, progress, watch, crawl_trace,
     )
-    return merged, crawl_trace, faults
+    return merged, crawl_trace
 
 
 def plan_certificates_sharded(

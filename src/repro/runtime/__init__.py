@@ -7,7 +7,8 @@
 * :class:`InstrumentationOptions`: what to record (trace, metrics,
   audit, ledger, SLO gates),
 * ordered **sinks** (:mod:`repro.runtime.sinks`): where artifacts and
-  diagnostics go
+  diagnostics go, each file artifact opened before the run
+  (:mod:`repro.runtime.artifacts`) and published by its sink
 
 -- and :class:`RunPipeline` runs them on ``jobs`` workers.  The CLI
 modules under :mod:`repro.cli` only parse arguments and render output;
@@ -18,7 +19,6 @@ declaratively via ``repro run``.
 from repro.runtime.console import diag, shard_progress
 from repro.runtime.instrument import (
     counter_total,
-    export_trace,
     finish_ledger,
     ledger_watch,
 )
@@ -48,7 +48,6 @@ __all__ = [
     "TrafficWorkload",
     "counter_total",
     "diag",
-    "export_trace",
     "finish_ledger",
     "ledger_watch",
     "load_scenario",

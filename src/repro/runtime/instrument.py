@@ -1,15 +1,14 @@
 """Instrumentation glue shared by every pipeline run.
 
-The heartbeat watcher, trace export, and ledger finalization used to
-be private helpers of the CLI monolith; they are workload-independent
-(both the crawl and the traffic simulation feed them) and live here
-so pipelines and sinks can share one copy.
+The heartbeat watcher and ledger finalization used to be private
+helpers of the CLI monolith; they are workload-independent (both the
+crawl and the traffic simulation feed them) and live here so
+pipelines and sinks can share one copy.
 """
 
 from __future__ import annotations
 
 from repro.runtime.console import diag
-from repro.telemetry import Span
 
 
 def counter_total(registry, name: str):
@@ -50,24 +49,6 @@ def ledger_watch(hb, rules, unit: str = "pages"):
         hb.tick(fields, force=done == total)
 
     return watch
-
-
-def export_trace(trace, trace_out, want_metrics: bool) -> None:
-    """Write the requested trace artifact(s); summary goes to stdout."""
-    if trace_out:
-        if str(trace_out).endswith(".jsonl"):
-            with open(trace_out, "w", encoding="utf-8") as handle:
-                handle.writelines(map(Span.to_line, trace.spans))
-            diag(f"trace: {len(trace.spans)} spans -> {trace_out} "
-                 "(span JSONL)")
-        else:
-            count = trace.write_chrome_trace(trace_out)
-            diag(f"trace: {count} spans -> {trace_out} "
-                 "(Chrome trace_event; load in Perfetto or "
-                 "about:tracing)")
-    if want_metrics:
-        print(trace.metrics_summary())
-        print()
 
 
 def finish_ledger(ledger_dir, record) -> None:

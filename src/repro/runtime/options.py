@@ -55,6 +55,12 @@ class InstrumentationOptions:
         return bool(self.trace_out) or self.metrics
 
     @property
+    def trace_jsonl(self) -> bool:
+        """The trace artifact is span JSONL, which the shard merge
+        streams; any other name gets the Chrome document."""
+        return str(self.trace_out).endswith(".jsonl")
+
+    @property
     def want_audit(self) -> bool:
         return bool(self.audit_out) or self.force_audit
 

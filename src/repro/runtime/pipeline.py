@@ -4,8 +4,10 @@ Every simulation command is the same five stages:
 
 1. **configure** -- the workload fixes the experiment definition
    (dataset/scenario config + shard layout) and its fingerprint;
-2. **gates** -- SLO rules load up front, so a malformed gate file
-   aborts before any simulation (exit 2);
+2. **gates** -- SLO rules load and every artifact the run names is
+   opened (:mod:`repro.runtime.artifacts`) up front, so a malformed
+   gate file or an unwritable path aborts before any simulation
+   (exit 2);
 3. **execute** -- the workload runs on ``jobs`` workers, live
    (instrumented, cache-bypassing) or cached;
 4. **sink** -- the ordered sink list persists artifacts and prints
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.runtime.artifacts import RunArtifacts
 from repro.runtime.options import InstrumentationOptions
 from repro.runtime.workloads import RunOutcome
 
@@ -47,12 +50,19 @@ class RunPipeline:
         options = self.instrumentation
         rules = options.load_rules()
         live = bool(self.workload.always_live or options.live)
-        if live:
-            outcome = self.workload.execute_live(
-                self.jobs, options, rules)
-        else:
-            outcome = self.workload.execute_cached(self.jobs)
-        for sink in self.workload.sinks(options, rules, live=live,
-                                        render=self.render):
-            sink(outcome)
+        artifacts = RunArtifacts(options, self.workload.out_label,
+                                 self.workload.out_path)
+        try:
+            if live:
+                outcome = self.workload.execute_live(
+                    self.jobs, options, rules, artifacts)
+            else:
+                outcome = self.workload.execute_cached(self.jobs)
+            for sink in self.workload.sinks(options, rules, live=live,
+                                            render=self.render,
+                                            artifacts=artifacts):
+                sink(outcome)
+        except BaseException:
+            artifacts.discard()
+            raise
         return outcome

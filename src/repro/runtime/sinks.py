@@ -3,17 +3,18 @@
 A sink consumes a finished :class:`~repro.runtime.workloads.RunOutcome`
 and persists or renders one artifact: crawl cache entry, trace file,
 metrics summary, audit JSONL, traffic aggregate, ledger record, or
-the command's stdout tables.  Workloads assemble an *ordered* sink
-list from the instrumentation options; the order is part of the CLI's
-output contract (diagnostics interleave with stdout deterministically)
-and must not be shuffled.
+the command's stdout tables.  A file artifact was opened before the
+run (:mod:`repro.runtime.artifacts`); its sink publishes it.
+Workloads assemble an *ordered* sink list from the instrumentation
+options; the order is part of the CLI's output contract (diagnostics
+interleave with stdout deterministically) and must not be shuffled.
 """
 
 from __future__ import annotations
 
-from repro.audit.log import AuditEvent
 from repro.runtime.console import diag
-from repro.runtime.instrument import export_trace, finish_ledger
+from repro.runtime.instrument import finish_ledger
+from repro.telemetry.exporters import write_chrome_trace
 
 
 class CacheStoreSink:
@@ -55,55 +56,70 @@ class CacheStatusSink:
 
 class TraceSink:
     """Span artifact + optional metrics summary (``--trace`` /
-    ``--metrics``); a no-op when neither was requested."""
+    ``--metrics``); a no-op when neither was requested.  Span JSONL
+    was streamed as the shards merged; a Chrome trace is written
+    here, from the spans the run kept."""
 
-    def __init__(self, options) -> None:
+    def __init__(self, options, artifact) -> None:
         self.options = options
+        self.artifact = artifact
 
     def __call__(self, outcome) -> None:
-        export_trace(outcome.trace, self.options.trace_out,
-                     self.options.metrics)
+        trace, artifact = outcome.trace, self.artifact
+        if artifact is not None:
+            if self.options.trace_jsonl:
+                artifact.publish()
+                diag(f"trace: {trace.span_count} spans -> "
+                     f"{artifact.path} (span JSONL)")
+            else:
+                count = write_chrome_trace(artifact.handle, trace.spans)
+                artifact.publish()
+                diag(f"trace: {count} spans -> {artifact.path} "
+                     "(Chrome trace_event; load in Perfetto or "
+                     "about:tracing)")
+        if self.options.metrics:
+            print(trace.metrics_summary())
+            print()
 
 
 class AuditSink:
-    """Canonical audit JSONL (``--audit OUT``)."""
+    """Canonical audit JSONL (``--audit OUT``), streamed as the shards
+    merged."""
 
-    def __init__(self, out) -> None:
-        self.out = out
+    def __init__(self, artifact) -> None:
+        self.artifact = artifact
 
     def __call__(self, outcome) -> None:
-        events = outcome.trace.audit
-        with open(self.out, "w", encoding="utf-8") as handle:
-            handle.writelines(map(AuditEvent.to_line, events))
-        diag(f"audit: {len(events)} events -> {self.out} "
-             "(JSONL)")
+        self.artifact.publish()
+        diag(f"audit: {outcome.trace.event_count} events -> "
+             f"{self.artifact.path} (JSONL)")
 
 
 class AggregateSink:
     """Traffic aggregate JSONL (``--out OUT``), byte-identical
     across ``--jobs``."""
 
-    def __init__(self, out) -> None:
-        self.out = out
+    def __init__(self, artifact) -> None:
+        self.artifact = artifact
 
     def __call__(self, outcome) -> None:
-        with open(self.out, "w", encoding="utf-8") as handle:
-            handle.write(outcome.result.to_jsonl())
-        diag(f"aggregate: -> {self.out} (canonical JSONL)")
+        self.artifact.handle.write(outcome.result.to_jsonl())
+        self.artifact.publish()
+        diag(f"aggregate: -> {self.artifact.path} (canonical JSONL)")
 
 
 class ChaosReportSink:
     """Canonical blast-radius report JSONL (``chaos --out OUT``),
     byte-identical across ``--jobs``."""
 
-    def __init__(self, out) -> None:
-        self.out = out
+    def __init__(self, artifact) -> None:
+        self.artifact = artifact
 
     def __call__(self, outcome) -> None:
         report = outcome.extras["report"]
-        with open(self.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_jsonl())
-        diag(f"report: -> {self.out} (canonical JSONL)")
+        self.artifact.handle.write(report.to_jsonl())
+        self.artifact.publish()
+        diag(f"report: -> {self.artifact.path} (canonical JSONL)")
 
 
 class LedgerSink:

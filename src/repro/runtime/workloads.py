@@ -75,6 +75,7 @@ class CrawlWorkload:
 
     unit = "pages"
     always_live = False
+    out_label = out_path = None
 
     def __init__(self, config, params, shards: int = 0,
                  cache_dir=None, no_cache: bool = False,
@@ -97,8 +98,10 @@ class CrawlWorkload:
 
         return cache_key(self.config, self.params, self.shard_count)
 
-    def execute_live(self, jobs: int, options, rules) -> RunOutcome:
-        """Instrumented crawl: heartbeat + spans/audit/metrics.
+    def execute_live(self, jobs: int, options, rules,
+                     artifacts) -> RunOutcome:
+        """Instrumented crawl: heartbeat + spans/audit/metrics, the
+        records streaming into ``artifacts`` as the shards merge.
 
         Bypasses cache reads -- a cache hit would skip the simulation
         and produce no spans, audit events, or phase histograms -- but
@@ -106,7 +109,7 @@ class CrawlWorkload:
         """
         return run_live(rules, self.unit, partial(
             self._crawl, jobs, (options.want_trace, options.want_audit),
-            reuse=False,
+            reuse=False, crawl_trace=artifacts.crawl_trace(),
         ))
 
     def execute_cached(self, jobs: int) -> RunOutcome:
@@ -117,7 +120,7 @@ class CrawlWorkload:
                            progress=shard_progress)
 
     def _crawl(self, jobs: int, collect, reuse: bool, progress=None,
-               watch=None) -> RunOutcome:
+               watch=None, crawl_trace=None) -> RunOutcome:
         """Both paths: read the cache when ``reuse`` allows, else run
         :func:`~repro.dataset.shard.crawl_shards` with the entry's
         ``.tmp`` open, so the shards merge straight into it."""
@@ -134,9 +137,10 @@ class CrawlWorkload:
                 return outcome
         with (nullcontext() if self.cache is None
               else self.cache.writing(fingerprint)) as entry:
-            outcome.result, outcome.trace, _ = crawl_shards(
+            outcome.result, outcome.trace = crawl_shards(
                 self.shards, self.params, jobs, collect=collect,
                 archive_out=entry, progress=progress, watch=watch,
+                crawl_trace=crawl_trace,
             )
         return outcome
 
@@ -149,17 +153,17 @@ class CrawlWorkload:
             outcome.trace.metrics, slo_rules=rules,
         )
 
-    def sinks(self, options, rules, live: bool,
-              render=None) -> List[object]:
+    def sinks(self, options, rules, live: bool, render=None,
+              artifacts=None) -> List[object]:
         """Ordered sinks (the legacy diag/stdout interleaving):
         cache, trace+metrics, audit, ledger, then the command's
         rendering."""
         sinks: List[object] = []
         if live:
             sinks.append(CacheStoreSink(self.cache))
-            sinks.append(TraceSink(options))
-            if options.audit_out:
-                sinks.append(AuditSink(options.audit_out))
+            sinks.append(TraceSink(options, artifacts.trace))
+            if artifacts.audit is not None:
+                sinks.append(AuditSink(artifacts.audit))
             if options.ledger_dir:
                 sinks.append(
                     LedgerSink(options.ledger_dir, rules, self))
@@ -176,6 +180,7 @@ class TrafficWorkload:
 
     unit = "visits"
     always_live = True
+    out_label = "aggregate"
 
     def __init__(self, scenario, shards: int = 0,
                  scenario_name: str = "baseline",
@@ -185,16 +190,18 @@ class TrafficWorkload:
         self.scenario = scenario
         self.shard_count = len(plan_user_shards(scenario, shards or None))
         self.scenario_name = scenario_name
-        self.aggregate_out = aggregate_out
+        self.out_path = aggregate_out
 
-    def execute_live(self, jobs: int, options, rules) -> RunOutcome:
+    def execute_live(self, jobs: int, options, rules,
+                     artifacts) -> RunOutcome:
         from repro.traffic import run_scenario
 
         aggregate, trace = run_live(
             rules, self.unit,
             partial(run_scenario, self.scenario,
                     shard_count=self.shard_count, jobs=jobs,
-                    audit=options.want_audit, trace=options.want_trace),
+                    audit=options.want_audit, trace=options.want_trace,
+                    crawl_trace=artifacts.crawl_trace()),
         )
         return RunOutcome(
             config=self.scenario, shard_count=self.shard_count,
@@ -210,18 +217,18 @@ class TrafficWorkload:
             scenario_name=self.scenario_name,
         )
 
-    def sinks(self, options, rules, live: bool,
-              render=None) -> List[object]:
+    def sinks(self, options, rules, live: bool, render=None,
+              artifacts=None) -> List[object]:
         """Ordered sinks: trace+metrics, *then* the stdout summary
         and tables, then aggregate/audit/ledger artifacts -- the
         exact interleaving the traffic command always printed."""
-        sinks: List[object] = [TraceSink(options)]
+        sinks: List[object] = [TraceSink(options, artifacts.trace)]
         if render is not None:
             sinks.append(RenderSink(render))
-        if self.aggregate_out:
-            sinks.append(AggregateSink(self.aggregate_out))
-        if options.audit_out:
-            sinks.append(AuditSink(options.audit_out))
+        if artifacts.out is not None:
+            sinks.append(AggregateSink(artifacts.out))
+        if artifacts.audit is not None:
+            sinks.append(AuditSink(artifacts.audit))
         if options.ledger_dir:
             sinks.append(LedgerSink(options.ledger_dir, rules, self))
         return sinks
@@ -239,6 +246,7 @@ class ChaosWorkload:
 
     unit = "pages"
     always_live = True
+    out_label = "report"
 
     def __init__(self, config, params, schedule, retry_policy,
                  shards: int = 0,
@@ -251,7 +259,7 @@ class ChaosWorkload:
         self.retry_policy = retry_policy
         self.shards = plan_shards(config, shards or None)
         self.shard_count = len(self.shards)
-        self.report_out = report_out
+        self.out_path = report_out
 
     def fingerprint(self) -> str:
         """Crawl cache key extended with the schedule and retry
@@ -269,13 +277,15 @@ class ChaosWorkload:
             "retry": dataclasses.asdict(self.retry_policy),
         })
 
-    def execute_live(self, jobs: int, options, rules) -> RunOutcome:
+    def execute_live(self, jobs: int, options, rules,
+                     artifacts) -> RunOutcome:
         from repro.chaos.run import run_chaos
 
         result, trace, report = run_live(
             rules, self.unit,
             partial(run_chaos, self.shards, self.params, self.schedule,
-                    self.retry_policy, jobs, options.want_trace),
+                    self.retry_policy, jobs, options.want_trace,
+                    crawl_trace=artifacts.crawl_trace()),
         )
         return RunOutcome(
             config=self.config, shard_count=self.shard_count,
@@ -311,17 +321,17 @@ class ChaosWorkload:
             )
         return record
 
-    def sinks(self, options, rules, live: bool,
-              render=None) -> List[object]:
+    def sinks(self, options, rules, live: bool, render=None,
+              artifacts=None) -> List[object]:
         """Ordered sinks: trace+metrics, the stdout report, then the
         report/audit/ledger artifacts (the traffic interleaving)."""
-        sinks: List[object] = [TraceSink(options)]
+        sinks: List[object] = [TraceSink(options, artifacts.trace)]
         if render is not None:
             sinks.append(RenderSink(render))
-        if self.report_out:
-            sinks.append(ChaosReportSink(self.report_out))
-        if options.audit_out:
-            sinks.append(AuditSink(options.audit_out))
+        if artifacts.out is not None:
+            sinks.append(ChaosReportSink(artifacts.out))
+        if artifacts.audit is not None:
+            sinks.append(AuditSink(artifacts.audit))
         if options.ledger_dir:
             sinks.append(LedgerSink(options.ledger_dir, rules, self))
         return sinks

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, Optional, TextIO
 
-from repro.audit.log import NULL_AUDIT, AuditLog
+from repro.audit.log import NULL_AUDIT, AuditEvent, AuditLog
 from repro.obs.phases import NOT_APPLICABLE, NULL_PHASES, PhaseRecorder
 from repro.telemetry.metrics import (  # noqa: F401
     Counter,
@@ -114,32 +114,56 @@ class CrawlTrace:
     Spans and audit events are merged in shard order with globally
     renumbered ids, so the trace is identical whatever ``jobs`` count
     produced it.
+
+    ``span_out``/``audit_out`` are open text files the merge streams
+    each adopted shard's records to as JSONL lines (a pipeline run's
+    ``.tmp`` artifacts, :mod:`repro.runtime.artifacts`).  Records stay
+    in ``spans``/``audit`` only while ``keep_spans``/``keep_audit`` --
+    for a caller that reads them after the run (``repro explain``, the
+    Chrome trace export, the library API); otherwise each shard's
+    records die with the shard.
     """
 
     spans: List[Span] = field(default_factory=list)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     audit: list = field(default_factory=list)
+    span_out: Optional[TextIO] = None
+    audit_out: Optional[TextIO] = None
+    keep_spans: bool = True
+    keep_audit: bool = True
+    #: Records adopted so far: the renumbering offsets, and the counts
+    #: the sinks report.
+    span_count: int = 0
+    event_count: int = 0
 
     def extend(self, spans: List[Span], shard: int) -> None:
         """Adopt one shard's spans: tag the shard, renumber ids after
         the ones already merged (a tracer numbers its spans 0..n-1,
         so ids and parent ids shift by the same offset)."""
-        offset = len(self.spans)
+        offset = self.span_count
         for span in spans:
             span.span_id += offset
             if span.parent_id is not None:
                 span.parent_id += offset
             span.shard = shard
-        self.spans.extend(spans)
+        self.span_count += len(spans)
+        if self.span_out is not None:
+            self.span_out.writelines(map(Span.to_line, spans))
+        if self.keep_spans:
+            self.spans.extend(spans)
 
     def extend_audit(self, events, shard: int) -> None:
         """Adopt one shard's audit events: tag the shard, renumber the
         sequence after the ones already merged."""
-        offset = len(self.audit)
+        offset = self.event_count
         for event in events:
             event.seq += offset
             event.shard = shard
-        self.audit.extend(events)
+        self.event_count += len(events)
+        if self.audit_out is not None:
+            self.audit_out.writelines(map(AuditEvent.to_line, events))
+        if self.keep_audit:
+            self.audit.extend(events)
 
     def adopt(self, result, shard: int) -> None:
         """Merge one shard's telemetry bundle (a
@@ -150,11 +174,6 @@ class CrawlTrace:
         self.extend_audit(result.events, shard=shard)
 
     # -- export -----------------------------------------------------------
-
-    def write_chrome_trace(self, path) -> int:
-        from repro.telemetry.exporters import write_chrome_trace
-
-        return write_chrome_trace(path, self.spans)
 
     def metrics_summary(self) -> str:
         from repro.telemetry.exporters import render_metrics_summary

@@ -15,7 +15,7 @@ Three formats:
 from __future__ import annotations
 
 import json
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, TextIO
 
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.tracer import Span
@@ -94,13 +94,16 @@ def chrome_trace_document(spans: Sequence[Span]) -> dict:
     }
 
 
-def write_chrome_trace(path, spans: Sequence[Span]) -> int:
-    """Write the trace_event JSON; returns the span count."""
-    document = chrome_trace_document(spans)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True,
-                  separators=(",", ":"))
-        handle.write("\n")
+def write_chrome_trace(out: TextIO, spans: Sequence[Span]) -> int:
+    """Write the trace_event JSON to the open text file ``out``;
+    returns the span count.
+
+    Unlike span JSONL this cannot stream shard by shard: the document
+    opens with one process-name block per shard that emitted a span,
+    which is known only once the last shard is merged."""
+    json.dump(chrome_trace_document(spans), out, sort_keys=True,
+              separators=(",", ":"))
+    out.write("\n")
     return len(spans)
 
 

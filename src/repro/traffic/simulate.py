@@ -228,11 +228,13 @@ def run_scenario(
     trace: bool = False,
     progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
+    crawl_trace: Optional[CrawlTrace] = None,
 ) -> Tuple[TrafficAggregate, CrawlTrace]:
     """Run a scenario over its shard plan, merging in shard order.
 
     ``watch`` (if given) sees the merged-so-far trace after each
-    shard -- the run ledger's heartbeat hook.
+    shard -- the run ledger's heartbeat hook; ``crawl_trace`` is
+    :func:`~repro.dataset.shard.merge_shards`'.
     """
     shards = plan_user_shards(scenario, shard_count)
     merged = TrafficAggregate(
@@ -245,7 +247,7 @@ def run_scenario(
         [(shard, audit, trace) for shard in shards],
         jobs,
         lambda result: merged.merge(result.payload),
-        progress, watch,
+        progress, watch, crawl_trace,
     )
     return merged, crawl_trace
 

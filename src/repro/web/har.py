@@ -14,13 +14,14 @@ DNS because the connection was reused).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List
 
 NOT_APPLICABLE = -1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class HarTimings:
     """Per-request phase durations in milliseconds."""
 
@@ -51,7 +52,7 @@ class HarTimings:
         return self.dns >= 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class HarEntry:
     """One request in a page-load timeline."""
 
@@ -89,7 +90,7 @@ class HarEntry:
         return self.timings.ssl >= 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class HarPage:
     """Page-level summary."""
 
@@ -154,16 +155,8 @@ class HarArchive:
         ``dataclasses.asdict`` builds, without its per-value recursion
         and deep copies (``to_json`` of a crawl is this, many times)."""
         return {
-            "page": dict(vars(self.page)),
-            "entries": [
-                {
-                    **vars(entry),
-                    "timings": dict(vars(entry.timings)),
-                    "dns_addresses": list(entry.dns_addresses),
-                    "certificate_san": list(entry.certificate_san),
-                }
-                for entry in self.entries
-            ],
+            "page": _page_dict(self.page),
+            "entries": [_entry_dict(entry) for entry in self.entries],
         }
 
     def to_json(self) -> str:
@@ -182,3 +175,25 @@ class HarArchive:
     @classmethod
     def from_json(cls, text: str) -> "HarArchive":
         return cls.from_dict(json.loads(text))
+
+
+def _fields_reader(cls):
+    """``record -> dict`` of a slotted record's fields in declaration
+    order, read in one C call (the records have no ``__dict__`` to
+    copy)."""
+    names = tuple(f.name for f in fields(cls))
+    values = attrgetter(*names)
+    return lambda record: dict(zip(names, values(record)))
+
+
+_page_dict = _fields_reader(HarPage)
+_timings_dict = _fields_reader(HarTimings)
+_entry_fields = _fields_reader(HarEntry)
+
+
+def _entry_dict(entry: HarEntry) -> Dict:
+    doc = _entry_fields(entry)
+    doc["timings"] = _timings_dict(entry.timings)
+    doc["dns_addresses"] = list(entry.dns_addresses)
+    doc["certificate_san"] = list(entry.certificate_san)
+    return doc

@@ -184,8 +184,8 @@ class TestEmptyScheduleNonPerturbation:
         shards = plan_shards(DatasetConfig(site_count=6, seed=2022), 2)
         params = tiny_params()
 
-        p_result, p_trace, _ = crawl_shards(shards, params, 1,
-                                            collect=(True, True))
+        p_result, p_trace = crawl_shards(shards, params, 1,
+                                         collect=(True, True))
         c_result, c_trace, report = run_chaos(
             shards, params, EMPTY_SCHEDULE, DEFAULT_RETRY_POLICY, 1,
             trace=True,

@@ -1,11 +1,16 @@
 """CLI smoke tests (tiny scales; each command end to end)."""
 
 import argparse
+import pathlib
 
 import pytest
 
 from repro import __version__
 from repro.cli import POLICIES, _parse_alpn, _parse_tables, build_parser, main
+from repro.dataset import shard as shard_module
+
+FAULTS_DEMO = str(pathlib.Path(__file__).resolve().parent.parent
+                  / "examples" / "faults_demo.toml")
 
 
 class TestParser:
@@ -122,6 +127,77 @@ class TestParseTables:
 
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_tables("1,9")
+
+
+def _no_shards(*_args, **_kwargs):
+    raise AssertionError("a shard ran")
+
+
+class TestUnwritableArtifacts:
+    """Every file a run names is opened, as ``OUT.tmp``, before the
+    first shard: a path that cannot be written exits 2 with one line
+    naming it, having simulated nothing, stored no cache entry and
+    left no ``.tmp`` -- not even of the artifacts opened before it."""
+
+    CRAWL = ["crawl", "--sites", "40", "--seed", "7"]
+    TRAFFIC = ["traffic", "--users", "10", "--sites", "6"]
+    CHAOS = ["chaos", "--schedule", FAULTS_DEMO, "--sites", "12"]
+
+    @pytest.mark.parametrize("argv,flag,label", [
+        (CRAWL, "--audit", "audit"),
+        (CRAWL, "--trace", "trace"),
+        (["explain", "--sites", "12"], "--audit", "audit"),
+        (TRAFFIC, "--out", "aggregate"),
+        (TRAFFIC, "--audit", "audit"),
+        (CHAOS, "--out", "report"),
+        (CHAOS, "--audit", "audit"),
+    ], ids=["crawl-audit", "crawl-trace", "explain-audit", "traffic-out",
+            "traffic-audit", "chaos-out", "chaos-audit"])
+    def test_missing_directory_exits_2_before_any_shard(
+        self, tmp_path, monkeypatch, capsys, argv, flag, label
+    ):
+        monkeypatch.setattr(shard_module, "run_shards", _no_shards)
+        bad = tmp_path / "missing" / "out.jsonl"
+        # A good trace artifact opens first, then must be removed too.
+        good = [] if flag == "--trace" else [
+            "--trace", str(tmp_path / "t.jsonl")]
+        cache = [] if argv is self.TRAFFIC else [
+            "--cache-dir", str(tmp_path / "cache")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *cache, *good, flag, str(bad)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == \
+            f"{label}: cannot write {bad}: No such file or directory"
+        assert "shards:" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_is_not_a_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.CRAWL, "--no-cache", "--audit", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == \
+            f"audit: cannot write {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_run_that_raises_leaves_no_tmp(self, tmp_path, monkeypatch,
+                                             capsys):
+        real = shard_module.crawl_shard
+
+        def second_raises(spec, *args):
+            if spec.index == 1:
+                raise RuntimeError("shard 1 died")
+            return real(spec, *args)
+
+        monkeypatch.setattr(shard_module, "crawl_shard", second_raises)
+        with pytest.raises(RuntimeError, match="shard 1 died"):
+            main(["crawl", "--sites", "8", "--shards", "2",
+                  "--cache-dir", str(tmp_path / "cache"),
+                  "--trace", str(tmp_path / "t.jsonl"),
+                  "--audit", str(tmp_path / "a.jsonl")])
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cache"]
 
 
 class TestCommands:

@@ -340,8 +340,8 @@ class TestStreamedStore:
             sizes.append(tmp.stat().st_size)
 
         with cache.writing(KEY) as entry:
-            result, _, _ = crawl_shards(plan_shards(CONFIG, 4), PARAMS, 1,
-                                        archive_out=entry, progress=progress)
+            result, _ = crawl_shards(plan_shards(CONFIG, 4), PARAMS, 1,
+                                     archive_out=entry, progress=progress)
             assert cache.load(KEY).archives == make_result().archives
         assert sizes == sorted(sizes) and len(set(sizes)) == 4
         assert cache.store(KEY) == cache.path_for(KEY)

@@ -6,8 +6,12 @@ of worker processes -- ``jobs=4`` must equal ``jobs=1``
 archive-for-archive.
 """
 
+import gc
+import weakref
+
 import pytest
 
+from repro.dataset import shard as shard_module
 from repro.dataset.generator import DatasetConfig, PageGenerator
 from repro.dataset.shard import (
     CrawlParams,
@@ -125,6 +129,54 @@ class TestParallelDeterminism:
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen == [(1, 3), (2, 3), (3, 3)]
+
+
+class TestFoldMemory:
+    """The merge holds one shard at a time: a shard's world -- cyclic
+    garbage once its crawl returns -- is freed as soon as the fold has
+    absorbed the shard, before the next world is built, and the
+    fold-scoped freeze never outlives the fold."""
+
+    CONFIG = DatasetConfig(site_count=9, seed=5)
+
+    @pytest.fixture
+    def worlds(self, monkeypatch):
+        """A weak reference to every world a shard builds."""
+        built = []
+        real = ShardSpec.build_world
+
+        def recording(spec):
+            world = real(spec)
+            built.append(weakref.ref(world))
+            return world
+
+        monkeypatch.setattr(ShardSpec, "build_world", recording)
+        return built
+
+    @pytest.mark.parametrize("collect", [None, (True, True)],
+                             ids=["plain", "observed"])
+    def test_each_world_is_freed_once_absorbed(self, worlds, collect):
+        alive = []
+        crawl_shards(
+            plan_shards(self.CONFIG, 3), CrawlParams(), 1, collect=collect,
+            progress=lambda done, total: alive.append(
+                [ref() is not None for ref in worlds]),
+        )
+        assert alive == [[False], [False, False], [False, False, False]]
+        assert gc.get_freeze_count() == 0
+
+    def test_nothing_stays_frozen_when_a_shard_raises(self, monkeypatch):
+        real = shard_module.crawl_shard
+
+        def second_raises(spec, *args):
+            if spec.index == 1:
+                raise RuntimeError("shard 1 died")
+            return real(spec, *args)
+
+        monkeypatch.setattr(shard_module, "crawl_shard", second_raises)
+        with pytest.raises(RuntimeError, match="shard 1 died"):
+            crawl_shards(plan_shards(self.CONFIG, 3), CrawlParams(), 1)
+        assert gc.get_freeze_count() == 0
 
 
 class TestShardSpec:

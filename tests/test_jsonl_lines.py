@@ -13,8 +13,10 @@ from repro.audit.reasons import ReasonCode
 from repro.cli import main
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import CrawlParams, crawl_shard, plan_shards
+from repro.runtime import InstrumentationOptions
+from repro.runtime.artifacts import RunArtifacts
 from repro.runtime.sinks import AuditSink, TraceSink
-from repro.telemetry import CrawlTrace, Span
+from repro.telemetry import Span
 from repro.telemetry.exporters import spans_from_jsonl, spans_to_jsonl
 
 
@@ -124,12 +126,21 @@ class TestToLine:
                 hash(record)
 
 
-def _export(tmp_path, trace):
-    """Run the two sinks over ``trace``; returns (span, audit) paths."""
+def _export(tmp_path, spans=(), events=()):
+    """Stream ``spans`` and ``events`` (shard 0's records, so the
+    merge renumbers nothing) into a run's artifacts as the shard merge
+    does, and publish them with the two sinks; returns the (span,
+    audit) paths."""
     t, a = tmp_path / "t.jsonl", tmp_path / "a.jsonl"
+    options = InstrumentationOptions(trace_out=str(t), audit_out=str(a))
+    artifacts = RunArtifacts(options)
+    trace = artifacts.crawl_trace()
+    trace.extend(spans, shard=0)
+    trace.extend_audit(events, shard=0)
+    assert trace.spans == [] and trace.audit == []
     outcome = SimpleNamespace(trace=trace)
-    TraceSink(SimpleNamespace(trace_out=str(t), metrics=False))(outcome)
-    AuditSink(str(a))(outcome)
+    TraceSink(options, artifacts.trace)(outcome)
+    AuditSink(artifacts.audit)(outcome)
     return t, a
 
 
@@ -137,14 +148,11 @@ class TestStreamedFiles:
     def test_sinks_write_the_lines_and_parsers_round_trip(
         self, tmp_path, real_shard
     ):
-        trace = CrawlTrace(spans=list(real_shard.spans),
-                           audit=list(real_shard.events))
-        t, a = _export(tmp_path, trace)
-        assert t.read_text("utf-8") == "".join(
-            map(reference_line, trace.spans))
-        assert a.read_text("utf-8") == "".join(
-            map(reference_line, trace.audit))
-        assert spans_from_jsonl(t.read_text("utf-8")) == trace.spans
+        spans, events = list(real_shard.spans), list(real_shard.events)
+        t, a = _export(tmp_path, spans, events)
+        assert t.read_text("utf-8") == "".join(map(reference_line, spans))
+        assert a.read_text("utf-8") == "".join(map(reference_line, events))
+        assert spans_from_jsonl(t.read_text("utf-8")) == spans
         # at_ms is rounded on export, so events compare by their lines.
         parsed = events_from_jsonl(a.read_text("utf-8"))
         assert events_to_jsonl(parsed) == a.read_text("utf-8")
@@ -154,36 +162,39 @@ class TestStreamedFiles:
     ):
         """``reference_line`` is how the parent commit wrote the
         file."""
-        trace = CrawlTrace(audit=list(real_shard.events))
-        _, streamed = _export(tmp_path, trace)
+        events = list(real_shard.events)
+        _, streamed = _export(tmp_path, events=events)
         before = tmp_path / "before.jsonl"
-        before.write_text("".join(map(reference_line, trace.audit)),
+        before.write_text("".join(map(reference_line, events)),
                           encoding="utf-8")
         capsys.readouterr()
         assert main(["audit-diff", str(before), str(streamed)]) == 0
         assert "no changes" in capsys.readouterr().out
 
     def test_export_holds_no_whole_artifact(self, tmp_path):
-        """20,000 spans + 20,000 events: the sinks may buffer a line
+        """20,000 spans + 20,000 events: the export may buffer a line
         and a file block, not megabytes of lines (joining them first
-        peaked above 10 MB)."""
+        peaked above 10 MB).  Traced from before the records exist: the
+        merge renumbers every id in place, and the ints it replaces
+        must count as freed."""
         count = 20_000
-        trace = CrawlTrace(
+        tracemalloc.start()
+        records = dict(
             spans=[Span(i, "browser.fetch", "browser", i * 1.5, i * 1.5 + 1,
                         parent_id=i - 1 if i else None,
                         attrs={"url": f"https://site-{i}.example/p",
                                "status": 200, "coalesced": False})
                    for i in range(count)],
-            audit=[AuditEvent(i, "decision", _REASON, i * 0.25,
+            events=[AuditEvent(i, "decision", _REASON, i * 0.25,
                               page=f"https://site-{i}.example/",
                               hostname=f"cdn-{i}.example", path="/asset.js",
                               decision="new-connection", attrs={"ip": "10.0.0.1"})
                    for i in range(count)],
         )
-        tracemalloc.start()
         try:
             retained, _ = tracemalloc.get_traced_memory()
-            t, a = _export(tmp_path, trace)
+            tracemalloc.reset_peak()
+            t, a = _export(tmp_path, **records)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -133,7 +133,7 @@ class TestTelemetryHandle:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_uncollected_crawl_leaves_the_null_registry_empty(self, jobs):
         shards = plan_shards(DatasetConfig(site_count=8, seed=3), 2)
-        result, trace, _ = crawl_shards(shards, CrawlParams(), jobs)
+        result, trace = crawl_shards(shards, CrawlParams(), jobs)
         assert result.success_count > 0
         assert trace.spans == [] and trace.audit == []
         assert len(NULL_TELEMETRY.metrics) == 0
@@ -368,7 +368,8 @@ class TestExporters:
 
     def test_write_chrome_trace_is_valid_json(self, tmp_path):
         path = tmp_path / "trace.json"
-        count = write_chrome_trace(path, self._spans())
+        with open(path, "w", encoding="utf-8") as out:
+            count = write_chrome_trace(out, self._spans())
         assert count == 3
         document = json.loads(path.read_text())
         assert document["displayTimeUnit"] == "ms"

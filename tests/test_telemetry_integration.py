@@ -12,6 +12,8 @@ from repro.dataset.shard import (
     crawl_shards,
     plan_shards,
 )
+from repro.audit.log import events_to_jsonl
+from repro.telemetry import CrawlTrace
 from repro.telemetry.exporters import spans_to_jsonl
 from tests.telemetry_validation import (
     assert_trace_valid,
@@ -63,7 +65,7 @@ class TestTracedCrawl:
         """The zero-overhead claim's other half: a traced crawl yields
         byte-identical archives to an untraced crawl."""
         result, _ = traced
-        untraced, _, _ = crawl_shards(plan_shards(CONFIG, 2), PARAMS, 1)
+        untraced, _ = crawl_shards(plan_shards(CONFIG, 2), PARAMS, 1)
         assert [a.to_json() for a in untraced.archives] \
             == [a.to_json() for a in result.archives]
 
@@ -87,6 +89,32 @@ class TestTraceDeterminism:
 
     def test_jobs_do_not_change_trace(self, traced):
         assert_runs_identical(traced, crawl_traced(jobs=2))
+
+
+class TestStreamedFold:
+    """A pipeline run's fold: the merge streams every shard's spans
+    and audit events into the run's files as it absorbs the shard and
+    keeps none of them, yet the files are the in-memory crawl's
+    exports byte for byte."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_files_are_the_in_memory_exports(self, traced, tmp_path,
+                                             jobs):
+        _, kept = traced
+        with open(tmp_path / "t.jsonl", "w", encoding="utf-8") as spans, \
+                open(tmp_path / "a.jsonl", "w", encoding="utf-8") as audit:
+            _, streamed = crawl_shards(
+                plan_shards(CONFIG, 2), PARAMS, jobs, collect=(True, True),
+                crawl_trace=CrawlTrace(span_out=spans, audit_out=audit,
+                                       keep_spans=False, keep_audit=False),
+            )
+        assert streamed.spans == [] and streamed.audit == []
+        assert (streamed.span_count, streamed.event_count) \
+            == (len(kept.spans), len(kept.audit))
+        assert (tmp_path / "t.jsonl").read_text("utf-8") \
+            == spans_to_jsonl(kept.spans)
+        assert (tmp_path / "a.jsonl").read_text("utf-8") \
+            == events_to_jsonl(kept.audit)
 
 
 class TestFigure2Validation:

@@ -27,7 +27,8 @@ CALIBRATION = "calibration data: the paper's published value"
 
 #: Stored, never loaded by name in ``src/repro``, and kept.
 ALLOWED: Dict[str, str] = {
-    # HarEntry field; the HAR JSON writer emits it through vars().
+    # HarEntry field; the HAR JSON writer emits it through the
+    # dataclass field list (HarArchive.to_dict).
     "transfer_size": SERIALIZED,
     # CohortTally field; the aggregate doc walks dataclass fields.
     "inaccessible": SERIALIZED,

@@ -286,6 +286,17 @@ class TestHarEncodeAgainstAsdict:
             assert archive.to_json() == self.reference_json(archive)
             assert HarArchive.from_json(archive.to_json()) == archive
 
+    def test_records_are_slotted_and_survive_the_pickle_hop(
+            self, shard_archives):
+        import pickle
+
+        archive = next(a for a in shard_archives if a.entries)
+        entry = archive.entries[0]
+        for record in (archive.page, entry, entry.timings):
+            assert not hasattr(record, "__dict__")
+        clone = pickle.loads(pickle.dumps(archive))
+        assert clone == archive and clone.to_json() == archive.to_json()
+
     def test_to_dict_shares_no_list_with_the_archive(self, shard_archives):
         archive = next(a for a in shard_archives if a.entries)
         before = archive.to_json()
