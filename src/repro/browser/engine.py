@@ -516,6 +516,7 @@ class PageLoad:
         state.attempt += 1  # invalidate the dead attempt's callbacks
         state.coalesced = False
         state.reason = reason
+        self.engine.retry_decisions += 1
         audit = self.telemetry.audit
         if audit.enabled:
             audit.record(
@@ -546,6 +547,7 @@ class PageLoad:
         the exhaustion (not a generic request failure) as its
         reason."""
         state.reason = ReasonCode.RETRY_EXHAUSTED
+        self.engine.retry_decisions += 1
         audit = self.telemetry.audit
         if audit.enabled:
             audit.record(
@@ -896,6 +898,9 @@ class BrowserEngine:
         #: QUIC session tickets (cross-hostname validity), shared by
         #: every page load in one browser session.
         self.quic_tickets: List[dict] = []
+        #: Retry decisions taken, retried or exhausted -- one per
+        #: ``retry`` audit event, counted whether or not anyone audits.
+        self.retry_decisions = 0
 
     def load(
         self, page: WebPage, on_complete: Callable[[HarArchive], None]

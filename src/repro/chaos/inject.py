@@ -493,7 +493,7 @@ class FaultInjector:
         the connection down on any unknown frame type (ORIGIN)."""
         middlebox = self._middlebox
         middlebox.stats.connections_inspected += 1
-        inspector = _ConnectionInspector(middlebox, server_end)
+        inspector = _ConnectionInspector(middlebox)
         prior = server_end.outbound_inspector
 
         def inspect(data: bytes) -> bool:

@@ -34,11 +34,15 @@ appends each absorbed shard to the cache entry as it merges
 (:func:`write_archive_lines`), reusing the lines a worker sent.
 
 The fold's memory contract: one shard's world and telemetry are live
-at a time.  A pipeline run's writers -- the cache entry, span JSONL,
-the audit log -- are opened before the first shard and published by
-the run's sinks; the merge streams each shard's records into them as
-it absorbs the shard, then drops the result and frees the shard's
-world (:func:`merge_shards`) before the next one is built.
+at a time, and within a shard only its open connections -- a
+connection frees by reference counting as it closes
+(:meth:`~repro.netsim.transport.Transport.close` drops the callbacks
+that tie its layers together).  A pipeline run's writers -- the cache
+entry, span JSONL, the audit log -- are opened before the first shard
+and published by the run's sinks; the merge streams each shard's
+records into them as it absorbs the shard, then drops the result and
+frees the shard's world (:func:`merge_shards`) before the next one is
+built.
 """
 
 from __future__ import annotations
@@ -419,10 +423,11 @@ def merge_shards(
     The fold holds one shard at a time (the module's memory
     contract): once a result is absorbed it is dropped, and a
     collection scoped to what the shard allocated -- everything older
-    is frozen (:func:`gc.freeze`) -- frees its world, whose
-    connections, streams and tables are reference cycles, before the
-    next shard is built.  Nothing in ``src/repro`` has a finalizer or
-    a weak reference, so when a collection runs cannot change a byte.
+    is frozen (:func:`gc.freeze`) -- frees its world, whose hosts,
+    servers and listeners are reference cycles (its connections are
+    not: each was freed as it closed), before the next shard is
+    built.  Nothing in ``src/repro`` has a finalizer or a weak
+    reference, so when a collection runs cannot change a byte.
     """
     total = len(payloads)
     if crawl_trace is None:

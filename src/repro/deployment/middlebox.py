@@ -37,12 +37,12 @@ class MiddleboxStats(RegistryStats):
 
 
 class _ConnectionInspector:
-    """Per-connection reassembly state for one inspected flow."""
+    """Per-connection reassembly state for one inspected flow.  The
+    flow's transport holds it as its outbound inspector; it keeps no
+    reference back, so it dies with the transport."""
 
-    def __init__(self, middlebox: "BuggyMiddlebox",
-                 transport: Transport) -> None:
+    def __init__(self, middlebox: "BuggyMiddlebox") -> None:
         self.middlebox = middlebox
-        self.transport = transport
         self._record_buffer = bytearray()
         self._frame_buffer = bytearray()
         self.dead = False
@@ -135,5 +135,5 @@ class BuggyMiddlebox:
         if client.name not in self.protected_clients:
             return
         self.stats.connections_inspected += 1
-        inspector = _ConnectionInspector(self, server_end)
+        inspector = _ConnectionInspector(self)
         server_end.outbound_inspector = inspector.inspect

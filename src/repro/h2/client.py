@@ -220,10 +220,18 @@ class H2ClientSession:
         self.closed = True
         if not self.ready and self.failed is None:
             self._fail("connection closed during handshake")
-            return
-        # The connection died mid-flight (e.g. an on-path middlebox
-        # tore it down, §6.7): surface the reset to every outstanding
-        # request as a status-0 response.
+        else:
+            self._fail_outstanding()
+        # Nothing fires after this: drop every callback cycle (the
+        # ready list is already empty -- it ran, or ``_fail`` cleared
+        # it).
+        self.channel.detach()
+        self._on_failed.clear()
+
+    def _fail_outstanding(self) -> None:
+        """The connection died mid-flight (e.g. an on-path middlebox
+        tore it down, §6.7): surface the reset to every outstanding
+        request as a status-0 response."""
         self._end_conn_span(closed="transport")
         if self._h1 is not None:
             # ALPN fell back to HTTP/1.1: the serial queue lives in the
@@ -277,7 +285,9 @@ class H2ClientSession:
         self._end_conn_span(failed=reason)
         for callback in self._on_failed:
             callback(reason)
+        # A failed session never becomes ready: drop both lists.
         self._on_failed.clear()
+        self._on_ready.clear()
 
     def _end_conn_span(self, **attrs) -> None:
         if self._conn_span is not None and not self._conn_span.finished:

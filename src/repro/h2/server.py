@@ -260,6 +260,14 @@ class ServerConnection:
                 )
         self._flush()
 
+    def release(self) -> None:
+        """The transport closed, so nothing reaches this connection
+        any more: drop its channel callbacks and its h1 protocol
+        (whose handler refers back here), so the connection frees by
+        reference counting."""
+        self.channel.detach()
+        self.h1 = None
+
     def _start_h1(self) -> None:
         from repro.h2.http1 import H1ServerProtocol
 
@@ -472,6 +480,7 @@ class H2Server:
     def _connection_closed(self, connection: ServerConnection) -> None:
         self.active_connections -= 1
         self.notify_connection_event("closed", connection)
+        connection.release()
 
     def notify_connection_event(
         self, event: str, connection: ServerConnection
@@ -486,12 +495,14 @@ class H2Server:
         )
 
         self.stats.connections += 1
-        QuicServerConnection(self, QuicServerChannel(
+        connection = QuicServerConnection(self, QuicServerChannel(
             transport,
             self.config.chain_for_sni,
             supported_alpn=("h3",),
             ticket_manager=self.quic_ticket_manager,
         ))
+        # h3 flows stay out of the connection count and its events.
+        transport.on_close = connection.release
 
     def _accept_plain(self, transport: Transport) -> None:
         from repro.h2.http1 import H1ServerProtocol

@@ -158,6 +158,12 @@ class TlsChannel:
         if not self.transport.closed:
             self.transport.close()
 
+    def detach(self) -> None:
+        """Drop the owner's callbacks once the transport has closed --
+        no record arrives after that, so none can fire again -- which
+        breaks the owner <-> channel cycle."""
+        self.on_app_data = self.on_established = self.on_failed = None
+
     def _fail(self, reason: str) -> None:
         """Fail the handshake here: alert the peer and close."""
         self._handshake_failed(reason)

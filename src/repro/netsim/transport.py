@@ -133,6 +133,7 @@ class Transport:
         if self.on_close is not None:
             self.on_close()
         peer = self.peer
+        self._release()
         if notify_peer and peer is not None and not peer.closed:
             # The FIN travels in sequence order: it must not overtake
             # data already in flight (e.g. a TLS alert sent just before
@@ -149,6 +150,7 @@ class Transport:
                     peer.closed = True
                     if peer.on_close is not None:
                         peer.on_close()
+                    peer._release()
 
             self._loop.schedule_at(arrival, deliver_fin)
 
@@ -164,6 +166,19 @@ class Transport:
                 endpoint.closed = True
                 if endpoint.on_close is not None:
                     endpoint.on_close()
+                endpoint._release()
+
+    def _release(self) -> None:
+        """Drop this closed endpoint's callbacks -- the last one has
+        run: a closed endpoint is never delivered data and never
+        closes again -- and, once both ends are closed, the link
+        between them.  What the callbacks hold (the channel and
+        session above) then frees by reference counting, not by
+        waiting for the cyclic collector."""
+        self.on_data = self.on_close = self.outbound_inspector = None
+        peer = self.peer
+        if peer is not None and peer.closed:
+            peer.peer = self.peer = None
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"

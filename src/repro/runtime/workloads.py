@@ -194,15 +194,20 @@ class TrafficWorkload:
 
     def execute_live(self, jobs: int, options, rules,
                      artifacts) -> RunOutcome:
+        """Collectors only when something watches (``options.live``):
+        an unwatched run simulates on the null handle and prints the
+        per-shard progress lines, since the heartbeat reads metrics
+        such a run never collects."""
         from repro.traffic import run_scenario
 
-        aggregate, trace = run_live(
-            rules, self.unit,
-            partial(run_scenario, self.scenario,
-                    shard_count=self.shard_count, jobs=jobs,
-                    audit=options.want_audit, trace=options.want_trace,
-                    crawl_trace=artifacts.crawl_trace()),
-        )
+        run = partial(run_scenario, self.scenario,
+                      shard_count=self.shard_count, jobs=jobs,
+                      crawl_trace=artifacts.crawl_trace())
+        if options.live:
+            aggregate, trace = run_live(rules, self.unit, partial(
+                run, collect=(options.want_trace, options.want_audit)))
+        else:
+            aggregate, trace = run(progress=shard_progress)
         return RunOutcome(
             config=self.scenario, shard_count=self.shard_count,
             result=aggregate, trace=trace,

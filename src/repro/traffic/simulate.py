@@ -23,14 +23,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.browser import BrowserContext, BrowserEngine
 from repro.browser.policy import policy_by_name
 from repro.browser.retry import RetryPolicy
-from repro.dataset.shard import ShardResult, merge_shards
+from repro.dataset.shard import ShardResult, generate_records, merge_shards
 from repro.dataset.world import CDN_REGION, TAIL_REGION, build_world
 from repro.deployment.experiment import (
     deploy_fleet_origin,
     deployment_world_config,
 )
 from repro.netsim import Host, LinkSpec
-from repro.telemetry import CrawlTrace, Telemetry
+from repro.telemetry import NULL_TELEMETRY, CrawlTrace, Telemetry
 from repro.traffic.aggregate import TrafficAggregate
 from repro.traffic.edge import EdgeLoadMonitor, apply_edge_capacity
 from repro.traffic.population import UserProfile, build_population
@@ -46,12 +46,19 @@ from repro.traffic.scenario import (
 DNS_LATENCY_MS = 48.0
 
 
+def _world_config(scenario: ScenarioConfig):
+    return deployment_world_config(
+        site_count=scenario.site_count, seed=scenario.seed,
+    )
+
+
 def _build_traffic_world(scenario: ScenarioConfig):
     """A full world replica for one shard, with the scenario's
-    deployment switches applied before any traffic flows."""
-    world = build_world(deployment_world_config(
-        site_count=scenario.site_count, seed=scenario.seed,
-    ))
+    deployment switches applied before any traffic flows.  Every
+    shard replicates the same web, so they share one site plan
+    (:func:`~repro.dataset.shard.generate_records`)."""
+    config = _world_config(scenario)
+    world = build_world(config, records=generate_records(config))
     if scenario.deployment == "origin":
         deploy_fleet_origin(world)
     return world
@@ -119,18 +126,25 @@ def _user_engine(
 
 
 def simulate_shard(
-    shard: UserShard, audit: bool = True, trace: bool = False,
+    shard: UserShard, collect: Optional[Tuple[bool, bool]] = None,
 ) -> ShardResult:
     """Simulate one user-population shard.
+
+    ``collect`` is :func:`~repro.dataset.shard.crawl_shard`'s: the
+    ``(trace, audit)`` collector switches of a watched run --
+    ``(False, False)`` collects metrics and phases only, for the run
+    ledger -- and ``None`` runs on
+    :data:`~repro.telemetry.NULL_TELEMETRY`, with no audit log,
+    metrics registry or phase recorder.  The engines count retry
+    decisions themselves, so the aggregate is the same either way.
 
     Returns a :class:`~repro.dataset.shard.ShardResult` whose payload
     is the shard's :class:`TrafficAggregate` in canonical form (its
     floats rounded as the JSONL export rounds them, so a shard merges
     to the same bytes whether or not it crossed a process boundary),
-    bundled with its audit events (empty when ``audit`` is off;
-    decisions are still audited internally so retry accounting never
-    depends on the flag), its spans (empty unless ``trace``), and its
-    metrics snapshot (phase histograms and any traced counters).
+    bundled with whatever ``collect`` asked for: spans, audit events
+    and the metrics snapshot (phase histograms and any traced
+    counters).
     """
     scenario = shard.scenario
     world = _build_traffic_world(scenario)
@@ -143,7 +157,10 @@ def simulate_shard(
         bucket_ms=scenario.bucket_ms,
         shard_count=shard.shard_count,
     )
-    telemetry = Telemetry(clock=loop.now, trace=trace, audit=True)
+    telemetry = NULL_TELEMETRY
+    if collect is not None:
+        trace, audit = collect
+        telemetry = Telemetry(clock=loop.now, trace=trace, audit=audit)
     monitor = EdgeLoadMonitor(world, aggregate, telemetry=telemetry)
     monitor.attach()
 
@@ -201,22 +218,22 @@ def simulate_shard(
     monitor.detach()
 
     for user_id in sorted(engines):
-        resolver = engines[user_id].context.resolver
-        aggregate.dns_queries += resolver.stats.queries
-    events = telemetry.audit.events
-    aggregate.retries = sum(
-        1 for event in events if event.kind == "retry"
-    )
+        engine = engines[user_id]
+        aggregate.dns_queries += engine.context.resolver.stats.queries
+        aggregate.retries += engine.retry_decisions
     for name in sorted(aggregate.edges):
         aggregate.totals.merge(aggregate.edges[name])
     # Per-edge peaks sum replica-style in ``merge``; the fleet total is
     # the true all-edge gauge peak, not the sum of per-edge peaks.
     aggregate.totals.peak_concurrent = monitor.peak_connections
+    payload = TrafficAggregate.from_dict(aggregate.to_dict())
+    if not telemetry.enabled:
+        return ShardResult(payload=payload)
     return ShardResult(
-        payload=TrafficAggregate.from_dict(aggregate.to_dict()),
-        spans=(telemetry.tracer.spans if trace else []),
+        payload=payload,
+        spans=telemetry.tracer.spans,
         metrics=telemetry.metrics.snapshot(),
-        events=(events if audit else []),
+        events=telemetry.audit.events,
     )
 
 
@@ -224,16 +241,16 @@ def run_scenario(
     scenario: ScenarioConfig,
     shard_count: Optional[int] = None,
     jobs: int = 1,
-    audit: bool = True,
-    trace: bool = False,
+    collect: Optional[Tuple[bool, bool]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
     crawl_trace: Optional[CrawlTrace] = None,
 ) -> Tuple[TrafficAggregate, CrawlTrace]:
     """Run a scenario over its shard plan, merging in shard order.
 
-    ``watch`` (if given) sees the merged-so-far trace after each
-    shard -- the run ledger's heartbeat hook; ``crawl_trace`` is
+    ``collect`` is :func:`simulate_shard`'s.  ``watch`` (if given)
+    sees the merged-so-far trace after each shard -- the run ledger's
+    heartbeat hook; ``crawl_trace`` is
     :func:`~repro.dataset.shard.merge_shards`'.
     """
     shards = plan_user_shards(scenario, shard_count)
@@ -242,9 +259,12 @@ def run_scenario(
         bucket_ms=scenario.bucket_ms,
         shard_count=len(shards),
     )
+    # Plan before any fork, as the crawl does: pool workers inherit
+    # the one site plan every shard's world replicates.
+    generate_records(_world_config(scenario))
     crawl_trace = merge_shards(
         simulate_shard,
-        [(shard, audit, trace) for shard in shards],
+        [(shard, collect) for shard in shards],
         jobs,
         lambda result: merged.merge(result.payload),
         progress, watch, crawl_trace,
@@ -272,7 +292,7 @@ def run_what_if(
             )
         aggregate, _ = run_scenario(
             scenario, shard_count=shard_count, jobs=jobs,
-            audit=False, progress=shard_progress,
+            progress=shard_progress,
         )
         results.append((policy, aggregate))
     return results

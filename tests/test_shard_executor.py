@@ -205,7 +205,8 @@ def _traffic_result() -> ShardResult:
         users=6, site_count=6, seed=2022, duration_ms=6_000.0,
         mean_visits_per_user=2.0, bucket_ms=2_000.0,
     )
-    return simulate_shard(plan_user_shards(scenario, 2)[0], trace=True)
+    return simulate_shard(plan_user_shards(scenario, 2)[0],
+                          collect=(True, True))
 
 
 class TestPickledHandOff:

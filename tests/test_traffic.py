@@ -188,7 +188,7 @@ class TestFleetOriginDeployment:
 class TestSimulateShard:
     def test_counters_and_audit_reconcile(self):
         shard = plan_user_shards(tiny_scenario(), 1)[0]
-        shard_result = simulate_shard(shard)
+        shard_result = simulate_shard(shard, collect=(False, True))
         aggregate = shard_result.payload
         events = shard_result.events
         assert aggregate.visits > 0
@@ -209,7 +209,7 @@ class TestSimulateShard:
         shard = plan_user_shards(
             tiny_scenario(users=16, mean_visits_per_user=3.0), 1,
         )[0]
-        aggregate = simulate_shard(shard, audit=False).payload
+        aggregate = simulate_shard(shard).payload
         revisits = sum(t.revisits for t in aggregate.cohorts.values())
         cached = sum(
             t.cached_responses for t in aggregate.cohorts.values()
@@ -222,7 +222,7 @@ class TestSimulateShard:
         shard = plan_user_shards(
             tiny_scenario(users=16, edge_capacity=2), 1,
         )[0]
-        shard_result = simulate_shard(shard)
+        shard_result = simulate_shard(shard, collect=(False, True))
         aggregate = shard_result.payload
         events = shard_result.events
         assert aggregate.totals.goaways > 0
@@ -236,17 +236,61 @@ class TestSimulateShard:
             tiny_scenario(users=16, edge_capacity=2,
                           goaway_retry_limit=0), 1,
         )[0]
-        aggregate = simulate_shard(shard, audit=False).payload
+        aggregate = simulate_shard(shard).payload
         assert aggregate.totals.goaways > 0
         assert aggregate.retries == 0
         assert aggregate.failed > 0  # refused loads fail, not crash
 
 
+class TestUnwatchedShard:
+    """``collect=None`` runs a shard on the null telemetry handle; the
+    engines count retries themselves, so nothing in the aggregate
+    depends on what is collected."""
+
+    @pytest.mark.parametrize("scenario", [
+        tiny_scenario(users=16, edge_capacity=2),
+        tiny_scenario(users=16, site_count=8, seed=7, edge_capacity=4),
+    ], ids=["overload", "seed7-capacity4"])
+    def test_aggregate_independent_of_collectors(self, scenario):
+        shard = plan_user_shards(scenario, 1)[0]
+        unwatched = simulate_shard(shard)
+        audited = simulate_shard(shard, collect=(True, True))
+        assert audited.payload.retries > 0
+        assert unwatched.payload.to_dict() == audited.payload.to_dict()
+        # One retry per ``retry`` decision the audit log records,
+        # retried or exhausted.
+        assert audited.payload.retries == sum(
+            1 for event in audited.events if event.kind == "retry")
+
+    def test_builds_no_telemetry(self, monkeypatch):
+        import repro.traffic.simulate as simulate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unwatched shard built a Telemetry")
+
+        monkeypatch.setattr(simulate, "Telemetry", refuse)
+        result = simulate_shard(plan_user_shards(tiny_scenario(), 1)[0])
+        assert result.payload.visits > 0
+        assert (result.spans, result.metrics, result.events) == \
+            ((), (), ())
+
+    def test_metrics_only_for_the_ledger(self):
+        """``(False, False)`` is what ``--ledger`` alone runs: phase
+        histograms per cohort, no spans, no audit events."""
+        result = simulate_shard(plan_user_shards(tiny_scenario(), 1)[0],
+                                collect=(False, False))
+        cohorts = {dict(doc["labels"]).get("cohort")
+                   for doc in result.metrics
+                   if doc["name"].startswith("phase.")}
+        assert cohorts and cohorts <= set(result.payload.cohorts)
+        assert list(result.spans) == list(result.events) == []
+
+
 class TestRunScenario:
     def test_shard_count_is_part_of_the_experiment(self):
         scenario = tiny_scenario()
-        one, _ = run_scenario(scenario, shard_count=1, audit=False)
-        two, _ = run_scenario(scenario, shard_count=2, audit=False)
+        one, _ = run_scenario(scenario, shard_count=1)
+        two, _ = run_scenario(scenario, shard_count=2)
         assert one.users == two.users == scenario.users
         # Different layouts are different experiments (per-shard world
         # replicas), not required to agree byte for byte.
@@ -257,10 +301,10 @@ class TestWhatIf:
     def test_origin_reduces_edge_connections(self):
         base = tiny_scenario(users=12, site_count=10)
         baseline, _ = run_scenario(
-            scenario_for_policy(base, "baseline"), audit=False,
+            scenario_for_policy(base, "baseline"),
         )
         origin, _ = run_scenario(
-            scenario_for_policy(base, "origin"), audit=False,
+            scenario_for_policy(base, "origin"),
         )
         assert origin.totals.connections < baseline.totals.connections
         assert origin.totals.handshakes < baseline.totals.handshakes
