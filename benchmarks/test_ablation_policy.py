@@ -40,8 +40,7 @@ def per_policy_medians():
         # ORIGIN-aware policies have something to work with.
         for server in world.provider_servers.values():
             server.config.send_origin_frames = True
-            hostnames = sorted(server.config._serves_exact
-                               or set(server.config.serves))
+            hostnames = sorted(set(server.config.serves))
             server.config.origin_sets["*"] = tuple(
                 f"https://{name}" for name in hostnames[:50]
             )

@@ -17,8 +17,7 @@ def rates(deployment):
     _, experiment = deployment
     pipeline = PassivePipeline(experiment, sampling_rate=1.0, seed=3)
     pipeline.attach()
-    study = LongitudinalStudy(experiment, pipeline,
-                              visits_per_site_per_day=1)
+    study = LongitudinalStudy(experiment, pipeline)
     result = study.run(total_days=8, deploy_on=2, deploy_off=6)
     pipeline.detach()
     return result

@@ -9,14 +9,13 @@ from repro.core import plan_certificates, provider_addition_table
 
 
 @pytest.fixture(scope="module")
-def planned(crawl):
+def plan(crawl):
     world, _ = crawl
-    return world, plan_certificates(world)
+    return plan_certificates(world)
 
 
-def test_table9(benchmark, planned):
-    world, plan = planned
-    rows = benchmark(provider_addition_table, world, plan)
+def test_table9(benchmark, plan):
+    rows = benchmark(provider_addition_table, plan)
     flat = []
     for provider, site_count, share, host_rows in rows:
         for hostname, count, host_share in host_rows:

@@ -71,9 +71,7 @@ def main():
           f"<=10 additions covers "
           f"{format_pct(plan.fraction_with_changes_at_most(10))} "
           "(paper: 92.66%)")
-    for provider, sites, share, hosts in provider_addition_table(
-        world, plan
-    ):
+    for provider, sites, share, hosts in provider_addition_table(plan):
         top = ", ".join(f"{h} ({format_pct(s)})" for h, _, s in hosts[:3])
         print(f"  {provider} ({sites} sites, {format_pct(share)}): "
               f"add {top}")

@@ -517,6 +517,8 @@ class PageLoad:
         state.coalesced = False
         state.reason = reason
         self.engine.retry_decisions += 1
+        if state.goaway_retries + state.loss_retries == 1:
+            self.engine.requests_retried += 1
         audit = self.telemetry.audit
         if audit.enabled:
             audit.record(
@@ -548,6 +550,7 @@ class PageLoad:
         reason."""
         state.reason = ReasonCode.RETRY_EXHAUSTED
         self.engine.retry_decisions += 1
+        self.engine.requests_exhausted += 1
         audit = self.telemetry.audit
         if audit.enabled:
             audit.record(
@@ -901,6 +904,10 @@ class BrowserEngine:
         #: Retry decisions taken, retried or exhausted -- one per
         #: ``retry`` audit event, counted whether or not anyone audits.
         self.retry_decisions = 0
+        #: Requests retried at least once / that ran out of retries:
+        #: one count per request, not per decision.
+        self.requests_retried = 0
+        self.requests_exhausted = 0
 
     def load(
         self, page: WebPage, on_complete: Callable[[HarArchive], None]

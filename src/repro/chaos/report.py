@@ -116,8 +116,8 @@ class ChaosReport:
     #: serialization, so it must not depend on dict iteration of
     #: anything non-deterministic).
     tallies: List[FaultTally] = field(default_factory=list)
-    #: Requests that went through a backoff retry / ran out of
-    #: retries (counted from the merged audit stream).
+    #: Requests retried at least once / that ran out of retries,
+    #: counted once per request by each shard's browser engine.
     requests_retried: int = 0
     requests_exhausted: int = 0
     #: Crawl-level context for the robustness-vs-savings tradeoff.

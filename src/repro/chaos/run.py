@@ -15,8 +15,8 @@ With an empty schedule the injector installs nothing, the retry
 policy is never consulted (nothing fails in an unfaulted crawl
 world), and the retry RNG is never drawn from -- so the archives and
 audit stream come out byte-identical to a plain ``repro crawl`` of
-the same parameters.  The CI non-perturbation gate holds this
-invariant down to ``cmp``.
+the same parameters.  The digest row ``chaos-empty-schedule`` holds
+this invariant (its ``same_as`` names the plain crawl's audit).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.audit.reasons import ReasonCode
 from repro.browser.retry import RetryPolicy
 from repro.chaos.report import ChaosReport
 from repro.chaos.schedule import FaultSchedule
@@ -37,29 +36,21 @@ from repro.dataset.shard import (
 )
 from repro.telemetry import CrawlTrace
 
-#: Reasons counted as "a request went through a retry".
-_RETRIED_REASONS = (
-    ReasonCode.RETRY_BACKOFF.value,
-    ReasonCode.MISS_RETRY_AFTER_GOAWAY.value,
-)
-
-
 def run_chaos(
     shards: Sequence[ShardSpec],
     params: CrawlParams,
     schedule: FaultSchedule,
     retry_policy: RetryPolicy,
     jobs: int,
-    trace: bool,
+    collect: Optional[Tuple[bool, bool]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
     crawl_trace: Optional[CrawlTrace] = None,
 ) -> Tuple[CrawlResult, CrawlTrace, ChaosReport]:
-    """Crawl all shards under ``schedule``; merge telemetry and
-    tallies in shard order.  The audit collector is always on -- the
-    blast attribution and the jobs-determinism gate live there; each
-    shard's retries are counted from its own events as the merge
-    absorbs it.  ``crawl_trace`` is
+    """Crawl all shards under ``schedule``; merge telemetry, tallies
+    and retry counts in shard order.  ``collect`` is
+    :func:`~repro.dataset.shard.crawl_shard`'s (``None`` collects
+    nothing: the report needs no telemetry); ``crawl_trace`` is
     :func:`~repro.dataset.shard.merge_shards`'."""
     config = shards[0].config
     report = ChaosReport(
@@ -72,14 +63,11 @@ def run_chaos(
 
     def on_shard(shard: ShardResult) -> None:
         report.absorb_tallies(shard.faults)
-        for event in shard.events:
-            if event.reason in _RETRIED_REASONS:
-                report.requests_retried += 1
-            elif event.reason == ReasonCode.RETRY_EXHAUSTED.value:
-                report.requests_exhausted += 1
+        report.requests_retried += shard.requests_retried
+        report.requests_exhausted += shard.requests_exhausted
 
     result, crawl_trace = crawl_shards(
-        shards, params, jobs, collect=(trace, True),
+        shards, params, jobs, collect=collect,
         chaos=(schedule, retry_policy), progress=progress, watch=watch,
         crawl_trace=crawl_trace, on_shard=on_shard,
     )
@@ -110,7 +98,7 @@ def compare_policies(
     for policy in COMPARE_POLICIES:
         result, _, report = run_chaos(
             shards, replace(params, policy=policy), schedule,
-            retry_policy, jobs, trace=False,
+            retry_policy, jobs,
         )
         rows.append((policy, result, report))
     return rows

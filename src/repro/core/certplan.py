@@ -215,7 +215,6 @@ def san_distribution_table(
 
 
 def provider_addition_table(
-    world: SyntheticWorld,
     plan: CertificatePlan,
     top_providers: int = 3,
     top_hostnames: int = 5,
@@ -241,7 +240,9 @@ def provider_addition_table(
     for provider, site_plans in ranked:
         usage: Counter = Counter()
         for site_plan in site_plans:
-            for hostname in set(site_plan.coalescable):
+            # Sorted: ``most_common`` breaks count ties by insertion
+            # order, which a set's would leave to the hash seed.
+            for hostname in sorted(set(site_plan.coalescable)):
                 own = site_plan.hosted.record.own_hostnames()
                 if hostname not in own:
                     usage[hostname] += 1

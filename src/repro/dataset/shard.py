@@ -198,8 +198,10 @@ class ShardResult:
     traffic shards); ``spans``/``metrics``/``events`` are the telemetry
     bundle that :meth:`~repro.telemetry.CrawlTrace.adopt` merges in
     shard order; ``faults`` are a chaos shard's fault tallies (plain
-    JSON docs, in schedule order).  Every field crosses the process
-    boundary, so a shard is the same object at any ``--jobs``.
+    JSON docs, in schedule order) and ``requests_retried`` /
+    ``requests_exhausted`` its engine's per-request retry counts.
+    Every field crosses the process boundary, so a shard is the same
+    object at any ``--jobs``.
     ``har_lines`` is a crawl payload as its worker encoded it, one HAR
     JSON line per archive, kept by the parent beside the decoded
     payload; ``None`` on a shard that ran in this process.
@@ -210,6 +212,8 @@ class ShardResult:
     metrics: Sequence[dict] = ()
     events: Sequence[AuditEvent] = ()
     faults: Sequence[dict] = ()
+    requests_retried: int = 0
+    requests_exhausted: int = 0
     har_lines: Optional[Sequence[str]] = None
 
 
@@ -245,7 +249,7 @@ def crawl_shard(
     ``chaos`` is a ``(schedule, retry_policy)`` pair: the crawl runs
     with a :class:`~repro.chaos.inject.FaultInjector` armed and the
     explicit retry policy on the browser context, and the result
-    carries the shard's fault tallies.
+    carries the shard's fault tallies and retry counts.
     """
     world = spec.build_world()
     telemetry = NULL_TELEMETRY
@@ -302,15 +306,19 @@ def crawl_shard(
             shard_span, attempted=result.attempted,
             succeeded=result.success_count,
         )
-    faults = () if chaos is None else injector.fault_docs()
-    if not telemetry.enabled:
-        return ShardResult(payload=result, faults=faults)
-    return ShardResult(
+    shard = ShardResult(
         payload=result,
+        faults=() if chaos is None else injector.fault_docs(),
+        requests_retried=crawler.engine.requests_retried,
+        requests_exhausted=crawler.engine.requests_exhausted,
+    )
+    if not telemetry.enabled:
+        return shard
+    return replace(
+        shard,
         spans=telemetry.tracer.spans,
         metrics=telemetry.metrics.snapshot(),
         events=telemetry.audit.events,
-        faults=faults,
     )
 
 

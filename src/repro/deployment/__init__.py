@@ -7,13 +7,15 @@ world) hosts a heavily used third-party domain.  The experiment:
    (§5.1), split into experiment and control groups;
 2. reissue every sample certificate -- experiment certs gain the third
    party's name, control certs gain an equal-length unused name
-   (Figure 6);
+   (Figure 6) -- and write the same name into the per-SNI origin set
+   (:func:`deploy_origin`, which also deploys the traffic what-if's
+   fleet-wide upper bound);
 3. deploy **IP coalescing** (§5.2: one dedicated address for sample
-   and third-party domains) or **ORIGIN frames** (§5.3: the CDN's
-   servers advertise per-SNI origin sets);
+   and third-party domains) or switch on **ORIGIN frames** (§5.3);
 4. measure passively (sampled server logs with the SNI != Host flag
-   bit; Figure 8) and actively (page loads with the Firefox model;
-   Figures 7a/7b).
+   bit, keyed by the server's connection numbers; Figure 8) and
+   actively (page loads with the Firefox model; Figures 7a/7b, and
+   Figure 8's daily traffic).
 
 The §6.7 middlebox bug is modelled in
 :mod:`repro.deployment.middlebox`.
@@ -24,6 +26,7 @@ from repro.deployment.experiment import (
     Group,
     SampleSite,
     deploy_fleet_origin,
+    deploy_origin,
 )
 from repro.deployment.passive import LogRecord, PassivePipeline
 from repro.deployment.active import ActiveMeasurement, ActiveResult
@@ -45,4 +48,5 @@ __all__ = [
     "DailyRates",
     "BuggyMiddlebox",
     "deploy_fleet_origin",
+    "deploy_origin",
 ]

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.browser import BrowserEngine
+from repro.browser import BrowserContext, BrowserEngine, FirefoxPolicy
 from repro.deployment.experiment import DeploymentExperiment, Group
 from repro.web.har import HarArchive
 from repro.web.page import WebPage
@@ -93,10 +93,21 @@ class ActiveMeasurement:
         self.experiment = experiment
         self.churn_rate = churn_rate
         self.rng = np.random.default_rng(seed)
-        self.context = experiment.firefox_context(
-            self.rng, origin_frames, speculative_rate, user_agent
-        )
-        self.engine = BrowserEngine(self.context)
+        # The measurement client of §5: Firefox (the only browser with
+        # client-side ORIGIN support) on the world's crawler host.
+        world = experiment.world
+        self.engine = BrowserEngine(BrowserContext(
+            network=world.network,
+            client_host=world.client_host,
+            resolver=world.make_resolver(median_latency_ms=30.0),
+            trust_store=world.trust_store,
+            authorities=world.authorities,
+            policy=FirefoxPolicy(origin_frames=origin_frames),
+            rng=self.rng,
+            speculative_rate=speculative_rate,
+            asdb=world.asdb,
+            user_agent=user_agent,
+        ))
 
     def _visit_page(self, page: WebPage) -> WebPage:
         """Apply per-visit churn: maybe drop the third party."""

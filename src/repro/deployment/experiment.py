@@ -1,4 +1,5 @@
-"""Sample selection, group assignment, and certificate reissuance (§5.1).
+"""Sample selection, group assignment, and the one ORIGIN deployment
+step, :func:`deploy_origin`, for the §5 sample and the fleet (§5.1).
 
 The deployment third party defaults to ``cdnjs.cloudflare.com`` -- the
 synthetic analogue of the domain "used by ~50% of the top 1M websites"
@@ -11,15 +12,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.browser import BrowserContext, FirefoxPolicy
 from repro.dataset.world import HostedSite, SyntheticWorld
 from repro.dnssim.records import RecordType
-from repro.h2.server import ServerConfig
-from repro.tlspki.ca import CertificateAuthority
 from repro.tlspki.certificate import Certificate
 
 
@@ -58,29 +56,42 @@ def deployment_world_config(site_count: int = 300, seed: int = 2022):
     )
 
 
-def reissue_leaf(
-    config: ServerConfig, issuer: CertificateAuthority,
-    leaf: Certificate, added: Tuple[str, ...], now: float = 0.0,
-) -> Certificate:
-    """Renew ``leaf`` with the ``added`` SAN names and serve the
-    renewed chain in its place (Figure 6's operation)."""
-    renewed = issuer.reissue(leaf, added_san=added, now=now)
-    config.swap_chain(leaf, issuer.chain_for(renewed))
-    return renewed
+def deploy_origin(world: SyntheticWorld, rows: Iterable[tuple]) -> int:
+    """Figure 6's reissue and §5.3's origin sets, for each row
+    ``(hosted, config, leaf, snis, names)``: renew ``leaf`` (now) for
+    the ``names`` it lacks, serve the renewed chain in its place (and
+    as ``hosted.certificate`` unless ``hosted`` is ``None``), and
+    advertise ``names`` on connections whose SNI is in ``snis`` once
+    ``config.send_origin_frames`` is on.  Leaves with an empty SAN
+    identify one name under legacy CN matching and can never
+    coalesce; they are skipped.  Returns the number reissued.
+    """
+    # ``Certificate.issuer`` is normalized (lowercased); the world's
+    # issuer registry keys on display names.
+    issuers = {
+        name.lower(): authority
+        for name, authority in world.issuers.items()
+    }
+    now = world.network.loop.now()
+    reissued = 0
+    for hosted, config, leaf, snis, names in rows:
+        issuer = issuers.get(leaf.issuer)
+        if not leaf.san or issuer is None:
+            continue
+        missing = tuple(name for name in names if not leaf.covers(name))
+        if missing:
+            renewed = issuer.reissue(leaf, added_san=missing, now=now)
+            config.swap_chain(leaf, issuer.chain_for(renewed))
+            if hosted is not None:
+                hosted.certificate = renewed
+            reissued += 1
+        origin_set = tuple(f"https://{name}" for name in names)
+        for sni in snis:
+            config.origin_sets[sni] = origin_set
+    return reissued
 
 
-def advertise_origins(
-    config: ServerConfig, hostnames: Iterable[str], names: Iterable[str]
-) -> None:
-    """ORIGIN frames on connections whose SNI is one of ``hostnames``
-    carry ``names`` (once :attr:`ServerConfig.send_origin_frames` is
-    on)."""
-    origin_set = tuple(f"https://{name}" for name in names)
-    for hostname in hostnames:
-        config.origin_sets[hostname] = origin_set
-
-
-def deploy_fleet_origin(world: SyntheticWorld, now: float = 0.0) -> int:
+def deploy_fleet_origin(world: SyntheticWorld) -> int:
     """Best-case fleet-wide ORIGIN deployment.
 
     :class:`DeploymentExperiment` enrolls a small sample behind one
@@ -90,56 +101,33 @@ def deploy_fleet_origin(world: SyntheticWorld, now: float = 0.0) -> int:
     advertises the popular hostnames it co-hosts in ORIGIN frames, and
     every certificate it serves -- the popular hostnames' own certs
     first, then each provider-hosted site's -- is reissued to cover
-    them.  Any client connection to such an edge can then coalesce the
-    co-hosted third parties (and the third parties each other).
-
-    Certificates with an empty SAN identify exactly one name under
-    legacy CN matching and can never coalesce; they are left alone.
-    Returns the number of certificates reissued.
+    them (:func:`deploy_origin`).  Any client connection to such an
+    edge can then coalesce the co-hosted third parties (and the third
+    parties each other).  Returns the number of certificates reissued.
     """
     popular: Dict[str, List[str]] = {}
     for hostname, provider in sorted(world.popular_hostnames.items()):
         popular.setdefault(provider, []).append(hostname)
-    # ``Certificate.issuer`` is normalized (lowercased); the world's
-    # issuer registry keys on display names.
-    issuers = {
-        name.lower(): authority
-        for name, authority in world.issuers.items()
-    }
-    # One row per certificate to grow: (its HostedSite or None, the
-    # serving config, the leaf, the SNIs to advertise under, the names).
-    targets: List[tuple] = []
+    rows: List[tuple] = []
     for provider in sorted(popular):
         # A popular hostname is only ever installed on a live fleet.
         server = world.provider_servers[provider]
         server.config.send_origin_frames = True
-        targets.extend(
+        rows.extend(
             (None, server.config, chain[0], (chain[0].subject,),
              popular[provider])
             for chain in server.config.chains
             if chain
             and world.popular_hostnames.get(chain[0].subject) == provider
         )
-    targets.extend(
+    rows.extend(
         (hosted, hosted.server.config, hosted.certificate,
          hosted.record.own_hostnames(), popular[hosted.record.provider])
         for hosted in world.sites
         if not hosted.record.self_hosted
         and hosted.record.provider in popular
     )
-    reissued = 0
-    for hosted, config, leaf, hostnames, names in targets:
-        issuer = issuers.get(leaf.issuer)
-        if not leaf.san or issuer is None:
-            continue
-        missing = tuple(name for name in names if not leaf.covers(name))
-        if missing:
-            leaf = reissue_leaf(config, issuer, leaf, missing, now)
-            if hosted is not None:
-                hosted.certificate = leaf
-            reissued += 1
-        advertise_origins(config, hostnames, names)
-    return reissued
+    return deploy_origin(world, rows)
 
 
 @dataclass
@@ -241,26 +229,6 @@ class DeploymentExperiment:
                 )
             )
 
-    def firefox_context(
-        self, rng: np.random.Generator, origin_frames: bool,
-        speculative_rate: float, user_agent: str,
-    ) -> BrowserContext:
-        """The measurement client of §5: Firefox (the only browser
-        with client-side ORIGIN support) on the world's crawler host."""
-        world = self.world
-        return BrowserContext(
-            network=world.network,
-            client_host=world.client_host,
-            resolver=world.make_resolver(median_latency_ms=30.0),
-            trust_store=world.trust_store,
-            authorities=world.authorities,
-            policy=FirefoxPolicy(origin_frames=origin_frames),
-            rng=rng,
-            speculative_rate=speculative_rate,
-            asdb=world.asdb,
-            user_agent=user_agent,
-        )
-
     def sites_in(self, group: Group) -> List[SampleSite]:
         return [site for site in self.sample if site.group is group]
 
@@ -272,21 +240,24 @@ class DeploymentExperiment:
 
     # -- certificate reissuance (Figure 6) ---------------------------------
 
-    def reissue_certificates(self, now: float = 0.0) -> int:
-        """Renew every sample certificate with its group's added SAN.
+    def reissue_certificates(self) -> int:
+        """Renew every sample certificate with its group's added SAN,
+        and write the same name into the origin set its hostnames'
+        connections advertise once ORIGIN frames are on
+        (:func:`deploy_origin`).
 
         Returns the number of certificates reissued.  The CDN server's
         chain index picks up the new certificates immediately.
         """
+        reissued = deploy_origin(self.world, [
+            (site.hosted, site.hosted.server.config,
+             site.hosted.certificate, site.hosted.record.own_hostnames(),
+             (self._added_name(site),))
+            for site in self.sample
+        ])
         for site in self.sample:
-            hosted = site.hosted
-            renewed = reissue_leaf(
-                hosted.server.config,
-                self.world.issuers[hosted.record.issuer],
-                hosted.certificate, (self._added_name(site),), now,
-            )
-            hosted.certificate = site.reissued_certificate = renewed
-        return len(self.sample)
+            site.reissued_certificate = site.hosted.certificate
+        return reissued
 
     def _added_name(self, site: SampleSite) -> str:
         """The name a site's group gains: in its certificate, and in
@@ -317,24 +288,14 @@ class DeploymentExperiment:
         return self.world.provider_servers[self.provider]
 
     def enable_origin_frames(self) -> None:
-        """§5.3: the CDN advertises per-SNI origin sets.
-
-        Experiment sites advertise the third party; control sites
-        advertise the (unused) control domain, keeping frame sizes
-        identical across groups.
-        """
-        config = self.cdn_server.config
-        config.send_origin_frames = True
-        for site in self.sample:
-            advertise_origins(
-                config, site.hosted.record.own_hostnames(),
-                (self._added_name(site),),
-            )
+        """§5.3: the CDN advertises the per-SNI origin sets written at
+        reissue -- experiment sites the third party, control sites the
+        (unused) control domain, keeping frame sizes identical across
+        groups."""
+        self.cdn_server.config.send_origin_frames = True
 
     def disable_origin_frames(self) -> None:
-        config = self.cdn_server.config
-        config.send_origin_frames = False
-        config.origin_sets.clear()
+        self.cdn_server.config.send_origin_frames = False
 
     def deploy_ip_coalescing(self) -> str:
         """§5.2: one new, dedicated address serves every sample domain

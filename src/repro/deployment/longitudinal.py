@@ -1,11 +1,12 @@
 """Longitudinal traffic study (Figure 8).
 
 Simulates weeks of production traffic to the sample sites: every
-simulated day, a population of visits loads each site; the passive
-pipeline logs sampled requests; daily direct-TLS-connection rates to
-the third party are collected per treatment group.  The ORIGIN (or IP)
-deployment is switched on for a window in the middle, producing the
-paper's before/during/after contrast.
+simulated day, the Figure 7 visit loop (:class:`ActiveMeasurement`)
+loads each site once; the passive pipeline logs sampled requests;
+daily direct-TLS-connection rates to the third party are collected per
+treatment group.  The ORIGIN (or IP) deployment is switched on for a
+window in the middle, producing the paper's before/during/after
+contrast.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.browser import BrowserEngine
-from repro.deployment.active import FIREFOX_96_UA
+from repro.deployment.active import ActiveMeasurement
 from repro.deployment.experiment import DeploymentExperiment, Group
 from repro.deployment.passive import PassivePipeline
 
@@ -68,32 +68,25 @@ class DailyRates:
 
 
 class LongitudinalStudy:
-    """Drives daily traffic and toggles the deployment mid-study."""
+    """Drives daily traffic and toggles the deployment mid-study; each
+    day is one no-churn :class:`ActiveMeasurement` pass on one engine."""
 
     def __init__(
         self,
         experiment: DeploymentExperiment,
         pipeline: PassivePipeline,
-        visits_per_site_per_day: int = 1,
         seed: int = 71,
     ) -> None:
         self.experiment = experiment
         self.pipeline = pipeline
-        self.visits_per_site_per_day = visits_per_site_per_day
-        self.rng = np.random.default_rng(seed)
-        self.context = experiment.firefox_context(
-            self.rng, origin_frames=True, speculative_rate=0.0,
-            user_agent=FIREFOX_96_UA,
+        self.measurement = ActiveMeasurement(
+            experiment, churn_rate=0.0, speculative_rate=0.0, seed=seed,
         )
-        self.engine = BrowserEngine(self.context)
 
     def _run_day(self) -> None:
-        loop = self.experiment.world.network.loop
-        for site in self.experiment.sample:
-            for _ in range(self.visits_per_site_per_day):
-                self.engine.new_session()
-                self.engine.load_blocking(site.hosted.record.page)
+        self.measurement.run()
         # Advance to the next day boundary.
+        loop = self.experiment.world.network.loop
         day_index = int(loop.now() // DAY_MS)
         loop.run_until((day_index + 1) * DAY_MS)
 

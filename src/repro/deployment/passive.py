@@ -2,7 +2,8 @@
 
 A randomly sampled share of requests at the CDN is logged with:
 
-* a per-connection identifier and the request's arrival order on it;
+* the connection's number at the server (its accept count) and the
+  request's arrival order on it;
 * the ``SNI != Host`` flag bit -- "a reasonable signal of connection
   coalescing";
 * the treatment label (experiment / control), derived from the
@@ -59,8 +60,6 @@ class PassivePipeline:
         self.firefox_only = firefox_only
         self.rng = np.random.default_rng(seed)
         self.records: List[LogRecord] = []
-        self._connection_ids: Dict[int, int] = {}
-        self._next_connection_id = 1
         self._attached_server: Optional[H2Server] = None
 
     # -- attachment -----------------------------------------------------------
@@ -68,24 +67,15 @@ class PassivePipeline:
     def attach(self) -> None:
         server = self.experiment.cdn_server
         server.request_observers.append(self._observe)
-        server.connection_observers.append(self._on_connection_event)
         self._attached_server = server
 
     def detach(self) -> None:
         server = self._attached_server
         if server is not None:
             server.request_observers.remove(self._observe)
-            server.connection_observers.remove(self._on_connection_event)
             self._attached_server = None
 
     # -- observation --------------------------------------------------------
-
-    def _on_connection_event(self, event: str, connection) -> None:
-        # ``id()`` is unique only among live objects: forget a closed
-        # connection, or the next one allocated at its address would be
-        # logged under its identifier and counted as the same.
-        if event == "closed":
-            self._connection_ids.pop(id(connection), None)
 
     def _observe(self, connection, authority, arrival_index, headers
                  ) -> None:
@@ -95,15 +85,11 @@ class PassivePipeline:
         user_agent = header_map.get("user-agent", "")
         if self.firefox_only and "firefox" not in user_agent.lower():
             return
-        key = id(connection)
-        if key not in self._connection_ids:
-            self._connection_ids[key] = self._next_connection_id
-            self._next_connection_id += 1
         referer = header_map.get("referer", "")
         self.records.append(
             LogRecord(
                 timestamp=self.experiment.world.network.loop.now(),
-                connection_id=self._connection_ids[key],
+                connection_id=connection.conn_id,
                 sni=connection.sni,
                 authority=authority,
                 arrival_index=arrival_index,

@@ -199,6 +199,10 @@ class ServerConnection:
     def __init__(self, server: "H2Server", channel: TlsChannel) -> None:
         self.server = server
         self.channel = channel
+        #: The server's accept count: no other TLS or QUIC connection
+        #: to this server shares it.
+        server.accepted += 1
+        self.conn_id = server.accepted
         self.conn: Optional[H2Connection] = None
         self.h1: Optional["H1ServerProtocol"] = None
         self.sni = ""
@@ -423,6 +427,8 @@ class H2Server:
         #: Live TLS connection count; the capacity model compares
         #: against it.
         self.active_connections = 0
+        #: TLS and QUIC connections accepted so far (numbers them).
+        self.accepted = 0
 
     def listen(self, ip: str, port: int = 443) -> None:
         self.network.listen(self.host, ip, port, self._accept)

@@ -20,8 +20,8 @@ def counter_total(registry, name: str):
 
 
 def ledger_watch(hb, rules, unit: str = "pages"):
-    """Build the heartbeat callback for ``crawl_traced``/
-    ``run_scenario``: after every shard merge it reads the merged-
+    """Build the heartbeat callback for a shard driver's ``watch``
+    (``crawl_shards``, ``run_scenario``, ``run_chaos``): after every shard merge it reads the merged-
     so-far metrics and redraws the status line (work done, rate, open
     connection count, SLO burn)."""
     from repro.obs.ledger import phase_docs_from_registry

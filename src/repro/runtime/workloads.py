@@ -70,6 +70,17 @@ def run_live(rules, unit: str, run):
         hb.close()
 
 
+def run_watched(options, rules, unit: str, run):
+    """Run the shard driver ``run`` with collectors only when something
+    watches (``options.live``): an unwatched run collects nothing and
+    prints the per-shard progress lines, since the heartbeat reads
+    metrics such a run never collects."""
+    if options.live:
+        return run_live(rules, unit, partial(
+            run, collect=(options.want_trace, options.want_audit)))
+    return run(progress=shard_progress)
+
+
 class CrawlWorkload:
     """The shared crawl pipeline: shards + cache + telemetry."""
 
@@ -194,20 +205,11 @@ class TrafficWorkload:
 
     def execute_live(self, jobs: int, options, rules,
                      artifacts) -> RunOutcome:
-        """Collectors only when something watches (``options.live``):
-        an unwatched run simulates on the null handle and prints the
-        per-shard progress lines, since the heartbeat reads metrics
-        such a run never collects."""
         from repro.traffic import run_scenario
 
-        run = partial(run_scenario, self.scenario,
-                      shard_count=self.shard_count, jobs=jobs,
-                      crawl_trace=artifacts.crawl_trace())
-        if options.live:
-            aggregate, trace = run_live(rules, self.unit, partial(
-                run, collect=(options.want_trace, options.want_audit)))
-        else:
-            aggregate, trace = run(progress=shard_progress)
+        aggregate, trace = run_watched(options, rules, self.unit, partial(
+            run_scenario, self.scenario, shard_count=self.shard_count,
+            jobs=jobs, crawl_trace=artifacts.crawl_trace()))
         return RunOutcome(
             config=self.scenario, shard_count=self.shard_count,
             result=aggregate, trace=trace,
@@ -286,12 +288,11 @@ class ChaosWorkload:
                      artifacts) -> RunOutcome:
         from repro.chaos.run import run_chaos
 
-        result, trace, report = run_live(
-            rules, self.unit,
-            partial(run_chaos, self.shards, self.params, self.schedule,
-                    self.retry_policy, jobs, options.want_trace,
-                    crawl_trace=artifacts.crawl_trace()),
-        )
+        result, trace, report = run_watched(
+            options, rules, self.unit, partial(
+                run_chaos, self.shards, self.params, self.schedule,
+                self.retry_policy, jobs,
+                crawl_trace=artifacts.crawl_trace()))
         return RunOutcome(
             config=self.config, shard_count=self.shard_count,
             result=result, trace=trace,

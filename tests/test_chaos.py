@@ -187,7 +187,7 @@ class TestEmptyScheduleNonPerturbation:
                                          collect=(True, True))
         c_result, c_trace, report = run_chaos(
             shards, params, EMPTY_SCHEDULE, DEFAULT_RETRY_POLICY, 1,
-            trace=True,
+            collect=(True, True),
         )
 
         assert [a.to_json() for a in p_result.archives] \
@@ -206,7 +206,8 @@ class TestFaultsFire:
         ), source="storm")
         _, trace, report = run_chaos(
             plan_shards(DatasetConfig(site_count=6, seed=2022), 1),
-            tiny_params(), schedule, DEFAULT_RETRY_POLICY, 1, trace=True,
+            tiny_params(), schedule, DEFAULT_RETRY_POLICY, 1,
+            collect=(True, True),
         )
         assert report.tallies[0].fired == 1
         assert report.connections_lost + report.immature_lost > 0
@@ -293,7 +294,7 @@ def every_kind_run():
     return run_chaos(
         plan_shards(DatasetConfig(site_count=24, seed=7), 2),
         tiny_params(alpn="h2,h3"), load_fault_schedule(EVERY_KIND),
-        DEFAULT_RETRY_POLICY, 1, trace=False,
+        DEFAULT_RETRY_POLICY, 1, collect=(False, True),
     )
 
 
@@ -385,7 +386,6 @@ class TestEveryKind:
         _, _, report = run_chaos(
             plan_shards(DatasetConfig(site_count=8, seed=7), 2),
             tiny_params(alpn="h2,h3"), alone, DEFAULT_RETRY_POLICY, 1,
-            trace=False,
         )
         assert report.tallies[0].fired == 2
 
@@ -396,6 +396,20 @@ class TestEveryKind:
         stale = [event for event in trace.audit
                  if event.reason == ReasonCode.STALE_DNS_SERVED.value]
         assert stale and min(event.at_ms for event in stale) > 300_000.0
+
+    def test_retries_are_counted_once_per_request(self):
+        """The report's retry counts are requests, not audit events:
+        a request retried twice, or retried and then exhausted, counts
+        once as retried; its failed final decision is not a retry."""
+        _, trace, report = every_kind_run()
+        requests = {"retry": set(), "exhausted": set()}
+        for event in trace.audit:
+            if event.kind == "retry":
+                requests[event.decision].add(
+                    (event.page, event.hostname, event.path))
+        assert requests["exhausted"]
+        assert report.requests_retried == len(requests["retry"])
+        assert report.requests_exhausted == len(requests["exhausted"])
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +422,10 @@ chaos: 4 policies under examples/faults_demo.toml over 40 sites
 
 policy           conns  lost  coal  hosts  blast  retried  exhaust    pages
 ---------------------------------------------------------------------------
-none               989    45     0     45  1.000      440        0   27/ 40
-chromium          1136    45    10     61  1.356      796        2   27/ 40
-firefox+origin    1135    46    10     62  1.348      796        2   27/ 40
-ideal-origin      1135    46    10     62  1.348      796        2   27/ 40
+none               989    45     0     45  1.000      408        0   27/ 40
+chromium          1136    45    10     61  1.356      715        1   27/ 40
+firefox+origin    1135    46    10     62  1.348      715        1   27/ 40
+ideal-origin      1135    46    10     62  1.348      715        1   27/ 40
 """
 
 

@@ -209,7 +209,7 @@ class TestCertificatePlan:
     def test_table9_providers_and_hostnames(self, crawled_world):
         world, _ = crawled_world
         plan = plan_certificates(world)
-        rows = provider_addition_table(world, plan)
+        rows = provider_addition_table(plan)
         assert rows
         providers = [row[0] for row in rows]
         assert "Cloudflare" in providers  # hosts ~25% of sites

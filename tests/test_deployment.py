@@ -240,8 +240,7 @@ class TestLongitudinal:
         _, experiment = deployed
         pipeline = PassivePipeline(experiment, sampling_rate=1.0, seed=3)
         pipeline.attach()
-        study = LongitudinalStudy(experiment, pipeline,
-                                  visits_per_site_per_day=1)
+        study = LongitudinalStudy(experiment, pipeline)
         rates = study.run(total_days=6, deploy_on=2, deploy_off=4)
         pipeline.detach()
         assert len(rates.days) == 6
@@ -250,3 +249,45 @@ class TestLongitudinal:
         assert during >= 0.3          # paper: ~50%
         assert abs(outside) < 0.35    # no effect before/after
         assert during > outside
+
+
+class TestPinnedAtSixtySites:
+    """Exact §5 values on the 60-site deployment world.  The paper-
+    suite bands above are loose; these pin every number a deployment
+    refactor must not move: Figure 6's size deltas, Figure 7b's
+    fractions and Figure 8's daily series."""
+
+    @staticmethod
+    def deployed():
+        world = build_world(deployment_world_config(site_count=60))
+        experiment = DeploymentExperiment(world)
+        experiment.reissue_certificates()
+        return experiment
+
+    def test_figure6_size_deltas(self):
+        deltas = self.deployed().certificate_size_deltas()
+        assert deltas == {
+            Group.EXPERIMENT: [22, 22],
+            Group.CONTROL: [22, 22, 22],
+        }
+
+    def test_figure7b_fractions(self):
+        experiment = self.deployed()
+        experiment.enable_origin_frames()
+        result = ActiveMeasurement(experiment, origin_frames=True).run()
+        experiment.disable_origin_frames()
+        assert [result.fraction_with(Group.EXPERIMENT, count)
+                for count in range(3)] == [1.0, 0.0, 0.0]
+        assert [result.fraction_with(Group.CONTROL, count)
+                for count in range(3)] == [1 / 3, 2 / 3, 0.0]
+
+    def test_figure8_daily_series(self):
+        experiment = self.deployed()
+        pipeline = PassivePipeline(experiment, sampling_rate=1.0, seed=3)
+        pipeline.attach()
+        rates = LongitudinalStudy(experiment, pipeline).run(
+            total_days=6, deploy_on=2, deploy_off=4)
+        pipeline.detach()
+        assert rates.days == [0, 1, 2, 3, 4, 5]
+        assert rates.experiment == [1, 1, 0, 0, 1, 1]
+        assert rates.control == [4, 3, 3, 4, 4, 3]

@@ -4,8 +4,6 @@ to the same ``H2Server`` lists, found through the same
 ``SyntheticWorld.servers()`` enumeration, without disturbing the
 others."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.chaos import FaultInjector, FaultSchedule, FaultSpec
@@ -117,25 +115,57 @@ class TestSubscription:
         assert order
         assert order == ["first", "second"] * (len(order) // 2)
 
-    def test_a_reused_address_is_a_new_connection_to_the_pipeline(
+    def test_the_pipeline_logs_the_servers_connection_numbers(
             self, world):
-        """``id()`` is unique only among live objects; CPython hands a
-        closed connection's address to a later one.  One object that
-        closes and "reconnects" stands in for that reuse."""
+        """Each logged request carries its connection's number at the
+        server: one number for every request on a connection, a new
+        one for a connection opened after an earlier one closed, and
+        h3 connections numbered alike."""
         pipeline = PassivePipeline(
             DeploymentExperiment(world), sampling_rate=1.0
         )
         cdn = pipeline.experiment.cdn_server
+        site = pipeline.experiment.sample[0].hosted.record
+        served, events = [], []
         pipeline.attach()
-        connection = SimpleNamespace(sni="www.example.com", server=cdn)
-        cdn.log_request(connection, "www.example.com", 1, [])
-        cdn.log_request(connection, "cdnjs.cloudflare.com", 2, [])
-        cdn.notify_connection_event("closed", connection)
-        cdn.log_request(connection, "www.example.com", 1, [])
-        first, second, reused = (
-            record.connection_id for record in pipeline.records
+        cdn.request_observers.append(
+            lambda connection, *_: served.append(connection)
         )
-        assert first == second != reused
+        cdn.connection_observers.append(
+            lambda event, connection: events.append((event, connection))
+        )
+        engine = Crawler(world).engine
+        loads = []
+        for _ in range(2):
+            logged = len(pipeline.records)
+            engine.new_session()
+            engine.load_blocking(site.page)
+            world.network.loop.run_until_idle()
+            loads.append({record.connection_id
+                          for record in pipeline.records[logged:]})
+        first, second = loads
+        assert first and second and not first & second
+        # The first load's connections all closed before the second
+        # load's opened.
+        order = [(event, connection.conn_id)
+                 for event, connection in events
+                 if event in ("accepted", "closed")]
+        last_close = max(order.index(("closed", n)) for n in first)
+        assert all(order.index(("accepted", n)) > last_close
+                   for n in second)
+
+        Crawler(world, alpn="h2,h3").crawl()
+        world.network.loop.run_until_idle()
+        assert any(type(connection).__name__ == "QuicServerConnection"
+                   for connection in served)
+        numbers = {}
+        for connection, record in zip(served, pipeline.records):
+            assert numbers.setdefault(
+                id(connection), record.connection_id
+            ) == record.connection_id
+        # ``served`` holds every connection alive, so ``id()`` tells
+        # them apart here: distinct connections, distinct numbers.
+        assert len(set(numbers.values())) == len(numbers)
 
     def test_monitor_gauge_drains(self, world):
         monitor = EdgeLoadMonitor(world, TrafficAggregate())
