@@ -885,6 +885,10 @@ class PageLoad:
         if phases.enabled and page.success:
             phases.observe("page", on_load)
         self.pool.close_all()
+        if self.telemetry.enabled:
+            # The load's pool and quic.* counters, folded into the
+            # run's registry once the load is over.
+            self.telemetry.metrics.absorb(self.pool.stats.registry)
         self.on_complete(HarArchive(page=page, entries=self.entries))
 
 
@@ -894,7 +898,6 @@ class BrowserEngine:
     def __init__(self, context: BrowserContext) -> None:
         self.context = context
         self.cache = BrowserCache(enabled=context.cache_enabled)
-        self.loads: List[PageLoad] = []
         #: Hostnames whose responses advertised ``Alt-Svc: h3``;
         #: subsequent fetches to them dial QUIC.
         self.alt_svc_h3: set = set()
@@ -917,7 +920,6 @@ class BrowserEngine:
         Run the network's event loop to drive the load to completion.
         """
         load = PageLoad(self, page, on_complete)
-        self.loads.append(load)
         load.start()
         return load
 

@@ -161,7 +161,7 @@ class FirefoxPolicy(CoalescingPolicy):
         return ReasonCode.MISS_NO_DNS_OVERLAP
 
 
-class IdealOriginPolicy(CoalescingPolicy):
+class IdealOriginPolicy(FirefoxPolicy):
     """The §6.8 recommendation: respect the ORIGIN, skip the DNS.
 
     Certificate SAN plus origin-set membership is sufficient authority;
@@ -169,26 +169,15 @@ class IdealOriginPolicy(CoalescingPolicy):
     render-blocking queries and their plaintext exposure.  Hostnames
     *not* in any origin set are resolved normally and may still reuse
     connections via Firefox-style available-set transitivity -- the
-    ideal client is a strict superset of Firefox, never worse.
+    ideal client is Firefox's ORIGIN rule without the DNS query first,
+    never worse.
     """
 
-    name = "ideal-origin"
     requires_dns_before_reuse = False
 
-    def explain(self, facts, hostname, dns_addresses):
-        capabilities = facts.capabilities
-        if not capabilities.can_multiplex:
-            return ReasonCode.MISS_CANNOT_MULTIPLEX
-        if not facts.certificate_covers(hostname):
-            return ReasonCode.MISS_SAN_MISMATCH
-        if (
-            capabilities.supports_origin_frame
-            and facts.origin_set_covers(hostname)
-        ):
-            return ReasonCode.POOL_HIT_ORIGIN_FRAME
-        if facts.available_set.intersection(dns_addresses):
-            return ReasonCode.POOL_HIT_IP_SAN
-        return ReasonCode.MISS_NO_DNS_OVERLAP
+    def __init__(self) -> None:
+        super().__init__(origin_frames=True)
+        self.name = "ideal-origin"
 
 
 #: Canonical name -> factory registry.  The CLI, the parallel crawl

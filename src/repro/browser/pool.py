@@ -359,11 +359,11 @@ class ConnectionPool:
             return outcome
         self.stats.coalesce_lookups += 1
         policy = self.policy
-        if not getattr(policy, "coalesces", True):
+        if not policy.coalesces:
             outcome = LookupOutcome(None, ReasonCode.MISS_POLICY_FORBIDS)
             self._note_lookup("coalesce", hostname, outcome)
             return outcome
-        indexed = getattr(policy, "requires_ip_overlap", False)
+        indexed = policy.requires_ip_overlap
         if indexed:
             # Every grant implies an address overlap, so only
             # connections sharing an address with the DNS answer can

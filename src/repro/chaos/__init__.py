@@ -11,8 +11,9 @@ Layers:
 * :mod:`repro.chaos.schedule` -- the declarative ``[[fault]]`` TOML
   schedule and its validation;
 * :mod:`repro.chaos.inject` -- arms a schedule against one world on
-  the simulated clock (taps, wrappers, observers), with per-fault
-  seeded RNGs and blast attribution;
+  the simulated clock (taps and wrappers; it reads the servers' live
+  connections and subscribes to none), with per-fault seeded RNGs and
+  blast attribution;
 * :mod:`repro.chaos.report` -- per-fault tallies and the
   shard-mergeable :class:`ChaosReport`;
 * :mod:`repro.chaos.run` -- :func:`run_chaos`, the one crawl driver

@@ -9,16 +9,22 @@ and does three things:
   event uses, so fault timing is byte-identical across ``--jobs``;
 * installs the **passive machinery** each fault kind needs (network
   taps, transport inspectors, a latency-model wrapper, a resolver
-  wrapper, server connection observers) -- all window-gated, so a
-  fault only acts between ``at`` and ``at + duration``;
+  wrapper) -- all window-gated, so a fault only acts between ``at``
+  and ``at + duration``;
 * attributes every connection it tears down to the fault that killed
   it, recording the **blast radius**: distinct hostnames, served
   requests, and client endpoints that were riding the connection.
 
-The empty schedule arms nothing at all: no taps, no wrappers, no
-observers, and no RNG construction.  That is the non-perturbation
-invariant the CI gate enforces -- a chaos run with no faults must be
-byte-identical to a plain crawl.
+It keeps no connection state of its own: crashes, storms and blast
+attribution read each server's live connections
+(:attr:`~repro.h2.server.H2Server.live`), and a storm refuses through
+:meth:`~repro.h2.server.ServerConnection.refuse` like the capacity
+limit does.  The injector subscribes to no server.
+
+The empty schedule arms nothing at all: no taps, no wrappers and no
+RNG construction.  A chaos run with no faults must be byte-identical
+to a plain crawl; the digest row ``chaos-empty-schedule`` pins that
+through its ``same_as`` pair with ``crawl-observed``.
 
 Randomized faults (``rate < 1``) draw from per-fault generators
 derived from ``(run seed, chaos domain, shard, fault index, fault
@@ -38,7 +44,6 @@ from repro.chaos.report import FaultTally
 from repro.chaos.schedule import ChaosError, FaultSchedule, FaultSpec
 from repro.deployment.middlebox import BuggyMiddlebox, _ConnectionInspector
 from repro.dnssim.records import DnsAnswer, normalize_name
-from repro.h2.errors import ErrorCode
 from repro.h2.server import H2Server, ServerConnection
 from repro.netsim.latency import LinkSpec
 from repro.netsim.network import Host, Service
@@ -53,7 +58,6 @@ RETRY_SEED_DOMAIN = 5
 
 _TAP_KINDS = {"packet_loss", "packet_corrupt", "tls_fail",
               "middlebox_teardown"}
-_REGISTRY_KINDS = _TAP_KINDS | {"edge_crash", "goaway_storm"}
 
 
 class FaultInjector:
@@ -82,13 +86,9 @@ class FaultInjector:
         self._rngs: List[Optional[np.random.Generator]] = [None] * len(
             schedule.faults
         )
-        #: Live server-side connections, for blast attribution and for
-        #: crash/storm kills: by transport, plus an acceptance-ordered
-        #: set per server.
-        self._conn_by_transport: Dict[Transport, ServerConnection] = {}
-        self._live_by_server: Dict[
-            H2Server, Dict[ServerConnection, None]
-        ] = {}
+        #: The server on each host, for the tap to find the owner of
+        #: a tapped flow (built when a tap is installed).
+        self._server_on: Dict[Host, H2Server] = {}
         #: Listeners pulled by edge_crash / quic_blackhole, per fault
         #: index, awaiting restoration.
         self._suspended: Dict[int, List[Tuple[Service, bool]]] = {}
@@ -123,9 +123,10 @@ class FaultInjector:
             self._wrap_resolver()
         if "latency_spike" in kinds:
             self._wrap_latency()
-        if kinds & _REGISTRY_KINDS:
-            self._watch_servers()
         if kinds & _TAP_KINDS:
+            self._server_on = {
+                server.host: server for _, server in self.world.servers()
+            }
             if kinds & {"middlebox_teardown"}:
                 self._middlebox = BuggyMiddlebox(
                     self.network, protected_clients=set(),
@@ -173,30 +174,13 @@ class FaultInjector:
             if self._matches(pattern, server.host.name)
         ]
 
-    # -- live-connection registry -----------------------------------------
+    # -- blast attribution -------------------------------------------------
 
-    def _watch_servers(self) -> None:
-        for _, server in self.world.servers():
-            self._live_by_server[server] = {}
-            server.connection_observers.append(self._on_connection_event)
-
-    def _on_connection_event(
-        self, event: str, connection: ServerConnection
-    ) -> None:
-        server = connection.server
-        transport = connection.channel.transport
-        if event == "accepted":
-            self._conn_by_transport[transport] = connection
-            self._live_by_server[server][connection] = None
-        elif event == "closed":
-            self._conn_by_transport.pop(transport, None)
-            self._live_by_server[server].pop(connection, None)
-
-    def _live(self, server: H2Server) -> List[ServerConnection]:
-        return list(self._live_by_server.get(server, ()))
-
-    def _account_loss(self, index: int, transport: Transport) -> None:
-        """Attribute one torn-down connection to fault ``index``.
+    def _account_loss(self, index: int, transport: Transport,
+                      connection: Optional[ServerConnection]) -> None:
+        """Attribute one torn-down connection (``connection`` is its
+        server side, None when no TLS server accepted it) to fault
+        ``index``.
 
         Connections that never finished their TLS handshake carried
         nothing, so they count toward ``immature_lost`` (and the
@@ -204,15 +188,12 @@ class FaultInjector:
         denominator -- the radius measures what was *riding* lost
         connections, per the paper's coalescing concern."""
         tally = self.tallies[index]
-        connection = self._conn_by_transport.get(transport)
         hostnames: set = set()
         requests = 0
         sni = ""
         if connection is not None:
             sni = connection.sni
-            hostnames = {
-                authority for _, authority, _ in connection.request_log
-            }
+            hostnames = set(connection.request_log)
             if not hostnames and sni:
                 hostnames = {sni}
             requests = len(connection.request_log)
@@ -263,12 +244,11 @@ class FaultInjector:
                 suspended.append((service, datagram))
             if services:
                 self._note_event(index)
-            for connection in self._live(server):
-                transport = connection.channel.transport
+            for transport, connection in list(server.live.items()):
                 if transport.closed:
                     continue
                 self._note_event(index)
-                self._account_loss(index, transport)
+                self._account_loss(index, transport, connection)
                 transport.abort()
 
     def _goaway_storm(self, index: int, fault: FaultSpec) -> None:
@@ -276,17 +256,12 @@ class FaultInjector:
         its live h2 connections -- the overload refusal, but applied
         to established traffic (a rolling restart in the wild)."""
         for server in self._matching_servers(fault.target):
-            for connection in self._live(server):
-                transport = connection.channel.transport
+            for transport, connection in list(server.live.items()):
                 if transport.closed or connection.conn is None:
                     continue
                 self._note_event(index)
-                self._account_loss(index, transport)
-                server.stats.overload_goaways += 1
-                connection.conn.send_goaway(ErrorCode.ENHANCE_YOUR_CALM)
-                connection._flush()
-                server.notify_connection_event("overload_goaway", connection)
-                connection.channel.close()
+                self._account_loss(index, transport, connection)
+                connection.refuse()
 
     def _blackhole_quic(self, index: int, fault: FaultSpec) -> None:
         suspended = self._suspended.setdefault(index, [])
@@ -448,6 +423,10 @@ class FaultInjector:
         now = self.loop.now()
         server_host = self.network.host_for_address(server_ip)
         server_name = server_host.name if server_host else server_ip
+        # The flow's server-side connection, once a TLS server accepts
+        # it, is in its server's ``live``.
+        server = self._server_on.get(server_host)
+        live = {} if server is None else server.live
         for index, fault in enumerate(self.schedule.faults):
             kind = fault.kind
             if kind == "tls_fail":
@@ -462,10 +441,10 @@ class FaultInjector:
                         and self._budget_ok(index)
                         and (fault.rate >= 1.0
                              or self._rngs[index].random() < fault.rate)):
-                    self._install_middlebox(index, fault, server_end)
+                    self._install_middlebox(index, fault, server_end, live)
             elif kind in ("packet_loss", "packet_corrupt"):
                 self._install_packet_sampler(index, fault, server_end,
-                                             server_name)
+                                             server_name, live)
 
     def _install_handshake_killer(self, index: int,
                                   client_end: Transport) -> None:
@@ -486,8 +465,10 @@ class FaultInjector:
 
         client_end.outbound_inspector = inspect
 
-    def _install_middlebox(self, index: int, fault: FaultSpec,
-                           server_end: Transport) -> None:
+    def _install_middlebox(
+        self, index: int, fault: FaultSpec, server_end: Transport,
+        live: Dict[Transport, ServerConnection],
+    ) -> None:
         """Put the §6.7 buggy middlebox on this flow for the fault's
         window: reassembles TLS records, scans h2 frames, and tears
         the connection down on any unknown frame type (ORIGIN)."""
@@ -504,14 +485,15 @@ class FaultInjector:
             ok = inspector.inspect(data)
             if not ok:
                 self._note_event(index)
-                self._account_loss(index, server_end)
+                self._account_loss(index, server_end, live.get(server_end))
             return ok
 
         server_end.outbound_inspector = inspect
 
     def _install_packet_sampler(self, index: int, fault: FaultSpec,
-                                server_end: Transport,
-                                server_name: str) -> None:
+                                server_end: Transport, server_name: str,
+                                live: Dict[Transport, ServerConnection],
+                                ) -> None:
         """Window-gated per-chunk loss/corruption on the server's
         outbound direction (where the response bytes are); either one
         is unrecoverable at this layer, so the transport aborts."""
@@ -528,7 +510,7 @@ class FaultInjector:
                 return True
             if self._rngs[index].random() < fault.rate:
                 self._note_event(index)
-                self._account_loss(index, server_end)
+                self._account_loss(index, server_end, live.get(server_end))
                 return False
             return True
 

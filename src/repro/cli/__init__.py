@@ -2,13 +2,19 @@
 
 Commands:
 
-* ``crawl``   -- generate + crawl a synthetic web, print Tables 1-7
-* ``model``   -- run the §4 model (Figure 3, headline, cert plan)
-* ``deploy``  -- run the §5 deployment (Figures 6/7b, passive pipeline)
-* ``privacy`` -- the §6.2 privacy exposure comparison
-* ``report``  -- render one run-ledger record as a dashboard
-* ``compare`` -- regression verdicts between two ledger records
-* ``run``     -- execute a declarative scenario file
+* ``crawl``      -- generate + crawl a synthetic web, print Tables 1-7
+* ``model``      -- run the §4 model (Figure 3, headline, cert plan)
+* ``deploy``     -- run the §5 deployment (Figures 6/7b, passive
+  pipeline)
+* ``explain``    -- reason-coded waterfalls and miss-reason breakdowns
+* ``audit-diff`` -- decision-by-decision comparison of two audit exports
+* ``privacy``    -- the §6.2 privacy exposure comparison
+* ``traffic``    -- population-scale traffic with edge load accounting
+* ``chaos``      -- fault-injected crawl with a blast-radius report
+* ``cache``      -- inspect or prune the crawl cache
+* ``report``     -- render one run-ledger record as a dashboard
+* ``compare``    -- regression verdicts between two ledger records
+* ``run``        -- execute a declarative scenario file
 
 ``crawl``, ``model``, and ``privacy`` share one crawl pipeline: the
 dataset is partitioned into deterministic shards (``--shards``),

@@ -166,15 +166,14 @@ class Crawler:
                 requests=len(archive.entries),
             )
         if telemetry.enabled:
-            self._absorb_page_metrics(archive)
+            self._count_page(archive)
         return archive
 
-    def _absorb_page_metrics(self, archive: HarArchive) -> None:
-        """Fold the finished page's layer counters into the crawl-level
-        registry and record its load-time histogram."""
+    def _count_page(self, archive: HarArchive) -> None:
+        """Count the finished page in the crawl-level registry and
+        record its load-time histogram (the load folded its own pool
+        counters in as it finished)."""
         metrics = self.telemetry.metrics
-        if self.engine.loads:
-            metrics.absorb(self.engine.loads[-1].pool.stats.registry)
         metrics.counter("crawler.pages_attempted").inc()
         if archive.page.success:
             metrics.counter("crawler.pages_succeeded").inc()

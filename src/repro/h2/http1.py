@@ -83,18 +83,15 @@ class H1ServerProtocol:
         send: Callable[[bytes], None],
         handler: Callable[[str, str, List[Header]],
                           Tuple[int, List[Header], bytes]],
-        on_request: Optional[Callable[[str, int], None]] = None,
         scheduler: Optional[Callable[[float, Callable[[], None]],
                                      object]] = None,
         think_time_ms: float = 0.0,
     ) -> None:
         self._send = send
         self._handler = handler
-        self._on_request = on_request
         self._scheduler = scheduler
         self._think_time_ms = think_time_ms
         self._buffer = b""
-        self.requests_served = 0
 
     def on_app_data(self, data: bytes) -> None:
         self._buffer += data
@@ -108,9 +105,6 @@ class H1ServerProtocol:
         parts = message.start_line.split(" ")
         path = parts[1] if len(parts) > 1 else "/"
         authority = dict(message.headers).get("host", "")
-        self.requests_served += 1
-        if self._on_request is not None:
-            self._on_request(authority, self.requests_served)
         status, headers, body = self._handler(
             authority, path, message.headers
         )

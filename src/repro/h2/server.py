@@ -209,27 +209,25 @@ class ServerConnection:
         self.protocol = ""
         self.channel.on_established = self._on_tls_established
         self.channel.on_app_data = self._on_app_data
-        #: (sni, authority, arrival_index) per request -- raw material
-        #: for the coalescing flag bit of paper §5.2.
-        self.request_log: List[Tuple[str, str, int]] = []
+        #: The authority of each request, in arrival order -- raw
+        #: material for the coalescing flag bit of paper §5.2 (a
+        #: request's arrival index is its position plus one; its SNI
+        #: is the connection's).
+        self.request_log: List[str] = []
 
     def _on_tls_established(self) -> None:
         self.sni = self.channel.client_sni
         self.protocol = self.channel.negotiated_alpn or "h2"
         self.server.stats.tls_handshakes += 1
-        self.server.notify_connection_event("handshake", self)
+        self.server._notify_connection_event("handshake", self)
         if self.refuse_overload and self.protocol != "http/1.1":
             # Over capacity: complete the (already paid-for) handshake,
             # then turn the client away with a retryable GOAWAY.  h1
             # fallback connections are served normally -- they cannot
             # express a graceful connection-level refusal.
-            self.server.stats.overload_goaways += 1
             self.conn = H2Connection(Role.SERVER)
             self.conn.initiate()
-            self.conn.send_goaway(ErrorCode.ENHANCE_YOUR_CALM)
-            self._flush()
-            self.server.notify_connection_event("overload_goaway", self)
-            self.channel.close()
+            self.refuse()
             return
         if self.protocol == "http/1.1":
             self._start_h1()
@@ -264,6 +262,18 @@ class ServerConnection:
                 )
         self._flush()
 
+    def refuse(self) -> None:
+        """Turn the client away: GOAWAY ENHANCE_YOUR_CALM, then close.
+        The one overload refusal -- the capacity limit sends it right
+        after the handshake, a GOAWAY storm on established h2
+        connections."""
+        assert self.conn is not None
+        self.server.stats.overload_goaways += 1
+        self.conn.send_goaway(ErrorCode.ENHANCE_YOUR_CALM)
+        self._flush()
+        self.server._notify_connection_event("overload_goaway", self)
+        self.channel.close()
+
     def release(self) -> None:
         """The transport closed, so nothing reaches this connection
         any more: drop its channel callbacks and its h1 protocol
@@ -272,23 +282,21 @@ class ServerConnection:
         self.channel.detach()
         self.h1 = None
 
+    def _serve(
+        self, authority: str, path: str, headers: List[Header]
+    ) -> Tuple[int, List[Header], bytes]:
+        """Log one request on this connection, then answer it."""
+        self.request_log.append(authority)
+        self.server.log_request(self, authority, len(self.request_log),
+                                headers)
+        return self.server.answer(authority, path, headers)
+
     def _start_h1(self) -> None:
         from repro.h2.http1 import H1ServerProtocol
 
-        def handler(authority, path, headers):
-            arrival_index = len(self.request_log) + 1
-            self.request_log.append((self.sni, authority, arrival_index))
-            self.server.stats.requests += 1
-            self.server.log_request(self, authority, arrival_index,
-                                    headers)
-            if not self.server.config.is_authoritative_for(authority):
-                self.server.stats.misdirected += 1
-                return 421, [], b""
-            return self.server.config.handler(authority, path, headers)
-
         self.h1 = H1ServerProtocol(
             self.channel.send_app,
-            handler,
+            self._serve,
             scheduler=self.server.network.loop.schedule,
             think_time_ms=self.server.config.think_time_ms,
         )
@@ -314,24 +322,14 @@ class ServerConnection:
 
     def _handle_request(self, event: ev.RequestReceived) -> None:
         headers = dict(event.headers)
-        authority = headers.get(":authority", "")
-        path = headers.get(":path", "/")
-        arrival_index = len(self.request_log) + 1
-        self.request_log.append((self.sni, authority, arrival_index))
-        self.server.stats.requests += 1
-        self.server.log_request(self, authority, arrival_index,
-                                event.headers)
-
-        if not self.server.config.is_authoritative_for(authority):
-            # RFC 7540 §9.1.2: not configured for this authority.
-            self.server.stats.misdirected += 1
-            self._respond(event.stream_id, 421, [], b"")
-            return
-        status, extra, body = self.server.config.handler(
-            authority, path, event.headers
+        status, extra, body = self._serve(
+            headers.get(":authority", ""), headers.get(":path", "/"),
+            event.headers,
         )
         think = self.server.config.think_time_ms
-        if think > 0:
+        # A 421 goes out at once; an answered request waits the think
+        # time (h1 waits it for every response).
+        if think > 0 and status != 421:
             self.server.network.loop.schedule(
                 think,
                 lambda: self._respond_and_flush(
@@ -424,9 +422,11 @@ class H2Server:
         self.connection_observers: List[
             Callable[[str, ServerConnection], None]
         ] = []
-        #: Live TLS connection count; the capacity model compares
-        #: against it.
-        self.active_connections = 0
+        #: Live TLS connections by server-side transport, in accept
+        #: order (QUIC flows stay out); the capacity model counts them
+        #: and fault injection crashes, storms and attributes losses
+        #: through them.
+        self.live: Dict[Transport, ServerConnection] = {}
         #: TLS and QUIC connections accepted so far (numbers them).
         self.accepted = 0
 
@@ -475,20 +475,20 @@ class H2Server:
         ))
         limit = self.config.max_concurrent_connections
         connection.refuse_overload = (
-            limit is not None and self.active_connections >= limit
+            limit is not None and len(self.live) >= limit
         )
-        self.active_connections += 1
+        self.live[transport] = connection
         transport.on_close = (
             lambda: self._connection_closed(connection)
         )
-        self.notify_connection_event("accepted", connection)
+        self._notify_connection_event("accepted", connection)
 
     def _connection_closed(self, connection: ServerConnection) -> None:
-        self.active_connections -= 1
-        self.notify_connection_event("closed", connection)
+        del self.live[connection.channel.transport]
+        self._notify_connection_event("closed", connection)
         connection.release()
 
-    def notify_connection_event(
+    def _notify_connection_event(
         self, event: str, connection: ServerConnection
     ) -> None:
         for observer in self.connection_observers:
@@ -514,21 +514,25 @@ class H2Server:
         from repro.h2.http1 import H1ServerProtocol
 
         self.stats.connections += 1
-
-        def handler(authority, path, headers):
-            self.stats.requests += 1
-            if not self.config.is_authoritative_for(authority):
-                self.stats.misdirected += 1
-                return 421, [], b""
-            return self.config.handler(authority, path, headers)
-
         protocol = H1ServerProtocol(
             transport.send,
-            handler,
+            self.answer,
             scheduler=self.network.loop.schedule,
             think_time_ms=self.config.think_time_ms,
         )
         transport.on_data = protocol.on_app_data
+
+    def answer(
+        self, authority: str, path: str, headers: List[Header]
+    ) -> Tuple[int, List[Header], bytes]:
+        """The response to one request, on any protocol: ``421`` for
+        an authority this server is not configured for (RFC 7540
+        §9.1.2), else the config's handler."""
+        self.stats.requests += 1
+        if not self.config.is_authoritative_for(authority):
+            self.stats.misdirected += 1
+            return 421, [], b""
+        return self.config.handler(authority, path, headers)
 
     def log_request(
         self,

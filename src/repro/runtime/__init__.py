@@ -2,8 +2,9 @@
 
 ``repro.runtime`` composes a run from three declarative parts --
 
-* a **workload** (:class:`CrawlWorkload` / :class:`TrafficWorkload`):
-  the experiment definition and how to execute it,
+* a **workload** (:class:`CrawlWorkload` / :class:`TrafficWorkload` /
+  :class:`ChaosWorkload`): the experiment definition and how to
+  execute it,
 * :class:`InstrumentationOptions`: what to record (trace, metrics,
   audit, ledger, SLO gates),
 * ordered **sinks** (:mod:`repro.runtime.sinks`): where artifacts and

@@ -199,11 +199,6 @@ def simulate_shard(
                 tally.plt_total_ms += archive.page.on_load
             else:
                 tally.failed += 1
-            # Bounded memory: finished loads (and their archives) are
-            # dropped immediately; only the fold above survives.
-            engine.loads[:] = [
-                load for load in engine.loads if not load.finished
-            ]
 
         engine.load(hosted.record.page, on_complete)
 

@@ -14,6 +14,20 @@ from repro.web import ContentType, FetchMode, Subresource, WebPage
 from repro.web.har import NOT_APPLICABLE
 
 
+def record_loads(engine):
+    """The :class:`PageLoad` of every page ``engine`` starts from now
+    on, in start order (the engine keeps none itself)."""
+    loads = []
+    start = engine.load
+
+    def load(page, on_complete):
+        loads.append(start(page, on_complete))
+        return loads[-1]
+
+    engine.load = load
+    return loads
+
+
 def simple_page(**kwargs):
     """Root on www.site.com with three subresources on CDN hostnames
     plus one on an unrelated origin."""
@@ -333,6 +347,7 @@ class TestNeverCompletedInvariant:
             ],
         )
         engine = small_world.engine()
+        loads = record_loads(engine)
         with pytest.raises(RuntimeError) as raised:
             engine.load_blocking(page)
         assert str(raised.value) == (
@@ -342,14 +357,14 @@ class TestNeverCompletedInvariant:
             "loss_retries=0, connect=12.5)"
         )
         # The fetches that did settle are not named, and left the set.
-        load = engine.loads[-1]
+        (load,) = loads
         assert [s.path for s in load.unsettled] == ["/legacy.gif"]
         assert {e.path for e in load.entries} == {"/", "/app.js"}
 
     def test_finished_load_leaves_nothing_unsettled(self, small_world):
-        engine = small_world.engine()
-        engine.load_blocking(simple_page())
-        assert engine.loads[-1].unsettled == {}
+        load = small_world.engine().load(simple_page(), lambda _: None)
+        small_world.network.loop.run_until_idle()
+        assert load.finished and load.unsettled == {}
 
 
 class TestCleartextConnectionLoss:
@@ -392,9 +407,12 @@ class TestCleartextConnectionLoss:
 
         telemetry = Telemetry(clock=world.network.loop.now, trace=False,
                               audit=True)
-        engine = world.engine(telemetry=telemetry, **context)
-        archive = engine.load_blocking(TestCleartextConnectionLoss.PAGE)
-        load = engine.loads[-1]
+        archives = []
+        load = world.engine(telemetry=telemetry, **context).load(
+            TestCleartextConnectionLoss.PAGE, archives.append
+        )
+        world.network.loop.run_until_idle()
+        (archive,) = archives
         assert load.unsettled == {}
         (entry,) = [e for e in archive.entries if e.path == "/legacy.gif"]
         events = [e for e in telemetry.audit.events

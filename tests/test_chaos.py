@@ -42,6 +42,7 @@ from repro.dataset.world import build_world
 from repro.deployment import BuggyMiddlebox, DeploymentExperiment
 from repro.deployment.experiment import deployment_world_config
 from repro.telemetry import Telemetry
+from tests.test_browser_engine import record_loads
 from tests.test_browser_pool import open_count
 from tests.test_wire_counts import tap_every_network
 
@@ -546,12 +547,13 @@ class TestRegistryUnderStorms:
             telemetry=telemetry)
         injector.arm()
 
+        loads = record_loads(crawler.engine)
         pruned_total = 0
         for hosted in world.sites:
             crawler.crawl_site(hosted)
             if not hosted.record.accessible:
                 continue  # nothing was loaded; no pool to inspect
-            pool = crawler.engine.loads[-1].pool
+            pool = loads[-1].pool
             open_count(pool)  # prunes dead connections
             for facts in pool.connections:
                 assert not facts.session.closed

@@ -1,8 +1,8 @@
-"""The server edge as one seam: every edge consumer (the traffic
-load monitor, the §5 passive pipeline, the chaos injector) subscribes
-to the same ``H2Server`` lists, found through the same
-``SyntheticWorld.servers()`` enumeration, without disturbing the
-others."""
+"""The server edge as one seam: the edge consumers that watch it (the
+traffic load monitor, the §5 passive pipeline) subscribe to the same
+``H2Server`` lists, found through the same ``SyntheticWorld.servers()``
+enumeration, without disturbing each other; the chaos injector
+subscribes to nothing and acts on each server's ``live`` connections."""
 
 import pytest
 
@@ -11,6 +11,7 @@ from repro.dataset.crawler import Crawler
 from repro.dataset.world import SELF_HOSTED, build_world
 from repro.deployment import DeploymentExperiment, PassivePipeline
 from repro.deployment.experiment import deployment_world_config
+from repro.netsim.transport import Transport
 from repro.traffic import EdgeLoadMonitor, TrafficAggregate
 
 
@@ -44,25 +45,54 @@ class TestServerEnumeration:
             if name == SELF_HOSTED
         ] == self_hosted
 
-    def test_monitor_and_injector_hook_that_same_set(self, world):
-        monitor = EdgeLoadMonitor(world, TrafficAggregate())
-        injector = FaultInjector(
-            world,
-            FaultSchedule(faults=(
-                FaultSpec(name="outage", kind="edge_crash", at=1e9),
-            )),
-            seed=1,
+    def test_the_injector_subscribes_to_nothing_and_crashes_live(
+            self, world, monkeypatch):
+        """Arming adds no observer anywhere; the crash aborts exactly
+        the edge's ``live`` transports, in accept order, and leaves
+        ``live`` empty."""
+        loop = world.network.loop
+        google = world.provider_servers["Google"]
+        accepted = []
+        google.connection_observers.append(
+            lambda event, connection: event == "accepted"
+            and accepted.append(connection.channel.transport)
         )
-        servers = [server for _, server in world.servers()]
-        assert monitor.attach() == len(servers)
-        injector.arm()
-        for server in servers:
-            assert len(server.connection_observers) == 2
-            assert len(server.request_observers) == 1
-        monitor.detach()
-        for server in servers:
-            assert len(server.connection_observers) == 1
-            assert server.request_observers == []
+        crash_at = 400.0  # two connections to this edge are open
+        live_before, live_after, aborted = [], [], []
+        loop.schedule_at(crash_at, lambda: live_before.extend(google.live))
+        abort = Transport.abort
+
+        def recording_abort(transport):
+            aborted.append(transport)
+            abort(transport)
+
+        monkeypatch.setattr(Transport, "abort", recording_abort)
+        subscribers = {
+            server: (list(server.connection_observers),
+                     list(server.request_observers))
+            for _, server in world.servers()
+        }
+        FaultInjector(
+            world,
+            FaultSchedule(faults=(FaultSpec(
+                name="outage", kind="edge_crash", at=crash_at,
+                target=google.host.name,
+            ),)),
+            seed=1,
+        ).arm()
+        for _, server in world.servers():
+            assert (server.connection_observers,
+                    server.request_observers) == subscribers[server]
+        # Runs after the crash: same instant, scheduled later.
+        loop.schedule_at(crash_at, lambda: live_after.extend(google.live))
+        crawl(world)
+        assert len(live_before) == 2
+        assert aborted == live_before
+        assert live_before == [
+            transport for transport in accepted
+            if transport in live_before
+        ]
+        assert live_after == []
 
 
 class TestSubscription:

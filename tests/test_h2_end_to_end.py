@@ -194,9 +194,7 @@ class TestOriginFrameEndToEnd:
         assert [r.status for r in responses] == [200, 200]
         assert server.stats.connections == 1
         (connection,) = accepted
-        authorities = [authority for _, authority, _
-                       in connection.request_log]
-        assert "thirdparty.cdn.com" in authorities
+        assert "thirdparty.cdn.com" in connection.request_log
         assert connection.sni == "www.example.com"
 
 
@@ -245,6 +243,36 @@ class TestMisdirectedRequest:
         session.connect(on_ready=go)
         run(network)
         assert [r.status for r in responses] == [421, 200]
+
+    @pytest.mark.parametrize("alpn, waits", [
+        (("h2",), False),
+        (("http/1.1",), True),
+    ], ids=["h2", "h1"])
+    def test_only_h1_holds_a_421_for_the_think_time(self, world, alpn,
+                                                    waits):
+        """An h2 421 goes out at once; h1 sends every response, a 421
+        included, after the server's think time."""
+        network, server, make_session, _ = world
+        server.config.think_time_ms = 500.0
+        session = make_session(alpn=alpn)
+        elapsed = []
+
+        def go():
+            sent_at = network.loop.now()
+            session.request(
+                "not-on-this-server.com", "/",
+                lambda response: elapsed.append(
+                    (response.status, network.loop.now() - sent_at)
+                ),
+            )
+
+        session.connect(on_ready=go)
+        run(network)
+        assert session.negotiated_protocol == alpn[0]
+        ((status, took),) = elapsed
+        assert status == 421
+        assert (took >= 500.0) == waits
+        assert took < 600.0
 
 
 class TestConnectionTiming:

@@ -64,56 +64,50 @@ class TestFraming:
 
 
 class TestServerProtocol:
-    def make(self, handler=None):
+    def make(self):
         sent = []
+        calls = []
 
-        def default_handler(authority, path, headers):
+        def handler(authority, path, headers):
+            calls.append((authority, path))
             return 200, [("x-echo", path)], f"hello {authority}".encode()
 
-        protocol = H1ServerProtocol(sent.append,
-                                    handler or default_handler)
-        return protocol, sent
+        return H1ServerProtocol(sent.append, handler), sent, calls
 
     def test_serves_request(self):
-        protocol, sent = self.make()
+        protocol, sent, calls = self.make()
         protocol.on_app_data(
             build_request("GET", "/a", [("host", "example.com")])
         )
         assert len(sent) == 1
         message, _ = parse_message(sent[0])
         assert message.body == b"hello example.com"
-        assert protocol.requests_served == 1
+        assert calls == [("example.com", "/a")]
 
     def test_persistent_connection_serves_many(self):
-        protocol, sent = self.make()
+        protocol, sent, calls = self.make()
         for path in ("/a", "/b", "/c"):
             protocol.on_app_data(
                 build_request("GET", path, [("host", "example.com")])
             )
         assert len(sent) == 3
-        assert protocol.requests_served == 3
+        assert [path for _, path in calls] == ["/a", "/b", "/c"]
 
     def test_fragmented_request_reassembled(self):
-        protocol, sent = self.make()
+        protocol, sent, calls = self.make()
         wire = build_request("GET", "/a", [("host", "example.com")])
         protocol.on_app_data(wire[:7])
-        assert sent == []
+        assert sent == [] and calls == []
         protocol.on_app_data(wire[7:])
         assert len(sent) == 1
 
-    def test_on_request_observer(self):
-        seen = []
-        protocol = H1ServerProtocol(
-            lambda data: None,
-            lambda a, p, h: (200, [], b""),
-            on_request=lambda authority, index: seen.append(
-                (authority, index)
-            ),
-        )
+    def test_each_request_reaches_the_handler_once(self):
+        protocol, _, calls = self.make()
         protocol.on_app_data(
             build_request("GET", "/", [("host", "x.com")])
+            + build_request("GET", "/2", [("host", "y.com")])
         )
-        assert seen == [("x.com", 1)]
+        assert calls == [("x.com", "/"), ("y.com", "/2")]
 
 
 class TestClientProtocol:

@@ -185,14 +185,16 @@ class TestMidPathRst:
                 asdb=world.asdb,
                 telemetry=telemetry,
             )
-            engine = BrowserEngine(context)
-            archive = engine.load_blocking(
-                experiment.sample[0].hosted.record.page
+            archives = []
+            load = BrowserEngine(context).load(
+                experiment.sample[0].hosted.record.page, archives.append
             )
+            world.network.loop.run_until_idle()
         finally:
             world.network.remove_tap(injector)
         assert injector.aborts == 1  # the RST actually fired
-        return archive, engine, telemetry
+        (archive,) = archives
+        return archive, load, telemetry
 
     def test_inflight_requests_fail_with_one_decision_each(
         self, world_and_experiment
@@ -222,8 +224,8 @@ class TestMidPathRst:
     def test_dead_connection_evicted_from_pool(self,
                                                world_and_experiment):
         world, experiment = world_and_experiment
-        archive, engine, _ = self.load_with_rst(world, experiment)
-        pool = engine.loads[-1].pool
+        _, load, _ = self.load_with_rst(world, experiment)
+        pool = load.pool
         # After a prune, no aborted session may remain anywhere in the
         # registry.
         open_count(pool)

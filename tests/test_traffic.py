@@ -285,6 +285,20 @@ class TestUnwatchedShard:
         assert cohorts and cohorts <= set(result.payload.cohorts)
         assert list(result.spans) == list(result.events) == []
 
+    @pytest.mark.parametrize("scenario", [
+        tiny_scenario(),
+        tiny_scenario(users=16, edge_capacity=2),
+    ], ids=["plain", "overload"])
+    def test_watched_shard_counts_every_pool_connection(self, scenario):
+        """Each page load folds its pool counters into the shard's
+        registry: on h2-only traffic, every connection a pool opens is
+        one the edges accepted."""
+        result = simulate_shard(plan_user_shards(scenario, 1)[0],
+                                collect=(False, False))
+        (opened,) = [doc["value"] for doc in result.metrics
+                     if doc["name"] == "pool.connections_opened"]
+        assert opened == result.payload.totals.connections > 0
+
 
 class TestRunScenario:
     def test_shard_count_is_part_of_the_experiment(self):
