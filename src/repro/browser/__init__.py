@@ -28,7 +28,6 @@ from repro.browser.policy import (
 )
 from repro.browser.pool import (
     ConnectionPool,
-    ConnectionRegistry,
     PoolStats,
 )
 from repro.browser.cache import BrowserCache
@@ -44,7 +43,6 @@ __all__ = [
     "POLICY_FACTORIES",
     "policy_by_name",
     "ConnectionPool",
-    "ConnectionRegistry",
     "PoolStats",
     "BrowserCache",
     "BrowserContext",

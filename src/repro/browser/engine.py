@@ -207,8 +207,8 @@ class PageLoad:
         if context.h3_enabled:
             from repro.transport.quicsim import QuicDialer
 
-            # quic.* counters land in the pool's registry (absorbed
-            # into the crawl metrics), created lazily on first use.
+            # quic.* counts land on the pool's stats, exported with
+            # the pool counters when the load ends.
             self.quic_dialer = QuicDialer(
                 context.network,
                 context.client_host,
@@ -218,7 +218,7 @@ class PageLoad:
                 origin_aware=origin_aware,
                 telemetry=telemetry,
                 page=self.page.url,
-                metrics=self.pool.stats.registry,
+                stats=self.pool.stats,
             )
         self.entries: List[HarEntry] = []
         self.outstanding = 0
@@ -886,9 +886,9 @@ class PageLoad:
             phases.observe("page", on_load)
         self.pool.close_all()
         if self.telemetry.enabled:
-            # The load's pool and quic.* counters, folded into the
+            # The load's pool and quic.* counters, exported into the
             # run's registry once the load is over.
-            self.telemetry.metrics.absorb(self.pool.stats.registry)
+            self.pool.stats.export(self.telemetry.metrics)
         self.on_complete(HarArchive(page=page, entries=self.entries))
 
 

@@ -33,9 +33,6 @@ class ConnectionFacts:
     #: All addresses in the DNS answer that produced this connection.
     available_set: FrozenSet[str] = frozenset()
     anonymous_partition: bool = False
-    #: Insertion order within the owning pool; assigned by the pool's
-    #: registry so indexed lookups preserve first-match semantics.
-    pool_seq: int = -1
     #: Name of the dialer that opened the session (``tcp-tls`` or
     #: ``quic``).
     transport: str = "tcp-tls"
@@ -76,7 +73,7 @@ class CoalescingPolicy:
     coalesces = True
     #: Whether every reuse this policy grants implies an address overlap
     #: between the connection and the candidate's DNS answer.  When True
-    #: the pool may restrict the search to its IP index.
+    #: the pool skips connections sharing no address with the answer.
     requires_ip_overlap = False
 
     def explain(
@@ -139,7 +136,7 @@ class FirefoxPolicy(CoalescingPolicy):
     def __init__(self, origin_frames: bool = True) -> None:
         self.origin_frames = origin_frames
         # Without ORIGIN frames every grant needs an address overlap, so
-        # the pool's IP index covers the whole candidate set.
+        # the pool need not examine connections that share none.
         self.requires_ip_overlap = not origin_frames
         if origin_frames:
             self.name = "firefox+origin"

@@ -15,13 +15,10 @@ a separate credential-less partition and never reuse (or donate)
 connections across the partition boundary, which is the §5.3
 observation that capped coalescing in the deployment.
 
-Lookups are indexed: the pool keeps a hostname->connections map (for
-same-host reuse) and an IP->connections map (consulted when the active
-policy only grants reuse on address overlap), so neither hot path
-scans every open connection.  :class:`PoolStats` counts how each
-lookup was answered, and dead (closed/failed) sessions are pruned from
-the registry and both indexes as soon as a lookup or accounting path
-touches them.
+The pool's connections are one list in opening order, and every
+lookup scans it (a page's pool holds about ten connections).
+:class:`PoolStats` counts how each lookup was answered, and dead
+(closed/failed) sessions a lookup visits are pruned from the list.
 
 The pool opens sessions through a *dialer*: any object with a ``name``
 (stamped on :attr:`ConnectionFacts.transport`) and
@@ -44,11 +41,16 @@ events and audit-log entries, so the three can never disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.audit.reasons import ReasonCode
 from repro.browser.policy import CoalescingPolicy, ConnectionFacts
-from repro.telemetry import NULL_TELEMETRY, RegistryStats, Telemetry
+from repro.telemetry import (
+    NULL_TELEMETRY,
+    MetricsRegistry,
+    RegistryStats,
+    Telemetry,
+)
 
 #: Browsers cap parallel HTTP/1.1 connections per host; 6 is the
 #: long-standing Chromium/Firefox default.
@@ -86,15 +88,15 @@ _COALESCE_MISS_PRIORITY = {
 
 
 class PoolStats(RegistryStats):
-    """Connection-pool counters, backed by the unified metrics
-    registry.
+    """Connection-pool counters.
 
     ``same_host_lookups`` .. ``candidates_examined`` are the lookup
-    accounting: every find_same_host / find_coalescable call, how it
-    was served, and how many candidates the policy actually examined
-    -- the evidence that indexing did not change behaviour, only the
-    amount of work.  ``pruned_connections`` counts dead
-    (closed/failed) entries removed from the registry.
+    accounting: every find_same_host / find_coalescable call and how
+    many candidates the policy actually examined.
+    ``pruned_connections`` counts dead (closed/failed) entries removed
+    from the pool.  ``quic`` holds the page's ``quic.*`` counts in
+    first-use order (an h2-only load has none); :meth:`export` adds
+    them after the pool counters.
     """
 
     _prefix = "pool."
@@ -106,106 +108,25 @@ class PoolStats(RegistryStats):
         "connection_failures",
         "same_host_lookups",
         "coalesce_lookups",
-        "indexed_lookups",
-        "full_scans",
         "candidates_examined",
         "pruned_connections",
     )
 
-
-class ConnectionRegistry(List[ConnectionFacts]):
-    """The pool's connection list plus its two lookup indexes.
-
-    Behaves as a plain list of :class:`ConnectionFacts` (iteration and
-    ``append`` keep working for callers and tests), while maintaining a
-    hostname index keyed by SNI and an address index keyed by every IP
-    in each connection's connected/available set.
-    """
-
-    def __init__(self, items: Iterable[ConnectionFacts] = ()) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.by_sni: Dict[str, List[ConnectionFacts]] = {}
-        self.by_ip: Dict[str, List[ConnectionFacts]] = {}
-        self._next_seq = 0
-        for facts in items:
-            self.append(facts)
+        self.quic: Dict[str, int] = {}
 
-    # -- mutation (keeps indexes in sync) ---------------------------------
+    def count_quic(self, name: str, amount: int = 1) -> None:
+        self.quic[name] = self.quic.get(name, 0) + amount
 
-    def append(self, facts: ConnectionFacts) -> None:
-        facts.pool_seq = self._next_seq
-        self._next_seq += 1
-        super().append(facts)
-        self.by_sni.setdefault(facts.sni, []).append(facts)
-        for ip in self._addresses_of(facts):
-            self.by_ip.setdefault(ip, []).append(facts)
-
-    def discard(self, facts: ConnectionFacts) -> bool:
-        """Remove one entry (by identity) from the list and indexes."""
-        for index, candidate in enumerate(self):
-            if candidate is facts:
-                del self[index]
-                break
-        else:
-            return False
-        self._unindex(facts)
-        return True
-
-    def clear(self) -> None:
-        super().clear()
-        self.by_sni.clear()
-        self.by_ip.clear()
-
-    def _unindex(self, facts: ConnectionFacts) -> None:
-        bucket = self.by_sni.get(facts.sni, [])
-        self._remove_identity(bucket, facts)
-        if not bucket:
-            self.by_sni.pop(facts.sni, None)
-        for ip in self._addresses_of(facts):
-            bucket = self.by_ip.get(ip, [])
-            self._remove_identity(bucket, facts)
-            if not bucket:
-                self.by_ip.pop(ip, None)
-
-    @staticmethod
-    def _remove_identity(bucket: List[ConnectionFacts],
-                         facts: ConnectionFacts) -> None:
-        for index, candidate in enumerate(bucket):
-            if candidate is facts:
-                del bucket[index]
-                return
-
-    @staticmethod
-    def _addresses_of(facts: ConnectionFacts) -> frozenset:
-        addresses = set(facts.available_set)
-        if facts.connected_ip:
-            addresses.add(facts.connected_ip)
-        return frozenset(addresses)
-
-    # -- lookup -----------------------------------------------------------
-
-    def for_host(self, hostname: str) -> List[ConnectionFacts]:
-        """Connections with this SNI, in pool insertion order."""
-        return self.by_sni.get(hostname, [])
-
-    def candidates_for_ips(
-        self, addresses: Sequence[str]
-    ) -> List[ConnectionFacts]:
-        """Connections whose address set touches ``addresses``,
-        deduplicated and in pool insertion order."""
-        seen = set()
-        candidates: List[ConnectionFacts] = []
-        for address in addresses:
-            for facts in self.by_ip.get(address, ()):
-                if id(facts) not in seen:
-                    seen.add(id(facts))
-                    candidates.append(facts)
-        candidates.sort(key=lambda facts: facts.pool_seq)
-        return candidates
+    def export(self, registry: MetricsRegistry) -> None:
+        super().export(registry)
+        for name, value in self.quic.items():
+            registry.counter(name).inc(value)
 
 
 class ConnectionPool:
-    """Session registry plus policy-driven reuse decisions.
+    """Open sessions plus policy-driven reuse decisions.
 
     The pool is protocol-agnostic: it opens sessions through a dialer
     (see the module docstring) and keys its decisions on each
@@ -232,7 +153,7 @@ class ConnectionPool:
         #: connection).  Off by default so h2-only crawls examine
         #: exactly the candidates they did pre-refactor.
         self.prefer_h3 = prefer_h3
-        self.connections = ConnectionRegistry()
+        self.connections: List[ConnectionFacts] = []
         self.stats = PoolStats()
         self.tracer = telemetry.tracer
         self.audit = telemetry.audit
@@ -247,9 +168,14 @@ class ConnectionPool:
         return not session.closed and session.failed is None
 
     def _prune(self, dead: Sequence[ConnectionFacts]) -> None:
+        # By identity: ConnectionFacts compares by value.
+        connections = self.connections
         for facts in dead:
-            if self.connections.discard(facts):
-                self.stats.pruned_connections += 1
+            for index, candidate in enumerate(connections):
+                if candidate is facts:
+                    del connections[index]
+                    self.stats.pruned_connections += 1
+                    break
 
     def _note_lookup(self, kind: str, hostname: str,
                      outcome: LookupOutcome) -> None:
@@ -271,12 +197,6 @@ class ConnectionPool:
                 reused_sni=outcome.facts.sni if outcome.facts else "",
             )
 
-    @property
-    def observed(self) -> bool:
-        """Whether any observer (tracer or audit log) is live; precise
-        miss classification is only worth extra work when one is."""
-        return self.tracer.enabled or self.audit.enabled
-
     def find_same_host(
         self, hostname: str, anonymous: bool = False
     ) -> LookupOutcome:
@@ -286,14 +206,15 @@ class ConnectionPool:
         the caller to open another connection (browser-style).
         """
         self.stats.same_host_lookups += 1
-        self.stats.indexed_lookups += 1
         found: Optional[ConnectionFacts] = None
         idle_h1: Optional[ConnectionFacts] = None
         at_cap: Optional[ConnectionFacts] = None
         h1_count = 0
         partition_skips = 0
         dead: List[ConnectionFacts] = []
-        for facts in self.connections.for_host(hostname):
+        for facts in self.connections:
+            if facts.sni != hostname:
+                continue
             if not self._usable(facts):
                 dead.append(facts)
                 continue
@@ -363,33 +284,30 @@ class ConnectionPool:
             outcome = LookupOutcome(None, ReasonCode.MISS_POLICY_FORBIDS)
             self._note_lookup("coalesce", hostname, outcome)
             return outcome
-        indexed = policy.requires_ip_overlap
-        if indexed:
-            # Every grant implies an address overlap, so only
-            # connections sharing an address with the DNS answer can
-            # possibly match.
-            if not dns_addresses:
-                outcome = LookupOutcome(
-                    None, ReasonCode.MISS_NO_DNS_OVERLAP
-                )
-                self._note_lookup("coalesce", hostname, outcome)
-                return outcome
-            self.stats.indexed_lookups += 1
-            candidates: Iterable[ConnectionFacts] = (
-                self.connections.candidates_for_ips(dns_addresses)
-            )
-        else:
-            # ORIGIN-frame policies may reuse without any IP overlap;
-            # their authority (the origin set) lives in the session, so
-            # the full registry is the candidate set.
-            self.stats.full_scans += 1
-            candidates = list(self.connections)
+        overlap_only = policy.requires_ip_overlap
+        if overlap_only and not dns_addresses:
+            # Every grant implies an address overlap with the DNS
+            # answer, and there is none to overlap.
+            outcome = LookupOutcome(None, ReasonCode.MISS_NO_DNS_OVERLAP)
+            self._note_lookup("coalesce", hostname, outcome)
+            return outcome
         found: Optional[ConnectionFacts] = None
         hit_reason = ReasonCode.POOL_HIT_IP_SAN
         miss_reason: Optional[ReasonCode] = None
         examined = 0
+        skipped_other_host = False
         dead: List[ConnectionFacts] = []
-        for facts in candidates:
+        for facts in self.connections:
+            if overlap_only and facts.connected_ip not in dns_addresses \
+                    and facts.available_set.isdisjoint(dns_addresses):
+                # No address in common, so the policy cannot grant
+                # reuse: not a candidate, not even to be pruned.
+                skipped_other_host = skipped_other_host or (
+                    self._usable(facts)
+                    and not facts.anonymous_partition
+                    and facts.sni != hostname
+                )
+                continue
             if not self._usable(facts):
                 dead.append(facts)
                 continue
@@ -416,26 +334,14 @@ class ConnectionPool:
             outcome = LookupOutcome(
                 None, miss_reason or ReasonCode.MISS_NO_CANDIDATE
             )
-        elif indexed and self.observed and self._has_other_usable(
-            hostname
-        ):
-            # The IP index returned nothing, but usable connections to
-            # other hosts exist -- none shares an address with the DNS
-            # answer.  (Classification only; skipped unobserved.)
+        elif skipped_other_host:
+            # Usable connections to other hosts exist, but none shares
+            # an address with the DNS answer.
             outcome = LookupOutcome(None, ReasonCode.MISS_NO_DNS_OVERLAP)
         else:
             outcome = LookupOutcome(None, ReasonCode.MISS_NO_CANDIDATE)
         self._note_lookup("coalesce", hostname, outcome)
         return outcome
-
-    def _has_other_usable(self, hostname: str) -> bool:
-        """Any usable, non-anonymous connection with a different SNI."""
-        return any(
-            self._usable(facts)
-            and not facts.anonymous_partition
-            and facts.sni != hostname
-            for facts in self.connections
-        )
 
     # -- opening -------------------------------------------------------------
 
@@ -477,7 +383,7 @@ class ConnectionPool:
         def failed(reason: str) -> None:
             self.stats.connection_failures += 1
             # A failed session can never serve a request again; drop it
-            # from the registry and indexes immediately.
+            # from the pool immediately.
             self._prune([facts])
             on_failed(reason)
 

@@ -10,7 +10,7 @@ are recorded as failed page loads without being fetched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -27,11 +27,6 @@ class CrawlResult:
     """All archives from one crawl, attempted and successful."""
 
     archives: List[HarArchive] = field(default_factory=list)
-    #: Memo for :attr:`successes`, keyed by archive count so appends
-    #: (the only way crawls and merges grow a result) invalidate it.
-    _successes_memo: Optional[Tuple[int, List[HarArchive]]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def attempted(self) -> int:
@@ -39,20 +34,8 @@ class CrawlResult:
 
     @property
     def successes(self) -> List[HarArchive]:
-        """Successful archives; computed once per result size.
-
-        The CLI and :mod:`~repro.dataset.characterize` consult this
-        repeatedly per crawl, so it must not rebuild the filtered list
-        on every access.
-        """
-        memo = self._successes_memo
-        if memo is None or memo[0] != len(self.archives):
-            memo = (
-                len(self.archives),
-                [a for a in self.archives if a.page.success],
-            )
-            self._successes_memo = memo
-        return memo[1]
+        """Successful archives, in crawl order."""
+        return [a for a in self.archives if a.page.success]
 
     @property
     def success_count(self) -> int:
@@ -185,5 +168,5 @@ class Crawler:
             archives=[self.crawl_site(hosted) for hosted in self.world.sites]
         )
         if self.telemetry.enabled:
-            self.telemetry.metrics.absorb(self.resolver.stats.registry)
+            self.resolver.stats.export(self.telemetry.metrics)
         return result

@@ -25,7 +25,7 @@ from repro.telemetry import NULL_TELEMETRY, RegistryStats, Telemetry
 
 
 class MiddleboxStats(RegistryStats):
-    """Inspection counters, backed by the unified metrics registry."""
+    """Inspection counters."""
 
     _prefix = "middlebox."
     _counters = (

@@ -62,7 +62,6 @@ class DnsAnswer:
     cname_chain: Tuple[str, ...] = ()
     from_cache: bool = False
     query_time_ms: float = 0.0
-    encrypted_transport: bool = False
     #: ALPN protocols from the name's HTTPS/SVCB record; empty when
     #: none exists or the resolver did not ask for one.
     https_alpn: Tuple[str, ...] = ()

@@ -37,6 +37,9 @@ MAX_CNAME_DEPTH = 8
 #: resolver performance for cache-miss lookups from a home network.
 DEFAULT_QUERY_LATENCY_MS = 20.0
 
+#: Log-space sigma of the query latency around its median.
+QUERY_LATENCY_SIGMA = 0.4
+
 
 def _served_from_cache(answer: DnsAnswer, ttl: float) -> DnsAnswer:
     """A copy of ``answer`` as the cache (or a joined in-flight lookup)
@@ -48,14 +51,12 @@ def _served_from_cache(answer: DnsAnswer, ttl: float) -> DnsAnswer:
         cname_chain=answer.cname_chain,
         from_cache=True,
         query_time_ms=0.0,
-        encrypted_transport=answer.encrypted_transport,
         https_alpn=answer.https_alpn,
     )
 
 
 class ResolverStats(RegistryStats):
-    """Counters consumed by the privacy analysis (paper §6.2); backed
-    by the unified metrics registry."""
+    """Counters consumed by the privacy analysis (paper §6.2)."""
 
     _prefix = "dns."
     _counters = (
@@ -63,7 +64,6 @@ class ResolverStats(RegistryStats):
         "cache_hits",
         "nxdomain",
         "plaintext_queries",
-        "encrypted_queries",
     )
 
 
@@ -155,16 +155,12 @@ class CachingResolver:
         authority: AuthoritativeServer,
         rng: Optional[np.random.Generator] = None,
         median_latency_ms: float = DEFAULT_QUERY_LATENCY_MS,
-        latency_sigma: float = 0.4,
-        encrypted_transport: bool = False,
         telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         self._loop = loop
         self._authority = authority
         self._rng = rng
         self._median_latency = median_latency_ms
-        self._latency_sigma = latency_sigma
-        self.encrypted_transport = encrypted_transport
         #: When True, wire queries also fetch the name's HTTPS/SVCB
         #: record (piggybacked: resolvers issue A and HTTPS queries in
         #: parallel, so no extra latency is modelled).  Off by default
@@ -193,11 +189,11 @@ class CachingResolver:
         A lognormal with sigma 0.4 around a 20ms median gives the
         long-tailed profile measured for real recursive resolution.
         """
-        if self._rng is None or self._latency_sigma <= 0:
+        if self._rng is None:
             return self._median_latency
         return float(
             self._median_latency
-            * np.exp(self._rng.normal(0.0, self._latency_sigma))
+            * np.exp(self._rng.normal(0.0, QUERY_LATENCY_SIGMA))
         )
 
     # -- cache -------------------------------------------------------------
@@ -282,10 +278,7 @@ class CachingResolver:
             return
         self._in_flight[name] = []
 
-        if self.encrypted_transport:
-            self.stats.encrypted_queries += 1
-        else:
-            self.stats.plaintext_queries += 1
+        self.stats.plaintext_queries += 1
         if self.audit.enabled:
             self.audit.record("dns", ReasonCode.DNS_WIRE_QUERY,
                               hostname=name)
@@ -321,7 +314,6 @@ class CachingResolver:
                 cname_chain=chain,
                 from_cache=False,
                 query_time_ms=latency,
-                encrypted_transport=self.encrypted_transport,
                 https_alpn=(
                     self._authority.query_https(name)
                     if self.query_https_records else ()

@@ -170,8 +170,7 @@ class ServerConfig:
 
 
 class ServerStats(RegistryStats):
-    """Counters the passive-measurement pipeline consumes; backed by
-    the unified metrics registry."""
+    """Counters the passive-measurement pipeline consumes."""
 
     _prefix = "server."
     _counters = (

@@ -5,8 +5,9 @@ handshake, and HTTP/2 stream; this package makes that truth visible:
 
 * :class:`~repro.telemetry.tracer.Tracer` records spans against the
   simulated clock (deterministic: same seed, byte-identical trace);
-* :class:`~repro.telemetry.metrics.MetricsRegistry` unifies the
-  per-layer counters the old ``*Stats`` dataclasses kept ad-hoc;
+* :class:`~repro.telemetry.metrics.MetricsRegistry` holds a run's
+  counters and histograms, the per-layer ``*Stats`` counters included
+  (exported into it when a page load or crawl shard ends);
 * :mod:`~repro.telemetry.exporters` writes JSONL, Chrome
   ``trace_event`` (Perfetto-loadable waterfalls), and ASCII summaries.
 

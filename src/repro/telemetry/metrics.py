@@ -1,12 +1,10 @@
 """The unified metrics registry.
 
 One :class:`MetricsRegistry` holds every counter and histogram
-a simulated component emits, keyed by ``(name, labels)``.  The ad-hoc
-``*Stats`` dataclasses that used to live in each layer (pool, server,
-resolver, middlebox) are rebuilt on top of it via
-:class:`RegistryStats`, which preserves their plain-attribute API
-(``stats.queries += 1`` still works and still reads back as a number)
-while making every counter visible to one exporter.
+a simulated component emits, keyed by ``(name, labels)``.  The
+per-layer ``*Stats`` objects (pool, server, resolver, middlebox) keep
+plain integer counters (:class:`RegistryStats`) and export them into
+the run's registry when their page load or crawl shard ends.
 
 Registries are cheap, picklable-through-snapshots, and mergeable:
 per-shard crawl workers snapshot their registry and the parent absorbs
@@ -18,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Mapping, Sequence, Tuple, Union
 
 LabelKey = Tuple[Tuple[str, str], ...]
 MetricKey = Tuple[str, LabelKey]
@@ -36,9 +34,7 @@ def _label_key(labels: Mapping[str, object]) -> LabelKey:
 
 
 class Counter:
-    """A monotonically *used* numeric series (``value`` is writable so
-    the attribute API of :class:`RegistryStats` can write back ``+=``
-    results)."""
+    """A monotonically *used* numeric series."""
 
     kind = "counter"
     __slots__ = ("name", "labels", "value")
@@ -173,13 +169,6 @@ class MetricsRegistry:
     def metrics(self) -> List[Metric]:
         return list(self._metrics.values())
 
-    def value(self, name: str, **labels) -> Union[int, float]:
-        """Convenience read of a counter (0 when absent)."""
-        metric = self._metrics.get((name, _label_key(labels)))
-        if metric is None:
-            return 0
-        return metric.value  # type: ignore[union-attr]
-
     def __len__(self) -> int:
         return len(self._metrics)
 
@@ -209,16 +198,12 @@ class MetricsRegistry:
             out.append(doc)
         return out
 
-    def absorb(self, source: Union["MetricsRegistry", List[dict]],
-               prefix: str = "") -> None:
-        """Merge ``source`` (a registry or a :meth:`snapshot`) into
-        this registry: counters add, histograms merge
-        bucket-by-bucket."""
-        docs = source.snapshot() if isinstance(source, MetricsRegistry) \
-            else source
+    def absorb(self, docs: List[dict]) -> None:
+        """Merge a :meth:`snapshot` into this registry: counters add,
+        histograms merge bucket-by-bucket."""
         for doc in docs:
             labels = {key: value for key, value in doc["labels"]}
-            name = prefix + doc["name"]
+            name = doc["name"]
             if doc["kind"] == "counter":
                 self.counter(name, **labels).inc(doc["value"])
             else:
@@ -240,54 +225,30 @@ class MetricsRegistry:
                     histogram.max = max(histogram.max, doc["max"])
 
 
-def _counter_property(name: str) -> property:
-    """``stats.<name>`` as a read/write view of the instance's cached
-    series: a ``+= 1`` is one getter and one setter call."""
-
-    def read(self):
-        return self._cache[name].value
-
-    def write(self, value) -> None:
-        self._cache[name].value = value
-
-    return property(read, write)
-
-
 class RegistryStats:
     """Base for the per-layer ``*Stats`` objects.
 
-    Subclasses declare ``_prefix`` and ``_counters``; instances expose
-    each counter as a plain read/write attribute (a generated
-    property) backed by a registry series, so existing call sites
-    (``stats.queries += 1``) and tests keep working unchanged.  By
-    default every instance gets a private registry; pass ``registry=``
-    to bind the counters into a shared one (labels distinguish
-    instances there).
+    Subclasses declare ``_prefix`` and ``_counters``; each counter is a
+    plain ``int`` attribute (``stats.queries += 1``).  The one reader
+    of a stats object calls :meth:`export` once, when its page load or
+    crawl shard ends, to add the counters to that run's registry.
     """
 
     _prefix: ClassVar[str] = ""
     _counters: ClassVar[Tuple[str, ...]] = ()
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        for name in cls._counters:
-            setattr(cls, name, _counter_property(name))
+    def __init__(self) -> None:
+        for name in self._counters:
+            setattr(self, name, 0)
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 **labels) -> None:
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        # Resolve each counter once; attribute access must not pay the
-        # registry's label-key construction on every bump.
-        self._cache = {
-            name: self.registry.counter(type(self)._prefix + name,
-                                        **labels)
-            for name in type(self)._counters
-        }
+    def export(self, registry: MetricsRegistry) -> None:
+        """Add every counter to ``registry`` as ``<prefix><name>``, in
+        declaration order, zeros included."""
+        for name in self._counters:
+            registry.counter(self._prefix + name).inc(getattr(self, name))
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={series.value}"
-            for name, series in self._cache.items()
+            f"{name}={getattr(self, name)}" for name in self._counters
         )
         return f"{type(self).__name__}({fields})"

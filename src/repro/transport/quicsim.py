@@ -321,16 +321,15 @@ class QuicClientSession(H2ClientSession):
         origin_aware: bool = True,
         telemetry: Telemetry = NULL_TELEMETRY,
         page: str = "",
-        metrics=None,
+        stats=None,
     ) -> None:
         super().__init__(
             network, client_host, server_ip, quic_config,
             origin_aware=origin_aware, telemetry=telemetry, page=page,
         )
-        #: Metrics registry for the quic.* counters; created lazily so
-        #: h2-only crawls export exactly the metric series they always
-        #: did.  ``None`` disables.
-        self.metrics = metrics
+        #: The page pool's :class:`~repro.browser.pool.PoolStats`, which
+        #: keeps the quic.* counts; ``None`` disables them.
+        self.stats = stats
 
     @property
     def capabilities(self) -> SessionCapabilities:
@@ -396,19 +395,18 @@ class QuicClientSession(H2ClientSession):
                     "quic", ReasonCode.QUIC_HANDSHAKE_1RTT,
                     page=self.page, hostname=self.tls_config.sni,
                 )
-        if self.metrics is not None:
+        stats = self.stats
+        if stats is not None:
             # Round trips saved before the first request, against the
             # TCP+TLS1.3 floor of two (connect + handshake).
             if channel.resumed:
-                self.metrics.counter("quic.zero_rtt_resumptions").inc()
+                stats.count_quic("quic.zero_rtt_resumptions")
                 if channel.cross_host:
-                    self.metrics.counter(
-                        "quic.cross_host_resumptions"
-                    ).inc()
-                self.metrics.counter("quic.handshake_rtts_saved").inc(2)
+                    stats.count_quic("quic.cross_host_resumptions")
+                stats.count_quic("quic.handshake_rtts_saved", 2)
             else:
-                self.metrics.counter("quic.handshakes_1rtt").inc()
-                self.metrics.counter("quic.handshake_rtts_saved").inc(1)
+                stats.count_quic("quic.handshakes_1rtt")
+                stats.count_quic("quic.handshake_rtts_saved")
         self._on_tls_established()
 
 
@@ -438,7 +436,7 @@ class QuicDialer:
         origin_aware: bool = True,
         telemetry: Telemetry = NULL_TELEMETRY,
         page: str = "",
-        metrics=None,
+        stats=None,
     ) -> None:
         self.network = network
         self.client_host = client_host
@@ -449,9 +447,9 @@ class QuicDialer:
         self.origin_aware = origin_aware
         self.telemetry = telemetry
         self.page = page
-        #: Registry for the quic.* counters (the page pool's, so they
-        #: are absorbed with the pool counters); ``None`` disables.
-        self.metrics = metrics
+        #: The page pool's stats, handed to every session for its quic.*
+        #: counts; ``None`` disables them.
+        self.stats = stats
 
     def config(self, sni: str) -> QuicClientConfig:
         return QuicClientConfig(
@@ -480,5 +478,5 @@ class QuicDialer:
             origin_aware=self.origin_aware,
             telemetry=self.telemetry,
             page=self.page,
-            metrics=self.metrics,
+            stats=self.stats,
         )

@@ -11,7 +11,7 @@ from repro.browser.policy import (
     NoCoalescingPolicy,
 )
 from repro.browser.pool import ConnectionPool, MAX_H1_CONNECTIONS_PER_HOST
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.transport.base import DEFAULT_MAX_STREAMS, SessionCapabilities
 
 #: The capability records an h2 and an HTTP/1.1 session declare.
@@ -44,26 +44,9 @@ class FakeSession:
         return hostname in self._origins
 
 
-def scan_coalescable(pool, hostname, dns_addresses, anonymous=False):
-    """The pool's cross-host lookup before it was indexed: a full scan
-    in registry order.  The oracle for
-    :meth:`ConnectionPool.find_coalescable`, which must pick the same
-    connection."""
-    if anonymous:
-        return None
-    for facts in list(pool.connections):
-        if not pool._usable(facts) or facts.anonymous_partition:
-            continue
-        if facts.sni == hostname:
-            continue
-        if pool.policy.explain(facts, hostname, dns_addresses).is_hit:
-            return facts
-    return None
-
-
 def open_count(pool):
     """Prune every dead connection, then count what is left: the
-    registry must end up holding exactly the live entries."""
+    pool must end up holding exactly the live entries."""
     pool._prune([
         facts for facts in pool.connections
         if not pool._usable(facts)
@@ -189,104 +172,159 @@ class TestFindCoalescable:
         assert outcome.reason is ReasonCode.POOL_HIT_IP_SAN
 
 
-class TestIndexes:
-    """The sni/IP indexes answer lookups without full scans and stay
-    consistent under append and prune."""
+#: The pool every lookup-table row starts from, in insertion order:
+#: (label, sni, ``add`` options).  Every entry but ``san-miss``
+#: carries a certificate covering ``cdn.x.com``.
+COVERS = ("cdn.x.com",)
+MIXED_POOL = (
+    ("dead", "www.d.com", dict(san=COVERS, origins=COVERS,
+                               available=("10.0.0.1",), closed=True)),
+    ("anon", "www.e.com", dict(san=COVERS, origins=COVERS,
+                               available=("10.0.0.1",), anonymous=True)),
+    ("san-miss", "www.f.com", dict(available=("10.0.0.1",))),
+    ("h1", "www.g.com", dict(multiplex=False, san=COVERS,
+                             available=("10.0.0.3",))),
+    ("far", "www.c.com", dict(san=COVERS, origins=COVERS,
+                              available=("10.0.0.9",))),
+    ("near", "www.b.com", dict(san=COVERS,
+                               available=("10.0.0.2", "10.0.0.3"))),
+    ("same", "cdn.x.com", dict(san=COVERS, available=("10.0.0.1",))),
+)
+#: No usable, non-anonymous connection to another host.
+SPARSE_POOL = tuple(
+    row for row in MIXED_POOL if row[0] in ("dead", "anon", "same")
+)
 
-    def test_registry_indexes_track_appends(self):
-        pool = make_pool()
-        facts = add(pool, "www.a.com",
-                    available=("10.0.0.1", "10.0.0.2"))
-        registry = pool.connections
-        assert registry.for_host("www.a.com") == [facts]
-        assert registry.by_ip["10.0.0.1"] == [facts]
-        assert registry.by_ip["10.0.0.2"] == [facts]
-        assert facts.pool_seq == 0
+POLICIES = {
+    "chromium": ChromiumPolicy,
+    "firefox": lambda: FirefoxPolicy(origin_frames=False),
+    "firefox+origin": lambda: FirefoxPolicy(origin_frames=True),
+    "ideal-origin": IdealOriginPolicy,
+    "none": NoCoalescingPolicy,
+}
+#: Shorthand keys of the expectation dicts below.
+POLICY_GROUPS = {
+    "ip": ("chromium", "firefox"),
+    "origin": ("firefox+origin", "ideal-origin"),
+    "*": tuple(POLICIES),
+}
 
-    def test_same_host_lookup_is_indexed(self):
-        pool = make_pool()
-        for index in range(50):
-            add(pool, f"host{index:02d}.example")
-        target = add(pool, "www.a.com")
-        found = pool.find_same_host("www.a.com")
-        assert found.facts is target
-        # The lookup examined only the target's bucket, not the pool.
-        assert pool.stats.candidates_examined == 1
-        assert pool.stats.indexed_lookups == 1
+R = ReasonCode
+#: (pool, lookup, hostname, dns answer, anonymous request,
+#:  {policy or group: (facts label, candidates_examined,
+#:                     pruned_connections, reason when watched)}).
+#: A policy key overrides its group's.
+LOOKUP_TABLE = (
+    (MIXED_POOL, "coalesce", "cdn.x.com", ["10.0.0.1"], False, {
+        "ip": (None, 1, 1, R.MISS_SAN_MISMATCH),
+        "origin": ("far", 3, 1, R.POOL_HIT_ORIGIN_FRAME),
+        "none": (None, 0, 0, R.MISS_POLICY_FORBIDS),
+    }),
+    (MIXED_POOL, "coalesce", "cdn.x.com", ["10.0.0.3"], False, {
+        "chromium": (None, 2, 0, R.MISS_NO_DNS_OVERLAP),
+        "firefox": ("near", 2, 0, R.POOL_HIT_IP_SAN),
+        "origin": ("far", 3, 1, R.POOL_HIT_ORIGIN_FRAME),
+        "none": (None, 0, 0, R.MISS_POLICY_FORBIDS),
+    }),
+    (MIXED_POOL, "coalesce", "cdn.x.com", ["10.0.0.77"], False, {
+        "ip": (None, 0, 0, R.MISS_NO_DNS_OVERLAP),
+        "origin": ("far", 3, 1, R.POOL_HIT_ORIGIN_FRAME),
+        "none": (None, 0, 0, R.MISS_POLICY_FORBIDS),
+    }),
+    (MIXED_POOL, "coalesce", "cdn.x.com", [], False, {
+        "ip": (None, 0, 0, R.MISS_NO_DNS_OVERLAP),
+        "origin": ("far", 3, 1, R.POOL_HIT_ORIGIN_FRAME),
+        "none": (None, 0, 0, R.MISS_POLICY_FORBIDS),
+    }),
+    (MIXED_POOL, "coalesce", "cdn.x.com", ["10.0.0.1"], True, {
+        "*": (None, 0, 0, R.MISS_ANONYMOUS_PARTITION),
+    }),
+    (MIXED_POOL, "same-host", "cdn.x.com", [], False, {
+        "*": ("same", 1, 0, R.POOL_HIT_SAME_HOST),
+    }),
+    (MIXED_POOL, "same-host", "www.d.com", [], False, {
+        "*": (None, 0, 1, R.MISS_CLOSED_STALE),
+    }),
+    (MIXED_POOL, "same-host", "www.e.com", [], False, {
+        "*": (None, 0, 0, R.MISS_ANONYMOUS_PARTITION),
+    }),
+    (MIXED_POOL, "same-host", "www.g.com", [], False, {
+        "*": ("h1", 1, 0, R.POOL_HIT_H1_IDLE),
+    }),
+    (SPARSE_POOL, "coalesce", "cdn.x.com", ["10.0.0.1"], False, {
+        "ip": (None, 0, 1, R.MISS_NO_CANDIDATE),
+        "origin": (None, 0, 1, R.MISS_NO_CANDIDATE),
+        "none": (None, 0, 0, R.MISS_POLICY_FORBIDS),
+    }),
+    (SPARSE_POOL, "coalesce", "cdn.x.com", ["10.0.0.77"], False, {
+        "ip": (None, 0, 0, R.MISS_NO_CANDIDATE),
+        "origin": (None, 0, 1, R.MISS_NO_CANDIDATE),
+        "none": (None, 0, 0, R.MISS_POLICY_FORBIDS),
+    }),
+)
 
-    def test_ip_policy_coalesce_lookup_is_indexed(self):
-        pool = make_pool(policy=ChromiumPolicy())
-        for index in range(40):
-            add(pool, f"host{index:02d}.example",
-                available=(f"10.1.{index}.1",))
-        target = add(pool, "www.a.com", san=("www.a.com", "cdn.a.com"),
-                     available=("10.9.9.9",))
-        found = pool.find_coalescable("cdn.a.com", ["10.9.9.9"])
-        assert found.facts is target
-        assert pool.stats.indexed_lookups == 1
-        assert pool.stats.full_scans == 0
-        assert pool.stats.candidates_examined == 1
 
-    def test_origin_policy_falls_back_to_full_scan(self):
-        pool = make_pool(policy=FirefoxPolicy(origin_frames=True))
-        add(pool, "www.b.com")
-        target = add(pool, "www.a.com",
-                     san=("www.a.com", "cdn.a.com"),
-                     origins=("cdn.a.com",))
-        # ORIGIN-frame reuse needs no IP overlap, so the IP index
-        # cannot bound the candidate set.
-        found = pool.find_coalescable("cdn.a.com", ["10.200.0.1"])
-        assert found.facts is target
-        assert pool.stats.full_scans == 1
+def expected_for(expectations, policy):
+    if policy in expectations:
+        return expectations[policy]
+    for group, members in POLICY_GROUPS.items():
+        if group in expectations and policy in members:
+            return expectations[group]
+    raise KeyError(policy)
 
-    def test_no_coalescing_policy_skips_lookup_entirely(self):
-        pool = make_pool(policy=NoCoalescingPolicy())
-        add(pool, "www.a.com", san=("www.a.com", "cdn.a.com"))
-        outcome = pool.find_coalescable("cdn.a.com", ["10.0.0.1"])
-        assert not outcome
-        assert outcome.reason is ReasonCode.MISS_POLICY_FORBIDS
-        assert pool.stats.candidates_examined == 0
 
-    @pytest.mark.parametrize("policy_factory", [
-        ChromiumPolicy,
-        lambda: FirefoxPolicy(origin_frames=False),
-        lambda: FirefoxPolicy(origin_frames=True),
-        IdealOriginPolicy,
-        NoCoalescingPolicy,
-    ])
-    def test_indexed_lookup_matches_reference_scan(self, policy_factory):
-        """The indexed path picks exactly what the pre-index full scan
-        picked, for every policy and a mixed pool."""
-        pool = make_pool(policy=policy_factory())
-        add(pool, "www.a.com", san=("www.a.com",),
-            available=("10.0.0.1",))
-        add(pool, "www.b.com", san=("www.b.com", "cdn.x.com"),
-            available=("10.0.0.2", "10.0.0.3"))
-        add(pool, "www.c.com", san=("www.c.com", "cdn.x.com"),
-            origins=("cdn.x.com",), available=("10.0.0.4",))
-        add(pool, "www.d.com", san=("www.d.com", "cdn.x.com"),
-            available=("10.0.0.3",), anonymous=True)
-        dead = add(pool, "www.e.com", san=("www.e.com", "cdn.x.com"),
-                   available=("10.0.0.3",))
-        dead.session.closed = True
-        for candidate_ips in (["10.0.0.3"], ["10.0.0.2", "10.0.0.4"],
-                              ["10.99.0.1"], []):
-            expected = scan_coalescable(pool, "cdn.x.com", candidate_ips)
-            assert pool.find_coalescable(
-                "cdn.x.com", candidate_ips
-            ).facts is expected
+class TestLookupTable:
+    """Every policy against a pool of other-host connections that do
+    and do not share an address with the DNS answer, a dead one, an
+    anonymous one and a same-SNI one: each lookup pins the returned
+    connection, the candidates examined, the entries pruned and, when
+    watched, the reason."""
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("row", range(len(LOOKUP_TABLE)))
+    def test_lookup(self, row, policy):
+        layout, kind, hostname, dns, anonymous, expectations = \
+            LOOKUP_TABLE[row]
+        label, examined, pruned, reason = expected_for(expectations,
+                                                       policy)
+        for watched in (False, True):
+            telemetry = Telemetry(clock=lambda: 0.0, trace=False,
+                                  audit=True)
+            pool = ConnectionPool(
+                policy=POLICIES[policy](),
+                telemetry=telemetry if watched else NULL_TELEMETRY,
+            )
+            by_label = {}
+            for name, sni, options in layout:
+                options = dict(options)
+                closed = options.pop("closed", False)
+                by_label[name] = add(pool, sni, **options)
+                by_label[name].session.closed = closed
+            if kind == "coalesce":
+                outcome = pool.find_coalescable(hostname, dns,
+                                                anonymous=anonymous)
+            else:
+                outcome = pool.find_same_host(hostname,
+                                              anonymous=anonymous)
+            assert outcome.facts is by_label.get(label)
+            assert pool.stats.candidates_examined == examined
+            assert pool.stats.pruned_connections == pruned
+            assert len(pool.connections) == len(layout) - pruned
+            if watched:
+                assert outcome.reason is reason
+                assert [event.code for event in telemetry.audit.events] \
+                    == [reason]
 
 
 class TestPruning:
-    """Dead sessions leave the registry and the indexes."""
+    """Dead sessions a lookup visits leave the pool's list."""
 
     def test_lookup_prunes_closed_connections(self):
         pool = make_pool()
         facts = add(pool, "www.a.com")
         facts.session.closed = True
         assert not pool.find_same_host("www.a.com")
-        assert len(pool.connections) == 0
-        assert pool.connections.for_host("www.a.com") == []
+        assert pool.connections == []
         assert pool.stats.pruned_connections == 1
 
     def test_coalesce_lookup_prunes_failed_connections(self):
@@ -295,8 +333,21 @@ class TestPruning:
                     origins=("cdn.a.com",))
         facts.session.failed = "handshake failure"
         assert not pool.find_coalescable("cdn.a.com", ["10.0.0.1"])
-        assert len(pool.connections) == 0
-        assert "10.0.0.1" not in pool.connections.by_ip
+        assert pool.connections == []
+
+    def test_lookup_prunes_only_the_dead_entries_it_visited(self):
+        pool = make_pool(policy=ChromiumPolicy())
+        other_host = add(pool, "www.b.com", available=("10.0.0.2",))
+        other_address = add(pool, "www.c.com", available=("10.0.0.9",))
+        alive = add(pool, "www.a.com")
+        other_host.session.closed = True
+        other_address.session.closed = True
+        # Same-host visits only its own SNI; an address-overlap policy
+        # never visits a connection sharing no address.
+        assert pool.find_same_host("www.a.com").facts is alive
+        assert not pool.find_coalescable("cdn.a.com", ["10.0.0.2"])
+        assert pool.connections == [other_address, alive]
+        assert pool.stats.pruned_connections == 1
 
     def test_prune_drops_dead_entries(self):
         pool = make_pool()
@@ -304,18 +355,16 @@ class TestPruning:
         dead = add(pool, "www.b.com")
         dead.session.closed = True
         assert open_count(pool) == 1
-        assert list(pool.connections) == [alive]
+        assert pool.connections == [alive]
         assert pool.stats.pruned_connections == 1
 
-    def test_close_all_empties_registry_and_indexes(self):
+    def test_close_all_empties_the_pool(self):
         pool = make_pool()
-        add(pool, "www.a.com")
-        add(pool, "www.b.com", available=("10.0.0.7",))
+        first = add(pool, "www.a.com")
+        second = add(pool, "www.b.com", available=("10.0.0.7",))
         pool.close_all()
-        assert len(pool.connections) == 0
-        assert pool.connections.by_sni == {}
-        assert pool.connections.by_ip == {}
-        assert open_count(pool) == 0
+        assert pool.connections == []
+        assert first.session.closed and second.session.closed
         assert pool.stats.pruned_connections == 2
 
     def test_pruned_connection_not_found_again(self):
@@ -324,14 +373,29 @@ class TestPruning:
         second = add(pool, "www.a.com")
         first.session.closed = True
         assert pool.find_same_host("www.a.com").facts is second
-        # Only the live connection remains in the bucket.
-        assert pool.connections.for_host("www.a.com") == [second]
+        assert pool.connections == [second]
+
+    def test_prune_is_by_identity_not_equality(self):
+        pool = make_pool()
+        kept = add(pool, "www.a.com")
+        twin = ConnectionFacts(
+            session=kept.session, sni=kept.sni,
+            connected_ip=kept.connected_ip,
+            available_set=kept.available_set,
+        )
+        pool.connections.append(twin)
+        assert twin == kept
+        pool._prune([twin])
+        assert len(pool.connections) == 1
+        assert pool.connections[0] is kept
+        pool._prune([twin])  # already gone
+        assert pool.stats.pruned_connections == 1
 
 
 class TestMidPathRstEviction:
     """A connection torn down by an on-path RST (``Transport.abort``)
-    reads as failed; the next lookup must evict it from the registry
-    and every index, never hand it out again."""
+    reads as failed; the next lookup must evict it from the pool,
+    never hand it out again."""
 
     def test_aborted_connection_evicted_everywhere(self):
         pool = make_pool()
@@ -341,10 +405,7 @@ class TestMidPathRstEviction:
         outcome = pool.find_same_host("www.a.com")
         assert not outcome
         assert outcome.reason is ReasonCode.MISS_CLOSED_STALE
-        registry = pool.connections
-        assert len(registry) == 0
-        assert registry.for_host("www.a.com") == []
-        assert registry.by_ip.get("10.0.0.1", []) == []
+        assert pool.connections == []
         assert pool.stats.pruned_connections == 1
 
     def test_eviction_records_exactly_one_audit_event(self):
@@ -368,107 +429,4 @@ class TestMidPathRstEviction:
         assert not pool.find_same_host("www.a.com")
         fresh = add(pool, "www.a.com")
         assert pool.find_same_host("www.a.com").facts is fresh
-        assert list(pool.connections) == [fresh]
-
-
-class TestRegistryChurn:
-    """Open/close storms: the registry's two indexes and the pool's
-    counters stay exactly consistent however connections churn."""
-
-    @staticmethod
-    def check_indexes(registry):
-        """Every live entry is indexed everywhere it should be, no
-        index holds anything else, and no bucket is empty."""
-        for facts in registry:
-            assert facts in registry.by_sni[facts.sni]
-            for ip in facts.available_set | {facts.connected_ip}:
-                assert facts in registry.by_ip[ip]
-        indexed = {
-            id(facts) for bucket in registry.by_sni.values()
-            for facts in bucket
-        }
-        assert indexed == {id(facts) for facts in registry}
-        for index in (registry.by_sni, registry.by_ip):
-            for bucket in index.values():
-                assert bucket  # empty buckets are deleted, not kept
-
-    def test_open_close_storm_keeps_indexes_consistent(self):
-        import random
-
-        rng = random.Random(2022)
-        pool = make_pool(policy=ChromiumPolicy())
-        live = []
-        opened = closed = 0
-        for step in range(400):
-            if live and rng.random() < 0.45:
-                victim = rng.choice(live)
-                # Half the closures die loudly (failed), half quietly.
-                if rng.random() < 0.5:
-                    victim.session.failed = "storm"
-                else:
-                    victim.session.closed = True
-                closed += 1
-            else:
-                host = f"host{rng.randrange(12):02d}.example"
-                facts = add(
-                    pool, host,
-                    san=(host, "cdn.x.com"),
-                    available=(f"10.0.{rng.randrange(6)}.1",),
-                )
-                live.append(facts)
-                opened += 1
-            # Lookups are what prune dead entries; interleave them.
-            pool.find_same_host(f"host{rng.randrange(12):02d}.example")
-            pool.find_coalescable(
-                "cdn.x.com", [f"10.0.{rng.randrange(6)}.1"]
-            )
-            live = [facts for facts in live
-                    if not facts.session.closed
-                    and facts.session.failed is None]
-            self.check_indexes(pool.connections)
-        assert opened > 0 and closed > 0
-        assert pool.stats.pruned_connections > 0
-        assert pool.stats.pruned_connections <= closed
-        # A final sweep leaves exactly the live entries, every one of
-        # them still indexed, and the prune counter reconciles with
-        # the closures.
-        assert open_count(pool) == len(live)
-        assert {id(facts) for facts in pool.connections} == \
-            {id(facts) for facts in live}
-        self.check_indexes(pool.connections)
-        assert pool.stats.pruned_connections == closed
-
-    def test_storm_then_drain_empties_every_index(self):
-        pool = make_pool(policy=ChromiumPolicy())
-        for index in range(40):
-            add(pool, f"host{index:02d}.example",
-                available=(f"10.1.{index}.1", "10.9.9.9"))
-        for facts in list(pool.connections):
-            facts.session.closed = True
-        # One prune sweeps everything dead.
-        assert open_count(pool) == 0
-        assert pool.stats.pruned_connections == 40
-        registry = pool.connections
-        assert list(registry) == []
-        assert registry.by_sni == {}
-        assert registry.by_ip == {}
-
-    def test_pool_seq_survives_churn_and_keeps_ordering(self):
-        pool = make_pool(policy=ChromiumPolicy())
-        first = add(pool, "www.a.com", available=("10.0.0.1",))
-        second = add(pool, "www.b.com", available=("10.0.0.1",))
-        pool.connections.discard(first)
-        third = add(pool, "www.c.com", available=("10.0.0.1",))
-        # Sequence numbers never recycle, so insertion order is total.
-        assert second.pool_seq < third.pool_seq
-        candidates = pool.connections.candidates_for_ips(["10.0.0.1"])
-        assert candidates == [second, third]
-
-    def test_discard_is_by_identity_not_equality(self):
-        pool = make_pool()
-        kept = add(pool, "www.a.com")
-        twin = add(pool, "www.a.com")
-        assert pool.connections.discard(twin)
-        assert list(pool.connections) == [kept]
-        assert pool.connections.for_host("www.a.com") == [kept]
-        assert not pool.connections.discard(twin)  # already gone
+        assert pool.connections == [fresh]

@@ -15,6 +15,7 @@ import pytest
 from repro.audit.log import events_to_jsonl
 from repro.audit.reasons import ReasonCode
 from repro.browser import BrowserContext, BrowserEngine, FirefoxPolicy
+from repro.browser.pool import ConnectionPool
 from repro.browser.retry import RetryPolicy
 from repro.chaos import (
     ChaosError,
@@ -42,8 +43,6 @@ from repro.dataset.world import build_world
 from repro.deployment import BuggyMiddlebox, DeploymentExperiment
 from repro.deployment.experiment import deployment_world_config
 from repro.telemetry import Telemetry
-from tests.test_browser_engine import record_loads
-from tests.test_browser_pool import open_count
 from tests.test_wire_counts import tap_every_network
 
 
@@ -496,31 +495,71 @@ class TestBlastRadius:
 
 
 # ---------------------------------------------------------------------------
-# ConnectionRegistry consistency under fault-driven eviction storms
+# The pool's list under fault-driven eviction storms
 # ---------------------------------------------------------------------------
 
 
-def assert_registry_consistent(registry):
-    """The two lookup indexes and the list agree exactly."""
-    listed = {id(facts) for facts in registry}
-    indexed = {id(facts) for bucket in registry.by_sni.values()
-               for facts in bucket}
-    assert indexed == listed
-    assert all(bucket for bucket in registry.by_sni.values())
-    ip_indexed = {id(facts) for bucket in registry.by_ip.values()
-                  for facts in bucket}
-    assert ip_indexed <= listed
-    assert all(bucket for bucket in registry.by_ip.values())
-    for facts in registry:
-        assert any(entry is facts
-                   for entry in registry.by_sni.get(facts.sni, ()))
+def walked_to(candidates, found):
+    """``candidates`` up to and including ``found`` (all of them when
+    the lookup did not stop early)."""
+    for index, facts in enumerate(candidates):
+        if facts is found:
+            return candidates[:index + 1]
+    return candidates
 
 
-class TestRegistryUnderStorms:
-    def test_indexes_never_dangle(self):
+def assert_none_left_dead(pool, visited):
+    """No entry the lookup visited is still pooled dead, and the pool
+    holds each connection once."""
+    pooled = {id(facts) for facts in pool.connections}
+    assert len(pooled) == len(pool.connections)
+    for facts in visited:
+        if id(facts) in pooled:
+            assert not facts.session.closed
+            assert facts.session.failed is None
+
+
+class TestPoolUnderStorms:
+    def test_no_visited_entry_survives_dead(self, monkeypatch):
         """Storms, crashes, and random loss rip connections out of the
-        pool mid-crawl; after pruning, by_sni/by_ip must hold exactly
-        the live entries -- no dangling facts, no empty buckets."""
+        pool mid-crawl; after every lookup the pool holds no entry that
+        lookup found dead, and holds each connection once."""
+        same_host = ConnectionPool.find_same_host
+        coalesce = ConnectionPool.find_coalescable
+        pruned_by_lookups = []
+
+        def find_same_host(pool, hostname, anonymous=False):
+            before = list(pool.connections)
+            pruned = pool.stats.pruned_connections
+            outcome = same_host(pool, hostname, anonymous)
+            visited = [facts for facts in before if facts.sni == hostname]
+            if outcome.reason is ReasonCode.POOL_HIT_SAME_HOST and (
+                not pool.prefer_h3 or outcome.facts.transport == "quic"
+            ):
+                visited = walked_to(visited, outcome.facts)
+            assert_none_left_dead(pool, visited)
+            pruned_by_lookups.append(pool.stats.pruned_connections - pruned)
+            return outcome
+
+        def find_coalescable(pool, hostname, dns_addresses,
+                             anonymous=False):
+            before = list(pool.connections)
+            pruned = pool.stats.pruned_connections
+            outcome = coalesce(pool, hostname, dns_addresses, anonymous)
+            visited = walked_to([
+                facts for facts in before
+                if not pool.policy.requires_ip_overlap
+                or facts.connected_ip in dns_addresses
+                or not facts.available_set.isdisjoint(dns_addresses)
+            ], outcome.facts) if not anonymous else []
+            assert_none_left_dead(pool, visited)
+            pruned_by_lookups.append(pool.stats.pruned_connections - pruned)
+            return outcome
+
+        monkeypatch.setattr(ConnectionPool, "find_same_host",
+                            find_same_host)
+        monkeypatch.setattr(ConnectionPool, "find_coalescable",
+                            find_coalescable)
         schedule = FaultSchedule(faults=(
             FaultSpec(name="loss", kind="packet_loss", at=0.0,
                       rate=0.05),
@@ -547,20 +586,9 @@ class TestRegistryUnderStorms:
             telemetry=telemetry)
         injector.arm()
 
-        loads = record_loads(crawler.engine)
-        pruned_total = 0
         for hosted in world.sites:
             crawler.crawl_site(hosted)
-            if not hosted.record.accessible:
-                continue  # nothing was loaded; no pool to inspect
-            pool = loads[-1].pool
-            open_count(pool)  # prunes dead connections
-            for facts in pool.connections:
-                assert not facts.session.closed
-                assert facts.session.failed is None
-            assert_registry_consistent(pool.connections)
-            pruned_total += pool.stats.pruned_connections
-        assert pruned_total >= 1
+        assert sum(pruned_by_lookups) >= 1
         assert sum(tally.events for tally in injector.tallies) > 0
 
 

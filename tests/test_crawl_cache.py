@@ -110,28 +110,17 @@ class TestCrawlResultRoundTrip:
         assert entry.finished_at == result.archives[0].entries[0].finished_at
 
 
-class TestSuccessesMemo:
-    def test_successes_computed_once(self):
+class TestSuccesses:
+    def test_successes_follow_the_archives(self):
         result = make_result()
-        first = result.successes
-        assert first is result.successes  # same list object, no rebuild
-        assert [a.page.hostname for a in first] == ["www.site000001.com"]
-
-    def test_append_invalidates_memo(self):
-        result = make_result()
-        before = result.successes
+        assert [a.page.hostname for a in result.successes] == \
+            ["www.site000001.com"]
         result.archives.append(
             HarArchive(page=HarPage(url="https://x/", hostname="x",
                                     success=True))
         )
-        after = result.successes
-        assert after is not before
-        assert len(after) == 2
-
-    def test_memo_excluded_from_equality(self):
-        left, right = make_result(), make_result()
-        left.successes  # populate one memo only
-        assert left == right
+        assert [a.page.hostname for a in result.successes] == \
+            ["www.site000001.com", "x"]
 
 
 class TestCacheKey:

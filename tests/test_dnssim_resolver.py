@@ -198,14 +198,6 @@ class TestCachingResolver:
         resolver.resolve("www.example.com", lambda a: None)
         loop.run_until_idle()
         assert resolver.stats.plaintext_queries == 1
-        assert resolver.stats.encrypted_queries == 0
-
-    def test_encrypted_transport_accounting(self):
-        loop, resolver = self.make_resolver(encrypted_transport=True)
-        resolver.resolve("www.example.com", lambda a: None)
-        loop.run_until_idle()
-        assert resolver.stats.encrypted_queries == 1
-        assert resolver.stats.plaintext_queries == 0
 
     def test_cache_hits_do_not_count_as_transport_queries(self):
         loop, resolver = self.make_resolver()

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.audit.reasons import ReasonCode
+from repro.browser.pool import PoolStats
 from repro.h2 import H2ClientSession, H2Server, ServerConfig, TlsClientConfig
 from repro.netsim import EventLoop, Host, LatencyModel, LinkSpec, Network
-from repro.telemetry import MetricsRegistry, Telemetry
+from repro.telemetry import Telemetry
 from repro.tlspki import CertificateAuthority, TrustStore
 from repro.transport.quicsim import (
     QuicDialer,
@@ -124,8 +125,8 @@ class TestSessionTickets:
 
     def test_cross_hostname_resumption(self, world):
         network, _, make_dialer, _ = world
-        metrics = MetricsRegistry()
-        dialer = make_dialer(metrics=metrics)
+        stats = PoolStats()
+        dialer = make_dialer(stats=stats)
         first = dialer.dial("www.example.com", "10.0.0.1")
         first.connect()
         run(network)
@@ -139,8 +140,12 @@ class TestSessionTickets:
         assert second.channel.resumed
         assert second.channel.cross_host
         assert second.channel.ticket_sni == "www.example.com"
-        assert metrics.value("quic.zero_rtt_resumptions") == 1
-        assert metrics.value("quic.cross_host_resumptions") == 1
+        assert stats.quic == {
+            "quic.handshakes_1rtt": 1,
+            "quic.handshake_rtts_saved": 3,
+            "quic.zero_rtt_resumptions": 1,
+            "quic.cross_host_resumptions": 1,
+        }
 
     def test_resumption_audited(self, world):
         network, _, make_dialer, _ = world

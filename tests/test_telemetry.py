@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.audit.log import NULL_AUDIT
+from repro.browser.pool import PoolStats
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
     CrawlParams,
@@ -158,14 +159,14 @@ class TestMetricsRegistry:
         counter.inc()
         counter.inc(2)
         assert registry.counter("dns.queries") is counter
-        assert registry.value("dns.queries") == 3
+        assert registry.counter("dns.queries").value == 3
 
     def test_labels_distinguish_series(self):
         registry = MetricsRegistry()
         registry.counter("hits", shard=0).inc()
         registry.counter("hits", shard=1).inc(5)
-        assert registry.value("hits", shard=0) == 1
-        assert registry.value("hits", shard=1) == 5
+        assert registry.counter("hits", shard=0).value == 1
+        assert registry.counter("hits", shard=1).value == 5
 
     def test_kind_mismatch_raises(self):
         registry = MetricsRegistry()
@@ -233,8 +234,8 @@ class TestMetricsRegistry:
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("c").inc(1)
         b.counter("c").inc(2)
-        a.absorb(b)
-        assert a.value("c") == 3
+        a.absorb(b.snapshot())
+        assert a.counter("c").value == 3
 
     def test_absorb_merges_histograms(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -250,7 +251,7 @@ class TestMetricsRegistry:
         a.histogram("h", buckets=(1.0, math.inf)).observe(0.5)
         b.histogram("h", buckets=(2.0, math.inf)).observe(0.5)
         with pytest.raises(ValueError):
-            a.absorb(b)
+            a.absorb(b.snapshot())
 
 
 class _DemoStats(RegistryStats):
@@ -268,48 +269,52 @@ class TestRegistryStats:
         assert stats.hits == 2
         assert stats.misses == 7
 
-    def test_backed_by_registry_series(self):
-        stats = _DemoStats()
-        stats.hits += 3
-        assert stats.registry.value("demo.hits") == 3
-
-    def test_shared_registry_with_labels(self):
-        registry = MetricsRegistry()
-        a = _DemoStats(registry=registry, pool="a")
-        b = _DemoStats(registry=registry, pool="b")
-        a.hits += 1
-        b.hits += 5
-        assert registry.value("demo.hits", pool="a") == 1
-        assert registry.value("demo.hits", pool="b") == 5
-
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             _DemoStats().bogus
-
-    def test_counters_are_properties_over_the_cached_series(self):
-        """One generated property per declared counter: a bump reads
-        and writes the instance's own ``Counter``, nothing else."""
-        assert isinstance(_DemoStats.hits, property)
-        assert isinstance(_DemoStats.misses, property)
-        assert not hasattr(RegistryStats, "hits")
-        registry = MetricsRegistry()
-        a = _DemoStats(registry=registry, pool="a")
-        b = _DemoStats(registry=registry, pool="b")
-        series = registry.counter("demo.hits", pool="a")
-        a.hits += 2
-        a.hits += 0.5
-        b.hits = 9
-        assert series.value == 2.5 and a.hits == 2.5
-        series.inc(1)
-        assert a.hits == 3.5
-        assert registry.value("demo.hits", pool="b") == 9
-        assert len(registry) == 4
 
     def test_repr_lists_counters_in_declaration_order(self):
         stats = _DemoStats()
         stats.misses = 7
         stats.hits += 1
         assert repr(stats) == "_DemoStats(hits=1, misses=7)"
+
+    def test_export_adds_counters_in_declaration_order(self):
+        stats = _DemoStats()
+        stats.misses = 4
+        registry = MetricsRegistry()
+        registry.counter("demo.misses").inc(1)
+        stats.export(registry)
+        stats.export(registry)
+        assert [(c.name, c.value) for c in registry.metrics()] == [
+            ("demo.misses", 9), ("demo.hits", 0),
+        ]
+
+    def test_pool_export_order(self):
+        """Pool counters in declaration order, zeros included, then
+        the quic.* counts in first-use order."""
+        stats = PoolStats()
+        stats.coalesced_reuses = 2
+        stats.count_quic("quic.zero_rtt_resumptions")
+        stats.count_quic("quic.handshake_rtts_saved", 2)
+        stats.count_quic("quic.handshakes_1rtt")
+        stats.count_quic("quic.handshake_rtts_saved")
+        registry = MetricsRegistry()
+        stats.export(registry)
+        assert [(c.name, c.value) for c in registry.metrics()] == [
+            ("pool.connections_opened", 0),
+            ("pool.tls_handshakes", 0),
+            ("pool.same_host_reuses", 0),
+            ("pool.coalesced_reuses", 2),
+            ("pool.connection_failures", 0),
+            ("pool.same_host_lookups", 0),
+            ("pool.coalesce_lookups", 0),
+            ("pool.candidates_examined", 0),
+            ("pool.pruned_connections", 0),
+            ("quic.zero_rtt_resumptions", 1),
+            ("quic.handshake_rtts_saved", 3),
+            ("quic.handshakes_1rtt", 1),
+        ]
 
 
 class TestExporters:

@@ -57,10 +57,10 @@ class TestTracedCrawl:
 
     def test_metrics_merged_across_shards(self, traced):
         result, trace = traced
-        attempted = trace.metrics.value("crawler.pages_attempted")
+        attempted = trace.metrics.counter("crawler.pages_attempted").value
         assert attempted == result.attempted
-        assert trace.metrics.value("pool.connections_opened") > 0
-        assert trace.metrics.value("dns.queries") > 0
+        assert trace.metrics.counter("pool.connections_opened").value > 0
+        assert trace.metrics.counter("dns.queries").value > 0
 
     def test_tracing_does_not_change_archives(self, traced):
         """The zero-overhead claim's other half: a traced crawl yields
