@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -493,5 +493,13 @@ class PageGenerator:
             )
         return tuple(san), issuer
 
-    def generate_all(self) -> List[SiteRecord]:
-        return [self.generate(entry) for entry in self.config.tranco()]
+    def generate_all(
+        self, entries: Optional[Iterable[TrancoEntry]] = None
+    ) -> List[SiteRecord]:
+        """Plan ``entries`` (default: the whole Tranco list) in order.
+        Every call draws from the one generator, so successive calls
+        over consecutive runs of the list plan exactly what one call
+        over their concatenation would."""
+        if entries is None:
+            entries = self.config.tranco()
+        return [self.generate(entry) for entry in entries]

@@ -13,12 +13,14 @@ the shards -- ``jobs=4`` is archive-for-archive identical to
 ``jobs=1`` -- while the shard *layout* (``shard_count``) is part of
 the experiment definition, like the paper's VM fan-out.
 
-Site *plans* (ranks, pages, certificate contents) always come from one
-full :class:`~repro.dataset.generator.PageGenerator` pass at the
-original seed, so a site's identity is unaffected by sharding; only
-world-materialization randomness (provider IP picks, server think
-times) and crawl randomness are drawn from the derived per-shard
-streams.
+Site *plans* (ranks, pages, certificate contents) come from one
+:class:`~repro.dataset.generator.PageGenerator` pass over the ranked
+list at the original seed, so a site's identity is unaffected by
+sharding; only world-materialization randomness (provider IP picks,
+server think times) and crawl randomness are drawn from the derived
+per-shard streams.  The pass is a stream (:func:`plan_slices`): it
+hands each shard its own slice, in shard order, just before that
+shard runs, and keeps none of it.
 
 This module is also the one home of *how a list of shard jobs is
 executed, shipped across a process boundary and merged in shard
@@ -28,13 +30,15 @@ order* -- for the crawl, for :mod:`repro.chaos.run` and for
 as themselves and a crawl's archives as HAR JSON lines) and
 :func:`merge_shards` (the shard-order fold).  :func:`crawl_shards` is
 the one crawl driver over them, plain, observed or fault-injected: it
-plans the web before any fork and is the only caller that hands
-:func:`crawl_shard` to the merge.  A crawl that is being cached
+plans each shard's slice into that shard's payload as the executor
+draws it, and is the only caller that hands :func:`crawl_shard` to
+the merge.  A crawl that is being cached
 appends each absorbed shard to the cache entry as it merges
 (:func:`write_archive_lines`), reusing the lines a worker sent.
 
 The fold's memory contract: one shard's world and telemetry are live
-at a time, and within a shard only its open connections -- a
+at a time, and only its slice of the site plan; within a shard only
+its open connections -- a
 connection frees by reference counting as it closes
 (:meth:`~repro.netsim.transport.Transport.close` drops the callbacks
 that tie its layers together).  A pipeline run's writers -- the cache
@@ -49,10 +53,12 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+from collections import deque
 from dataclasses import dataclass, replace
-from itertools import starmap
+from itertools import islice, starmap
 from typing import (
     Callable,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -78,25 +84,6 @@ DEFAULT_SHARD_SIZE = 100
 #: of the same shard never collide.
 _WORLD_DOMAIN = 0
 _CRAWLER_DOMAIN = 1
-
-#: One-entry site-plan cache.  Every shard of a config needs the same
-#: full-generation pass; serial runs used to pay it once *per shard*.
-#: Plans are pure data -- world construction and crawling never mutate
-#: a SiteRecord -- so shards may share one list.  Keyed by config
-#: equality; :func:`crawl_shards` plans before :func:`run_shards`
-#: forks, so workers inherit the parent's entry copy-on-write.
-_PLAN_CACHE: List[Tuple[DatasetConfig, List[SiteRecord]]] = []
-
-
-def generate_records(config: DatasetConfig) -> List[SiteRecord]:
-    """The full ranked site plan for ``config``, memoized (last config
-    wins, so sweeps over many configs do not accumulate plans)."""
-    if _PLAN_CACHE and _PLAN_CACHE[0][0] == config:
-        return _PLAN_CACHE[0][1]
-    records = PageGenerator(config).generate_all()
-    _PLAN_CACHE[:] = [(config, records)]
-    return records
-
 
 def derive_seed(
     base_seed: int, domain: int, shard_index: int, shard_count: int
@@ -139,21 +126,11 @@ class ShardSpec:
             base_seed, _CRAWLER_DOMAIN, self.index, self.shard_count
         )
 
-    def records(self) -> List[SiteRecord]:
-        """This shard's site plans, from one full-generation pass.
-
-        The complete list is always generated at the original seed and
-        sliced -- which keeps each site's plan byte-identical no matter
-        the shard layout -- but the pass itself is memoized per config
-        (:func:`generate_records`), so a serial multi-shard crawl plans
-        the web once instead of once per shard.
-        """
-        return generate_records(self.config)[self.lo:self.hi]
-
-    def build_world(self) -> SyntheticWorld:
-        """Materialize only this shard's slice, on the derived seed."""
+    def build_world(self, records: Sequence[SiteRecord]) -> SyntheticWorld:
+        """Materialize this shard's slice of the site plan (what
+        :func:`plan_slices` hands it) on the derived seed."""
         world_config = replace(self.config, seed=self.world_seed)
-        return build_world(world_config, records=self.records())
+        return build_world(world_config, records=records)
 
 
 def default_shard_count(site_count: int) -> int:
@@ -186,6 +163,35 @@ def plan_shards(
         ))
         lo = hi
     return shards
+
+
+def plan_slices(specs: Sequence[ShardSpec]) -> Iterator[List[SiteRecord]]:
+    """Each spec's site plans, in spec order, from one generation pass.
+
+    One :class:`~repro.dataset.generator.PageGenerator` plans the
+    config's ranked list in rank order and yields each spec's
+    ``[lo, hi)`` slice as the pass reaches it (one
+    :meth:`~repro.dataset.generator.PageGenerator.generate_all` call per
+    slice), so every site gets the draws of the full pass whatever the
+    layout.  No slice is referenced here once it is yielded: a caller
+    that runs each shard before asking for the next holds one slice
+    at a time.  ``specs`` share the first one's config and come in
+    rank order; they may skip sites, which are planned and dropped.
+    """
+    config = specs[0].config
+    generator = PageGenerator(config)
+    entries = iter(config.tranco())
+    planned = 0
+    for spec in specs:
+        if spec.lo < planned:
+            raise ValueError(
+                f"shard specs must come in rank order: shard {spec.index} "
+                f"starts at site {spec.lo}, the stream is at {planned}"
+            )
+        if spec.lo > planned:
+            generator.generate_all(islice(entries, spec.lo - planned))
+        yield generator.generate_all(islice(entries, spec.site_count))
+        planned = spec.hi
 
 
 @dataclass(frozen=True)
@@ -232,11 +238,13 @@ class CrawlParams:
 
 def crawl_shard(
     spec: ShardSpec,
+    records: Sequence[SiteRecord],
     params: CrawlParams,
     collect: Optional[Tuple[bool, bool]] = None,
     chaos: Optional[tuple] = None,
 ) -> ShardResult:
-    """Build one shard's world and crawl it (runs inside workers).
+    """Build one shard's world from its slice of the site plan,
+    ``records``, and crawl it (runs inside workers).
 
     ``collect`` is the ``(trace, audit)`` collector switches of a live
     run; ``None`` crawls on :data:`~repro.telemetry.NULL_TELEMETRY`, so
@@ -251,7 +259,7 @@ def crawl_shard(
     explicit retry policy on the browser context, and the result
     carries the shard's fault tallies and retry counts.
     """
-    world = spec.build_world()
+    world = spec.build_world(records)
     telemetry = NULL_TELEMETRY
     if collect is not None:
         trace, audit = collect
@@ -373,34 +381,50 @@ def write_archive_lines(out: TextIO, result: ShardResult) -> None:
 
 
 def _run_pooled(shard_fn, payloads, workers) -> Iterator[ShardResult]:
+    """Submit each payload as this thread draws it, and yield results
+    in payload order while shards finish out of order in the workers.
+
+    Payloads are drawn here, not by the pool's task-handler thread (as
+    ``Pool.imap`` would), so a lazy payload -- a crawl's plan slice --
+    is planned in the caller's thread.  At most ``workers + 1`` shards
+    are submitted and not yet yielded: every worker has a shard queued
+    behind the one it runs, and the parent never holds more slices.
+    """
     with _mp_context().Pool(processes=workers) as pool:
-        # imap preserves payload order while letting shards finish out
-        # of order in the workers.
-        yield from map(_shard_from_wire, pool.imap(
-            _shard_to_wire, [(shard_fn, args) for args in payloads]
-        ))
+        pending = deque()
+        for args in payloads:
+            pending.append(
+                pool.apply_async(_shard_to_wire, ((shard_fn, args),))
+            )
+            if len(pending) > workers:
+                yield _shard_from_wire(pending.popleft().get())
+        while pending:
+            yield _shard_from_wire(pending.popleft().get())
 
 
 def run_shards(
     shard_fn: Callable[..., ShardResult],
-    payloads: Sequence[tuple],
+    specs: Sequence,
+    payloads: Iterable[tuple],
     jobs: int,
 ) -> Iterator[ShardResult]:
     """The one shard executor: ``shard_fn(*payload)`` for every
-    payload, results in payload order.
+    payload, results in payload order.  ``payloads`` is one tuple per
+    spec of ``specs``, led by it, and may be a lazy iterator: it is
+    drawn one payload at a time, a shard's just before it runs.
 
-    With one worker (``jobs == 1`` or a single payload) shards run
+    With one worker (``jobs == 1`` or a single spec) shards run
     in-process and hand over live objects: the serial path never
     serialises.  Otherwise they fan out over a forked
-    :mod:`multiprocessing` pool of ``min(jobs, len(payloads))``
-    workers, which pickle each :class:`ShardResult` back
-    (:func:`_shard_to_wire`).
+    :mod:`multiprocessing` pool of ``min(jobs, len(specs))``
+    workers; payloads go pickled and each :class:`ShardResult` comes
+    back pickled (:func:`_shard_to_wire`).
     ``shard_fn`` must be a module-level function (it is pickled by
     import path).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, len(payloads))
+    workers = min(jobs, len(specs))
     if workers <= 1:
         return starmap(shard_fn, payloads)
     return _run_pooled(shard_fn, payloads, workers)
@@ -408,16 +432,17 @@ def run_shards(
 
 def merge_shards(
     shard_fn: Callable[..., ShardResult],
-    payloads: Sequence[tuple],
+    specs: Sequence,
+    payloads: Iterable[tuple],
     jobs: int,
     absorb: Callable[[ShardResult], None],
     progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
     crawl_trace: Optional[CrawlTrace] = None,
 ) -> CrawlTrace:
-    """Execute ``payloads`` (each led by its shard spec) and fold the
-    results in shard order, so the outcome is byte-identical whatever
-    ``jobs`` ran it.
+    """Execute ``payloads`` (:func:`run_shards`') and fold the results
+    in the order of ``specs``, so the outcome is byte-identical
+    whatever ``jobs`` ran it.
 
     ``absorb`` merges one result's payload into the caller's
     accumulator; its telemetry bundle is adopted into ``crawl_trace``
@@ -437,16 +462,16 @@ def merge_shards(
     built.  Nothing in ``src/repro`` has a finalizer or a weak
     reference, so when a collection runs cannot change a byte.
     """
-    total = len(payloads)
+    total = len(specs)
     if crawl_trace is None:
         crawl_trace = CrawlTrace()
-    results = run_shards(shard_fn, payloads, jobs)
+    results = run_shards(shard_fn, specs, payloads, jobs)
     gc.freeze()
     try:
-        for done, args in enumerate(payloads, 1):
+        for done, spec in enumerate(specs, 1):
             result = next(results)
             absorb(result)
-            crawl_trace.adopt(result, shard=args[0].index)
+            crawl_trace.adopt(result, shard=spec.index)
             del result
             gc.collect()
             gc.freeze()
@@ -494,13 +519,12 @@ def crawl_shards(
         if on_shard is not None:
             on_shard(result)
 
-    # Plan before any fork: pool workers inherit _PLAN_CACHE instead
-    # of each planning the whole web again (under ``spawn`` a worker
-    # still does).
-    generate_records(shards[0].config)
+    # A generator, so each slice is planned only when the executor
+    # draws its shard's payload, and is referenced by that payload only.
+    slices = plan_slices(shards)
     crawl_trace = merge_shards(
-        crawl_shard,
-        [(spec, params, collect, chaos) for spec in shards],
+        crawl_shard, shards,
+        ((spec, next(slices), params, collect, chaos) for spec in shards),
         jobs, absorb, progress, watch, crawl_trace,
     )
     return merged, crawl_trace
@@ -514,7 +538,8 @@ def plan_certificates_sharded(
     cache-hit paths that still need certificate state."""
     from repro.core.certplan import CertificatePlan, plan_certificates
 
+    specs = plan_shards(config, shard_count)
     plans = []
-    for spec in plan_shards(config, shard_count):
-        plans.extend(plan_certificates(spec.build_world()).plans)
+    for spec, records in zip(specs, plan_slices(specs)):
+        plans.extend(plan_certificates(spec.build_world(records)).plans)
     return CertificatePlan(plans=plans)

@@ -26,6 +26,7 @@ from repro.netsim import (
 )
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tlspki import CertificateAuthority, IssuancePolicy, TrustStore
+from repro.tlspki.ca import name_seed
 from repro.tlspki.certificate import Certificate
 from repro.web.asdb import AsDatabase
 
@@ -119,7 +120,7 @@ class SyntheticWorld:
             authority = CertificateAuthority(
                 name,
                 rng=np.random.default_rng(
-                    (self.config.seed + abs(hash(name))) % (2**32)
+                    (self.config.seed + name_seed(name)) % (2**32)
                 ),
                 policy=IssuancePolicy(max_san_names=10_000),
                 parent=self.root_ca,

@@ -10,6 +10,7 @@ them -- the same trust topology as real PKI without real crypto.
 from __future__ import annotations
 
 import hashlib
+import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -23,6 +24,12 @@ DEFAULT_LEAF_LIFETIME_MS = 90.0 * 24 * 3600 * 1000
 
 #: Default CA validity: 10 years in ms.
 DEFAULT_CA_LIFETIME_MS = 10.0 * 365 * 24 * 3600 * 1000
+
+
+def name_seed(name: str) -> int:
+    """A 32-bit seed from ``name`` that every interpreter agrees on
+    (``hash(str)`` is salted per process)."""
+    return zlib.crc32(name.encode())
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,7 @@ class CertificateAuthority:
         self.name = name
         self.policy = policy or IssuancePolicy()
         self.parent = parent
-        rng = rng or np.random.default_rng(abs(hash(name)) % (2**32))
+        rng = rng or np.random.default_rng(name_seed(name))
         self._key = rng.bytes(32)
         self._serial = 1
         self.issued: List[Certificate] = []

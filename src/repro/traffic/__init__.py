@@ -46,6 +46,7 @@ from repro.traffic.scenario import (  # noqa: F401
     scenario_for_policy,
 )
 from repro.traffic.simulate import (  # noqa: F401
+    plan_replica,
     run_scenario,
     run_what_if,
     simulate_shard,
@@ -68,6 +69,7 @@ __all__ = [
     "WHAT_IF_POLICIES",
     "apply_edge_capacity",
     "build_population",
+    "plan_replica",
     "plan_user_shards",
     "run_scenario",
     "run_what_if",

@@ -18,12 +18,13 @@ the crawl's.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.browser import BrowserContext, BrowserEngine
 from repro.browser.policy import policy_by_name
 from repro.browser.retry import RetryPolicy
-from repro.dataset.shard import ShardResult, generate_records, merge_shards
+from repro.dataset.generator import PageGenerator, SiteRecord
+from repro.dataset.shard import ShardResult, merge_shards
 from repro.dataset.world import CDN_REGION, TAIL_REGION, build_world
 from repro.deployment.experiment import (
     deploy_fleet_origin,
@@ -52,13 +53,18 @@ def _world_config(scenario: ScenarioConfig):
     )
 
 
-def _build_traffic_world(scenario: ScenarioConfig):
-    """A full world replica for one shard, with the scenario's
-    deployment switches applied before any traffic flows.  Every
-    shard replicates the same web, so they share one site plan
-    (:func:`~repro.dataset.shard.generate_records`)."""
-    config = _world_config(scenario)
-    world = build_world(config, records=generate_records(config))
+def plan_replica(scenario: ScenarioConfig) -> List[SiteRecord]:
+    """The site plan every shard's world replicates."""
+    return PageGenerator(_world_config(scenario)).generate_all()
+
+
+def _build_traffic_world(
+    scenario: ScenarioConfig, records: Sequence[SiteRecord]
+):
+    """A full world replica for one shard, from the scenario's site
+    plan (:func:`plan_replica`), with the scenario's deployment
+    switches applied before any traffic flows."""
+    world = build_world(_world_config(scenario), records=records)
     if scenario.deployment == "origin":
         deploy_fleet_origin(world)
     return world
@@ -126,9 +132,12 @@ def _user_engine(
 
 
 def simulate_shard(
-    shard: UserShard, collect: Optional[Tuple[bool, bool]] = None,
+    shard: UserShard,
+    records: Sequence[SiteRecord],
+    collect: Optional[Tuple[bool, bool]] = None,
 ) -> ShardResult:
-    """Simulate one user-population shard.
+    """Simulate one user-population shard against a world replica of
+    the scenario's site plan, ``records`` (:func:`plan_replica`).
 
     ``collect`` is :func:`~repro.dataset.shard.crawl_shard`'s: the
     ``(trace, audit)`` collector switches of a watched run --
@@ -147,7 +156,7 @@ def simulate_shard(
     counters).
     """
     scenario = shard.scenario
-    world = _build_traffic_world(scenario)
+    world = _build_traffic_world(scenario, records)
     apply_edge_capacity(world, shard.edge_capacity())
     loop = world.network.loop
 
@@ -254,12 +263,12 @@ def run_scenario(
         bucket_ms=scenario.bucket_ms,
         shard_count=len(shards),
     )
-    # Plan before any fork, as the crawl does: pool workers inherit
-    # the one site plan every shard's world replicates.
-    generate_records(_world_config(scenario))
+    # Planned once: in-process shards share the list, pool workers
+    # get it pickled with their payload.
+    records = plan_replica(scenario)
     crawl_trace = merge_shards(
-        simulate_shard,
-        [(shard, collect) for shard in shards],
+        simulate_shard, shards,
+        [(shard, records, collect) for shard in shards],
         jobs,
         lambda result: merged.merge(result.payload),
         progress, watch, crawl_trace,

@@ -38,6 +38,7 @@ from repro.dataset.shard import (
     crawl_shards,
     derive_seed,
     plan_shards,
+    plan_slices,
 )
 from repro.dataset.world import build_world
 from repro.deployment import BuggyMiddlebox, DeploymentExperiment
@@ -152,17 +153,20 @@ class TestScheduleParsing:
             "packet_loss", "goaway_storm", "goaway_storm", "edge_crash",
         ]
 
+    @staticmethod
+    def two_site_world():
+        (spec,) = plan_shards(DatasetConfig(site_count=2, seed=2022), 1)
+        return spec.build_world(next(plan_slices([spec])))
+
     def test_arming_twice_is_a_bug(self):
-        world = plan_shards(DatasetConfig(site_count=2, seed=2022),
-                            1)[0].build_world()
+        world = self.two_site_world()
         injector = FaultInjector(world, EMPTY_SCHEDULE, seed=1)
         injector.arm()
         with pytest.raises(ChaosError, match="already armed"):
             injector.arm()
 
     def test_dns_faults_require_a_resolver(self):
-        world = plan_shards(DatasetConfig(site_count=2, seed=2022),
-                            1)[0].build_world()
+        world = self.two_site_world()
         schedule = FaultSchedule(faults=(
             FaultSpec(name="dns", kind="dns_servfail", at=0.0),
         ))
@@ -250,8 +254,8 @@ class TestTermination:
                       rate=0.008),
         ), source="loss-only")
         spec = plan_shards(DatasetConfig(site_count=240, seed=2022), 24)[9]
-        result = crawl_shard(spec, CrawlParams(**self.CLI_PARAMS),
-                             (False, True),
+        result = crawl_shard(spec, next(plan_slices([spec])),
+                             CrawlParams(**self.CLI_PARAMS), (False, True),
                              (schedule, DEFAULT_RETRY_POLICY))
         hostnames = [a.page.hostname for a in result.payload.archives]
         assert len(hostnames) == 10 and "www.site000100.io" in hostnames
@@ -438,10 +442,12 @@ class TestBlastRadius:
         schedule = load_fault_schedule("examples/faults_demo.toml")
         config = DatasetConfig(site_count=40, seed=2022)
         spec = plan_shards(config, 2)[0]
+        records = next(plan_slices([spec]))
         reports = {}
         for policy in ("none", "ideal-origin"):
             shard_result = crawl_shard(
-                spec, tiny_params(policy=policy), collect=(False, True),
+                spec, records, tiny_params(policy=policy),
+                collect=(False, True),
                 chaos=(schedule, DEFAULT_RETRY_POLICY),
             )
             report = ChaosReport(policy=policy,
@@ -569,7 +575,7 @@ class TestPoolUnderStorms:
         ), source="storms")
         spec = plan_shards(DatasetConfig(site_count=10, seed=2022),
                            1)[0]
-        world = spec.build_world()
+        world = spec.build_world(next(plan_slices([spec])))
         telemetry = Telemetry(clock=world.network.loop.now,
                               trace=False, audit=True)
         from repro.browser.policy import policy_by_name

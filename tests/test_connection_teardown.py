@@ -18,7 +18,12 @@ import gc
 from repro.browser import BrowserContext, BrowserEngine, FirefoxPolicy
 from repro.chaos import DEFAULT_RETRY_POLICY, load_fault_schedule
 from repro.dataset.generator import DatasetConfig
-from repro.dataset.shard import CrawlParams, crawl_shard, plan_shards
+from repro.dataset.shard import (
+    CrawlParams,
+    crawl_shard,
+    plan_shards,
+    plan_slices,
+)
 from repro.dataset.world import build_world
 from repro.deployment import BuggyMiddlebox, DeploymentExperiment
 from repro.deployment.experiment import deployment_world_config
@@ -29,7 +34,12 @@ from repro.h2.server import ServerConnection
 from repro.h2.stream import Stream
 from repro.h2.tls_channel import TlsChannel
 from repro.netsim import EventLoop, LatencyModel, Transport
-from repro.traffic import ScenarioConfig, plan_user_shards, simulate_shard
+from repro.traffic import (
+    ScenarioConfig,
+    plan_replica,
+    plan_user_shards,
+    simulate_shard,
+)
 
 #: Subclasses count too: the QUIC channels, session and server
 #: connection derive from these.
@@ -59,7 +69,8 @@ def cyclic_garbage(drain):
 def crawl(sites, seed=2022, shards=1, **params):
     spec = plan_shards(DatasetConfig(site_count=sites, seed=seed),
                        shards)[0]
-    return lambda: crawl_shard(spec, CrawlParams(**params))
+    records = next(plan_slices([spec]))
+    return lambda: crawl_shard(spec, records, CrawlParams(**params))
 
 
 class TestHarness:
@@ -127,16 +138,18 @@ class TestNoCyclicConnectionGarbage:
             mean_visits_per_user=2.0, bucket_ms=2_000.0, edge_capacity=2,
         )
         shard = plan_user_shards(scenario, 1)[0]
+        records = plan_replica(scenario)
         results = []
         assert cyclic_garbage(
-            lambda: results.append(simulate_shard(shard))) == []
+            lambda: results.append(simulate_shard(shard, records))) == []
         assert results[0].payload.totals.goaways > 0
 
     def test_every_fault_kind(self):
         spec = plan_shards(DatasetConfig(site_count=24, seed=7), 2)[0]
+        records = next(plan_slices([spec]))
         schedule = load_fault_schedule("tests/data/faults_every_kind.toml")
         assert cyclic_garbage(lambda: crawl_shard(
-            spec, CrawlParams(seed=7, alpn="h2,h3"),
+            spec, records, CrawlParams(seed=7, alpn="h2,h3"),
             chaos=(schedule, DEFAULT_RETRY_POLICY),
         )) == []
 

@@ -207,10 +207,10 @@ def crawl_argv(cache_dir, jobs, *extra):
             "--refresh", "--tables", "1", *extra]
 
 
-def _third_shard_raises(spec, params, collect=None, chaos=None):
+def _third_shard_raises(spec, records, params, collect=None, chaos=None):
     if spec.index == 2:
         raise RuntimeError("shard 2 died")
-    return REAL_CRAWL_SHARD(spec, params, collect, chaos)
+    return REAL_CRAWL_SHARD(spec, records, params, collect, chaos)
 
 
 REAL_CRAWL_SHARD = shard_module.crawl_shard

@@ -21,6 +21,7 @@ from repro.dataset.shard import (
     default_shard_count,
     derive_seed,
     plan_shards,
+    plan_slices,
 )
 
 
@@ -52,14 +53,46 @@ class TestPlanShards:
         with pytest.raises(ValueError):
             plan_shards(DatasetConfig(site_count=10), -1)
 
-    def test_records_are_the_sliced_full_generation(self):
-        config = DatasetConfig(site_count=20, seed=9)
-        full = PageGenerator(config).generate_all()
-        shards = plan_shards(config, 3)
-        sliced = [r for s in shards for r in s.records()]
-        assert [r.entry.domain for r in sliced] == \
-            [r.entry.domain for r in full]
-        assert [r.cert_san for r in sliced] == [r.cert_san for r in full]
+
+def _plan_view(records):
+    return [(r.entry.domain, r.cert_san, r.page.resources, r.accessible)
+            for r in records]
+
+
+class TestPlanSlices:
+    """One generation pass, handed out a slice at a time: every site
+    gets the draws the full pass gives it, whatever the layout."""
+
+    CONFIG = DatasetConfig(site_count=20, seed=9)
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        return _plan_view(PageGenerator(self.CONFIG).generate_all())
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 20])
+    def test_slices_concatenate_to_the_full_pass(self, full, count):
+        shards = plan_shards(self.CONFIG, count)
+        slices = list(plan_slices(shards))
+        assert [len(records) for records in slices] == \
+            [spec.site_count for spec in shards]
+        assert [view for records in slices
+                for view in _plan_view(records)] == full
+
+    @pytest.mark.parametrize("count,picks", [
+        (3, [1]), (7, [3]), (7, [2, 5]), (20, [9, 10, 17]),
+    ])
+    def test_a_subset_of_specs_gets_the_full_pass_draws(
+        self, full, count, picks
+    ):
+        shards = plan_shards(self.CONFIG, count)
+        subset = [shards[index] for index in picks]
+        for spec, records in zip(subset, plan_slices(subset)):
+            assert _plan_view(records) == full[spec.lo:spec.hi]
+
+    def test_specs_out_of_rank_order_are_refused(self):
+        shards = plan_shards(self.CONFIG, 4)
+        with pytest.raises(ValueError, match="rank order"):
+            list(plan_slices([shards[2], shards[1]]))
 
 
 class TestDeriveSeed:
@@ -101,8 +134,9 @@ class TestCrawlShards:
 
     def test_shard_crawl_is_reproducible(self, config, params):
         spec = plan_shards(config, 4)[1]
-        first = crawl_shard(spec, params).payload
-        second = crawl_shard(spec, params).payload
+        records = next(plan_slices([spec]))
+        first = crawl_shard(spec, records, params).payload
+        second = crawl_shard(spec, records, params).payload
         assert first.archives == second.archives
 
     def test_progress_reports_each_shard(self, config, params):
@@ -128,8 +162,8 @@ class TestFoldMemory:
         built = []
         real = ShardSpec.build_world
 
-        def recording(spec):
-            world = real(spec)
+        def recording(spec, records):
+            world = real(spec, records)
             built.append(weakref.ref(world))
             return world
 
@@ -147,6 +181,34 @@ class TestFoldMemory:
         )
         assert alive == [[False], [False, False], [False, False, False]]
         assert gc.get_freeze_count() == 0
+
+    def test_one_slice_of_the_plan_is_live(self, monkeypatch):
+        """While shard k runs, the stream has handed out exactly k + 1
+        slices and no record of an earlier one is alive."""
+        slices = []
+        real_stream = shard_module.plan_slices
+
+        def watched(specs):
+            for records in real_stream(specs):
+                slices.append([weakref.ref(record) for record in records])
+                yield records
+
+        seen = []
+        real_shard = shard_module.crawl_shard
+
+        def probe(spec, *args):
+            seen.append((len(slices), [
+                ref() is not None for refs in slices[:-1] for ref in refs
+            ]))
+            return real_shard(spec, *args)
+
+        monkeypatch.setattr(shard_module, "plan_slices", watched)
+        monkeypatch.setattr(shard_module, "crawl_shard", probe)
+        crawl_shards(plan_shards(DatasetConfig(site_count=8, seed=5), 4),
+                     CrawlParams(), 1)
+        assert [produced for produced, _ in seen] == [1, 2, 3, 4]
+        assert [any(alive) for _, alive in seen] == [False] * 4
+        assert [len(alive) for _, alive in seen] == [0, 2, 4, 6]
 
     def test_nothing_stays_frozen_when_a_shard_raises(self, monkeypatch):
         real = shard_module.crawl_shard
@@ -173,8 +235,9 @@ class TestShardSpec:
     def test_world_contains_only_the_slice(self):
         config = DatasetConfig(site_count=10, seed=13)
         spec = plan_shards(config, 2)[1]
-        world = spec.build_world()
+        records = next(plan_slices([spec]))
+        world = spec.build_world(records)
         domains = [h.record.entry.domain for h in world.sites]
-        expected = [r.entry.domain for r in spec.records()]
+        expected = [r.entry.domain for r in records]
         assert domains == expected
         assert len(domains) == 5

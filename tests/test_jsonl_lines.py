@@ -12,7 +12,12 @@ from repro.audit.log import AuditEvent, events_from_jsonl, events_to_jsonl
 from repro.audit.reasons import ReasonCode
 from repro.cli import main
 from repro.dataset.generator import DatasetConfig
-from repro.dataset.shard import CrawlParams, crawl_shard, plan_shards
+from repro.dataset.shard import (
+    CrawlParams,
+    crawl_shard,
+    plan_shards,
+    plan_slices,
+)
 from repro.runtime import InstrumentationOptions
 from repro.runtime.artifacts import RunArtifacts
 from repro.runtime.sinks import AuditSink, TraceSink
@@ -82,7 +87,8 @@ EVENTS = [
 def real_shard():
     """One traced + audited 12-site shard."""
     spec = plan_shards(DatasetConfig(site_count=12, seed=2022), 1)[0]
-    result = crawl_shard(spec, CrawlParams(), collect=(True, True))
+    result = crawl_shard(spec, next(plan_slices([spec])), CrawlParams(),
+                         collect=(True, True))
     assert len(result.spans) > 1000 and len(result.events) > 1000
     return result
 

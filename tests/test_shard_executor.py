@@ -10,6 +10,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from repro.chaos import (
 )
 from repro.dataset.crawler import CrawlResult
 from repro.dataset import shard as shard_module
-from repro.dataset.generator import DatasetConfig
+from repro.dataset.generator import DatasetConfig, PageGenerator
 from repro.dataset.shard import (
     CrawlParams,
     ShardResult,
@@ -33,11 +34,12 @@ from repro.dataset.shard import (
     crawl_shards,
     merge_shards,
     plan_shards,
+    plan_slices,
     run_shards,
 )
 from repro.telemetry import CrawlTrace
 from repro.telemetry.exporters import spans_to_jsonl
-from repro.traffic import plan_user_shards, simulate_shard
+from repro.traffic import plan_replica, plan_user_shards, simulate_shard
 from repro.traffic.scenario import ScenarioConfig
 
 
@@ -92,48 +94,75 @@ def _failing_shard(spec: _Spec) -> ShardResult:
     return _toy_shard(spec)
 
 
+def _run(shard_fn, payloads, jobs):
+    """``run_shards`` over payloads led by their specs."""
+    return run_shards(shard_fn, [args[0] for args in payloads], payloads,
+                      jobs)
+
+
 class TestRunShards:
     def test_results_come_back_in_payload_order(self):
-        """Shard 0 finishes long after shard 1; imap still yields it
+        """Shard 0 finishes long after shard 1; it is still yielded
         first."""
         payloads = [(_Spec(0), 0.4), (_Spec(1), 0.0), (_Spec(2), 0.0)]
-        results = list(run_shards(_toy_shard, payloads, jobs=2))
+        results = list(_run(_toy_shard, payloads, jobs=2))
         assert [_index(r) for r in results] == [0, 1, 2]
         assert all(_pid(r) != os.getpid() for r in results)
 
     def test_serial_path_runs_in_process_without_pickling(self):
         marker = object()
-        results = list(run_shards(
+        results = list(_run(
             lambda spec: ShardResult(payload=marker), [(_Spec(0),)] * 2,
             jobs=1,
         ))
         assert [r.payload for r in results] == [marker, marker]
 
     def test_single_payload_stays_in_process_at_any_jobs(self):
-        (result,) = run_shards(_toy_shard, [(_Spec(0),)], jobs=4)
+        (result,) = _run(_toy_shard, [(_Spec(0),)], jobs=4)
         assert _pid(result) == os.getpid()
 
     def test_worker_exception_reraises_and_reaps_the_pool(self):
         payloads = [(_Spec(index),) for index in range(3)]
         with pytest.raises(RuntimeError, match="shard 1 exploded"):
-            list(run_shards(_failing_shard, payloads, jobs=2))
+            list(_run(_failing_shard, payloads, jobs=2))
         assert multiprocessing.active_children() == []
 
     def test_no_more_workers_than_shards(self):
         payloads = [(_Spec(index), 0.2) for index in range(2)]
-        results = list(run_shards(_toy_shard, payloads, jobs=8))
+        results = list(_run(_toy_shard, payloads, jobs=8))
         pids = {_pid(r) for r in results}
         assert len(pids) <= 2 and os.getpid() not in pids
         assert multiprocessing.active_children() == []
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            run_shards(_toy_shard, [(_Spec(0),)], jobs=0)
+            _run(_toy_shard, [(_Spec(0),)], jobs=0)
+
+    def test_pool_draws_lazy_payloads_in_the_calling_thread(self):
+        """A lazy payload stream is drawn by the caller's thread, a
+        bounded distance ahead of the results it has yielded."""
+        specs = [_Spec(index) for index in range(5)]
+        drawn = []
+
+        def payloads():
+            for spec in specs:
+                drawn.append((spec.index, threading.get_ident()))
+                yield (spec,)
+
+        results = run_shards(_toy_shard, specs, payloads(), jobs=2)
+        ahead = []
+        for result in results:
+            ahead.append(len(drawn) - _index(result))
+        assert [index for index, _ in drawn] == list(range(5))
+        assert {ident for _, ident in drawn} == {threading.get_ident()}
+        # At most workers + 1 shards submitted and not yet yielded.
+        assert max(ahead) == 3
 
     def test_merge_folds_in_shard_order_and_reports_progress(self):
         seen, absorbed, watched = [], [], []
+        specs = [_Spec(0), _Spec(1)]
         trace = merge_shards(
-            _toy_shard, [(_Spec(0), 0.3), (_Spec(1), 0.0)], 2,
+            _toy_shard, specs, [(specs[0], 0.3), (specs[1], 0.0)], 2,
             lambda result: absorbed.append(_index(result)),
             progress=lambda done, total: seen.append((done, total)),
             watch=lambda done, total, so_far: watched.append(
@@ -145,38 +174,61 @@ class TestRunShards:
         assert isinstance(trace, CrawlTrace)
 
 
-def _plan_probe_shard(spec, *_args) -> ShardResult:
-    """Stands in for ``crawl_shard``: its one (failed) archive says
-    whether the site plan was cached when the shard started, and who
-    ran it.  The payload is not a ``CrawlResult``, so the stand-in
-    archive is pickled as it is."""
-    planned = bool(shard_module._PLAN_CACHE) \
-        and shard_module._PLAN_CACHE[0][0] == spec.config
+def _slice_probe_shard(spec, records, *_args) -> ShardResult:
+    """Stands in for ``crawl_shard``: its one (failed) archive names
+    the shard, the sites it was handed with the pid that planned each,
+    and who ran it.  The payload is not a ``CrawlResult``, so the
+    stand-in archive is pickled as it is."""
     return ShardResult(payload=SimpleNamespace(archives=[SimpleNamespace(
-        page=SimpleNamespace(success=False), planned=planned,
+        page=SimpleNamespace(success=False), index=spec.index,
+        sites=[(r.entry.domain, r.planned_by) for r in records],
         pid=os.getpid(),
     )]))
 
 
-class TestPlanBeforeFork:
+class TestSlicesCrossTheFork:
     """Plain, observed and fault-injected crawls all plan in the
-    parent, because all three are one ``crawl_shards`` call."""
+    parent and hand each pooled shard its own slice, because all three
+    are one ``crawl_shards`` call."""
 
-    @pytest.fixture(autouse=True)
-    def probe(self, monkeypatch):
-        monkeypatch.setattr(shard_module, "crawl_shard", _plan_probe_shard)
-        monkeypatch.setattr(shard_module, "_PLAN_CACHE", [])
+    CONFIG = DatasetConfig(site_count=8, seed=31)
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """Every ``generate_all`` call in this process, its records
+        stamped with the pid that planned them."""
+        calls = []
+        real = PageGenerator.generate_all
+
+        def stamped(generator, entries=None):
+            records = real(generator, entries)
+            for record in records:
+                record.planned_by = os.getpid()
+            calls.append(len(records))
+            return records
+
+        monkeypatch.setattr(shard_module, "crawl_shard", _slice_probe_shard)
+        monkeypatch.setattr(PageGenerator, "generate_all", stamped)
+        return calls
 
     @pytest.mark.parametrize("collect,chaos", [
         (None, None),
         ((True, True), None),
         ((False, True), (EMPTY_SCHEDULE, DEFAULT_RETRY_POLICY)),
     ], ids=["plain", "observed", "chaos"])
-    def test_forked_workers_inherit_the_parents_plan(self, collect, chaos):
-        shards = plan_shards(DatasetConfig(site_count=8, seed=31), 4)
+    def test_each_worker_gets_its_own_slice_planned_once_in_the_parent(
+        self, planned, collect, chaos
+    ):
+        shards = plan_shards(self.CONFIG, 4)
         seen = crawl_shards(shards, CrawlParams(), 2, collect=collect,
                             chaos=chaos)[0].archives
-        assert [doc.planned for doc in seen] == [True] * 4
+        domains = [entry.domain for entry in self.CONFIG.tranco()]
+        assert [doc.index for doc in seen] == [0, 1, 2, 3]
+        for doc, spec in zip(seen, shards):
+            assert doc.sites == [(domain, os.getpid())
+                                 for domain in domains[spec.lo:spec.hi]]
+        # One generate_all per slice, every site planned once.
+        assert planned == [2, 2, 2, 2]
         assert os.getpid() not in {doc.pid for doc in seen}
 
 
@@ -187,7 +239,8 @@ class TestPlanBeforeFork:
 
 def _crawl_result() -> ShardResult:
     spec = plan_shards(DatasetConfig(site_count=6, seed=2022), 2)[0]
-    return crawl_shard(spec, CrawlParams(), collect=(True, True))
+    return crawl_shard(spec, next(plan_slices([spec])), CrawlParams(),
+                       collect=(True, True))
 
 
 def _chaos_result() -> ShardResult:
@@ -195,7 +248,7 @@ def _chaos_result() -> ShardResult:
     assert not schedule.empty
     spec = plan_shards(DatasetConfig(site_count=12, seed=2022), 2)[0]
     return crawl_shard(
-        spec, CrawlParams(), collect=(True, True),
+        spec, next(plan_slices([spec])), CrawlParams(), collect=(True, True),
         chaos=(schedule, DEFAULT_RETRY_POLICY),
     )
 
@@ -206,7 +259,7 @@ def _traffic_result() -> ShardResult:
         mean_visits_per_user=2.0, bucket_ms=2_000.0,
     )
     return simulate_shard(plan_user_shards(scenario, 2)[0],
-                          collect=(True, True))
+                          plan_replica(scenario), collect=(True, True))
 
 
 class TestPickledHandOff:
@@ -233,7 +286,7 @@ class TestPickledHandOff:
 
     def test_untraced_crawl_shard_carries_only_its_payload(self):
         spec = plan_shards(DatasetConfig(site_count=4, seed=2022), 1)[0]
-        result = crawl_shard(spec, CrawlParams())
+        result = crawl_shard(spec, next(plan_slices([spec])), CrawlParams())
         assert result.payload.attempted == 4
         assert (result.spans, result.metrics, result.events,
                 result.faults) == ((), (), (), ())

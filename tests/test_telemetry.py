@@ -13,6 +13,7 @@ from repro.dataset.shard import (
     crawl_shard,
     crawl_shards,
     plan_shards,
+    plan_slices,
 )
 from repro.obs.phases import NULL_PHASES
 from repro.telemetry import (
@@ -142,8 +143,8 @@ class TestTelemetryHandle:
 
     def test_every_layer_is_wired_to_the_handle(self):
         spec = plan_shards(DatasetConfig(site_count=12, seed=2022), 1)[0]
-        shard = crawl_shard(spec, CrawlParams(alpn="h2,h3"),
-                            collect=(True, True))
+        shard = crawl_shard(spec, next(plan_slices([spec])),
+                            CrawlParams(alpn="h2,h3"), collect=(True, True))
         assert {span.category for span in shard.spans} \
             == WIRED_SPAN_CATEGORIES
         assert {event.kind for event in shard.events} \

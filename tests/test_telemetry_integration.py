@@ -13,6 +13,7 @@ from repro.dataset.shard import (
     crawl_shard,
     crawl_shards,
     plan_shards,
+    plan_slices,
 )
 from repro.audit.log import events_to_jsonl
 from repro.telemetry import CrawlTrace
@@ -72,9 +73,11 @@ class TestTracedCrawl:
 
     def test_single_shard_traced_matches_untraced(self):
         spec = plan_shards(CONFIG, 2)[0]
-        shard_result = crawl_shard(spec, PARAMS, collect=(True, True))
+        records = next(plan_slices([spec]))
+        shard_result = crawl_shard(spec, records, PARAMS,
+                                   collect=(True, True))
         traced_result, spans = shard_result.payload, shard_result.spans
-        plain = crawl_shard(spec, PARAMS).payload
+        plain = crawl_shard(spec, records, PARAMS).payload
         assert [a.to_json() for a in traced_result.archives] \
             == [a.to_json() for a in plain.archives]
         assert spans

@@ -1,10 +1,15 @@
 """Unit tests for the CA, issuance policy, and chain validation."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro
 from repro.tlspki import (
     CertificateAuthority,
     CertificateError,
@@ -228,3 +233,39 @@ class TestValidation:
         result = self.validate(pki, intermediate.chain_for(leaf),
                                "wrong.example.com", now=100.0)
         assert len(result.errors) >= 2
+
+
+#: Prints a default-keyed CA's signature, then a seeded world's issuer
+#: signature and first leaf fingerprint.
+_KEY_PROBE = """
+from repro.dataset.generator import DatasetConfig
+from repro.dataset.world import build_world
+from repro.tlspki import CertificateAuthority
+
+print(CertificateAuthority("Probe CA").certificate.signature.hex())
+world = build_world(DatasetConfig(site_count=4, seed=1))
+leaf = world.sites[0].certificate
+print(world.issuer(leaf.issuer).certificate.signature.hex())
+print(leaf.fingerprint())
+"""
+
+
+class TestHashSeedIndependence:
+    """CA keys are seeded from the CA's name, which must give the same
+    key in every interpreter: ``hash(str)`` is salted per process."""
+
+    @staticmethod
+    def probe(hash_seed: str) -> str:
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _KEY_PROBE], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_keys_and_fingerprints_ignore_the_hash_seed(self):
+        first = self.probe("1")
+        assert len(first.split()) == 3
+        assert self.probe("2") == first

@@ -24,6 +24,7 @@ from repro.traffic import (
     WHAT_IF_POLICIES,
     build_population,
     apply_edge_capacity,
+    plan_replica,
     plan_user_shards,
     run_scenario,
     scenario_for_policy,
@@ -185,10 +186,16 @@ class TestFleetOriginDeployment:
         assert deploy_fleet_origin(world) == 0
 
 
+def run_shard(shard, collect=None):
+    """``simulate_shard`` on a freshly planned replica of the shard's
+    web."""
+    return simulate_shard(shard, plan_replica(shard.scenario), collect)
+
+
 class TestSimulateShard:
     def test_counters_and_audit_reconcile(self):
         shard = plan_user_shards(tiny_scenario(), 1)[0]
-        shard_result = simulate_shard(shard, collect=(False, True))
+        shard_result = run_shard(shard, collect=(False, True))
         aggregate = shard_result.payload
         events = shard_result.events
         assert aggregate.visits > 0
@@ -209,7 +216,7 @@ class TestSimulateShard:
         shard = plan_user_shards(
             tiny_scenario(users=16, mean_visits_per_user=3.0), 1,
         )[0]
-        aggregate = simulate_shard(shard).payload
+        aggregate = run_shard(shard).payload
         revisits = sum(t.revisits for t in aggregate.cohorts.values())
         cached = sum(
             t.cached_responses for t in aggregate.cohorts.values()
@@ -222,7 +229,7 @@ class TestSimulateShard:
         shard = plan_user_shards(
             tiny_scenario(users=16, edge_capacity=2), 1,
         )[0]
-        shard_result = simulate_shard(shard, collect=(False, True))
+        shard_result = run_shard(shard, collect=(False, True))
         aggregate = shard_result.payload
         events = shard_result.events
         assert aggregate.totals.goaways > 0
@@ -236,7 +243,7 @@ class TestSimulateShard:
             tiny_scenario(users=16, edge_capacity=2,
                           goaway_retry_limit=0), 1,
         )[0]
-        aggregate = simulate_shard(shard).payload
+        aggregate = run_shard(shard).payload
         assert aggregate.totals.goaways > 0
         assert aggregate.retries == 0
         assert aggregate.failed > 0  # refused loads fail, not crash
@@ -253,8 +260,8 @@ class TestUnwatchedShard:
     ], ids=["overload", "seed7-capacity4"])
     def test_aggregate_independent_of_collectors(self, scenario):
         shard = plan_user_shards(scenario, 1)[0]
-        unwatched = simulate_shard(shard)
-        audited = simulate_shard(shard, collect=(True, True))
+        unwatched = run_shard(shard)
+        audited = run_shard(shard, collect=(True, True))
         assert audited.payload.retries > 0
         assert unwatched.payload.to_dict() == audited.payload.to_dict()
         # One retry per ``retry`` decision the audit log records,
@@ -269,7 +276,7 @@ class TestUnwatchedShard:
             raise AssertionError("an unwatched shard built a Telemetry")
 
         monkeypatch.setattr(simulate, "Telemetry", refuse)
-        result = simulate_shard(plan_user_shards(tiny_scenario(), 1)[0])
+        result = run_shard(plan_user_shards(tiny_scenario(), 1)[0])
         assert result.payload.visits > 0
         assert (result.spans, result.metrics, result.events) == \
             ((), (), ())
@@ -277,7 +284,7 @@ class TestUnwatchedShard:
     def test_metrics_only_for_the_ledger(self):
         """``(False, False)`` is what ``--ledger`` alone runs: phase
         histograms per cohort, no spans, no audit events."""
-        result = simulate_shard(plan_user_shards(tiny_scenario(), 1)[0],
+        result = run_shard(plan_user_shards(tiny_scenario(), 1)[0],
                                 collect=(False, False))
         cohorts = {dict(doc["labels"]).get("cohort")
                    for doc in result.metrics
@@ -293,7 +300,7 @@ class TestUnwatchedShard:
         """Each page load folds its pool counters into the shard's
         registry: on h2-only traffic, every connection a pool opens is
         one the edges accepted."""
-        result = simulate_shard(plan_user_shards(scenario, 1)[0],
+        result = run_shard(plan_user_shards(scenario, 1)[0],
                                 collect=(False, False))
         (opened,) = [doc["value"] for doc in result.metrics
                      if doc["name"] == "pool.connections_opened"]

@@ -269,11 +269,18 @@ class TestHarEncodeAgainstAsdict:
     @pytest.fixture(scope="class")
     def shard_archives(self):
         from repro.dataset.generator import DatasetConfig
-        from repro.dataset.shard import CrawlParams, crawl_shard, plan_shards
+        from repro.dataset.shard import (
+            CrawlParams,
+            crawl_shard,
+            plan_shards,
+            plan_slices,
+        )
 
         spec = plan_shards(DatasetConfig(site_count=12, seed=41), 1)[0]
         params = CrawlParams(policy="chromium", speculative_rate=0.10)
-        return crawl_shard(spec, params).payload.archives
+        return crawl_shard(
+            spec, next(plan_slices([spec])), params
+        ).payload.archives
 
     def test_every_archive_of_a_real_shard_encodes_identically(
             self, shard_archives):
