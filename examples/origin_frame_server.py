@@ -17,14 +17,8 @@ Run:  python examples/origin_frame_server.py
 
 import numpy as np
 
-from repro.h2 import (
-    H2ClientSession,
-    H2Server,
-    OriginFrame,
-    ServerConfig,
-    TlsClientConfig,
-    parse_frame,
-)
+from repro.h2 import H2ClientSession, H2Server, ServerConfig, TlsClientConfig
+from repro.h2 import frames
 from repro.netsim import EventLoop, Host, LatencyModel, LinkSpec, Network
 from repro.tlspki import CertificateAuthority, TrustStore
 
@@ -54,12 +48,14 @@ def main():
     server.listen_all()
 
     # --- The frame itself, on the wire -------------------------------
-    frame = OriginFrame(origins=origin_set)
-    wire = frame.serialize()
+    wire = bytearray()
+    frames.pack_frame(wire, frames.TYPE_ORIGIN, 0, 0,
+                      frames.encode_origin(origin_set))
     print("ORIGIN frame bytes:", wire.hex(" "))
-    reparsed, _ = parse_frame(wire)
-    print(f"  type=0x{reparsed.type_code:X} stream={reparsed.stream_id} "
-          f"origins={list(reparsed.origins)}\n")
+    word, _, stream_id = frames.HEADER_STRUCT.unpack_from(wire)
+    origins = frames.decode_origin(0, bytes(wire[frames.FRAME_HEADER_LEN:]))
+    print(f"  type=0x{word & 0xFF:X} stream={stream_id} "
+          f"origins={list(origins)}\n")
 
     # --- An ORIGIN-aware client --------------------------------------
     tls = TlsClientConfig(

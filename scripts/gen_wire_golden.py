@@ -7,7 +7,9 @@ hot-path optimizations (zero-copy framing, memoized HPACK) must keep
 every one of these byte sequences identical -- tests/test_wire_golden.py
 replays the corpus against the live code.
 
-Run from the repo root:
+The frames are built and re-parsed with the tests' reference codec,
+``tests/h2_reference_frames.py`` (one class per frame type); the
+product has no frame objects.  Run from the repo root:
 
     PYTHONPATH=src python scripts/gen_wire_golden.py
 
@@ -19,8 +21,8 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
-from repro.h2 import frames as fr
 from repro.h2.errors import ErrorCode
 from repro.h2.hpack import HpackDecoder, HpackEncoder
 from repro.transport.framing import (
@@ -33,7 +35,11 @@ from repro.transport.framing import (
     parse_records,
 )
 
-DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "tests" / "data"
+
+sys.path.insert(0, str(ROOT))
+from tests import h2_reference_frames as fr  # noqa: E402
 
 
 def frame_corpus():

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Set
 
 from repro.audit.reasons import ReasonCode
-from repro.h2.frames import FRAME_HEADER_LEN, KNOWN_TYPES
+from repro.h2.frames import FRAME_HEADER_LEN, HEADER_STRUCT, KNOWN_TYPES
 from repro.transport.framing import REC_APPDATA, consume_records
 from repro.netsim.network import Host, Network
 from repro.netsim.transport import Transport
@@ -63,11 +63,12 @@ class _ConnectionInspector:
 
     def _scan_frames(self) -> bool:
         while len(self._frame_buffer) >= FRAME_HEADER_LEN:
-            length = int.from_bytes(self._frame_buffer[0:3], "big")
-            if len(self._frame_buffer) < FRAME_HEADER_LEN + length:
+            word = HEADER_STRUCT.unpack_from(self._frame_buffer)[0]
+            end = FRAME_HEADER_LEN + (word >> 8)
+            if len(self._frame_buffer) < end:
                 return True  # wait for more bytes
-            frame_type = self._frame_buffer[3]
-            del self._frame_buffer[: FRAME_HEADER_LEN + length]
+            frame_type = word & 0xFF
+            del self._frame_buffer[:end]
             self.middlebox.stats.frames_inspected += 1
             if frame_type not in self.middlebox.known_types:
                 self.middlebox.stats.unknown_frames_seen += 1
@@ -104,7 +105,7 @@ class BuggyMiddlebox:
         self.protected_clients = set(protected_clients)
         self.tear_down_on_unknown = tear_down_on_unknown
         #: Types the agent recognizes: RFC 7540 only -- no ORIGIN.
-        self.known_types = frozenset(KNOWN_TYPES)
+        self.known_types = KNOWN_TYPES
         self.stats = MiddleboxStats()
         #: Records every teardown when ``telemetry`` audits.
         self.audit = telemetry.audit

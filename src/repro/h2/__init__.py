@@ -2,11 +2,16 @@
 
 The package is layered sans-IO-first:
 
-* :mod:`repro.h2.frames` -- wire format serialization/parsing,
-  including the ORIGIN frame;
+* :mod:`repro.h2.frames` -- the wire format: the frame header, type
+  and flag constants, :func:`~repro.h2.frames.pack_frame`, and one
+  payload encoder or decoder per type the endpoints send or check,
+  ORIGIN included.  There are no frame objects; the tests keep a
+  class-per-frame reference codec of their own;
 * :mod:`repro.h2.hpack` -- HPACK header compression (RFC 7541);
 * :mod:`repro.h2.stream` / :mod:`repro.h2.connection` -- the protocol
-  state machines (bytes in, events out);
+  state machines (bytes in, events out): the stream machine is the
+  RFC 7540 §5.1 table, and the connection reads every inbound frame
+  through one type table;
 * :mod:`repro.h2.tls_channel` -- the simulated TLS layer that carries
   frames over :mod:`repro.netsim` transports;
 * :mod:`repro.h2.server` / :mod:`repro.h2.client` -- deployable
@@ -21,24 +26,7 @@ from repro.h2.errors import (
     H2StreamError,
     HpackError,
 )
-from repro.h2.frames import (
-    CONNECTION_PREFACE,
-    CertificateFrame,
-    DataFrame,
-    Frame,
-    GoAwayFrame,
-    HeadersFrame,
-    OriginFrame,
-    PingFrame,
-    PriorityFrame,
-    PushPromiseFrame,
-    RstStreamFrame,
-    SettingsFrame,
-    UnknownFrame,
-    WindowUpdateFrame,
-    parse_frame,
-    parse_frames,
-)
+from repro.h2.frames import CONNECTION_PREFACE
 from repro.h2.hpack import HpackDecoder, HpackEncoder
 from repro.h2.settings import SettingId, Settings
 from repro.h2.stream import Stream, StreamState
@@ -54,21 +42,6 @@ __all__ = [
     "H2StreamError",
     "HpackError",
     "CONNECTION_PREFACE",
-    "CertificateFrame",
-    "DataFrame",
-    "Frame",
-    "GoAwayFrame",
-    "HeadersFrame",
-    "OriginFrame",
-    "PingFrame",
-    "PriorityFrame",
-    "PushPromiseFrame",
-    "RstStreamFrame",
-    "SettingsFrame",
-    "UnknownFrame",
-    "WindowUpdateFrame",
-    "parse_frame",
-    "parse_frames",
     "HpackDecoder",
     "HpackEncoder",
     "SettingId",

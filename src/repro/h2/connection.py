@@ -41,12 +41,10 @@ from repro.h2.errors import (
 )
 from repro.h2.hpack import HpackDecoder, HpackEncoder
 from repro.h2.settings import SettingId, Settings
-from repro.h2.stream import Stream, StreamState
+from repro.h2.stream import SENDS_DATA, Stream, StreamInput, StreamState
 
 Header = Tuple[str, str]
 
-_OPEN = StreamState.OPEN
-_HALF_CLOSED_REMOTE = StreamState.HALF_CLOSED_REMOTE
 _CLOSED = StreamState.CLOSED
 
 
@@ -75,7 +73,8 @@ class H2Connection:
     ) -> None:
         self.role = role
         self.origin_aware = origin_aware
-        self.secondary_certs_aware = secondary_certs_aware
+        self._frame_types = _TYPE_TABLES[bool(origin_aware),
+                                         bool(secondary_certs_aware)]
         #: Reassembly buffers for fragmented CERTIFICATE frames.
         self._certificate_buffers: Dict[int, bytearray] = {}
         #: Origins this endpoint will advertise (server only).
@@ -126,7 +125,8 @@ class H2Connection:
         self._initiated = True
         if self.role is Role.CLIENT:
             self._outbound += fr.CONNECTION_PREFACE
-        self._send_frame(fr.SettingsFrame(settings=tuple(settings)))
+        fr.pack_frame(self._outbound, fr.TYPE_SETTINGS, 0, 0,
+                      fr.encode_settings(settings))
         for identifier, value in settings:
             self.local_settings.apply(identifier, value)
         if self.role is Role.SERVER and self.origin_aware and self.local_origin_set:
@@ -175,10 +175,7 @@ class H2Connection:
         flags = fr.FLAG_END_HEADERS | (
             fr.FLAG_END_STREAM if end_stream else 0
         )
-        self._send_frame(
-            fr.HeadersFrame(stream_id=stream_id, flags=flags,
-                            header_block=block)
-        )
+        fr.pack_frame(self._outbound, fr.TYPE_HEADERS, flags, stream_id, block)
 
     def send_data(
         self, stream_id: int, data: bytes, end_stream: bool = False
@@ -244,10 +241,7 @@ class H2Connection:
                 if limit < length:
                     size = limit
             fin = end_stream and size == length
-            state = stream.state
-            if size and not fin and (
-                state is _OPEN or state is _HALF_CLOSED_REMOTE
-            ):
+            if size and not fin and stream.state in SENDS_DATA:
                 stream.send_window -= size
             else:
                 stream.send_data(size, fin)
@@ -276,29 +270,45 @@ class H2Connection:
                 "only servers send ORIGIN frames (RFC 8336 §2)",
             )
         self.local_origin_set = tuple(origins)
-        self._send_frame(fr.OriginFrame(origins=tuple(origins)))
+        fr.pack_frame(self._outbound, fr.TYPE_ORIGIN, 0, 0,
+                      fr.encode_origin(origins))
+
+    def send_certificate(self, cert_id: int, chain_data: bytes) -> None:
+        """Provide a secondary certificate chain on stream 0 (server),
+        fragmenting to the peer's max frame size."""
+        if self.role is not Role.SERVER:
+            raise H2ConnectionError(
+                ErrorCode.PROTOCOL_ERROR,
+                "only servers provide secondary certificates here",
+            )
+        max_fragment = self.remote_settings.max_frame_size - 1
+        chunks = [
+            chain_data[i : i + max_fragment]
+            for i in range(0, len(chain_data), max_fragment)
+        ] or [b""]
+        for index, chunk in enumerate(chunks):
+            last = index == len(chunks) - 1
+            flags = 0 if last else fr.FLAG_TO_BE_CONTINUED
+            fr.pack_frame(self._outbound, fr.TYPE_CERTIFICATE, flags, 0,
+                          fr.encode_certificate(cert_id, chunk))
 
     def send_rst_stream(
         self, stream_id: int, code: ErrorCode = ErrorCode.CANCEL
     ) -> None:
         stream = self._get_or_create_stream(stream_id)
-        stream.reset()
+        stream.advance(StreamInput.SEND_RST_STREAM)
         if self._send_queue:
             self._windowless_queued = True
-        self._send_frame(
-            fr.RstStreamFrame(stream_id=stream_id, error_code=code)
-        )
+        fr.pack_frame(self._outbound, fr.TYPE_RST_STREAM, 0, stream_id,
+                      int(code).to_bytes(4, "big"))
 
     def send_goaway(
         self, code: ErrorCode = ErrorCode.NO_ERROR, debug: bytes = b""
     ) -> None:
         self._goaway_sent = True
-        self._send_frame(
-            fr.GoAwayFrame(
-                last_stream_id=self._highest_remote_stream,
-                error_code=code,
-                debug_data=debug,
-            )
+        fr.pack_frame(
+            self._outbound, fr.TYPE_GOAWAY, 0, 0,
+            fr.encode_goaway(self._highest_remote_stream, code, debug),
         )
 
     def send_window_update(self, stream_id: int, increment: int) -> None:
@@ -312,9 +322,6 @@ class H2Connection:
             fr.WINDOW_UPDATE_WORD, 0, stream_id & 0x7FFFFFFF, increment
         )
 
-    def _send_frame(self, frame: fr.Frame) -> None:
-        frame.serialize_into(self._outbound)
-
     # -- receiving ------------------------------------------------------------
 
     def receive_data(self, data: bytes) -> List[ev.Event]:
@@ -322,18 +329,9 @@ class H2Connection:
 
         Frames are parsed straight out of ``data``; only an incomplete
         tail is kept in the receive buffer, and a call that finds one
-        there (or a preface still owed) parses the two joined.  The
-        body path -- DATA and 4-byte WINDOW_UPDATE -- is handled from
-        the header fields and a payload slice; every other frame, and
-        every frame while a CONTINUATION is expected, is parsed by the
-        :mod:`repro.h2.frames` classes (as is padded DATA, for its
-        padding checks, before it joins the body path).
-
-        A WINDOW_UPDATE opens a window and drains the send queue only
-        if the queue can move: it is not empty, and either the
-        connection window is open or an entry needs no window at all
-        (``_windowless_queued``).  Any other drain would return at its
-        first look at the head of the queue.
+        there (or a preface still owed) parses the two joined.  Each
+        frame's header is unpacked once, here, and the frame goes
+        through its row of the type table (:meth:`_receive_frame`).
 
         Protocol violations raise :class:`H2ConnectionError` after
         queueing a GOAWAY, mirroring how a real endpoint fails.  Frames
@@ -364,8 +362,7 @@ class H2Connection:
         total = len(data)
         offset = 0
         unpack_header = fr.HEADER_STRUCT.unpack_from
-        streams = self._streams
-        queue = self._send_queue
+        receive_frame = self._receive_frame
         try:
             while total - offset >= fr.FRAME_HEADER_LEN:
                 word, flags, stream_id = unpack_header(data, offset)
@@ -373,42 +370,10 @@ class H2Connection:
                 end = payload_at + (word >> 8)
                 if end > total:
                     break
-                frame_at, offset = offset, end  # consumed, come what may
-                frame_type = word & 0xFF
-                stream_id &= 0x7FFFFFFF
-                body_path = self._expected_continuation is None
-                if body_path and frame_type == fr.TYPE_DATA:
-                    if flags & fr.FLAG_PADDED:
-                        payload = fr.parse_frame(data[frame_at:end])[0].data
-                    else:
-                        payload = data[payload_at:end]
-                    self._on_data(
-                        stream_id, payload, end - payload_at,
-                        flags & fr.FLAG_END_STREAM != 0, events,
-                    )
-                elif (body_path and frame_type == fr.TYPE_WINDOW_UPDATE
-                      and end - payload_at == 4):
-                    increment = fr.WINDOW_UPDATE_STRUCT.unpack_from(
-                        data, frame_at
-                    )[3] & 0x7FFFFFFF
-                    if not increment:
-                        raise H2ConnectionError(
-                            ErrorCode.PROTOCOL_ERROR,
-                            "WINDOW_UPDATE with zero increment",
-                        )
-                    if stream_id:
-                        stream = streams.get(stream_id)
-                        if stream is not None:
-                            stream.send_window += increment
-                    else:
-                        self.connection_send_window += increment
-                    if queue and (self.connection_send_window > 0
-                                  or self._windowless_queued):
-                        self._drain_send_queue()
-                    events.append(ev.WindowUpdated(stream_id, increment))
-                else:
-                    frame = fr.parse_frame(data[frame_at:end])[0]
-                    events += self._handle_frame(frame)
+                offset = end  # consumed, come what may
+                events += receive_frame(word & 0xFF, flags,
+                                        stream_id & 0x7FFFFFFF,
+                                        data[payload_at:end])
         except H2ConnectionError as error:
             self.send_goaway(error.code)
             raise
@@ -417,59 +382,45 @@ class H2Connection:
                 buffer += data[offset:]
         return events
 
-    def _handle_frame(self, frame: fr.Frame) -> List[ev.Event]:
-        if self._expected_continuation is not None and not isinstance(
-            frame, fr.ContinuationFrame
-        ):
+    def _receive_frame(self, frame_type: int, flags: int, stream_id: int,
+                       payload: bytes) -> List[ev.Event]:
+        """One whole frame through its row of the type table, in this
+        order: its payload decoded (a malformed one raises), refused if
+        a CONTINUATION is expected, held to its stream-identifier rule,
+        handled.  A type without a row is ignored (RFC 7540 §4.1)."""
+        row = self._frame_types.get(frame_type)
+        if row is not None:
+            name, on_stream, decode, handle = row
+            if decode is not None:
+                payload = decode(flags, payload)
+        if (self._expected_continuation is not None
+                and frame_type != fr.TYPE_CONTINUATION):
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR,
                 "interleaved frame while expecting CONTINUATION",
             )
-        return _FRAME_DISPATCH[frame.__class__](self, frame)
-
-    def _on_goaway(self, frame: fr.GoAwayFrame) -> List[ev.Event]:
-        return [
-            ev.GoAwayReceived(
-                last_stream_id=frame.last_stream_id,
-                error_code=frame.error_code,
-                debug_data=frame.debug_data,
-            )
-        ]
-
-    def _on_priority(self, frame: fr.PriorityFrame) -> List[ev.Event]:
-        return []  # parsed, scheduling hints unused
-
-    def _on_push_promise(self, frame: fr.PushPromiseFrame) -> List[ev.Event]:
-        if not self.local_settings.enable_push:
+        if row is None:
+            return self._ignore(frame_type, stream_id)
+        if on_stream is not None and (stream_id != 0) is not on_stream:
             raise H2ConnectionError(
-                ErrorCode.PROTOCOL_ERROR, "push is disabled"
+                ErrorCode.PROTOCOL_ERROR, f"{name} on stream {stream_id}"
             )
-        return []
+        return handle(self, stream_id, flags, payload)
 
-    def _on_unknown(self, frame: fr.UnknownFrame) -> List[ev.Event]:
-        # RFC 7540 §4.1: ignore and discard.
-        return [
-            ev.UnknownFrameReceived(
-                raw_type=frame.raw_type,
-                stream_id=frame.stream_id,
-            )
-        ]
+    def _ignore(self, frame_type: int, stream_id: int) -> List[ev.Event]:
+        # RFC 7540 §4.1: ignore and discard.  The event lets tests see
+        # what was dropped.
+        return [ev.UnknownFrameReceived(raw_type=frame_type,
+                                        stream_id=stream_id)]
 
-    def _on_data(
-        self,
-        stream_id: int,
-        data: bytes,
-        length: int,
-        end_stream: bool,
-        events: List[ev.Event],
-    ) -> None:
-        """One DATA frame: ``data`` is the payload without padding,
-        ``length`` the whole wire payload, which is what flow control
-        counts (RFC 7540 §6.9.1)."""
-        if stream_id == 0:
-            raise H2ConnectionError(
-                ErrorCode.PROTOCOL_ERROR, "DATA on stream 0"
-            )
+    def _on_data(self, stream_id: int, flags: int,
+                 payload: bytes) -> List[ev.Event]:
+        """Flow control counts the whole wire payload, padding included
+        (RFC 7540 §6.9.1); the event carries the data without it."""
+        length = len(payload)
+        data = (fr.unpad(flags, payload, "DATA")
+                if flags & fr.FLAG_PADDED else payload)
+        end_stream = flags & fr.FLAG_END_STREAM != 0
         stream = self._streams.get(stream_id)
         if stream is None:
             raise H2ConnectionError(
@@ -494,9 +445,10 @@ class H2Connection:
             stream.receive_data(length, end_stream)
         except H2StreamError as error:
             self.send_rst_stream(stream_id, error.code)
-            events.append(ev.StreamReset(stream_id, error.code))
-            return
-        events.append(ev.DataReceived(stream_id, data, length, end_stream))
+            return [ev.StreamReset(stream_id, error.code)]
+        events: List[ev.Event] = [
+            ev.DataReceived(stream_id, data, length, end_stream)
+        ]
         if length:
             unacked = stream.recv_unacked + length
             if unacked >= stream.recv_window and stream.state is not _CLOSED:
@@ -505,41 +457,57 @@ class H2Connection:
             stream.recv_unacked = unacked
         if end_stream:
             events.append(ev.StreamEnded(stream_id))
+        return events
 
-    def _on_headers(self, frame: fr.HeadersFrame) -> List[ev.Event]:
-        if frame.stream_id == 0:
+    def _on_window_update(self, stream_id: int, flags: int,
+                          increment: int) -> List[ev.Event]:
+        """Opens a window, and drains the send queue only if it can
+        move: it is not empty, and either the connection window is open
+        or an entry needs no window at all (``_windowless_queued``).
+        Any other drain would return at its first look at the head of
+        the queue."""
+        if not increment:
             raise H2ConnectionError(
-                ErrorCode.PROTOCOL_ERROR, "HEADERS on stream 0"
+                ErrorCode.PROTOCOL_ERROR, "WINDOW_UPDATE with zero increment"
             )
-        if not frame.end_headers:
+        if stream_id:
+            stream = self._streams.get(stream_id)
+            if stream is not None:
+                stream.send_window += increment
+        else:
+            self.connection_send_window += increment
+        if self._send_queue and (self.connection_send_window > 0
+                                 or self._windowless_queued):
+            self._drain_send_queue()
+        return [ev.WindowUpdated(stream_id, increment)]
+
+    def _on_headers(self, stream_id: int, flags: int,
+                    block: bytes) -> List[ev.Event]:
+        end_stream = flags & fr.FLAG_END_STREAM != 0
+        if not flags & fr.FLAG_END_HEADERS:
             self._expected_continuation = (
-                frame.stream_id,
-                bytearray(frame.header_block),
-                frame.end_stream,
+                stream_id, bytearray(block), end_stream
             )
             return []
-        return self._complete_headers(
-            frame.stream_id, bytes(frame.header_block), frame.end_stream
-        )
+        return self._complete_headers(stream_id, block, end_stream)
 
-    def _on_continuation(self, frame: fr.ContinuationFrame) -> List[ev.Event]:
+    def _on_continuation(self, stream_id: int, flags: int,
+                         block: bytes) -> List[ev.Event]:
         if self._expected_continuation is None:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR, "unexpected CONTINUATION"
             )
-        stream_id, block, end_stream = self._expected_continuation
-        if frame.stream_id != stream_id:
+        expected, pending, end_stream = self._expected_continuation
+        if stream_id != expected:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR,
-                f"CONTINUATION for stream {frame.stream_id}, "
-                f"expected {stream_id}",
+                f"CONTINUATION for stream {stream_id}, expected {expected}",
             )
-        block += frame.header_block
-        if not frame.end_headers:
-            self._expected_continuation = (stream_id, block, end_stream)
+        pending += block
+        if not flags & fr.FLAG_END_HEADERS:
             return []
         self._expected_continuation = None
-        return self._complete_headers(stream_id, bytes(block), end_stream)
+        return self._complete_headers(stream_id, bytes(pending), end_stream)
 
     def _complete_headers(
         self, stream_id: int, block: bytes, end_stream: bool
@@ -569,115 +537,131 @@ class H2Connection:
             events.append(ev.StreamEnded(stream_id))
         return events
 
-    def _on_settings(self, frame: fr.SettingsFrame) -> List[ev.Event]:
-        if frame.is_ack:
-            return [ev.SettingsAcked()]
-        for identifier, value in frame.settings:
-            self.remote_settings.apply(identifier, value)
-            if identifier == SettingId.HEADER_TABLE_SIZE:
-                self._encoder.set_max_table_size(value)
-        self._send_frame(fr.SettingsFrame(flags=fr.FLAG_ACK))
-        return [ev.SettingsReceived(settings=frame.settings)]
+    def _on_priority(self, stream_id: int, flags: int,
+                     payload: bytes) -> List[ev.Event]:
+        return []  # scheduling hints unused
 
-    def _on_rst(self, frame: fr.RstStreamFrame) -> List[ev.Event]:
-        if frame.stream_id == 0:
-            raise H2ConnectionError(
-                ErrorCode.PROTOCOL_ERROR, "RST_STREAM on stream 0"
-            )
-        stream = self._streams.get(frame.stream_id)
+    def _on_rst_stream(self, stream_id: int, flags: int,
+                       code: ErrorCode) -> List[ev.Event]:
+        stream = self._streams.get(stream_id)
         if stream is None:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR,
-                f"RST_STREAM for idle stream {frame.stream_id}",
+                f"RST_STREAM for idle stream {stream_id}",
             )
-        stream.reset()
+        stream.advance(StreamInput.RECV_RST_STREAM)
         if self._send_queue:
             self._windowless_queued = True
-        return [ev.StreamReset(frame.stream_id, frame.error_code)]
+        return [ev.StreamReset(stream_id, code)]
 
-    def _on_ping(self, frame: fr.PingFrame) -> List[ev.Event]:
-        if frame.is_ack:
-            return [ev.PingAcked(opaque=frame.opaque)]
-        self._send_frame(
-            fr.PingFrame(flags=fr.FLAG_ACK, opaque=frame.opaque)
-        )
-        return [ev.PingReceived(opaque=frame.opaque)]
+    def _on_settings(self, stream_id: int, flags: int,
+                     settings: Tuple[Tuple[int, int], ...]) -> List[ev.Event]:
+        if flags & fr.FLAG_ACK:
+            return [ev.SettingsAcked()]
+        for identifier, value in settings:
+            self.remote_settings.apply(identifier, value)
+            if identifier == SettingId.HEADER_TABLE_SIZE:
+                self._encoder.set_max_table_size(value)
+        fr.pack_frame(self._outbound, fr.TYPE_SETTINGS, fr.FLAG_ACK, 0, b"")
+        return [ev.SettingsReceived(settings=settings)]
 
-    def send_certificate(self, cert_id: int, chain_data: bytes) -> None:
-        """Provide a secondary certificate chain on stream 0 (server),
-        fragmenting to the peer's max frame size."""
-        if self.role is not Role.SERVER:
+    def _on_push_promise(self, stream_id: int, flags: int,
+                         block: bytes) -> List[ev.Event]:
+        if not self.local_settings.enable_push:
             raise H2ConnectionError(
-                ErrorCode.PROTOCOL_ERROR,
-                "only servers provide secondary certificates here",
+                ErrorCode.PROTOCOL_ERROR, "push is disabled"
             )
-        max_fragment = self.remote_settings.max_frame_size - 1
-        chunks = [
-            chain_data[i : i + max_fragment]
-            for i in range(0, len(chain_data), max_fragment)
-        ] or [b""]
-        for index, chunk in enumerate(chunks):
-            last = index == len(chunks) - 1
-            flags = 0 if last else fr.FLAG_TO_BE_CONTINUED
-            self._send_frame(
-                fr.CertificateFrame(flags=flags, cert_id=cert_id,
-                                    fragment=chunk)
-            )
+        return []
 
-    def _on_certificate(self, frame: fr.CertificateFrame) -> List[ev.Event]:
-        if not self.secondary_certs_aware:
-            # Fail-open, exactly like an unknown frame type.
-            return [
-                ev.UnknownFrameReceived(
-                    raw_type=fr.TYPE_CERTIFICATE,
-                    stream_id=frame.stream_id,
-                )
-            ]
-        buffer = self._certificate_buffers.setdefault(
-            frame.cert_id, bytearray()
-        )
-        buffer += frame.fragment
-        if frame.to_be_continued:
-            return []
-        chain_data = bytes(self._certificate_buffers.pop(frame.cert_id))
-        return [
-            ev.SecondaryCertificateReceived(
-                cert_id=frame.cert_id, chain_data=chain_data
-            )
-        ]
+    def _on_ping(self, stream_id: int, flags: int,
+                 opaque: bytes) -> List[ev.Event]:
+        if flags & fr.FLAG_ACK:
+            return [ev.PingAcked(opaque=opaque)]
+        fr.pack_frame(self._outbound, fr.TYPE_PING, fr.FLAG_ACK, 0, opaque)
+        return [ev.PingReceived(opaque=opaque)]
 
-    def _on_origin(self, frame: fr.OriginFrame) -> List[ev.Event]:
-        if not self.origin_aware:
-            # Fail-open: an ORIGIN-unaware endpoint must treat the
-            # frame as unknown and ignore it.
-            return [
-                ev.UnknownFrameReceived(
-                    raw_type=fr.TYPE_ORIGIN,
-                    stream_id=frame.stream_id,
-                )
-            ]
+    def _on_goaway(self, stream_id: int, flags: int,
+                   fields: Tuple[int, ErrorCode, bytes]) -> List[ev.Event]:
+        last_stream_id, code, debug_data = fields
+        return [ev.GoAwayReceived(last_stream_id=last_stream_id,
+                                  error_code=code, debug_data=debug_data)]
+
+    def _on_origin(self, stream_id: int, flags: int,
+                   origins: Optional[Tuple[str, ...]]) -> List[ev.Event]:
+        if stream_id or origins is None:
+            # RFC 8336 §2.1: one off stream 0, or malformed, is ignored.
+            return self._ignore(fr.TYPE_ORIGIN, stream_id)
         if self.role is Role.SERVER:
             # Clients don't send ORIGIN; ignore per RFC 8336 §2.
             return []
         # RFC 8336 §2.3: the frame replaces the origin set.
-        self.remote_origin_set = set(frame.origins)
-        return [ev.OriginReceived(origins=frame.origins)]
+        self.remote_origin_set = set(origins)
+        return [ev.OriginReceived(origins=origins)]
+
+    def _on_certificate(
+        self, stream_id: int, flags: int,
+        fields: Optional[Tuple[int, bytes]],
+    ) -> List[ev.Event]:
+        if stream_id or fields is None:
+            return self._ignore(fr.TYPE_CERTIFICATE, stream_id)
+        cert_id, fragment = fields
+        buffer = self._certificate_buffers.setdefault(cert_id, bytearray())
+        buffer += fragment
+        if flags & fr.FLAG_TO_BE_CONTINUED:
+            return []
+        chain_data = bytes(self._certificate_buffers.pop(cert_id))
+        return [
+            ev.SecondaryCertificateReceived(
+                cert_id=cert_id, chain_data=chain_data
+            )
+        ]
 
 
-#: Exact-type dispatch for the frames ``receive_data`` leaves to the
-#: codec.  DATA and WINDOW_UPDATE are absent: ``receive_data`` handles
-#: them itself, and a parsed one reaches ``_handle_frame`` only while a
-#: CONTINUATION is expected, to be refused.
-_FRAME_DISPATCH = {
-    fr.HeadersFrame: H2Connection._on_headers,
-    fr.ContinuationFrame: H2Connection._on_continuation,
-    fr.SettingsFrame: H2Connection._on_settings,
-    fr.RstStreamFrame: H2Connection._on_rst,
-    fr.PingFrame: H2Connection._on_ping,
-    fr.GoAwayFrame: H2Connection._on_goaway,
-    fr.OriginFrame: H2Connection._on_origin,
-    fr.CertificateFrame: H2Connection._on_certificate,
-    fr.PriorityFrame: H2Connection._on_priority,
-    fr.PushPromiseFrame: H2Connection._on_push_promise,
-    fr.UnknownFrame: H2Connection._on_unknown,
+#: The type table: ``type code -> (name, on_stream, decode, handle)``.
+#: ``on_stream`` is the RFC 7540 stream-identifier rule: True, the
+#: frame belongs to a stream and stream 0 is a PROTOCOL_ERROR; False,
+#: it belongs to the connection and any other stream is one (§6.5,
+#: §6.7, §6.8); None, the handler decides.  ``decode`` turns the
+#: payload into what ``handle`` takes (None: the payload as it is).
+_FRAME_TYPES = {
+    fr.TYPE_DATA: ("DATA", True, None, H2Connection._on_data),
+    fr.TYPE_HEADERS: (
+        "HEADERS", True, fr.decode_headers, H2Connection._on_headers),
+    fr.TYPE_PRIORITY: (
+        "PRIORITY", True, fr.decode_priority, H2Connection._on_priority),
+    fr.TYPE_RST_STREAM: (
+        "RST_STREAM", True, fr.decode_rst_stream,
+        H2Connection._on_rst_stream),
+    fr.TYPE_SETTINGS: (
+        "SETTINGS", False, fr.decode_settings, H2Connection._on_settings),
+    fr.TYPE_PUSH_PROMISE: (
+        "PUSH_PROMISE", True, fr.decode_push_promise,
+        H2Connection._on_push_promise),
+    fr.TYPE_PING: ("PING", False, fr.decode_ping, H2Connection._on_ping),
+    fr.TYPE_GOAWAY: (
+        "GOAWAY", False, fr.decode_goaway, H2Connection._on_goaway),
+    fr.TYPE_WINDOW_UPDATE: (
+        "WINDOW_UPDATE", None, fr.decode_window_update,
+        H2Connection._on_window_update),
+    fr.TYPE_CONTINUATION: (
+        "CONTINUATION", True, None, H2Connection._on_continuation),
+    fr.TYPE_ORIGIN: (
+        "ORIGIN", None, fr.decode_origin, H2Connection._on_origin),
+    fr.TYPE_CERTIFICATE: (
+        "CERTIFICATE", None, fr.decode_certificate,
+        H2Connection._on_certificate),
+}
+
+#: The rows an endpoint reads, by ``(origin_aware,
+#: secondary_certs_aware)``: one that does not know ORIGIN or
+#: CERTIFICATE has no row for it and ignores the frame as unknown --
+#: the fail-open the paper relies on (§4.3, §6.7).
+_TYPE_TABLES = {
+    (origin, certs): {
+        frame_type: row for frame_type, row in _FRAME_TYPES.items()
+        if (origin or frame_type != fr.TYPE_ORIGIN)
+        and (certs or frame_type != fr.TYPE_CERTIFICATE)
+    }
+    for origin in (False, True)
+    for certs in (False, True)
 }

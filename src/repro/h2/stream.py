@@ -1,4 +1,15 @@
-"""Per-stream state machine (RFC 7540 §5.1)."""
+"""Per-stream state machine (RFC 7540 §5.1), written as its table.
+
+``TRANSITIONS`` maps ``(state, input)`` to the next state; a pair it
+does not list is refused with a STREAM_CLOSED stream error.  HEADERS
+or DATA carrying END_STREAM is two inputs, the frame's and then
+END_STREAM, as in the RFC's diagram.  The reserved states are left
+out: only PUSH_PROMISE leads to them, no endpoint here sends one, and
+one received reserves no stream (it is a PROTOCOL_ERROR where the
+endpoint advertised SETTINGS_ENABLE_PUSH 0, and dropped otherwise).
+``DEVIATIONS`` names the pairs where this table departs from the RFC,
+and why.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +24,68 @@ class StreamState(enum.Enum):
     HALF_CLOSED_LOCAL = "half-closed (local)"
     HALF_CLOSED_REMOTE = "half-closed (remote)"
     CLOSED = "closed"
+
+
+class StreamInput(enum.Enum):
+    SEND_HEADERS = "send HEADERS"
+    SEND_DATA = "send DATA"
+    SEND_END_STREAM = "send END_STREAM"
+    SEND_RST_STREAM = "send RST_STREAM"
+    RECV_HEADERS = "receive HEADERS"
+    RECV_DATA = "receive DATA"
+    RECV_END_STREAM = "receive END_STREAM"
+    RECV_RST_STREAM = "receive RST_STREAM"
+
+
+_S, _I = StreamState, StreamInput
+
+TRANSITIONS = {
+    (_S.IDLE, _I.SEND_HEADERS): _S.OPEN,
+    (_S.IDLE, _I.RECV_HEADERS): _S.OPEN,
+    (_S.IDLE, _I.SEND_RST_STREAM): _S.CLOSED,
+    (_S.IDLE, _I.RECV_RST_STREAM): _S.CLOSED,
+
+    # Further HEADERS on an open stream are a response or trailers.
+    (_S.OPEN, _I.SEND_HEADERS): _S.OPEN,
+    (_S.OPEN, _I.SEND_DATA): _S.OPEN,
+    (_S.OPEN, _I.SEND_END_STREAM): _S.HALF_CLOSED_LOCAL,
+    (_S.OPEN, _I.RECV_HEADERS): _S.OPEN,
+    (_S.OPEN, _I.RECV_DATA): _S.OPEN,
+    (_S.OPEN, _I.RECV_END_STREAM): _S.HALF_CLOSED_REMOTE,
+    (_S.OPEN, _I.SEND_RST_STREAM): _S.CLOSED,
+    (_S.OPEN, _I.RECV_RST_STREAM): _S.CLOSED,
+
+    (_S.HALF_CLOSED_LOCAL, _I.RECV_HEADERS): _S.HALF_CLOSED_LOCAL,
+    (_S.HALF_CLOSED_LOCAL, _I.RECV_DATA): _S.HALF_CLOSED_LOCAL,
+    (_S.HALF_CLOSED_LOCAL, _I.RECV_END_STREAM): _S.CLOSED,
+    (_S.HALF_CLOSED_LOCAL, _I.SEND_RST_STREAM): _S.CLOSED,
+    (_S.HALF_CLOSED_LOCAL, _I.RECV_RST_STREAM): _S.CLOSED,
+
+    (_S.HALF_CLOSED_REMOTE, _I.SEND_HEADERS): _S.HALF_CLOSED_REMOTE,
+    (_S.HALF_CLOSED_REMOTE, _I.SEND_DATA): _S.HALF_CLOSED_REMOTE,
+    (_S.HALF_CLOSED_REMOTE, _I.SEND_END_STREAM): _S.CLOSED,
+    (_S.HALF_CLOSED_REMOTE, _I.SEND_RST_STREAM): _S.CLOSED,
+    (_S.HALF_CLOSED_REMOTE, _I.RECV_RST_STREAM): _S.CLOSED,
+
+    (_S.CLOSED, _I.SEND_RST_STREAM): _S.CLOSED,
+    (_S.CLOSED, _I.RECV_RST_STREAM): _S.CLOSED,
+}
+
+DEVIATIONS = {
+    (_S.IDLE, _I.SEND_RST_STREAM):
+        "RFC 7540 §6.4 forbids RST_STREAM for an idle stream; "
+        "H2Connection.send_rst_stream closes a stream it never opened",
+    (_S.IDLE, _I.RECV_RST_STREAM):
+        "RFC 7540 §6.4 makes this a connection error; H2Connection "
+        "raises it for a stream it has no entry for, before the stream",
+    (_S.CLOSED, _I.SEND_RST_STREAM):
+        "RFC 7540 §5.1 sends nothing but PRIORITY on a closed stream; "
+        "resetting a closed stream again is accepted",
+}
+
+#: The states a stream may send DATA in.
+SENDS_DATA = frozenset(state for state, event in TRANSITIONS
+                       if event is _I.SEND_DATA)
 
 
 class Stream:
@@ -41,30 +114,23 @@ class Stream:
         #: DATA bytes consumed and not yet returned by a WINDOW_UPDATE.
         self.recv_unacked = 0
 
-    # -- sending ------------------------------------------------------------
+    def advance(self, event: StreamInput) -> None:
+        """Take one input through :data:`TRANSITIONS`."""
+        state = TRANSITIONS.get((self.state, event))
+        if state is None:
+            raise H2StreamError(
+                self.stream_id, ErrorCode.STREAM_CLOSED,
+                f"cannot {event.value} in state {self.state.value}",
+            )
+        self.state = state
 
     def send_headers(self, end_stream: bool) -> None:
-        if self.state is StreamState.IDLE:
-            self.state = (
-                StreamState.HALF_CLOSED_LOCAL if end_stream
-                else StreamState.OPEN
-            )
-        elif self.state in (StreamState.OPEN, StreamState.HALF_CLOSED_REMOTE):
-            # Trailers, or a response on a half-closed-remote stream.
-            if end_stream:
-                self._close_local()
-        else:
-            raise H2StreamError(
-                self.stream_id, ErrorCode.STREAM_CLOSED,
-                f"cannot send HEADERS in state {self.state.value}",
-            )
+        self.advance(_I.SEND_HEADERS)
+        if end_stream:
+            self.advance(_I.SEND_END_STREAM)
 
     def send_data(self, nbytes: int, end_stream: bool) -> None:
-        if self.state not in (StreamState.OPEN, StreamState.HALF_CLOSED_REMOTE):
-            raise H2StreamError(
-                self.stream_id, ErrorCode.STREAM_CLOSED,
-                f"cannot send DATA in state {self.state.value}",
-            )
+        self.advance(_I.SEND_DATA)
         if nbytes > self.send_window:
             raise H2StreamError(
                 self.stream_id, ErrorCode.FLOW_CONTROL_ERROR,
@@ -73,38 +139,15 @@ class Stream:
             )
         self.send_window -= nbytes
         if end_stream:
-            self._close_local()
-
-    def _close_local(self) -> None:
-        if self.state is StreamState.OPEN:
-            self.state = StreamState.HALF_CLOSED_LOCAL
-        elif self.state is StreamState.HALF_CLOSED_REMOTE:
-            self.state = StreamState.CLOSED
-
-    # -- receiving ------------------------------------------------------------
+            self.advance(_I.SEND_END_STREAM)
 
     def receive_headers(self, end_stream: bool) -> None:
-        if self.state is StreamState.IDLE:
-            self.state = (
-                StreamState.HALF_CLOSED_REMOTE if end_stream
-                else StreamState.OPEN
-            )
-        elif self.state in (StreamState.OPEN, StreamState.HALF_CLOSED_LOCAL):
-            # A response on our request, or trailers.
-            if end_stream:
-                self._close_remote()
-        else:
-            raise H2StreamError(
-                self.stream_id, ErrorCode.STREAM_CLOSED,
-                f"HEADERS received in state {self.state.value}",
-            )
+        self.advance(_I.RECV_HEADERS)
+        if end_stream:
+            self.advance(_I.RECV_END_STREAM)
 
     def receive_data(self, nbytes: int, end_stream: bool) -> None:
-        if self.state not in (StreamState.OPEN, StreamState.HALF_CLOSED_LOCAL):
-            raise H2StreamError(
-                self.stream_id, ErrorCode.STREAM_CLOSED,
-                f"DATA received in state {self.state.value}",
-            )
+        self.advance(_I.RECV_DATA)
         if nbytes > self.recv_window:
             raise H2StreamError(
                 self.stream_id, ErrorCode.FLOW_CONTROL_ERROR,
@@ -113,18 +156,7 @@ class Stream:
             )
         self.recv_window -= nbytes
         if end_stream:
-            self._close_remote()
-
-    def _close_remote(self) -> None:
-        if self.state is StreamState.OPEN:
-            self.state = StreamState.HALF_CLOSED_REMOTE
-        elif self.state is StreamState.HALF_CLOSED_LOCAL:
-            self.state = StreamState.CLOSED
-
-    # -- reset / windows ------------------------------------------------------
-
-    def reset(self) -> None:
-        self.state = StreamState.CLOSED
+            self.advance(_I.RECV_END_STREAM)
 
     def replenish_recv_window(self, delta: int) -> None:
         self.recv_window += delta

@@ -4,9 +4,10 @@
 from the advertised window sizes alone: consumed bytes are returned in
 one WINDOW_UPDATE once they reach half the window, for the connection
 and for every stream still open.  ``OracleH2Connection`` is the body
-path built on it and on the :mod:`repro.h2.frames` classes -- every
-frame parsed into an object, every WINDOW_UPDATE followed by a drain,
-one ``min()`` per DATA frame sent.  The tests drive it and
+path built on it and on the frame classes of the reference codec,
+``tests/h2_reference_frames.py`` -- every frame parsed into an object,
+every WINDOW_UPDATE followed by a drain, one ``min()`` per DATA frame
+sent.  The tests drive it and
 :class:`~repro.h2.connection.H2Connection` with one schedule and
 require the same bytes out, the same events, the same windows and
 stream states, and the same exceptions.  ``oracle_on_bytes`` does the
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.h2 import events as ev
-from repro.h2 import frames as fr
+from tests import h2_reference_frames as fr
 from repro.h2.connection import H2Connection, Role
 from repro.h2.errors import ErrorCode, H2ConnectionError, H2StreamError
 from repro.h2.settings import DEFAULT_SETTINGS, SettingId
@@ -81,6 +82,9 @@ class OracleH2Connection(H2Connection):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.reference = ReferenceReceiver()
+
+    def _send_frame(self, frame: fr.Frame) -> None:
+        self._outbound += frame.serialize()
 
     def _drain_send_queue(self) -> None:
         queue = self._send_queue
@@ -150,7 +154,10 @@ class OracleH2Connection(H2Connection):
                 elif kind is fr.WindowUpdateFrame:
                     self._on_window_update(frame, events)
                 else:
-                    events += self._handle_frame(frame)
+                    events += self._receive_frame(
+                        wire[3], wire[4], frame.stream_id,
+                        wire[fr.FRAME_HEADER_LEN:],
+                    )
         except H2ConnectionError as error:
             self.send_goaway(error.code)
             raise

@@ -9,16 +9,15 @@ from repro.h2 import (
     ErrorCode,
     H2Connection,
     H2ConnectionError,
-    OriginFrame,
     Role,
     StreamState,
-    UnknownFrame,
 )
 from repro.h2 import events as ev
 from repro.h2.settings import SettingId
-from repro.h2.frames import (
+from tests.h2_reference_frames import (
     ContinuationFrame,
     DataFrame,
+    FLAG_ACK,
     FLAG_END_HEADERS,
     FLAG_END_STREAM,
     GoAwayFrame,
@@ -29,6 +28,7 @@ from repro.h2.frames import (
     RstStreamFrame,
     SettingsFrame,
     TYPE_WINDOW_UPDATE,
+    UnknownFrame,
     WindowUpdateFrame,
     parse_frames,
 )
@@ -948,3 +948,35 @@ class TestBoundedMemory:
         assert client.stream(1).closed and server.stream(1).closed
         assert peak < 0.25 * len(body)
         assert retained < 1024 * 1024
+
+
+class TestStreamIdentifierRules:
+    """The stream-identifier column of the type table: a frame that
+    belongs to the connection on a stream, or one that belongs to a
+    stream on stream 0, is a PROTOCOL_ERROR connection error."""
+
+    CASES = {
+        "settings-on-stream-1": SettingsFrame(stream_id=1),  # §6.5
+        "settings-ack-on-stream-1": SettingsFrame(stream_id=1,
+                                                  flags=FLAG_ACK),
+        "ping-on-stream-1": PingFrame(stream_id=1),  # §6.7
+        "ping-ack-on-stream-1": PingFrame(stream_id=1, flags=FLAG_ACK),
+        "goaway-on-stream-1": GoAwayFrame(stream_id=1),  # §6.8
+        "priority-on-stream-0": PriorityFrame(stream_id=0),  # §6.3
+    }
+
+    @pytest.mark.parametrize("role", [Role.CLIENT, Role.SERVER])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_refused_with_a_goaway(self, role, name):
+        endpoint = H2Connection(role)
+        endpoint.initiate()
+        endpoint.data_to_send()
+        wire = self.CASES[name].serialize()
+        if role is Role.SERVER:
+            wire = CONNECTION_PREFACE + wire
+        with pytest.raises(H2ConnectionError, match=" on stream ") as raised:
+            endpoint.receive_data(wire)
+        assert raised.value.code is ErrorCode.PROTOCOL_ERROR
+        assert queued_frames(endpoint) == [
+            GoAwayFrame(last_stream_id=0, error_code=ErrorCode.PROTOCOL_ERROR)
+        ]

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.h2 import events as ev
-from repro.h2 import frames as fr
+from tests import h2_reference_frames as fr
 from repro.h2.client import SESSION_RECV_WINDOW, STREAM_RECV_WINDOW
 from repro.h2.connection import H2Connection, Role
 from repro.h2.errors import ErrorCode, H2ConnectionError
@@ -258,8 +258,8 @@ class Link:
         if end is self.server:
             self.deliver_all(self.client)
             self.check()  # the streams that made know their windows
-        end.conn._send_frame(
-            fr.SettingsFrame(settings=((_INITIAL_WINDOW, window),)))
+        end.conn._outbound += fr.SettingsFrame(
+            settings=((_INITIAL_WINDOW, window),)).serialize()
         end.conn.local_settings.apply(_INITIAL_WINDOW, window)
         end.flush()
         if end is self.server:

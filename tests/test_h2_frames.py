@@ -1,15 +1,41 @@
-"""Wire-format tests for HTTP/2 frames, including ORIGIN (RFC 8336)."""
+"""Wire-format tests for HTTP/2 frames, including ORIGIN (RFC 8336).
+
+The frame classes are the tests' reference codec
+(``tests/h2_reference_frames.py``).  Every malformed payload the
+reference parser refuses or ignores is also fed to the product's own
+parser, :meth:`H2Connection.receive_data`, which must refuse it with
+the same error code or ignore it the same way (``TestProductTwins``).
+"""
 
 import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.h2 import (
+from repro.h2 import ErrorCode, H2Connection, H2ConnectionError, Role
+from repro.h2 import events as ev
+from repro.h2 import frames
+from tests.h2_reference_frames import (
+    FLAG_ACK,
+    FLAG_END_HEADERS,
+    FLAG_END_STREAM,
+    FLAG_PADDED,
+    FLAG_PRIORITY,
+    FRAME_HEADER_LEN,
+    HEADER_STRUCT,
+    TYPE_DATA,
+    TYPE_GOAWAY,
+    TYPE_HEADERS,
+    TYPE_ORIGIN,
+    TYPE_PING,
+    TYPE_PRIORITY,
+    TYPE_PUSH_PROMISE,
+    TYPE_RST_STREAM,
+    TYPE_SETTINGS,
+    TYPE_WINDOW_UPDATE,
+    ContinuationFrame,
     DataFrame,
-    ErrorCode,
     GoAwayFrame,
-    H2ConnectionError,
     HeadersFrame,
     OriginFrame,
     PingFrame,
@@ -20,15 +46,6 @@ from repro.h2 import (
     WindowUpdateFrame,
     parse_frame,
     parse_frames,
-)
-from repro.h2.frames import (
-    FLAG_ACK,
-    FLAG_END_HEADERS,
-    FLAG_END_STREAM,
-    FLAG_PADDED,
-    FRAME_HEADER_LEN,
-    TYPE_ORIGIN,
-    ContinuationFrame,
 )
 
 
@@ -109,8 +126,6 @@ class TestHeadersFrame:
         assert frame.end_headers and frame.end_stream
 
     def test_priority_fields_skipped(self):
-        from repro.h2.frames import FLAG_PRIORITY
-
         body = struct.pack(">IB", 3, 15) + b"\x82"
         header = bytes([0, 0, len(body), 0x1, FLAG_PRIORITY | FLAG_END_HEADERS,
                         0, 0, 0, 1])
@@ -255,3 +270,169 @@ class TestUnknownFrame:
         reparsed, _ = parse_frame(frame.serialize())
         assert isinstance(reparsed, UnknownFrame)
         assert reparsed.raw_payload == b"xyz"
+
+
+# -- the same malformed payloads through the product's parser ---------------
+
+_REQUEST = [(":method", "GET"), (":scheme", "https"),
+            (":authority", "twin.example"), (":path", "/")]
+
+
+def _raw(frame_type, flags, stream_id, body):
+    return HEADER_STRUCT.pack((len(body) << 8) | frame_type, flags,
+                              stream_id) + body
+
+
+def _client(open_stream=False, continuation_pending=False):
+    """A client past its preface, with stream 1 open if asked, and a
+    HEADERS block on it awaiting its CONTINUATION if asked."""
+    client = H2Connection(Role.CLIENT)
+    client.initiate()
+    if open_stream or continuation_pending:
+        client.send_headers(1, _REQUEST)
+    client.data_to_send()
+    if continuation_pending:
+        client.receive_data(_raw(TYPE_HEADERS, 0, 1, b"\x82"))
+    return client
+
+
+def _outcome_of_the_product(wire, client):
+    """The error code the product refused ``wire`` with (a GOAWAY
+    carrying it queued), or the events it produced."""
+    try:
+        events = client.receive_data(wire)
+    except H2ConnectionError as error:
+        goaway = parse_frames(client.data_to_send())[0][-1]
+        assert isinstance(goaway, GoAwayFrame)
+        assert goaway.error_code is error.code
+        return error.code
+    return events
+
+
+def _outcome_of_the_reference(wire):
+    try:
+        return parse_frame(wire)[0]
+    except H2ConnectionError as error:
+        return error.code
+
+
+_ORIGIN_ENTRY = struct.pack(">H", 13) + b"https://a.com"
+_NON_ASCII = "https://ünicode.com".encode("utf-8")
+
+#: Each malformed-payload case above, as wire bytes.
+MALFORMED = {
+    "data-bad-padding": _raw(TYPE_DATA, FLAG_PADDED, 3, bytes([200, 1])),
+    "headers-bad-padding": _raw(TYPE_HEADERS, FLAG_PADDED | FLAG_END_HEADERS,
+                                3, bytes([9, 0x82])),
+    "headers-short-priority": _raw(
+        TYPE_HEADERS, FLAG_PRIORITY | FLAG_END_HEADERS, 3, b"\x00" * 4),
+    "priority-short": _raw(TYPE_PRIORITY, 0, 1, b"\x00" * 4),
+    "rst-stream-short": _raw(TYPE_RST_STREAM, 0, 1, b"\x00" * 3),
+    "goaway-short": _raw(TYPE_GOAWAY, 0, 0, b"\x00" * 7),
+    "push-promise-short": _raw(TYPE_PUSH_PROMISE, FLAG_END_HEADERS, 1,
+                               b"\x00" * 3),
+    "settings-length-5": _raw(TYPE_SETTINGS, 0, 0, b"\x00" * 5),
+    "settings-ack-with-payload": _raw(TYPE_SETTINGS, FLAG_ACK, 0,
+                                      b"\x00" * 6),
+    "ping-5-bytes": _raw(TYPE_PING, 0, 0, b"short"),
+    "ping-9-bytes": _raw(TYPE_PING, 0, 0, b"123456789"),
+    "window-update-3-bytes": _raw(TYPE_WINDOW_UPDATE, 0, 0, b"\x00" * 3),
+    "origin-truncated": _raw(TYPE_ORIGIN, 0, 0,
+                             struct.pack(">H", 100) + b"short"),
+    "origin-half-a-length": _raw(TYPE_ORIGIN, 0, 0, _ORIGIN_ENTRY + b"\x00"),
+    "origin-non-ascii": _raw(TYPE_ORIGIN, 0, 0,
+                             struct.pack(">H", len(_NON_ASCII)) + _NON_ASCII),
+    "origin-on-stream-3": _raw(TYPE_ORIGIN, 0, 3, _ORIGIN_ENTRY),
+}
+
+
+class TestProductTwins:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_product_agrees_with_the_reference(self, name):
+        wire = MALFORMED[name]
+        expected = _outcome_of_the_reference(wire)
+        got = _outcome_of_the_product(wire, _client())
+        if isinstance(expected, UnknownFrame):
+            assert got == [ev.UnknownFrameReceived(
+                raw_type=expected.raw_type, stream_id=expected.stream_id)]
+        else:
+            assert isinstance(expected, ErrorCode)
+            assert got is expected
+
+    @pytest.mark.parametrize("frame_type, body", [
+        (TYPE_RST_STREAM, struct.pack(">I", 0xDEAD)),
+        (TYPE_GOAWAY, struct.pack(">II", 0, 0xDEAD)),
+    ])
+    def test_unknown_error_code_reads_as_internal_error(self, frame_type,
+                                                       body):
+        stream_id = 1 if frame_type == TYPE_RST_STREAM else 0
+        wire = _raw(frame_type, 0, stream_id, body)
+        assert parse_frame(wire)[0].error_code is ErrorCode.INTERNAL_ERROR
+        (event,) = _client(open_stream=True).receive_data(wire)
+        assert event.error_code is ErrorCode.INTERNAL_ERROR
+
+    @pytest.mark.parametrize("name, wire", [
+        ("ping-5-bytes", _raw(TYPE_PING, 0, 0, b"short")),
+        ("rst-stream-3-bytes", _raw(TYPE_RST_STREAM, 0, 1, b"\x00" * 3)),
+        ("priority-4-bytes", _raw(TYPE_PRIORITY, 0, 1, b"\x00" * 4)),
+        ("goaway-7-bytes", _raw(TYPE_GOAWAY, 0, 0, b"\x00" * 7)),
+        ("settings-length-5", _raw(TYPE_SETTINGS, 0, 0, b"\x00" * 5)),
+        ("window-update-3-bytes",
+         _raw(TYPE_WINDOW_UPDATE, 0, 0, b"\x00" * 3)),
+    ])
+    def test_a_bad_size_is_found_before_a_missing_continuation(self, name,
+                                                               wire):
+        client = _client(continuation_pending=True)
+        assert _outcome_of_the_product(wire, client) is \
+            ErrorCode.FRAME_SIZE_ERROR
+
+    @pytest.mark.parametrize("name, wire", [
+        ("ping", PingFrame().serialize()),
+        ("settings", SettingsFrame().serialize()),
+        ("window-update-zero", WindowUpdateFrame(increment=0).serialize()),
+        ("window-update", WindowUpdateFrame(increment=1).serialize()),
+        ("rst-stream", RstStreamFrame(stream_id=1).serialize()),
+        ("priority", PriorityFrame(stream_id=1).serialize()),
+        ("goaway", GoAwayFrame().serialize()),
+        ("data", DataFrame(stream_id=1, data=b"x").serialize()),
+        ("headers", HeadersFrame(stream_id=1, flags=FLAG_END_HEADERS,
+                                 header_block=b"\x82").serialize()),
+        ("origin", OriginFrame(origins=("https://a.com",)).serialize()),
+        ("unknown", UnknownFrame(raw_type=0xEE).serialize()),
+    ])
+    def test_a_well_formed_frame_is_refused_as_interleaved(self, name, wire):
+        client = _client(continuation_pending=True)
+        with pytest.raises(H2ConnectionError, match="interleaved") as info:
+            client.receive_data(wire)
+        assert info.value.code is ErrorCode.PROTOCOL_ERROR
+
+    def test_the_continuation_still_completes_the_block(self):
+        client = _client(continuation_pending=True)
+        events = client.receive_data(ContinuationFrame(
+            stream_id=1, flags=FLAG_END_HEADERS, header_block=b"").serialize())
+        assert [type(e) for e in events] == [ev.ResponseReceived]
+
+
+class TestProductEncoders:
+    """The checks the product's encoders make on what it is asked to
+    send."""
+
+    def test_payload_past_the_24_bit_length_refused(self):
+        out = bytearray()
+        with pytest.raises(H2ConnectionError) as refused:
+            frames.pack_frame(out, TYPE_DATA, 0, 1, bytes(2**24))
+        assert refused.value.code is ErrorCode.FRAME_SIZE_ERROR
+        assert not out
+
+    def test_origin_past_65535_bytes_refused(self):
+        server = H2Connection(Role.SERVER)
+        with pytest.raises(H2ConnectionError) as refused:
+            server.send_origin(("https://" + "a" * 0xFFFF,))
+        assert refused.value.code is ErrorCode.FRAME_SIZE_ERROR
+
+    def test_cert_id_past_one_byte_refused(self):
+        server = H2Connection(Role.SERVER)
+        with pytest.raises(H2ConnectionError) as refused:
+            server.send_certificate(0x100, b"chain")
+        assert refused.value.code is ErrorCode.PROTOCOL_ERROR
+        assert not server.data_to_send()

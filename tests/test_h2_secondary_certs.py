@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.h2 import H2ClientSession, H2Server, ServerConfig, \
-    TlsClientConfig, UnknownFrame, parse_frame
-from repro.h2.frames import (
+from repro.h2 import H2ClientSession, H2Connection, H2Server, Role, \
+    ServerConfig, TlsClientConfig
+from repro.h2 import events as ev
+from tests.h2_reference_frames import (
     CertificateFrame,
     FLAG_TO_BE_CONTINUED,
     TYPE_CERTIFICATE,
+    UnknownFrame,
+    parse_frame,
 )
 from repro.h2.tls_channel import serialize_chain
 from repro.netsim import EventLoop, Host, LatencyModel, LinkSpec, Network
@@ -43,6 +46,23 @@ class TestCertificateFrameWire:
                         0, 0, 0, 5])
         parsed, _ = parse_frame(header + body)
         assert isinstance(parsed, UnknownFrame)
+
+    @pytest.mark.parametrize("stream_id, body", [(5, b"\x01x"), (0, b"")])
+    def test_connection_ignores_what_the_parser_calls_unknown(
+        self, stream_id, body
+    ):
+        """Off stream 0, or without a cert id, a CERTIFICATE frame is
+        ignored by an endpoint that knows the type."""
+        wire = UnknownFrame(stream_id=stream_id, raw_type=TYPE_CERTIFICATE,
+                            raw_payload=body).serialize()
+        assert isinstance(parse_frame(wire)[0], UnknownFrame)
+        client = H2Connection(Role.CLIENT, secondary_certs_aware=True)
+        client.initiate()
+        client.data_to_send()
+        assert client.receive_data(wire) == [
+            ev.UnknownFrameReceived(raw_type=TYPE_CERTIFICATE,
+                                    stream_id=stream_id)
+        ]
 
 
 @pytest.fixture

@@ -24,6 +24,9 @@ PACKAGE = ROOT / "src" / "repro"
 SERIALIZED = "serialized: reaches an artifact without a load by name"
 PAPER_SUITE = "read by the paper suite (benchmarks/) or a shipped example"
 CALIBRATION = "calibration data: the paper's published value"
+EVENT = ("h2 event field: what a received frame said, reported by "
+         "H2Connection.receive_data; the endpoints act on the event's "
+         "type, the h2 tests read the field")
 
 #: Stored, never loaded by name in ``src/repro``, and kept.
 ALLOWED: Dict[str, str] = {
@@ -52,6 +55,13 @@ ALLOWED: Dict[str, str] = {
     "sni_plaintext": PAPER_SUITE,
     # ProviderProfile.request_share: the Table 2 column.
     "request_share": CALIBRATION,
+    # Fields of repro.h2.events records.
+    "cert_id": EVENT,
+    "debug_data": EVENT,
+    "last_stream_id": EVENT,
+    "opaque": EVENT,
+    "raw_type": EVENT,
+    "settings": EVENT,
 }
 
 

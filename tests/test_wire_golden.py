@@ -6,7 +6,10 @@ hot-path optimizations landed.  These tests replay the corpus against
 the live code in both directions (serialize and parse), so any
 optimization that changes a single wire byte -- framing layout, HPACK
 indexing decisions, record packing -- fails here rather than showing
-up as a silently different crawl.
+up as a silently different crawl.  The frames are built and parsed by
+the reference codec (``tests/h2_reference_frames.py``); what
+:class:`~repro.h2.connection.H2Connection` itself sends and reads is
+held to the same bytes below.
 
 Regenerate the corpus with ``scripts/gen_wire_golden.py`` only when
 the wire format itself intentionally changes.
@@ -21,7 +24,8 @@ import pytest
 
 from typing import List
 
-from repro.h2 import frames as fr
+from repro.h2 import frames as product
+from tests import h2_reference_frames as fr
 from repro.h2.hpack import HpackDecoder, HpackEncoder
 from repro.transport.framing import (
     consume_records,
@@ -111,10 +115,11 @@ def test_frame_serialization_is_frozen(vector):
 @pytest.mark.parametrize(
     "vector", CORPUS["frames"], ids=[v["name"] for v in CORPUS["frames"]]
 )
-def test_frame_serialize_into_matches_serialize(vector):
+def test_pack_frame_matches_serialize(vector):
     frame = FRAME_CLASSES[vector["cls"]](**_inflate_kwargs(vector["kwargs"]))
     out = bytearray()
-    frame.serialize_into(out)
+    product.pack_frame(out, frame.type_code, frame.flags, frame.stream_id,
+                       frame.payload())
     assert bytes(out).hex() == vector["hex"]
 
 
@@ -189,6 +194,48 @@ def test_partial_frame_stays_buffered():
     frames = consume_frames(buffer)
     assert len(frames) == 1
     assert bytes(buffer) == full[: fr.FRAME_HEADER_LEN + 2]
+
+
+# -- the connection's own frames against the frozen bytes
+
+#: Every corpus frame a connection sends other than DATA and
+#: WINDOW_UPDATE (HEADERS blocks depend on the HPACK state).
+_SENT_VECTORS = [
+    v for v in CORPUS["frames"]
+    if v["name"] in ("settings", "settings-ack", "ping-ack", "rst-stream",
+                     "goaway", "origin", "origin-empty", "certificate")
+]
+
+
+@pytest.mark.parametrize(
+    "vector", _SENT_VECTORS, ids=[v["name"] for v in _SENT_VECTORS]
+)
+def test_connection_sends_the_frozen_frames(vector):
+    from repro.h2.connection import H2Connection, Role
+    from repro.h2.errors import ErrorCode
+
+    name, kwargs = vector["name"], _inflate_kwargs(vector["kwargs"])
+    answers = name in ("settings-ack", "ping-ack")
+    conn = H2Connection(Role.CLIENT if answers else Role.SERVER)
+    conn.initiate(kwargs["settings"] if name == "settings" else ())
+    if name != "settings":
+        conn.data_to_send()
+    if name == "settings-ack":
+        conn.receive_data(fr.SettingsFrame().serialize())
+    elif name == "ping-ack":
+        conn.receive_data(fr.PingFrame(opaque=kwargs["opaque"]).serialize())
+    elif name == "rst-stream":
+        conn.send_rst_stream(kwargs["stream_id"],
+                             ErrorCode(kwargs["error_code"]))
+    elif name == "goaway":
+        conn._highest_remote_stream = kwargs["last_stream_id"]
+        conn.send_goaway(ErrorCode(kwargs["error_code"]),
+                         kwargs["debug_data"])
+    elif name == "certificate":
+        conn.send_certificate(kwargs["cert_id"], kwargs["fragment"])
+    elif name != "settings":
+        conn.send_origin(kwargs["origins"])
+    assert conn.data_to_send().hex() == vector["hex"]
 
 
 # -- the connection's body path against the frozen DATA / WINDOW_UPDATE bytes
