@@ -50,13 +50,19 @@ class CrawlResult:
         """Read a crawl back from JSON-lines of HAR archives (one per
         line, as :func:`repro.dataset.shard.write_archive_lines` writes
         them).  The paper's pipeline stored per-page HAR files in a
-        bucket (§3.1); this is the single-file equivalent."""
+        bucket (§3.1); this is the single-file equivalent.
+
+        One memo serves the whole file (:meth:`HarArchive.from_json`),
+        so the archives hold each distinct hostname, path, IP or AS org
+        once, as a live crawl's do; it goes when the load returns, and
+        two loads share no string."""
         archives = []
+        memo: dict = {}
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
                 if line:
-                    archives.append(HarArchive.from_json(line))
+                    archives.append(HarArchive.from_json(line, memo))
         return cls(archives=archives)
 
 

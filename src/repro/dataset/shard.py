@@ -46,7 +46,9 @@ entry, span JSONL, the audit log -- are opened before the first shard
 and published by the run's sinks; the merge streams each shard's
 records into them as it absorbs the shard, then drops the result and
 frees the shard's world (:func:`merge_shards`) before the next one is
-built.
+built.  Archives a fan-out merge decodes hold each distinct name once,
+like the live archives of a serial crawl: the merge's memo
+(:meth:`~repro.web.har.HarArchive.from_json`) goes with the merge.
 """
 
 from __future__ import annotations
@@ -353,15 +355,17 @@ def _shard_to_wire(
     return replace(result, payload=payload)
 
 
-def _shard_from_wire(result: ShardResult) -> ShardResult:
-    """Undo :func:`_shard_to_wire` in the parent process.  The lines
+def _shard_from_wire(result: ShardResult, memo: dict) -> ShardResult:
+    """Undo :func:`_shard_to_wire` in the parent process, decoding
+    every line through the merge's one ``memo`` so all shards' archives
+    share their strings (:meth:`HarArchive.from_json`).  The lines
     ride along as ``har_lines`` so a cache entry can reuse them
     verbatim; they go when the merge drops the result."""
     if isinstance(result.payload, list):
         return replace(
             result,
             payload=CrawlResult(archives=[
-                HarArchive.from_json(line) for line in result.payload
+                HarArchive.from_json(line, memo) for line in result.payload
             ]),
             har_lines=result.payload,
         )
@@ -390,6 +394,7 @@ def _run_pooled(shard_fn, payloads, workers) -> Iterator[ShardResult]:
     are submitted and not yet yielded: every worker has a shard queued
     behind the one it runs, and the parent never holds more slices.
     """
+    memo: dict = {}  # the merge's string memo, dropped with it
     with _mp_context().Pool(processes=workers) as pool:
         pending = deque()
         for args in payloads:
@@ -397,9 +402,9 @@ def _run_pooled(shard_fn, payloads, workers) -> Iterator[ShardResult]:
                 pool.apply_async(_shard_to_wire, ((shard_fn, args),))
             )
             if len(pending) > workers:
-                yield _shard_from_wire(pending.popleft().get())
+                yield _shard_from_wire(pending.popleft().get(), memo)
         while pending:
-            yield _shard_from_wire(pending.popleft().get())
+            yield _shard_from_wire(pending.popleft().get(), memo)
 
 
 def run_shards(

@@ -567,6 +567,11 @@ class H2Connection:
 
     def _on_push_promise(self, stream_id: int, flags: int,
                          block: bytes) -> List[ev.Event]:
+        if self.role is Role.SERVER:
+            # RFC 7540 §8.2: only a server pushes, whatever the setting.
+            raise H2ConnectionError(
+                ErrorCode.PROTOCOL_ERROR, "PUSH_PROMISE sent to a server"
+            )
         if not self.local_settings.enable_push:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR, "push is disabled"

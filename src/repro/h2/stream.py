@@ -5,8 +5,9 @@ does not list is refused with a STREAM_CLOSED stream error.  HEADERS
 or DATA carrying END_STREAM is two inputs, the frame's and then
 END_STREAM, as in the RFC's diagram.  The reserved states are left
 out: only PUSH_PROMISE leads to them, no endpoint here sends one, and
-one received reserves no stream (it is a PROTOCOL_ERROR where the
-endpoint advertised SETTINGS_ENABLE_PUSH 0, and dropped otherwise).
+one received reserves no stream (it is a PROTOCOL_ERROR at a server,
+RFC 7540 §8.2, and at a client that advertised SETTINGS_ENABLE_PUSH 0;
+any other client drops it).
 ``DEVIATIONS`` names the pairs where this table departs from the RFC,
 and why.
 """

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
-from typing import Dict, List
+from operator import attrgetter, itemgetter
+from typing import Dict, List, Optional
 
 NOT_APPLICABLE = -1.0
 
@@ -171,18 +171,26 @@ class HarArchive:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def from_dict(cls, doc: Dict) -> "HarArchive":
-        page = HarPage(**doc["page"])
-        entries = []
-        for raw in doc["entries"]:
-            raw = dict(raw)
-            raw["timings"] = HarTimings(**raw["timings"])
-            entries.append(HarEntry(**raw))
-        return cls(page=page, entries=entries)
+    def from_dict(cls, doc: Dict, memo: Optional[Dict] = None
+                  ) -> "HarArchive":
+        """The archive ``to_dict`` built.  Every ``str`` a page shares
+        with other pages -- names, IPs, the SAN and DNS lists' items;
+        not the per-entry ``url`` -- goes through ``memo``, so equal
+        strings decoded with one memo are one object.  Only strings go
+        in: one dict would conflate ``1``, ``1.0`` and ``True``."""
+        share = ({} if memo is None else memo).setdefault
+        return cls(_page_from(doc["page"], share),
+                   [_entry_from(raw, share) for raw in doc["entries"]])
 
     @classmethod
-    def from_json(cls, text: str) -> "HarArchive":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str, memo: Optional[Dict] = None
+                  ) -> "HarArchive":
+        """Decode one HAR JSON line.  A caller decoding many lines
+        passes one ``memo`` dict for all of them (one per file, one per
+        shard merge) and drops it with the pass: its archives then hold
+        each distinct hostname, path or IP once.  Without one, the
+        strings are shared within this archive only."""
+        return cls.from_dict(json.loads(text), memo)
 
 
 def _fields_reader(cls):
@@ -205,3 +213,52 @@ def _entry_dict(entry: HarEntry) -> Dict:
     doc["dns_addresses"] = list(entry.dns_addresses)
     doc["certificate_san"] = list(entry.certificate_san)
     return doc
+
+
+_PAGE_KEYS = frozenset(f.name for f in fields(HarPage))
+_TIMINGS_KEYS = frozenset(f.name for f in fields(HarTimings))
+_ENTRY_KEYS = frozenset(f.name for f in fields(HarEntry))
+#: A decoded record's values in field order, read in one C call.
+_timings_values = itemgetter(*(f.name for f in fields(HarTimings)))
+_entry_values = itemgetter(*(f.name for f in fields(HarEntry)))
+
+
+def _page_from(raw: Dict, share) -> HarPage:
+    if raw.keys() != _PAGE_KEYS:
+        # A missing defaulted field or an unknown key: the
+        # constructor's keyword rules fill the one and refuse the other.
+        raw = _page_dict(HarPage(**raw))
+    hostname = raw["hostname"]
+    reason = raw["failure_reason"]
+    return HarPage(
+        raw["url"], share(hostname, hostname), raw["rank"],
+        raw["on_content_load"], raw["on_load"], raw["success"],
+        share(reason, reason), raw["extra_tls_connections"],
+    )
+
+
+def _timings_from(raw: Dict) -> HarTimings:
+    if raw.keys() != _TIMINGS_KEYS:
+        raw = _timings_dict(HarTimings(**raw))
+    return HarTimings(*_timings_values(raw))
+
+
+def _entry_from(raw: Dict, share) -> HarEntry:
+    """One entry built positionally, its fields read by name (the key
+    set is checked first, so the order of a line's keys is free)."""
+    if raw.keys() != _ENTRY_KEYS:
+        raw = _entry_fields(HarEntry(**raw))
+    (url, hostname, path, started_at, timings, status, server_ip,
+     protocol, content_type, transfer_size, dns_addresses,
+     certificate_san, issuer, asn, as_org, secure, fetch_mode,
+     coalesced, initiator_path) = _entry_values(raw)
+    return HarEntry(
+        url, share(hostname, hostname), share(path, path), started_at,
+        _timings_from(timings), status, share(server_ip, server_ip),
+        share(protocol, protocol), share(content_type, content_type),
+        transfer_size, [share(ip, ip) for ip in dns_addresses],
+        [share(name, name) for name in certificate_san],
+        share(issuer, issuer), asn, share(as_org, as_org), secure,
+        share(fetch_mode, fetch_mode), coalesced,
+        share(initiator_path, initiator_path),
+    )

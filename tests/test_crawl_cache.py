@@ -1,5 +1,9 @@
 """Crawl persistence and the content-addressed crawl cache."""
 
+import gc
+import tracemalloc
+from itertools import islice
+
 import pytest
 
 from repro.dataset.cache import (
@@ -250,14 +254,18 @@ class TestStreamedStore:
         assert entries[1] == entries[2]
 
     def test_new_entry_round_trips(self, tmp_path):
+        """Every line re-encodes to its own bytes, decoded by the
+        --jobs 2 merge and by a load of the entry."""
         cache = CrawlCache(tmp_path)
         outcome = cached_crawl(tmp_path, jobs=2)
         assert not outcome.cache_hit
         result = outcome.result
         loaded = cache.load(KEY)
         assert loaded.archives == result.archives
-        assert cache.path_for(KEY).read_text(encoding="utf-8") == "".join(
-            archive.to_json() + "\n" for archive in result.archives)
+        text = cache.path_for(KEY).read_text(encoding="utf-8")
+        for archives in (result.archives, loaded.archives):
+            assert text == "".join(
+                archive.to_json() + "\n" for archive in archives)
 
     def test_cached_miss_is_published_by_the_sink(self, tmp_path):
         """The crawl leaves only the ``.tmp``; the cache sink is the
@@ -341,3 +349,66 @@ class TestStreamedStore:
         cache = CrawlCache(tmp_path)
         with pytest.raises(FileNotFoundError):
             cache.store("never-written")
+
+
+# ---------------------------------------------------------------------------
+# Decoded archives share their strings, one memo per decode pass
+# ---------------------------------------------------------------------------
+
+def hostnames(archives):
+    for archive in archives:
+        yield archive.page.hostname
+        for entry in archive.entries:
+            yield entry.hostname
+
+
+class TestDecodedArchivesShareStrings:
+    @pytest.fixture(scope="class")
+    def fanned_out(self, tmp_path_factory):
+        """A --jobs 2 crawl of the 4-shard world: its merged archives
+        (decoded from the workers' lines) and its cache entry."""
+        cache_dir = tmp_path_factory.mktemp("cache")
+        outcome = cached_crawl(cache_dir, jobs=2)
+        assert not outcome.cache_hit
+        return outcome.result, CrawlCache(cache_dir).path_for(KEY)
+
+    def test_one_load_holds_each_hostname_once(self, fanned_out):
+        _, path = fanned_out
+        names = list(hostnames(CrawlResult.load(path).archives))
+        assert len(set(names)) < len(names)
+        assert len({id(name) for name in names}) == len(set(names))
+
+    def test_two_loads_share_no_hostname(self, fanned_out):
+        _, path = fanned_out
+        first, second = (hostnames(CrawlResult.load(path).archives)
+                         for _ in range(2))
+        assert all(a == b and a is not b for a, b in zip(first, second))
+
+    def test_a_fan_out_merge_shares_hostnames_across_shards(
+            self, fanned_out):
+        merged, _ = fanned_out
+        shard_of = {}
+        archives = iter(merged.archives)
+        for spec in plan_shards(CONFIG, 4):
+            for archive in islice(archives, spec.site_count):
+                for name in hostnames([archive]):
+                    shard_of.setdefault(name, set()).add(spec.index)
+        assert any(len(shards) > 1 for shards in shard_of.values())
+        names = list(hostnames(merged.archives))
+        assert len({id(name) for name in names}) == len(set(names))
+
+    def test_retained_bytes_per_decoded_entry(self, fanned_out):
+        """Without the memo a decoded entry kept about 1,260 bytes here,
+        a fresh copy of every name; with it, about 840."""
+        _, path = fanned_out
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = CrawlResult.load(path)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        entries = sum(len(archive.entries) for archive in loaded.archives)
+        assert entries > 100
+        assert retained / entries < 1_000

@@ -980,3 +980,37 @@ class TestStreamIdentifierRules:
         assert queued_frames(endpoint) == [
             GoAwayFrame(last_stream_id=0, error_code=ErrorCode.PROTOCOL_ERROR)
         ]
+
+
+class TestPushPromiseByRole:
+    """RFC 7540 §8.2: a server never receives PUSH_PROMISE, so one that
+    does fails the connection whatever its SETTINGS_ENABLE_PUSH; a
+    client that left push enabled drops the promise (no stream here is
+    ever reserved)."""
+
+    PROMISE = PushPromiseFrame(stream_id=1, flags=FLAG_END_HEADERS,
+                               promised_stream_id=2,
+                               header_block=b"\x82\x87\x84").serialize()
+
+    def open_pair(self):
+        client, server, _, _ = pair()
+        client.send_headers(1, REQUEST, end_stream=True)
+        pump(client, server)
+        assert client.local_settings.enable_push
+        assert server.local_settings.enable_push
+        return client, server
+
+    def test_a_server_refuses_it_with_a_goaway(self):
+        _, server = self.open_pair()
+        with pytest.raises(H2ConnectionError, match="to a server") as raised:
+            server.receive_data(self.PROMISE)
+        assert raised.value.code is ErrorCode.PROTOCOL_ERROR
+        assert queued_frames(server) == [
+            GoAwayFrame(last_stream_id=1, error_code=ErrorCode.PROTOCOL_ERROR)
+        ]
+
+    def test_a_client_with_push_enabled_drops_it(self):
+        client, _ = self.open_pair()
+        assert client.receive_data(self.PROMISE) == []
+        assert client.data_to_send() == b""
+        assert client.stream(1).state is StreamState.HALF_CLOSED_LOCAL

@@ -273,7 +273,7 @@ class TestPickledHandOff:
         # point's return value through pickle, re-inflated as the
         # parent does.
         wire = _shard_to_wire((lambda: result, ()))
-        shipped = _shard_from_wire(pickle.loads(pickle.dumps(wire)))
+        shipped = _shard_from_wire(pickle.loads(pickle.dumps(wire)), {})
         assert (type(wire.payload) is list) == (make is not _traffic_result)
         assert type(shipped.payload) is type(result.payload)
         assert result_artifacts(shipped) == before

@@ -255,6 +255,78 @@ class TestHarArchive:
         assert [e.started_at for e in ordered] == [0.0, 120.0, 130.0]
 
 
+class TestHarDecode:
+    """``HarArchive.from_json`` builds records positionally and shares
+    strings through a memo; neither may move a re-encoded byte."""
+
+    #: ``1``, ``1.0`` and ``True`` (and ``0.0`` / ``-0.0``) are equal
+    #: dict keys: a memo over every value would swap one for another.
+    LINE = (
+        '{"page": {"url": "https://www.example.com/", "hostname": '
+        '"www.example.com", "rank": 1, "on_content_load": 1.0, '
+        '"on_load": 0.0, "success": true, "failure_reason": "", '
+        '"extra_tls_connections": 1}, "entries": [{"url": '
+        '"https://www.example.com/", "hostname": "www.example.com", '
+        '"path": "/", "started_at": 0.0, "timings": {"blocked": 0.0, '
+        '"dns": -1.0, "connect": -1.0, "ssl": -1.0, "send": 1.0, '
+        '"wait": -0.0, "receive": 0.0}, "status": 200, "server_ip": '
+        '"10.0.0.1", "protocol": "h2", "content_type": "text/html", '
+        '"transfer_size": 1, "dns_addresses": ["10.0.0.1"], '
+        '"certificate_san": ["www.example.com"], "certificate_issuer": '
+        '"R3", "asn": 1, "as_org": "www.example.com", "secure": true, '
+        '"fetch_mode": "normal", "coalesced": true, "initiator_path": '
+        '""}]}'
+    )
+
+    def test_equal_values_of_other_types_re_encode_unchanged(self):
+        memo = {}
+        archive = HarArchive.from_json(self.LINE, memo)
+        assert archive.to_json() == self.LINE
+        timings = archive.entries[0].timings
+        assert str(timings.wait) == "-0.0" and type(timings.send) is float
+        assert all(type(key) is str for key in memo)
+
+    def test_equal_strings_are_one_object(self):
+        memo = {}
+        first = HarArchive.from_json(self.LINE, memo)
+        second = HarArchive.from_json(self.LINE, memo)
+        (a,), (b,) = first.entries, second.entries
+        assert a.hostname is b.hostname is first.page.hostname
+        assert a.as_org is a.hostname is a.certificate_san[0]
+        assert a.dns_addresses[0] is a.server_ip is b.server_ip
+        # Lists stay one per entry, and the url is not shared.
+        assert a.dns_addresses is not b.dns_addresses
+        assert a.url is not b.url
+        alone = HarArchive.from_json(self.LINE)
+        assert alone.page.hostname is not first.page.hostname
+
+    def test_a_missing_defaulted_field_takes_its_default(self):
+        doc = json.loads(self.LINE)
+        del doc["entries"][0]["initiator_path"]
+        del doc["entries"][0]["timings"]["blocked"]
+        del doc["page"]["rank"]
+        archive = HarArchive.from_json(json.dumps(doc))
+        assert archive.entries[0].initiator_path == ""
+        assert archive.entries[0].timings.blocked == 0.0
+        assert archive.page.rank == 0
+
+    @pytest.mark.parametrize("where", ["page", "entry", "timings"])
+    def test_an_unknown_key_still_raises(self, where):
+        doc = json.loads(self.LINE)
+        record = {"page": doc["page"], "entry": doc["entries"][0],
+                  "timings": doc["entries"][0]["timings"]}[where]
+        record["surprise"] = 1
+        with pytest.raises(TypeError, match="surprise"):
+            HarArchive.from_json(json.dumps(doc))
+
+    def test_an_unknown_key_in_place_of_a_known_one_raises(self):
+        doc = json.loads(self.LINE)
+        entry = doc["entries"][0]
+        entry["surprise"] = entry.pop("initiator_path")
+        with pytest.raises(TypeError, match="surprise"):
+            HarArchive.from_json(json.dumps(doc))
+
+
 class TestHarEncodeAgainstAsdict:
     """``HarArchive.to_dict`` builds its dicts by hand;
     ``dataclasses.asdict`` is the reference it must match to the byte."""
