@@ -45,7 +45,8 @@ from repro.h2.stream import SENDS_DATA, Stream, StreamInput, StreamState
 
 Header = Tuple[str, str]
 
-_CLOSED = StreamState.CLOSED
+_I = StreamInput
+_IDLE, _CLOSED = StreamState.IDLE, StreamState.CLOSED
 
 
 def _holds_a_frame(buffer: bytearray) -> bool:
@@ -83,7 +84,10 @@ class H2Connection:
         self.remote_origin_set: Set[str] = set()
         self.local_settings = Settings()
         self.remote_settings = Settings()
+        #: Every stream in use or handed out, until it closes.
         self._streams: Dict[int, Stream] = {}
+        #: The watermarks of RFC 7540 §5.1.1: local IDs below the first
+        #: and remote ones up to the second are no longer idle.
         self._next_stream_id = 1 if role is Role.CLIENT else 2
         self._highest_remote_stream = 0
         self._outbound = bytearray()
@@ -138,26 +142,56 @@ class H2Connection:
         self._outbound.clear()
         return data
 
-    def stream(self, stream_id: int) -> Optional[Stream]:
-        return self._streams.get(stream_id)
-
     # -- sending ------------------------------------------------------------
 
     def get_next_stream_id(self) -> int:
+        """Hand out the next local ID, listed as idle until it is used."""
         stream_id = self._next_stream_id
+        self._streams[stream_id] = self._stream(stream_id)
         self._next_stream_id += 2
         return stream_id
 
-    def _get_or_create_stream(self, stream_id: int) -> Stream:
+    def _stream(self, stream_id: int,
+                event: Optional[StreamInput] = None) -> Stream:
+        """The stream ``event`` is for: the listed one, or else the one
+        answer for an ID without an entry, a detached stream in the
+        state RFC 7540 §5.1.1 gives it -- CLOSED at or below the highest
+        ID its side has used, IDLE above.  HEADERS, or a RST_STREAM we
+        send, puts an idle ID to use and raises that watermark; any
+        other input for it is a frame received, a PROTOCOL_ERROR (§5.1).
+        None is no input: a lookup, or a WINDOW_UPDATE we send."""
         stream = self._streams.get(stream_id)
+        if stream is not None and stream.state is not _IDLE:
+            return stream
+        local = (stream_id & 1) == (self.role is Role.CLIENT)
         if stream is None:
-            stream = Stream(
-                stream_id,
-                send_window=self.remote_settings.initial_window_size,
-                recv_window=self.local_settings.initial_window_size,
+            stream = Stream(stream_id, self.remote_settings.initial_window_size,
+                            self.local_settings.initial_window_size)
+            if stream_id <= (self._next_stream_id - 2 if local
+                             else self._highest_remote_stream):
+                stream.state = _CLOSED
+                return stream
+        if event in (_I.SEND_HEADERS, _I.RECV_HEADERS, _I.SEND_RST_STREAM):
+            if not local:
+                self._highest_remote_stream = stream_id
+            elif stream_id >= self._next_stream_id:
+                self._next_stream_id = stream_id + 2
+        elif event is not None:
+            raise H2ConnectionError(
+                ErrorCode.PROTOCOL_ERROR,
+                f"cannot {event.value} on idle stream {stream_id}",
             )
-            self._streams[stream_id] = stream
         return stream
+
+    def _advance(self, stream: Stream, event: StreamInput) -> None:
+        """The one caller of :meth:`Stream.advance`, so the one place a
+        stream is listed (leaving IDLE) and dropped (reaching CLOSED)."""
+        idle = stream.state is _IDLE
+        stream.advance(event)
+        if stream.state is _CLOSED:
+            self._streams.pop(stream.stream_id, None)
+        elif idle:
+            self._streams[stream.stream_id] = stream
 
     def send_headers(
         self,
@@ -169,8 +203,10 @@ class H2Connection:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR, "connection is going away"
             )
-        stream = self._get_or_create_stream(stream_id)
-        stream.send_headers(end_stream)
+        stream = self._stream(stream_id, _I.SEND_HEADERS)
+        self._advance(stream, _I.SEND_HEADERS)
+        if end_stream:
+            self._advance(stream, _I.SEND_END_STREAM)
         block = self._encoder.encode(headers)
         flags = fr.FLAG_END_HEADERS | (
             fr.FLAG_END_STREAM if end_stream else 0
@@ -185,8 +221,7 @@ class H2Connection:
         Queued bytes drain automatically as WINDOW_UPDATE frames arrive;
         callers never see flow-control errors for well-behaved peers.
         """
-        stream = self._streams.get(stream_id)
-        if stream is None:
+        if self._stream(stream_id).state is _IDLE:
             raise H2StreamError(
                 stream_id, ErrorCode.STREAM_CLOSED, "no such stream"
             )
@@ -205,10 +240,8 @@ class H2Connection:
         frame is packed straight into the outbound buffer.
 
         A frame is the smallest of the body, the two windows and the
-        peer's frame size.  One that leaves its stream open only debits
-        the stream window; one that ends the stream, carries nothing or
-        finds its stream unable to send goes through
-        :meth:`Stream.send_data`, which closes or refuses.
+        peer's frame size, and debits the stream window; one from a
+        stream unable to send is refused by the stream table.
         """
         queue = self._send_queue
         # Settings caps this at 2**24 - 1, the most the header's 24-bit
@@ -221,7 +254,7 @@ class H2Connection:
         while skipped < len(queue):
             stream_id, body, end_stream = queue[0]
             stream = streams.get(stream_id)
-            if stream is None or stream.state is _CLOSED:
+            if stream is None:  # closed under its queued DATA
                 queue.popleft()
                 continue
             length = size = len(body)
@@ -241,10 +274,11 @@ class H2Connection:
                 if limit < length:
                     size = limit
             fin = end_stream and size == length
-            if size and not fin and stream.state in SENDS_DATA:
-                stream.send_window -= size
-            else:
-                stream.send_data(size, fin)
+            if stream.state not in SENDS_DATA:
+                self._advance(stream, _I.SEND_DATA)  # refused
+            stream.send_window -= size
+            if fin:
+                self._advance(stream, _I.SEND_END_STREAM)
             self.connection_send_window -= size
             out += pack_header(
                 (size << 8) | fr.TYPE_DATA,
@@ -295,8 +329,8 @@ class H2Connection:
     def send_rst_stream(
         self, stream_id: int, code: ErrorCode = ErrorCode.CANCEL
     ) -> None:
-        stream = self._get_or_create_stream(stream_id)
-        stream.advance(StreamInput.SEND_RST_STREAM)
+        self._advance(self._stream(stream_id, _I.SEND_RST_STREAM),
+                      _I.SEND_RST_STREAM)
         if self._send_queue:
             self._windowless_queued = True
         fr.pack_frame(self._outbound, fr.TYPE_RST_STREAM, 0, stream_id,
@@ -313,9 +347,7 @@ class H2Connection:
 
     def send_window_update(self, stream_id: int, increment: int) -> None:
         if stream_id:
-            stream = self._streams.get(stream_id)
-            if stream is not None:
-                stream.replenish_recv_window(increment)
+            self._stream(stream_id).recv_window += increment
         else:
             self.connection_recv_window += increment
         self._outbound += fr.WINDOW_UPDATE_STRUCT.pack(
@@ -421,12 +453,7 @@ class H2Connection:
         data = (fr.unpad(flags, payload, "DATA")
                 if flags & fr.FLAG_PADDED else payload)
         end_stream = flags & fr.FLAG_END_STREAM != 0
-        stream = self._streams.get(stream_id)
-        if stream is None:
-            raise H2ConnectionError(
-                ErrorCode.PROTOCOL_ERROR,
-                f"DATA for unknown stream {stream_id}",
-            )
+        stream = self._stream(stream_id, _I.RECV_DATA)
         if length > self.connection_recv_window:
             raise H2ConnectionError(
                 ErrorCode.FLOW_CONTROL_ERROR,
@@ -442,10 +469,19 @@ class H2Connection:
                 unacked = 0
             self._recv_unacked = unacked
         try:
-            stream.receive_data(length, end_stream)
+            self._advance(stream, _I.RECV_DATA)
+            if length > stream.recv_window:
+                raise H2StreamError(
+                    stream_id, ErrorCode.FLOW_CONTROL_ERROR,
+                    f"peer overflowed receive window by "
+                    f"{length - stream.recv_window} bytes",
+                )
         except H2StreamError as error:
             self.send_rst_stream(stream_id, error.code)
             return [ev.StreamReset(stream_id, error.code)]
+        stream.recv_window -= length
+        if end_stream:
+            self._advance(stream, _I.RECV_END_STREAM)
         events: List[ev.Event] = [
             ev.DataReceived(stream_id, data, length, end_stream)
         ]
@@ -471,9 +507,9 @@ class H2Connection:
                 ErrorCode.PROTOCOL_ERROR, "WINDOW_UPDATE with zero increment"
             )
         if stream_id:
-            stream = self._streams.get(stream_id)
-            if stream is not None:
-                stream.send_window += increment
+            stream = self._stream(stream_id, _I.RECV_WINDOW_UPDATE)
+            self._advance(stream, _I.RECV_WINDOW_UPDATE)
+            stream.send_window += increment
         else:
             self.connection_send_window += increment
         if self._send_queue and (self.connection_send_window > 0
@@ -518,12 +554,11 @@ class H2Connection:
             raise H2ConnectionError(
                 ErrorCode.COMPRESSION_ERROR, str(error)
             ) from error
-        remote_initiated = (stream_id % 2 == 1) == (self.role is Role.SERVER)
-        if remote_initiated and stream_id > self._highest_remote_stream:
-            self._highest_remote_stream = stream_id
-        stream = self._get_or_create_stream(stream_id)
+        stream = self._stream(stream_id, _I.RECV_HEADERS)
         try:
-            stream.receive_headers(end_stream)
+            self._advance(stream, _I.RECV_HEADERS)
+            if end_stream:
+                self._advance(stream, _I.RECV_END_STREAM)
         except H2StreamError as error:
             self.send_rst_stream(stream_id, error.code)
             return [ev.StreamReset(stream_id, error.code)]
@@ -543,13 +578,8 @@ class H2Connection:
 
     def _on_rst_stream(self, stream_id: int, flags: int,
                        code: ErrorCode) -> List[ev.Event]:
-        stream = self._streams.get(stream_id)
-        if stream is None:
-            raise H2ConnectionError(
-                ErrorCode.PROTOCOL_ERROR,
-                f"RST_STREAM for idle stream {stream_id}",
-            )
-        stream.advance(StreamInput.RECV_RST_STREAM)
+        self._advance(self._stream(stream_id, _I.RECV_RST_STREAM),
+                      _I.RECV_RST_STREAM)
         if self._send_queue:
             self._windowless_queued = True
         return [ev.StreamReset(stream_id, code)]

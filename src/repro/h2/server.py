@@ -95,9 +95,6 @@ class ServerConfig:
         self._chain_index_size = -1
         self._chain_exact: Dict[str, List[Certificate]] = {}
         self._chain_wildcard: Dict[str, List[Certificate]] = {}
-        self._serves_index_size = -1
-        self._serves_exact: set = set()
-        self._serves_wildcard: set = set()
 
     def _reindex_chains(self) -> None:
         self._chain_exact.clear()
@@ -151,22 +148,11 @@ class ServerConfig:
             return self.origin_sets[sni]
         return self.origin_sets.get("*", ())
 
-    def _reindex_serves(self) -> None:
-        self._serves_exact = {
-            name for name in self.serves if not name.startswith("*.")
-        }
-        self._serves_wildcard = {
-            name[2:] for name in self.serves if name.startswith("*.")
-        }
-        self._serves_index_size = len(self.serves)
-
     def is_authoritative_for(self, hostname: str) -> bool:
-        if self._serves_index_size != len(self.serves):
-            self._reindex_serves()
-        if hostname in self._serves_exact:
-            return True
+        """Whether ``serves`` names ``hostname`` or a one-level wildcard
+        over it (RFC 6125 §6.4.3)."""
         _, _, parent = hostname.partition(".")
-        return parent in self._serves_wildcard
+        return hostname in self.serves or "*." + parent in self.serves
 
 
 class ServerStats(RegistryStats):

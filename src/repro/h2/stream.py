@@ -10,6 +10,11 @@ RFC 7540 §8.2, and at a client that advertised SETTINGS_ENABLE_PUSH 0;
 any other client drops it).
 ``DEVIATIONS`` names the pairs where this table departs from the RFC,
 and why.
+
+A connection keeps a :class:`Stream` only until it closes
+(``H2Connection._advance``); an ID without one is idle or closed by
+RFC 7540 §5.1.1's watermark, and this table's rows for that state
+answer for it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ class StreamInput(enum.Enum):
     RECV_DATA = "receive DATA"
     RECV_END_STREAM = "receive END_STREAM"
     RECV_RST_STREAM = "receive RST_STREAM"
+    RECV_WINDOW_UPDATE = "receive WINDOW_UPDATE"
 
 
 _S, _I = StreamState, StreamInput
@@ -55,21 +61,26 @@ TRANSITIONS = {
     (_S.OPEN, _I.RECV_END_STREAM): _S.HALF_CLOSED_REMOTE,
     (_S.OPEN, _I.SEND_RST_STREAM): _S.CLOSED,
     (_S.OPEN, _I.RECV_RST_STREAM): _S.CLOSED,
+    (_S.OPEN, _I.RECV_WINDOW_UPDATE): _S.OPEN,
 
     (_S.HALF_CLOSED_LOCAL, _I.RECV_HEADERS): _S.HALF_CLOSED_LOCAL,
     (_S.HALF_CLOSED_LOCAL, _I.RECV_DATA): _S.HALF_CLOSED_LOCAL,
     (_S.HALF_CLOSED_LOCAL, _I.RECV_END_STREAM): _S.CLOSED,
     (_S.HALF_CLOSED_LOCAL, _I.SEND_RST_STREAM): _S.CLOSED,
     (_S.HALF_CLOSED_LOCAL, _I.RECV_RST_STREAM): _S.CLOSED,
+    (_S.HALF_CLOSED_LOCAL, _I.RECV_WINDOW_UPDATE): _S.HALF_CLOSED_LOCAL,
 
     (_S.HALF_CLOSED_REMOTE, _I.SEND_HEADERS): _S.HALF_CLOSED_REMOTE,
     (_S.HALF_CLOSED_REMOTE, _I.SEND_DATA): _S.HALF_CLOSED_REMOTE,
     (_S.HALF_CLOSED_REMOTE, _I.SEND_END_STREAM): _S.CLOSED,
     (_S.HALF_CLOSED_REMOTE, _I.SEND_RST_STREAM): _S.CLOSED,
     (_S.HALF_CLOSED_REMOTE, _I.RECV_RST_STREAM): _S.CLOSED,
+    (_S.HALF_CLOSED_REMOTE, _I.RECV_WINDOW_UPDATE): _S.HALF_CLOSED_REMOTE,
 
+    # A late RST_STREAM or WINDOW_UPDATE is ignored.
     (_S.CLOSED, _I.SEND_RST_STREAM): _S.CLOSED,
     (_S.CLOSED, _I.RECV_RST_STREAM): _S.CLOSED,
+    (_S.CLOSED, _I.RECV_WINDOW_UPDATE): _S.CLOSED,
 }
 
 DEVIATIONS = {
@@ -78,7 +89,7 @@ DEVIATIONS = {
         "H2Connection.send_rst_stream closes a stream it never opened",
     (_S.IDLE, _I.RECV_RST_STREAM):
         "RFC 7540 §6.4 makes this a connection error; H2Connection "
-        "raises it for a stream it has no entry for, before the stream",
+        "raises it for an idle ID, before the stream",
     (_S.CLOSED, _I.SEND_RST_STREAM):
         "RFC 7540 §5.1 sends nothing but PRIORITY on a closed stream; "
         "resetting a closed stream again is accepted",
@@ -124,47 +135,6 @@ class Stream:
                 f"cannot {event.value} in state {self.state.value}",
             )
         self.state = state
-
-    def send_headers(self, end_stream: bool) -> None:
-        self.advance(_I.SEND_HEADERS)
-        if end_stream:
-            self.advance(_I.SEND_END_STREAM)
-
-    def send_data(self, nbytes: int, end_stream: bool) -> None:
-        self.advance(_I.SEND_DATA)
-        if nbytes > self.send_window:
-            raise H2StreamError(
-                self.stream_id, ErrorCode.FLOW_CONTROL_ERROR,
-                f"DATA of {nbytes} bytes exceeds send window "
-                f"{self.send_window}",
-            )
-        self.send_window -= nbytes
-        if end_stream:
-            self.advance(_I.SEND_END_STREAM)
-
-    def receive_headers(self, end_stream: bool) -> None:
-        self.advance(_I.RECV_HEADERS)
-        if end_stream:
-            self.advance(_I.RECV_END_STREAM)
-
-    def receive_data(self, nbytes: int, end_stream: bool) -> None:
-        self.advance(_I.RECV_DATA)
-        if nbytes > self.recv_window:
-            raise H2StreamError(
-                self.stream_id, ErrorCode.FLOW_CONTROL_ERROR,
-                f"peer overflowed receive window by "
-                f"{nbytes - self.recv_window} bytes",
-            )
-        self.recv_window -= nbytes
-        if end_stream:
-            self.advance(_I.RECV_END_STREAM)
-
-    def replenish_recv_window(self, delta: int) -> None:
-        self.recv_window += delta
-
-    @property
-    def closed(self) -> bool:
-        return self.state is StreamState.CLOSED
 
     def __repr__(self) -> str:
         return f"Stream({self.stream_id}, {self.state.value})"

@@ -7,7 +7,9 @@ and for every stream still open.  ``OracleH2Connection`` is the body
 path built on it and on the frame classes of the reference codec,
 ``tests/h2_reference_frames.py`` -- every frame parsed into an object,
 every WINDOW_UPDATE followed by a drain, one ``min()`` per DATA frame
-sent.  The tests drive it and
+sent -- and on a table that keeps every stream it has seen, closed
+ones included, where the product keeps only the live ones.  The tests
+drive it and
 :class:`~repro.h2.connection.H2Connection` with one schedule and
 require the same bytes out, the same events, the same windows and
 stream states, and the same exceptions.  ``oracle_on_bytes`` does the
@@ -15,7 +17,7 @@ same for :meth:`TlsChannel._on_bytes`.
 """
 
 from collections import Counter
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from tests import h2_reference_frames as fr
 from repro.h2.connection import H2Connection, Role
 from repro.h2.errors import ErrorCode, H2ConnectionError, H2StreamError
 from repro.h2.settings import DEFAULT_SETTINGS, SettingId
-from repro.h2.stream import StreamState
+from repro.h2.stream import Stream, StreamInput, StreamState
 from repro.h2.tls_channel import (
     REC_ALERT,
     REC_APPDATA,
@@ -77,11 +79,24 @@ class ReferenceReceiver:
 
 
 class OracleH2Connection(H2Connection):
-    """The body path, one Frame object and one rule at a time."""
+    """The body path, one Frame object and one rule at a time.  Its
+    streams are looked up in ``retained``, where HEADERS either way and
+    a RST_STREAM sent make an entry for good: a closed stream answers
+    as itself, and an ID without an entry is unknown."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.reference = ReferenceReceiver()
+        self.retained: Dict[int, Stream] = {}
+
+    def _stream(self, stream_id, event=None) -> Stream:
+        stream = self.retained.get(stream_id)
+        if stream is None or stream.state is StreamState.IDLE:
+            stream = super()._stream(stream_id, event)
+            if event in (StreamInput.SEND_HEADERS, StreamInput.RECV_HEADERS,
+                         StreamInput.SEND_RST_STREAM):
+                self.retained[stream_id] = stream
+        return stream
 
     def _send_frame(self, frame: fr.Frame) -> None:
         self._outbound += frame.serialize()
@@ -91,7 +106,7 @@ class OracleH2Connection(H2Connection):
         skipped = 0
         while skipped < len(queue):
             stream_id, body, end_stream = queue[0]
-            stream = self._streams.get(stream_id)
+            stream = self.retained.get(stream_id)
             if stream is None or stream.state is StreamState.CLOSED:
                 queue.popleft()
                 continue
@@ -108,7 +123,10 @@ class OracleH2Connection(H2Connection):
                            self.remote_settings.max_frame_size)
             rest = body[size:]
             fin = end_stream and not rest
-            stream.send_data(size, fin)
+            self._advance(stream, StreamInput.SEND_DATA)
+            stream.send_window -= size
+            if fin:
+                self._advance(stream, StreamInput.SEND_END_STREAM)
             self.connection_send_window -= size
             self._send_frame(fr.DataFrame(
                 stream_id=stream_id, data=bytes(body[:size]),
@@ -170,11 +188,11 @@ class OracleH2Connection(H2Connection):
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR, "DATA on stream 0"
             )
-        stream = self._streams.get(stream_id)
+        stream = self.retained.get(stream_id)
         if stream is None:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR,
-                f"DATA for unknown stream {stream_id}",
+                f"cannot receive DATA on idle stream {stream_id}",
             )
         if length > self.connection_recv_window:
             raise H2ConnectionError(
@@ -184,16 +202,24 @@ class OracleH2Connection(H2Connection):
         self.connection_recv_window -= length
         self._reply(self.reference.consume(0, length))
         try:
-            stream.receive_data(length, frame.end_stream)
+            self._advance(stream, StreamInput.RECV_DATA)
+            if length > stream.recv_window:
+                raise H2StreamError(stream_id, ErrorCode.FLOW_CONTROL_ERROR,
+                                    "receive window overflow")
         except H2StreamError as error:
             self.send_rst_stream(stream_id, error.code)
             events.append(ev.StreamReset(stream_id, error.code))
             return
+        stream.recv_window -= length
+        if frame.end_stream:
+            self._advance(stream, StreamInput.RECV_END_STREAM)
         events.append(
             ev.DataReceived(stream_id, frame.data, length, frame.end_stream)
         )
         self._reply(
-            self.reference.consume(stream_id, length, is_open=not stream.closed)
+            self.reference.consume(
+                stream_id, length,
+                is_open=stream.state is not StreamState.CLOSED)
         )
         if frame.end_stream:
             events.append(ev.StreamEnded(stream_id))
@@ -216,9 +242,14 @@ class OracleH2Connection(H2Connection):
         if frame.stream_id == 0:
             self.connection_send_window += frame.increment
         else:
-            stream = self._streams.get(frame.stream_id)
-            if stream is not None:
-                stream.send_window += frame.increment
+            stream = self.retained.get(frame.stream_id)
+            if stream is None:  # RFC 7540 §5.1: not for an idle stream
+                raise H2ConnectionError(
+                    ErrorCode.PROTOCOL_ERROR,
+                    f"cannot receive WINDOW_UPDATE on idle stream "
+                    f"{frame.stream_id}",
+                )
+            stream.send_window += frame.increment
         if self._send_queue:
             self._drain_send_queue()
         events.append(ev.WindowUpdated(frame.stream_id, frame.increment))
@@ -260,7 +291,8 @@ def _observe(conn: H2Connection):
     """Everything the body path can change, bar the queue entries of
     closed streams: those emit nothing and are dropped by whichever
     drain next reaches them, which is not the same drain on both sides
-    (the oracle runs drains that cannot emit)."""
+    (the oracle runs drains that cannot emit).  Only the live streams
+    have entries on either side."""
     streams = conn._streams
     return (
         conn.data_to_send(),
@@ -275,7 +307,7 @@ def _observe(conn: H2Connection):
         [
             (stream_id, bytes(body), end_stream)
             for stream_id, body, end_stream in conn._send_queue
-            if streams[stream_id].state is not StreamState.CLOSED
+            if stream_id in streams
         ],
         conn.remote_settings.max_frame_size,
         conn._goaway_sent,
@@ -473,7 +505,7 @@ def test_every_split_of_one_delivery_matches():
     for cut in range(len(wire) + 1):
         pair = _blocked_pair()
         pair.deliver(wire, [cut])
-        assert pair.conns[0].stream(second).closed
+        assert second not in pair.conns[0]._streams  # reset
 
 
 def test_inbound_data_split_at_every_offset():
@@ -485,7 +517,7 @@ def test_inbound_data_split_at_every_offset():
         pair = Differential()
         pair.deliver(pair.open_frame(end_stream=False))
         pair.deliver(upload, [cut])
-        assert pair.conns[0].stream(1).state is \
+        assert pair.conns[0]._streams[1].state is \
             StreamState.HALF_CLOSED_REMOTE
 
 
@@ -563,7 +595,7 @@ def test_stream_updates_do_not_drain_behind_a_shut_connection_window():
     assert conn.drains == 1
     frames, rest = fr.parse_frames(conn.data_to_send())
     assert rest == b"" and [len(f.data) for f in frames] == [400]
-    assert conn.stream(1).send_window == 100
+    assert conn._streams[1].send_window == 100
 
 
 def test_no_drain_without_a_queue():
@@ -594,7 +626,7 @@ def test_reset_under_queued_data_is_dropped_with_the_window_shut():
     assert conn.drains == 2 and conn._windowless_queued
     conn.receive_data(_window_update(3, 1) + _window_update(0, 2 ** 20))
     assert conn.drains == 4 and not conn._windowless_queued
-    assert conn.stream(3).send_window == 0 and len(conn._send_queue) == 1
+    assert conn._streams[3].send_window == 0 and len(conn._send_queue) == 1
 
 
 def test_zero_length_end_of_stream_goes_out_with_the_window_shut():
@@ -613,7 +645,7 @@ def test_zero_length_end_of_stream_goes_out_with_the_window_shut():
     assert conn.data_to_send() == fr.DataFrame(
         stream_id=3, flags=fr.FLAG_END_STREAM
     ).serialize()
-    assert not conn._windowless_queued and conn.stream(3).closed
+    assert not conn._windowless_queued and 3 not in conn._streams
 
 
 def test_receive_buffer_holds_only_an_incomplete_tail():

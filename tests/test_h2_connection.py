@@ -152,13 +152,15 @@ class TestRequestResponse:
         client, server, _, _ = pair()
         stream_id = client.get_next_stream_id()
         client.send_headers(stream_id, REQUEST, end_stream=True)
-        assert client.stream(stream_id).state is StreamState.HALF_CLOSED_LOCAL
+        assert client._streams[stream_id].state is \
+            StreamState.HALF_CLOSED_LOCAL
         pump(client, server)
-        assert server.stream(stream_id).state is StreamState.HALF_CLOSED_REMOTE
+        assert server._streams[stream_id].state is \
+            StreamState.HALF_CLOSED_REMOTE
         server.send_headers(stream_id, RESPONSE, end_stream=True)
-        assert server.stream(stream_id).state is StreamState.CLOSED
+        assert stream_id not in server._streams  # closed
         pump(server, client)
-        assert client.stream(stream_id).state is StreamState.CLOSED
+        assert stream_id not in client._streams
 
     def test_large_body_chunked_to_max_frame_size(self):
         client, server, _, _ = pair()
@@ -243,8 +245,8 @@ class TestUnknownFrames:
         client = client_with_open_stream()
         assert client.receive_data(frame.serialize()) == []
         assert client.data_to_send() == b""
-        assert client.stream(1).state is StreamState.HALF_CLOSED_LOCAL
-        assert client.stream(7) is None
+        assert client._streams[1].state is StreamState.HALF_CLOSED_LOCAL
+        assert 7 not in client._streams
 
     def test_traffic_continues_after_unknown_frame(self):
         client, server, _, _ = pair()
@@ -281,7 +283,7 @@ class TestErrors:
         events = pump(server, client)
         resets = [e for e in events if isinstance(e, ev.StreamReset)]
         assert resets[0].error_code is ErrorCode.REFUSED_STREAM
-        assert client.stream(stream_id).closed
+        assert stream_id not in client._streams
 
     def test_goaway_event(self):
         client, server, _, _ = pair()
@@ -358,8 +360,8 @@ class TestFlowControl:
             assert pump(client, server) == expected
             assert client.connection_recv_window == \
                 server.connection_send_window
-            assert client.stream(stream_id).recv_window == \
-                server.stream(stream_id).send_window
+            assert client._streams[stream_id].recv_window == \
+                server._streams[stream_id].send_window
 
     def test_a_stream_that_closes_is_owed_nothing(self):
         """A stream closed with bytes unreturned gets no update; its
@@ -374,14 +376,14 @@ class TestFlowControl:
             server.send_headers(stream_id, RESPONSE)
             server.send_data(stream_id, b"x" * size, end_stream=end_stream)
             pump(server, client)
-            return client.stream(stream_id), pump(client, server)
+            return client._streams.get(stream_id), pump(client, server)
 
         # END_STREAM on the very frame that reaches half the window.
         stream, updates = respond(32_768, end_stream=True)
-        assert stream.closed and stream.recv_unacked == 32_768
+        assert stream is None  # closed, and nothing is kept for it
         assert updates == [ev.WindowUpdated(0, 32_768)]
         stream, updates = respond(20_000, end_stream=True)
-        assert stream.closed and updates == []
+        assert stream is None and updates == []
         assert client._recv_unacked == 20_000
         stream, updates = respond(12_768, end_stream=False)
         assert updates == [ev.WindowUpdated(0, 32_768)]
@@ -402,9 +404,9 @@ class TestFlowControl:
                 owed = queued_frames(client)
                 if sent < half:
                     assert owed == []
-                    assert client.stream(1).recv_unacked == sent
+                    assert client._streams[1].recv_unacked == sent
             assert owed == [WindowUpdateFrame(stream_id=1, increment=half)]
-            assert client.stream(1).recv_window == window
+            assert client._streams[1].recv_window == window
 
     def test_ping_is_acked(self):
         client, server, _, _ = pair()
@@ -574,9 +576,7 @@ def run_exchange(bodies):
         ]
         wire = server.data_to_send()
     assert not expected and not reference.queue
-    for stream_id, _ in bodies:
-        assert server.stream(stream_id).closed
-        assert client.stream(stream_id).closed
+    assert not server._streams and not client._streams  # all closed
     # What the client still owes is what the server is still short of.
     owed = receiver.consumed[0]
     assert owed < INITIAL_WINDOW / 2
@@ -737,7 +737,7 @@ class TestBodyPathErrors:
         assert queued_frames(client) == [
             GoAwayFrame(last_stream_id=0, error_code=code)
         ]
-        stream = client.stream(1)
+        stream = client._streams[1]
         assert client.connection_recv_window == INITIAL_WINDOW
         assert client.connection_send_window == INITIAL_WINDOW
         assert stream.recv_window == stream.send_window == INITIAL_WINDOW
@@ -748,7 +748,7 @@ class TestBodyPathErrors:
         client.receive_data(DataFrame(
             stream_id=1, flags=FLAG_END_STREAM, data=b"done").serialize())
         client.data_to_send()
-        assert client.stream(1).closed
+        assert 1 not in client._streams  # closed
         events = client.receive_data(
             DataFrame(stream_id=1, data=b"late").serialize())
         assert events == [
@@ -758,11 +758,10 @@ class TestBodyPathErrors:
             RstStreamFrame(stream_id=1, error_code=ErrorCode.STREAM_CLOSED)
         ]
         # The connection is charged for the refused frame and will
-        # return it with the rest; the stream's window stays where
-        # END_STREAM left it.
+        # return it with the rest; the stream stays closed.
         assert client.connection_recv_window == INITIAL_WINDOW - 8
         assert client._recv_unacked == 8
-        assert client.stream(1).recv_window == INITIAL_WINDOW - 4
+        assert 1 not in client._streams
 
     def test_data_over_the_stream_window_resets_the_stream(self):
         client = client_with_open_stream(initial_window=1000)
@@ -776,8 +775,7 @@ class TestBodyPathErrors:
                            error_code=ErrorCode.FLOW_CONTROL_ERROR)
         ]
         assert client.connection_recv_window == INITIAL_WINDOW - 1001
-        assert client.stream(1).recv_window == 1000
-        assert client.stream(1).closed
+        assert 1 not in client._streams  # reset, so closed
 
     def test_padding_counts_against_flow_control(self):
         """Ten bytes of data cannot overflow a 100-byte window; the 200
@@ -794,7 +792,7 @@ class TestBodyPathErrors:
                            error_code=ErrorCode.FLOW_CONTROL_ERROR)
         ]
         assert client.connection_recv_window == INITIAL_WINDOW - 211
-        assert client.stream(1).recv_window == 100
+        assert 1 not in client._streams  # reset, so closed
 
     @pytest.mark.parametrize("size, owed", [(7, 0), (32_747, 32_768)])
     def test_padded_data_that_fits_is_delivered_without_padding(
@@ -815,14 +813,30 @@ class TestBodyPathErrors:
         assert client.connection_recv_window + client._recv_unacked == \
             INITIAL_WINDOW
 
-    def test_window_update_for_an_unknown_stream_is_ignored(self):
+    def test_window_update_for_an_idle_stream_is_a_connection_error(self):
+        """RFC 7540 §5.1: an idle stream receives HEADERS and PRIORITY
+        and nothing else."""
         client = client_with_open_stream()
+        with pytest.raises(H2ConnectionError) as raised:
+            client.receive_data(
+                WindowUpdateFrame(stream_id=99, increment=5).serialize())
+        assert raised.value.code is ErrorCode.PROTOCOL_ERROR
+        assert queued_frames(client) == [
+            GoAwayFrame(last_stream_id=0, error_code=ErrorCode.PROTOCOL_ERROR)
+        ]
+        assert 99 not in client._streams
+        assert client._streams[1].send_window == INITIAL_WINDOW
+
+    def test_window_update_for_a_closed_stream_is_ignored(self):
+        client = client_with_open_stream()
+        client.receive_data(DataFrame(
+            stream_id=1, flags=FLAG_END_STREAM, data=b"done").serialize())
+        client.data_to_send()
         events = client.receive_data(
-            WindowUpdateFrame(stream_id=99, increment=5).serialize())
-        assert events == [ev.WindowUpdated(99, 5)]
-        assert client.stream(99) is None
+            WindowUpdateFrame(stream_id=1, increment=5).serialize())
+        assert events == [ev.WindowUpdated(1, 5)]
+        assert 1 not in client._streams
         assert client.connection_send_window == INITIAL_WINDOW
-        assert client.stream(1).send_window == INITIAL_WINDOW
         assert client.data_to_send() == b""
 
     @pytest.mark.parametrize("interloper", [
@@ -868,7 +882,7 @@ class TestBodyPathErrors:
                         error_code=ErrorCode.PROTOCOL_ERROR),
         ]
         assert client.connection_recv_window == INITIAL_WINDOW
-        assert client.stream(1).recv_window == INITIAL_WINDOW
+        assert client._streams[1].recv_window == INITIAL_WINDOW
         assert bytes(client._recv_buffer) == after.serialize()
 
     def test_a_clean_read_leaves_only_the_incomplete_tail(self):
@@ -945,9 +959,35 @@ class TestBoundedMemory:
 
         retained, peak = traced_allocations(move)
         assert sum(received) == len(body)
-        assert client.stream(1).closed and server.stream(1).closed
+        assert not client._streams and not server._streams  # closed
         assert peak < 0.25 * len(body)
         assert retained < 1024 * 1024
+
+
+    def test_a_long_lived_connection_keeps_no_closed_stream(self):
+        """2,000 requests in turn on one connection: each stream's
+        entry goes as it closes, so neither end holds more than the
+        stream in flight, and memory does not grow with requests
+        served.  (Keeping every closed stream, the pair retained
+        678 KB here; pruning them, 3 KB.)"""
+        client, server, _, _ = pair()
+        sizes = []
+
+        def exchange():
+            for _ in range(2_000):
+                stream_id = client.get_next_stream_id()
+                client.send_headers(stream_id, REQUEST, end_stream=True)
+                pump(client, server)
+                server.send_headers(stream_id, RESPONSE)
+                server.send_data(stream_id, b"x" * 100, end_stream=True)
+                pump(server, client)
+                pump(client, server)
+                sizes.append(max(len(client._streams),
+                                 len(server._streams)))
+
+        retained, _ = traced_allocations(exchange)
+        assert max(sizes) <= 1
+        assert retained < 32 * 1024
 
 
 class TestStreamIdentifierRules:
@@ -1013,4 +1053,110 @@ class TestPushPromiseByRole:
         client, _ = self.open_pair()
         assert client.receive_data(self.PROMISE) == []
         assert client.data_to_send() == b""
-        assert client.stream(1).state is StreamState.HALF_CLOSED_LOCAL
+        assert client._streams[1].state is StreamState.HALF_CLOSED_LOCAL
+
+
+class TestAnIdWithoutAnEntry:
+    """What a connection answers for a stream ID it keeps nothing for
+    (RFC 7540 §5.1), for each frame type a stream receives, at either
+    role: on an ID closed each of four ways, exactly what it answered
+    when it kept its closed streams; on an idle ID, HEADERS opens it,
+    PRIORITY is ignored and anything else is a PROTOCOL_ERROR."""
+
+    #: Stream 1 closed four ways, as ``(who acts, what)`` steps, each
+    #: delivered to the other side.
+    CLOSINGS = {
+        Role.CLIENT: {
+            "end-stream-sent-last": [("client", "headers"),
+                                     ("server", "headers-end"),
+                                     ("client", "data-end")],
+            "end-stream-received-last": [("client", "headers-end"),
+                                         ("server", "headers-end")],
+            "rst-sent": [("client", "headers"), ("client", "rst")],
+            "rst-received": [("client", "headers"), ("server", "rst")],
+        },
+        Role.SERVER: {
+            "end-stream-sent-last": [("client", "headers-end"),
+                                     ("server", "headers-end")],
+            "end-stream-received-last": [("client", "headers"),
+                                         ("server", "headers-end"),
+                                         ("client", "data-end")],
+            "rst-sent": [("client", "headers"), ("server", "rst")],
+            "rst-received": [("client", "headers"), ("client", "rst")],
+        },
+    }
+    FRAMES = {
+        "data": lambda sid: DataFrame(stream_id=sid, data=b"late"),
+        "headers": lambda sid: HeadersFrame(
+            stream_id=sid, flags=FLAG_END_HEADERS, header_block=b"\x88"),
+        "priority": lambda sid: PriorityFrame(stream_id=sid, weight=16),
+        "rst-stream": lambda sid: RstStreamFrame(
+            stream_id=sid, error_code=ErrorCode.CANCEL),
+        "window-update": lambda sid: WindowUpdateFrame(
+            stream_id=sid, increment=5),
+    }
+
+    def endpoints(self, role, steps):
+        client, server, _, _ = pair()
+        ends = {"client": client, "server": server}
+        for who, what in steps:
+            actor = ends[who]
+            if what == "rst":
+                actor.send_rst_stream(1)
+            elif what == "data-end":
+                actor.send_data(1, b"", end_stream=True)
+            else:
+                actor.send_headers(1, RESPONSE if who == "server" else
+                                   REQUEST, end_stream=what == "headers-end")
+            pump(actor, ends["server" if who == "client" else "client"])
+        me = client if role is Role.CLIENT else server
+        me.data_to_send()
+        return me
+
+    def answer(self, me, name, stream_id):
+        wire = self.FRAMES[name](stream_id).serialize()
+        try:
+            events = me.receive_data(wire)
+        except H2ConnectionError as error:
+            return error.code, me.data_to_send()
+        return events, me.data_to_send()
+
+    @pytest.mark.parametrize("role", [Role.CLIENT, Role.SERVER])
+    @pytest.mark.parametrize("how", ["end-stream-sent-last",
+                                     "end-stream-received-last",
+                                     "rst-sent", "rst-received"])
+    @pytest.mark.parametrize("name", list(FRAMES))
+    def test_a_closed_id(self, role, how, name):
+        me = self.endpoints(role, self.CLOSINGS[role][how])
+        reset = RstStreamFrame(stream_id=1,
+                               error_code=ErrorCode.STREAM_CLOSED)
+        expected = {
+            "data": ([ev.StreamReset(1, ErrorCode.STREAM_CLOSED)],
+                     reset.serialize()),
+            "headers": ([ev.StreamReset(1, ErrorCode.STREAM_CLOSED)],
+                        reset.serialize()),
+            "priority": ([], b""),
+            "rst-stream": ([ev.StreamReset(1, ErrorCode.CANCEL)], b""),
+            "window-update": ([ev.WindowUpdated(1, 5)], b""),
+        }[name]
+        assert self.answer(me, name, 1) == expected
+
+    @pytest.mark.parametrize("role", [Role.CLIENT, Role.SERVER])
+    @pytest.mark.parametrize("parity", ["local", "remote"])
+    @pytest.mark.parametrize("name", list(FRAMES))
+    def test_an_idle_id(self, role, parity, name):
+        me = self.endpoints(role, [("client", "headers")])
+        stream_id = 3 if (parity == "local") is (role is Role.CLIENT) else 2
+        goaway = GoAwayFrame(last_stream_id=int(role is Role.SERVER),
+                             error_code=ErrorCode.PROTOCOL_ERROR)
+        opened = (ev.ResponseReceived if role is Role.CLIENT
+                  else ev.RequestReceived)(stream_id, [(":status", "200")],
+                                           False)
+        expected = {
+            "data": (ErrorCode.PROTOCOL_ERROR, goaway.serialize()),
+            "headers": ([opened], b""),
+            "priority": ([], b""),
+            "rst-stream": (ErrorCode.PROTOCOL_ERROR, goaway.serialize()),
+            "window-update": (ErrorCode.PROTOCOL_ERROR, goaway.serialize()),
+        }[name]
+        assert self.answer(me, name, stream_id) == expected

@@ -216,6 +216,28 @@ class TestAlpnMismatch:
 
 
 class TestMisdirectedRequest:
+    AUTHORITY = [
+        ("www.example.com", True),            # exact
+        ("a.cdn.example", True),              # one label below "*."
+        ("a.b.cdn.example", False),           # two labels below
+        ("cdn.example", False),               # the wildcard's parent
+        ("late.example.org", True),           # appended after a lookup
+        ("swapped.example.net", True),        # replaced after a lookup
+        ("old.example.net", False),
+        ("example.com", False),
+    ]
+
+    def test_is_authoritative_for(self):
+        config = ServerConfig(serves=["www.example.com", "*.cdn.example",
+                                      "old.example.net"])
+        assert not config.is_authoritative_for("late.example.org")
+        config.serves.append("late.example.org")
+        assert config.is_authoritative_for("old.example.net")
+        config.serves[2] = "swapped.example.net"
+        assert [config.is_authoritative_for(name)
+                for name, _ in self.AUTHORITY] == \
+            [expected for _, expected in self.AUTHORITY]
+
     def test_unserved_authority_gets_421(self, world):
         network, server, make_session, _ = world
         session = make_session()

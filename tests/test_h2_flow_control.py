@@ -16,6 +16,8 @@ back -- and holds the connections to them after every step:
 * the bytes not yet returned stay under half the advertised window;
 * the sender's view of a window is the receiver's, less what is in
   flight either way -- so it never sends past the peer's window;
+* a closed stream keeps no entry, and no WINDOW_UPDATE goes out for
+  it once it has none;
 * once the pipes run dry every transfer that was not reset is complete
   on both sides: no window size deadlocks;
 * and a violation fed in afterwards is still refused with its code.
@@ -33,6 +35,7 @@ from repro.h2.client import SESSION_RECV_WINDOW, STREAM_RECV_WINDOW
 from repro.h2.connection import H2Connection, Role
 from repro.h2.errors import ErrorCode, H2ConnectionError
 from repro.h2.settings import SettingId
+from repro.h2.stream import StreamInput, StreamState
 from tests.test_h2_body_path import DEFAULT_WINDOW
 
 MiB = 1024 * 1024
@@ -121,6 +124,11 @@ class Endpoint:
         self.accepted = Counter()           # flow-controlled, by stream
         self.bodies: Dict[int, bytearray] = {}
         self.ended = set()
+        #: Every stream that has had an entry, in the order it got one.
+        self.opened: List[int] = []
+        #: WINDOW_UPDATE increments sent, by closed stream: frozen from
+        #: the first check that found the stream without an entry.
+        self.closed_updates: Dict[int, int] = {}
 
     def flush(self) -> None:
         self.out.emit(self.conn.data_to_send())
@@ -166,6 +174,7 @@ class Link:
             return
         client = self.client.conn
         stream_id = client.get_next_stream_id()
+        self.client.opened.append(stream_id)
         if kind == "download":
             window = client.local_settings.initial_window_size
             self.transfers[stream_id] = (
@@ -182,7 +191,7 @@ class Link:
                                   flags=fr.FLAG_END_STREAM,
                                   pad_length=pad)
             length = padded.flow_controlled_length
-            stream = client.stream(stream_id)
+            stream = client._streams[stream_id]
             if (kind == "padded" and pad and length <= 16_384
                     and not client._send_queue
                     and length <= min(client.connection_send_window,
@@ -190,7 +199,9 @@ class Link:
                 # A peer that pads: the connection never does, so the
                 # frame is written by hand against the same windows.
                 client.connection_send_window -= length
-                stream.send_data(length, end_stream=True)
+                stream.send_window -= length
+                client._advance(stream, StreamInput.SEND_DATA)
+                client._advance(stream, StreamInput.SEND_END_STREAM)
                 self.client.flush()
                 self.client.out.emit(padded.serialize())
             else:
@@ -224,6 +235,8 @@ class Link:
             self.reset.add(event.stream_id)
         elif kind is ev.StreamEnded:
             end.ended.add(event.stream_id)
+        elif kind is ev.RequestReceived:
+            end.opened.append(event.stream_id)
         if end is self.server and kind in (ev.RequestReceived,
                                            ev.StreamEnded):
             self.serve(event)
@@ -231,7 +244,7 @@ class Link:
     def serve(self, event: ev.Event) -> None:
         conn, stream_id = self.server.conn, event.stream_id
         transfer = self.transfers.get(stream_id)
-        if transfer is None or conn.stream(stream_id).closed:
+        if transfer is None or stream_id not in conn._streams:
             return
         receiver, body = transfer
         if type(event) is ev.RequestReceived:
@@ -242,7 +255,7 @@ class Link:
             conn.send_headers(stream_id, RESPONSE, end_stream=True)
 
     def rst(self, end: Endpoint, index: int) -> None:
-        known = sorted(end.conn._streams)
+        known = sorted(end.opened)
         if known:
             stream_id = known[index % len(known)]
             self.reset.add(stream_id)
@@ -291,14 +304,22 @@ class Link:
                 conn.connection_recv_window - data - updates
             assert sender.conn.connection_send_window >= 0
             for stream_id, stream in conn._streams.items():
+                assert stream.state is not StreamState.CLOSED
                 advertised = receiver.stream_windows.setdefault(
                     stream_id, conn.local_settings.initial_window_size)
                 owed = stream.recv_unacked
                 assert stream.recv_window == advertised - owed >= 0
                 assert receiver.out.sent_updates[stream_id] + owed == \
                     receiver.accepted[stream_id]
-                assert stream.closed or 2 * owed < advertised
+                assert 2 * owed < advertised
                 assert stream.send_window >= 0
+            for stream_id in receiver.opened:
+                if stream_id in conn._streams:
+                    continue
+                sent = receiver.out.sent_updates[stream_id]
+                assert receiver.closed_updates.setdefault(
+                    stream_id, sent) == sent
+                assert sent <= receiver.accepted[stream_id]
 
     def check_complete(self) -> None:
         """Nothing in flight: every transfer nobody reset is whole."""
@@ -310,10 +331,10 @@ class Link:
                 f"{len(receiver.bodies.get(stream_id, b''))} of " \
                 f"{len(body)} bytes"
             assert bytes(receiver.bodies.get(stream_id, b"")) == body
-            assert self.client.conn.stream(stream_id).closed
-            assert self.server.conn.stream(stream_id).closed
+            assert stream_id not in self.client.conn._streams  # closed
+            assert stream_id not in self.server.conn._streams
         for end in (self.client, self.server):
-            assert all(end.conn.stream(entry[0]).closed
+            assert all(entry[0] not in end.conn._streams
                        for entry in end.conn._send_queue)
 
     def step(self, op) -> None:
@@ -473,7 +494,10 @@ def test_a_browser_sized_client_reads_8_mib_for_three_updates():
         (1, 3 * MiB), (1, 3 * MiB), (0, SESSION_RECV_WINDOW // 2),
     ]
     assert link.client.conn._recv_unacked == MiB // 2
-    assert link.client.conn.stream(1).recv_unacked == 2 * MiB
+    # Stream 1 closed owing its last 2 MiB, and nothing is kept for it.
+    assert 1 not in link.client.conn._streams
+    assert link.client.accepted[1] - link.client.out.sent_updates[1] \
+        == 2 * MiB
 
 
 def test_default_windows_move_a_body_half_a_window_at_a_time():

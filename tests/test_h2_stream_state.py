@@ -1,100 +1,171 @@
-"""Stream state machine unit tests (RFC 7540 §5.1)."""
+"""Stream state machine tests (RFC 7540 §5.1): the table, and the
+connection's calls as the inputs they take through it."""
 
 import pytest
 
-from repro.h2 import ErrorCode, Role, StreamState
-from repro.h2.errors import H2StreamError
+from repro.h2 import CONNECTION_PREFACE, ErrorCode, H2Connection, Role, \
+    StreamState
+from repro.h2 import events as ev
+from repro.h2.errors import H2ConnectionError, H2StreamError
 from repro.h2 import stream as machine
+from repro.h2.settings import SettingId
 from repro.h2.stream import Stream, StreamInput
+from tests.h2_reference_frames import (
+    FLAG_END_HEADERS,
+    FLAG_END_STREAM,
+    DataFrame,
+    HeadersFrame,
+    RstStreamFrame,
+    SettingsFrame,
+)
+
+#: ``:method GET``, ``:scheme https``, ``:path /``: static-table
+#: entries only, so any decoder reads them the same.
+BLOCK = b"\x82\x87\x84"
+HEADERS = [(":method", "GET"), (":scheme", "https"), (":path", "/")]
 
 
-def make_stream(window=65535):
-    return Stream(1, send_window=window, recv_window=window)
+def endpoint(role, window=None):
+    """An endpoint of ``role`` ready to take frames, optionally having
+    advertised a stream receive window of ``window``."""
+    conn = H2Connection(role)
+    conn.initiate([(int(SettingId.INITIAL_WINDOW_SIZE), window)]
+                  if window is not None else ())
+    if role is Role.SERVER:
+        conn.receive_data(CONNECTION_PREFACE)
+    conn.data_to_send()
+    return conn
 
 
-class TestLifecycle:
+def act(conn, name, end_stream, stream_id=1):
+    """One call on ``stream_id``; a received frame returns its events."""
+    flags = FLAG_END_STREAM if end_stream else 0
+    if name == "send_headers":
+        return conn.send_headers(stream_id, HEADERS, end_stream)
+    if name == "send_data":
+        return conn.send_data(stream_id, b"x", end_stream)
+    if name == "receive_headers":
+        frame = HeadersFrame(stream_id=stream_id, header_block=BLOCK,
+                             flags=flags | FLAG_END_HEADERS)
+    else:
+        frame = DataFrame(stream_id=stream_id, data=b"x", flags=flags)
+    return conn.receive_data(frame.serialize())
+
+
+def state_of(conn, stream_id=1):
+    """The state the connection answers for ``stream_id`` with."""
+    return conn._stream(stream_id).state
+
+
+class TestStream:
     def test_invalid_stream_id(self):
         with pytest.raises(ValueError):
             Stream(0, 100, 100)
 
+    def test_a_refused_input_leaves_the_state(self):
+        stream = Stream(1, 100, 100)
+        with pytest.raises(H2StreamError) as refused:
+            stream.advance(StreamInput.SEND_DATA)
+        assert refused.value.code is ErrorCode.STREAM_CLOSED
+        assert stream.state is StreamState.IDLE
+
+
+class TestLifecycle:
     def test_open_on_send_headers(self):
-        stream = make_stream()
-        stream.send_headers(end_stream=False)
-        assert stream.state is StreamState.OPEN
+        conn = endpoint(Role.CLIENT)
+        act(conn, "send_headers", False)
+        assert conn._streams[1].state is StreamState.OPEN
 
     def test_half_closed_local_on_end_stream_headers(self):
-        stream = make_stream()
-        stream.send_headers(end_stream=True)
-        assert stream.state is StreamState.HALF_CLOSED_LOCAL
+        conn = endpoint(Role.CLIENT)
+        act(conn, "send_headers", True)
+        assert conn._streams[1].state is StreamState.HALF_CLOSED_LOCAL
 
     def test_full_request_response_cycle(self):
-        stream = make_stream()
-        stream.send_headers(end_stream=True)       # request out
-        stream.receive_headers(end_stream=False)   # response headers
-        stream.receive_data(10, end_stream=True)   # response body
-        assert stream.state is StreamState.CLOSED
+        conn = endpoint(Role.CLIENT)
+        act(conn, "send_headers", True)       # request out
+        act(conn, "receive_headers", False)   # response headers
+        act(conn, "receive_data", True)       # response body
+        assert 1 not in conn._streams
+        assert state_of(conn) is StreamState.CLOSED
 
     def test_server_side_cycle(self):
-        stream = make_stream()
-        stream.receive_headers(end_stream=True)
-        assert stream.state is StreamState.HALF_CLOSED_REMOTE
-        stream.send_headers(end_stream=False)
-        stream.send_data(5, end_stream=True)
-        assert stream.state is StreamState.CLOSED
+        conn = endpoint(Role.SERVER)
+        act(conn, "receive_headers", True)
+        assert conn._streams[1].state is StreamState.HALF_CLOSED_REMOTE
+        act(conn, "send_headers", False)
+        act(conn, "send_data", True)
+        assert 1 not in conn._streams
+        assert state_of(conn) is StreamState.CLOSED
 
     def test_trailers_end_the_remote_side(self):
-        stream = make_stream()
-        stream.receive_headers(end_stream=False)
-        stream.receive_headers(end_stream=True)   # trailers
-        assert stream.state is StreamState.HALF_CLOSED_REMOTE
+        conn = endpoint(Role.SERVER)
+        act(conn, "receive_headers", False)
+        act(conn, "receive_headers", True)   # trailers
+        assert conn._streams[1].state is StreamState.HALF_CLOSED_REMOTE
 
 
 class TestViolations:
     def test_data_before_headers_rejected(self):
-        stream = make_stream()
+        conn = endpoint(Role.CLIENT)
         with pytest.raises(H2StreamError):
-            stream.send_data(5, end_stream=False)
+            act(conn, "send_data", False)
 
-    def test_data_on_closed_stream_rejected(self):
-        stream = make_stream()
-        stream.advance(StreamInput.SEND_RST_STREAM)
-        with pytest.raises(H2StreamError):
-            stream.receive_data(5, end_stream=False)
-
-    def test_headers_on_closed_stream_rejected(self):
-        stream = make_stream()
-        stream.advance(StreamInput.SEND_RST_STREAM)
-        with pytest.raises(H2StreamError):
-            stream.receive_headers(end_stream=False)
+    @pytest.mark.parametrize("name", ["receive_data", "receive_headers"])
+    def test_frame_on_a_reset_stream_rejected(self, name):
+        conn = endpoint(Role.CLIENT)
+        act(conn, "send_headers", False)
+        conn.send_rst_stream(1)
+        conn.data_to_send()
+        assert act(conn, name, False) == [
+            ev.StreamReset(1, ErrorCode.STREAM_CLOSED)
+        ]
+        assert RstStreamFrame(
+            stream_id=1, error_code=ErrorCode.STREAM_CLOSED
+        ).serialize() == conn.data_to_send()
 
 
 class TestFlowControl:
     def test_send_window_enforced(self):
-        stream = make_stream(window=10)
-        stream.send_headers(end_stream=False)
-        with pytest.raises(H2StreamError) as exc:
-            stream.send_data(11, end_stream=False)
-        assert exc.value.code is ErrorCode.FLOW_CONTROL_ERROR
+        """DATA beyond the peer's stream window waits in the queue."""
+        conn = endpoint(Role.CLIENT)
+        conn.receive_data(SettingsFrame(
+            settings=((int(SettingId.INITIAL_WINDOW_SIZE), 10),)
+        ).serialize())
+        act(conn, "send_headers", False)
+        conn.data_to_send()
+        conn.send_data(1, b"x" * 11)
+        assert conn.data_to_send() == DataFrame(
+            stream_id=1, data=b"x" * 10).serialize()
+        assert conn._streams[1].send_window == 0
+        assert [len(entry[1]) for entry in conn._send_queue] == [1]
 
     def test_recv_window_enforced(self):
-        stream = make_stream(window=10)
-        stream.receive_headers(end_stream=False)
-        with pytest.raises(H2StreamError):
-            stream.receive_data(11, end_stream=False)
+        conn = endpoint(Role.SERVER, window=10)
+        act(conn, "receive_headers", False)
+        assert conn.receive_data(DataFrame(
+            stream_id=1, data=b"x" * 11).serialize()
+        ) == [ev.StreamReset(1, ErrorCode.FLOW_CONTROL_ERROR)]
+        assert 1 not in conn._streams
 
     def test_reset_closes(self):
-        stream = make_stream()
-        stream.send_headers(end_stream=False)
-        stream.advance(StreamInput.SEND_RST_STREAM)
-        assert stream.closed
+        conn = endpoint(Role.CLIENT)
+        act(conn, "send_headers", False)
+        conn.send_rst_stream(1)
+        assert 1 not in conn._streams
+        assert state_of(conn) is StreamState.CLOSED
 
-    def test_either_reset_closes(self):
-        for event in (StreamInput.SEND_RST_STREAM,
-                      StreamInput.RECV_RST_STREAM):
-            stream = make_stream()
-            stream.receive_headers(end_stream=False)
-            stream.advance(event)
-            assert stream.closed
+    @pytest.mark.parametrize("sent", [True, False])
+    def test_either_reset_closes(self, sent):
+        conn = endpoint(Role.SERVER)
+        act(conn, "receive_headers", False)
+        if sent:
+            conn.send_rst_stream(1)
+        else:
+            conn.receive_data(RstStreamFrame(
+                stream_id=1, error_code=ErrorCode.CANCEL).serialize())
+        assert 1 not in conn._streams
+        assert state_of(conn) is StreamState.CLOSED
 
 
 # -- the machine against RFC 7540 §5.1 ---------------------------------------
@@ -115,9 +186,11 @@ RFC_5_1 = {
     (S.OPEN, I.RECV_END_STREAM): S.HALF_CLOSED_REMOTE,
     (S.OPEN, I.SEND_RST_STREAM): S.CLOSED,
     (S.OPEN, I.RECV_RST_STREAM): S.CLOSED,
+    (S.OPEN, I.RECV_WINDOW_UPDATE): S.OPEN,
     # half-closed (local): "can receive any type of frame"; sends only
     # WINDOW_UPDATE, PRIORITY and RST_STREAM.
     (S.HALF_CLOSED_LOCAL, I.RECV_HEADERS): S.HALF_CLOSED_LOCAL,
+    (S.HALF_CLOSED_LOCAL, I.RECV_WINDOW_UPDATE): S.HALF_CLOSED_LOCAL,
     (S.HALF_CLOSED_LOCAL, I.RECV_DATA): S.HALF_CLOSED_LOCAL,
     (S.HALF_CLOSED_LOCAL, I.RECV_END_STREAM): S.CLOSED,
     (S.HALF_CLOSED_LOCAL, I.SEND_RST_STREAM): S.CLOSED,
@@ -129,8 +202,11 @@ RFC_5_1 = {
     (S.HALF_CLOSED_REMOTE, I.SEND_END_STREAM): S.CLOSED,
     (S.HALF_CLOSED_REMOTE, I.SEND_RST_STREAM): S.CLOSED,
     (S.HALF_CLOSED_REMOTE, I.RECV_RST_STREAM): S.CLOSED,
-    # closed: a late RST_STREAM from the peer is ignored.
+    (S.HALF_CLOSED_REMOTE, I.RECV_WINDOW_UPDATE): S.HALF_CLOSED_REMOTE,
+    # closed: a late RST_STREAM or WINDOW_UPDATE from the peer is
+    # ignored.
     (S.CLOSED, I.RECV_RST_STREAM): S.CLOSED,
+    (S.CLOSED, I.RECV_WINDOW_UPDATE): S.CLOSED,
 }
 
 #: The pairs the machine accepts although the RFC does not
@@ -164,7 +240,8 @@ HISTORIES = {
     },
 }
 
-#: Each public call as the inputs it takes through the table.
+#: Each connection call on a stream as the inputs it takes through
+#: the table.
 CALLS = {
     ("send_headers", False): [I.SEND_HEADERS],
     ("send_headers", True): [I.SEND_HEADERS, I.SEND_END_STREAM],
@@ -178,18 +255,22 @@ CALLS = {
 
 
 def stream_in(role, state):
-    stream = make_stream()
-    for name, end_stream in HISTORIES[role][state]:
-        call(stream, name, end_stream)
+    stream = Stream(1, 65535, 65535)
+    for call in HISTORIES[role][state]:
+        for event in CALLS[call]:
+            stream.advance(event)
     assert stream.state is state
     return stream
 
 
-def call(stream, name, end_stream):
-    if name.endswith("data"):
-        getattr(stream, name)(1, end_stream)
-    else:
-        getattr(stream, name)(end_stream)
+def endpoint_in(role, state):
+    """An endpoint whose stream 1 got to ``state`` the role's way."""
+    conn = endpoint(role)
+    for name, end_stream in HISTORIES[role][state]:
+        act(conn, name, end_stream)
+    conn.data_to_send()
+    assert state_of(conn) is state
+    return conn
 
 
 def expected_after(state, inputs):
@@ -230,13 +311,29 @@ class TestTransitionTable:
     @pytest.mark.parametrize("state", list(StreamState))
     @pytest.mark.parametrize("name, end_stream", list(CALLS))
     def test_every_call_is_its_inputs(self, role, state, name, end_stream):
-        stream = stream_in(role, state)
+        """A refused call raises STREAM_CLOSED and changes nothing, bar
+        three answers of the connection's: a frame received on an idle
+        stream is a PROTOCOL_ERROR, one received on any other is reset,
+        and DATA sent on a closed stream is dropped."""
+        conn = endpoint_in(role, state)
         after = expected_after(state, CALLS[name, end_stream])
-        if after is None:
-            with pytest.raises(H2StreamError) as refused:
-                call(stream, name, end_stream)
-            assert refused.value.code is ErrorCode.STREAM_CLOSED
-            assert stream.state is state
+        if after is not None:
+            act(conn, name, end_stream)
+            assert state_of(conn) is after
+        elif name.startswith("receive") and state is S.IDLE:
+            with pytest.raises(H2ConnectionError) as refused:
+                act(conn, name, end_stream)
+            assert refused.value.code is ErrorCode.PROTOCOL_ERROR
+        elif name.startswith("receive"):
+            assert act(conn, name, end_stream) == [
+                ev.StreamReset(1, ErrorCode.STREAM_CLOSED)
+            ]
+            assert state_of(conn) is S.CLOSED
+        elif name == "send_data" and state is S.CLOSED:
+            act(conn, name, end_stream)
+            assert conn.data_to_send() == b"" and not conn._send_queue
         else:
-            call(stream, name, end_stream)
-            assert stream.state is after
+            with pytest.raises(H2StreamError) as refused:
+                act(conn, name, end_stream)
+            assert refused.value.code is ErrorCode.STREAM_CLOSED
+            assert state_of(conn) is state
