@@ -152,6 +152,16 @@ class ChaosReport:
             return 0.0
         return self.hostnames_affected / lost
 
+    def add(self, archive) -> None:
+        """Count one crawled page (the report is a page sink,
+        :func:`repro.dataset.shard.crawl_shards`'): attempted, failed,
+        or successful with its new connections."""
+        self.pages_attempted += 1
+        if archive.page.success:
+            self.connections_opened += archive.new_connection_count()
+        else:
+            self.pages_failed += 1
+
     def absorb_tallies(self, docs: Iterable[Dict[str, object]]) -> None:
         """Merge one shard's tally docs (in schedule order)."""
         incoming = [FaultTally.from_doc(doc) for doc in docs]

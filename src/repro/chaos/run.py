@@ -8,8 +8,10 @@ explicit :class:`~repro.browser.retry.RetryPolicy` on the browser
 context.  Each shard returns its fault tallies (plain JSON docs),
 which fold into a :class:`~repro.chaos.report.ChaosReport` by counter
 addition in shard order as the merge absorbs the shard, so the report
-is byte-identical at any ``--jobs``.  :func:`compare_policies` is the
-same run once per coalescing policy.
+is byte-identical at any ``--jobs``.  The report is also the run's
+page sink: it counts pages attempted and failed and connections opened
+as each shard merges, so a chaos run keeps no archive.
+:func:`compare_policies` is the same run once per coalescing policy.
 
 With an empty schedule the injector installs nothing, the retry
 policy is never consulted (nothing fails in an unfaulted crawl
@@ -27,7 +29,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.browser.retry import RetryPolicy
 from repro.chaos.report import ChaosReport
 from repro.chaos.schedule import FaultSchedule
-from repro.dataset.crawler import CrawlResult
 from repro.dataset.shard import (
     CrawlParams,
     ShardResult,
@@ -46,12 +47,17 @@ def run_chaos(
     progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
     crawl_trace: Optional[CrawlTrace] = None,
-) -> Tuple[CrawlResult, CrawlTrace, ChaosReport]:
-    """Crawl all shards under ``schedule``; merge telemetry, tallies
-    and retry counts in shard order.  ``collect`` is
+    pages=None,
+) -> Tuple[CrawlTrace, ChaosReport]:
+    """Crawl all shards under ``schedule``; merge telemetry, tallies,
+    retry counts and page counts in shard order.  ``collect`` is
     :func:`~repro.dataset.shard.crawl_shard`'s (``None`` collects
     nothing: the report needs no telemetry); ``crawl_trace`` is
-    :func:`~repro.dataset.shard.merge_shards`'."""
+    :func:`~repro.dataset.shard.merge_shards`'.  ``pages`` is a second
+    page sink handed every archive as its shard merges (a
+    :class:`~repro.dataset.crawler.CrawlResult` keeps them, a
+    :class:`~repro.dataset.characterize.CrawlFold` folds the ledger
+    headline); by default only the report sees them."""
     config = shards[0].config
     report = ChaosReport(
         policy=params.policy,
@@ -65,18 +71,16 @@ def run_chaos(
         report.absorb_tallies(shard.faults)
         report.requests_retried += shard.requests_retried
         report.requests_exhausted += shard.requests_exhausted
+        if pages is not None:
+            for archive in shard.payload.archives:
+                pages.add(archive)
 
-    result, crawl_trace = crawl_shards(
+    _, crawl_trace = crawl_shards(
         shards, params, jobs, collect=collect,
         chaos=(schedule, retry_policy), progress=progress, watch=watch,
-        crawl_trace=crawl_trace, on_shard=on_shard,
+        crawl_trace=crawl_trace, on_shard=on_shard, pages=report,
     )
-    report.pages_attempted = result.attempted
-    report.pages_failed = result.attempted - result.success_count
-    report.connections_opened = sum(
-        archive.new_connection_count() for archive in result.successes
-    )
-    return result, crawl_trace, report
+    return crawl_trace, report
 
 
 #: The policy sweep ``--compare-policies`` runs, unshared baseline
@@ -90,15 +94,15 @@ def compare_policies(
     schedule: FaultSchedule,
     retry_policy: RetryPolicy,
     jobs: int,
-) -> List[Tuple[str, CrawlResult, ChaosReport]]:
+) -> List[Tuple[str, ChaosReport]]:
     """Run the same schedule under each of :data:`COMPARE_POLICIES`:
     the robustness-vs-savings table (connections opened against
     hostnames lost per lost connection)."""
-    rows: List[Tuple[str, CrawlResult, ChaosReport]] = []
+    rows: List[Tuple[str, ChaosReport]] = []
     for policy in COMPARE_POLICIES:
-        result, _, report = run_chaos(
+        _, report = run_chaos(
             shards, replace(params, policy=policy), schedule,
             retry_policy, jobs,
         )
-        rows.append((policy, result, report))
+        rows.append((policy, report))
     return rows

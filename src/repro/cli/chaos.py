@@ -61,11 +61,10 @@ def _fault_table(report) -> str:
 
 
 def _render(args, outcome) -> None:
-    result = outcome.result
-    report = outcome.extras["report"]
-    print(f"chaos: crawled {result.attempted} sites with the "
+    report = outcome.result
+    print(f"chaos: crawled {report.pages_attempted} sites with the "
           f"{args.policy} policy under {report.schedule_source}; "
-          f"{result.success_count} succeeded")
+          f"{report.pages_attempted - report.pages_failed} succeeded")
     if report.tallies:
         print()
         print(_fault_table(report))
@@ -96,7 +95,7 @@ def _compare(args, schedule, retry_policy) -> int:
               f"{'retried':>8s} {'exhaust':>8s} {'pages':>8s}")
     print(header)
     print("-" * len(header))
-    for policy, result, report in rows:
+    for policy, report in rows:
         print(f"{policy:15s} {report.connections_opened:6d} "
               f"{report.connections_lost:5d} "
               f"{report.coalesced_lost:5d} "
@@ -104,7 +103,8 @@ def _compare(args, schedule, retry_policy) -> int:
               f"{report.mean_blast_radius:6.3f} "
               f"{report.requests_retried:8d} "
               f"{report.requests_exhausted:8d} "
-              f"{result.success_count:4d}/{result.attempted:3d}")
+              f"{report.pages_attempted - report.pages_failed:4d}/"
+              f"{report.pages_attempted:3d}")
     return 0
 
 

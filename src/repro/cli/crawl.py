@@ -18,15 +18,16 @@ from repro.dataset.characterize import (
 
 def cmd_crawl(args) -> int:
     def render(outcome) -> None:
-        result = outcome.result
-        print(f"crawled {result.attempted} sites with the "
-              f"{args.policy} policy; {result.success_count} "
+        fold = outcome.result
+        print(f"crawled {fold.attempted} sites with the "
+              f"{args.policy} policy; {fold.success_count} "
               "succeeded")
         for token in args.tables:
             print()
-            print(render_crawl_table(token, result))
+            print(render_crawl_table(token, fold))
 
-    crawl_pipeline(args, args.policy, render=render).run()
+    crawl_pipeline(args, args.policy, render=render,
+                   keep_archives=False).run()
     return 0
 
 

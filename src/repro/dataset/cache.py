@@ -109,14 +109,18 @@ class CrawlCache:
     def path_for(self, key: str) -> Path:
         return self.root / f"crawl-{key}.jsonl"
 
-    def load(self, key: str) -> Optional[CrawlResult]:
-        """The cached result for ``key``, or ``None`` on a miss (or an
-        unreadable/corrupt entry, which is dropped)."""
+    def load(self, key: str, pages=None):
+        """The cached crawl for ``key``, its archives streamed one line
+        at a time into the page sink ``pages`` (a new
+        :class:`~repro.dataset.crawler.CrawlResult` by default), or
+        ``None`` on a miss (or an unreadable/corrupt entry, which is
+        dropped; ``pages`` then holds what was read before the fault
+        and is not to be used)."""
         path = self.path_for(key)
         if not path.is_file():
             return None
         try:
-            return CrawlResult.load(path)
+            return CrawlResult.load(path, pages)
         except (OSError, ValueError, KeyError, TypeError):
             path.unlink(missing_ok=True)
             return None

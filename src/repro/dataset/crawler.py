@@ -24,9 +24,16 @@ from repro.web.har import HarArchive, HarPage
 
 @dataclass
 class CrawlResult:
-    """All archives from one crawl, attempted and successful."""
+    """All archives from one crawl, attempted and successful: the page
+    sink that keeps them (:func:`repro.dataset.shard.crawl_shards`
+    hands a sink each archive as its shard merges;
+    :class:`repro.dataset.characterize.CrawlFold` is the one that
+    keeps none)."""
 
     archives: List[HarArchive] = field(default_factory=list)
+
+    def add(self, archive: HarArchive) -> None:
+        self.archives.append(archive)
 
     @property
     def attempted(self) -> int:
@@ -41,29 +48,28 @@ class CrawlResult:
     def success_count(self) -> int:
         return len(self.successes)
 
-    @property
-    def total_requests(self) -> int:
-        return sum(a.request_count for a in self.successes)
-
     @classmethod
-    def load(cls, path) -> "CrawlResult":
+    def load(cls, path, pages=None):
         """Read a crawl back from JSON-lines of HAR archives (one per
         line, as :func:`repro.dataset.shard.write_archive_lines` writes
-        them).  The paper's pipeline stored per-page HAR files in a
-        bucket (§3.1); this is the single-file equivalent.
+        them) into the page sink ``pages`` -- a new result, keeping
+        them all, by default -- and return the sink.  The paper's
+        pipeline stored per-page HAR files in a bucket (§3.1); this is
+        the single-file equivalent.
 
         One memo serves the whole file (:meth:`HarArchive.from_json`),
         so the archives hold each distinct hostname, path, IP or AS org
         once, as a live crawl's do; it goes when the load returns, and
         two loads share no string."""
-        archives = []
+        if pages is None:
+            pages = cls()
         memo: dict = {}
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
                 if line:
-                    archives.append(HarArchive.from_json(line, memo))
-        return cls(archives=archives)
+                    pages.add(HarArchive.from_json(line, memo))
+        return pages
 
 
 class Crawler:

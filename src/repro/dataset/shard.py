@@ -38,7 +38,12 @@ appends each absorbed shard to the cache entry as it merges
 
 The fold's memory contract: one shard's world and telemetry are live
 at a time, and only its slice of the site plan; within a shard only
-its open connections -- a
+its open connections; and on a ``crawl`` or ``chaos`` run no archive
+outlives its shard's merge: :func:`crawl_shards` hands each one to a
+page sink as the shard merges, and those runs' sinks (a
+:class:`~repro.dataset.characterize.CrawlFold`, a
+:class:`~repro.chaos.report.ChaosReport`) keep none.  The fan-out
+parent still decodes each line, in order to fold it.  A
 connection frees by reference counting as it closes
 (:meth:`~repro.netsim.transport.Transport.close` drops the callbacks
 that tie its layers together).  A pipeline run's writers -- the cache
@@ -500,11 +505,18 @@ def crawl_shards(
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
     crawl_trace: Optional[CrawlTrace] = None,
     on_shard: Optional[Callable[[ShardResult], None]] = None,
-) -> Tuple[CrawlResult, CrawlTrace]:
+    pages=None,
+) -> Tuple[object, CrawlTrace]:
     """The one sharded crawl: every shard of one plan through
     :func:`crawl_shard`, merged in shard order, so the output is
     identical at any ``jobs``.
 
+    ``pages`` is the page sink: anything with an ``add(archive)``,
+    handed every archive in crawl order as its shard merges.  A
+    :class:`~repro.dataset.crawler.CrawlResult` (the default) keeps
+    them; a :class:`~repro.dataset.characterize.CrawlFold` or a
+    :class:`~repro.chaos.report.ChaosReport` keeps none, so no archive
+    outlives its shard's merge.
     ``collect`` and ``chaos`` are :func:`crawl_shard`'s.
     ``archive_out`` is an open text file (what
     :meth:`repro.dataset.cache.CrawlCache.writing` yields) that
@@ -512,13 +524,16 @@ def crawl_shards(
     merge absorbs them.  ``progress``/``watch``/``crawl_trace`` are
     :func:`merge_shards`'.  ``on_shard`` sees each result, in shard
     order, as the merge absorbs it (a chaos run folds its fault
-    tallies there).  Returns the merged archives and the merged trace
+    tallies there).  Returns the page sink and the merged trace
     (empty when ``collect`` is ``None``).
     """
-    merged = CrawlResult()
+    if pages is None:
+        pages = CrawlResult()
+    add = pages.add
 
     def absorb(result: ShardResult) -> None:
-        merged.archives.extend(result.payload.archives)
+        for archive in result.payload.archives:
+            add(archive)
         if archive_out is not None:
             write_archive_lines(archive_out, result)
         if on_shard is not None:
@@ -532,7 +547,7 @@ def crawl_shards(
         ((spec, next(slices), params, collect, chaos) for spec in shards),
         jobs, absorb, progress, watch, crawl_trace,
     )
-    return merged, crawl_trace
+    return pages, crawl_trace
 
 
 def plan_certificates_sharded(

@@ -221,9 +221,11 @@ class H2Connection:
         Queued bytes drain automatically as WINDOW_UPDATE frames arrive;
         callers never see flow-control errors for well-behaved peers.
         """
-        if self._stream(stream_id).state is _IDLE:
+        state = self._stream(stream_id).state
+        if state not in SENDS_DATA:
             raise H2StreamError(
-                stream_id, ErrorCode.STREAM_CLOSED, "no such stream"
+                stream_id, ErrorCode.STREAM_CLOSED,
+                f"cannot {_I.SEND_DATA.value} in state {state.value}",
             )
         if not data:
             self._windowless_queued = True
@@ -240,8 +242,9 @@ class H2Connection:
         frame is packed straight into the outbound buffer.
 
         A frame is the smallest of the body, the two windows and the
-        peer's frame size, and debits the stream window; one from a
-        stream unable to send is refused by the stream table.
+        peer's frame size, and debits the stream window.  An entry
+        whose stream can no longer send -- reset, or ended by HEADERS
+        or an earlier entry carrying END_STREAM -- is dropped unsent.
         """
         queue = self._send_queue
         # Settings caps this at 2**24 - 1, the most the header's 24-bit
@@ -254,7 +257,7 @@ class H2Connection:
         while skipped < len(queue):
             stream_id, body, end_stream = queue[0]
             stream = streams.get(stream_id)
-            if stream is None:  # closed under its queued DATA
+            if stream is None or stream.state not in SENDS_DATA:
                 queue.popleft()
                 continue
             length = size = len(body)
@@ -274,8 +277,6 @@ class H2Connection:
                 if limit < length:
                     size = limit
             fin = end_stream and size == length
-            if stream.state not in SENDS_DATA:
-                self._advance(stream, _I.SEND_DATA)  # refused
             stream.send_window -= size
             if fin:
                 self._advance(stream, _I.SEND_END_STREAM)

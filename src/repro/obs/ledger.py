@@ -255,32 +255,14 @@ def _base_meta(kind: str, fingerprint: str) -> dict:
 
 
 def crawl_headline(result) -> Dict[str, float]:
-    """The paper's aggregate metrics for one crawl result."""
-    from repro.core import headline_reductions
+    """The paper's aggregate metrics for one crawl: the headline view
+    of its fold (:meth:`~repro.dataset.characterize.CrawlFold.headline`),
+    folded here from a result that kept its archives."""
+    from repro.dataset.characterize import CrawlFold
 
-    successes = result.successes
-    plt_total = sum(a.page_load_time for a in successes)
-    reductions = headline_reductions(result.archives)
-    return {
-        "pages_attempted": result.attempted,
-        "pages_succeeded": result.success_count,
-        "pages_failed": result.attempted - result.success_count,
-        "requests": result.total_requests,
-        "dns_queries": sum(a.dns_query_count() for a in successes),
-        "tls_handshakes": sum(
-            a.tls_connection_count() for a in successes
-        ),
-        "new_connections": sum(
-            a.new_connection_count() for a in successes
-        ),
-        "mean_plt_ms": round(
-            plt_total / len(successes), 6
-        ) if successes else 0.0,
-        "dns_reduction": round(reductions["dns_reduction"], 6),
-        "validation_reduction": round(
-            reductions["validation_reduction"], 6
-        ),
-    }
+    if not isinstance(result, CrawlFold):
+        result = CrawlFold.of(result.archives, headline=True)
+    return result.headline()
 
 
 def traffic_headline(aggregate) -> Dict[str, float]:

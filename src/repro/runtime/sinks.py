@@ -116,8 +116,7 @@ class ChaosReportSink:
         self.artifact = artifact
 
     def __call__(self, outcome) -> None:
-        report = outcome.extras["report"]
-        self.artifact.handle.write(report.to_jsonl())
+        self.artifact.handle.write(outcome.result.to_jsonl())
         self.artifact.publish()
         diag(f"report: -> {self.artifact.path} (canonical JSONL)")
 

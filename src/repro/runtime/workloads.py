@@ -41,9 +41,11 @@ from repro.runtime.sinks import (
 class RunOutcome:
     """What a workload execution produced.
 
-    ``trace`` is the merged :class:`~repro.telemetry.CrawlTrace` of
-    the simulation that ran (empty when it ran uninstrumented) and
-    ``None`` on a cache hit.
+    ``result`` is the workload's product: a crawl's page sink (the
+    archives, or their :class:`~repro.dataset.characterize.CrawlFold`),
+    the traffic aggregate, the chaos report.  ``trace`` is the merged
+    :class:`~repro.telemetry.CrawlTrace` of the simulation that ran
+    (empty when it ran uninstrumented) and ``None`` on a cache hit.
     """
 
     config: object
@@ -82,7 +84,15 @@ def run_watched(options, rules, unit: str, run):
 
 
 class CrawlWorkload:
-    """The shared crawl pipeline: shards + cache + telemetry."""
+    """The shared crawl pipeline: shards + cache + telemetry.
+
+    ``keep_archives`` picks the result: every archive (a
+    :class:`~repro.dataset.crawler.CrawlResult`, for the commands that
+    model or audit pages) or, when false, only their
+    :class:`~repro.dataset.characterize.CrawlFold` -- the tables and
+    the ledger headline -- so no archive outlives its shard's merge or
+    its line of a cache entry.
+    """
 
     unit = "pages"
     always_live = False
@@ -90,7 +100,8 @@ class CrawlWorkload:
 
     def __init__(self, config, params, shards: int = 0,
                  cache_dir=None, no_cache: bool = False,
-                 refresh: bool = False, command: str = "crawl") -> None:
+                 refresh: bool = False, command: str = "crawl",
+                 keep_archives: bool = True) -> None:
         from repro.dataset.cache import CrawlCache
         from repro.dataset.shard import plan_shards
 
@@ -101,6 +112,7 @@ class CrawlWorkload:
         self.cache = None if no_cache else CrawlCache(cache_dir)
         self.refresh = refresh
         self.command = command
+        self.keep_archives = keep_archives
 
     def fingerprint(self) -> str:
         """The content-addressed cache key doubles as the run
@@ -121,6 +133,7 @@ class CrawlWorkload:
         return run_live(rules, self.unit, partial(
             self._crawl, jobs, (options.want_trace, options.want_audit),
             reuse=False, crawl_trace=artifacts.crawl_trace(),
+            headline=bool(options.ledger_dir),
         ))
 
     def execute_cached(self, jobs: int) -> RunOutcome:
@@ -130,11 +143,25 @@ class CrawlWorkload:
         return self._crawl(jobs, None, reuse=not self.refresh,
                            progress=shard_progress)
 
+    def _pages(self, headline: bool):
+        """A fresh page sink for one read of the crawl; ``headline``
+        (a ledger will be written) makes a fold keep the ledger's §4
+        counts too."""
+        from repro.dataset.characterize import CrawlFold
+        from repro.dataset.crawler import CrawlResult
+
+        if self.keep_archives:
+            return CrawlResult()
+        return CrawlFold(headline=headline)
+
     def _crawl(self, jobs: int, collect, reuse: bool, progress=None,
-               watch=None, crawl_trace=None) -> RunOutcome:
-        """Both paths: read the cache when ``reuse`` allows, else run
-        :func:`~repro.dataset.shard.crawl_shards` with the entry's
-        ``.tmp`` open, so the shards merge straight into it."""
+               watch=None, crawl_trace=None,
+               headline: bool = False) -> RunOutcome:
+        """Both paths: stream the cache entry into a page sink when
+        ``reuse`` allows, else run
+        :func:`~repro.dataset.shard.crawl_shards` into a fresh one
+        with the entry's ``.tmp`` open, so the shards merge straight
+        into it."""
         from repro.dataset.shard import crawl_shards
 
         fingerprint = self.fingerprint()
@@ -142,7 +169,8 @@ class CrawlWorkload:
                              shard_count=self.shard_count, result=None,
                              fingerprint=fingerprint)
         if reuse and self.cache is not None:
-            outcome.result = self.cache.load(fingerprint)
+            outcome.result = self.cache.load(fingerprint,
+                                             self._pages(headline))
             outcome.cache_hit = outcome.result is not None
             if outcome.cache_hit:
                 return outcome
@@ -151,7 +179,7 @@ class CrawlWorkload:
             outcome.result, outcome.trace = crawl_shards(
                 self.shards, self.params, jobs, collect=collect,
                 archive_out=entry, progress=progress, watch=watch,
-                crawl_trace=crawl_trace,
+                crawl_trace=crawl_trace, pages=self._pages(headline),
             )
         return outcome
 
@@ -244,7 +272,11 @@ class TrafficWorkload:
 class ChaosWorkload:
     """A fault-injected crawl: the crawl pipeline plus an armed
     :class:`~repro.chaos.inject.FaultInjector` per shard and the
-    shard-merged :class:`~repro.chaos.report.ChaosReport`.
+    shard-merged :class:`~repro.chaos.report.ChaosReport`, the result.
+    No archive outlives its shard's merge: the report counts the pages,
+    and a run that writes a ledger folds them for its headline
+    (``extras["pages"]``, a
+    :class:`~repro.dataset.characterize.CrawlFold`).
 
     Always live and never cached: the schedule perturbs the
     simulation, so a cached (unfaulted) crawl would be the wrong
@@ -287,17 +319,21 @@ class ChaosWorkload:
     def execute_live(self, jobs: int, options, rules,
                      artifacts) -> RunOutcome:
         from repro.chaos.run import run_chaos
+        from repro.dataset.characterize import CrawlFold
 
-        result, trace, report = run_watched(
+        extras = {}
+        if options.ledger_dir:
+            extras["pages"] = CrawlFold(headline=True)
+        trace, report = run_watched(
             options, rules, self.unit, partial(
                 run_chaos, self.shards, self.params, self.schedule,
                 self.retry_policy, jobs,
-                crawl_trace=artifacts.crawl_trace()))
+                crawl_trace=artifacts.crawl_trace(),
+                pages=extras.get("pages")))
         return RunOutcome(
             config=self.config, shard_count=self.shard_count,
-            result=result, trace=trace,
-            fingerprint=self.fingerprint(),
-            extras={"report": report},
+            result=report, trace=trace,
+            fingerprint=self.fingerprint(), extras=extras,
         )
 
     def build_record(self, outcome, rules):
@@ -305,7 +341,7 @@ class ChaosWorkload:
 
         record = build_crawl_record(
             "chaos", self.config, self.params,
-            self.shard_count, outcome.result,
+            self.shard_count, outcome.extras["pages"],
             outcome.trace.metrics, slo_rules=rules,
         )
         # Rekey onto the chaos fingerprint (schedule + retry policy
@@ -315,16 +351,15 @@ class ChaosWorkload:
         record.meta["fingerprint"] = fingerprint
         record.meta["run"] = f"chaos-{fingerprint[:12]}"
         record.meta["schedule"] = self.schedule.source
-        report = outcome.extras.get("report")
-        if report is not None:
-            record.headline.update(
-                connections_lost=report.connections_lost,
-                coalesced_lost=report.coalesced_lost,
-                hostnames_affected=report.hostnames_affected,
-                mean_blast_radius=round(report.mean_blast_radius, 6),
-                requests_retried=report.requests_retried,
-                requests_exhausted=report.requests_exhausted,
-            )
+        report = outcome.result
+        record.headline.update(
+            connections_lost=report.connections_lost,
+            coalesced_lost=report.coalesced_lost,
+            hostnames_affected=report.hostnames_affected,
+            mean_blast_radius=round(report.mean_blast_radius, 6),
+            requests_retried=report.requests_retried,
+            requests_exhausted=report.requests_exhausted,
+        )
         return record
 
     def sinks(self, options, rules, live: bool, render=None,

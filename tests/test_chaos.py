@@ -31,6 +31,7 @@ from repro.chaos import (
     run_chaos,
 )
 from repro.cli import main
+from repro.dataset.crawler import CrawlResult
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
     CrawlParams,
@@ -189,9 +190,10 @@ class TestEmptyScheduleNonPerturbation:
 
         p_result, p_trace = crawl_shards(shards, params, 1,
                                          collect=(True, True))
-        c_result, c_trace, report = run_chaos(
+        c_result = CrawlResult()
+        c_trace, report = run_chaos(
             shards, params, EMPTY_SCHEDULE, DEFAULT_RETRY_POLICY, 1,
-            collect=(True, True),
+            collect=(True, True), pages=c_result,
         )
 
         assert [a.to_json() for a in p_result.archives] \
@@ -201,6 +203,12 @@ class TestEmptyScheduleNonPerturbation:
         assert report.connections_lost == 0
         assert report.requests_retried == 0
         assert report.requests_exhausted == 0
+        # The report counted the pages it was handed as they merged.
+        assert report.pages_attempted == p_result.attempted
+        assert report.pages_failed \
+            == p_result.attempted - p_result.success_count
+        assert report.connections_opened == sum(
+            a.new_connection_count() for a in p_result.successes)
 
 
 class TestFaultsFire:
@@ -208,7 +216,7 @@ class TestFaultsFire:
         schedule = FaultSchedule(faults=(
             FaultSpec(name="storm", kind="goaway_storm", at=500.0),
         ), source="storm")
-        _, trace, report = run_chaos(
+        trace, report = run_chaos(
             plan_shards(DatasetConfig(site_count=6, seed=2022), 1),
             tiny_params(), schedule, DEFAULT_RETRY_POLICY, 1,
             collect=(True, True),
@@ -294,12 +302,15 @@ EVERY_KIND = "tests/data/faults_every_kind.toml"
 @functools.lru_cache(maxsize=None)
 def every_kind_run():
     """The all-kinds schedule over 24 sites offering h2 and h3, once
-    per session (the reconciliation test audits the same run)."""
-    return run_chaos(
+    per session (the reconciliation test audits the same run):
+    ``(archives, trace, report)``."""
+    result = CrawlResult()
+    trace, report = run_chaos(
         plan_shards(DatasetConfig(site_count=24, seed=7), 2),
         tiny_params(alpn="h2,h3"), load_fault_schedule(EVERY_KIND),
-        DEFAULT_RETRY_POLICY, 1, collect=(False, True),
+        DEFAULT_RETRY_POLICY, 1, collect=(False, True), pages=result,
     )
+    return result, trace, report
 
 
 def fault_records(trace, kind, decision):
@@ -387,7 +398,7 @@ class TestEveryKind:
         schedule = load_fault_schedule(EVERY_KIND)
         alone = replace(schedule, faults=tuple(
             fault for fault in schedule.faults if fault.kind == kind))
-        _, _, report = run_chaos(
+        _, report = run_chaos(
             plan_shards(DatasetConfig(site_count=8, seed=7), 2),
             tiny_params(alpn="h2,h3"), alone, DEFAULT_RETRY_POLICY, 1,
         )

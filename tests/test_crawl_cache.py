@@ -168,6 +168,21 @@ class TestCrawlCache:
         assert cache.load("bad") is None
         assert not cache.path_for("bad").exists()
 
+    def test_a_hit_renders_what_the_miss_printed(self, tmp_path, capsys):
+        """A hit streams the entry, line by line, into the fold the
+        tables are views of: all seven come out byte-identical to the
+        ones the miss that stored the entry printed."""
+        argv = ["crawl", "--sites", "8", "--seed", "2022", "--shards",
+                "2", "--cache-dir", str(tmp_path), "--tables", "all"]
+        printed = []
+        for status in ("miss, stored", "hit"):
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            assert f"cache: {status} " in err
+            printed.append(out)
+        assert printed[0].count("\nTable ") == 7
+        assert printed[1] == printed[0]
+
     def test_env_var_overrides_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "custom"))
         assert default_cache_dir() == tmp_path / "custom"

@@ -21,7 +21,6 @@ class TestCrawlPersistence:
         restored = CrawlResult.load(path)
         assert restored.attempted == result.attempted
         assert restored.success_count == result.success_count
-        assert restored.total_requests == result.total_requests
         # Entry-level fidelity.
         for a, b in zip(result.archives, restored.archives):
             assert a.page == b.page

@@ -12,6 +12,8 @@ import weakref
 import pytest
 
 from repro.dataset import shard as shard_module
+from repro.dataset.characterize import CrawlFold
+from repro.dataset.crawler import CrawlResult
 from repro.dataset.generator import DatasetConfig, PageGenerator
 from repro.dataset.shard import (
     CrawlParams,
@@ -23,6 +25,7 @@ from repro.dataset.shard import (
     plan_shards,
     plan_slices,
 )
+from repro.web.har import HarArchive, HarEntry
 
 
 class TestPlanShards:
@@ -181,6 +184,32 @@ class TestFoldMemory:
         )
         assert alive == [[False], [False, False], [False, False, False]]
         assert gc.get_freeze_count() == 0
+
+    @staticmethod
+    def har_objects():
+        """Live ``(HarArchive, HarEntry)`` counts."""
+        gc.collect()
+        kinds = [type(obj) for obj in gc.get_objects()]
+        return kinds.count(HarArchive), kinds.count(HarEntry)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_fold_keeps_no_archive(self, jobs):
+        """Each archive is folded and dropped as its shard merges, the
+        ones a fan-out parent decodes included."""
+        before = self.har_objects()
+        fold, _ = crawl_shards(plan_shards(self.CONFIG, 3), CrawlParams(),
+                               jobs, pages=CrawlFold())
+        assert fold.attempted == 9
+        assert self.har_objects() == before
+
+    def test_a_result_keeps_every_archive(self):
+        before = self.har_objects()
+        result, _ = crawl_shards(plan_shards(self.CONFIG, 3),
+                                 CrawlParams(), 1, pages=CrawlResult())
+        kept = [now - then for now, then in zip(self.har_objects(), before)]
+        assert kept == [len(result.archives),
+                        sum(len(a.entries) for a in result.archives)]
+        assert kept[0] == 9 and kept[1] > 9
 
     def test_one_slice_of_the_plan_is_live(self, monkeypatch):
         """While shard k runs, the stream has handed out exactly k + 1

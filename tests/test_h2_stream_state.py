@@ -11,12 +11,15 @@ from repro.h2 import stream as machine
 from repro.h2.settings import SettingId
 from repro.h2.stream import Stream, StreamInput
 from tests.h2_reference_frames import (
+    FLAG_ACK,
     FLAG_END_HEADERS,
     FLAG_END_STREAM,
     DataFrame,
     HeadersFrame,
+    PingFrame,
     RstStreamFrame,
     SettingsFrame,
+    WindowUpdateFrame,
 )
 
 #: ``:method GET``, ``:scheme https``, ``:path /``: static-table
@@ -139,6 +142,41 @@ class TestFlowControl:
             stream_id=1, data=b"x" * 10).serialize()
         assert conn._streams[1].send_window == 0
         assert [len(entry[1]) for entry in conn._send_queue] == [1]
+
+    def test_refused_data_leaves_later_reads_alone(self):
+        """DATA after END_STREAM is refused at the call: nothing is
+        queued, so a later connection WINDOW_UPDATE drains nothing and
+        the PING read with it is still answered."""
+        conn = endpoint(Role.CLIENT)
+        act(conn, "send_headers", True)
+        conn.data_to_send()
+        with pytest.raises(H2StreamError) as refused:
+            conn.send_data(1, b"x")
+        assert refused.value.code is ErrorCode.STREAM_CLOSED
+        assert not conn._send_queue
+        events = conn.receive_data(
+            WindowUpdateFrame(stream_id=0, increment=1).serialize()
+            + PingFrame(opaque=b"12345678").serialize())
+        assert events == [ev.WindowUpdated(0, 1),
+                          ev.PingReceived(opaque=b"12345678")]
+        assert conn.data_to_send() == PingFrame(
+            opaque=b"12345678", flags=FLAG_ACK).serialize()
+
+    def test_data_queued_behind_an_ended_stream_is_dropped(self):
+        """Trailers with END_STREAM end the local side under queued
+        DATA: the drain drops the entry, once, and raises nothing."""
+        conn = endpoint(Role.CLIENT)
+        conn.receive_data(SettingsFrame(
+            settings=((int(SettingId.INITIAL_WINDOW_SIZE), 10),)
+        ).serialize())
+        act(conn, "send_headers", False)
+        conn.send_data(1, b"x" * 11)
+        conn.send_headers(1, [("x-trailer", "1")], end_stream=True)
+        conn.data_to_send()
+        assert conn.receive_data(
+            WindowUpdateFrame(stream_id=1, increment=5).serialize()
+        ) == [ev.WindowUpdated(1, 5)]
+        assert conn.data_to_send() == b"" and not conn._send_queue
 
     def test_recv_window_enforced(self):
         conn = endpoint(Role.SERVER, window=10)
@@ -311,10 +349,10 @@ class TestTransitionTable:
     @pytest.mark.parametrize("state", list(StreamState))
     @pytest.mark.parametrize("name, end_stream", list(CALLS))
     def test_every_call_is_its_inputs(self, role, state, name, end_stream):
-        """A refused call raises STREAM_CLOSED and changes nothing, bar
-        three answers of the connection's: a frame received on an idle
-        stream is a PROTOCOL_ERROR, one received on any other is reset,
-        and DATA sent on a closed stream is dropped."""
+        """A refused call raises STREAM_CLOSED and changes nothing --
+        a refused send queues nothing -- bar two answers of the
+        connection's: a frame received on an idle stream is a
+        PROTOCOL_ERROR, and one received on any other is reset."""
         conn = endpoint_in(role, state)
         after = expected_after(state, CALLS[name, end_stream])
         if after is not None:
@@ -329,11 +367,9 @@ class TestTransitionTable:
                 ev.StreamReset(1, ErrorCode.STREAM_CLOSED)
             ]
             assert state_of(conn) is S.CLOSED
-        elif name == "send_data" and state is S.CLOSED:
-            act(conn, name, end_stream)
-            assert conn.data_to_send() == b"" and not conn._send_queue
         else:
             with pytest.raises(H2StreamError) as refused:
                 act(conn, name, end_stream)
             assert refused.value.code is ErrorCode.STREAM_CLOSED
             assert state_of(conn) is state
+            assert conn.data_to_send() == b"" and not conn._send_queue
