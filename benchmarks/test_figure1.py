@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_pct, render_table
-from repro.dataset import characterize
+from repro.dataset.characterize import CrawlFold
 
 #: Paper: 6.5% of pages use a single AS; the largest bin is 2 ASes
 #: (14%); 50% of pages load within 6 ASes.
@@ -14,7 +14,7 @@ PAPER = {"single_as": 0.065, "median_ases": 6}
 
 
 def test_figure1(benchmark, successes):
-    data = benchmark(characterize.figure1, successes)
+    data = benchmark(lambda: CrawlFold.of(successes).figure1())
     rows = [
         (count, format_pct(fraction), format_pct(data.cdf_at(count)))
         for count, fraction in list(data.histogram.items())[:15]

@@ -3,7 +3,7 @@
 from conftest import print_block
 
 from repro.analysis import render_table
-from repro.dataset import characterize
+from repro.dataset.characterize import CrawlFold
 
 PAPER_TOTAL = {
     "success": 315_796, "requests": 81, "plt": 5746.0,
@@ -12,7 +12,7 @@ PAPER_TOTAL = {
 
 
 def test_table1(benchmark, archives):
-    rows = benchmark(characterize.table1, archives)
+    rows = benchmark(lambda: CrawlFold.of(archives).table1())
     table = render_table(
         "Table 1 -- crawl summary by rank bucket (paper total row: "
         f"#reqs {PAPER_TOTAL['requests']}, PLT {PAPER_TOTAL['plt']}ms, "

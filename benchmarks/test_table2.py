@@ -3,7 +3,7 @@
 from conftest import print_block
 
 from repro.analysis import format_pct, render_table
-from repro.dataset import characterize
+from repro.dataset.characterize import CrawlFold
 
 #: The paper's top-10 collectively serve 63.68% of requests; the top-3
 #: providers ~50%.
@@ -11,7 +11,7 @@ PAPER_TOP10_SHARE = 0.6368
 
 
 def test_table2(benchmark, successes):
-    rows = benchmark(characterize.table2, successes)
+    rows = benchmark(lambda: CrawlFold.of(successes).table2())
     table = render_table(
         "Table 2 -- top destination ASes "
         f"(paper: top-10 = {format_pct(PAPER_TOP10_SHARE)})",
@@ -28,5 +28,5 @@ def test_table2(benchmark, successes):
     assert "Google" in orgs[:3]        # paper rank 1
     assert "Cloudflare" in orgs[:4]    # paper rank 2
     assert top10_share > 0.35          # heavy concentration holds
-    total_ases = characterize.unique_as_count(successes)
+    total_ases = CrawlFold.of(successes).unique_as_count()
     assert total_ases > 20

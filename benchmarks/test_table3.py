@@ -3,13 +3,14 @@
 from conftest import print_block
 
 from repro.analysis import format_pct, render_table
-from repro.dataset import characterize
+from repro.dataset.characterize import CrawlFold
 
 PAPER = {"h2": 0.7364, "http/1.1": 0.1909, "secure": 0.9853}
 
 
 def test_table3(benchmark, successes):
-    protocols, security = benchmark(characterize.table3, successes)
+    protocols, security = benchmark(
+        lambda: CrawlFold.of(successes).table3())
     total = sum(protocols.values())
     table = render_table(
         "Table 3 -- requests by protocol "

@@ -3,7 +3,7 @@
 from conftest import print_block
 
 from repro.analysis import format_pct, render_table
-from repro.dataset import characterize
+from repro.dataset.characterize import CrawlFold
 
 #: Paper: 16.24% of requests triggered new TLS validations; the top-5
 #: distinct issuers cover 59.25% of them.
@@ -12,8 +12,7 @@ PAPER_VALIDATION_SHARE = 0.1624
 
 def test_table4(benchmark, successes):
     rows, validations, total = benchmark(
-        characterize.table4, successes
-    )
+        lambda: CrawlFold.of(successes).table4())
     table = render_table(
         "Table 4 -- top certificate issuers "
         f"(paper: validations = {format_pct(PAPER_VALIDATION_SHARE)} "

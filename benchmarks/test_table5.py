@@ -3,7 +3,7 @@
 from conftest import print_block
 
 from repro.analysis import format_pct, render_table
-from repro.dataset import characterize
+from repro.dataset.characterize import CrawlFold
 
 PAPER_TOP = [
     ("application/javascript", 0.1426),
@@ -14,7 +14,7 @@ PAPER_TOP = [
 
 
 def test_table5(benchmark, successes):
-    rows = benchmark(characterize.table5, successes)
+    rows = benchmark(lambda: CrawlFold.of(successes).table5())
     table = render_table(
         "Table 5 -- requests by content type (paper top-4: "
         + ", ".join(f"{n} {format_pct(s)}" for n, s in PAPER_TOP) + ")",

@@ -3,11 +3,11 @@
 from conftest import print_block
 
 from repro.analysis import format_pct, render_table
-from repro.dataset import characterize
+from repro.dataset.characterize import CrawlFold
 
 
 def test_table6(benchmark, successes):
-    table_data = benchmark(characterize.table6, successes)
+    table_data = benchmark(lambda: CrawlFold.of(successes).table6())
     rows = []
     for (asn, org), type_rows in table_data.items():
         for content_type, count, share in type_rows:

@@ -3,7 +3,7 @@
 from conftest import print_block
 
 from repro.analysis import format_pct, render_table
-from repro.dataset import characterize
+from repro.dataset.characterize import CrawlFold
 
 #: Paper: the top-10 hostnames draw 12.5% of all requests, led by
 #: fonts.gstatic.com (2.23%).
@@ -11,7 +11,7 @@ PAPER_TOP10_SHARE = 0.125
 
 
 def test_table7(benchmark, successes):
-    rows = benchmark(characterize.table7, successes)
+    rows = benchmark(lambda: CrawlFold.of(successes).table7())
     print_block(render_table(
         "Table 7 -- top subresource hostnames (paper: top-10 = "
         f"{format_pct(PAPER_TOP10_SHARE)} of requests)",

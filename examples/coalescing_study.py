@@ -16,7 +16,7 @@ import numpy as np
 from repro.analysis import format_pct, render_cdf, render_table
 from repro.core import figure3, headline_reductions, plan_certificates, \
     provider_addition_table
-from repro.dataset import characterize
+from repro.dataset.characterize import CrawlFold
 from repro.dataset.crawler import Crawler
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.world import build_world
@@ -34,7 +34,7 @@ def main():
           f"({format_pct(result.success_count / result.attempted)}; "
           "paper: 63.51%)\n")
 
-    rows = characterize.table1(result.archives)
+    rows = CrawlFold.of(result.archives).table1()
     print(render_table(
         "Table 1 -- crawl summary",
         ["Rank", "Success", "#Reqs", "PLT (ms)", "#DNS", "#TLS"],
@@ -43,7 +43,7 @@ def main():
           f"{r.median_tls:.0f}") for r in rows],
     ))
 
-    top_ases = characterize.table2(ok, top=5)
+    top_ases = CrawlFold.of(ok).table2(top=5)
     print("\n" + render_table(
         "Table 2 -- top destination ASes",
         ["ASN", "Org", "#Req", "%"],

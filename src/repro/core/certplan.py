@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataset.world import HostedSite, SyntheticWorld
+from repro.dataset.world import SyntheticWorld
 from repro.dnssim.resolver import NxDomain
 
 
@@ -44,17 +44,19 @@ def hostname_asn_resolver(
 
 @dataclass
 class SitePlan:
-    """The certificate change plan for one website."""
+    """The certificate change plan for one website, as plain data: it
+    names the site, and keeps nothing of the world it was planned in."""
 
-    hosted: HostedSite
+    #: The site's hosting provider (empty if self-hosted).
+    provider: str
+    #: The site's own hostnames (:meth:`SiteRecord.own_hostnames`).
+    own_hostnames: Tuple[str, ...]
+    #: SAN entries of the certificate the site serves.
+    existing_san_count: int
     #: Page hostnames on the site's own AS (coalescable with the root).
     coalescable: Tuple[str, ...]
     #: Coalescable hostnames absent from the certificate SAN.
     additions: Tuple[str, ...]
-
-    @property
-    def existing_san_count(self) -> int:
-        return self.hosted.certificate.san_count
 
     @property
     def ideal_san_count(self) -> int:
@@ -174,7 +176,9 @@ def plan_certificates(
                 additions.append(hostname)
         plans.append(
             SitePlan(
-                hosted=hosted,
+                provider=record.provider,
+                own_hostnames=record.own_hostnames(),
+                existing_san_count=hosted.certificate.san_count,
                 coalescable=tuple(coalescable),
                 additions=tuple(additions),
             )
@@ -227,7 +231,7 @@ def provider_addition_table(
     """
     by_provider: Dict[str, List[SitePlan]] = {}
     for site_plan in plan.plans:
-        provider = site_plan.hosted.record.provider
+        provider = site_plan.provider
         if provider:
             by_provider.setdefault(provider, []).append(site_plan)
 
@@ -243,8 +247,7 @@ def provider_addition_table(
             # Sorted: ``most_common`` breaks count ties by insertion
             # order, which a set's would leave to the hash seed.
             for hostname in sorted(set(site_plan.coalescable)):
-                own = site_plan.hosted.record.own_hostnames()
-                if hostname not in own:
+                if hostname not in site_plan.own_hostnames:
                     usage[hostname] += 1
         host_rows = [
             (hostname, count, count / len(site_plans))

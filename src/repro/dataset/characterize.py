@@ -5,11 +5,11 @@ The paper's tables are marginals over its per-page HAR timelines
 crawl hands each archive to as its shard merges (:meth:`CrawlFold.add`),
 which keeps per-page scalars and counters and drops the archive.
 Tables 1-7, Figure 1, the unique-AS count and the run ledger's
-headline are views over it.  The module functions fold the archives
-they are given and read one view, so each keeps its own reach: Tables
-2-7 and Figure 1 count successful pages, Table 1 every page, and the
-unique-AS count every entry.  Counters fill in page order, so ties in
-``most_common`` break as one pass over the archives would.
+headline are views over it (:meth:`CrawlFold.of` folds a list of
+archives), each with its own reach: Tables 2-7 and Figure 1 count
+successful pages, Table 1 every page, and the unique-AS count every
+entry.  Counters fill in page order, so ties in ``most_common`` break
+as one pass over the archives would.
 """
 
 from __future__ import annotations
@@ -344,68 +344,6 @@ def _summary_row(label: str, group: Sequence[_Page]) -> Table1Row:
         median_dns=_median([page.dns for page in successes]),
         median_tls=_median([page.tls for page in successes]),
     )
-
-
-# -- one view each, over the archives given ----------------------------------
-
-def table1(
-    archives: Sequence[HarArchive], bucket_size: int = 100_000,
-    rank_space: int = 500_000,
-) -> List[Table1Row]:
-    """Crawl summary per popularity bucket, plus a Total row."""
-    return CrawlFold.of(archives).table1(bucket_size, rank_space)
-
-
-def table2(
-    archives: Sequence[HarArchive], top: int = 10
-) -> List[Tuple[int, str, int, float]]:
-    """Top destination ASes: (asn, org, requests, share)."""
-    return CrawlFold.of(archives).table2(top)
-
-
-def unique_as_count(archives: Sequence[HarArchive]) -> int:
-    return CrawlFold.of(archives).unique_as_count()
-
-
-def table3(
-    archives: Sequence[HarArchive],
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """(protocol counts, {'secure': n, 'insecure': n})."""
-    return CrawlFold.of(archives).table3()
-
-
-def table4(
-    archives: Sequence[HarArchive], top: int = 10
-) -> Tuple[List[Tuple[str, int, float]], int, int]:
-    """Top issuers among new TLS validations (see
-    :meth:`CrawlFold.table4`)."""
-    return CrawlFold.of(archives).table4(top)
-
-
-def table5(
-    archives: Sequence[HarArchive], top: int = 12
-) -> List[Tuple[str, int, float]]:
-    return CrawlFold.of(archives).table5(top)
-
-
-def table6(
-    archives: Sequence[HarArchive],
-    top_ases: int = 3,
-    top_types: int = 4,
-) -> Dict[Tuple[int, str], List[Tuple[str, int, float]]]:
-    """Per top-AS content-type breakdown, keyed by (asn, org)."""
-    return CrawlFold.of(archives).table6(top_ases, top_types)
-
-
-def table7(
-    archives: Sequence[HarArchive], top: int = 10
-) -> List[Tuple[str, int, float]]:
-    """Top subresource hostnames (excluding each page's own root)."""
-    return CrawlFold.of(archives).table7(top)
-
-
-def figure1(archives: Sequence[HarArchive]) -> Figure1Data:
-    return CrawlFold.of(archives).figure1()
 
 
 # -- CLI table registry -------------------------------------------------------

@@ -38,9 +38,13 @@ appends each absorbed shard to the cache entry as it merges
 
 The fold's memory contract: one shard's world and telemetry are live
 at a time, and only its slice of the site plan; within a shard only
-its open connections; and on a ``crawl`` or ``chaos`` run no archive
-outlives its shard's merge: :func:`crawl_shards` hands each one to a
-page sink as the shard merges, and those runs' sinks (a
+its open connections; nothing a shard hands the fold, or is handed,
+holds a world object (a certificate plan's rows are plain data; a
+deployment plan is names, resolved in each shard's own world by
+:func:`repro.deployment.experiment.deploy_origin`); and on a
+``crawl`` or ``chaos`` run no archive outlives its shard's merge:
+:func:`crawl_shards` hands each one to a page sink as the shard
+merges, and those runs' sinks (a
 :class:`~repro.dataset.characterize.CrawlFold`, a
 :class:`~repro.chaos.report.ChaosReport`) keep none.  The fan-out
 parent still decodes each line, in order to fold it.  A
@@ -555,11 +559,14 @@ def plan_certificates_sharded(
 ):
     """The §4.3 certificate plan over per-shard worlds, merged in
     shard order -- world materialization without any crawling, for
-    cache-hit paths that still need certificate state."""
+    cache-hit paths that still need certificate state.  A shard's
+    plans are plain data, so its world, cyclic garbage once they are
+    made, is freed before the next one is built."""
     from repro.core.certplan import CertificatePlan, plan_certificates
 
     specs = plan_shards(config, shard_count)
     plans = []
     for spec, records in zip(specs, plan_slices(specs)):
         plans.extend(plan_certificates(spec.build_world(records)).plans)
+        gc.collect()
     return CertificatePlan(plans=plans)

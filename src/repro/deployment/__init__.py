@@ -9,7 +9,10 @@ world) hosts a heavily used third-party domain.  The experiment:
    party's name, control certs gain an equal-length unused name
    (Figure 6) -- and write the same name into the per-SNI origin set
    (:func:`deploy_origin`, which also deploys the traffic what-if's
-   fleet-wide upper bound);
+   fleet-wide upper bound, :func:`fleet_origin_plan`).  A plan is
+   names -- ``(hostname, snis, names)`` rows -- resolved in the world
+   it is deployed in, so the fleet plan is made once, with no world,
+   and deploys in every traffic shard's;
 3. deploy **IP coalescing** (§5.2: one dedicated address for sample
    and third-party domains) or switch on **ORIGIN frames** (§5.3);
 4. measure passively (sampled server logs with the SNI != Host flag
@@ -25,8 +28,8 @@ from repro.deployment.experiment import (
     DeploymentExperiment,
     Group,
     SampleSite,
-    deploy_fleet_origin,
     deploy_origin,
+    fleet_origin_plan,
 )
 from repro.deployment.passive import LogRecord, PassivePipeline
 from repro.deployment.active import ActiveMeasurement, ActiveResult
@@ -47,6 +50,6 @@ __all__ = [
     "LongitudinalStudy",
     "DailyRates",
     "BuggyMiddlebox",
-    "deploy_fleet_origin",
     "deploy_origin",
+    "fleet_origin_plan",
 ]

@@ -16,6 +16,8 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
+from repro.dataset.generator import DatasetConfig, SiteRecord
+from repro.dataset.profiles import POPULAR_THIRD_PARTIES
 from repro.dataset.world import HostedSite, SyntheticWorld
 from repro.dnssim.records import RecordType
 from repro.tlspki.certificate import Certificate
@@ -42,8 +44,6 @@ def deployment_world_config(site_count: int = 300, seed: int = 2022):
     usage rate are boosted to yield a usable sample while keeping
     per-page structure identical.
     """
-    from repro.dataset.generator import DatasetConfig
-
     return DatasetConfig(
         site_count=site_count,
         seed=seed,
@@ -58,13 +58,14 @@ def deployment_world_config(site_count: int = 300, seed: int = 2022):
 
 def deploy_origin(world: SyntheticWorld, rows: Iterable[tuple]) -> int:
     """Figure 6's reissue and §5.3's origin sets, for each row
-    ``(hosted, config, leaf, snis, names)``: renew ``leaf`` (now) for
-    the ``names`` it lacks, serve the renewed chain in its place (and
-    as ``hosted.certificate`` unless ``hosted`` is ``None``), and
-    advertise ``names`` on connections whose SNI is in ``snis`` once
-    ``config.send_origin_frames`` is on.  Leaves with an empty SAN
-    identify one name under legacy CN matching and can never
-    coalesce; they are skipped.  Returns the number reissued.
+    ``(hostname, snis, names)``: resolve ``hostname`` in ``world`` to a
+    leaf -- a site root's served certificate, a popular hostname's
+    chain at its provider -- renew it (now) for the ``names`` it lacks,
+    serve the renewed chain in its place (and as the site's
+    certificate), and advertise ``names`` on connections whose SNI is
+    in ``snis`` once ``send_origin_frames`` is on.  Leaves with an empty
+    SAN (legacy CN matching: never coalescable) or an unknown issuer
+    are skipped with their rows.  Returns the number reissued.
     """
     # ``Certificate.issuer`` is normalized (lowercased); the world's
     # issuer registry keys on display names.
@@ -72,9 +73,23 @@ def deploy_origin(world: SyntheticWorld, rows: Iterable[tuple]) -> int:
         name.lower(): authority
         for name, authority in world.issuers.items()
     }
+    sites = {hosted.record.root_hostname: hosted for hosted in world.sites}
+    # Every row is resolved before any reissue: a renewed popular leaf
+    # covers its provider's other popular names, and would answer for
+    # their SNIs from then on.
+    resolved = []
+    for hostname, snis, names in rows:
+        hosted = sites.get(hostname)
+        if hosted is None:
+            config = world.provider_servers[
+                world.popular_hostnames[hostname]].config
+            leaf = config.chain_for_sni(hostname)[0]
+        else:
+            config, leaf = hosted.server.config, hosted.certificate
+        resolved.append((hosted, config, leaf, snis, names))
     now = world.network.loop.now()
     reissued = 0
-    for hosted, config, leaf, snis, names in rows:
+    for hosted, config, leaf, snis, names in resolved:
         issuer = issuers.get(leaf.issuer)
         if not leaf.san or issuer is None:
             continue
@@ -91,8 +106,9 @@ def deploy_origin(world: SyntheticWorld, rows: Iterable[tuple]) -> int:
     return reissued
 
 
-def deploy_fleet_origin(world: SyntheticWorld) -> int:
-    """Best-case fleet-wide ORIGIN deployment.
+def fleet_origin_plan(records: Iterable[SiteRecord]) -> List[tuple]:
+    """Best-case fleet-wide ORIGIN deployment, as :func:`deploy_origin`
+    rows.
 
     :class:`DeploymentExperiment` enrolls a small sample behind one
     provider -- right for measuring a marginal rollout, far too small
@@ -100,34 +116,27 @@ def deploy_fleet_origin(world: SyntheticWorld) -> int:
     wants the paper's *upper bound* instead: every provider edge
     advertises the popular hostnames it co-hosts in ORIGIN frames, and
     every certificate it serves -- the popular hostnames' own certs
-    first, then each provider-hosted site's -- is reissued to cover
-    them (:func:`deploy_origin`).  Any client connection to such an
-    edge can then coalesce the co-hosted third parties (and the third
-    parties each other).  Returns the number of certificates reissued.
+    first, then each provider-hosted site's of ``records`` -- is
+    reissued to cover them.  Any client connection to such an edge can
+    then coalesce the co-hosted third parties (and the third parties
+    each other).  Being names, the plan deploys in any world built from
+    ``records``.
     """
     popular: Dict[str, List[str]] = {}
-    for hostname, provider in sorted(world.popular_hostnames.items()):
-        popular.setdefault(provider, []).append(hostname)
-    rows: List[tuple] = []
-    for provider in sorted(popular):
-        # A popular hostname is only ever installed on a live fleet.
-        server = world.provider_servers[provider]
-        server.config.send_origin_frames = True
-        rows.extend(
-            (None, server.config, chain[0], (chain[0].subject,),
-             popular[provider])
-            for chain in server.config.chains
-            if chain
-            and world.popular_hostnames.get(chain[0].subject) == provider
-        )
+    for entry in sorted(POPULAR_THIRD_PARTIES, key=lambda p: p.hostname):
+        popular.setdefault(entry.provider, []).append(entry.hostname)
+    rows: List[tuple] = [
+        (entry.hostname, (entry.hostname,), popular[provider])
+        for provider in sorted(popular)
+        for entry in POPULAR_THIRD_PARTIES if entry.provider == provider
+    ]
     rows.extend(
-        (hosted, hosted.server.config, hosted.certificate,
-         hosted.record.own_hostnames(), popular[hosted.record.provider])
-        for hosted in world.sites
-        if not hosted.record.self_hosted
-        and hosted.record.provider in popular
+        (record.root_hostname, record.own_hostnames(),
+         popular[record.provider])
+        for record in records
+        if not record.self_hosted and record.provider in popular
     )
-    return deploy_origin(world, rows)
+    return rows
 
 
 @dataclass
@@ -250,8 +259,7 @@ class DeploymentExperiment:
         chain index picks up the new certificates immediately.
         """
         reissued = deploy_origin(self.world, [
-            (site.hosted, site.hosted.server.config,
-             site.hosted.certificate, site.hosted.record.own_hostnames(),
+            (site.root_hostname, site.hosted.record.own_hostnames(),
              (self._added_name(site),))
             for site in self.sample
         ])

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.h2 import frames as fr
 from repro.h2 import events as ev
@@ -99,7 +100,10 @@ class H2Connection:
         self._decoder = HpackDecoder()
         self._initiated = False
         self._goaway_sent = False
-        self._expected_continuation: Optional[Tuple[int, bytearray, bool]] = None
+        #: A header block awaiting CONTINUATION: its stream, the
+        #: fragments so far, and what takes the whole block.
+        self._expected_continuation: Optional[Tuple[
+            int, bytearray, Callable[[bytes], List[ev.Event]]]] = None
         self.connection_send_window = self.remote_settings.initial_window_size
         self.connection_recv_window = self.local_settings.initial_window_size
         #: DATA bytes consumed and not yet returned by a WINDOW_UPDATE.
@@ -159,7 +163,8 @@ class H2Connection:
         ID its side has used, IDLE above.  HEADERS, or a RST_STREAM we
         send, puts an idle ID to use and raises that watermark; any
         other input for it is a frame received, a PROTOCOL_ERROR (§5.1).
-        None is no input: a lookup, or a WINDOW_UPDATE we send."""
+        None is no input: a lookup, or a send the caller then takes
+        through the table itself."""
         stream = self._streams.get(stream_id)
         if stream is not None and stream.state is not _IDLE:
             return stream
@@ -348,7 +353,9 @@ class H2Connection:
 
     def send_window_update(self, stream_id: int, increment: int) -> None:
         if stream_id:
-            self._stream(stream_id).recv_window += increment
+            stream = self._stream(stream_id)
+            self._advance(stream, _I.SEND_WINDOW_UPDATE)
+            stream.recv_window += increment
         else:
             self.connection_recv_window += increment
         self._outbound += fr.WINDOW_UPDATE_STRUCT.pack(
@@ -521,12 +528,13 @@ class H2Connection:
     def _on_headers(self, stream_id: int, flags: int,
                     block: bytes) -> List[ev.Event]:
         end_stream = flags & fr.FLAG_END_STREAM != 0
-        if not flags & fr.FLAG_END_HEADERS:
-            self._expected_continuation = (
-                stream_id, bytearray(block), end_stream
-            )
-            return []
-        return self._complete_headers(stream_id, block, end_stream)
+        if flags & fr.FLAG_END_HEADERS:
+            return self._complete_headers(stream_id, end_stream, block)
+        self._expected_continuation = (
+            stream_id, bytearray(block),
+            partial(self._complete_headers, stream_id, end_stream),
+        )
+        return []
 
     def _on_continuation(self, stream_id: int, flags: int,
                          block: bytes) -> List[ev.Event]:
@@ -534,7 +542,7 @@ class H2Connection:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR, "unexpected CONTINUATION"
             )
-        expected, pending, end_stream = self._expected_continuation
+        expected, pending, complete = self._expected_continuation
         if stream_id != expected:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR,
@@ -544,17 +552,21 @@ class H2Connection:
         if not flags & fr.FLAG_END_HEADERS:
             return []
         self._expected_continuation = None
-        return self._complete_headers(stream_id, bytes(pending), end_stream)
+        return complete(bytes(pending))
 
-    def _complete_headers(
-        self, stream_id: int, block: bytes, end_stream: bool
-    ) -> List[ev.Event]:
+    def _decode_block(self, block: bytes) -> List[Header]:
+        """One whole header block, through the connection's decoder."""
         try:
-            headers = self._decoder.decode(block)
+            return self._decoder.decode(block)
         except HpackError as error:
             raise H2ConnectionError(
                 ErrorCode.COMPRESSION_ERROR, str(error)
             ) from error
+
+    def _complete_headers(
+        self, stream_id: int, end_stream: bool, block: bytes
+    ) -> List[ev.Event]:
+        headers = self._decode_block(block)
         stream = self._stream(stream_id, _I.RECV_HEADERS)
         try:
             self._advance(stream, _I.RECV_HEADERS)
@@ -607,6 +619,27 @@ class H2Connection:
             raise H2ConnectionError(
                 ErrorCode.PROTOCOL_ERROR, "push is disabled"
             )
+        cancel = partial(self._cancel_push,
+                         int.from_bytes(block[:4], "big") & 0x7FFFFFFF)
+        if flags & fr.FLAG_END_HEADERS:
+            return cancel(block[4:])
+        self._expected_continuation = (stream_id, bytearray(block[4:]),
+                                       cancel)
+        return []
+
+    def _cancel_push(self, promised_stream_id: int,
+                     block: bytes) -> List[ev.Event]:
+        """Decode a promise's whole block, so the HPACK table stays in
+        step with the server's, and reset the promised stream -- an
+        idle one of the server's -- with CANCEL (RFC 7540 §8.2.2)."""
+        self._decode_block(block)
+        if (promised_stream_id & 1
+                or promised_stream_id <= self._highest_remote_stream):
+            raise H2ConnectionError(
+                ErrorCode.PROTOCOL_ERROR,
+                f"PUSH_PROMISE of stream {promised_stream_id}",
+            )
+        self.send_rst_stream(promised_stream_id, ErrorCode.CANCEL)
         return []
 
     def _on_ping(self, stream_id: int, flags: int,

@@ -7,7 +7,8 @@ END_STREAM, as in the RFC's diagram.  The reserved states are left
 out: only PUSH_PROMISE leads to them, no endpoint here sends one, and
 one received reserves no stream (it is a PROTOCOL_ERROR at a server,
 RFC 7540 §8.2, and at a client that advertised SETTINGS_ENABLE_PUSH 0;
-any other client drops it).
+any other client decodes its header block and cancels the promised
+stream, §8.2.2).
 ``DEVIATIONS`` names the pairs where this table departs from the RFC,
 and why.
 
@@ -37,6 +38,7 @@ class StreamInput(enum.Enum):
     SEND_DATA = "send DATA"
     SEND_END_STREAM = "send END_STREAM"
     SEND_RST_STREAM = "send RST_STREAM"
+    SEND_WINDOW_UPDATE = "send WINDOW_UPDATE"
     RECV_HEADERS = "receive HEADERS"
     RECV_DATA = "receive DATA"
     RECV_END_STREAM = "receive END_STREAM"
@@ -61,6 +63,7 @@ TRANSITIONS = {
     (_S.OPEN, _I.RECV_END_STREAM): _S.HALF_CLOSED_REMOTE,
     (_S.OPEN, _I.SEND_RST_STREAM): _S.CLOSED,
     (_S.OPEN, _I.RECV_RST_STREAM): _S.CLOSED,
+    (_S.OPEN, _I.SEND_WINDOW_UPDATE): _S.OPEN,
     (_S.OPEN, _I.RECV_WINDOW_UPDATE): _S.OPEN,
 
     (_S.HALF_CLOSED_LOCAL, _I.RECV_HEADERS): _S.HALF_CLOSED_LOCAL,
@@ -68,6 +71,7 @@ TRANSITIONS = {
     (_S.HALF_CLOSED_LOCAL, _I.RECV_END_STREAM): _S.CLOSED,
     (_S.HALF_CLOSED_LOCAL, _I.SEND_RST_STREAM): _S.CLOSED,
     (_S.HALF_CLOSED_LOCAL, _I.RECV_RST_STREAM): _S.CLOSED,
+    (_S.HALF_CLOSED_LOCAL, _I.SEND_WINDOW_UPDATE): _S.HALF_CLOSED_LOCAL,
     (_S.HALF_CLOSED_LOCAL, _I.RECV_WINDOW_UPDATE): _S.HALF_CLOSED_LOCAL,
 
     (_S.HALF_CLOSED_REMOTE, _I.SEND_HEADERS): _S.HALF_CLOSED_REMOTE,
@@ -75,6 +79,7 @@ TRANSITIONS = {
     (_S.HALF_CLOSED_REMOTE, _I.SEND_END_STREAM): _S.CLOSED,
     (_S.HALF_CLOSED_REMOTE, _I.SEND_RST_STREAM): _S.CLOSED,
     (_S.HALF_CLOSED_REMOTE, _I.RECV_RST_STREAM): _S.CLOSED,
+    (_S.HALF_CLOSED_REMOTE, _I.SEND_WINDOW_UPDATE): _S.HALF_CLOSED_REMOTE,
     (_S.HALF_CLOSED_REMOTE, _I.RECV_WINDOW_UPDATE): _S.HALF_CLOSED_REMOTE,
 
     # A late RST_STREAM or WINDOW_UPDATE is ignored.

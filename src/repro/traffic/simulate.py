@@ -27,8 +27,9 @@ from repro.dataset.generator import PageGenerator, SiteRecord
 from repro.dataset.shard import ShardResult, merge_shards
 from repro.dataset.world import CDN_REGION, TAIL_REGION, build_world
 from repro.deployment.experiment import (
-    deploy_fleet_origin,
+    deploy_origin,
     deployment_world_config,
+    fleet_origin_plan,
 )
 from repro.netsim import Host, LinkSpec
 from repro.telemetry import NULL_TELEMETRY, CrawlTrace, Telemetry
@@ -56,18 +57,6 @@ def _world_config(scenario: ScenarioConfig):
 def plan_replica(scenario: ScenarioConfig) -> List[SiteRecord]:
     """The site plan every shard's world replicates."""
     return PageGenerator(_world_config(scenario)).generate_all()
-
-
-def _build_traffic_world(
-    scenario: ScenarioConfig, records: Sequence[SiteRecord]
-):
-    """A full world replica for one shard, from the scenario's site
-    plan (:func:`plan_replica`), with the scenario's deployment
-    switches applied before any traffic flows."""
-    world = build_world(_world_config(scenario), records=records)
-    if scenario.deployment == "origin":
-        deploy_fleet_origin(world)
-    return world
 
 
 def _user_host(world, user_id: int) -> Host:
@@ -134,10 +123,15 @@ def _user_engine(
 def simulate_shard(
     shard: UserShard,
     records: Sequence[SiteRecord],
+    plan: Sequence[tuple],
     collect: Optional[Tuple[bool, bool]] = None,
 ) -> ShardResult:
     """Simulate one user-population shard against a world replica of
-    the scenario's site plan, ``records`` (:func:`plan_replica`).
+    the scenario's site plan, ``records`` (:func:`plan_replica`), with
+    the deployment ``plan`` -- the rows of
+    :func:`~repro.deployment.experiment.fleet_origin_plan`, or none --
+    in place and ORIGIN frames on at every provider edge before any
+    traffic flows.
 
     ``collect`` is :func:`~repro.dataset.shard.crawl_shard`'s: the
     ``(trace, audit)`` collector switches of a watched run --
@@ -156,7 +150,11 @@ def simulate_shard(
     counters).
     """
     scenario = shard.scenario
-    world = _build_traffic_world(scenario, records)
+    world = build_world(_world_config(scenario), records=records)
+    if plan:
+        deploy_origin(world, plan)
+        for server in world.provider_servers.values():
+            server.config.send_origin_frames = True
     apply_edge_capacity(world, shard.edge_capacity())
     loop = world.network.loop
 
@@ -263,12 +261,14 @@ def run_scenario(
         bucket_ms=scenario.bucket_ms,
         shard_count=len(shards),
     )
-    # Planned once: in-process shards share the list, pool workers
-    # get it pickled with their payload.
+    # Planned once: in-process shards share the lists, pool workers
+    # get them pickled with their payload.
     records = plan_replica(scenario)
+    plan = fleet_origin_plan(records) if scenario.deployment == "origin" \
+        else ()
     crawl_trace = merge_shards(
         simulate_shard, shards,
-        [(shard, records, collect) for shard in shards],
+        [(shard, records, plan, collect) for shard in shards],
         jobs,
         lambda result: merged.merge(result.payload),
         progress, watch, crawl_trace,

@@ -141,7 +141,7 @@ class TestNoCyclicConnectionGarbage:
         records = plan_replica(scenario)
         results = []
         assert cyclic_garbage(
-            lambda: results.append(simulate_shard(shard, records))) == []
+            lambda: results.append(simulate_shard(shard, records, ()))) == []
         assert results[0].payload.totals.goaways > 0
 
     def test_every_fault_kind(self):

@@ -174,12 +174,18 @@ class TestCertificatePlan:
     def test_additions_are_same_as_hostnames(self, crawled_world):
         world, _ = crawled_world
         plan = plan_certificates(world)
+        certificates = {
+            hosted.record.own_hostnames(): hosted.certificate
+            for hosted in world.sites
+        }
         resolver_plan = [p for p in plan.plans if p.additions]
         assert resolver_plan, "no site needs additions?"
         for site_plan in resolver_plan[:20]:
+            certificate = certificates[site_plan.own_hostnames]
+            assert site_plan.existing_san_count == certificate.san_count
             for hostname in site_plan.additions:
                 assert hostname in site_plan.coalescable
-                assert not site_plan.hosted.certificate.covers(hostname)
+                assert not certificate.covers(hostname)
 
     def test_figure5_series_shapes(self, crawled_world):
         world, _ = crawled_world

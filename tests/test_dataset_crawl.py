@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dataset import characterize
+from repro.dataset.characterize import CrawlFold
 from repro.dataset.crawler import Crawler
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.world import build_world
@@ -93,7 +93,7 @@ class TestCrawlOutcomes:
 class TestCharacterization:
     def test_table1_buckets_and_total(self, crawl):
         _, result = crawl
-        rows = characterize.table1(result.archives)
+        rows = CrawlFold.of(result.archives).table1()
         assert rows[-1].bucket_label == "Total"
         assert rows[-1].attempted == 100
         assert sum(r.attempted for r in rows[:-1]) == 100
@@ -101,7 +101,7 @@ class TestCharacterization:
 
     def test_table2_top_ases(self, crawl):
         _, result = crawl
-        rows = characterize.table2(result.successes)
+        rows = CrawlFold.of(result.successes).table2()
         assert rows, "no AS data"
         shares = [share for _, _, _, share in rows]
         assert shares == sorted(shares, reverse=True)
@@ -110,7 +110,7 @@ class TestCharacterization:
 
     def test_table3_protocol_mix(self, crawl):
         _, result = crawl
-        protocols, security = characterize.table3(result.successes)
+        protocols, security = CrawlFold.of(result.successes).table3()
         total = sum(protocols.values())
         assert protocols["h2"] / total > 0.60       # paper: 73.6%
         assert protocols["http/1.1"] / total > 0.08  # paper: 19.1%
@@ -121,7 +121,7 @@ class TestCharacterization:
 
     def test_table4_issuers(self, crawl):
         _, result = crawl
-        rows, validations, total = characterize.table4(result.successes)
+        rows, validations, total = CrawlFold.of(result.successes).table4()
         assert validations > 0
         assert 0.05 < validations / total < 0.5  # paper: 16.24%
         issuers = [issuer for issuer, _, _ in rows]
@@ -130,13 +130,13 @@ class TestCharacterization:
 
     def test_table5_content_types(self, crawl):
         _, result = crawl
-        rows = characterize.table5(result.successes)
+        rows = CrawlFold.of(result.successes).table5()
         top_types = [content_type for content_type, _, _ in rows[:5]]
         assert "application/javascript" in top_types  # Table 5's #1
 
     def test_table6_per_as_mix(self, crawl):
         _, result = crawl
-        table = characterize.table6(result.successes)
+        table = CrawlFold.of(result.successes).table6()
         assert len(table) == 3
         for (asn, org), rows in table.items():
             assert rows
@@ -145,7 +145,7 @@ class TestCharacterization:
 
     def test_table7_popular_hosts(self, crawl):
         _, result = crawl
-        rows = characterize.table7(result.successes)
+        rows = CrawlFold.of(result.successes).table7()
         hostnames = [hostname for hostname, _, _ in rows]
         # The Google staples dominate, as in Table 7.
         assert any("google" in hostname or "gstatic" in hostname
@@ -153,7 +153,7 @@ class TestCharacterization:
 
     def test_figure1_shape(self, crawl):
         _, result = crawl
-        data = characterize.figure1(result.successes)
+        data = CrawlFold.of(result.successes).figure1()
         assert data.cdf[-1][1] == pytest.approx(1.0)
         median_ases = np.median(data.as_counts)
         assert 3 <= median_ases <= 12  # paper: >50% within 6 ASes

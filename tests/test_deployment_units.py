@@ -7,8 +7,9 @@ from repro.dataset.world import build_world
 from repro.deployment.experiment import (
     DeploymentExperiment,
     Group,
-    deploy_fleet_origin,
+    deploy_origin,
     deployment_world_config,
+    fleet_origin_plan,
 )
 from repro.deployment.longitudinal import DailyRates
 from repro.deployment.passive import LogRecord
@@ -110,7 +111,8 @@ class TestReissueAfterHandshake:
         )
         snis = [hosted.record.root_hostname, *sorted(popular)]
         before = [config.chain_for_sni(sni)[0] for sni in snis]
-        assert deploy_fleet_origin(world) > 0
+        plan = fleet_origin_plan(hosted.record for hosted in world.sites)
+        assert deploy_origin(world, plan) > 0
         for sni, old in zip(snis, before):
             served = config.chain_for_sni(sni)[0]
             assert served.serial != old.serial

@@ -9,10 +9,12 @@ from repro.h2 import (
     ErrorCode,
     H2Connection,
     H2ConnectionError,
+    H2StreamError,
     Role,
     StreamState,
 )
 from repro.h2 import events as ev
+from repro.h2.hpack import HpackEncoder
 from repro.h2.settings import SettingId
 from tests.h2_reference_frames import (
     ContinuationFrame,
@@ -1025,8 +1027,9 @@ class TestStreamIdentifierRules:
 class TestPushPromiseByRole:
     """RFC 7540 §8.2: a server never receives PUSH_PROMISE, so one that
     does fails the connection whatever its SETTINGS_ENABLE_PUSH; a
-    client that left push enabled drops the promise (no stream here is
-    ever reserved)."""
+    client that left push enabled decodes the promise's header block
+    and resets the promised stream with CANCEL (§8.2.2; no stream here
+    is ever reserved)."""
 
     PROMISE = PushPromiseFrame(stream_id=1, flags=FLAG_END_HEADERS,
                                promised_stream_id=2,
@@ -1049,10 +1052,60 @@ class TestPushPromiseByRole:
             GoAwayFrame(last_stream_id=1, error_code=ErrorCode.PROTOCOL_ERROR)
         ]
 
-    def test_a_client_with_push_enabled_drops_it(self):
+    CANCEL = RstStreamFrame(stream_id=2, error_code=ErrorCode.CANCEL)
+
+    def test_a_client_with_push_enabled_cancels_it(self):
         client, _ = self.open_pair()
         assert client.receive_data(self.PROMISE) == []
-        assert client.data_to_send() == b""
+        assert queued_frames(client) == [self.CANCEL]
+        assert client._streams[1].state is StreamState.HALF_CLOSED_LOCAL
+
+    def test_the_promise_keeps_the_hpack_table_in_step(self):
+        """The promise's block indexes a header that the response's
+        block then refers to by its dynamic-table index."""
+        client, _ = self.open_pair()
+        encoder = HpackEncoder()
+        promise = PushPromiseFrame(
+            stream_id=1, flags=FLAG_END_HEADERS, promised_stream_id=2,
+            header_block=encoder.encode(REQUEST + [("x-probe", "1")]))
+        block = encoder.encode([(":status", "200"), ("x-probe", "1")])
+        assert block[-1:] == b"\xbe"  # dynamic-table index 1
+        response = HeadersFrame(stream_id=1, flags=FLAG_END_HEADERS,
+                                header_block=block)
+        events = client.receive_data(promise.serialize()
+                                     + response.serialize())
+        assert events == [ev.ResponseReceived(
+            1, [(":status", "200"), ("x-probe", "1")], False)]
+        assert queued_frames(client) == [self.CANCEL]
+
+    def test_a_promise_continues_in_continuation(self):
+        client, _ = self.open_pair()
+        block = HpackEncoder().encode(REQUEST)
+        frames = [
+            PushPromiseFrame(stream_id=1, promised_stream_id=2,
+                             header_block=block[:2]),
+            ContinuationFrame(stream_id=1, flags=FLAG_END_HEADERS,
+                              header_block=block[2:]),
+        ]
+        assert client.receive_data(
+            b"".join(frame.serialize() for frame in frames)) == []
+        assert queued_frames(client) == [self.CANCEL]
+
+    @pytest.mark.parametrize("promised", [0, 1, 2],
+                             ids=["zero", "client-side", "used"])
+    def test_a_promise_of_a_stream_the_server_cannot_open(self, promised):
+        """The promised ID must be an idle one of the server's (RFC
+        7540 §6.6): ID 2 is no longer idle once it has been cancelled."""
+        client, _ = self.open_pair()
+        client.receive_data(self.PROMISE)
+        client.data_to_send()
+        promise = PushPromiseFrame(
+            stream_id=1, flags=FLAG_END_HEADERS,
+            promised_stream_id=promised, header_block=b"\x82\x87\x84")
+        with pytest.raises(H2ConnectionError, match="PUSH_PROMISE of") \
+                as raised:
+            client.receive_data(promise.serialize())
+        assert raised.value.code is ErrorCode.PROTOCOL_ERROR
         assert client._streams[1].state is StreamState.HALF_CLOSED_LOCAL
 
 
@@ -1140,6 +1193,31 @@ class TestAnIdWithoutAnEntry:
             "window-update": ([ev.WindowUpdated(1, 5)], b""),
         }[name]
         assert self.answer(me, name, 1) == expected
+
+    @pytest.mark.parametrize("role", [Role.CLIENT, Role.SERVER])
+    @pytest.mark.parametrize("how", ["end-stream-sent-last",
+                                     "end-stream-received-last",
+                                     "rst-sent", "rst-received",
+                                     "idle-local", "idle-remote",
+                                     "idle-99"])
+    def test_no_window_update_is_sent_for_it(self, role, how):
+        """Nothing but PRIORITY is sent on a closed ID, and nothing but
+        HEADERS (or PRIORITY) on an idle one (RFC 7540 §5.1): a
+        WINDOW_UPDATE for either is refused before anything is
+        framed."""
+        if how.startswith("idle"):
+            me = self.endpoints(role, [("client", "headers")])
+            stream_id = {"idle-local": 3 if role is Role.CLIENT else 2,
+                         "idle-remote": 2 if role is Role.CLIENT else 3,
+                         "idle-99": 99}[how]
+        else:
+            me = self.endpoints(role, self.CLOSINGS[role][how])
+            stream_id = 1
+        with pytest.raises(H2StreamError) as refused:
+            me.send_window_update(stream_id, 5)
+        assert refused.value.code is ErrorCode.STREAM_CLOSED
+        assert me.data_to_send() == b""
+        assert stream_id not in me._streams
 
     @pytest.mark.parametrize("role", [Role.CLIENT, Role.SERVER])
     @pytest.mark.parametrize("parity", ["local", "remote"])

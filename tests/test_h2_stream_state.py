@@ -47,6 +47,8 @@ def act(conn, name, end_stream, stream_id=1):
         return conn.send_headers(stream_id, HEADERS, end_stream)
     if name == "send_data":
         return conn.send_data(stream_id, b"x", end_stream)
+    if name == "send_window_update":
+        return conn.send_window_update(stream_id, 1)
     if name == "receive_headers":
         frame = HeadersFrame(stream_id=stream_id, header_block=BLOCK,
                              flags=flags | FLAG_END_HEADERS)
@@ -224,10 +226,12 @@ RFC_5_1 = {
     (S.OPEN, I.RECV_END_STREAM): S.HALF_CLOSED_REMOTE,
     (S.OPEN, I.SEND_RST_STREAM): S.CLOSED,
     (S.OPEN, I.RECV_RST_STREAM): S.CLOSED,
+    (S.OPEN, I.SEND_WINDOW_UPDATE): S.OPEN,
     (S.OPEN, I.RECV_WINDOW_UPDATE): S.OPEN,
     # half-closed (local): "can receive any type of frame"; sends only
     # WINDOW_UPDATE, PRIORITY and RST_STREAM.
     (S.HALF_CLOSED_LOCAL, I.RECV_HEADERS): S.HALF_CLOSED_LOCAL,
+    (S.HALF_CLOSED_LOCAL, I.SEND_WINDOW_UPDATE): S.HALF_CLOSED_LOCAL,
     (S.HALF_CLOSED_LOCAL, I.RECV_WINDOW_UPDATE): S.HALF_CLOSED_LOCAL,
     (S.HALF_CLOSED_LOCAL, I.RECV_DATA): S.HALF_CLOSED_LOCAL,
     (S.HALF_CLOSED_LOCAL, I.RECV_END_STREAM): S.CLOSED,
@@ -239,10 +243,11 @@ RFC_5_1 = {
     (S.HALF_CLOSED_REMOTE, I.SEND_DATA): S.HALF_CLOSED_REMOTE,
     (S.HALF_CLOSED_REMOTE, I.SEND_END_STREAM): S.CLOSED,
     (S.HALF_CLOSED_REMOTE, I.SEND_RST_STREAM): S.CLOSED,
+    (S.HALF_CLOSED_REMOTE, I.SEND_WINDOW_UPDATE): S.HALF_CLOSED_REMOTE,
     (S.HALF_CLOSED_REMOTE, I.RECV_RST_STREAM): S.CLOSED,
     (S.HALF_CLOSED_REMOTE, I.RECV_WINDOW_UPDATE): S.HALF_CLOSED_REMOTE,
     # closed: a late RST_STREAM or WINDOW_UPDATE from the peer is
-    # ignored.
+    # ignored; nothing but PRIORITY is sent.
     (S.CLOSED, I.RECV_RST_STREAM): S.CLOSED,
     (S.CLOSED, I.RECV_WINDOW_UPDATE): S.CLOSED,
 }
@@ -285,6 +290,7 @@ CALLS = {
     ("send_headers", True): [I.SEND_HEADERS, I.SEND_END_STREAM],
     ("send_data", False): [I.SEND_DATA],
     ("send_data", True): [I.SEND_DATA, I.SEND_END_STREAM],
+    ("send_window_update", False): [I.SEND_WINDOW_UPDATE],
     ("receive_headers", False): [I.RECV_HEADERS],
     ("receive_headers", True): [I.RECV_HEADERS, I.RECV_END_STREAM],
     ("receive_data", False): [I.RECV_DATA],

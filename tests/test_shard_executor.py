@@ -259,7 +259,7 @@ def _traffic_result() -> ShardResult:
         mean_visits_per_user=2.0, bucket_ms=2_000.0,
     )
     return simulate_shard(plan_user_shards(scenario, 2)[0],
-                          plan_replica(scenario), collect=(True, True))
+                          plan_replica(scenario), (), collect=(True, True))
 
 
 class TestPickledHandOff:

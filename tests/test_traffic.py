@@ -12,8 +12,9 @@ from repro.audit.reasons import ReasonCode
 from repro.cli import main
 from repro.dataset.world import build_world
 from repro.deployment.experiment import (
-    deploy_fleet_origin,
+    deploy_origin,
     deployment_world_config,
+    fleet_origin_plan,
 )
 from repro.traffic import (
     BASELINE_COHORTS,
@@ -31,6 +32,7 @@ from repro.traffic import (
     simulate_shard,
     what_if_rows,
 )
+from repro.traffic import simulate as simulate_module
 from repro.traffic.edge import SELF_HOSTED
 
 
@@ -135,21 +137,31 @@ class TestEdgeGroups:
                         is None)
 
 
+def deploy_fleet(world):
+    """The fleet plan of ``world``'s own sites, deployed in it."""
+    return deploy_origin(
+        world, fleet_origin_plan(hosted.record for hosted in world.sites)
+    )
+
+
+def popular_by_provider(world):
+    by_provider = {}
+    for hostname, provider in world.popular_hostnames.items():
+        by_provider.setdefault(provider, []).append(hostname)
+    return by_provider
+
+
 class TestFleetOriginDeployment:
     def test_reissues_cover_cohosted_popular_names(self):
         world = build_world(deployment_world_config(
             site_count=6, seed=2022,
         ))
-        reissued = deploy_fleet_origin(world)
+        reissued = deploy_fleet(world)
         assert reissued > 0
-        by_provider = {}
-        for hostname, provider in world.popular_hostnames.items():
-            by_provider.setdefault(provider, []).append(hostname)
-        for provider, popular in by_provider.items():
+        for provider, popular in popular_by_provider(world).items():
             server = world.provider_servers.get(provider)
             if server is None:
                 continue
-            assert server.config.send_origin_frames
             for hostname in popular:
                 chain = next(
                     chain for chain in server.config.chains
@@ -161,11 +173,37 @@ class TestFleetOriginDeployment:
                     f"https://{name}" for name in sorted(popular)
                 )
 
+    def test_an_origin_shard_deploys_the_plan(self, monkeypatch):
+        """The world a shard of an ``origin`` scenario builds has the
+        fleet plan deployed and every provider edge sending ORIGIN
+        frames before any traffic flows."""
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(build_world(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(simulate_module, "build_world", recording)
+        scenario = scenario_for_policy(tiny_scenario(), "origin")
+        run_shard(plan_user_shards(scenario, 1)[0])
+        (world,) = built
+        for provider, popular in popular_by_provider(world).items():
+            config = world.provider_servers[provider].config
+            assert config.send_origin_frames
+            for hostname in popular:
+                served = config.chain_for_sni(hostname)[0]
+                assert all(served.covers(name) for name in popular)
+                assert config.origin_sets[hostname] == tuple(
+                    f"https://{name}" for name in sorted(popular)
+                )
+        assert sum(server.stats.origin_frames_sent
+                   for server in world.provider_servers.values()) > 0
+
     def test_provider_hosted_site_certs_grow(self):
         world = build_world(deployment_world_config(
             site_count=6, seed=2022,
         ))
-        deploy_fleet_origin(world)
+        deploy_fleet(world)
         for hosted in world.sites:
             record = hosted.record
             if record.self_hosted or not hosted.certificate.san:
@@ -182,14 +220,17 @@ class TestFleetOriginDeployment:
         world = build_world(deployment_world_config(
             site_count=6, seed=2022,
         ))
-        deploy_fleet_origin(world)
-        assert deploy_fleet_origin(world) == 0
+        deploy_fleet(world)
+        assert deploy_fleet(world) == 0
 
 
 def run_shard(shard, collect=None):
     """``simulate_shard`` on a freshly planned replica of the shard's
-    web."""
-    return simulate_shard(shard, plan_replica(shard.scenario), collect)
+    web, with the fleet plan deployed if the scenario deploys one."""
+    records = plan_replica(shard.scenario)
+    plan = fleet_origin_plan(records) \
+        if shard.scenario.deployment == "origin" else ()
+    return simulate_shard(shard, records, plan, collect)
 
 
 class TestSimulateShard:
