@@ -14,7 +14,7 @@ PAPER = {"median_before": 2, "median_after": 3}
 @pytest.fixture(scope="module")
 def plan(crawl):
     world, _ = crawl
-    return plan_certificates(world)
+    return plan_certificates(hosted.record for hosted in world.sites)
 
 
 def test_figure4(benchmark, plan):

@@ -15,7 +15,7 @@ PAPER = {"unchanged": 0.6241, "at_most_10": 0.9266}
 @pytest.fixture(scope="module")
 def plan(crawl):
     world, _ = crawl
-    return plan_certificates(world)
+    return plan_certificates(hosted.record for hosted in world.sites)
 
 
 def test_figure5(benchmark, plan):

@@ -20,7 +20,7 @@ def test_headline(benchmark, crawl):
         headline_reductions, args=(result.archives,),
         rounds=1, iterations=1,
     )
-    plan = plan_certificates(world)
+    plan = plan_certificates(hosted.record for hosted in world.sites)
     changed = 1.0 - plan.unchanged_fraction
     at_most_10 = plan.fraction_with_changes_at_most(10)
     print_block(

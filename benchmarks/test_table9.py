@@ -11,7 +11,7 @@ from repro.core import plan_certificates, provider_addition_table
 @pytest.fixture(scope="module")
 def plan(crawl):
     world, _ = crawl
-    return plan_certificates(world)
+    return plan_certificates(hosted.record for hosted in world.sites)
 
 
 def test_table9(benchmark, plan):

@@ -65,7 +65,7 @@ def main():
           f"render-blocking DNS by {format_pct(headline['dns_reduction'])}"
           "\n(paper: 68.75% and 64.28%)")
 
-    plan = plan_certificates(world)
+    plan = plan_certificates(hosted.record for hosted in world.sites)
     print(f"\ncertificate plan: {format_pct(plan.unchanged_fraction)} "
           "of certs need no change (paper: 62.41%); "
           f"<=10 additions covers "

@@ -40,8 +40,8 @@ def print_protocol_rows(result) -> None:
 
 
 def cmd_model(args) -> int:
-    from repro.core import figure3, headline_reductions
-    from repro.dataset.shard import plan_certificates_sharded
+    from repro.core import figure3, headline_reductions, plan_certificates
+    from repro.dataset.generator import PageGenerator
 
     def render(outcome) -> None:
         result = outcome.result
@@ -61,8 +61,9 @@ def cmd_model(args) -> int:
               f"{format_pct(headline['validation_reduction'])}, "
               f"DNS reduction {format_pct(headline['dns_reduction'])} "
               "(paper: 68.75% / 64.28%)")
-        plan = plan_certificates_sharded(outcome.config,
-                                         outcome.shard_count)
+        config = outcome.config
+        plan = plan_certificates(
+            map(PageGenerator(config).generate, config.tranco()))
         print(f"certificates needing no change: "
               f"{format_pct(plan.unchanged_fraction)} (paper: 62.41%); "
               f"<=10 additions covers "

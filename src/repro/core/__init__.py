@@ -11,7 +11,8 @@ Implements §4 of the paper over HAR archives produced by the crawler:
 * :mod:`repro.core.coalescing` -- §4.2's predicted DNS / TLS /
   certificate-validation counts (Figure 3);
 * :mod:`repro.core.certplan` -- §4.3's least-effort certificate
-  modification plan (Figures 4-5, Tables 8-9);
+  modification plan, read from the generated site records
+  (Figures 4-5, Tables 8-9);
 * :mod:`repro.core.predictions` -- page-load-time predictions
   (Figure 9 top) and the paper's headline reductions (§7).
 """

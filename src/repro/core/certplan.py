@@ -7,45 +7,31 @@ that would let a client coalesce them.  Only the website's own
 certificate is modified, and only with coalescable names ("our model
 takes a compromise position and assumes no change in the number of
 certificates").
+
+The plan is read from the generated site records alone: a
+:class:`~repro.dataset.generator.SiteRecord` says which hostnames the
+site serves, which provider hosts it and which SAN its certificate
+carries, and the popular third parties' providers are a fixed table
+(:data:`repro.dataset.profiles.POPULAR_PROVIDER_BY_HOSTNAME`), so no
+world is built to resolve a name.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.dataset.world import SyntheticWorld
-from repro.dnssim.resolver import NxDomain
-
-
-def hostname_asn_resolver(
-    world: SyntheticWorld,
-) -> Callable[[str], Optional[int]]:
-    """Map hostnames to origin ASNs through the world's DNS + AS DB."""
-    cache: Dict[str, Optional[int]] = {}
-
-    def resolve(hostname: str) -> Optional[int]:
-        if hostname not in cache:
-            try:
-                addresses, _, _ = world.dns_authority.query(hostname)
-            except NxDomain:
-                cache[hostname] = None
-            else:
-                cache[hostname] = (
-                    world.asdb.asn_of(addresses[0]) if addresses else None
-                )
-        return cache[hostname]
-
-    return resolve
+from repro.dataset.generator import SiteRecord
+from repro.dataset.profiles import POPULAR_PROVIDER_BY_HOSTNAME
+from repro.tlspki.certificate import hostname_matches
 
 
 @dataclass
 class SitePlan:
-    """The certificate change plan for one website, as plain data: it
-    names the site, and keeps nothing of the world it was planned in."""
+    """The certificate change plan for one website, as plain data."""
 
     #: The site's hosting provider (empty if self-hosted).
     provider: str
@@ -149,36 +135,36 @@ class CertificatePlan:
         }
 
 
-def plan_certificates(
-    world: SyntheticWorld,
-    successful_domains: Optional[Sequence[str]] = None,
-) -> CertificatePlan:
-    """Build the §4.3 plan for every (optionally: successfully
-    crawled) site in the world."""
-    resolve_asn = hostname_asn_resolver(world)
-    wanted = set(successful_domains) if successful_domains is not None \
-        else None
+def plan_certificates(records: Iterable[SiteRecord]) -> CertificatePlan:
+    """Build the §4.3 plan for every site of ``records``.
+
+    A page hostname other than the root is coalescable when the site
+    serves it (:meth:`SiteRecord.own_hostnames`) or its provider
+    co-hosts it (a popular third party on ``record.provider``; a
+    self-hosted site has none); it is an addition when no entry of the
+    certificate's SAN matches it (an empty SAN matches none).
+    """
     plans: List[SitePlan] = []
-    for hosted in world.sites:
-        record = hosted.record
-        if wanted is not None and record.entry.domain not in wanted:
-            continue
-        root_asn = resolve_asn(record.root_hostname)
+    for record in records:
+        own = record.own_hostnames()
         coalescable: List[str] = []
         additions: List[str] = []
         for hostname in record.page.hostnames():
             if hostname == record.root_hostname:
                 continue
-            if root_asn is None or resolve_asn(hostname) != root_asn:
+            cohosted = (POPULAR_PROVIDER_BY_HOSTNAME.get(hostname)
+                        == record.provider)
+            if hostname not in own and not cohosted:
                 continue
             coalescable.append(hostname)
-            if not hosted.certificate.covers(hostname):
+            if not any(hostname_matches(entry, hostname)
+                       for entry in record.cert_san):
                 additions.append(hostname)
         plans.append(
             SitePlan(
                 provider=record.provider,
-                own_hostnames=record.own_hostnames(),
-                existing_san_count=hosted.certificate.san_count,
+                own_hostnames=own,
+                existing_san_count=len(record.cert_san),
                 coalescable=tuple(coalescable),
                 additions=tuple(additions),
             )

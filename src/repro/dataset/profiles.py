@@ -300,6 +300,11 @@ POPULAR_THIRD_PARTIES: Tuple[PopularHostname, ...] = (
     ),
 )
 
+#: Each popular hostname's hosting provider, in table order.
+POPULAR_PROVIDER_BY_HOSTNAME: Dict[str, str] = {
+    popular.hostname: popular.provider for popular in POPULAR_THIRD_PARTIES
+}
+
 #: Table 1: per-rank-bucket crawl success rates (success / 100K).
 SUCCESS_RATE_BY_BUCKET: Tuple[float, ...] = (
     0.68244, 0.64163, 0.63334, 0.59827, 0.60228,

@@ -39,9 +39,11 @@ appends each absorbed shard to the cache entry as it merges
 The fold's memory contract: one shard's world and telemetry are live
 at a time, and only its slice of the site plan; within a shard only
 its open connections; nothing a shard hands the fold, or is handed,
-holds a world object (a certificate plan's rows are plain data; a
-deployment plan is names, resolved in each shard's own world by
-:func:`repro.deployment.experiment.deploy_origin`); and on a
+holds a world object (a deployment plan is names, resolved in each
+shard's own world by
+:func:`repro.deployment.experiment.deploy_origin`; the certificate
+plan, :func:`repro.core.certplan.plan_certificates`, reads site
+records and builds no world at all); and on a
 ``crawl`` or ``chaos`` run no archive outlives its shard's merge:
 :func:`crawl_shards` hands each one to a page sink as the shard
 merges, and those runs' sinks (a
@@ -552,21 +554,3 @@ def crawl_shards(
         jobs, absorb, progress, watch, crawl_trace,
     )
     return pages, crawl_trace
-
-
-def plan_certificates_sharded(
-    config: DatasetConfig, shard_count: Optional[int] = None
-):
-    """The §4.3 certificate plan over per-shard worlds, merged in
-    shard order -- world materialization without any crawling, for
-    cache-hit paths that still need certificate state.  A shard's
-    plans are plain data, so its world, cyclic garbage once they are
-    made, is freed before the next one is built."""
-    from repro.core.certplan import CertificatePlan, plan_certificates
-
-    specs = plan_shards(config, shard_count)
-    plans = []
-    for spec, records in zip(specs, plan_slices(specs)):
-        plans.extend(plan_certificates(spec.build_world(records)).plans)
-        gc.collect()
-    return CertificatePlan(plans=plans)

@@ -86,7 +86,6 @@ class SyntheticWorld:
                  self.allocator.allocate(1))
         )
         self.sites: List[HostedSite] = []
-        self.popular_hostnames: Dict[str, str] = {}  # hostname -> provider
         #: (authority, path) -> body size; consulted by every server.
         self.content_registry: Dict[Tuple[str, str], int] = {}
         # All parallel downloads contend on the client's access link.
@@ -239,7 +238,6 @@ def _install_popular_hosts(world: SyntheticWorld) -> None:
             # RFC 9460 service discovery: big providers publish HTTPS
             # records so h3-capable clients skip the Alt-Svc round.
             zone.add_https(popular.hostname, alpn=("h3", "h2"), ttl=ttl)
-        world.popular_hostnames[popular.hostname] = popular.provider
 
 
 def _install_tail_third_parties(

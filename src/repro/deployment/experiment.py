@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.dataset.generator import DatasetConfig, SiteRecord
-from repro.dataset.profiles import POPULAR_THIRD_PARTIES
+from repro.dataset.profiles import POPULAR_PROVIDER_BY_HOSTNAME
 from repro.dataset.world import HostedSite, SyntheticWorld
 from repro.dnssim.records import RecordType
 from repro.tlspki.certificate import Certificate
@@ -82,7 +82,7 @@ def deploy_origin(world: SyntheticWorld, rows: Iterable[tuple]) -> int:
         hosted = sites.get(hostname)
         if hosted is None:
             config = world.provider_servers[
-                world.popular_hostnames[hostname]].config
+                POPULAR_PROVIDER_BY_HOSTNAME[hostname]].config
             leaf = config.chain_for_sni(hostname)[0]
         else:
             config, leaf = hosted.server.config, hosted.certificate
@@ -123,12 +123,13 @@ def fleet_origin_plan(records: Iterable[SiteRecord]) -> List[tuple]:
     ``records``.
     """
     popular: Dict[str, List[str]] = {}
-    for entry in sorted(POPULAR_THIRD_PARTIES, key=lambda p: p.hostname):
-        popular.setdefault(entry.provider, []).append(entry.hostname)
+    for hostname, provider in sorted(POPULAR_PROVIDER_BY_HOSTNAME.items()):
+        popular.setdefault(provider, []).append(hostname)
     rows: List[tuple] = [
-        (entry.hostname, (entry.hostname,), popular[provider])
+        (hostname, (hostname,), popular[provider])
         for provider in sorted(popular)
-        for entry in POPULAR_THIRD_PARTIES if entry.provider == provider
+        for hostname, owner in POPULAR_PROVIDER_BY_HOSTNAME.items()
+        if owner == provider
     ]
     rows.extend(
         (record.root_hostname, record.own_hostnames(),

@@ -252,6 +252,27 @@ class TestCommands:
         assert main(argv) == 0
         assert "cache: hit" in capsys.readouterr().err
 
+    def test_model_builds_each_world_once(self, capsys, monkeypatch,
+                                          tmp_path):
+        """A miss builds each shard's world once, for its crawl; a hit
+        builds none, since the certificate plan reads the site plan."""
+        built = []
+        real = shard_module.build_world
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "build_world", counting)
+        argv = ["model", "--sites", "24", "--seed", "3", "--shards", "2",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "cache: miss" in capsys.readouterr().err
+        assert len(built) == 2
+        assert main(argv) == 0
+        assert "cache: hit" in capsys.readouterr().err
+        assert len(built) == 2
+
     def test_model_default_alpn_has_no_protocol_rows(self, capsys,
                                                      tmp_path):
         assert main(["model", "--sites", "25", "--seed", "3",

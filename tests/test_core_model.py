@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     figure3,
@@ -15,9 +17,12 @@ from repro.core import (
     provider_addition_table,
     san_distribution_table,
 )
+from repro.core.certplan import CertificatePlan, SitePlan
 from repro.dataset.crawler import Crawler
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.world import build_world
+from repro.deployment.experiment import deployment_world_config
+from repro.dnssim.resolver import NxDomain
 from tests.test_core_timeline import archive, entry
 
 
@@ -27,6 +32,46 @@ def crawled_world():
     world = build_world(config)
     crawler = Crawler(world, speculative_rate=0.10)
     return world, crawler.crawl()
+
+
+def site_records(world):
+    return [hosted.record for hosted in world.sites]
+
+
+def served_plan(world):
+    """The §4.3 plan as the world serves it: every page hostname
+    resolved through the world's DNS and AS database (coalescable when
+    it lands on the root's AS), and the certificate the site serves."""
+    asns = {}
+
+    def asn_of(hostname):
+        if hostname not in asns:
+            try:
+                addresses, _, _ = world.dns_authority.query(hostname)
+            except NxDomain:
+                addresses = []
+            asns[hostname] = (world.asdb.asn_of(addresses[0])
+                              if addresses else None)
+        return asns[hostname]
+
+    plans = []
+    for hosted in world.sites:
+        record, certificate = hosted.record, hosted.certificate
+        root_asn = asn_of(record.root_hostname)
+        coalescable = tuple(
+            hostname for hostname in record.page.hostnames()
+            if hostname != record.root_hostname and root_asn is not None
+            and asn_of(hostname) == root_asn
+        )
+        plans.append(SitePlan(
+            provider=record.provider,
+            own_hostnames=record.own_hostnames(),
+            existing_san_count=certificate.san_count,
+            coalescable=coalescable,
+            additions=tuple(hostname for hostname in coalescable
+                            if not certificate.covers(hostname)),
+        ))
+    return CertificatePlan(plans=plans)
 
 
 def three_service_page():
@@ -155,25 +200,25 @@ class TestPltPrediction:
 class TestCertificatePlan:
     def test_unchanged_fraction_near_paper(self, crawled_world):
         world, result = crawled_world
-        plan = plan_certificates(world)
+        plan = plan_certificates(site_records(world))
         # Paper: 62.41% need no modifications.
         assert 0.45 <= plan.unchanged_fraction <= 0.80
 
     def test_small_changes_cover_most_sites(self, crawled_world):
         world, _ = crawled_world
-        plan = plan_certificates(world)
+        plan = plan_certificates(site_records(world))
         # Paper: <=10 changes covers 92.66%.
         assert plan.fraction_with_changes_at_most(10) >= 0.85
 
     def test_median_san_shift(self, crawled_world):
         world, _ = crawled_world
-        plan = plan_certificates(world)
+        plan = plan_certificates(site_records(world))
         before, after = plan.median_san_shift()
         assert after > before  # paper: 2 -> 3 among changed certs
 
     def test_additions_are_same_as_hostnames(self, crawled_world):
         world, _ = crawled_world
-        plan = plan_certificates(world)
+        plan = plan_certificates(site_records(world))
         certificates = {
             hosted.record.own_hostnames(): hosted.certificate
             for hosted in world.sites
@@ -189,7 +234,7 @@ class TestCertificatePlan:
 
     def test_figure5_series_shapes(self, crawled_world):
         world, _ = crawled_world
-        plan = plan_certificates(world)
+        plan = plan_certificates(site_records(world))
         series = plan.figure5_series()
         assert len(series["existing"]) == plan.site_count
         assert series["existing"] == sorted(series["existing"],
@@ -198,13 +243,13 @@ class TestCertificatePlan:
 
     def test_huge_san_sites_grow(self, crawled_world):
         world, _ = crawled_world
-        plan = plan_certificates(world)
+        plan = plan_certificates(site_records(world))
         before, after = plan.sites_with_san_over(10)
         assert after >= before
 
     def test_table8_structure(self, crawled_world):
         world, _ = crawled_world
-        plan = plan_certificates(world)
+        plan = plan_certificates(site_records(world))
         rows = san_distribution_table(plan, top=5)
         assert len(rows) == 5
         # Measured column counts are in descending order.
@@ -214,7 +259,7 @@ class TestCertificatePlan:
 
     def test_table9_providers_and_hostnames(self, crawled_world):
         world, _ = crawled_world
-        plan = plan_certificates(world)
+        plan = plan_certificates(site_records(world))
         rows = provider_addition_table(plan)
         assert rows
         providers = [row[0] for row in rows]
@@ -226,11 +271,21 @@ class TestCertificatePlan:
                 assert count <= site_count
                 assert 0 < host_share <= 1
 
-    def test_filter_by_successful_domains(self, crawled_world):
-        world, result = crawled_world
-        domains = [
-            a.page.hostname.replace("www.", "", 1)
-            for a in result.successes
-        ]
-        plan = plan_certificates(world, successful_domains=domains)
-        assert plan.site_count == len(set(domains))
+
+class TestPlanIsWhatTheWorldServes:
+    """The plan reads site records only; the world built from them
+    must serve exactly that plan."""
+
+    @pytest.mark.parametrize("config", [
+        DatasetConfig(site_count=60, seed=2022),
+        deployment_world_config(),
+    ], ids=["world-60", "deployment-300"])
+    def test_fixed_worlds(self, config):
+        world = build_world(config)
+        assert plan_certificates(site_records(world)) == served_plan(world)
+
+    @given(site_count=st.integers(2, 12), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_worlds(self, site_count, seed):
+        world = build_world(DatasetConfig(site_count=site_count, seed=seed))
+        assert plan_certificates(site_records(world)) == served_plan(world)

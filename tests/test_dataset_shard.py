@@ -22,7 +22,6 @@ from repro.dataset.shard import (
     crawl_shards,
     default_shard_count,
     derive_seed,
-    plan_certificates_sharded,
     plan_shards,
     plan_slices,
 )
@@ -185,13 +184,6 @@ class TestFoldMemory:
         )
         assert alive == [[False], [False, False], [False, False, False]]
         assert gc.get_freeze_count() == 0
-
-    def test_a_certificate_plan_keeps_no_world(self, worlds):
-        """The plan's rows are plain data, so no shard's world outlives
-        the fold that planned it."""
-        plan = plan_certificates_sharded(self.CONFIG, 3)
-        assert plan.site_count == 9
-        assert [ref() is not None for ref in worlds] == [False] * 3
 
     @staticmethod
     def har_objects():

@@ -3,6 +3,7 @@ certificate swap every reissue goes through."""
 
 import pytest
 
+from repro.dataset.profiles import POPULAR_PROVIDER_BY_HOSTNAME
 from repro.dataset.world import build_world
 from repro.deployment.experiment import (
     DeploymentExperiment,
@@ -100,7 +101,7 @@ class TestReissueAfterHandshake:
 
     def test_fleet_reissue_is_served(self, world):
         popular = {
-            name for name, provider in world.popular_hostnames.items()
+            name for name, provider in POPULAR_PROVIDER_BY_HOSTNAME.items()
             if provider == "Cloudflare"
         }
         config = world.provider_servers["Cloudflare"].config

@@ -10,6 +10,7 @@ import pytest
 
 from repro.audit.reasons import ReasonCode
 from repro.cli import main
+from repro.dataset.profiles import POPULAR_PROVIDER_BY_HOSTNAME
 from repro.dataset.world import build_world
 from repro.deployment.experiment import (
     deploy_origin,
@@ -144,9 +145,9 @@ def deploy_fleet(world):
     )
 
 
-def popular_by_provider(world):
+def popular_by_provider():
     by_provider = {}
-    for hostname, provider in world.popular_hostnames.items():
+    for hostname, provider in POPULAR_PROVIDER_BY_HOSTNAME.items():
         by_provider.setdefault(provider, []).append(hostname)
     return by_provider
 
@@ -158,7 +159,7 @@ class TestFleetOriginDeployment:
         ))
         reissued = deploy_fleet(world)
         assert reissued > 0
-        for provider, popular in popular_by_provider(world).items():
+        for provider, popular in popular_by_provider().items():
             server = world.provider_servers.get(provider)
             if server is None:
                 continue
@@ -187,7 +188,7 @@ class TestFleetOriginDeployment:
         scenario = scenario_for_policy(tiny_scenario(), "origin")
         run_shard(plan_user_shards(scenario, 1)[0])
         (world,) = built
-        for provider, popular in popular_by_provider(world).items():
+        for provider, popular in popular_by_provider().items():
             config = world.provider_servers[provider].config
             assert config.send_origin_frames
             for hostname in popular:
@@ -210,7 +211,7 @@ class TestFleetOriginDeployment:
                 continue
             popular = sorted(
                 name for name, provider
-                in world.popular_hostnames.items()
+                in POPULAR_PROVIDER_BY_HOSTNAME.items()
                 if provider == record.provider
             )
             assert all(hosted.certificate.covers(name)
