@@ -23,11 +23,7 @@ Layers:
 """
 
 from repro.browser.retry import DEFAULT_RETRY_POLICY
-from repro.chaos.inject import (
-    CHAOS_SEED_DOMAIN,
-    RETRY_SEED_DOMAIN,
-    FaultInjector,
-)
+from repro.chaos.inject import FaultInjector
 from repro.chaos.report import ChaosReport, FaultTally
 from repro.chaos.run import COMPARE_POLICIES, compare_policies, run_chaos
 from repro.chaos.schedule import (
@@ -41,8 +37,6 @@ from repro.chaos.schedule import (
 )
 
 __all__ = [
-    "CHAOS_SEED_DOMAIN",
-    "RETRY_SEED_DOMAIN",
     "COMPARE_POLICIES",
     "DEFAULT_RETRY_POLICY",
     "EMPTY_SCHEDULE",

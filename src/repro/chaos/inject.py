@@ -50,12 +50,6 @@ from repro.netsim.network import Host, Service
 from repro.netsim.transport import Transport
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
-#: Seed-derivation domains (see repro.dataset.shard.derive_seed):
-#: 0/1 belong to the world/crawler, 2 to traffic.  Chaos claims 4
-#: for the injector and 5 for retry jitter.
-CHAOS_SEED_DOMAIN = 4
-RETRY_SEED_DOMAIN = 5
-
 _TAP_KINDS = {"packet_loss", "packet_corrupt", "tls_fail",
               "middlebox_teardown"}
 

@@ -44,7 +44,6 @@ def run_chaos(
     retry_policy: RetryPolicy,
     jobs: int,
     collect: Optional[Tuple[bool, bool]] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
     crawl_trace: Optional[CrawlTrace] = None,
     pages=None,
@@ -52,11 +51,11 @@ def run_chaos(
     """Crawl all shards under ``schedule``; merge telemetry, tallies,
     retry counts and page counts in shard order.  ``collect`` is
     :func:`~repro.dataset.shard.crawl_shard`'s (``None`` collects
-    nothing: the report needs no telemetry); ``crawl_trace`` is
-    :func:`~repro.dataset.shard.merge_shards`'.  ``pages`` is a second
-    page sink handed every archive as its shard merges (a
-    :class:`~repro.dataset.crawler.CrawlResult` keeps them, a
-    :class:`~repro.dataset.characterize.CrawlFold` folds the ledger
+    nothing: the report needs no telemetry); ``watch`` and
+    ``crawl_trace`` are :func:`~repro.dataset.shard.merge_shards`'.
+    ``pages`` is a second page sink handed every archive as its shard
+    merges (a :class:`~repro.dataset.crawler.CrawlResult` keeps them,
+    a :class:`~repro.dataset.characterize.CrawlFold` folds the ledger
     headline); by default only the report sees them."""
     config = shards[0].config
     report = ChaosReport(
@@ -77,7 +76,7 @@ def run_chaos(
 
     _, crawl_trace = crawl_shards(
         shards, params, jobs, collect=collect,
-        chaos=(schedule, retry_policy), progress=progress, watch=watch,
+        chaos=(schedule, retry_policy), watch=watch,
         crawl_trace=crawl_trace, on_shard=on_shard, pages=report,
     )
     return crawl_trace, report

@@ -13,6 +13,7 @@ from typing import List
 
 from repro.browser.policy import POLICY_FACTORIES
 from repro.dataset.characterize import CRAWL_TABLES
+from repro.runtime.console import diag
 
 #: Kept as the CLI-facing name->factory registry (the canonical copy
 #: lives in :mod:`repro.browser.policy` so crawl workers can share it).
@@ -83,6 +84,20 @@ def _parse_breakdown(spec: str) -> List[str]:
             f"from {','.join(BREAKDOWN_METRICS)} or 'all'"
         )
     return [token for token in BREAKDOWN_METRICS if token in tokens]
+
+
+def refuse_artifacts(args, command: str, sweep: str) -> None:
+    """Exit 2, before any simulation, with one line naming each flag
+    for a run's artifacts or gates given with ``sweep``: a policy sweep
+    runs one simulation per policy and keeps no outcome to write them
+    from."""
+    given = [f"--{flag}" for flag in ("out", "audit", "trace", "metrics",
+                                      "ledger", "slo")
+             if getattr(args, flag, None)]
+    if given:
+        diag(f"{command}: {', '.join(given)} cannot be used with "
+             f"{sweep}: the sweep writes no artifact")
+        raise SystemExit(2)
 
 
 # -- shared option groups -----------------------------------------------------

@@ -16,6 +16,7 @@ from repro.cli.args import (
     _nonnegative_int,
     add_crawl_pipeline_options,
     add_dataset_options,
+    refuse_artifacts,
 )
 from repro.cli.invoke import chaos_pipeline, crawl_definition
 from repro.runtime.console import diag
@@ -109,6 +110,8 @@ def _compare(args, schedule, retry_policy) -> int:
 
 
 def cmd_chaos(args) -> int:
+    if args.compare_policies:
+        refuse_artifacts(args, "chaos", "--compare-policies")
     schedule = _load_schedule(args.schedule)
     retry_policy = _retry_policy(args)
     if args.compare_policies:

@@ -8,9 +8,9 @@ from repro.cli.args import (
     _nonnegative_int,
     _positive_int,
     add_ledger_options,
+    refuse_artifacts,
 )
 from repro.cli.invoke import traffic_pipeline
-from repro.runtime import InstrumentationOptions
 from repro.runtime.console import diag as _diag
 
 
@@ -91,15 +91,8 @@ def cmd_traffic(args) -> int:
         edge_capacity=args.edge_capacity,
         goaway_retry_limit=args.retry_limit,
     )
-    # Validate the SLO gate file up front: a malformed gate must
-    # abort before any simulation, including the what-if sweep.
-    options = InstrumentationOptions.from_args(args)
-    options.load_rules()
-
     if args.what_if:
-        if args.trace or args.metrics or options.ledger_dir:
-            _diag("traffic: --trace/--metrics/--ledger are ignored "
-                  "with --what-if (the sweep keeps no merged trace)")
+        refuse_artifacts(args, "traffic", "--what-if")
         _diag(f"traffic: what-if sweep over {args.users} users, "
               f"{args.sites} sites")
         results = run_what_if(

@@ -23,12 +23,16 @@ hands each shard its own slice, in shard order, just before that
 shard runs, and keeps none of it.
 
 This module is also the one home of *how a list of shard jobs is
-executed, shipped across a process boundary and merged in shard
-order* -- for the crawl, for :mod:`repro.chaos.run` and for
-:mod:`repro.traffic.simulate`: :func:`run_shards` (the executor; a
+laid out, seeded, executed, shipped across a process boundary and
+merged in shard order* -- for the crawl, for :mod:`repro.chaos.run`
+and for :mod:`repro.traffic.simulate`: :func:`partition` (the
+layout), :data:`SEED_DOMAINS` (every per-shard random stream),
+:func:`shard_telemetry` and :meth:`ShardResult.bundle` (a shard's
+collectors and its result), :func:`run_shards` (the executor; a
 :class:`ShardResult` crosses the process boundary pickled, its records
 as themselves and a crawl's archives as HAR JSON lines) and
-:func:`merge_shards` (the shard-order fold).  :func:`crawl_shards` is
+:func:`merge_shards` (the shard-order fold, which calls a run's one
+per-shard callback, ``watch``, after each shard).  :func:`crawl_shards` is
 the one crawl driver over them, plain, observed or fault-injected: it
 plans each shard's slice into that shard's payload as the executor
 draws it, and is the only caller that hands :func:`crawl_shard` to
@@ -93,10 +97,19 @@ from repro.web.har import HarArchive
 #: Sites per shard when the caller does not pick a layout.
 DEFAULT_SHARD_SIZE = 100
 
-#: Seed-derivation domains, so the world stream and the crawler stream
-#: of the same shard never collide.
-_WORLD_DOMAIN = 0
-_CRAWLER_DOMAIN = 1
+#: Every :func:`derive_seed` domain, one per per-shard random stream,
+#: so no two streams of the same shard collide: the crawl's world and
+#: crawler, the traffic population (:mod:`repro.traffic.scenario`),
+#: and a chaos run's fault injector and retry jitter
+#: (:func:`crawl_shard`).  3 is unused.
+SEED_DOMAINS = {
+    "world": 0,
+    "crawler": 1,
+    "population": 2,
+    "chaos": 4,
+    "retry": 5,
+}
+
 
 def derive_seed(
     base_seed: int, domain: int, shard_index: int, shard_count: int
@@ -130,14 +143,12 @@ class ShardSpec:
 
     @property
     def world_seed(self) -> int:
-        return derive_seed(
-            self.config.seed, _WORLD_DOMAIN, self.index, self.shard_count
-        )
+        return derive_seed(self.config.seed, SEED_DOMAINS["world"],
+                           self.index, self.shard_count)
 
     def crawler_seed(self, base_seed: int) -> int:
-        return derive_seed(
-            base_seed, _CRAWLER_DOMAIN, self.index, self.shard_count
-        )
+        return derive_seed(base_seed, SEED_DOMAINS["crawler"],
+                           self.index, self.shard_count)
 
     def build_world(self, records: Sequence[SiteRecord]) -> SyntheticWorld:
         """Materialize this shard's slice of the site plan (what
@@ -146,36 +157,48 @@ class ShardSpec:
         return build_world(world_config, records=records)
 
 
-def default_shard_count(site_count: int) -> int:
-    """Shard layout when the caller does not pick one: ~100-site
-    shards, at least one."""
-    return max(1, -(-site_count // DEFAULT_SHARD_SIZE))
+def default_shard_count(total: int, size: int = DEFAULT_SHARD_SIZE) -> int:
+    """Shard layout when the caller does not pick one: ``size``-item
+    shards (~100 sites by default), at least one."""
+    return max(1, -(-total // size))
+
+
+def partition(total: int, count: Optional[int] = None,
+              size: int = DEFAULT_SHARD_SIZE) -> List[Tuple[int, int]]:
+    """The one shard layout: ``range(total)`` as ``count`` contiguous,
+    near-equal ``[lo, hi)`` slices, the first ``total % count`` one
+    item longer -- a crawl's sites (:func:`plan_shards`) and a traffic
+    population's users
+    (:func:`~repro.traffic.scenario.plan_user_shards`) alike.
+
+    ``count`` of ``None`` or 0 picks :func:`default_shard_count`;
+    below 1 it is a :class:`ValueError`; above ``total`` it is
+    ``total``.  Deterministic: slice ``i`` of ``n`` always covers the
+    same items, whatever the worker count or scheduling.
+    """
+    count = count if count else default_shard_count(total, size)
+    if count < 1:
+        raise ValueError(f"shard count must be >= 1, got {count}")
+    count = max(1, min(count, total))
+    base, extra = divmod(total, count)
+    bounds: List[Tuple[int, int]] = []
+    lo = 0
+    for index in range(count):
+        hi = lo + base + (1 if index < extra else 0)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
 
 
 def plan_shards(
     config: DatasetConfig, shard_count: Optional[int] = None
 ) -> List[ShardSpec]:
-    """Partition ``config`` into contiguous, near-equal rank shards.
-
-    The partition is deterministic: shard ``i`` of ``n`` always covers
-    the same ranks for a given ``site_count``, independent of worker
-    count or scheduling.
-    """
-    total = config.site_count
-    count = shard_count if shard_count else default_shard_count(total)
-    if count < 1:
-        raise ValueError(f"shard count must be >= 1, got {count}")
-    count = min(count, total)
-    base, extra = divmod(total, count)
-    shards: List[ShardSpec] = []
-    lo = 0
-    for index in range(count):
-        hi = lo + base + (1 if index < extra else 0)
-        shards.append(ShardSpec(
-            config=config, index=index, shard_count=count, lo=lo, hi=hi
-        ))
-        lo = hi
-    return shards
+    """Partition ``config``'s ranked sites into contiguous, near-equal
+    rank shards (:func:`partition`)."""
+    bounds = partition(config.site_count, shard_count)
+    return [ShardSpec(config=config, index=index, shard_count=len(bounds),
+                      lo=lo, hi=hi)
+            for index, (lo, hi) in enumerate(bounds)]
 
 
 def plan_slices(specs: Sequence[ShardSpec]) -> Iterator[List[SiteRecord]]:
@@ -235,6 +258,33 @@ class ShardResult:
     requests_exhausted: int = 0
     har_lines: Optional[Sequence[str]] = None
 
+    @classmethod
+    def bundle(cls, payload, telemetry: Telemetry,
+               **fields) -> "ShardResult":
+        """A shard's ``payload`` and ``fields`` bundled with what its
+        ``telemetry`` collected (:func:`shard_telemetry`): the spans,
+        the metrics snapshot and the audit events -- none from
+        :data:`~repro.telemetry.NULL_TELEMETRY`."""
+        if not telemetry.enabled:
+            return cls(payload=payload, **fields)
+        return cls(payload=payload, spans=telemetry.tracer.spans,
+                   metrics=telemetry.metrics.snapshot(),
+                   events=telemetry.audit.events, **fields)
+
+
+def shard_telemetry(clock: Callable[[], float],
+                    collect: Optional[Tuple[bool, bool]]) -> Telemetry:
+    """One shard's watch handle on its world's ``clock``.  ``collect``
+    is a watched run's ``(trace, audit)`` collector switches --
+    ``(False, False)`` collects metrics and phases only, for the run
+    ledger -- and ``None`` is
+    :data:`~repro.telemetry.NULL_TELEMETRY`, so the shard pays for no
+    metrics registry or phase recorder."""
+    if collect is None:
+        return NULL_TELEMETRY
+    trace, audit = collect
+    return Telemetry(clock=clock, trace=trace, audit=audit)
+
 
 @dataclass(frozen=True)
 class CrawlParams:
@@ -259,13 +309,11 @@ def crawl_shard(
     """Build one shard's world from its slice of the site plan,
     ``records``, and crawl it (runs inside workers).
 
-    ``collect`` is the ``(trace, audit)`` collector switches of a live
-    run; ``None`` crawls on :data:`~repro.telemetry.NULL_TELEMETRY`, so
-    the fetch paths pay for no metrics registry or phase recorder.
-    Collectors neither draw randomness nor schedule events, so the
-    archives are identical either way.  Spans carry the shard's local ids and
-    timestamps (its simulated clock starts at zero) and are renumbered
-    by :meth:`~repro.telemetry.CrawlTrace.adopt`, as are audit events.
+    ``collect`` is :func:`shard_telemetry`'s.  Collectors neither draw
+    randomness nor schedule events, so the archives are identical
+    either way.  Spans carry the shard's local ids and timestamps (its
+    simulated clock starts at zero) and are renumbered by
+    :meth:`~repro.telemetry.CrawlTrace.adopt`, as are audit events.
 
     ``chaos`` is a ``(schedule, retry_policy)`` pair: the crawl runs
     with a :class:`~repro.chaos.inject.FaultInjector` armed and the
@@ -273,24 +321,14 @@ def crawl_shard(
     carries the shard's fault tallies and retry counts.
     """
     world = spec.build_world(records)
-    telemetry = NULL_TELEMETRY
-    if collect is not None:
-        trace, audit = collect
-        telemetry = Telemetry(
-            clock=world.network.loop.now, trace=trace, audit=audit
-        )
+    telemetry = shard_telemetry(world.network.loop.now, collect)
     retry_policy = retry_seed = None
     if chaos is not None:
-        from repro.chaos.inject import (
-            CHAOS_SEED_DOMAIN,
-            RETRY_SEED_DOMAIN,
-            FaultInjector,
-        )
+        from repro.chaos.inject import FaultInjector
 
         schedule, retry_policy = chaos
-        retry_seed = derive_seed(
-            params.seed, RETRY_SEED_DOMAIN, spec.index, spec.shard_count
-        )
+        retry_seed = derive_seed(params.seed, SEED_DOMAINS["retry"],
+                                 spec.index, spec.shard_count)
     crawler = Crawler(
         world,
         policy=policy_by_name(params.policy),
@@ -306,10 +344,8 @@ def crawl_shard(
         injector = FaultInjector(
             world,
             schedule,
-            seed=derive_seed(
-                params.seed, CHAOS_SEED_DOMAIN, spec.index,
-                spec.shard_count,
-            ),
+            seed=derive_seed(params.seed, SEED_DOMAINS["chaos"],
+                             spec.index, spec.shard_count),
             resolver=crawler.resolver,
             telemetry=telemetry,
         )
@@ -327,19 +363,11 @@ def crawl_shard(
             shard_span, attempted=result.attempted,
             succeeded=result.success_count,
         )
-    shard = ShardResult(
-        payload=result,
+    return ShardResult.bundle(
+        result, telemetry,
         faults=() if chaos is None else injector.fault_docs(),
         requests_retried=crawler.engine.requests_retried,
         requests_exhausted=crawler.engine.requests_exhausted,
-    )
-    if not telemetry.enabled:
-        return shard
-    return replace(
-        shard,
-        spans=telemetry.tracer.spans,
-        metrics=telemetry.metrics.snapshot(),
-        events=telemetry.audit.events,
     )
 
 
@@ -452,7 +480,6 @@ def merge_shards(
     payloads: Iterable[tuple],
     jobs: int,
     absorb: Callable[[ShardResult], None],
-    progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
     crawl_trace: Optional[CrawlTrace] = None,
 ) -> CrawlTrace:
@@ -464,10 +491,11 @@ def merge_shards(
     accumulator; its telemetry bundle is adopted into ``crawl_trace``
     (a fresh :class:`~repro.telemetry.CrawlTrace` that keeps every
     record when ``None``; pass one with writers attached to stream
-    them), which is returned.  After each shard ``progress`` gets
-    ``(done_shards, total)`` and ``watch`` gets
-    ``(done_shards, total, merged_trace_so_far)`` -- the run ledger's
-    heartbeat reads live counters there.
+    them), which is returned.  After each shard the run's one
+    per-shard callback, ``watch``, gets ``(done_shards, total,
+    merged_trace_so_far)``: the ``shards: k/n`` line, or the live
+    heartbeat, which reads the merged counters there
+    (:mod:`repro.runtime.workloads`).
 
     The fold holds one shard at a time (the module's memory
     contract): once a result is absorbed it is dropped, and a
@@ -491,8 +519,6 @@ def merge_shards(
             del result
             gc.collect()
             gc.freeze()
-            if progress is not None:
-                progress(done, total)
             if watch is not None:
                 watch(done, total, crawl_trace)
     finally:
@@ -507,7 +533,6 @@ def crawl_shards(
     collect: Optional[Tuple[bool, bool]] = None,
     chaos: Optional[tuple] = None,
     archive_out: Optional[TextIO] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
     crawl_trace: Optional[CrawlTrace] = None,
     on_shard: Optional[Callable[[ShardResult], None]] = None,
@@ -527,7 +552,7 @@ def crawl_shards(
     ``archive_out`` is an open text file (what
     :meth:`repro.dataset.cache.CrawlCache.writing` yields) that
     receives every archive as a HAR JSON line, shard by shard as the
-    merge absorbs them.  ``progress``/``watch``/``crawl_trace`` are
+    merge absorbs them.  ``watch``/``crawl_trace`` are
     :func:`merge_shards`'.  ``on_shard`` sees each result, in shard
     order, as the merge absorbs it (a chaos run folds its fault
     tallies there).  Returns the page sink and the merged trace
@@ -551,6 +576,6 @@ def crawl_shards(
     crawl_trace = merge_shards(
         crawl_shard, shards,
         ((spec, next(slices), params, collect, chaos) for spec in shards),
-        jobs, absorb, progress, watch, crawl_trace,
+        jobs, absorb, watch, crawl_trace,
     )
     return pages, crawl_trace

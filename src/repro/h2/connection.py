@@ -209,6 +209,15 @@ class H2Connection:
                 ErrorCode.PROTOCOL_ERROR, "connection is going away"
             )
         stream = self._stream(stream_id, _I.SEND_HEADERS)
+        # HEADERS go out at once, so on a stream with DATA still queued
+        # they would pass its body -- and END_STREAM would drop it.
+        if stream.state in SENDS_DATA and any(
+            queued == stream_id for queued, _, _ in self._send_queue
+        ):
+            raise H2StreamError(
+                stream_id, ErrorCode.PROTOCOL_ERROR,
+                f"cannot {_I.SEND_HEADERS.value} ahead of queued DATA",
+            )
         self._advance(stream, _I.SEND_HEADERS)
         if end_stream:
             self._advance(stream, _I.SEND_END_STREAM)
@@ -232,6 +241,14 @@ class H2Connection:
                 stream_id, ErrorCode.STREAM_CLOSED,
                 f"cannot {_I.SEND_DATA.value} in state {state.value}",
             )
+        # The stream ends when that entry drains; this one would be
+        # dropped behind it.
+        if any(queued == stream_id and ended
+               for queued, _, ended in self._send_queue):
+            raise H2StreamError(
+                stream_id, ErrorCode.STREAM_CLOSED,
+                f"cannot {_I.SEND_DATA.value} after a queued END_STREAM",
+            )
         if not data:
             self._windowless_queued = True
         self._send_queue.append((stream_id, memoryview(data), end_stream))
@@ -248,8 +265,9 @@ class H2Connection:
 
         A frame is the smallest of the body, the two windows and the
         peer's frame size, and debits the stream window.  An entry
-        whose stream can no longer send -- reset, or ended by HEADERS
-        or an earlier entry carrying END_STREAM -- is dropped unsent.
+        whose stream was reset is dropped unsent; nothing else ends a
+        stream under queued DATA, since :meth:`send_headers` and
+        :meth:`send_data` refuse to.
         """
         queue = self._send_queue
         # Settings caps this at 2**24 - 1, the most the header's 24-bit

@@ -11,8 +11,12 @@
   diagnostics go, each file artifact opened before the run
   (:mod:`repro.runtime.artifacts`) and published by its sink
 
--- and :class:`RunPipeline` runs them on ``jobs`` workers.  The CLI
-modules under :mod:`repro.cli` only parse arguments and render output;
+-- and :class:`RunPipeline` runs them on ``jobs`` workers: the
+workload's one ``execute``, which collects only when the options
+watch the run and reports each merged shard through one callback
+(the ``shards: k/n`` line, or the live heartbeat), then its sinks.
+The CLI modules under :mod:`repro.cli` only parse arguments and
+render output;
 scenario files (:mod:`repro.runtime.scenario`) drive the same pipeline
 declaratively via ``repro run``.
 """

@@ -18,6 +18,7 @@ def diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def shard_progress(done: int, total: int) -> None:
-    """The default per-shard progress callback (non-TTY runs)."""
+def shard_progress(done: int, total: int, _trace) -> None:
+    """The ``shards: k/n`` line, a run's per-shard ``watch`` callback
+    unless the live heartbeat draws instead."""
     diag(f"shards: {done}/{total}")

@@ -21,15 +21,13 @@ def counter_total(registry, name: str):
 
 def ledger_watch(hb, rules, unit: str = "pages"):
     """Build the heartbeat callback for a shard driver's ``watch``
-    (``crawl_shards``, ``run_scenario``, ``run_chaos``): after every shard merge it reads the merged-
-    so-far metrics and redraws the status line (work done, rate, open
-    connection count, SLO burn)."""
+    (``crawl_shards``, ``run_scenario``, ``run_chaos``): after every
+    shard merge it reads the merged-so-far metrics and redraws the
+    status line (work done, rate, open connection count, SLO burn)."""
     from repro.obs.ledger import phase_docs_from_registry
     from repro.obs.slo import slo_burn
 
     def watch(done: int, total: int, crawl_trace) -> None:
-        if not hb.enabled:
-            return
         docs = phase_docs_from_registry(crawl_trace.metrics)
         pages = sum(doc["count"] for doc in docs
                     if doc["name"] == "phase.page")

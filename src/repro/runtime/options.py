@@ -66,8 +66,9 @@ class InstrumentationOptions:
 
     @property
     def live(self) -> bool:
-        """Any instrumentation forces the live (cache-bypassing)
-        path: a cache hit would skip the simulation entirely."""
+        """Any instrumentation makes the run watched: it collects,
+        and a crawl bypasses its cache, since a hit would skip the
+        simulation entirely."""
         return bool(self.want_trace or self.want_audit
                     or self.ledger_dir)
 

@@ -8,8 +8,9 @@ Every simulation command is the same five stages:
    opened (:mod:`repro.runtime.artifacts`) up front, so a malformed
    gate file or an unwritable path aborts before any simulation
    (exit 2);
-3. **execute** -- the workload runs on ``jobs`` workers, live
-   (instrumented, cache-bypassing) or cached;
+3. **execute** -- the workload runs on ``jobs`` workers, collecting
+   what the options ask for (a watched run also bypasses the crawl
+   cache);
 4. **sink** -- the ordered sink list persists artifacts and prints
    diagnostics;
 5. **render** -- the command's stdout tables run as the final (or,
@@ -49,16 +50,12 @@ class RunPipeline:
     def run(self) -> RunOutcome:
         options = self.instrumentation
         rules = options.load_rules()
-        live = bool(self.workload.always_live or options.live)
         artifacts = RunArtifacts(options, self.workload.out_label,
                                  self.workload.out_path)
         try:
-            if live:
-                outcome = self.workload.execute_live(
-                    self.jobs, options, rules, artifacts)
-            else:
-                outcome = self.workload.execute_cached(self.jobs)
-            for sink in self.workload.sinks(options, rules, live=live,
+            outcome = self.workload.execute(self.jobs, options, rules,
+                                            artifacts)
+            for sink in self.workload.sinks(options, rules,
                                             render=self.render,
                                             artifacts=artifacts):
                 sink(outcome)

@@ -1,17 +1,18 @@
 """Workloads: what a pipeline run simulates.
 
 A workload owns the experiment definition (config + shard layout --
-the part that keys caches and run fingerprints), knows how to execute
-itself on ``jobs`` workers, and assembles the ordered sink list for its
-outcome.  Three workloads cover every pipeline command:
+the part that keys caches and run fingerprints), executes itself on
+``jobs`` workers (one ``execute(jobs, options, rules, artifacts)``
+each, over :func:`execute_shards`), and assembles the ordered sink
+list for its outcome.  Three workloads cover every pipeline command:
 
 * :class:`CrawlWorkload` -- the shared crawl behind ``crawl``,
-  ``model``, ``privacy`` and ``explain``; cached unless
-  instrumentation forces the live path.
+  ``model``, ``privacy`` and ``explain``; read from its cache unless
+  the run is watched (``options.live``) or refreshed.
 * :class:`TrafficWorkload` -- the population-scale traffic
-  simulation behind ``traffic``; always live (no cache exists).
+  simulation behind ``traffic``; no cache exists.
 * :class:`ChaosWorkload` -- the fault-injected crawl behind
-  ``chaos``; always live (the blast-radius report and audit stream
+  ``chaos``; never cached (the blast-radius report and audit stream
   only exist when the simulation actually runs).
 """
 
@@ -57,30 +58,23 @@ class RunOutcome:
     extras: dict = field(default_factory=dict)
 
 
-def run_live(rules, unit: str, run):
-    """Run ``run(progress=..., watch=...)`` -- a shard driver -- with
-    the live heartbeat wired in: the heartbeat replaces the per-shard
-    progress line when it is enabled and always feeds the ledger
-    watch."""
+def execute_shards(options, rules, unit: str, drive):
+    """Run the shard driver ``drive(collect=, watch=)`` as every
+    workload does.  A watched run (``options.live``) collects what
+    ``options`` asks for -- metrics and phases at least, for the
+    ledger -- and an unwatched one nothing.  The run's one per-shard
+    callback is the live heartbeat when the run is watched and stderr
+    is a TTY (it reads metrics only a watched run collects), else the
+    ``shards: k/n`` line."""
     hb = Heartbeat()
+    watched = options.live
+    collect = (options.want_trace, options.want_audit) if watched else None
+    watch = (ledger_watch(hb, rules, unit=unit) if watched and hb.enabled
+             else shard_progress)
     try:
-        return run(
-            progress=None if hb.enabled else shard_progress,
-            watch=ledger_watch(hb, rules, unit=unit),
-        )
+        return drive(collect=collect, watch=watch)
     finally:
         hb.close()
-
-
-def run_watched(options, rules, unit: str, run):
-    """Run the shard driver ``run`` with collectors only when something
-    watches (``options.live``): an unwatched run collects nothing and
-    prints the per-shard progress lines, since the heartbeat reads
-    metrics such a run never collects."""
-    if options.live:
-        return run_live(rules, unit, partial(
-            run, collect=(options.want_trace, options.want_audit)))
-    return run(progress=shard_progress)
 
 
 class CrawlWorkload:
@@ -95,7 +89,6 @@ class CrawlWorkload:
     """
 
     unit = "pages"
-    always_live = False
     out_label = out_path = None
 
     def __init__(self, config, params, shards: int = 0,
@@ -121,27 +114,36 @@ class CrawlWorkload:
 
         return cache_key(self.config, self.params, self.shard_count)
 
-    def execute_live(self, jobs: int, options, rules,
-                     artifacts) -> RunOutcome:
-        """Instrumented crawl: heartbeat + spans/audit/metrics, the
-        records streaming into ``artifacts`` as the shards merge.
+    def execute(self, jobs: int, options, rules,
+                artifacts) -> RunOutcome:
+        """Stream the cache entry into a page sink when neither
+        ``options.live`` nor ``refresh`` forbids it -- a cache hit
+        would skip the simulation and produce no spans, audit events
+        or phase histograms -- else crawl
+        (:func:`~repro.dataset.shard.crawl_shards`) into a fresh one
+        with the entry's ``.tmp`` open, so the shards merge straight
+        into it; the cache sink publishes it."""
+        from repro.dataset.shard import crawl_shards
 
-        Bypasses cache reads -- a cache hit would skip the simulation
-        and produce no spans, audit events, or phase histograms -- but
-        still writes the entry; ``CacheStoreSink`` publishes it.
-        """
-        return run_live(rules, self.unit, partial(
-            self._crawl, jobs, (options.want_trace, options.want_audit),
-            reuse=False, crawl_trace=artifacts.crawl_trace(),
-            headline=bool(options.ledger_dir),
-        ))
-
-    def execute_cached(self, jobs: int) -> RunOutcome:
-        """Untraced crawl: a cache hit is the result (unless
-        ``refresh``); a miss crawls with no telemetry object and
-        writes the entry, which ``CacheStatusSink`` publishes."""
-        return self._crawl(jobs, None, reuse=not self.refresh,
-                           progress=shard_progress)
+        headline = bool(options.ledger_dir)
+        fingerprint = self.fingerprint()
+        outcome = RunOutcome(config=self.config,
+                             shard_count=self.shard_count, result=None,
+                             fingerprint=fingerprint)
+        if not (options.live or self.refresh) and self.cache is not None:
+            outcome.result = self.cache.load(fingerprint,
+                                             self._pages(headline))
+            outcome.cache_hit = outcome.result is not None
+            if outcome.cache_hit:
+                return outcome
+        with (nullcontext() if self.cache is None
+              else self.cache.writing(fingerprint)) as entry:
+            outcome.result, outcome.trace = execute_shards(
+                options, rules, self.unit, partial(
+                    crawl_shards, self.shards, self.params, jobs,
+                    archive_out=entry, crawl_trace=artifacts.crawl_trace(),
+                    pages=self._pages(headline)))
+        return outcome
 
     def _pages(self, headline: bool):
         """A fresh page sink for one read of the crawl; ``headline``
@@ -154,35 +156,6 @@ class CrawlWorkload:
             return CrawlResult()
         return CrawlFold(headline=headline)
 
-    def _crawl(self, jobs: int, collect, reuse: bool, progress=None,
-               watch=None, crawl_trace=None,
-               headline: bool = False) -> RunOutcome:
-        """Both paths: stream the cache entry into a page sink when
-        ``reuse`` allows, else run
-        :func:`~repro.dataset.shard.crawl_shards` into a fresh one
-        with the entry's ``.tmp`` open, so the shards merge straight
-        into it."""
-        from repro.dataset.shard import crawl_shards
-
-        fingerprint = self.fingerprint()
-        outcome = RunOutcome(config=self.config,
-                             shard_count=self.shard_count, result=None,
-                             fingerprint=fingerprint)
-        if reuse and self.cache is not None:
-            outcome.result = self.cache.load(fingerprint,
-                                             self._pages(headline))
-            outcome.cache_hit = outcome.result is not None
-            if outcome.cache_hit:
-                return outcome
-        with (nullcontext() if self.cache is None
-              else self.cache.writing(fingerprint)) as entry:
-            outcome.result, outcome.trace = crawl_shards(
-                self.shards, self.params, jobs, collect=collect,
-                archive_out=entry, progress=progress, watch=watch,
-                crawl_trace=crawl_trace, pages=self._pages(headline),
-            )
-        return outcome
-
     def build_record(self, outcome, rules):
         from repro.obs.ledger import build_crawl_record
 
@@ -192,34 +165,55 @@ class CrawlWorkload:
             outcome.trace.metrics, slo_rules=rules,
         )
 
-    def sinks(self, options, rules, live: bool, render=None,
+    def sinks(self, options, rules, render=None,
               artifacts=None) -> List[object]:
-        """Ordered sinks (the legacy diag/stdout interleaving):
-        cache, trace+metrics, audit, ledger, then the command's
-        rendering."""
-        sinks: List[object] = []
-        if live:
-            sinks.append(CacheStoreSink(self.cache))
-            sinks.append(TraceSink(options, artifacts.trace))
+        """Ordered sinks (the legacy diag/stdout interleaving): the
+        cache, then a watched run's trace+metrics, audit and ledger,
+        then the command's rendering."""
+        if not options.live:
+            sinks: List[object] = [CacheStatusSink(self.cache)]
+        else:
+            sinks = [CacheStoreSink(self.cache),
+                     TraceSink(options, artifacts.trace)]
             if artifacts.audit is not None:
                 sinks.append(AuditSink(artifacts.audit))
             if options.ledger_dir:
                 sinks.append(
                     LedgerSink(options.ledger_dir, rules, self))
-        else:
-            sinks.append(CacheStatusSink(self.cache))
         if render is not None:
             sinks.append(RenderSink(render))
         return sinks
 
 
-class TrafficWorkload:
+class _SimulationWorkload:
+    """What traffic and chaos share: no cache, so every run
+    simulates, and one sink order for the product (``out_sink`` writes
+    it to ``--out``)."""
+
+    def sinks(self, options, rules, render=None,
+              artifacts=None) -> List[object]:
+        """Ordered sinks: trace+metrics, *then* the stdout summary or
+        report, then the out/audit/ledger artifacts -- the exact
+        interleaving the traffic command always printed."""
+        sinks: List[object] = [TraceSink(options, artifacts.trace)]
+        if render is not None:
+            sinks.append(RenderSink(render))
+        if artifacts.out is not None:
+            sinks.append(self.out_sink(artifacts.out))
+        if artifacts.audit is not None:
+            sinks.append(AuditSink(artifacts.audit))
+        if options.ledger_dir:
+            sinks.append(LedgerSink(options.ledger_dir, rules, self))
+        return sinks
+
+
+class TrafficWorkload(_SimulationWorkload):
     """Population-scale traffic simulation with edge load
-    accounting.  Always live; the aggregate is the result."""
+    accounting; the aggregate is the result."""
 
     unit = "visits"
-    always_live = True
     out_label = "aggregate"
+    out_sink = AggregateSink
 
     def __init__(self, scenario, shards: int = 0,
                  scenario_name: str = "baseline",
@@ -231,11 +225,11 @@ class TrafficWorkload:
         self.scenario_name = scenario_name
         self.out_path = aggregate_out
 
-    def execute_live(self, jobs: int, options, rules,
-                     artifacts) -> RunOutcome:
+    def execute(self, jobs: int, options, rules,
+                artifacts) -> RunOutcome:
         from repro.traffic import run_scenario
 
-        aggregate, trace = run_watched(options, rules, self.unit, partial(
+        aggregate, trace = execute_shards(options, rules, self.unit, partial(
             run_scenario, self.scenario, shard_count=self.shard_count,
             jobs=jobs, crawl_trace=artifacts.crawl_trace()))
         return RunOutcome(
@@ -252,24 +246,8 @@ class TrafficWorkload:
             scenario_name=self.scenario_name,
         )
 
-    def sinks(self, options, rules, live: bool, render=None,
-              artifacts=None) -> List[object]:
-        """Ordered sinks: trace+metrics, *then* the stdout summary
-        and tables, then aggregate/audit/ledger artifacts -- the
-        exact interleaving the traffic command always printed."""
-        sinks: List[object] = [TraceSink(options, artifacts.trace)]
-        if render is not None:
-            sinks.append(RenderSink(render))
-        if artifacts.out is not None:
-            sinks.append(AggregateSink(artifacts.out))
-        if artifacts.audit is not None:
-            sinks.append(AuditSink(artifacts.audit))
-        if options.ledger_dir:
-            sinks.append(LedgerSink(options.ledger_dir, rules, self))
-        return sinks
 
-
-class ChaosWorkload:
+class ChaosWorkload(_SimulationWorkload):
     """A fault-injected crawl: the crawl pipeline plus an armed
     :class:`~repro.chaos.inject.FaultInjector` per shard and the
     shard-merged :class:`~repro.chaos.report.ChaosReport`, the result.
@@ -278,14 +256,14 @@ class ChaosWorkload:
     (``extras["pages"]``, a
     :class:`~repro.dataset.characterize.CrawlFold`).
 
-    Always live and never cached: the schedule perturbs the
-    simulation, so a cached (unfaulted) crawl would be the wrong
-    result, and the report itself only exists on the live path.
+    Never cached: the schedule perturbs the simulation, so a cached
+    (unfaulted) crawl would be the wrong result, and the report only
+    exists when the simulation runs.
     """
 
     unit = "pages"
-    always_live = True
     out_label = "report"
+    out_sink = ChaosReportSink
 
     def __init__(self, config, params, schedule, retry_policy,
                  shards: int = 0,
@@ -316,15 +294,15 @@ class ChaosWorkload:
             "retry": dataclasses.asdict(self.retry_policy),
         })
 
-    def execute_live(self, jobs: int, options, rules,
-                     artifacts) -> RunOutcome:
+    def execute(self, jobs: int, options, rules,
+                artifacts) -> RunOutcome:
         from repro.chaos.run import run_chaos
         from repro.dataset.characterize import CrawlFold
 
         extras = {}
         if options.ledger_dir:
             extras["pages"] = CrawlFold(headline=True)
-        trace, report = run_watched(
+        trace, report = execute_shards(
             options, rules, self.unit, partial(
                 run_chaos, self.shards, self.params, self.schedule,
                 self.retry_policy, jobs,
@@ -361,18 +339,3 @@ class ChaosWorkload:
             requests_exhausted=report.requests_exhausted,
         )
         return record
-
-    def sinks(self, options, rules, live: bool, render=None,
-              artifacts=None) -> List[object]:
-        """Ordered sinks: trace+metrics, the stdout report, then the
-        report/audit/ledger artifacts (the traffic interleaving)."""
-        sinks: List[object] = [TraceSink(options, artifacts.trace)]
-        if render is not None:
-            sinks.append(RenderSink(render))
-        if artifacts.out is not None:
-            sinks.append(ChaosReportSink(artifacts.out))
-        if artifacts.audit is not None:
-            sinks.append(AuditSink(artifacts.audit))
-        if options.ledger_dir:
-            sinks.append(LedgerSink(options.ledger_dir, rules, self))
-        return sinks

@@ -18,12 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from repro.dataset.shard import derive_seed
+from repro.dataset.shard import SEED_DOMAINS, derive_seed, partition
 from repro.deployment.active import FIREFOX_96_UA
-
-#: Seed domain for :func:`~repro.dataset.shard.derive_seed`; the crawl
-#: owns 0 (world) and 1 (crawler), traffic owns 2, chaos 4 and 5.
-TRAFFIC_POPULATION_DOMAIN = 2
 
 CHROME_98_UA = (
     "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 "
@@ -147,7 +143,7 @@ class UserShard:
 
     def population_seed(self) -> int:
         return derive_seed(
-            self.scenario.seed, TRAFFIC_POPULATION_DOMAIN,
+            self.scenario.seed, SEED_DOMAINS["population"],
             self.index, self.shard_count,
         )
 
@@ -165,23 +161,10 @@ USERS_PER_SHARD = 500
 def plan_user_shards(
     scenario: ScenarioConfig, shard_count: Optional[int] = None
 ) -> List[UserShard]:
-    """Partition the population into contiguous, near-equal shards.
-
-    Deterministic: shard ``i`` of ``n`` always covers the same user
-    ids for a given population size, independent of worker count.
-    """
-    users = scenario.users
-    if not shard_count:
-        shard_count = max(1, -(-users // USERS_PER_SHARD))
-    shard_count = max(1, min(shard_count, users))
-    base, extra = divmod(users, shard_count)
-    shards: List[UserShard] = []
-    lo = 0
-    for index in range(shard_count):
-        size = base + (1 if index < extra else 0)
-        shards.append(UserShard(
-            scenario=scenario, index=index, shard_count=shard_count,
-            lo=lo, hi=lo + size,
-        ))
-        lo += size
-    return shards
+    """Partition the population into contiguous, near-equal user-id
+    shards (:func:`~repro.dataset.shard.partition`), one per ~500
+    users by default."""
+    bounds = partition(scenario.users, shard_count, USERS_PER_SHARD)
+    return [UserShard(scenario=scenario, index=index,
+                      shard_count=len(bounds), lo=lo, hi=hi)
+            for index, (lo, hi) in enumerate(bounds)]

@@ -24,7 +24,7 @@ from repro.browser import BrowserContext, BrowserEngine
 from repro.browser.policy import policy_by_name
 from repro.browser.retry import RetryPolicy
 from repro.dataset.generator import PageGenerator, SiteRecord
-from repro.dataset.shard import ShardResult, merge_shards
+from repro.dataset.shard import ShardResult, merge_shards, shard_telemetry
 from repro.dataset.world import CDN_REGION, TAIL_REGION, build_world
 from repro.deployment.experiment import (
     deploy_origin,
@@ -32,7 +32,7 @@ from repro.deployment.experiment import (
     fleet_origin_plan,
 )
 from repro.netsim import Host, LinkSpec
-from repro.telemetry import NULL_TELEMETRY, CrawlTrace, Telemetry
+from repro.telemetry import CrawlTrace, Telemetry
 from repro.traffic.aggregate import TrafficAggregate
 from repro.traffic.edge import EdgeLoadMonitor, apply_edge_capacity
 from repro.traffic.population import UserProfile, build_population
@@ -133,13 +133,9 @@ def simulate_shard(
     in place and ORIGIN frames on at every provider edge before any
     traffic flows.
 
-    ``collect`` is :func:`~repro.dataset.shard.crawl_shard`'s: the
-    ``(trace, audit)`` collector switches of a watched run --
-    ``(False, False)`` collects metrics and phases only, for the run
-    ledger -- and ``None`` runs on
-    :data:`~repro.telemetry.NULL_TELEMETRY`, with no audit log,
-    metrics registry or phase recorder.  The engines count retry
-    decisions themselves, so the aggregate is the same either way.
+    ``collect`` is :func:`~repro.dataset.shard.shard_telemetry`'s.
+    The engines count retry decisions themselves, so the aggregate is
+    the same either way.
 
     Returns a :class:`~repro.dataset.shard.ShardResult` whose payload
     is the shard's :class:`TrafficAggregate` in canonical form (its
@@ -164,10 +160,7 @@ def simulate_shard(
         bucket_ms=scenario.bucket_ms,
         shard_count=shard.shard_count,
     )
-    telemetry = NULL_TELEMETRY
-    if collect is not None:
-        trace, audit = collect
-        telemetry = Telemetry(clock=loop.now, trace=trace, audit=audit)
+    telemetry = shard_telemetry(loop.now, collect)
     monitor = EdgeLoadMonitor(world, aggregate, telemetry=telemetry)
     monitor.attach()
 
@@ -228,15 +221,8 @@ def simulate_shard(
     # Per-edge peaks sum replica-style in ``merge``; the fleet total is
     # the true all-edge gauge peak, not the sum of per-edge peaks.
     aggregate.totals.peak_concurrent = monitor.peak_connections
-    payload = TrafficAggregate.from_dict(aggregate.to_dict())
-    if not telemetry.enabled:
-        return ShardResult(payload=payload)
-    return ShardResult(
-        payload=payload,
-        spans=telemetry.tracer.spans,
-        metrics=telemetry.metrics.snapshot(),
-        events=telemetry.audit.events,
-    )
+    return ShardResult.bundle(
+        TrafficAggregate.from_dict(aggregate.to_dict()), telemetry)
 
 
 def run_scenario(
@@ -244,16 +230,13 @@ def run_scenario(
     shard_count: Optional[int] = None,
     jobs: int = 1,
     collect: Optional[Tuple[bool, bool]] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     watch: Optional[Callable[[int, int, CrawlTrace], None]] = None,
     crawl_trace: Optional[CrawlTrace] = None,
 ) -> Tuple[TrafficAggregate, CrawlTrace]:
     """Run a scenario over its shard plan, merging in shard order.
 
-    ``collect`` is :func:`simulate_shard`'s.  ``watch`` (if given)
-    sees the merged-so-far trace after each shard -- the run ledger's
-    heartbeat hook; ``crawl_trace`` is
-    :func:`~repro.dataset.shard.merge_shards`'.
+    ``collect`` is :func:`simulate_shard`'s; ``watch`` and
+    ``crawl_trace`` are :func:`~repro.dataset.shard.merge_shards`'.
     """
     shards = plan_user_shards(scenario, shard_count)
     merged = TrafficAggregate(
@@ -271,7 +254,7 @@ def run_scenario(
         [(shard, records, plan, collect) for shard in shards],
         jobs,
         lambda result: merged.merge(result.payload),
-        progress, watch, crawl_trace,
+        watch, crawl_trace,
     )
     return merged, crawl_trace
 
@@ -284,19 +267,17 @@ def run_what_if(
 ) -> List[Tuple[str, TrafficAggregate]]:
     """The what-if sweep: the same population and world under each
     named policy mix (baseline browsers, ORIGIN deployment, ideal
-    SAN coverage)."""
+    SAN coverage).  ``progress`` gets ``(policy, done_shards, total)``
+    after each shard of each policy's run."""
     results: List[Tuple[str, TrafficAggregate]] = []
     for policy in WHAT_IF_POLICIES:
-        scenario = scenario_for_policy(base, policy)
-        shard_progress = None
+        watch = None
         if progress is not None:
-            shard_progress = (
-                lambda done, total, policy=policy:
-                    progress(policy, done, total)
-            )
+            watch = (lambda done, total, _trace, policy=policy:
+                     progress(policy, done, total))
         aggregate, _ = run_scenario(
-            scenario, shard_count=shard_count, jobs=jobs,
-            progress=shard_progress,
+            scenario_for_policy(base, policy), shard_count=shard_count,
+            jobs=jobs, watch=watch,
         )
         results.append((policy, aggregate))
     return results

@@ -1,6 +1,7 @@
 """CLI smoke tests (tiny scales; each command end to end)."""
 
 import argparse
+import io
 import pathlib
 
 import pytest
@@ -313,3 +314,107 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Privacy" in out
         assert "signal reduction" in out
+
+
+class TestShardLines:
+    """A run's one per-shard callback: the ``shards: k/n`` stderr
+    line after each merged shard, the same at any ``--jobs``, for
+    every pipeline workload, watched or not.  A cache hit merges no
+    shard and prints none."""
+
+    @staticmethod
+    def shard_lines(err):
+        return [line for line in err.splitlines()
+                if line.startswith("shards:")]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_crawl_miss_then_hit(self, tmp_path, capsys, jobs):
+        argv = ["crawl", "--sites", "6", "--seed", "3", "--shards", "3",
+                "--cache-dir", str(tmp_path), "--tables", "1",
+                "--jobs", jobs]
+        assert main(argv) == 0
+        assert self.shard_lines(capsys.readouterr().err) == \
+            ["shards: 1/3", "shards: 2/3", "shards: 3/3"]
+        assert main(argv) == 0
+        assert self.shard_lines(capsys.readouterr().err) == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("argv,count", [
+        (["crawl", "--sites", "6", "--seed", "3", "--shards", "3",
+          "--tables", "1", "--audit", "{tmp}/a.jsonl"], 3),
+        (["traffic", "--users", "4", "--sites", "4", "--duration", "5",
+          "--shards", "2"], 2),
+        (["chaos", "--schedule", FAULTS_DEMO, "--sites", "6",
+          "--shards", "2"], 2),
+    ], ids=["live-crawl", "traffic", "chaos"])
+    def test_every_workload(self, tmp_path, capsys, jobs, argv, count):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        cache = [] if argv[0] == "traffic" else [
+            "--cache-dir", str(tmp_path / "cache")]
+        assert main([*argv, *cache, "--jobs", jobs]) == 0
+        assert self.shard_lines(capsys.readouterr().err) == \
+            [f"shards: {done}/{count}" for done in range(1, count + 1)]
+
+    @pytest.fixture
+    def tty(self, monkeypatch):
+        """Every heartbeat a run starts draws, into its own buffer."""
+        from repro.obs.heartbeat import Heartbeat
+        from repro.runtime import workloads
+
+        streams = []
+
+        def on_a_tty():
+            streams.append(io.StringIO())
+            return Heartbeat(stream=streams[-1], enabled=True)
+
+        monkeypatch.setattr(workloads, "Heartbeat", on_a_tty)
+        return streams
+
+    def test_on_a_tty_a_watched_run_draws_the_heartbeat_instead(
+        self, tmp_path, capsys, tty
+    ):
+        assert main(["crawl", "--sites", "6", "--seed", "3",
+                     "--shards", "3", "--no-cache", "--tables", "1",
+                     "--audit", str(tmp_path / "a.jsonl")]) == 0
+        assert self.shard_lines(capsys.readouterr().err) == []
+        (stream,) = tty
+        assert "shards 3/3" in stream.getvalue()
+
+    def test_on_a_tty_an_unwatched_run_prints_its_lines(
+        self, capsys, tty
+    ):
+        assert main(["crawl", "--sites", "6", "--seed", "3",
+                     "--shards", "3", "--no-cache", "--tables", "1"]) == 0
+        assert self.shard_lines(capsys.readouterr().err) == \
+            ["shards: 1/3", "shards: 2/3", "shards: 3/3"]
+        assert all(stream.getvalue() == "" for stream in tty)
+
+
+class TestSweepsRefuseArtifacts:
+    """A policy sweep runs one simulation per policy and keeps no
+    outcome, so a flag naming an artifact or gate is refused: exit 2
+    with one line naming the flags, before any shard runs."""
+
+    @pytest.mark.parametrize("argv,line", [
+        (["chaos", "--sites", "6", "--schedule", FAULTS_DEMO,
+          "--compare-policies", "--out", "{tmp}/x", "--audit", "{tmp}/y",
+          "--ledger", "{tmp}/d"],
+         "chaos: --out, --audit, --ledger cannot be used with "
+         "--compare-policies"),
+        (["traffic", "--what-if", "--out", "{tmp}/x", "--audit", "{tmp}/y"],
+         "traffic: --out, --audit cannot be used with --what-if"),
+        (["traffic", "--what-if", "--trace", "{tmp}/t", "--metrics",
+          "--slo", "{tmp}/s.toml"],
+         "traffic: --trace, --metrics, --slo cannot be used with "
+         "--what-if"),
+    ], ids=["chaos", "traffic-out-audit", "traffic-trace-metrics-slo"])
+    def test_exits_2_naming_the_flags(self, tmp_path, monkeypatch, capsys,
+                                      argv, line):
+        monkeypatch.setattr(shard_module, "run_shards", _no_shards)
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{line}: the sweep writes no artifact\n"
+        assert list(tmp_path.iterdir()) == []

@@ -24,6 +24,7 @@ from repro.dataset.shard import (
     write_archive_lines,
 )
 from repro.runtime import CrawlWorkload, InstrumentationOptions, RunPipeline
+from repro.runtime.artifacts import RunArtifacts
 from repro.runtime.sinks import CacheStatusSink
 from repro.web.har import HarArchive, HarEntry, HarPage, HarTimings
 
@@ -288,12 +289,12 @@ class TestStreamedStore:
         live one."""
         workload = CrawlWorkload(CONFIG, PARAMS, shards=4,
                                  cache_dir=tmp_path)
-        outcome = workload.execute_cached(jobs=1)
+        options = InstrumentationOptions()
+        outcome = workload.execute(1, options, [], RunArtifacts(options))
         assert not outcome.cache_hit
         assert [p.name for p in tmp_path.iterdir()] == [f"crawl-{KEY}.tmp"]
         assert not workload.cache.path_for(KEY).exists()
-        (sink,) = workload.sinks(InstrumentationOptions(), rules=None,
-                                 live=False)
+        (sink,) = workload.sinks(options, rules=None)
         assert isinstance(sink, CacheStatusSink)
         sink(outcome)
         assert [p.name for p in tmp_path.iterdir()] == \
@@ -344,7 +345,7 @@ class TestStreamedStore:
         tmp = cache.path_for(KEY).with_suffix(".tmp")
         sizes = []
 
-        def progress(done, total):
+        def watch(done, total, _trace):
             # Mid-crawl: the new entry grows beside the old one, which
             # readers still get.
             assert cache.load(KEY).archives == make_result().archives
@@ -353,7 +354,7 @@ class TestStreamedStore:
 
         with cache.writing(KEY) as entry:
             result, _ = crawl_shards(plan_shards(CONFIG, 4), PARAMS, 1,
-                                     archive_out=entry, progress=progress)
+                                     archive_out=entry, watch=watch)
             assert cache.load(KEY).archives == make_result().archives
         assert sizes == sorted(sizes) and len(set(sizes)) == 4
         assert cache.store(KEY) == cache.path_for(KEY)

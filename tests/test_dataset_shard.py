@@ -20,8 +20,10 @@ from repro.dataset.shard import (
     ShardSpec,
     crawl_shard,
     crawl_shards,
+    SEED_DOMAINS,
     default_shard_count,
     derive_seed,
+    partition,
     plan_shards,
     plan_slices,
 )
@@ -55,6 +57,19 @@ class TestPlanShards:
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):
             plan_shards(DatasetConfig(site_count=10), -1)
+
+    def test_sites_and_users_share_one_partition(self):
+        from repro.traffic import ScenarioConfig, plan_user_shards
+
+        assert partition(10, 4) == [(0, 3), (3, 6), (6, 8), (8, 10)]
+        assert partition(250, None, size=100) == \
+            [(0, 84), (84, 167), (167, 250)]
+        shards = plan_user_shards(ScenarioConfig(users=10), 4)
+        assert [(s.lo, s.hi) for s in shards] == partition(10, 4)
+        assert [(s.lo, s.hi) for s in plan_shards(
+            DatasetConfig(site_count=10), 4)] == partition(10, 4)
+        with pytest.raises(ValueError, match="shard count"):
+            plan_user_shards(ScenarioConfig(users=10), -1)
 
 
 def _plan_view(records):
@@ -109,6 +124,11 @@ class TestDeriveSeed:
         assert derive_seed(2022, 0, 2, 4) != base
         assert derive_seed(2022, 0, 1, 5) != base
 
+    def test_every_stream_has_its_own_domain(self):
+        assert len(set(SEED_DOMAINS.values())) == len(SEED_DOMAINS)
+        assert SEED_DOMAINS == {"world": 0, "crawler": 1,
+                                "population": 2, "chaos": 4, "retry": 5}
+
     def test_world_and_crawler_domains_disjoint(self):
         config = DatasetConfig(site_count=8, seed=2022)
         spec = plan_shards(config, 2)[0]
@@ -146,7 +166,7 @@ class TestCrawlShards:
         seen = []
         crawl_shards(
             plan_shards(config, 3), params, 1,
-            progress=lambda done, total: seen.append((done, total)),
+            watch=lambda done, total, _trace: seen.append((done, total)),
         )
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
@@ -179,7 +199,7 @@ class TestFoldMemory:
         alive = []
         crawl_shards(
             plan_shards(self.CONFIG, 3), CrawlParams(), 1, collect=collect,
-            progress=lambda done, total: alive.append(
+            watch=lambda done, total, _trace: alive.append(
                 [ref() is not None for ref in worlds]),
         )
         assert alive == [[False], [False, False], [False, False, False]]

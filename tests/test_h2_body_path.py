@@ -508,6 +508,31 @@ def test_every_split_of_one_delivery_matches():
         assert second not in pair.conns[0]._streams  # reset
 
 
+def test_headers_never_pass_queued_data():
+    """Trailers with END_STREAM on a stream whose body is still queued
+    are refused, not sent ahead of the body (which would end the stream
+    and drop it); once the body drains, they go out after it."""
+    pair = Differential()
+    pair.deliver(pair.open_frame(end_stream=False))
+    stream_id = pair.opened[-1]
+    pair.call("send_headers", stream_id, _RESPONSE, False)
+    pair.call("send_data", stream_id, _PATTERN[:100_000], False)
+    trailers = [("x-checksum", "1")]
+    for conn in pair.conns:
+        conn.data_to_send()
+        with pytest.raises(H2StreamError, match="ahead of queued DATA"):
+            conn.send_headers(stream_id, trailers, end_stream=True)
+        assert conn.data_to_send() == b""
+    pair.check()
+    wire = pair.inbound(("wu", None, 100_000)) \
+        + pair.inbound(("wu", 0, 100_000))
+    pair.deliver(wire)
+    assert not pair.conns[0]._send_queue
+    pair.call("send_headers", stream_id, trailers, True)
+    assert pair.conns[0]._streams[stream_id].state \
+        is StreamState.HALF_CLOSED_LOCAL
+
+
 def test_inbound_data_split_at_every_offset():
     upload = fr.DataFrame(stream_id=1, data=_PATTERN[:40]).serialize() \
         + fr.DataFrame(stream_id=1, flags=fr.FLAG_PADDED,

@@ -164,21 +164,33 @@ class TestFlowControl:
         assert conn.data_to_send() == PingFrame(
             opaque=b"12345678", flags=FLAG_ACK).serialize()
 
-    def test_data_queued_behind_an_ended_stream_is_dropped(self):
-        """Trailers with END_STREAM end the local side under queued
-        DATA: the drain drops the entry, once, and raises nothing."""
+    def test_nothing_queues_behind_an_ended_stream(self):
+        """Under queued DATA, trailers (which would pass the body, and
+        with END_STREAM drop it) and DATA after a queued END_STREAM
+        (which the drain would drop) are refused at the call; the whole
+        body then drains, and its END_STREAM ends the stream."""
         conn = endpoint(Role.CLIENT)
         conn.receive_data(SettingsFrame(
             settings=((int(SettingId.INITIAL_WINDOW_SIZE), 10),)
         ).serialize())
         act(conn, "send_headers", False)
-        conn.send_data(1, b"x" * 11)
-        conn.send_headers(1, [("x-trailer", "1")], end_stream=True)
+        conn.send_data(1, b"x" * 11, end_stream=True)
         conn.data_to_send()
+        with pytest.raises(H2StreamError) as refused:
+            conn.send_headers(1, [("x-trailer", "1")], end_stream=True)
+        assert refused.value.code is ErrorCode.PROTOCOL_ERROR
+        with pytest.raises(H2StreamError) as refused:
+            conn.send_data(1, b"y")
+        assert refused.value.code is ErrorCode.STREAM_CLOSED
+        assert conn.data_to_send() == b""
+        assert [len(entry[1]) for entry in conn._send_queue] == [1]
         assert conn.receive_data(
             WindowUpdateFrame(stream_id=1, increment=5).serialize()
         ) == [ev.WindowUpdated(1, 5)]
-        assert conn.data_to_send() == b"" and not conn._send_queue
+        assert conn.data_to_send() == DataFrame(
+            stream_id=1, data=b"x", flags=FLAG_END_STREAM).serialize()
+        assert not conn._send_queue
+        assert state_of(conn) is StreamState.HALF_CLOSED_LOCAL
 
     def test_recv_window_enforced(self):
         conn = endpoint(Role.SERVER, window=10)

@@ -161,12 +161,14 @@ class TestRunShards:
     def test_merge_folds_in_shard_order_and_reports_progress(self):
         seen, absorbed, watched = [], [], []
         specs = [_Spec(0), _Spec(1)]
+
+        def watch(done, total, so_far):
+            seen.append((done, total))
+            watched.append(len(so_far.metrics.snapshot()))
+
         trace = merge_shards(
             _toy_shard, specs, [(specs[0], 0.3), (specs[1], 0.0)], 2,
-            lambda result: absorbed.append(_index(result)),
-            progress=lambda done, total: seen.append((done, total)),
-            watch=lambda done, total, so_far: watched.append(
-                len(so_far.metrics.snapshot())),
+            lambda result: absorbed.append(_index(result)), watch=watch,
         )
         assert absorbed == [0, 1]
         assert seen == [(1, 2), (2, 2)]
