@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import render_table
-from repro.browser import ChromiumPolicy, FirefoxPolicy
-from repro.dataset.crawler import Crawler
+from repro.dataset.crawler import Crawler, CrawlParams
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.world import build_world
 from repro.dnssim import (
@@ -35,14 +34,11 @@ ANSWER_POLICIES = [
 def sweep():
     results = {}
     for name, factory in ANSWER_POLICIES:
-        for browser_name, browser in (
-            ("chromium", ChromiumPolicy()),
-            ("firefox", FirefoxPolicy(origin_frames=False)),
-        ):
+        for browser_name in ("chromium", "firefox"):
             world = build_world(DatasetConfig(site_count=60, seed=9))
             world.dns_authority.answer_policy = factory(world.rng)
-            result = Crawler(world, policy=browser,
-                             speculative_rate=0.0).crawl()
+            result = Crawler(world, CrawlParams(
+                policy=browser_name, speculative_rate=0.0)).crawl()
             ok = result.successes
             coalesced = float(np.median([
                 sum(1 for e in a.entries if e.coalesced) for a in ok

@@ -11,23 +11,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import render_table
-from repro.browser import (
-    ChromiumPolicy,
-    FirefoxPolicy,
-    IdealOriginPolicy,
-    NoCoalescingPolicy,
-)
-from repro.dataset.crawler import Crawler
+from repro.dataset.crawler import Crawler, CrawlParams
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.world import build_world
 
-POLICIES = [
-    NoCoalescingPolicy(),
-    ChromiumPolicy(),
-    FirefoxPolicy(origin_frames=False),
-    FirefoxPolicy(origin_frames=True),
-    IdealOriginPolicy(),
-]
+POLICIES = ["none", "chromium", "firefox", "firefox+origin",
+            "ideal-origin"]
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +33,10 @@ def per_policy_medians():
             server.config.origin_sets["*"] = tuple(
                 f"https://{name}" for name in hostnames[:50]
             )
-        result = Crawler(world, policy=policy,
-                         speculative_rate=0.0).crawl()
+        result = Crawler(world, CrawlParams(policy=policy,
+                                            speculative_rate=0.0)).crawl()
         ok = result.successes
-        medians[policy.name] = {
+        medians[policy] = {
             "tls": float(np.median([a.tls_connection_count()
                                     for a in ok])),
             "dns": float(np.median([a.dns_query_count() for a in ok])),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import render_table
-from repro.dataset.crawler import Crawler
+from repro.dataset.crawler import Crawler, CrawlParams
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.world import build_world
 from repro.tlspki import (
@@ -56,7 +56,7 @@ def plt_by_tls():
     medians = {}
     for label, tls12_rate in (("all TLS 1.3", 0.0), ("all TLS 1.2", 1.0)):
         world = build_world(DatasetConfig(site_count=60, seed=4))
-        crawler = Crawler(world, speculative_rate=0.0)
+        crawler = Crawler(world, CrawlParams(speculative_rate=0.0))
         crawler.context.tls12_rate = tls12_rate
         result = crawler.crawl()
         medians[label] = float(np.median(

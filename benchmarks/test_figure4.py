@@ -2,19 +2,10 @@
 
 from conftest import print_block
 
-import pytest
-
 from repro.analysis import render_cdf
-from repro.core import plan_certificates
 
 #: Paper: among changed SANs the median shifts 2 -> 3; p75 3 -> 7.
 PAPER = {"median_before": 2, "median_after": 3}
-
-
-@pytest.fixture(scope="module")
-def plan(crawl):
-    world, _ = crawl
-    return plan_certificates(hosted.record for hosted in world.sites)
 
 
 def test_figure4(benchmark, plan):

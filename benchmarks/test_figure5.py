@@ -2,20 +2,11 @@
 
 from conftest import print_block
 
-import pytest
-
 from repro.analysis import format_pct, render_table
-from repro.core import plan_certificates
 
 #: Paper: 62.41% of certs unchanged; <=10 changes covers 92.66%; sites
 #: with >250 SANs grow 230 -> 529 (+130%).
 PAPER = {"unchanged": 0.6241, "at_most_10": 0.9266}
-
-
-@pytest.fixture(scope="module")
-def plan(crawl):
-    world, _ = crawl
-    return plan_certificates(hosted.record for hosted in world.sites)
 
 
 def test_figure5(benchmark, plan):

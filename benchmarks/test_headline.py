@@ -2,10 +2,8 @@
 
 from conftest import print_block
 
-import pytest
-
 from repro.analysis import format_pct
-from repro.core import headline_reductions, plan_certificates
+from repro.core import headline_reductions
 
 #: "adding no more than 10 DNS names to 37.59% of the certificates will
 #: reduce certificate validations by 68.75%, while reducing the number
@@ -14,13 +12,11 @@ PAPER = {"changed": 0.3759, "validation_reduction": 0.6875,
          "dns_reduction": 0.6428}
 
 
-def test_headline(benchmark, crawl):
-    world, result = crawl
+def test_headline(benchmark, archives, plan):
     headline = benchmark.pedantic(
-        headline_reductions, args=(result.archives,),
+        headline_reductions, args=(archives,),
         rounds=1, iterations=1,
     )
-    plan = plan_certificates(hosted.record for hosted in world.sites)
     changed = 1.0 - plan.unchanged_fraction
     at_most_10 = plan.fraction_with_changes_at_most(10)
     print_block(

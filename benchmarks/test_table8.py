@@ -2,16 +2,8 @@
 
 from conftest import print_block
 
-import pytest
-
 from repro.analysis import render_table
-from repro.core import plan_certificates, san_distribution_table
-
-
-@pytest.fixture(scope="module")
-def plan(crawl):
-    world, _ = crawl
-    return plan_certificates(hosted.record for hosted in world.sites)
+from repro.core import san_distribution_table
 
 
 def test_table8(benchmark, plan):

@@ -2,16 +2,8 @@
 
 from conftest import print_block
 
-import pytest
-
 from repro.analysis import format_pct, render_table
-from repro.core import plan_certificates, provider_addition_table
-
-
-@pytest.fixture(scope="module")
-def plan(crawl):
-    world, _ = crawl
-    return plan_certificates(hosted.record for hosted in world.sites)
+from repro.core import provider_addition_table
 
 
 def test_table9(benchmark, plan):

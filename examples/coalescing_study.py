@@ -27,7 +27,7 @@ def main():
     print(f"building a {site_count}-site synthetic web ...")
     world = build_world(DatasetConfig(site_count=site_count, seed=2022))
     print(f"crawling {len(world.sites)} sites ...")
-    result = Crawler(world, speculative_rate=0.10).crawl()
+    result = Crawler(world).crawl()
     ok = result.successes
     print(f"crawled: {result.success_count}/{result.attempted} "
           "successful page loads "

@@ -22,11 +22,11 @@ The package layers, bottom-up:
 
 Quickstart::
 
-    from repro.dataset import DatasetConfig, Crawler, build_world
+    from repro.dataset import CrawlParams, Crawler, DatasetConfig, build_world
     from repro.core import figure3
 
     world = build_world(DatasetConfig(site_count=200))
-    result = Crawler(world).crawl()
+    result = Crawler(world, CrawlParams(policy="chromium")).crawl()
     print(figure3(result.archives).medians())
 """
 

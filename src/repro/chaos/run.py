@@ -29,12 +29,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.browser.retry import RetryPolicy
 from repro.chaos.report import ChaosReport
 from repro.chaos.schedule import FaultSchedule
-from repro.dataset.shard import (
-    CrawlParams,
-    ShardResult,
-    ShardSpec,
-    crawl_shards,
-)
+from repro.dataset.crawler import CrawlParams
+from repro.dataset.shard import ShardResult, ShardSpec, crawl_shards
 from repro.telemetry import CrawlTrace
 
 def run_chaos(

@@ -13,6 +13,7 @@ from typing import List
 
 from repro.browser.policy import POLICY_FACTORIES
 from repro.dataset.characterize import CRAWL_TABLES
+from repro.dataset.crawler import CrawlParams
 from repro.runtime.console import diag
 
 #: Kept as the CLI-facing name->factory registry (the canonical copy
@@ -152,11 +153,12 @@ def add_crawl_pipeline_options(p) -> None:
                    help="crawl with decision auditing and write "
                         "the audit log to OUT (canonical JSONL); "
                         "bypasses cache reads")
-    p.add_argument("--alpn", type=_parse_alpn, default="h2",
+    p.add_argument("--alpn", type=_parse_alpn, default=CrawlParams.alpn,
                    help="ALPN protocols the browser offers "
                         "(default h2; 'h2,h3' also discovers and "
                         "upgrades to QUIC endpoints)")
-    p.add_argument("--dns-latency", type=float, default=48.0,
+    p.add_argument("--dns-latency", type=float,
+                   default=CrawlParams.dns_latency_ms,
                    dest="dns_latency", metavar="MS",
                    help="simulated resolver wire RTT in ms "
                         "(default 48; part of the run "

@@ -22,14 +22,11 @@ def crawl_definition(args, policy_name: str):
     schedule comes out byte-identical to a plain ``repro crawl`` of
     the same flags."""
     from repro.dataset.generator import DatasetConfig
-    from repro.dataset.shard import CrawlParams
+    from repro.dataset.crawler import CrawlParams
 
     config = DatasetConfig(site_count=args.sites, seed=args.seed)
-    params = CrawlParams(
-        policy=policy_name, speculative_rate=0.10,
-        alpn=getattr(args, "alpn", "h2"),
-        dns_latency_ms=getattr(args, "dns_latency", 48.0),
-    )
+    params = CrawlParams(policy=policy_name, alpn=args.alpn,
+                         dns_latency_ms=args.dns_latency)
     return config, params
 
 

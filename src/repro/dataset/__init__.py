@@ -21,9 +21,8 @@ from repro.dataset.profiles import (
 from repro.dataset.tranco import TrancoList
 from repro.dataset.generator import DatasetConfig, SiteRecord, PageGenerator
 from repro.dataset.world import SyntheticWorld, build_world
-from repro.dataset.crawler import Crawler, CrawlResult
+from repro.dataset.crawler import Crawler, CrawlParams, CrawlResult
 from repro.dataset.shard import (
-    CrawlParams,
     ShardResult,
     ShardSpec,
     crawl_shards,

@@ -35,9 +35,8 @@ from pathlib import Path
 from typing import Iterator, List, Optional, TextIO
 
 from repro.audit.record import canonical_json
-from repro.dataset.crawler import CrawlResult
+from repro.dataset.crawler import CrawlParams, CrawlResult
 from repro.dataset.generator import DatasetConfig
-from repro.dataset.shard import CrawlParams
 
 #: Bump when the archive format or crawl semantics change, so stale
 #: entries from older code can never be mistaken for current ones.

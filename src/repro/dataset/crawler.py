@@ -14,8 +14,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.browser import BrowserContext, BrowserEngine, ChromiumPolicy
-from repro.browser.policy import CoalescingPolicy
+from repro.browser import BrowserContext, BrowserEngine
+from repro.browser.policy import policy_by_name
 from repro.browser.retry import RetryPolicy
 from repro.dataset.world import SyntheticWorld
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -72,32 +72,47 @@ class CrawlResult:
         return pages
 
 
+@dataclass(frozen=True)
+class CrawlParams:
+    """A crawl's knobs: everything that shapes its archives.  Every
+    field keys the crawl cache
+    (:func:`repro.dataset.cache.cache_key` hashes them all)."""
+
+    #: A :data:`~repro.browser.policy.POLICY_FACTORIES` name.
+    policy: str = "chromium"
+    #: Chance that opening a connection races a duplicate
+    #: (:attr:`~repro.browser.engine.BrowserContext.speculative_rate`).
+    speculative_rate: float = 0.10
+    dns_latency_ms: float = 48.0
+    seed: int = 7
+    #: Comma-joined ALPN offer (``"h2"`` or ``"h2,h3"``).
+    alpn: str = "h2"
+
+
 class Crawler:
-    """Loads every site with a given browser policy."""
+    """Loads every site of ``world`` as ``params`` say.  A chaos run
+    adds an explicit ``retry_policy`` and the seed of its own retry
+    RNG."""
 
     def __init__(
         self,
         world: SyntheticWorld,
-        policy: Optional[CoalescingPolicy] = None,
-        speculative_rate: float = 0.12,
-        dns_latency_ms: float = 48.0,
-        seed: int = 7,
+        params: CrawlParams = CrawlParams(),
         telemetry: Telemetry = NULL_TELEMETRY,
-        alpn: str = "h2",
-        retry_policy: Optional["RetryPolicy"] = None,
+        retry_policy: Optional[RetryPolicy] = None,
         retry_seed: Optional[int] = None,
     ) -> None:
         self.world = world
-        self.policy = policy or ChromiumPolicy()
-        self.rng = np.random.default_rng(seed)
+        self.policy = policy_by_name(params.policy)
+        self.rng = np.random.default_rng(params.seed)
         # Phase histograms ride the shared metrics registry, so they
         # shard-merge (and stay --jobs-deterministic) for free.
         self.telemetry = telemetry = telemetry.for_profile(self.policy.name)
         self.alpn = tuple(
-            p.strip() for p in alpn.split(",") if p.strip()
+            p.strip() for p in params.alpn.split(",") if p.strip()
         ) or ("h2",)
         self.resolver = world.make_resolver(
-            median_latency_ms=dns_latency_ms, telemetry=telemetry
+            median_latency_ms=params.dns_latency_ms, telemetry=telemetry
         )
         if "h3" in self.alpn:
             # h3-capable clients also ask for HTTPS/SVCB records
@@ -111,7 +126,7 @@ class Crawler:
             authorities=world.authorities,
             policy=self.policy,
             rng=self.rng,
-            speculative_rate=speculative_rate,
+            speculative_rate=params.speculative_rate,
             tls12_rate=0.45,
             asdb=world.asdb,
             telemetry=telemetry,

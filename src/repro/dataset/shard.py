@@ -87,8 +87,7 @@ from typing import (
 import numpy as np
 
 from repro.audit.log import AuditEvent
-from repro.browser.policy import policy_by_name
-from repro.dataset.crawler import Crawler, CrawlResult
+from repro.dataset.crawler import Crawler, CrawlParams, CrawlResult
 from repro.dataset.generator import DatasetConfig, PageGenerator, SiteRecord
 from repro.dataset.world import SyntheticWorld, build_world
 from repro.telemetry import NULL_TELEMETRY, CrawlTrace, Span, Telemetry
@@ -286,19 +285,6 @@ def shard_telemetry(clock: Callable[[], float],
     return Telemetry(clock=clock, trace=trace, audit=audit)
 
 
-@dataclass(frozen=True)
-class CrawlParams:
-    """Crawler knobs that shape results (and key the crawl cache)."""
-
-    policy: str = "chromium"
-    speculative_rate: float = 0.12
-    dns_latency_ms: float = 48.0
-    seed: int = 7
-    #: Comma-joined ALPN offer (``"h2"`` or ``"h2,h3"``).  The default
-    #: is omitted from the cache key so pre-h3 cache entries still hit.
-    alpn: str = "h2"
-
-
 def crawl_shard(
     spec: ShardSpec,
     records: Sequence[SiteRecord],
@@ -330,14 +316,8 @@ def crawl_shard(
         retry_seed = derive_seed(params.seed, SEED_DOMAINS["retry"],
                                  spec.index, spec.shard_count)
     crawler = Crawler(
-        world,
-        policy=policy_by_name(params.policy),
-        speculative_rate=params.speculative_rate,
-        dns_latency_ms=params.dns_latency_ms,
-        seed=spec.crawler_seed(params.seed),
-        telemetry=telemetry,
-        alpn=params.alpn,
-        retry_policy=retry_policy,
+        world, replace(params, seed=spec.crawler_seed(params.seed)),
+        telemetry=telemetry, retry_policy=retry_policy,
         retry_seed=retry_seed,
     )
     if chaos is not None:

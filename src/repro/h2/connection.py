@@ -160,9 +160,11 @@ class H2Connection:
         """The stream ``event`` is for: the listed one, or else the one
         answer for an ID without an entry, a detached stream in the
         state RFC 7540 §5.1.1 gives it -- CLOSED at or below the highest
-        ID its side has used, IDLE above.  HEADERS, or a RST_STREAM we
-        send, puts an idle ID to use and raises that watermark; any
-        other input for it is a frame received, a PROTOCOL_ERROR (§5.1).
+        ID its side has used, IDLE above.  HEADERS from the ID's own side
+        (odd IDs are the client's), or a RST_STREAM we send, puts an idle
+        ID to use and raises that watermark; HEADERS we send on the
+        peer's idle ID is refused, and any other input for it is a frame
+        received, a PROTOCOL_ERROR (§5.1).
         None is no input: a lookup, or a send the caller then takes
         through the table itself."""
         stream = self._streams.get(stream_id)
@@ -177,6 +179,12 @@ class H2Connection:
                 stream.state = _CLOSED
                 return stream
         if event in (_I.SEND_HEADERS, _I.RECV_HEADERS, _I.SEND_RST_STREAM):
+            if event is _I.SEND_HEADERS and not local:
+                raise H2StreamError(stream_id, ErrorCode.PROTOCOL_ERROR,
+                                    "cannot open a stream of the peer's")
+            if event is _I.RECV_HEADERS and local:
+                raise H2ConnectionError(ErrorCode.PROTOCOL_ERROR,
+                                        f"peer opened our stream {stream_id}")
             if not local:
                 self._highest_remote_stream = stream_id
             elif stream_id >= self._next_stream_id:

@@ -20,8 +20,9 @@ from repro.audit.reconcile import (
 )
 from repro.cli import main
 from repro.core.predictions import figure3
+from repro.dataset.crawler import CrawlParams
 from repro.dataset.generator import DatasetConfig
-from repro.dataset.shard import CrawlParams, crawl_shards, plan_shards
+from repro.dataset.shard import crawl_shards, plan_shards
 from tests.test_chaos import every_kind_run
 from tests.test_core_timeline import archive, entry
 
@@ -34,7 +35,7 @@ ALL_POLICIES = ("chromium", "firefox", "firefox+origin",
 def audited_crawl(policy):
     return crawl_shards(
         plan_shards(CONFIG, 2),
-        CrawlParams(policy=policy, speculative_rate=0.10), 1,
+        CrawlParams(policy=policy), 1,
         collect=(False, True),
     )[:2]
 

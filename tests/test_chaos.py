@@ -31,10 +31,10 @@ from repro.chaos import (
     run_chaos,
 )
 from repro.cli import main
-from repro.dataset.crawler import CrawlResult
+from repro.dataset.crawler import Crawler, CrawlParams, CrawlResult
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
-    CrawlParams,
+    SEED_DOMAINS,
     crawl_shard,
     crawl_shards,
     derive_seed,
@@ -46,13 +46,6 @@ from repro.deployment import BuggyMiddlebox, DeploymentExperiment
 from repro.deployment.experiment import deployment_world_config
 from repro.telemetry import Telemetry
 from tests.test_wire_counts import tap_every_network
-
-
-def tiny_params(**overrides) -> CrawlParams:
-    defaults = dict(policy="chromium", speculative_rate=0.10,
-                    dns_latency_ms=48.0, seed=7, alpn="h2")
-    defaults.update(overrides)
-    return CrawlParams(**defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +179,7 @@ class TestEmptyScheduleNonPerturbation:
         seeded) must not move a single byte of the archives or the
         audit stream relative to a plain crawl."""
         shards = plan_shards(DatasetConfig(site_count=6, seed=2022), 2)
-        params = tiny_params()
+        params = CrawlParams()
 
         p_result, p_trace = crawl_shards(shards, params, 1,
                                          collect=(True, True))
@@ -218,7 +211,7 @@ class TestFaultsFire:
         ), source="storm")
         trace, report = run_chaos(
             plan_shards(DatasetConfig(site_count=6, seed=2022), 1),
-            tiny_params(), schedule, DEFAULT_RETRY_POLICY, 1,
+            CrawlParams(), schedule, DEFAULT_RETRY_POLICY, 1,
             collect=(True, True),
         )
         assert report.tallies[0].fired == 1
@@ -237,10 +230,6 @@ class TestTermination:
     cleartext ``http://`` fetch whose port-80 connection it tore: no
     close handler, so the fetch never settled and the page load never
     completed (``BrowserEngine.load_blocking`` raises on that)."""
-
-    #: ``repro chaos`` builds these for its default flags.
-    CLI_PARAMS = dict(policy="chromium", speculative_rate=0.10,
-                      dns_latency_ms=48.0, alpn="h2")
 
     def test_the_shard_packet_loss_alone_used_to_hang(self, monkeypatch):
         """Shard 9 of the 240-site, 24-shard world at seed 2022 holds
@@ -263,7 +252,7 @@ class TestTermination:
         ), source="loss-only")
         spec = plan_shards(DatasetConfig(site_count=240, seed=2022), 24)[9]
         result = crawl_shard(spec, next(plan_slices([spec])),
-                             CrawlParams(**self.CLI_PARAMS), (False, True),
+                             CrawlParams(), (False, True),
                              (schedule, DEFAULT_RETRY_POLICY))
         hostnames = [a.page.hostname for a in result.payload.archives]
         assert len(hostnames) == 10 and "www.site000100.io" in hostnames
@@ -307,7 +296,7 @@ def every_kind_run():
     result = CrawlResult()
     trace, report = run_chaos(
         plan_shards(DatasetConfig(site_count=24, seed=7), 2),
-        tiny_params(alpn="h2,h3"), load_fault_schedule(EVERY_KIND),
+        CrawlParams(alpn="h2,h3"), load_fault_schedule(EVERY_KIND),
         DEFAULT_RETRY_POLICY, 1, collect=(False, True), pages=result,
     )
     return result, trace, report
@@ -400,7 +389,7 @@ class TestEveryKind:
             fault for fault in schedule.faults if fault.kind == kind))
         _, report = run_chaos(
             plan_shards(DatasetConfig(site_count=8, seed=7), 2),
-            tiny_params(alpn="h2,h3"), alone, DEFAULT_RETRY_POLICY, 1,
+            CrawlParams(alpn="h2,h3"), alone, DEFAULT_RETRY_POLICY, 1,
         )
         assert report.tallies[0].fired == 2
 
@@ -457,7 +446,7 @@ class TestBlastRadius:
         reports = {}
         for policy in ("none", "ideal-origin"):
             shard_result = crawl_shard(
-                spec, records, tiny_params(policy=policy),
+                spec, records, CrawlParams(policy=policy),
                 collect=(False, True),
                 chaos=(schedule, DEFAULT_RETRY_POLICY),
             )
@@ -589,18 +578,15 @@ class TestPoolUnderStorms:
         world = spec.build_world(next(plan_slices([spec])))
         telemetry = Telemetry(clock=world.network.loop.now,
                               trace=False, audit=True)
-        from repro.browser.policy import policy_by_name
-        from repro.dataset.crawler import Crawler
-
+        params = CrawlParams()
         crawler = Crawler(
-            world, policy=policy_by_name("chromium"),
-            speculative_rate=0.10, seed=7, telemetry=telemetry,
+            world, params, telemetry=telemetry,
             retry_policy=DEFAULT_RETRY_POLICY,
-            retry_seed=derive_seed(7, 5, 0, 1),
+            retry_seed=derive_seed(params.seed, SEED_DOMAINS["retry"], 0, 1),
         )
         injector = FaultInjector(world, schedule, seed=derive_seed(
-            7, 4, 0, 1), resolver=crawler.resolver,
-            telemetry=telemetry)
+            params.seed, SEED_DOMAINS["chaos"], 0, 1),
+            resolver=crawler.resolver, telemetry=telemetry)
         injector.arm()
 
         for hosted in world.sites:

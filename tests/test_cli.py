@@ -8,7 +8,10 @@ import pytest
 
 from repro import __version__
 from repro.cli import POLICIES, _parse_alpn, _parse_tables, build_parser, main
+from repro.cli.invoke import crawl_definition
 from repro.dataset import shard as shard_module
+from repro.dataset.crawler import CrawlParams
+from repro.dataset.generator import DatasetConfig
 
 FAULTS_DEMO = str(pathlib.Path(__file__).resolve().parent.parent
                   / "examples" / "faults_demo.toml")
@@ -111,6 +114,20 @@ class TestParseAlpn:
     def test_bad_alpn_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["crawl", "--alpn", "h3"])
+
+
+class TestCrawlDefinition:
+    @pytest.mark.parametrize("argv", [
+        ["crawl", "--sites", "40", "--seed", "9"],
+        ["chaos", "--schedule", FAULTS_DEMO, "--policy", "chromium",
+         "--sites", "40", "--seed", "9"],
+    ])
+    def test_the_cli_spells_no_knob_the_default_lacks(self, argv):
+        """A default command line crawls with ``CrawlParams()``: the
+        CLI sets no crawl knob of its own."""
+        args = build_parser().parse_args(argv)
+        assert crawl_definition(args, args.policy) == (
+            DatasetConfig(site_count=40, seed=9), CrawlParams())
 
 
 class TestParseTables:

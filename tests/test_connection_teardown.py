@@ -17,9 +17,9 @@ import gc
 
 from repro.browser import BrowserContext, BrowserEngine, FirefoxPolicy
 from repro.chaos import DEFAULT_RETRY_POLICY, load_fault_schedule
+from repro.dataset.crawler import CrawlParams
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
-    CrawlParams,
     crawl_shard,
     plan_shards,
     plan_slices,

@@ -30,7 +30,7 @@ from tests.test_core_timeline import archive, entry
 def crawled_world():
     config = DatasetConfig(site_count=120, seed=2022)
     world = build_world(config)
-    crawler = Crawler(world, speculative_rate=0.10)
+    crawler = Crawler(world)
     return world, crawler.crawl()
 
 

@@ -14,10 +14,9 @@ from repro.dataset.cache import (
 )
 from repro.cli import main
 from repro.dataset import shard as shard_module
-from repro.dataset.crawler import CrawlResult
+from repro.dataset.crawler import CrawlParams, CrawlResult
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
-    CrawlParams,
     ShardResult,
     crawl_shards,
     plan_shards,
@@ -190,7 +189,7 @@ class TestCrawlCache:
 
     def test_cached_pipeline_end_to_end(self, tmp_path):
         config = DatasetConfig(site_count=6, seed=17)
-        params = CrawlParams(policy="chromium", speculative_rate=0.10)
+        params = CrawlParams()
         first = cached_crawl(tmp_path, config, params, shards=2)
         assert first.cache_hit is False
         second = cached_crawl(tmp_path, config, params, shards=2)

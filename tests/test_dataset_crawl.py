@@ -14,7 +14,7 @@ def crawl():
     """One shared 100-site crawl (module-scoped for speed)."""
     config = DatasetConfig(site_count=100, seed=2022)
     world = build_world(config)
-    crawler = Crawler(world, speculative_rate=0.10)
+    crawler = Crawler(world)
     return world, crawler.crawl()
 
 

@@ -13,10 +13,9 @@ import pytest
 
 from repro.dataset import shard as shard_module
 from repro.dataset.characterize import CrawlFold
-from repro.dataset.crawler import CrawlResult
+from repro.dataset.crawler import CrawlParams, CrawlResult
 from repro.dataset.generator import DatasetConfig, PageGenerator
 from repro.dataset.shard import (
-    CrawlParams,
     ShardSpec,
     crawl_shard,
     crawl_shards,
@@ -142,7 +141,7 @@ class TestCrawlShards:
 
     @pytest.fixture(scope="class")
     def params(self):
-        return CrawlParams(policy="chromium", speculative_rate=0.10)
+        return CrawlParams()
 
     @pytest.fixture(scope="class")
     def serial(self, config, params):

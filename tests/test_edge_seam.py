@@ -7,7 +7,7 @@ subscribes to nothing and acts on each server's ``live`` connections."""
 import pytest
 
 from repro.chaos import FaultInjector, FaultSchedule, FaultSpec
-from repro.dataset.crawler import Crawler
+from repro.dataset.crawler import Crawler, CrawlParams
 from repro.dataset.world import SELF_HOSTED, build_world
 from repro.deployment import DeploymentExperiment, PassivePipeline
 from repro.deployment.experiment import deployment_world_config
@@ -184,7 +184,7 @@ class TestSubscription:
         assert all(order.index(("accepted", n)) > last_close
                    for n in second)
 
-        Crawler(world, alpn="h2,h3").crawl()
+        Crawler(world, CrawlParams(alpn="h2,h3")).crawl()
         world.network.loop.run_until_idle()
         assert any(type(connection).__name__ == "QuicServerConnection"
                    for connection in served)

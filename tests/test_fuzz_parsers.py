@@ -128,7 +128,7 @@ class TestFrameParserFuzz:
         st.lists(
             st.sampled_from([
                 DataFrame(stream_id=1, data=b"x"),
-                HeadersFrame(stream_id=3, flags=FLAG_END_HEADERS,
+                HeadersFrame(stream_id=1, flags=FLAG_END_HEADERS,
                              header_block=b"\x82"),
                 PingFrame(),
                 SettingsFrame(settings=((4, 65535),)),

@@ -1113,8 +1113,9 @@ class TestAnIdWithoutAnEntry:
     """What a connection answers for a stream ID it keeps nothing for
     (RFC 7540 §5.1), for each frame type a stream receives, at either
     role: on an ID closed each of four ways, exactly what it answered
-    when it kept its closed streams; on an idle ID, HEADERS opens it,
-    PRIORITY is ignored and anything else is a PROTOCOL_ERROR."""
+    when it kept its closed streams; on an idle ID, HEADERS opens it if
+    the ID is the peer's (RFC 7540 §5.1.1), PRIORITY is ignored and
+    anything else is a PROTOCOL_ERROR."""
 
     #: Stream 1 closed four ways, as ``(who acts, what)`` steps, each
     #: delivered to the other side.
@@ -1230,11 +1231,12 @@ class TestAnIdWithoutAnEntry:
         opened = (ev.ResponseReceived if role is Role.CLIENT
                   else ev.RequestReceived)(stream_id, [(":status", "200")],
                                            False)
+        refused = (ErrorCode.PROTOCOL_ERROR, goaway.serialize())
         expected = {
-            "data": (ErrorCode.PROTOCOL_ERROR, goaway.serialize()),
-            "headers": ([opened], b""),
+            "data": refused,
+            "headers": refused if parity == "local" else ([opened], b""),
             "priority": ([], b""),
-            "rst-stream": (ErrorCode.PROTOCOL_ERROR, goaway.serialize()),
-            "window-update": (ErrorCode.PROTOCOL_ERROR, goaway.serialize()),
+            "rst-stream": refused,
+            "window-update": refused,
         }[name]
         assert self.answer(me, name, stream_id) == expected

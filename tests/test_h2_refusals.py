@@ -16,12 +16,16 @@ raising.  So after each step:
   watermarks and windows: a refused call left nothing behind, not a
   queued frame, a moved stream-ID watermark or a listed stream;
 * ``receive_data`` raised nothing but :class:`H2ConnectionError`, and
-  then with its GOAWAY queued last.
+  then with its GOAWAY queued last;
+* a read reports HEADERS on an ID of the reader's own parity only if
+  the reader opened that stream (RFC 7540 §5.1.1): HEADERS sent on the
+  peer's idle IDs, which both sides draw, never open a stream.
 """
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, rule
 
+from repro.h2 import events as ev
 from repro.h2.connection import H2Connection, Role
 from repro.h2.errors import ErrorCode, H2ConnectionError, H2Error
 from tests import h2_reference_frames as fr
@@ -94,6 +98,8 @@ class RefusedCallsLeaveNoTrace(RuleBasedStateMachine):
         super().__init__()
         self.real = Pair()
         self.twin = Pair()
+        #: IDs each side opened with HEADERS of its own.
+        self.opened = {"client": set(), "server": set()}
 
     def call(self, side: str, method: str, *args) -> None:
         """``method(*args)`` on the real endpoint, and on the twin
@@ -104,6 +110,8 @@ class RefusedCallsLeaveNoTrace(RuleBasedStateMachine):
             pass
         else:
             getattr(self.twin.ends[side], method)(*args)
+            if method == "send_headers":
+                self.opened[side].add(args[0])
         self.compare(side)
 
     def compare(self, side: str) -> None:
@@ -166,6 +174,11 @@ class RefusedCallsLeaveNoTrace(RuleBasedStateMachine):
                 assert goaway.error_code is error.code
                 pair.wire[peer] += output
         assert reads[0] == reads[1]
+        own = 1 if peer == "client" else 0
+        for event in reads[0] if isinstance(reads[0], list) else ():
+            if (isinstance(event, (ev.RequestReceived, ev.ResponseReceived))
+                    and event.stream_id & 1 == own):
+                assert event.stream_id in self.opened[peer]
         self.compare(peer)
 
 

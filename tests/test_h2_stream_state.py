@@ -15,11 +15,13 @@ from tests.h2_reference_frames import (
     FLAG_END_HEADERS,
     FLAG_END_STREAM,
     DataFrame,
+    GoAwayFrame,
     HeadersFrame,
     PingFrame,
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
+    parse_frames,
 )
 
 #: ``:method GET``, ``:scheme https``, ``:path /``: static-table
@@ -220,6 +222,44 @@ class TestFlowControl:
         assert state_of(conn) is StreamState.CLOSED
 
 
+class TestStreamIdParity:
+    """RFC 7540 §5.1.1: odd stream IDs are the client's to open, even
+    ones the server's."""
+
+    @pytest.mark.parametrize("role, stream_id, headers", [
+        (Role.SERVER, 5, [(":status", "200")]),
+        (Role.CLIENT, 2, HEADERS),
+    ])
+    def test_headers_on_the_peers_idle_id_are_refused(self, role, stream_id,
+                                                       headers):
+        """The refusal leaves no trace: no bytes, no listed stream, no
+        moved watermark, and the ID is still the peer's to open."""
+        conn = endpoint(role)
+        watermarks = (conn._next_stream_id, conn._highest_remote_stream)
+        with pytest.raises(H2StreamError) as refused:
+            conn.send_headers(stream_id, headers)
+        assert refused.value.code is ErrorCode.PROTOCOL_ERROR
+        assert conn.data_to_send() == b""
+        assert stream_id not in conn._streams
+        assert (conn._next_stream_id,
+                conn._highest_remote_stream) == watermarks
+        assert state_of(conn, stream_id) is StreamState.IDLE
+
+    @pytest.mark.parametrize("role, stream_id", [
+        (Role.CLIENT, 5), (Role.SERVER, 2),
+    ])
+    def test_headers_opening_our_own_id_are_a_connection_error(
+            self, role, stream_id):
+        conn = endpoint(role)
+        with pytest.raises(H2ConnectionError) as error:
+            act(conn, "receive_headers", True, stream_id)
+        assert error.value.code is ErrorCode.PROTOCOL_ERROR
+        frames, rest = parse_frames(conn.data_to_send())
+        assert rest == b"" and type(frames[-1]) is GoAwayFrame
+        assert frames[-1].error_code is ErrorCode.PROTOCOL_ERROR
+        assert stream_id not in conn._streams
+
+
 # -- the machine against RFC 7540 §5.1 ---------------------------------------
 
 S, I = StreamState, StreamInput
@@ -368,12 +408,26 @@ class TestTransitionTable:
     @pytest.mark.parametrize("name, end_stream", list(CALLS))
     def test_every_call_is_its_inputs(self, role, state, name, end_stream):
         """A refused call raises STREAM_CLOSED and changes nothing --
-        a refused send queues nothing -- bar two answers of the
-        connection's: a frame received on an idle stream is a
-        PROTOCOL_ERROR, and one received on any other is reset."""
+        a refused send queues nothing -- bar three answers of the
+        connection's: HEADERS on the other side's idle ID (stream 1 is
+        the client's) is refused with PROTOCOL_ERROR, a frame received
+        on an idle stream is a PROTOCOL_ERROR, and one received on any
+        other is reset."""
         conn = endpoint_in(role, state)
         after = expected_after(state, CALLS[name, end_stream])
-        if after is not None:
+        if (state is S.IDLE and name == "send_headers"
+                and role is Role.SERVER):
+            with pytest.raises(H2StreamError) as refused:
+                act(conn, name, end_stream)
+            assert refused.value.code is ErrorCode.PROTOCOL_ERROR
+            assert state_of(conn) is state
+            assert conn.data_to_send() == b""
+        elif (state is S.IDLE and name == "receive_headers"
+                and role is Role.CLIENT):
+            with pytest.raises(H2ConnectionError) as refused:
+                act(conn, name, end_stream)
+            assert refused.value.code is ErrorCode.PROTOCOL_ERROR
+        elif after is not None:
             act(conn, name, end_stream)
             assert state_of(conn) is after
         elif name.startswith("receive") and state is S.IDLE:

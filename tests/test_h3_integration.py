@@ -12,8 +12,9 @@ import pytest
 
 from repro.audit.reasons import ReasonCode
 from repro.dataset.cache import CACHE_FORMAT_VERSION, cache_key
+from repro.dataset.crawler import CrawlParams
 from repro.dataset.generator import DatasetConfig
-from repro.dataset.shard import CrawlParams, crawl_shards, plan_shards
+from repro.dataset.shard import crawl_shards, plan_shards
 
 #: Smallest deterministic world exhibiting every h3 phenomenon at
 #: once (fewer sites lose cross-host tickets or Alt-Svc upgrades).

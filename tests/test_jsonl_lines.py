@@ -11,9 +11,9 @@ import pytest
 from repro.audit.log import AuditEvent, events_from_jsonl, events_to_jsonl
 from repro.audit.reasons import ReasonCode
 from repro.cli import main
+from repro.dataset.crawler import CrawlParams
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
-    CrawlParams,
     crawl_shard,
     plan_shards,
     plan_slices,

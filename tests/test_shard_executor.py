@@ -22,11 +22,10 @@ from repro.chaos import (
     EMPTY_SCHEDULE,
     load_fault_schedule,
 )
-from repro.dataset.crawler import CrawlResult
+from repro.dataset.crawler import CrawlParams, CrawlResult
 from repro.dataset import shard as shard_module
 from repro.dataset.generator import DatasetConfig, PageGenerator
 from repro.dataset.shard import (
-    CrawlParams,
     ShardResult,
     _shard_from_wire,
     _shard_to_wire,

@@ -7,9 +7,9 @@ import pytest
 
 from repro.audit.log import NULL_AUDIT
 from repro.browser.pool import PoolStats
+from repro.dataset.crawler import CrawlParams
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
-    CrawlParams,
     crawl_shard,
     crawl_shards,
     plan_shards,

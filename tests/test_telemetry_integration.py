@@ -7,9 +7,9 @@ import json
 
 import pytest
 
+from repro.dataset.crawler import CrawlParams
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
-    CrawlParams,
     crawl_shard,
     crawl_shards,
     plan_shards,

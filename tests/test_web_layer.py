@@ -341,17 +341,12 @@ class TestHarEncodeAgainstAsdict:
     @pytest.fixture(scope="class")
     def shard_archives(self):
         from repro.dataset.generator import DatasetConfig
-        from repro.dataset.shard import (
-            CrawlParams,
-            crawl_shard,
-            plan_shards,
-            plan_slices,
-        )
+        from repro.dataset.crawler import CrawlParams
+        from repro.dataset.shard import crawl_shard, plan_shards, plan_slices
 
         spec = plan_shards(DatasetConfig(site_count=12, seed=41), 1)[0]
-        params = CrawlParams(policy="chromium", speculative_rate=0.10)
         return crawl_shard(
-            spec, next(plan_slices([spec])), params
+            spec, next(plan_slices([spec])), CrawlParams()
         ).payload.archives
 
     def test_every_archive_of_a_real_shard_encodes_identically(
