@@ -5,12 +5,15 @@ The waterfall is the Figure 2 timeline with one extra column: the
 audited decision (how the request was served) and its
 :class:`~repro.audit.reasons.ReasonCode`.  The breakdown tables
 decompose the measured-vs-ideal Figure 3 gaps into the named causes
-computed by :mod:`repro.audit.reconcile`.
+computed by :mod:`repro.audit.reconcile`.  Both are per page, so a
+report is a fold (:class:`Explanation`): each shard's pages are
+reconciled against that shard's own audit events as the shard merges,
+and only the archives the report draws are kept.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.render import render_table
 from repro.analysis.waterfall import render_waterfall
@@ -98,40 +101,54 @@ def render_breakdown_table(breakdown: GapBreakdown) -> str:
     )
 
 
-def render_explanation(
-    archives: Sequence[HarArchive],
-    events: Iterable[AuditEvent],
-    pages: Optional[int] = None,
-    metrics: Sequence[str] = METRICS,
-    models: Sequence[str] = ("origin", "ip"),
-    width: int = 56,
-) -> str:
-    """The full ``repro explain`` report: waterfalls, then breakdowns.
+class Explanation:
+    """The ``repro explain`` report, folded one shard at a time
+    (:meth:`add`): the first ``pages`` archives, each with its audited
+    decisions, for the waterfalls (``None`` keeps every one); how many
+    pages there were; and both models' breakdowns over every
+    successful page."""
 
-    ``pages`` limits how many per-page waterfalls render (None = all);
-    the breakdown always aggregates every successful page.
-    """
-    events = list(events)
-    decisions = decision_index(events)
-    sections: List[str] = []
-    shown = archives if pages is None else archives[:pages]
-    for archive in shown:
-        sections.append(
-            render_page_decisions(archive, decisions, width=width)
-        )
-    if pages is not None and len(archives) > pages:
-        sections.append(
-            f"({len(archives) - pages} more pages not shown; "
-            "use --pages to render them)"
-        )
-    breakdowns = reconcile_result(events=events, archives=archives,
-                                  models=models)
-    for model in models:
-        for metric in metrics:
+    def __init__(self, pages: Optional[int] = None) -> None:
+        self.pages = pages
+        self.shown: List[
+            Tuple[HarArchive, Dict[DecisionKey, AuditEvent]]] = []
+        self.attempted = 0
+        self.breakdowns = reconcile_result((), {})
+
+    def add(self, archives: Sequence[HarArchive],
+            events: Iterable[AuditEvent]) -> None:
+        """Fold a shard's archives against the shard's audit events.
+        Page URLs are unique per crawl, so a shard's decision index
+        holds every decision its pages need."""
+        decisions = decision_index(events)
+        for archive in archives:
+            self.attempted += 1
+            if self.pages is None or len(self.shown) < self.pages:
+                url = archive.page.url
+                keys = ((url, entry.hostname, entry.path)
+                        for entry in archive.entries)
+                self.shown.append((archive, {
+                    key: decisions[key] for key in keys
+                    if key in decisions}))
+        shard = reconcile_result(archives, decisions)
+        for model, by_metric in shard.items():
+            for metric, breakdown in by_metric.items():
+                self.breakdowns[model][metric].absorb(breakdown)
+
+    def render(self, metrics: Sequence[str] = METRICS) -> str:
+        """Waterfalls, then one breakdown table per model and metric."""
+        sections = [render_page_decisions(archive, decisions)
+                    for archive, decisions in self.shown]
+        hidden = self.attempted - len(self.shown)
+        if hidden:
             sections.append(
-                render_breakdown_table(breakdowns[model][metric])
+                f"({hidden} more pages not shown; "
+                "use --pages to render them)"
             )
-    return "\n\n".join(sections)
+        for by_metric in self.breakdowns.values():
+            for metric in metrics:
+                sections.append(render_breakdown_table(by_metric[metric]))
+        return "\n\n".join(sections)
 
 
 def render_taxonomy() -> str:

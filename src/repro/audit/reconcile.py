@@ -18,11 +18,12 @@ repeat spends labelled by the audited per-request decision reason;
 *credit* buckets are ideal allowances the crawl never spent (cached,
 cleartext, or coalesced-away services).
 
-The measured side counts what :func:`repro.core.coalescing.measured_counts`
-counts, and the ideal side is the very partition the Figure 3 model
-counts (:func:`repro.core.coalescing.service_partition`), which is what
-makes the reconciliation exact against
-:func:`repro.core.predictions.figure3`.
+The measured side counts what Figure 3's measured series count
+(:meth:`~repro.web.har.HarArchive.dns_query_count`,
+:meth:`~repro.web.har.HarArchive.tls_connection_count`), and the ideal
+side is the very partition the Figure 3 model counts
+(:func:`repro.core.coalescing.service_partition`), which is what makes
+the reconciliation exact against :func:`repro.core.predictions.figure3`.
 """
 
 from __future__ import annotations
@@ -249,26 +250,27 @@ def reconcile_page(
 
 def reconcile_result(
     archives: Sequence[HarArchive],
-    events: Iterable[AuditEvent],
-    models: Sequence[str] = ("origin", "ip"),
+    decisions: Dict[DecisionKey, AuditEvent],
 ) -> Dict[str, Dict[str, GapBreakdown]]:
     """Aggregate breakdowns over the *successful* archives (the same
-    population :func:`repro.core.predictions.figure3` draws from).
+    population :func:`repro.core.predictions.figure3` draws from),
+    against their :func:`decision_index`.
 
-    Returns ``{model: {metric: GapBreakdown}}``.
+    Returns ``{model: {metric: GapBreakdown}}`` for every model in
+    :data:`MODELS`; breakdowns of disjoint sets of pages add up
+    (:meth:`GapBreakdown.absorb`).
     """
-    decisions = decision_index(events)
     out: Dict[str, Dict[str, GapBreakdown]] = {
         model: {
             metric: GapBreakdown(metric=metric, model=model)
             for metric in METRICS
         }
-        for model in models
+        for model in MODELS
     }
     for archive in archives:
         if not archive.page.success:
             continue
-        for model in models:
+        for model in MODELS:
             page = reconcile_page(archive, decisions, model)
             for metric in METRICS:
                 out[model][metric].absorb(page[metric])

@@ -26,8 +26,7 @@ def cmd_crawl(args) -> int:
             print()
             print(render_crawl_table(token, fold))
 
-    crawl_pipeline(args, args.policy, render=render,
-                   keep_archives=False).run()
+    crawl_pipeline(args, args.policy, render=render).run()
     return 0
 
 

@@ -4,7 +4,11 @@ decision-by-decision comparison of two audit exports."""
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
+
 from repro.analysis import render_table
+from repro.audit.reasons import ReasonCode
 from repro.cli.args import (
     BREAKDOWN_METRICS,
     POLICIES,
@@ -14,52 +18,63 @@ from repro.cli.args import (
     add_dataset_options,
 )
 from repro.cli.invoke import crawl_pipeline
+from repro.dataset.characterize import CrawlFold
 from repro.runtime.console import diag as _diag
 
 
+class ExplainFold(CrawlFold):
+    """``explain``'s page sink: the crawl's fold, plus the report
+    (:class:`~repro.audit.explain.Explanation`) and the protocol events'
+    reason counts, fed each shard's pages and audit events as the
+    shard merges."""
+
+    #: Reason codes the protocol-event table counts beside every
+    #: ``quic`` and ``h3`` event.
+    PROTOCOL_CODES = frozenset({
+        ReasonCode.ALT_SVC_UPGRADE, ReasonCode.HTTPS_RR_H3,
+        ReasonCode.QUIC_HANDSHAKE_1RTT, ReasonCode.ZERO_RTT_RESUMED,
+        ReasonCode.CROSS_HOST_TICKET, ReasonCode.TLS_ALPN_FALLBACK,
+    })
+
+    def __init__(self, pages=None) -> None:
+        from repro.audit.explain import Explanation
+
+        super().__init__()
+        self.explanation = Explanation(pages)
+        self.protocol_events: Counter = Counter()
+
+    def on_shard(self, result) -> None:
+        events = result.events
+        self.explanation.add(result.payload.archives, events)
+        self.protocol_events.update(
+            event.code for event in events
+            if event.kind in ("quic", "h3")
+            or event.code in self.PROTOCOL_CODES)
+
+
 def cmd_explain(args) -> int:
-    from repro.audit.explain import render_explanation, render_taxonomy
+    from repro.audit.explain import render_taxonomy
 
     if args.taxonomy:
         print(render_taxonomy())
         return 0
 
     def render(outcome) -> None:
-        result, trace = outcome.result, outcome.trace
-        _diag(f"explain: {len(trace.audit)} audit events over "
-              f"{result.attempted} pages")
-        print(render_explanation(
-            result.archives,
-            trace.audit,
-            pages=args.pages,
-            metrics=args.breakdown,
-        ))
-        from repro.audit.reasons import ReasonCode
-
-        protocol_codes = {
-            ReasonCode.ALT_SVC_UPGRADE, ReasonCode.HTTPS_RR_H3,
-            ReasonCode.QUIC_HANDSHAKE_1RTT, ReasonCode.ZERO_RTT_RESUMED,
-            ReasonCode.CROSS_HOST_TICKET, ReasonCode.TLS_ALPN_FALLBACK,
-        }
-        protocol_events = [
-            event for event in trace.audit
-            if event.kind in ("quic", "h3") or event.code in protocol_codes
-        ]
-        if protocol_events:
-            from collections import Counter
-
-            counts = Counter(event.code for event in protocol_events)
+        fold = outcome.result
+        _diag(f"explain: {outcome.trace.event_count} audit events over "
+              f"{fold.attempted} pages")
+        print(fold.explanation.render(metrics=args.breakdown))
+        if fold.protocol_events:
             print()
             print(render_table(
                 "Protocol events (h3 discovery and QUIC resumption)",
                 ["Reason", "#Events"],
-                [(code.value, count)
-                 for code, count in sorted(counts.items(),
-                                           key=lambda kv: -kv[1])],
+                [(code.value, count) for code, count in sorted(
+                    fold.protocol_events.items(), key=lambda kv: -kv[1])],
             ))
 
-    crawl_pipeline(args, args.policy, force_audit=True,
-                   render=render).run()
+    crawl_pipeline(args, args.policy, force_audit=True, render=render,
+                   pages=partial(ExplainFold, args.pages)).run()
     return 0
 
 

@@ -31,16 +31,16 @@ def crawl_definition(args, policy_name: str):
 
 
 def crawl_pipeline(args, policy_name: str, force_audit: bool = False,
-                   render=None, keep_archives: bool = True) -> RunPipeline:
+                   render=None, pages=None) -> RunPipeline:
     """The shared crawl pipeline behind ``crawl``/``model``/
-    ``privacy``/``explain``; ``keep_archives`` is
+    ``privacy``/``explain``; ``pages``, the command's page sink, is
     :class:`~repro.runtime.workloads.CrawlWorkload`'s."""
     config, params = crawl_definition(args, policy_name)
     workload = CrawlWorkload(
         config, params, shards=args.shards,
         cache_dir=args.cache_dir, no_cache=args.no_cache,
         refresh=args.refresh, command=args.command,
-        keep_archives=keep_archives,
+        pages=pages,
     )
     return RunPipeline(
         workload,

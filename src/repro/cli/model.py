@@ -11,41 +11,29 @@ from repro.cli.args import (
 from repro.cli.invoke import crawl_pipeline
 
 
-def print_protocol_rows(result) -> None:
-    """Per-protocol request/handshake summary for multi-ALPN crawls."""
-    by_protocol = {}
-    for archive in result.successes:
-        for entry in archive.entries:
-            row = by_protocol.setdefault(
-                entry.protocol, {"requests": 0, "new_connections": 0,
-                                 "handshake_ms": 0.0}
-            )
-            row["requests"] += 1
-            if entry.timings.connect >= 0 or entry.timings.ssl >= 0:
-                row["new_connections"] += 1
-                row["handshake_ms"] += (
-                    max(entry.timings.connect, 0.0)
-                    + max(entry.timings.ssl, 0.0)
-                )
-    total = sum(row["requests"] for row in by_protocol.values()) or 1
+def print_protocol_rows(fold) -> None:
+    """Per-protocol request/handshake summary for multi-ALPN crawls,
+    from the fold's rows (:attr:`CrawlFold.protocol_rows
+    <repro.dataset.characterize.CrawlFold.protocol_rows>`)."""
+    rows = fold.protocol_rows
+    total = sum(requests for requests, _, _ in rows.values()) or 1
     print(render_table(
         "Per-protocol breakdown",
         ["Protocol", "#Req", "%", "#New conns", "Handshake ms (total)"],
-        [(protocol, row["requests"],
-          format_pct(row["requests"] / total),
-          row["new_connections"], f"{row['handshake_ms']:.0f}")
-         for protocol, row in sorted(by_protocol.items(),
-                                     key=lambda kv: -kv[1]["requests"])],
+        [(protocol, requests, format_pct(requests / total),
+          new_connections, f"{handshake_ms:.0f}")
+         for protocol, (requests, new_connections, handshake_ms)
+         in sorted(rows.items(), key=lambda kv: -kv[1][0])],
     ))
 
 
 def cmd_model(args) -> int:
-    from repro.core import figure3, headline_reductions, plan_certificates
+    from repro.core import plan_certificates
     from repro.dataset.generator import PageGenerator
 
     def render(outcome) -> None:
-        result = outcome.result
-        data = figure3(result.archives)
+        fold = outcome.result
+        data = fold.figure3()
         print(render_cdf(
             "Figure 3 -- per-page DNS/TLS counts",
             [("measured DNS", data.measured_dns),
@@ -55,8 +43,8 @@ def cmd_model(args) -> int:
         ))
         if "h3" in getattr(args, "alpn", "h2"):
             print()
-            print_protocol_rows(result)
-        headline = headline_reductions(result.archives)
+            print_protocol_rows(fold)
+        headline = data.headline_reductions()
         print(f"\nheadline: validation reduction "
               f"{format_pct(headline['validation_reduction'])}, "
               f"DNS reduction {format_pct(headline['dns_reduction'])} "

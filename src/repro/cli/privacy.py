@@ -8,13 +8,29 @@ from repro.cli.args import (
     add_dataset_options,
 )
 from repro.cli.invoke import crawl_pipeline
+from repro.dataset.characterize import CrawlFold
+
+
+class PrivacyFold(CrawlFold):
+    """``privacy``'s page sink: the crawl's fold, and each page's
+    exposure today and under the ideal client
+    (:meth:`PrivacyComparison.add
+    <repro.core.privacy.PrivacyComparison.add>`)."""
+
+    def __init__(self) -> None:
+        from repro.core import PrivacyComparison
+
+        super().__init__()
+        self.comparison = PrivacyComparison()
+
+    def add(self, archive) -> None:
+        super().add(archive)
+        self.comparison.add(archive)
 
 
 def cmd_privacy(args) -> int:
-    from repro.core import compare_privacy
-
     def render(outcome) -> None:
-        comparison = compare_privacy(outcome.result.successes)
+        comparison = outcome.result.comparison
         medians = comparison.median_signals()
         print(render_table(
             "Privacy -- plaintext signals per page (paper §6.2)",
@@ -27,7 +43,8 @@ def cmd_privacy(args) -> int:
               f"hostnames hidden per page "
               f"{comparison.median_hostnames_hidden():.0f}")
 
-    crawl_pipeline(args, "chromium", render=render).run()
+    crawl_pipeline(args, "chromium", render=render,
+                   pages=PrivacyFold).run()
     return 0
 
 

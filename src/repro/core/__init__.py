@@ -30,7 +30,6 @@ from repro.core.timeline import (
 )
 from repro.core.coalescing import (
     CoalescingCounts,
-    measured_counts,
     ideal_ip_counts,
     ideal_origin_counts,
     origin_set_for_page,
@@ -65,7 +64,6 @@ __all__ = [
     "ReconstructionResult",
     "reconstruct",
     "CoalescingCounts",
-    "measured_counts",
     "ideal_ip_counts",
     "ideal_origin_counts",
     "origin_set_for_page",

@@ -25,14 +25,6 @@ class CoalescingCounts:
     tls_connections: int
 
 
-def measured_counts(archive: HarArchive) -> CoalescingCounts:
-    """What the crawl actually observed."""
-    return CoalescingCounts(
-        dns_queries=archive.dns_query_count(),
-        tls_connections=archive.tls_connection_count(),
-    )
-
-
 def service_partition(
     archive: HarArchive, grouper: ServiceGrouper
 ) -> Tuple[Dict[str, List[HarEntry]], List[HarEntry]]:

@@ -1,7 +1,11 @@
 """Model predictions: Figure 3, Figure 9 (top), and headline numbers.
 
 Everything here runs the §4 model over a set of crawled HAR archives
-and returns distribution data for benches and tests.
+and returns distribution data for benches and tests.  Figure 3 and the
+headline reductions are per-page counts, so they are views over a
+crawl's fold (:meth:`repro.dataset.characterize.CrawlFold.figure3`);
+:func:`figure3` and :func:`headline_reductions` fold the archives they
+are given.
 """
 
 from __future__ import annotations
@@ -11,11 +15,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.coalescing import (
-    ideal_ip_counts,
-    ideal_origin_counts,
-    measured_counts,
-)
 from repro.core.grouping import by_single_asn
 from repro.core.timeline import (
     ReconstructionOptions,
@@ -23,10 +22,6 @@ from repro.core.timeline import (
 )
 from repro.core import grouping
 from repro.web.har import HarArchive
-
-
-def _successes(archives: Sequence[HarArchive]) -> List[HarArchive]:
-    return [a for a in archives if a.page.success]
 
 
 @dataclass
@@ -39,11 +34,16 @@ class Figure3Data:
     ideal_origin: List[int]
 
     def medians(self) -> Dict[str, float]:
+        """Each series' median; 0.0 for a crawl with no successful
+        page, which has no count to take a median of."""
         return {
-            "measured_dns": float(np.median(self.measured_dns)),
-            "measured_tls": float(np.median(self.measured_tls)),
-            "ideal_ip": float(np.median(self.ideal_ip)),
-            "ideal_origin": float(np.median(self.ideal_origin)),
+            name: float(np.median(counts)) if counts else 0.0
+            for name, counts in (
+                ("measured_dns", self.measured_dns),
+                ("measured_tls", self.measured_tls),
+                ("ideal_ip", self.ideal_ip),
+                ("ideal_origin", self.ideal_origin),
+            )
         }
 
     def reduction_vs_measured(self) -> Dict[str, float]:
@@ -62,6 +62,17 @@ class Figure3Data:
             )
             out["ip_tls_reduction"] = 1.0 - m["ideal_ip"] / m["measured_tls"]
         return out
+
+    def headline_reductions(self) -> Dict[str, float]:
+        """The paper's §7 headline: the ORIGIN half of
+        :meth:`reduction_vs_measured`, 0.0 where the measured median is
+        0."""
+        reductions = self.reduction_vs_measured()
+        return {
+            "dns_reduction": reductions.get("origin_dns_reduction", 0.0),
+            "validation_reduction": reductions.get(
+                "origin_tls_reduction", 0.0),
+        }
 
     def validation_percentiles(self) -> Dict[str, float]:
         """Certificate-validation stats quoted for Figure 3: measured
@@ -82,13 +93,9 @@ class Figure3Data:
 
 def figure3(archives: Sequence[HarArchive]) -> Figure3Data:
     """Measured vs ideal-IP vs ideal-ORIGIN count distributions."""
-    ok = _successes(archives)
-    return Figure3Data(
-        measured_dns=[measured_counts(a).dns_queries for a in ok],
-        measured_tls=[measured_counts(a).tls_connections for a in ok],
-        ideal_ip=[ideal_ip_counts(a).tls_connections for a in ok],
-        ideal_origin=[ideal_origin_counts(a).tls_connections for a in ok],
-    )
+    from repro.dataset.characterize import CrawlFold
+
+    return CrawlFold.of(archives).figure3()
 
 
 @dataclass
@@ -123,7 +130,7 @@ def predict_plt(
     options: Optional[ReconstructionOptions] = None,
 ) -> PltPrediction:
     """Reconstruct every page under each model and collect PLTs."""
-    ok = _successes(archives)
+    ok = [a for a in archives if a.page.success]
     options = options or ReconstructionOptions()
     measured = [a.page.on_load for a in ok]
     ideal_ip = [
@@ -154,28 +161,4 @@ def headline_reductions(
 ) -> Dict[str, float]:
     """The paper's §7 headline: median reductions in render-blocking
     DNS queries (-64.28%) and certificate validations (-68.75%)."""
-    ok = _successes(archives)
-    return origin_reductions(
-        [measured_counts(a).dns_queries for a in ok],
-        [measured_counts(a).tls_connections for a in ok],
-        [ideal_origin_counts(a).tls_connections for a in ok],
-    )
-
-
-def origin_reductions(
-    measured_dns: Sequence[int],
-    measured_tls: Sequence[int],
-    ideal_origin: Sequence[int],
-) -> Dict[str, float]:
-    """:func:`headline_reductions` from the per-page counts of the
-    successful pages (:class:`Figure3Data`'s lists of the same names):
-    the ORIGIN half of :meth:`Figure3Data.reduction_vs_measured`, 0.0
-    where the measured median is 0."""
-    dns, tls, origin = (
-        float(np.median(counts))
-        for counts in (measured_dns, measured_tls, ideal_origin)
-    )
-    return {
-        "dns_reduction": 1.0 - origin / dns if dns else 0.0,
-        "validation_reduction": 1.0 - origin / tls if tls else 0.0,
-    }
+    return figure3(archives).headline_reductions()

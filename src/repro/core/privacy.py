@@ -16,8 +16,8 @@ from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
-from repro.core.grouping import ServiceGrouper, by_asn
-from repro.core.timeline import ReconstructionOptions, reconstruct
+from repro.core.grouping import by_asn
+from repro.core.timeline import reconstruct
 from repro.web.har import HarArchive
 
 
@@ -68,10 +68,26 @@ def exposure_from_archive(
 
 @dataclass
 class PrivacyComparison:
-    """Per-page exposure under each client model."""
+    """Per-page exposure under each client model, folded one archive
+    at a time (:meth:`add`).
 
-    measured: List[PrivacyExposure]
-    ideal_origin: List[PrivacyExposure]
+    The ideal client's exposure comes from the §4.1 reconstruction
+    under ORIGIN coalescing: coalesced requests make no DNS query and
+    no new TLS handshake, so their hostnames never cross the wire in
+    cleartext.
+    """
+
+    measured: List[PrivacyExposure] = field(default_factory=list)
+    ideal_origin: List[PrivacyExposure] = field(default_factory=list)
+
+    def add(self, archive: HarArchive) -> None:
+        """Fold one page: a successful one's exposure today and under
+        the ideal client; a failed one exposes nothing to compare."""
+        if not archive.page.success:
+            return
+        self.measured.append(exposure_from_archive(archive))
+        rebuilt = reconstruct(archive, by_asn).reconstructed
+        self.ideal_origin.append(exposure_from_archive(rebuilt))
 
     def median_signals(self) -> Dict[str, float]:
         return {
@@ -98,24 +114,10 @@ class PrivacyComparison:
         return 1.0 - medians["ideal_origin"] / medians["measured"]
 
 
-def compare_privacy(
-    archives: Sequence[HarArchive],
-    grouper: ServiceGrouper = by_asn,
-    options: ReconstructionOptions = None,
-) -> PrivacyComparison:
-    """Exposure today vs under ideal ORIGIN coalescing.
-
-    The ideal client's exposure comes from the §4.1 reconstruction:
-    coalesced requests make no DNS query and no new TLS handshake, so
-    their hostnames never cross the wire in cleartext.
-    """
-    options = options or ReconstructionOptions()
-    measured: List[PrivacyExposure] = []
-    ideal: List[PrivacyExposure] = []
+def compare_privacy(archives: Sequence[HarArchive]) -> PrivacyComparison:
+    """Exposure today vs under ideal ORIGIN coalescing, folded over
+    ``archives`` (:meth:`PrivacyComparison.add`)."""
+    comparison = PrivacyComparison()
     for archive in archives:
-        if not archive.page.success:
-            continue
-        measured.append(exposure_from_archive(archive))
-        rebuilt = reconstruct(archive, grouper, options).reconstructed
-        ideal.append(exposure_from_archive(rebuilt))
-    return PrivacyComparison(measured=measured, ideal_origin=ideal)
+        comparison.add(archive)
+    return comparison

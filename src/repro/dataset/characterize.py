@@ -8,8 +8,11 @@ Tables 1-7, Figure 1, the unique-AS count and the run ledger's
 headline are views over it (:meth:`CrawlFold.of` folds a list of
 archives), each with its own reach: Tables 2-7 and Figure 1 count
 successful pages, Table 1 every page, and the unique-AS count every
-entry.  Counters fill in page order, so ties in ``most_common`` break
-as one pass over the archives would.
+entry.  So are the §4 model's per-page views -- Figure 3 and the
+headline reductions (:meth:`CrawlFold.figure3`) and ``repro model``'s
+per-protocol rows -- which is why every crawl command can fold.
+Counters fill in page order, so ties in ``most_common`` break as one
+pass over the archives would.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ def _median(values: Sequence[float]) -> float:
 class _Page(NamedTuple):
     """What the views need of one page: its rank and outcome, and for
     a successful page its Table 1 medians' inputs, its Figure 1 AS
-    count, its new connections and (``headline`` folds only) its
-    ideal-ORIGIN connection count (§4)."""
+    count, its new connections and its ideal-IP and ideal-ORIGIN
+    connection counts (§4, Figure 3)."""
 
     rank: int
     success: bool
@@ -50,6 +53,7 @@ class _Page(NamedTuple):
     tls: int = 0
     connections: int = 0
     ases: int = 0
+    ideal_ip: int = 0
     ideal_origin: int = 0
 
 
@@ -81,16 +85,11 @@ class Figure1Data:
 
 
 class CrawlFold:
-    """A crawl's characterization, folded one archive at a time.
+    """A crawl's characterization, folded one archive at a time: the
+    page sink of every crawl command (a command that needs more of a
+    page, such as ``privacy`` or ``explain``, folds a subclass)."""
 
-    ``headline`` also records each successful page's ideal-ORIGIN
-    connection count, the one §4 model input the ledger headline needs
-    beyond the tables' (it rebuilds the page's service partition, so
-    only a run that writes a ledger pays for it).
-    """
-
-    def __init__(self, headline: bool = False) -> None:
-        self.headline_counts = headline
+    def __init__(self) -> None:
         self.pages: List[_Page] = []
         #: Requests on successful pages, and those sent securely.
         self.requests = 0
@@ -113,14 +112,22 @@ class CrawlFold:
         self.third_party: Counter = Counter()
         #: ASes only failed pages' entries reached.
         self.failed_asns: set = set()
+        #: ``repro model``'s per-protocol rows on successful pages, in
+        #: first-seen order: protocol -> [requests, new connections,
+        #: handshake ms].
+        self.protocol_rows: Dict[str, list] = {}
 
     @classmethod
-    def of(cls, archives: Iterable[HarArchive],
-           headline: bool = False) -> "CrawlFold":
-        fold = cls(headline)
+    def of(cls, archives: Iterable[HarArchive]) -> "CrawlFold":
+        fold = cls()
         for archive in archives:
             fold.add(archive)
         return fold
+
+    def on_shard(self, result) -> None:
+        """Called by the crawl once a shard's pages are added, with the
+        shard's :class:`~repro.dataset.shard.ShardResult`; the fold
+        needs nothing more of it."""
 
     def add(self, archive: HarArchive) -> None:
         """Fold one page; nothing keeps a reference to ``archive``."""
@@ -136,8 +143,17 @@ class CrawlFold:
         as_requests, as_orgs = self.as_requests, self.as_orgs
         content_types, protocols = self.content_types, self.protocols
         third_party, root = self.third_party, page.hostname
+        protocol_rows = self.protocol_rows
         for entry in entries:
             timings = entry.timings
+            connect, ssl = timings.connect, timings.ssl
+            row = protocol_rows.get(entry.protocol)
+            if row is None:
+                row = protocol_rows[entry.protocol] = [0, 0, 0.0]
+            row[0] += 1
+            if connect >= 0 or ssl >= 0:
+                row[1] += 1
+                row[2] += max(connect, 0.0) + max(ssl, 0.0)
             if timings.used_dns:
                 dns += 1
             if timings.used_new_connection:
@@ -167,14 +183,13 @@ class CrawlFold:
         self.requests += len(entries)
         self.secure += secure
         extra = page.extra_tls_connections
-        ideal_origin = 0
-        if self.headline_counts:
-            from repro.core.coalescing import ideal_origin_counts
+        from repro.core.coalescing import ideal_ip_counts, ideal_origin_counts
 
-            ideal_origin = ideal_origin_counts(archive).tls_connections
         self.pages.append(_Page(
             page.rank, True, len(entries), page.on_load, dns,
-            tls + extra, connections + extra, len(asns), ideal_origin,
+            tls + extra, connections + extra, len(asns),
+            ideal_ip_counts(archive).tls_connections,
+            ideal_origin_counts(archive).tls_connections,
         ))
 
     # -- the crawl's shape ---------------------------------------------------
@@ -297,22 +312,28 @@ class CrawlFold:
             cdf.append((value, cumulative))
         return Figure1Data(as_counts=counts, histogram=histogram, cdf=cdf)
 
+    # -- the §4 model --------------------------------------------------------
+
+    def figure3(self):
+        """Figure 3's per-page counts over the successful pages (a
+        :class:`~repro.core.predictions.Figure3Data`)."""
+        from repro.core.predictions import Figure3Data
+
+        successes = self.successes
+        return Figure3Data(
+            measured_dns=[page.dns for page in successes],
+            measured_tls=[page.tls for page in successes],
+            ideal_ip=[page.ideal_ip for page in successes],
+            ideal_origin=[page.ideal_origin for page in successes],
+        )
+
     # -- the run ledger's headline -------------------------------------------
 
     def headline(self) -> Dict[str, float]:
-        """The paper's aggregate metrics for the crawl
-        (:func:`repro.obs.ledger.crawl_headline`)."""
-        from repro.core.predictions import origin_reductions
-
-        if not self.headline_counts:
-            raise ValueError("a fold made without headline=True kept "
-                             "no ideal-ORIGIN counts")
+        """The paper's aggregate metrics for the crawl: a run record's
+        headline (:func:`repro.obs.ledger.build_crawl_record`)."""
         successes = self.successes
-        reductions = origin_reductions(
-            [page.dns for page in successes],
-            [page.tls for page in successes],
-            [page.ideal_origin for page in successes],
-        )
+        reductions = self.figure3().headline_reductions()
         plt_total = sum(page.plt for page in successes)
         return {
             "pages_attempted": self.attempted,

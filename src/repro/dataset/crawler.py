@@ -24,11 +24,11 @@ from repro.web.har import HarArchive, HarPage
 
 @dataclass
 class CrawlResult:
-    """All archives from one crawl, attempted and successful: the page
-    sink that keeps them (:func:`repro.dataset.shard.crawl_shards`
-    hands a sink each archive as its shard merges;
-    :class:`repro.dataset.characterize.CrawlFold` is the one that
-    keeps none)."""
+    """All archives from one crawl, attempted and successful: the
+    library's page sink that keeps them, and the cache entry's format
+    (:func:`repro.dataset.shard.crawl_shards` hands a sink each archive
+    as its shard merges; :class:`repro.dataset.characterize.CrawlFold`,
+    every CLI command's, keeps none)."""
 
     archives: List[HarArchive] = field(default_factory=list)
 

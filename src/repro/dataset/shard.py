@@ -47,12 +47,13 @@ holds a world object (a deployment plan is names, resolved in each
 shard's own world by
 :func:`repro.deployment.experiment.deploy_origin`; the certificate
 plan, :func:`repro.core.certplan.plan_certificates`, reads site
-records and builds no world at all); and on a
-``crawl`` or ``chaos`` run no archive outlives its shard's merge:
+records and builds no world at all); and on a CLI run no archive
+outlives its shard's merge unless the command draws it:
 :func:`crawl_shards` hands each one to a page sink as the shard
-merges, and those runs' sinks (a
-:class:`~repro.dataset.characterize.CrawlFold`, a
-:class:`~repro.chaos.report.ChaosReport`) keep none.  The fan-out
+merges, and every command's sink (a
+:class:`~repro.dataset.characterize.CrawlFold` or a subclass, a
+:class:`~repro.chaos.report.ChaosReport`) keeps none but the pages
+``explain`` renders.  The fan-out
 parent still decodes each line, in order to fold it.  A
 connection frees by reference counting as it closes
 (:meth:`~repro.netsim.transport.Transport.close` drops the callbacks

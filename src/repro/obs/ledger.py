@@ -254,17 +254,6 @@ def _base_meta(kind: str, fingerprint: str) -> dict:
     }
 
 
-def crawl_headline(result) -> Dict[str, float]:
-    """The paper's aggregate metrics for one crawl: the headline view
-    of its fold (:meth:`~repro.dataset.characterize.CrawlFold.headline`),
-    folded here from a result that kept its archives."""
-    from repro.dataset.characterize import CrawlFold
-
-    if not isinstance(result, CrawlFold):
-        result = CrawlFold.of(result.archives, headline=True)
-    return result.headline()
-
-
 def traffic_headline(aggregate) -> Dict[str, float]:
     """The fleet-level metrics of one traffic scenario run."""
     totals = aggregate.totals
@@ -297,11 +286,14 @@ def build_crawl_record(
     config,
     params,
     shard_count: int,
-    result,
+    fold,
     registry: MetricsRegistry,
     slo_rules: Sequence = (),
 ) -> RunRecord:
-    """The run record of one (possibly sharded) crawl.
+    """The run record of one (possibly sharded) crawl, whose pages
+    ``fold`` (a :class:`~repro.dataset.characterize.CrawlFold`) folded:
+    its headline is the fold's
+    (:meth:`~repro.dataset.characterize.CrawlFold.headline`).
 
     The fingerprint is the crawl cache's own content address, so a
     record and the cache entry it rode along with agree about what
@@ -323,7 +315,7 @@ def build_crawl_record(
         shards=int(shard_count),
     )
     phases = phase_docs_from_registry(registry)
-    headline = crawl_headline(result)
+    headline = fold.headline()
     return RunRecord(
         meta=meta,
         phases=phases,

@@ -74,14 +74,15 @@ class RunArtifacts:
     def crawl_trace(self) -> CrawlTrace:
         """The shard merge's accumulator: span JSONL and the audit log
         stream into their files as each shard is absorbed.  Records
-        stay in memory only for a reader after the run: the Chrome
-        trace export and ``explain`` (``force_audit``)."""
+        stay in memory only for a reader after the run, the Chrome
+        trace export; audit events die with their shard (``explain``
+        folds each shard's as it merges)."""
         streamed = self.trace is not None and self.options.trace_jsonl
         return CrawlTrace(
             span_out=self.trace.handle if streamed else None,
             audit_out=None if self.audit is None else self.audit.handle,
             keep_spans=self.trace is not None and not streamed,
-            keep_audit=self.options.force_audit,
+            keep_audit=False,
         )
 
     def discard(self) -> None:

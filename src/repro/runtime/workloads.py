@@ -7,8 +7,9 @@ each, over :func:`execute_shards`), and assembles the ordered sink
 list for its outcome.  Three workloads cover every pipeline command:
 
 * :class:`CrawlWorkload` -- the shared crawl behind ``crawl``,
-  ``model``, ``privacy`` and ``explain``; read from its cache unless
-  the run is watched (``options.live``) or refreshed.
+  ``model``, ``privacy`` and ``explain``, folded into the page sink
+  the command names; read from its cache unless the run is watched
+  (``options.live``) or refreshed.
 * :class:`TrafficWorkload` -- the population-scale traffic
   simulation behind ``traffic``; no cache exists.
 * :class:`ChaosWorkload` -- the fault-injected crawl behind
@@ -42,9 +43,9 @@ from repro.runtime.sinks import (
 class RunOutcome:
     """What a workload execution produced.
 
-    ``result`` is the workload's product: a crawl's page sink (the
-    archives, or their :class:`~repro.dataset.characterize.CrawlFold`),
-    the traffic aggregate, the chaos report.  ``trace`` is the merged
+    ``result`` is the workload's product: a crawl's page sink (its
+    :class:`~repro.dataset.characterize.CrawlFold`), the traffic
+    aggregate, the chaos report.  ``trace`` is the merged
     :class:`~repro.telemetry.CrawlTrace` of the simulation that ran
     (empty when it ran uninstrumented) and ``None`` on a cache hit.
     """
@@ -80,12 +81,14 @@ def execute_shards(options, rules, unit: str, drive):
 class CrawlWorkload:
     """The shared crawl pipeline: shards + cache + telemetry.
 
-    ``keep_archives`` picks the result: every archive (a
-    :class:`~repro.dataset.crawler.CrawlResult`, for the commands that
-    model or audit pages) or, when false, only their
-    :class:`~repro.dataset.characterize.CrawlFold` -- the tables and
-    the ledger headline -- so no archive outlives its shard's merge or
-    its line of a cache entry.
+    ``pages`` makes the result, a fresh page sink for each read of the
+    crawl: a :class:`~repro.dataset.characterize.CrawlFold` (the
+    default) or a subclass that folds what its command renders beyond
+    the tables and the ledger headline.  The crawl hands the sink each
+    archive as its shard merges, or each line of a cache entry, and
+    then each merged shard (:meth:`CrawlFold.on_shard
+    <repro.dataset.characterize.CrawlFold.on_shard>`), so no archive
+    outlives its shard's merge unless the sink keeps it.
     """
 
     unit = "pages"
@@ -94,8 +97,9 @@ class CrawlWorkload:
     def __init__(self, config, params, shards: int = 0,
                  cache_dir=None, no_cache: bool = False,
                  refresh: bool = False, command: str = "crawl",
-                 keep_archives: bool = True) -> None:
+                 pages=None) -> None:
         from repro.dataset.cache import CrawlCache
+        from repro.dataset.characterize import CrawlFold
         from repro.dataset.shard import plan_shards
 
         self.config = config
@@ -105,7 +109,7 @@ class CrawlWorkload:
         self.cache = None if no_cache else CrawlCache(cache_dir)
         self.refresh = refresh
         self.command = command
-        self.keep_archives = keep_archives
+        self.pages = pages or CrawlFold
 
     def fingerprint(self) -> str:
         """The content-addressed cache key doubles as the run
@@ -125,36 +129,24 @@ class CrawlWorkload:
         into it; the cache sink publishes it."""
         from repro.dataset.shard import crawl_shards
 
-        headline = bool(options.ledger_dir)
         fingerprint = self.fingerprint()
         outcome = RunOutcome(config=self.config,
                              shard_count=self.shard_count, result=None,
                              fingerprint=fingerprint)
         if not (options.live or self.refresh) and self.cache is not None:
-            outcome.result = self.cache.load(fingerprint,
-                                             self._pages(headline))
+            outcome.result = self.cache.load(fingerprint, self.pages())
             outcome.cache_hit = outcome.result is not None
             if outcome.cache_hit:
                 return outcome
+        pages = self.pages()
         with (nullcontext() if self.cache is None
               else self.cache.writing(fingerprint)) as entry:
             outcome.result, outcome.trace = execute_shards(
                 options, rules, self.unit, partial(
                     crawl_shards, self.shards, self.params, jobs,
                     archive_out=entry, crawl_trace=artifacts.crawl_trace(),
-                    pages=self._pages(headline)))
+                    on_shard=pages.on_shard, pages=pages))
         return outcome
-
-    def _pages(self, headline: bool):
-        """A fresh page sink for one read of the crawl; ``headline``
-        (a ledger will be written) makes a fold keep the ledger's §4
-        counts too."""
-        from repro.dataset.characterize import CrawlFold
-        from repro.dataset.crawler import CrawlResult
-
-        if self.keep_archives:
-            return CrawlResult()
-        return CrawlFold(headline=headline)
 
     def build_record(self, outcome, rules):
         from repro.obs.ledger import build_crawl_record
@@ -301,7 +293,7 @@ class ChaosWorkload(_SimulationWorkload):
 
         extras = {}
         if options.ledger_dir:
-            extras["pages"] = CrawlFold(headline=True)
+            extras["pages"] = CrawlFold()
         trace, report = execute_shards(
             options, rules, self.unit, partial(
                 run_chaos, self.shards, self.params, self.schedule,

@@ -123,10 +123,6 @@ class HarArchive:
     entries: List[HarEntry] = field(default_factory=list)
 
     @property
-    def request_count(self) -> int:
-        return len(self.entries)
-
-    @property
     def page_load_time(self) -> float:
         return self.page.on_load
 
@@ -145,13 +141,6 @@ class HarArchive:
                 if entry.timings.used_new_connection)
             + self.page.extra_tls_connections
         )
-
-    def unique_asns(self) -> List[int]:
-        seen: List[int] = []
-        for entry in self.entries:
-            if entry.asn and entry.asn not in seen:
-                seen.append(entry.asn)
-        return seen
 
     def entries_by_start(self) -> List[HarEntry]:
         return sorted(self.entries, key=lambda entry: entry.started_at)

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from repro.audit import ReasonCode
-from repro.audit.explain import render_explanation
+from repro.audit.explain import Explanation
 from repro.audit.log import events_to_jsonl
 from repro.audit.reconcile import (
     METRICS,
@@ -88,7 +88,8 @@ class TestExactReconciliation:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_breakdown_reconciles_with_figure3(self, audited, policy):
         result, trace = audited[policy]
-        breakdowns = reconcile_result(result.archives, trace.audit)
+        breakdowns = reconcile_result(result.archives,
+                                      decision_index(trace.audit))
         fig = figure3(result.archives)
         for model in ("origin", "ip"):
             ideal = fig.ideal_origin if model == "origin" \
@@ -105,7 +106,8 @@ class TestExactReconciliation:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_no_unattributed_spends(self, audited, policy):
         result, trace = audited[policy]
-        breakdowns = reconcile_result(result.archives, trace.audit)
+        breakdowns = reconcile_result(result.archives,
+                                      decision_index(trace.audit))
         for model in ("origin", "ip"):
             for metric in METRICS:
                 b = breakdowns[model][metric]
@@ -115,7 +117,8 @@ class TestExactReconciliation:
 
     def test_validations_mirror_tls(self, audited):
         result, trace = audited["chromium"]
-        breakdowns = reconcile_result(result.archives, trace.audit)
+        breakdowns = reconcile_result(result.archives,
+                                      decision_index(trace.audit))
         for model in ("origin", "ip"):
             tls = breakdowns[model]["tls"]
             val = breakdowns[model]["validations"]
@@ -125,8 +128,9 @@ class TestExactReconciliation:
 
     def test_rendered_report_shows_reconciled_tables(self, audited):
         result, trace = audited["chromium"]
-        report = render_explanation(result.archives, trace.audit,
-                                    pages=1)
+        explanation = Explanation(pages=1)
+        explanation.add(result.archives, trace.audit)
+        report = explanation.render()
         assert "gap = sum(excess) - sum(credits)" in report
         assert "DOES NOT RECONCILE" not in report
         assert "more pages not shown" in report

@@ -2,7 +2,9 @@
 
 import argparse
 import io
+import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -318,6 +320,32 @@ class TestCommands:
         assert "Protocol events" in out
         assert "QUIC_HANDSHAKE_1RTT" in out
         assert "HTTPS_RR_H3" in out
+
+    @pytest.mark.parametrize("command", ["crawl", "model"])
+    def test_a_crawl_with_no_successful_page(self, capsys, tmp_path,
+                                             command):
+        """Seed 2's one site fails: the §4 reductions of no page are
+        0.0 -- strict JSON in the ledger, ``0.00%`` on stdout -- and no
+        median of an empty list warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--sites", "1", "--seed", "2",
+                         "--no-cache", "--ledger", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        (path,) = tmp_path.iterdir()
+        meta, headline = path.read_text().splitlines()[:2]
+
+        def refuse(constant):
+            raise ValueError(f"{constant} in the ledger")
+
+        metrics = json.loads(headline, parse_constant=refuse)["metrics"]
+        assert metrics["pages_succeeded"] == 0
+        assert metrics["dns_reduction"] == 0.0
+        assert metrics["validation_reduction"] == 0.0
+        assert "nan" not in out
+        if command == "model":
+            assert ("validation reduction 0.00%, DNS reduction 0.00%"
+                    in out)
 
     def test_deploy_command(self, capsys):
         assert main(["deploy", "--sites", "80", "--seed", "3"]) == 0

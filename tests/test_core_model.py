@@ -1,16 +1,18 @@
 """Tests for count predictions, the certificate plan, and Fig 3/9 data."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    Figure3Data,
     figure3,
     headline_reductions,
     ideal_ip_counts,
     ideal_origin_counts,
-    measured_counts,
     origin_set_for_page,
     plan_certificates,
     predict_plt,
@@ -97,9 +99,9 @@ def three_service_page():
 
 class TestCountPredictions:
     def test_measured_counts(self):
-        counts = measured_counts(three_service_page())
-        assert counts.dns_queries == 6
-        assert counts.tls_connections == 6
+        data = figure3([three_service_page()])
+        assert data.measured_dns == [6]
+        assert data.measured_tls == [6]
 
     def test_ideal_origin_counts_by_service(self):
         counts = ideal_origin_counts(three_service_page())
@@ -115,7 +117,7 @@ class TestCountPredictions:
         page = three_service_page()
         origin = ideal_origin_counts(page).tls_connections
         ip = ideal_ip_counts(page).tls_connections
-        measured = measured_counts(page).tls_connections
+        measured = page.tls_connection_count()
         assert origin <= ip <= measured
 
     def test_failed_entries_excluded_from_services(self):
@@ -174,6 +176,27 @@ class TestFigure3OnCrawl:
         headline = headline_reductions(result.archives)
         assert headline["validation_reduction"] > 0.4
         assert headline["dns_reduction"] > 0.2
+
+    def test_the_fold_counts_each_page_as_the_model_does(
+            self, crawled_world):
+        """Figure 3 is a view over the crawl's fold; its series are
+        each successful page's own counts, in crawl order."""
+        _, result = crawled_world
+        ok = result.successes
+        assert figure3(result.archives) == Figure3Data(
+            measured_dns=[a.dns_query_count() for a in ok],
+            measured_tls=[a.tls_connection_count() for a in ok],
+            ideal_ip=[ideal_ip_counts(a).tls_connections for a in ok],
+            ideal_origin=[ideal_origin_counts(a).tls_connections
+                          for a in ok],
+        )
+
+    def test_reductions_of_no_page_are_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert headline_reductions([]) == {
+                "dns_reduction": 0.0, "validation_reduction": 0.0}
+            assert set(figure3([]).medians().values()) == {0.0}
 
 
 class TestPltPrediction:

@@ -14,6 +14,7 @@ from repro.dataset.cache import (
 )
 from repro.cli import main
 from repro.dataset import shard as shard_module
+from repro.dataset.characterize import CrawlFold
 from repro.dataset.crawler import CrawlParams, CrawlResult
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
@@ -192,14 +193,17 @@ class TestCrawlCache:
         params = CrawlParams()
         first = cached_crawl(tmp_path, config, params, shards=2)
         assert first.cache_hit is False
+        path = CrawlCache(tmp_path).path_for(cache_key(config, params, 2))
+        stored = path.read_bytes()
         second = cached_crawl(tmp_path, config, params, shards=2)
         assert second.cache_hit is True
-        assert second.result.archives == first.result.archives
+        assert second.result.pages == first.result.pages
         # refresh re-crawls (deterministically) and keeps the entry.
         third = cached_crawl(tmp_path, config, params, shards=2,
                              refresh=True)
         assert third.cache_hit is False
-        assert third.result.archives == first.result.archives
+        assert third.result.pages == first.result.pages
+        assert path.read_bytes() == stored
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +222,17 @@ def cached_crawl(cache_dir, config=CONFIG, params=PARAMS, shards=4,
     workload = CrawlWorkload(config, params, shards=shards,
                              cache_dir=cache_dir, refresh=refresh)
     return RunPipeline(workload, jobs=jobs).run()
+
+
+def fanned_out_crawl(cache_dir):
+    """The 4-shard crawl at --jobs 2 into an entry of ``cache_dir``, as
+    the workload runs it, keeping the archives the merge decoded: the
+    merged result and the published entry's path."""
+    cache = CrawlCache(cache_dir)
+    with cache.writing(KEY) as entry:
+        result, _ = crawl_shards(plan_shards(CONFIG, 4), PARAMS, 2,
+                                 archive_out=entry)
+    return result, cache.store(KEY)
 
 
 def crawl_argv(cache_dir, jobs, *extra):
@@ -271,13 +286,10 @@ class TestStreamedStore:
     def test_new_entry_round_trips(self, tmp_path):
         """Every line re-encodes to its own bytes, decoded by the
         --jobs 2 merge and by a load of the entry."""
-        cache = CrawlCache(tmp_path)
-        outcome = cached_crawl(tmp_path, jobs=2)
-        assert not outcome.cache_hit
-        result = outcome.result
-        loaded = cache.load(KEY)
+        result, path = fanned_out_crawl(tmp_path)
+        loaded = CrawlResult.load(path)
         assert loaded.archives == result.archives
-        text = cache.path_for(KEY).read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
         for archives in (result.archives, loaded.archives):
             assert text == "".join(
                 archive.to_json() + "\n" for archive in archives)
@@ -298,7 +310,8 @@ class TestStreamedStore:
         sink(outcome)
         assert [p.name for p in tmp_path.iterdir()] == \
             [f"crawl-{KEY}.jsonl"]
-        assert workload.cache.load(KEY).archives == outcome.result.archives
+        loaded = workload.cache.load(KEY, CrawlFold())
+        assert loaded.pages == outcome.result.pages
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_serial_and_fan_out_share_one_writer(
@@ -382,10 +395,7 @@ class TestDecodedArchivesShareStrings:
     def fanned_out(self, tmp_path_factory):
         """A --jobs 2 crawl of the 4-shard world: its merged archives
         (decoded from the workers' lines) and its cache entry."""
-        cache_dir = tmp_path_factory.mktemp("cache")
-        outcome = cached_crawl(cache_dir, jobs=2)
-        assert not outcome.cache_hit
-        return outcome.result, CrawlCache(cache_dir).path_for(KEY)
+        return fanned_out_crawl(tmp_path_factory.mktemp("cache"))
 
     def test_one_load_holds_each_hostname_once(self, fanned_out):
         _, path = fanned_out

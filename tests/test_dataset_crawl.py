@@ -70,12 +70,12 @@ class TestCrawlOutcomes:
         _, result = crawl
         failures = [a for a in result.archives if not a.page.success]
         assert failures
-        assert all(a.request_count == 0 for a in failures)
+        assert all(not a.entries for a in failures)
 
     def test_medians_in_paper_ballpark(self, crawl):
         _, result = crawl
         ok = result.successes
-        med_requests = np.median([a.request_count for a in ok])
+        med_requests = np.median([len(a.entries) for a in ok])
         med_dns = np.median([a.dns_query_count() for a in ok])
         med_tls = np.median([a.tls_connection_count() for a in ok])
         assert 50 <= med_requests <= 130      # paper: 81

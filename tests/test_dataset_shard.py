@@ -11,6 +11,7 @@ import weakref
 
 import pytest
 
+from repro.cli import main
 from repro.dataset import shard as shard_module
 from repro.dataset.characterize import CrawlFold
 from repro.dataset.crawler import CrawlParams, CrawlResult
@@ -26,6 +27,7 @@ from repro.dataset.shard import (
     plan_shards,
     plan_slices,
 )
+from repro.runtime.sinks import RenderSink
 from repro.web.har import HarArchive, HarEntry
 
 
@@ -229,6 +231,39 @@ class TestFoldMemory:
         assert kept == [len(result.archives),
                         sum(len(a.entries) for a in result.archives)]
         assert kept[0] == 9 and kept[1] > 9
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("argv, kept", [
+        (["model"], 0),
+        (["privacy"], 0),
+        (["explain", "--pages", "1"], 1),
+    ], ids=["model", "privacy", "explain"])
+    def test_a_command_renders_from_its_fold(
+        self, monkeypatch, capsys, tmp_path, jobs, argv, kept
+    ):
+        """While a crawl command renders, the only archives alive are
+        the ones it draws: none for ``model`` and ``privacy``, on a
+        miss and on the hit that streams the entry into the sink, and
+        the one page ``explain --pages 1`` shows."""
+        before = self.har_objects()
+        alive = []
+        render = RenderSink.__call__
+
+        def counting(sink, outcome):
+            alive.append([now - then for now, then
+                          in zip(self.har_objects(), before)])
+            render(sink, outcome)
+
+        monkeypatch.setattr(RenderSink, "__call__", counting)
+        for _ in range(2):
+            assert main([*argv, "--sites", "9", "--seed", "5",
+                         "--shards", "3", "--jobs", str(jobs),
+                         "--cache-dir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert "cache: hit" in err or argv[0] == "explain"
+        assert [archives for archives, _ in alive] == [kept, kept]
+        if not kept:
+            assert alive == [[0, 0], [0, 0]]
 
     def test_one_slice_of_the_plan_is_live(self, monkeypatch):
         """While shard k runs, the stream has handed out exactly k + 1
