@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from repro.core import plan_certificates
+from repro.core.certplan import plan_certificates
 from repro.dataset.crawler import CrawlParams
 from repro.dataset.generator import DatasetConfig, PageGenerator
 from repro.dataset.shard import crawl_shards, plan_shards

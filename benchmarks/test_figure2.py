@@ -3,7 +3,8 @@
 from conftest import print_block
 
 from repro.analysis import render_table
-from repro.core import by_asn, reconstruct
+from repro.core.grouping import by_asn
+from repro.core.timeline import reconstruct
 from repro.web.har import HarArchive, HarEntry, HarPage, HarTimings
 
 

@@ -3,7 +3,7 @@
 from conftest import print_block
 
 from repro.analysis import format_pct, render_cdf
-from repro.core import figure3
+from repro.core.predictions import figure3
 
 #: Paper medians: DNS 14, TLS 16, ideal IP 13, ideal ORIGIN 5;
 #: ORIGIN reduces DNS by ~64% and TLS by ~67%.

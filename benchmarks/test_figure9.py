@@ -5,7 +5,7 @@ from conftest import print_block
 import pytest
 
 from repro.analysis import format_pct, render_cdf
-from repro.core import predict_plt
+from repro.core.predictions import predict_plt
 
 #: Paper model medians: ~10% (IP), ~27% (ORIGIN), ~1.5% (CDN-only);
 #: measured deployment improvement ~1% ("no worse").

@@ -3,7 +3,7 @@
 from conftest import print_block
 
 from repro.analysis import format_pct
-from repro.core import headline_reductions
+from repro.core.predictions import headline_reductions
 
 #: "adding no more than 10 DNS names to 37.59% of the certificates will
 #: reduce certificate validations by 68.75%, while reducing the number

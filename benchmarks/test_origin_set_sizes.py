@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import render_cdf
-from repro.core import origin_set_for_page
+from repro.core.coalescing import origin_set_for_page
 
 
 def test_origin_set_sizes(benchmark, successes):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_pct, render_table
-from repro.core import compare_privacy
+from repro.core.privacy import compare_privacy
 from repro.core.privacy import exposure_from_archive
 
 

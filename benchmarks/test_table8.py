@@ -3,7 +3,7 @@
 from conftest import print_block
 
 from repro.analysis import render_table
-from repro.core import san_distribution_table
+from repro.core.certplan import san_distribution_table
 
 
 def test_table8(benchmark, plan):

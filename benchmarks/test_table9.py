@@ -3,7 +3,7 @@
 from conftest import print_block
 
 from repro.analysis import format_pct, render_table
-from repro.core import provider_addition_table
+from repro.core.certplan import provider_addition_table
 
 
 def test_table9(benchmark, plan):

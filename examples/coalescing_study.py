@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from repro.analysis import format_pct, render_cdf, render_table
-from repro.core import figure3, headline_reductions, plan_certificates, \
-    provider_addition_table
+from repro.core.certplan import plan_certificates, provider_addition_table
+from repro.core.predictions import figure3, headline_reductions
 from repro.dataset.characterize import CrawlFold
 from repro.dataset.crawler import Crawler
 from repro.dataset.generator import DatasetConfig

@@ -12,7 +12,8 @@ import numpy as np
 
 from repro.analysis import render_waterfall
 from repro.browser import BrowserContext, BrowserEngine, ChromiumPolicy
-from repro.core import by_asn, reconstruct
+from repro.core.grouping import by_asn
+from repro.core.timeline import reconstruct
 from repro.dnssim import AuthoritativeServer, CachingResolver, Zone
 from repro.h2 import H2Server, ServerConfig
 from repro.netsim import EventLoop, Host, LatencyModel, LinkSpec, Network

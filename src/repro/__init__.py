@@ -23,7 +23,7 @@ The package layers, bottom-up:
 Quickstart::
 
     from repro.dataset import CrawlParams, Crawler, DatasetConfig, build_world
-    from repro.core import figure3
+    from repro.core.predictions import figure3
 
     world = build_world(DatasetConfig(site_count=200))
     result = Crawler(world, CrawlParams(policy="chromium")).crawl()

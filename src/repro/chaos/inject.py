@@ -512,11 +512,6 @@ class FaultInjector:
 
     # -- results -----------------------------------------------------------
 
-    def fault_docs(self) -> List[dict]:
-        """Per-fault tally docs in schedule order (the shard-merge
-        wire format)."""
-        return [tally.to_doc() for tally in self.tallies]
-
     @property
     def middlebox_stats(self):
         return self._middlebox.stats if self._middlebox else None

@@ -7,16 +7,17 @@ attributes every connection it kills to the fault that killed it and
 records how much was riding it; a :class:`ChaosReport` aggregates the
 tallies shard-by-shard so the numbers stay ``--jobs``-deterministic.
 
-Tallies are plain summable counters plus a distinct-user set that is
-carried as a sorted tuple in the wire doc, so shard merge is just
-counter addition + set union in shard order -- the same merge shape
-as metrics and audit streams.
+Tallies are plain summable counters plus a distinct-user set, and a
+shard ships its injector's tallies as themselves (pickled by a pool
+worker, live in-process), so shard merge is just counter addition +
+set union in shard order -- the same merge shape as metrics and audit
+streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.audit.record import canonical_json
 
@@ -71,21 +72,6 @@ class FaultTally:
             "immature_lost": self.immature_lost,
             "clients": sorted(self.clients),
         }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, object]) -> "FaultTally":
-        return cls(
-            name=str(doc["name"]),
-            kind=str(doc["kind"]),
-            fired=int(doc.get("fired", 0)),
-            events=int(doc.get("events", 0)),
-            connections_lost=int(doc.get("connections_lost", 0)),
-            coalesced_lost=int(doc.get("coalesced_lost", 0)),
-            hostnames_affected=int(doc.get("hostnames_affected", 0)),
-            requests_affected=int(doc.get("requests_affected", 0)),
-            immature_lost=int(doc.get("immature_lost", 0)),
-            clients=set(map(str, doc.get("clients", ()))),
-        )
 
     def absorb(self, other: "FaultTally") -> None:
         if (other.name, other.kind) != (self.name, self.kind):
@@ -162,18 +148,18 @@ class ChaosReport:
         else:
             self.pages_failed += 1
 
-    def absorb_tallies(self, docs: Iterable[Dict[str, object]]) -> None:
-        """Merge one shard's tally docs (in schedule order)."""
-        incoming = [FaultTally.from_doc(doc) for doc in docs]
+    def absorb_tallies(self, tallies: Sequence[FaultTally]) -> None:
+        """Add one shard's tallies (in schedule order) into the
+        report's own, which the first shard starts at zero, so the
+        report never aliases a shard's objects."""
         if not self.tallies:
-            self.tallies = incoming
-            return
-        if len(incoming) != len(self.tallies):
+            self.tallies = [FaultTally(t.name, t.kind) for t in tallies]
+        if len(tallies) != len(self.tallies):
             raise ValueError(
-                f"shard produced {len(incoming)} tallies, "
+                f"shard produced {len(tallies)} tallies, "
                 f"expected {len(self.tallies)}"
             )
-        for mine, theirs in zip(self.tallies, incoming):
+        for mine, theirs in zip(self.tallies, tallies):
             mine.absorb(theirs)
 
     # -- canonical serialization ------------------------------------------

@@ -28,7 +28,7 @@ def print_protocol_rows(fold) -> None:
 
 
 def cmd_model(args) -> int:
-    from repro.core import plan_certificates
+    from repro.core.certplan import plan_certificates
     from repro.dataset.generator import PageGenerator
 
     def render(outcome) -> None:

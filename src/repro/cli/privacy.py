@@ -18,7 +18,7 @@ class PrivacyFold(CrawlFold):
     <repro.core.privacy.PrivacyComparison.add>`)."""
 
     def __init__(self) -> None:
-        from repro.core import PrivacyComparison
+        from repro.core.privacy import PrivacyComparison
 
         super().__init__()
         self.comparison = PrivacyComparison()

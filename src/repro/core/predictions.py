@@ -76,9 +76,10 @@ class Figure3Data:
 
     def validation_percentiles(self) -> Dict[str, float]:
         """Certificate-validation stats quoted for Figure 3: measured
-        p75 vs ideal p75, and interquartile ranges."""
-        measured = np.array(self.measured_tls, dtype=float)
-        ideal = np.array(self.ideal_origin, dtype=float)
+        p75 vs ideal p75, and interquartile ranges; 0.0 for a crawl
+        with no successful page, as in :meth:`medians`."""
+        measured = np.array(self.measured_tls or [0.0], dtype=float)
+        ideal = np.array(self.ideal_origin or [0.0], dtype=float)
         return {
             "measured_p75": float(np.percentile(measured, 75)),
             "ideal_p75": float(np.percentile(ideal, 75)),
@@ -111,8 +112,10 @@ class PltPrediction:
         """Fractional median PLT improvements vs measured.
 
         Paper: ~10% (IP), ~27% (ORIGIN), ~1.5% (single-CDN ORIGIN).
+        A crawl with no successful page has a 0.0 measured median, as
+        in :meth:`Figure3Data.medians`, and so no improvement.
         """
-        base = float(np.median(self.measured))
+        base = float(np.median(self.measured)) if self.measured else 0.0
         out = {}
         if base > 0:
             out["ip"] = 1.0 - float(np.median(self.ideal_ip)) / base

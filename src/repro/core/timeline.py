@@ -37,9 +37,6 @@ class ReconstructionOptions:
     #: crossorigin=anonymous cannot coalesce (§5.3).  The §4 model
     #: predates that discovery and ignores it, so the default is False.
     respect_fetch_modes: bool = False
-    #: Insecure (cleartext) requests can only reuse same-IP
-    #: connections; they never TLS-coalesce.
-    include_insecure: bool = False
     #: Coalescing requires HTTP/2 multiplexing on both sides; entries
     #: negotiated down to HTTP/1.1 cannot ride a shared connection.
     require_h2: bool = True
@@ -64,7 +61,7 @@ class ReconstructionResult:
 def _eligible(entry: HarEntry, options: ReconstructionOptions) -> bool:
     if entry.status != 200:
         return False
-    if not entry.secure and not options.include_insecure:
+    if not entry.secure:  # cleartext never rides a TLS connection
         return False
     if options.respect_fetch_modes and entry.fetch_mode != "normal":
         return False

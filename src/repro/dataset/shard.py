@@ -29,8 +29,9 @@ and for :mod:`repro.traffic.simulate`: :func:`partition` (the
 layout), :data:`SEED_DOMAINS` (every per-shard random stream),
 :func:`shard_telemetry` and :meth:`ShardResult.bundle` (a shard's
 collectors and its result), :func:`run_shards` (the executor; a
-:class:`ShardResult` crosses the process boundary pickled, its records
-as themselves and a crawl's archives as HAR JSON lines) and
+:class:`ShardResult` crosses the process boundary pickled, its records,
+metrics, fault tallies and traffic aggregate as themselves and a
+crawl's archives as HAR JSON lines) and
 :func:`merge_shards` (the shard-order fold, which calls a run's one
 per-shard callback, ``watch``, after each shard).  :func:`crawl_shards` is
 the one crawl driver over them, plain, observed or fault-injected: it
@@ -75,6 +76,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice, starmap
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Iterable,
     Iterator,
@@ -92,7 +94,11 @@ from repro.dataset.crawler import Crawler, CrawlParams, CrawlResult
 from repro.dataset.generator import DatasetConfig, PageGenerator, SiteRecord
 from repro.dataset.world import SyntheticWorld, build_world
 from repro.telemetry import NULL_TELEMETRY, CrawlTrace, Span, Telemetry
+from repro.telemetry.metrics import Metric
 from repro.web.har import HarArchive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chaos.report import FaultTally
 
 #: Sites per shard when the caller does not pick a layout.
 DEFAULT_SHARD_SIZE = 100
@@ -239,11 +245,15 @@ class ShardResult:
     shards, a :class:`~repro.traffic.aggregate.TrafficAggregate` for
     traffic shards); ``spans``/``metrics``/``events`` are the telemetry
     bundle that :meth:`~repro.telemetry.CrawlTrace.adopt` merges in
-    shard order; ``faults`` are a chaos shard's fault tallies (plain
-    JSON docs, in schedule order) and ``requests_retried`` /
-    ``requests_exhausted`` its engine's per-request retry counts.
-    Every field crosses the process boundary, so a shard is the same
-    object at any ``--jobs``.
+    shard order (the shard registry's
+    :class:`~repro.telemetry.metrics.Counter` and
+    :class:`~repro.telemetry.metrics.Histogram` objects, not copies);
+    ``faults`` are a chaos shard's
+    :class:`~repro.chaos.report.FaultTally` objects (in schedule
+    order) and ``requests_retried`` / ``requests_exhausted`` its
+    engine's per-request retry counts.  Every field crosses the
+    process boundary as itself, so a shard is the same object at any
+    ``--jobs``; the merges copy what they read and keep none of it.
     ``har_lines`` is a crawl payload as its worker encoded it, one HAR
     JSON line per archive, kept by the parent beside the decoded
     payload; ``None`` on a shard that ran in this process.
@@ -251,9 +261,9 @@ class ShardResult:
 
     payload: object
     spans: Sequence[Span] = ()
-    metrics: Sequence[dict] = ()
+    metrics: Sequence[Metric] = ()
     events: Sequence[AuditEvent] = ()
-    faults: Sequence[dict] = ()
+    faults: Sequence["FaultTally"] = ()
     requests_retried: int = 0
     requests_exhausted: int = 0
     har_lines: Optional[Sequence[str]] = None
@@ -263,12 +273,12 @@ class ShardResult:
                **fields) -> "ShardResult":
         """A shard's ``payload`` and ``fields`` bundled with what its
         ``telemetry`` collected (:func:`shard_telemetry`): the spans,
-        the metrics snapshot and the audit events -- none from
+        the metrics and the audit events -- none from
         :data:`~repro.telemetry.NULL_TELEMETRY`."""
         if not telemetry.enabled:
             return cls(payload=payload, **fields)
         return cls(payload=payload, spans=telemetry.tracer.spans,
-                   metrics=telemetry.metrics.snapshot(),
+                   metrics=telemetry.metrics.metrics(),
                    events=telemetry.audit.events, **fields)
 
 
@@ -346,7 +356,7 @@ def crawl_shard(
         )
     return ShardResult.bundle(
         result, telemetry,
-        faults=() if chaos is None else injector.fault_docs(),
+        faults=() if chaos is None else injector.tallies,
         requests_retried=crawler.engine.requests_retried,
         requests_exhausted=crawler.engine.requests_exhausted,
     )
@@ -363,10 +373,10 @@ def _shard_to_wire(
     job: Tuple[Callable[..., ShardResult], tuple]
 ) -> ShardResult:
     """Picklable pool entry point: run one shard and hand the pool the
-    result to pickle.  Spans, audit events and a traffic aggregate go
-    as themselves; a crawl's archives go as HAR JSON lines (the hop the
-    benchmark's ``har_encode`` / ``har_decode`` stages time on the
-    fan-out run)."""
+    result to pickle.  Spans, metrics, audit events, fault tallies and
+    a traffic aggregate go as themselves; a crawl's archives go as HAR
+    JSON lines (the hop the benchmark's ``har_encode`` / ``har_decode``
+    stages time on the fan-out run, and the only codec on the wire)."""
     shard_fn, args = job
     result = shard_fn(*args)
     payload = result.payload

@@ -20,8 +20,8 @@ this package answers "how does this run compare to every other run":
   long runs (rate-limited, off when stderr is not a TTY).
 
 Everything rides the existing telemetry plumbing (simulated clock,
-snapshot/absorb shard merge), so instrumented runs stay byte-identical
-across ``--jobs``.
+the registry's shard-order ``absorb``), so instrumented runs stay
+byte-identical across ``--jobs``.
 
 Only the dependency-free phase recorder is re-exported here; import
 the other modules directly (they pull in dataset/analysis layers).

@@ -135,17 +135,13 @@ def merge_phase_docs(docs: Sequence[dict]) -> Optional[Histogram]:
         if merged is None:
             merged = histogram
             continue
-        if histogram.bounds != merged.bounds:
+        try:
+            merged.merge(histogram)
+        except ValueError:
             raise LedgerError(
                 f"phase {doc['name']}: bucket bounds differ across "
                 "merged series"
-            )
-        for index, count in enumerate(histogram.bucket_counts):
-            merged.bucket_counts[index] += count
-        merged.count += histogram.count
-        merged.sum += histogram.sum
-        merged.min = min(merged.min, histogram.min)
-        merged.max = max(merged.max, histogram.max)
+            ) from None
     return merged
 
 

@@ -13,7 +13,7 @@ Hot paths reach their recorder through the telemetry handle
 profile) and guard on ``phases.enabled``; an un-ledgered run holds
 :data:`NULL_PHASES`, a bare flag, and pays a single attribute read.
 Because the histograms live in the ordinary metrics registry they
-merge across shards via the existing snapshot/absorb path, keeping
+merge across shards through the registry's ``absorb``, keeping
 records byte-identical across ``--jobs``.
 
 This module is import-dependency-free on purpose: transport, browser,

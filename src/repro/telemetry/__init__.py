@@ -169,7 +169,7 @@ class CrawlTrace:
     def adopt(self, result, shard: int) -> None:
         """Merge one shard's telemetry bundle (a
         :class:`~repro.dataset.shard.ShardResult`): spans, metrics
-        snapshot and audit events."""
+        and audit events."""
         self.extend(result.spans, shard=shard)
         self.metrics.absorb(result.metrics)
         self.extend_audit(result.events, shard=shard)

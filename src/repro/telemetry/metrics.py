@@ -6,10 +6,11 @@ per-layer ``*Stats`` objects (pool, server, resolver, middlebox) keep
 plain integer counters (:class:`RegistryStats`) and export them into
 the run's registry when their page load or crawl shard ends.
 
-Registries are cheap, picklable-through-snapshots, and mergeable:
-per-shard crawl workers snapshot their registry and the parent absorbs
-the snapshots in shard order, so ``--jobs N`` produces the same merged
-metrics as ``--jobs 1``.
+Registries are cheap and mergeable, and their metrics pickle as
+themselves: a shard ships :meth:`MetricsRegistry.metrics` (pickled by
+a pool worker, live in-process) and the parent absorbs them in shard
+order, so ``--jobs N`` produces the same merged metrics as
+``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ class Counter:
 
     def inc(self, amount: Union[int, float] = 1) -> None:
         self.value += amount
+
+    def merge(self, other: "Counter") -> None:
+        """Add ``other``'s value (another shard's same series)."""
+        self.value += other.value
 
     def __repr__(self) -> str:
         return f"Counter({self.name}{dict(self.labels) or ''}={self.value})"
@@ -88,6 +93,19 @@ class Histogram:
         self.max = max(self.max, value)
         # First bound >= value; the trailing inf bound guarantees a hit.
         self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
+
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s observations bucket by bucket; the bounds
+        must match (:class:`ValueError` otherwise)."""
+        if other.bounds != self.bounds:
+            raise ValueError(
+                f"histogram {self.name} bucket mismatch on merge")
+        for index, count in enumerate(other.bucket_counts):
+            self.bucket_counts[index] += count
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
 
     @property
     def mean(self) -> float:
@@ -172,57 +190,21 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    # -- snapshot / merge --------------------------------------------------
+    # -- merge -------------------------------------------------------------
 
-    def snapshot(self) -> List[dict]:
-        """A JSON-serializable copy (for worker processes and export)."""
-        out: List[dict] = []
-        for metric in self._metrics.values():
-            doc = {
-                "kind": metric.kind,
-                "name": metric.name,
-                "labels": list(metric.labels),
-            }
+    def absorb(self, metrics: Sequence[Metric]) -> None:
+        """Add another registry's :meth:`metrics` into this one, in
+        their order: counters add, histograms merge bucket by bucket
+        (:meth:`Histogram.merge`).  Each series is this registry's own
+        object, started fresh on first sight, so nothing absorbed is
+        aliased; a series whose kind differs raises :class:`TypeError`."""
+        for metric in metrics:
+            labels = dict(metric.labels)
             if isinstance(metric, Histogram):
-                doc.update(
-                    bounds=[b if not math.isinf(b) else None
-                            for b in metric.bounds],
-                    bucket_counts=list(metric.bucket_counts),
-                    count=metric.count,
-                    sum=metric.sum,
-                    min=None if math.isinf(metric.min) else metric.min,
-                    max=None if math.isinf(metric.max) else metric.max,
-                )
+                mine = self.histogram(metric.name, metric.bounds, **labels)
             else:
-                doc["value"] = metric.value
-            out.append(doc)
-        return out
-
-    def absorb(self, docs: List[dict]) -> None:
-        """Merge a :meth:`snapshot` into this registry: counters add,
-        histograms merge bucket-by-bucket."""
-        for doc in docs:
-            labels = {key: value for key, value in doc["labels"]}
-            name = doc["name"]
-            if doc["kind"] == "counter":
-                self.counter(name, **labels).inc(doc["value"])
-            else:
-                bounds = tuple(
-                    math.inf if b is None else b for b in doc["bounds"]
-                )
-                histogram = self.histogram(name, buckets=bounds, **labels)
-                if histogram.bounds != bounds:
-                    raise ValueError(
-                        f"histogram {name} bucket mismatch on merge"
-                    )
-                for index, count in enumerate(doc["bucket_counts"]):
-                    histogram.bucket_counts[index] += count
-                histogram.count += doc["count"]
-                histogram.sum += doc["sum"]
-                if doc["min"] is not None:
-                    histogram.min = min(histogram.min, doc["min"])
-                if doc["max"] is not None:
-                    histogram.max = max(histogram.max, doc["max"])
+                mine = self.counter(metric.name, **labels)
+            mine.merge(metric)
 
 
 class RegistryStats:

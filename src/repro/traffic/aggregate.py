@@ -7,7 +7,10 @@ number of edges, cohorts, and time buckets -- not by the number of
 users or requests.  Aggregates from different shards merge by
 addition (peaks sum too: each shard is a replica of the edge fleet
 serving its own user slice), and the canonical JSONL export is
-byte-identical whatever ``--jobs`` count produced the shards.
+byte-identical whatever ``--jobs`` count produced the shards.  A shard
+ships its aggregate as itself (pickled by a pool worker, live
+in-process); :meth:`TrafficAggregate.merge` adds it into counters the
+merged aggregate owns, so nothing of a shard is aliased.
 """
 
 from __future__ import annotations
@@ -38,11 +41,6 @@ class LoadCounters:
     def to_dict(self) -> dict:
         return {spec.name: getattr(self, spec.name)
                 for spec in fields(self)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LoadCounters":
-        return cls(**{spec.name: int(doc.get(spec.name, 0))
-                      for spec in fields(cls)})
 
     @property
     def coalesced_share(self) -> float:
@@ -78,15 +76,6 @@ class CohortTally:
                for spec in fields(self)}
         doc["plt_total_ms"] = round(self.plt_total_ms, 6)
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CohortTally":
-        values = {spec.name: doc.get(spec.name, 0)
-                  for spec in fields(cls)}
-        values["plt_total_ms"] = float(values["plt_total_ms"])
-        return cls(**{name: (value if name == "plt_total_ms"
-                             else int(value))
-                      for name, value in values.items()})
 
     @property
     def mean_plt_ms(self) -> float:
@@ -200,46 +189,3 @@ class TrafficAggregate:
                           **self.buckets[index].to_dict()})
         return "\n".join(map(canonical_json, lines)) + "\n"
 
-    # -- worker serialization ----------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "users": self.users,
-            "duration_ms": self.duration_ms,
-            "bucket_ms": self.bucket_ms,
-            "shard_count": self.shard_count,
-            "dns_queries": self.dns_queries,
-            "retries": self.retries,
-            "totals": self.totals.to_dict(),
-            "edges": {name: c.to_dict()
-                      for name, c in self.edges.items()},
-            "buckets": {str(index): c.to_dict()
-                        for index, c in self.buckets.items()},
-            "cohorts": {name: t.to_dict()
-                        for name, t in self.cohorts.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrafficAggregate":
-        aggregate = cls(
-            users=int(doc["users"]),
-            duration_ms=float(doc["duration_ms"]),
-            bucket_ms=float(doc["bucket_ms"]),
-            shard_count=int(doc.get("shard_count", 1)),
-            dns_queries=int(doc.get("dns_queries", 0)),
-            retries=int(doc.get("retries", 0)),
-            totals=LoadCounters.from_dict(doc["totals"]),
-        )
-        aggregate.edges = {
-            name: LoadCounters.from_dict(sub)
-            for name, sub in doc["edges"].items()
-        }
-        aggregate.buckets = {
-            int(index): LoadCounters.from_dict(sub)
-            for index, sub in doc["buckets"].items()
-        }
-        aggregate.cohorts = {
-            name: CohortTally.from_dict(sub)
-            for name, sub in doc["cohorts"].items()
-        }
-        return aggregate

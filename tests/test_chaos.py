@@ -25,6 +25,7 @@ from repro.chaos import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
+    FaultTally,
     KINDS,
     load_fault_schedule,
     parse_fault_schedule,
@@ -479,25 +480,40 @@ class TestBlastRadius:
         assert capsys.readouterr().out == COMPARE_POLICIES_GOLDEN
 
     def test_report_shard_merge_is_counter_addition(self):
-        tally_docs = [
-            {"name": "storm", "kind": "goaway_storm", "fired": 1,
-             "events": 3, "connections_lost": 2, "coalesced_lost": 1,
-             "immature_lost": 1, "hostnames_affected": 5,
-             "requests_affected": 9, "clients": ["10.0.0.1"]},
-            {"name": "storm", "kind": "goaway_storm", "fired": 1,
-             "events": 2, "connections_lost": 1, "coalesced_lost": 0,
-             "immature_lost": 0, "hostnames_affected": 1,
-             "requests_affected": 2, "clients": ["10.0.0.2"]},
+        shard_tallies = [
+            FaultTally(name="storm", kind="goaway_storm", fired=1,
+                       events=3, connections_lost=2, coalesced_lost=1,
+                       immature_lost=1, hostnames_affected=5,
+                       requests_affected=9, clients={"10.0.0.1"}),
+            FaultTally(name="storm", kind="goaway_storm", fired=1,
+                       events=2, connections_lost=1, coalesced_lost=0,
+                       immature_lost=0, hostnames_affected=1,
+                       requests_affected=2, clients={"10.0.0.2"}),
         ]
         report = ChaosReport(policy="chromium", schedule_source="x")
-        report.absorb_tallies(tally_docs[:1])
-        report.absorb_tallies(tally_docs[1:])
+        report.absorb_tallies(shard_tallies[:1])
+        report.absorb_tallies(shard_tallies[1:])
         (tally,) = report.tallies
         assert tally.fired == 2
         assert tally.connections_lost == 3
         assert tally.hostnames_affected == 6
         assert tally.users_affected == 2
         assert report.mean_blast_radius == pytest.approx(2.0)
+
+    def test_report_never_aliases_a_shards_tallies(self):
+        """The serial path hands the report a shard's live tallies:
+        mutating them afterwards must not move the report."""
+        shard = [FaultTally(name="storm", kind="goaway_storm", fired=1,
+                            connections_lost=2, hostnames_affected=5,
+                            clients={"10.0.0.1"})]
+        report = ChaosReport(policy="chromium", schedule_source="x")
+        report.absorb_tallies(shard)
+        before = report.to_jsonl()
+        shard[0].connections_lost += 10
+        shard[0].clients.add("10.0.0.9")
+        assert report.to_jsonl() == before
+        assert report.tallies[0] is not shard[0]
+        assert report.tallies[0].clients is not shard[0].clients
 
 
 # ---------------------------------------------------------------------------

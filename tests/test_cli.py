@@ -4,6 +4,8 @@ import argparse
 import io
 import json
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -87,6 +89,26 @@ class TestVersion:
             build_parser().parse_args(["--version"])
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.strip() == f"repro {__version__}"
+
+
+class TestCrawlImports:
+    def test_crawl_loads_only_the_coalescing_half_of_the_model(self):
+        """A crawl's fold needs ``repro.core.coalescing`` (and its
+        grouping); the rest of the §4 model stays unimported, so it
+        costs a crawl's start-up nothing."""
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "main(['crawl', '--sites', '2', '--no-cache'])\n"
+            "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        loaded = set(run.stderr.splitlines()[-1].split())
+        assert "repro.core.coalescing" in loaded
+        assert not loaded & {"repro.core.certplan", "repro.core.predictions",
+                             "repro.core.privacy", "repro.core.timeline"}
 
 
 class TestParseAlpn:

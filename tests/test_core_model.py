@@ -7,19 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    Figure3Data,
-    figure3,
-    headline_reductions,
-    ideal_ip_counts,
-    ideal_origin_counts,
-    origin_set_for_page,
+from repro.core.certplan import (
+    CertificatePlan,
+    SitePlan,
     plan_certificates,
-    predict_plt,
     provider_addition_table,
     san_distribution_table,
 )
-from repro.core.certplan import CertificatePlan, SitePlan
+from repro.core.coalescing import (
+    ideal_ip_counts,
+    ideal_origin_counts,
+    origin_set_for_page,
+)
+from repro.core.predictions import (
+    Figure3Data,
+    PltPrediction,
+    figure3,
+    headline_reductions,
+    predict_plt,
+)
 from repro.dataset.crawler import Crawler
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.world import build_world
@@ -198,6 +204,11 @@ class TestFigure3OnCrawl:
                 "dns_reduction": 0.0, "validation_reduction": 0.0}
             assert set(figure3([]).medians().values()) == {0.0}
 
+    def test_validation_percentiles_of_no_page_are_zero(self):
+        stats = Figure3Data([], [], [], []).validation_percentiles()
+        assert stats == {"measured_p75": 0.0, "ideal_p75": 0.0,
+                         "measured_iqr": 0.0, "ideal_iqr": 0.0}
+
 
 class TestPltPrediction:
     def test_model_orderings(self, crawled_world):
@@ -211,6 +222,11 @@ class TestPltPrediction:
         # ...and full ORIGIN dominates both partial models.
         assert improvements["origin"] >= improvements["ip"] - 1e-9
         assert improvements["origin"] >= improvements["cdn_origin"] - 1e-9
+
+    def test_median_improvements_of_no_page_are_empty(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert PltPrediction([], [], []).median_improvements() == {}
 
     def test_reconstruction_never_increases_plt(self, crawled_world):
         _, result = crawled_world

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import by_asn, compare_privacy, exposure_from_archive
+from repro.core.grouping import by_asn
+from repro.core.privacy import compare_privacy, exposure_from_archive
 from tests.test_core_timeline import archive, entry
 
 

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.core import (
-    ReconstructionOptions,
-    by_asn,
-    by_ip,
-    by_single_asn,
-    reconstruct,
-)
+from repro.core.grouping import by_asn, by_ip, by_single_asn
+from repro.core.timeline import ReconstructionOptions, reconstruct
 from repro.web.har import HarArchive, HarEntry, HarPage, HarTimings
 
 

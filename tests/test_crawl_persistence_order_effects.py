@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.browser import FirefoxPolicy
-from repro.core import figure3
+from repro.core.predictions import figure3
 from repro.dataset.crawler import Crawler, CrawlResult
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.world import build_world

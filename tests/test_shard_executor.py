@@ -6,7 +6,6 @@ That a whole run exports the same bytes at any ``--jobs`` is
 tests/test_digests.py's, one row per workload.
 """
 
-import json
 import multiprocessing
 import os
 import pickle
@@ -17,7 +16,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.audit.log import events_to_jsonl
+from repro.audit.record import canonical_json
 from repro.chaos import (
+    ChaosReport,
     DEFAULT_RETRY_POLICY,
     EMPTY_SCHEDULE,
     load_fault_schedule,
@@ -36,26 +37,47 @@ from repro.dataset.shard import (
     plan_slices,
     run_shards,
 )
-from repro.telemetry import CrawlTrace
+from repro.obs.ledger import phase_docs_from_registry
+from repro.telemetry import CrawlTrace, MetricsRegistry
 from repro.telemetry.exporters import spans_to_jsonl
-from repro.traffic import plan_replica, plan_user_shards, simulate_shard
+from repro.traffic import (
+    TrafficAggregate,
+    plan_replica,
+    plan_user_shards,
+    simulate_shard,
+)
 from repro.traffic.scenario import ScenarioConfig
 
 
-def _payload_bytes(payload) -> str:
+def merged_artifacts(result: ShardResult) -> dict:
+    """Every output one shard result merges to, as a run exports it:
+    the crawl's archives or the traffic aggregate, the chaos report,
+    the spans and audit log, the ledger's phase docs and the
+    ``--metrics`` summary."""
+    trace = CrawlTrace()
+    trace.adopt(result, shard=0)
+    report = ChaosReport()
+    report.absorb_tallies(result.faults)
+    report.requests_retried += result.requests_retried
+    report.requests_exhausted += result.requests_exhausted
+    payload = result.payload
     if isinstance(payload, CrawlResult):
-        return "\n".join(a.to_json() for a in payload.archives)
-    return payload.to_jsonl()
-
-
-def result_artifacts(result: ShardResult) -> dict:
-    """Every stream of one shard result, as its export would write it."""
+        for archive in payload.archives:
+            report.add(archive)
+        merged = "\n".join(a.to_json() for a in payload.archives)
+    else:
+        aggregate = TrafficAggregate(duration_ms=payload.duration_ms,
+                                     bucket_ms=payload.bucket_ms,
+                                     shard_count=payload.shard_count)
+        aggregate.merge(payload)
+        merged = aggregate.to_jsonl()
     return {
-        "payload": _payload_bytes(result.payload),
-        "spans": spans_to_jsonl(result.spans),
-        "metrics": json.dumps(result.metrics, sort_keys=True),
-        "audit": events_to_jsonl(result.events),
-        "faults": json.dumps(result.faults, sort_keys=True),
+        "payload": merged,
+        "report": report.to_jsonl(),
+        "spans": spans_to_jsonl(trace.spans),
+        "audit": events_to_jsonl(trace.audit),
+        "phases": canonical_json(phase_docs_from_registry(trace.metrics)),
+        "metrics": trace.metrics_summary(),
     }
 
 
@@ -70,21 +92,20 @@ class _Spec:
 
 
 def _toy_shard(spec: _Spec, delay_s: float = 0.0) -> ShardResult:
-    """Sleeps, then reports who ran it as a one-counter metrics
-    snapshot (``toy.pid{index=...}``)."""
+    """Sleeps, then reports who ran it as its one metric, the counter
+    ``toy.pid{index=...}``."""
     time.sleep(delay_s)
-    return ShardResult(payload=CrawlResult(), metrics=[{
-        "kind": "counter", "name": "toy.pid",
-        "labels": [["index", spec.index]], "value": os.getpid(),
-    }])
+    registry = MetricsRegistry()
+    registry.counter("toy.pid", index=spec.index).inc(os.getpid())
+    return ShardResult(payload=CrawlResult(), metrics=registry.metrics())
 
 
 def _index(result: ShardResult) -> int:
-    return result.metrics[0]["labels"][0][1]
+    return int(dict(result.metrics[0].labels)["index"])
 
 
 def _pid(result: ShardResult) -> int:
-    return result.metrics[0]["value"]
+    return result.metrics[0].value
 
 
 def _failing_shard(spec: _Spec) -> ShardResult:
@@ -163,7 +184,7 @@ class TestRunShards:
 
         def watch(done, total, so_far):
             seen.append((done, total))
-            watched.append(len(so_far.metrics.snapshot()))
+            watched.append(len(so_far.metrics))
 
         trace = merge_shards(
             _toy_shard, specs, [(specs[0], 0.3), (specs[1], 0.0)], 2,
@@ -267,23 +288,24 @@ class TestPickledHandOff:
     @pytest.mark.parametrize(
         "make", [_crawl_result, _traffic_result, _chaos_result]
     )
-    def test_round_trip_reserialises_to_identical_bytes(self, make):
+    def test_round_trip_merges_to_identical_outputs(self, make):
         result = make()
-        before = result_artifacts(result)
         # Shipped exactly as the pool ships it: the worker entry
         # point's return value through pickle, re-inflated as the
-        # parent does.
+        # parent does.  Everything but a crawl's archives goes as
+        # itself.
         wire = _shard_to_wire((lambda: result, ()))
         shipped = _shard_from_wire(pickle.loads(pickle.dumps(wire)), {})
         assert (type(wire.payload) is list) == (make is not _traffic_result)
         assert type(shipped.payload) is type(result.payload)
-        assert result_artifacts(shipped) == before
         assert shipped.spans == result.spans
         assert shipped.events == result.events
-        for name in ("payload", "spans", "metrics", "audit"):
-            assert before[name], f"{name} stream is empty"
-        assert (json.loads(before["faults"]) != []) \
-            == (make is _chaos_result)
+        assert shipped.faults == result.faults
+        assert bool(result.faults) == (make is _chaos_result)
+        assert result.spans and result.events and result.metrics
+        live = merged_artifacts(result)
+        assert live["phases"] != "[]"
+        assert merged_artifacts(shipped) == live
 
     def test_untraced_crawl_shard_carries_only_its_payload(self):
         spec = plan_shards(DatasetConfig(site_count=4, seed=2022), 1)[0]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import pytest
 
@@ -139,7 +140,7 @@ class TestTelemetryHandle:
         assert result.success_count > 0
         assert trace.spans == [] and trace.audit == []
         assert len(NULL_TELEMETRY.metrics) == 0
-        assert NULL_TELEMETRY.metrics.snapshot() == []
+        assert NULL_TELEMETRY.metrics.metrics() == []
 
     def test_every_layer_is_wired_to_the_handle(self):
         spec = plan_shards(DatasetConfig(site_count=12, seed=2022), 1)[0]
@@ -149,8 +150,8 @@ class TestTelemetryHandle:
             == WIRED_SPAN_CATEGORIES
         assert {event.kind for event in shard.events} \
             == WIRED_AUDIT_KINDS
-        assert {doc["name"] for doc in shard.metrics
-                if doc["name"].startswith("phase.")} == WIRED_PHASES
+        assert {metric.name for metric in shard.metrics
+                if metric.name.startswith("phase.")} == WIRED_PHASES
 
 
 class TestMetricsRegistry:
@@ -224,25 +225,32 @@ class TestMetricsRegistry:
         histogram.observe(2500.0)
         assert histogram.bucket_counts == [1, 1, 1]
 
-    def test_snapshot_is_json_serializable(self):
+    def test_metrics_absorb_the_same_after_pickling(self):
+        """A pool worker's metrics arrive pickled: they merge as the
+        live objects do, the infinite bounds and extremes included."""
         registry = MetricsRegistry()
-        registry.counter("c").inc()
+        registry.counter("c", shard=1).inc(4)
         registry.histogram("h").observe(3.0)
-        text = json.dumps(registry.snapshot())
-        assert "Infinity" not in text
+        registry.histogram("empty")
+        live, pickled = MetricsRegistry(), MetricsRegistry()
+        live.absorb(registry.metrics())
+        pickled.absorb(pickle.loads(pickle.dumps(registry.metrics())))
+        assert render_metrics_summary(pickled) \
+            == render_metrics_summary(live)
+        assert pickled.histogram("empty").min == math.inf
 
     def test_absorb_counters_add(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("c").inc(1)
         b.counter("c").inc(2)
-        a.absorb(b.snapshot())
+        a.absorb(b.metrics())
         assert a.counter("c").value == 3
 
     def test_absorb_merges_histograms(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.histogram("h").observe(5.0)
         b.histogram("h").observe(500.0)
-        a.absorb(b.snapshot())
+        a.absorb(b.metrics())
         merged = a.histogram("h")
         assert merged.count == 2
         assert merged.min == 5.0 and merged.max == 500.0
@@ -252,7 +260,30 @@ class TestMetricsRegistry:
         a.histogram("h", buckets=(1.0, math.inf)).observe(0.5)
         b.histogram("h", buckets=(2.0, math.inf)).observe(0.5)
         with pytest.raises(ValueError):
-            a.absorb(b.snapshot())
+            a.absorb(b.metrics())
+
+    def test_absorb_rejects_kind_mismatch(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.counter("m").inc()
+        b.histogram("m").observe(1.0)
+        with pytest.raises(TypeError):
+            a.absorb(b.metrics())
+        with pytest.raises(TypeError):
+            b.absorb(a.metrics())
+
+    def test_absorb_never_aliases_a_shards_metrics(self):
+        """The serial path hands the merge a shard's live objects:
+        mutating them afterwards must not move the merged registry."""
+        shard, merged = MetricsRegistry(), MetricsRegistry()
+        shard.counter("c").inc(2)
+        shard.histogram("h").observe(7.0)
+        merged.absorb(shard.metrics())
+        before = render_metrics_summary(merged)
+        shard.counter("c").inc(100)
+        shard.histogram("h").observe(9000.0)
+        assert render_metrics_summary(merged) == before
+        assert not set(map(id, merged.metrics())) \
+            & set(map(id, shard.metrics()))
 
 
 class _DemoStats(RegistryStats):
@@ -417,8 +448,8 @@ class TestExporters:
         )
         shard0.histogram("phase.ttfb", policy="chromium").observe(10.0)
         shard1.histogram("phase.ttfb", policy="chromium").observe(400.0)
-        merged.absorb(shard0.snapshot())
-        merged.absorb(shard1.snapshot())
+        merged.absorb(shard0.metrics())
+        merged.absorb(shard1.metrics())
         text = render_metrics_summary(merged)
         line = next(
             l for l in text.splitlines() if "phase.ttfb" in l

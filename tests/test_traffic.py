@@ -99,13 +99,22 @@ class TestAggregate:
         assert left.cohorts["a"].visits == 5
         assert left.buckets[0].requests == 7
 
-    def test_dict_roundtrip_preserves_jsonl(self):
+    def test_shard_rounding_preserves_jsonl(self):
+        """A shard rounds each cohort's PLT sum to the export's 6
+        places before it ships: that moves no byte of ``to_jsonl``."""
         aggregate = TrafficAggregate(users=4, duration_ms=1000.0)
         aggregate.edge_for("provider:X").handshakes = 2
         aggregate.cohort_for("a").plt_total_ms = 123.4567891
         aggregate.bucket_for(4500.0).coalesced_requests = 1
-        restored = TrafficAggregate.from_dict(aggregate.to_dict())
-        assert restored.to_jsonl() == aggregate.to_jsonl()
+        before = aggregate.to_jsonl()
+        for tally in aggregate.cohorts.values():
+            tally.plt_total_ms = round(tally.plt_total_ms, 6)
+        assert aggregate.to_jsonl() == before
+        shipped = run_shard(plan_user_shards(tiny_scenario(), 1)[0])
+        tallies = shipped.payload.cohorts.values()
+        assert any(tally.plt_total_ms for tally in tallies)
+        assert all(tally.plt_total_ms == round(tally.plt_total_ms, 6)
+                   for tally in tallies)
 
     def test_coalesced_share_series_skips_empty_buckets(self):
         aggregate = TrafficAggregate(bucket_ms=1000.0)
@@ -305,7 +314,7 @@ class TestUnwatchedShard:
         unwatched = run_shard(shard)
         audited = run_shard(shard, collect=(True, True))
         assert audited.payload.retries > 0
-        assert unwatched.payload.to_dict() == audited.payload.to_dict()
+        assert unwatched.payload == audited.payload
         # One retry per ``retry`` decision the audit log records,
         # retried or exhausted.
         assert audited.payload.retries == sum(
@@ -328,9 +337,9 @@ class TestUnwatchedShard:
         histograms per cohort, no spans, no audit events."""
         result = run_shard(plan_user_shards(tiny_scenario(), 1)[0],
                                 collect=(False, False))
-        cohorts = {dict(doc["labels"]).get("cohort")
-                   for doc in result.metrics
-                   if doc["name"].startswith("phase.")}
+        cohorts = {dict(metric.labels).get("cohort")
+                   for metric in result.metrics
+                   if metric.name.startswith("phase.")}
         assert cohorts and cohorts <= set(result.payload.cohorts)
         assert list(result.spans) == list(result.events) == []
 
@@ -344,8 +353,8 @@ class TestUnwatchedShard:
         one the edges accepted."""
         result = run_shard(plan_user_shards(scenario, 1)[0],
                                 collect=(False, False))
-        (opened,) = [doc["value"] for doc in result.metrics
-                     if doc["name"] == "pool.connections_opened"]
+        (opened,) = [metric.value for metric in result.metrics
+                     if metric.name == "pool.connections_opened"]
         assert opened == result.payload.totals.connections > 0
 
 
